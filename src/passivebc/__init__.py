@@ -9,7 +9,8 @@ and an implicit-midpoint simulator whose energy ledgers close to machine
 precision.
 """
 
-from . import cli, extension, hilbert, jet, node, sim, triplet, wave1d
+from . import (extension, hilbert, jet, node, scenario, sim, triplet, verify,
+               wave1d)
 from .errors import PassivebcError
 from .extension import (
     GeneratorRealization,

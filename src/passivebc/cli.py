@@ -41,20 +41,18 @@ CSV_COLUMNS = ("t", "H", "H_p", "H_k", "u_1", "u_2", "y_1", "y_2",
                "balance_residual", "scattering_slack")
 
 
-def _format(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _write_csv_atomic(path: str, header: tuple[str, ...],
-                      rows: list[list[float]]) -> None:
+def _write_csv_atomic(path: str, header: tuple[str, ...], table) -> None:
+    """Write ``header`` and the rows of a 2-D float array, 17 digits each."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_format(v) for v in row) + "\n")
+            for values in table.tolist():
+                fh.write(row % tuple(values))
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -62,16 +60,19 @@ def _write_csv_atomic(path: str, header: tuple[str, ...],
         raise
 
 
-def _trajectory_rows(traj) -> list[list[float]]:
+def _trajectory_table(traj) -> np.ndarray:
+    """CSV_COLUMNS as an array; the first row holds zero port samples."""
     led = traj.ledger
-    rows = [[traj.times[0], led.H[0], led.H_p[0], led.H_k[0],
-             0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]
-    for i in range(traj.n_steps):
-        rows.append([traj.times[i + 1], led.H[i + 1], led.H_p[i + 1],
-                     led.H_k[i + 1], traj.inputs[i][0], traj.inputs[i][1],
-                     traj.outputs[i][0], traj.outputs[i][1],
-                     led.residual[i], led.slack[i]])
-    return rows
+    table = np.zeros((traj.n_steps + 1, len(CSV_COLUMNS)))
+    table[:, 0] = traj.times
+    table[:, 1] = led.H
+    table[:, 2] = led.H_p
+    table[:, 3] = led.H_k
+    table[1:, 4:6] = traj.inputs[:, :2]
+    table[1:, 6:8] = traj.outputs[:, :2]
+    table[1:, 8] = led.residual
+    table[1:, 9] = led.slack
+    return table
 
 
 def _resolve_out(sc: Scenario, out_flag: str | None) -> str:
@@ -93,7 +94,7 @@ def run_scenario(path: str, out: str | None = None) -> int:
     if sc.formulation == "strain-momentum":
         z0 = push_state(sys_.jet, z0)
     traj = simulate(node, z0, signal, sc.t_final, sc.dt)
-    _write_csv_atomic(out_path, CSV_COLUMNS, _trajectory_rows(traj))
+    _write_csv_atomic(out_path, CSV_COLUMNS, _trajectory_table(traj))
     print(f"wrote {traj.n_steps} steps to {out_path}")
     return EXIT_OK
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -56,6 +57,7 @@ from .triplet import NULLSPACE_RCOND, BoundaryOperator
 __all__ = [
     "BoundaryNode",
     "EnergyLedger",
+    "LedgerFactors",
     "scattering_node",
     "impedance_node",
     "external_cayley",
@@ -97,27 +99,98 @@ class BoundaryNode:
         return self.K_map @ z_ext
 
     def dual_gram(self) -> np.ndarray:
-        """Gram of the dual boundary space (inputs/outputs live there)."""
-        return np.linalg.inv(self.op.bspace.gram)
+        """Gram of the dual boundary space (inputs/outputs live there).
+
+        Inverted once per node; the read-only array is shared by all calls.
+        """
+        return self._dual_gram
+
+    @cached_property
+    def _dual_gram(self) -> np.ndarray:
+        return _frozen(np.linalg.inv(self.op.bspace.gram))
+
+    @cached_property
+    def ledger_factors(self) -> "LedgerFactors":
+        """Per-node factors of the energy ledger, built on first use."""
+        n1, n2 = self.op.core_blocks
+        a, b = _weighted_traces(self.op, self.weight_ext)
+        w = self.state_space.gram
+        return LedgerFactors(
+            flavor=self.flavor, iota=self.op.iota, n1=n1,
+            w_p=w[:n1, :n1], w_k=w[n1:, n1:],
+            velocity_rows=self.weight_ext[n1:n1 + n2, :],
+            damping=_frozen(self.D.matrix.T @ self.D.domain.gram),
+            trace_gap=_frozen(a - b), P=self.P.matrix,
+            dual_gram=self.dual_gram())
 
     def energy(self, z_ext: np.ndarray) -> float:
-        zc = self.op.iota @ z_ext
-        return 0.5 * float(zc @ self.state_space.gram @ zc)
+        return sum(self.energy_split(z_ext))
 
     def energy_split(self, z_ext: np.ndarray) -> tuple[float, float]:
         """(potential, kinetic) energy of the core part of a state."""
-        n1, _ = self.op.core_blocks
-        zc = self.op.iota @ z_ext
-        w = self.state_space.gram
-        hp = 0.5 * float(zc[:n1] @ w[:n1, :n1] @ zc[:n1])
-        hk = 0.5 * float(zc[n1:] @ w[n1:, n1:] @ zc[n1:])
-        return hp, hk
+        hp, hk = self.ledger_factors.energy_split(_row(z_ext))
+        return float(hp[0]), float(hk[0])
 
     def dissipated_power(self, z_ext: np.ndarray) -> float:
         """Damping quadratic form <D M^{-1} z2, M^{-1} z2> at a state."""
-        n1, _ = self.op.core_blocks
-        v = self.weight_ext[n1:n1 + self.M.domain.dim, :] @ z_ext
-        return float((self.D.matrix @ v) @ self.D.domain.gram @ v)
+        return float(self.ledger_factors.dissipated_power(_row(z_ext))[0])
+
+
+def _row(z: np.ndarray) -> np.ndarray:
+    return np.asarray(z, dtype=float).reshape(1, -1)
+
+
+def _row_forms(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Quadratic form ``x_i^T W x_i`` of every row of ``x``."""
+    return np.einsum("ij,ij->i", x @ w, x)
+
+
+@dataclass(frozen=True)
+class LedgerFactors:
+    """Factors of every ledger formula of one node, built once.
+
+    Each method evaluates its formula on all rows of a 2-D array at once
+    (extended states, or port samples), returning one value per row:
+
+    * ``H_p = <z1, W_11 z1>/2`` and ``H_k = <z2, W_22 z2>/2`` on the core
+      part ``iota z`` under the mass-weighted state Gram;
+    * dissipated power ``<v, D^T W_D v>`` with ``v = M^{-1} z2``;
+    * contraction slack ``(||(a-b)z||^2 - ||P(a-b)z||^2)/2`` in the dual
+      norm, with ``a = W_G Gamma0 diag(I, M^{-1}, I)`` and
+      ``b = Gamma1 diag(I, M^{-1}, I)``;
+    * supplied power ``<u, y>`` (impedance) or ``(||u||^2 - ||y||^2)/2``
+      (scattering) in the dual boundary pairing.
+    """
+
+    flavor: str
+    iota: np.ndarray
+    n1: int
+    w_p: np.ndarray             # W_11 of the state space
+    w_k: np.ndarray             # W_22 of the state space
+    velocity_rows: np.ndarray   # rows of weight_ext giving M^{-1} z2
+    damping: np.ndarray         # D^T W_D
+    trace_gap: np.ndarray       # a - b
+    P: np.ndarray
+    dual_gram: np.ndarray
+
+    def energy_split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        zc = z @ self.iota.T
+        return (0.5 * _row_forms(zc[:, :self.n1], self.w_p),
+                0.5 * _row_forms(zc[:, self.n1:], self.w_k))
+
+    def dissipated_power(self, z: np.ndarray) -> np.ndarray:
+        return _row_forms(z @ self.velocity_rows.T, self.damping)
+
+    def scattering_slack(self, z: np.ndarray) -> np.ndarray:
+        v = z @ self.trace_gap.T
+        return 0.5 * (_row_forms(v, self.dual_gram)
+                      - _row_forms(v @ self.P.T, self.dual_gram))
+
+    def supplied_power(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+        wd = self.dual_gram
+        if self.flavor == IMPEDANCE:
+            return np.einsum("ij,ij->i", u @ wd, y)
+        return 0.5 * (_row_forms(u, wd) - _row_forms(y, wd))
 
 
 @dataclass(frozen=True)
@@ -318,11 +391,7 @@ def internal_wellposedness(node: BoundaryNode) -> tuple[bool, np.ndarray | None]
 
 def scattering_slack(node: BoundaryNode, z_ext: np.ndarray) -> float:
     """Nonnegative gap ``(||(a-b)z||^2 - ||P(a-b)z||^2)/2`` in the dual norm."""
-    a, b = _weighted_traces(node.op, node.weight_ext)
-    v = (a - b) @ z_ext
-    pv = node.P.matrix @ v
-    wd = node.dual_gram()
-    return 0.5 * float(v @ wd @ v - pv @ wd @ pv)
+    return float(node.ledger_factors.scattering_slack(_row(z_ext))[0])
 
 
 def passivity_residual(node: BoundaryNode, z_ext: np.ndarray,
@@ -345,7 +414,5 @@ def passivity_residual(node: BoundaryNode, z_ext: np.ndarray,
             f"G z differs from u by {gap:.3e}")
     zc = node.op.iota @ z_ext
     power = 2.0 * float(zc @ node.state_space.gram @ (node.L_eff @ z_ext))
-    wd = node.dual_gram()
-    if node.flavor == SCATTERING:
-        return power + float(y @ wd @ y) - float(u @ wd @ u)
-    return power - 2.0 * float(u @ wd @ y)
+    supplied = node.ledger_factors.supplied_power(_row(u), _row(y))
+    return power - 2.0 * float(supplied[0])

@@ -17,7 +17,10 @@ the energy increment obeys the *identity*
 
 which the Green identity converts into boundary supply minus dissipation
 minus a nonnegative contraction slack; the ledger records all three and
-their residual at machine precision.
+their residual at machine precision.  The step loop only advances the
+state; outputs and the ledger are evaluated afterwards in vectorized
+blocks of ``LEDGER_CHUNK`` states from per-node factors built once
+(:class:`~passivebc.node.LedgerFactors`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
     SingularBoundaryBlock,
     SingularStepMatrix,
 )
-from .node import BoundaryNode, EnergyLedger, scattering_slack
+from .node import BoundaryNode, EnergyLedger
 
 __all__ = [
     "InputSignal",
@@ -47,6 +50,7 @@ __all__ = [
 
 INIT_RTOL = 1e-10
 SINGULARITY_RTOL = 1e-13
+LEDGER_CHUNK = 256      # states per vectorized block of the ledger
 
 
 @dataclass(frozen=True)
@@ -207,18 +211,28 @@ def simulate(node: BoundaryNode, z_core0: np.ndarray, signal: InputSignal,
     m = node.G_map.shape[0]
     states = np.empty((n_steps + 1, ext))
     inputs = np.empty((n_steps, m))
-    outputs = np.empty((n_steps, m))
     states[0] = z0
     for n in range(n_steps):
         u_mid = signal(times[n] + 0.5 * dt)
         inputs[n] = u_mid
         states[n + 1] = solver.step(states[n], u_mid)
-        outputs[n] = node.K_map @ (0.5 * (states[n] + states[n + 1]))
 
-    bare = Trajectory(times=times, states_ext=states, inputs=inputs,
+    outputs = np.empty((n_steps, m))
+    for i, j, z_mid in _midpoint_blocks(states):
+        outputs[i:j] = z_mid @ node.K_map.T
+    traj = Trajectory(times=times, states_ext=states, inputs=inputs,
                       outputs=outputs)
-    return Trajectory(times=times, states_ext=states, inputs=inputs,
-                      outputs=outputs, ledger=balance_ledger(node, bare))
+    # attach the ledger to the frozen trajectory instead of building it twice
+    object.__setattr__(traj, "ledger", balance_ledger(node, traj))
+    return traj
+
+
+def _midpoint_blocks(states: np.ndarray):
+    """Yield ``(i, j, z_mid)`` for the steps i..j-1, LEDGER_CHUNK at a time."""
+    n = len(states) - 1
+    for i in range(0, n, LEDGER_CHUNK):
+        j = min(i + LEDGER_CHUNK, n)
+        yield i, j, 0.5 * (states[i:j] + states[i + 1:j + 1])
 
 
 def balance_ledger(node: BoundaryNode, trajectory: Trajectory) -> EnergyLedger:
@@ -229,34 +243,28 @@ def balance_ledger(node: BoundaryNode, trajectory: Trajectory) -> EnergyLedger:
     evaluated at the midpoint state, as is the dissipated power.  The
     residual ``dH - dt (supply - dissipation)`` equals minus half the
     recorded scattering slack up to roundoff.
+
+    The ledger is evaluated in vectorized blocks of ``LEDGER_CHUNK``
+    states from the node's precomputed ``ledger_factors``; midpoint states
+    are formed one block at a time, never for the whole trajectory.
     """
+    f = node.ledger_factors
+    states = trajectory.states_ext
     n = trajectory.n_steps
-    h = np.empty(n + 1)
+    dt = float(trajectory.times[1] - trajectory.times[0]) if n else 0.0
     hp = np.empty(n + 1)
     hk = np.empty(n + 1)
-    for i, z in enumerate(trajectory.states_ext):
-        hp[i], hk[i] = node.energy_split(z)
-        h[i] = hp[i] + hk[i]
-
-    supplied = np.empty(n)
+    for i in range(0, n + 1, LEDGER_CHUNK):
+        block = slice(i, i + LEDGER_CHUNK)
+        hp[block], hk[block] = f.energy_split(states[block])
     dissipated = np.empty(n)
-    residual = np.empty(n)
     slack = np.empty(n)
-    wd = node.dual_gram()
-    dt = float(trajectory.times[1] - trajectory.times[0]) if n else 0.0
-    mids = trajectory.midpoint_states()
-    for i in range(n):
-        z_mid = mids[i]
-        u = trajectory.inputs[i]
-        y = trajectory.outputs[i]
-        if node.flavor == "impedance":
-            supplied[i] = float(u @ wd @ y)
-        else:
-            supplied[i] = 0.5 * (float(u @ wd @ u) - float(y @ wd @ y))
-        dissipated[i] = node.dissipated_power(z_mid)
-        residual[i] = (h[i + 1] - h[i]
-                       - dt * (supplied[i] - dissipated[i]))
-        slack[i] = dt * scattering_slack(node, z_mid)
+    for i, j, z_mid in _midpoint_blocks(states):
+        dissipated[i:j] = f.dissipated_power(z_mid)
+        slack[i:j] = f.scattering_slack(z_mid)
+    h = hp + hk
+    supplied = f.supplied_power(trajectory.inputs, trajectory.outputs)
     return EnergyLedger(H=h, H_p=hp, H_k=hk, supplied=supplied,
-                        dissipated=dissipated, residual=residual,
-                        slack=slack)
+                        dissipated=dissipated,
+                        residual=h[1:] - h[:-1] - dt * (supplied - dissipated),
+                        slack=dt * slack)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,8 @@ from passivebc import cli
 from passivebc.errors import ScenarioError
 from passivebc.scenario import build_node, build_system, load_scenario
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 
 def base_scenario(**overrides):
@@ -148,6 +152,17 @@ class TestCsvContract:
                          "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_rows_match_per_float_formatting(self, tmp_path):
+        rows = [[-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3],
+                [1.7976931348623157e300, -9.99e299, 1.0 / 3.0, -2.5],
+                [float("inf"), float("-inf"), 1e-5, 123456789.0]]
+        out = tmp_path / "rows.csv"
+        cli._write_csv_atomic(str(out), ("a", "b", "c", "d"),
+                              np.array(rows))
+        expected = "a,b,c,d\n" + "".join(
+            ",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+        assert out.read_bytes() == expected.encode()
+
     def test_seventeen_digit_round_trip(self, tmp_path):
         scn = write_scenario(tmp_path, base_scenario())
         out = tmp_path / "run.csv"
@@ -234,3 +249,14 @@ class TestCayleyCommand:
                          "--out", str(out)]) == 0
         _, data = read_csv(out)
         assert np.isfinite(data).all()
+
+
+def test_module_entry_point_runs_without_warnings():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "passivebc.cli", "--help"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: passivebc" in proc.stdout

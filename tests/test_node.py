@@ -103,6 +103,15 @@ class TestConstruction:
         with pytest.raises(DampingNotDissipative):
             impedance_node(sys.op_A, np.eye(2), sys.M_map, bad)
 
+    def test_dual_gram_inverted_once_and_read_only(self):
+        sys = wave_system(4)
+        nd = scattering_node(sys.op_A, 0.5 * rotation(0.3), sys.M_map,
+                             sys.D_map)
+        wd = nd.dual_gram()
+        assert np.array_equal(wd, np.linalg.inv(nd.op.bspace.gram))
+        assert not wd.flags.writeable
+        assert nd.dual_gram() is wd
+
 
 class TestCayley:
     def test_formula_at_beta_one(self):

@@ -10,8 +10,10 @@ from passivebc.errors import (
     SingularBoundaryBlock,
     SingularStepMatrix,
 )
+from passivebc.hilbert import ContractionParam
 from passivebc.node import impedance_node, scattering_node
 from passivebc.sim import (
+    LEDGER_CHUNK,
     InputSignal,
     StepSolver,
     balance_ledger,
@@ -333,3 +335,89 @@ class TestLedger:
         redone = balance_ledger(nd, traj)
         assert np.array_equal(redone.H, traj.ledger.H)
         assert np.array_equal(redone.residual, traj.ledger.residual)
+
+
+def oracle_run(node, z_core0, signal, t_final, dt):
+    """Step loop with per-step outputs and the per-state ledger loop.
+
+    Evaluates every ledger formula state by state straight from the node's
+    maps, as the simulator did before the vectorized ledger.
+    """
+    n_steps = max(1, int(round(t_final / dt)))
+    times = dt * np.arange(n_steps + 1)
+    z0 = consistent_initialization(node, z_core0, signal(0.0))
+    solver = StepSolver(node, dt)
+    m = node.G_map.shape[0]
+    states = np.empty((n_steps + 1, node.op.ext_dim))
+    inputs = np.empty((n_steps, m))
+    outputs = np.empty((n_steps, m))
+    states[0] = z0
+    for n in range(n_steps):
+        u_mid = signal(times[n] + 0.5 * dt)
+        inputs[n] = u_mid
+        states[n + 1] = solver.step(states[n], u_mid)
+        outputs[n] = node.K_map @ (0.5 * (states[n] + states[n + 1]))
+
+    op = node.op
+    n1, n2 = op.core_blocks
+    w = node.state_space.gram
+    wd = np.linalg.inv(op.bspace.gram)
+    gap = (op.bspace.gram @ op.Gamma0 @ node.weight_ext
+           - op.Gamma1 @ node.weight_ext)
+    hp = np.array([0.5 * float(zc[:n1] @ w[:n1, :n1] @ zc[:n1])
+                   for zc in states @ op.iota.T])
+    hk = np.array([0.5 * float(zc[n1:] @ w[n1:, n1:] @ zc[n1:])
+                   for zc in states @ op.iota.T])
+    supplied, dissipated, slack = (np.empty(n_steps) for _ in range(3))
+    for i in range(n_steps):
+        z_mid = 0.5 * (states[i] + states[i + 1])
+        u, y = inputs[i], outputs[i]
+        if node.flavor == "impedance":
+            supplied[i] = float(u @ wd @ y)
+        else:
+            supplied[i] = 0.5 * (float(u @ wd @ u) - float(y @ wd @ y))
+        v = node.weight_ext[n1:n1 + n2] @ z_mid
+        dissipated[i] = float((node.D.matrix @ v) @ node.D.domain.gram @ v)
+        r = gap @ z_mid
+        pr = node.P.matrix @ r
+        slack[i] = dt * (0.5 * float(r @ wd @ r - pr @ wd @ pr))
+    return dict(states_ext=states, inputs=inputs, outputs=outputs,
+                H=hp + hk, H_p=hp, H_k=hk, supplied=supplied,
+                dissipated=dissipated, slack=slack)
+
+
+class TestVectorizedLedger:
+    @pytest.mark.parametrize("flavor", ["impedance", "scattering"])
+    @pytest.mark.parametrize("n_steps", [1, LEDGER_CHUNK - 1, LEDGER_CHUNK,
+                                         LEDGER_CHUNK + 1,
+                                         2 * LEDGER_CHUNK + 3])
+    def test_matches_per_state_oracle(self, rng, flavor, n_steps):
+        sys = random_wave_system(6, rng, b_max=0.6)
+        raw = rng.standard_normal((2, 2))
+        norm = ContractionParam.from_matrix(raw, sys.op_A.bspace).dual_norm
+        p = rng.uniform(0.2, 0.9) * raw / norm
+        builder = impedance_node if flavor == "impedance" else scattering_node
+        nd = builder(sys.op_A, p, sys.M_map, sys.D_map)
+        assert nd.P.dual_norm < 1.0
+        sig = InputSignal("sine", weights=np.array([1.0, 0.6]),
+                          amplitude=0.4, frequency=3.0)
+        z0 = initial_state(sys, "gauss")
+        dt = 1e-3
+        traj = simulate(nd, z0, sig, n_steps * dt, dt)
+        want = oracle_run(nd, z0, sig, n_steps * dt, dt)
+
+        assert traj.n_steps == n_steps
+        assert np.array_equal(traj.states_ext, want["states_ext"])
+        assert np.array_equal(traj.inputs, want["inputs"])
+        scale = np.abs(want["outputs"]).max()
+        assert np.abs(traj.outputs - want["outputs"]).max() <= 1e-13 * scale
+        led = traj.ledger
+        for name in ("H", "H_p", "H_k", "supplied", "dissipated", "slack"):
+            got, ref = getattr(led, name), want[name]
+            assert got.shape == ref.shape
+            tol = 1e-12 * np.abs(ref).max() + 1e-15
+            assert np.abs(got - ref).max() <= tol, name
+        assert led.dissipated.max() > 0.0
+        assert led.slack.max() > 0.0
+        closure = np.abs(led.residual + 0.5 * led.slack)
+        assert (closure <= 1e-10 * (1.0 + np.abs(led.H[1:]))).all()
