@@ -1,7 +1,8 @@
 """Command-line entry point: simulate, verify, jet-compare, cayley.
 
 Exit codes: 0 success, 1 a verify check failed, 2 scenario/schema errors,
-3 numeric gate failures (the message names the violated invariant).  CSV
+3 numeric gate failures (the message names the violated invariant, or the
+linear-algebra routine that failed on the data).  CSV
 files are written atomically (temp file + rename) with 17 significant
 digits so golden-file comparisons round-trip exactly.
 """
@@ -18,9 +19,10 @@ import numpy as np
 
 from .errors import PassivebcError, ScenarioError
 from .jet import push_state, ran_A_defect
-from .node import external_cayley, impedance_node, scattering_node
+from .node import external_cayley
 from .scenario import (
     Scenario,
+    build_flavor_node,
     build_initial_state,
     build_node,
     build_signal,
@@ -125,9 +127,8 @@ def jet_compare(path: str, out: str | None = None) -> int:
     sys_ = build_system(sc)
     jt = sys_.jet
 
-    builder = impedance_node if sc.flavor == "impedance" else scattering_node
-    node_a = builder(sys_.op_A, sc.P, sys_.M_map, sys_.D_map)
-    node_b = builder(jt.target, sc.P, sys_.M_map, sys_.D_map)
+    node_a = build_flavor_node(sc, sys_, sys_.op_A)
+    node_b = build_flavor_node(sc, sys_, jt.target)
     signal = build_signal(sc)
     z0 = build_initial_state(sc, sys_)
     traj_a = simulate(node_a, z0, signal, sc.t_final, sc.dt)
@@ -152,8 +153,7 @@ def cayley_report(path: str, beta: float | None = None) -> int:
     """Print the transformed node maps and the involution residual."""
     sc = load_scenario(path)
     sys_ = build_system(sc)
-    builder = impedance_node if sc.flavor == "impedance" else scattering_node
-    node = builder(sys_.op_A, sc.P, sys_.M_map, sys_.D_map)
+    node = build_flavor_node(sc, sys_, sys_.op_A)
     b = sc.beta if beta is None else beta
     transformed = external_cayley(node, b)
     twice = external_cayley(transformed, b)
@@ -221,7 +221,8 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except PassivebcError as exc:
+    except (PassivebcError, np.linalg.LinAlgError) as exc:
+        # LinAlgError: a factorization or eigensolver failed on the data
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

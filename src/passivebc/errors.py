@@ -12,6 +12,10 @@ class PassivebcError(Exception):
     """Base class for all library errors."""
 
 
+class NonFiniteValue(PassivebcError):
+    """An input matrix, array or scalar holds NaN or infinity."""
+
+
 # ---------------------------------------------------------------- spaces
 
 

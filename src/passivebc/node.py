@@ -28,7 +28,7 @@ scattering maps exactly onto the impedance maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -85,8 +85,6 @@ class BoundaryNode:
     state_space: HilbertSpaceSpec      # core with mass-weighted Gram
     weight_ext: np.ndarray             # diag(I, M^{-1}, I_tau)
     energy_preserving: bool
-    internally_wellposed: bool = field(compare=False, default=False)
-    main_generator: np.ndarray | None = field(compare=False, default=None)
 
     @property
     def n_inputs(self) -> int:
@@ -108,6 +106,24 @@ class BoundaryNode:
     @cached_property
     def _dual_gram(self) -> np.ndarray:
         return _frozen(np.linalg.inv(self.op.bspace.gram))
+
+    @property
+    def internally_wellposed(self) -> bool:
+        """Whether ker G_map carries a dissipative square generator.
+
+        Computed with ``main_generator`` on first read of either.
+        """
+        return self._wellposedness[0]
+
+    @property
+    def main_generator(self) -> np.ndarray | None:
+        """Generator on ker G_map, or None when there is no square one."""
+        return self._wellposedness[1]
+
+    @cached_property
+    def _wellposedness(self) -> tuple[bool, np.ndarray | None]:
+        wellposed, gen = _try_wellposedness(self)
+        return wellposed, None if gen is None else _frozen(gen)
 
     @cached_property
     def ledger_factors(self) -> "LedgerFactors":
@@ -241,7 +257,7 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
             f"damping symmetric part has eigenvalue {lam:.3e} below "
             f"-1e-10")
 
-    msym = 0.5 * (M.matrix + M.matrix.T)
+    msym = 0.5 * M.matrix + 0.5 * M.matrix.T   # no overflow near the max
     if np.linalg.norm(M.matrix - msym) <= 1e-12 * (1.0 + np.linalg.norm(msym)):
         minv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(msym),
                                       np.eye(n2))
@@ -300,16 +316,11 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
     no_damping = np.linalg.norm(wd + wd.T) <= 1e-10 * (1.0 + np.linalg.norm(wd))
     preserving = no_damping and is_dual_unitary(pmat, op.bspace)
 
-    node = BoundaryNode(op=op, flavor=flavor, P=param, M=M, D=D,
+    return BoundaryNode(op=op, flavor=flavor, P=param, M=M, D=D,
                         G_map=_frozen(g), K_map=_frozen(k),
                         L_eff=_frozen(l_eff), state_space=state_space,
                         weight_ext=_frozen(weight_ext),
                         energy_preserving=preserving)
-    wellposed, gen = _try_wellposedness(node)
-    object.__setattr__(node, "internally_wellposed", wellposed)
-    object.__setattr__(node, "main_generator",
-                       None if gen is None else _frozen(gen))
-    return node
 
 
 def scattering_node(op: BoundaryOperator, P, M: LinearMap,
@@ -332,16 +343,11 @@ def external_cayley(node: BoundaryNode, beta: float) -> BoundaryNode:
     g = scale * (beta * node.G_map + node.K_map)
     k = scale * (beta * node.G_map - node.K_map)
     flavor = IMPEDANCE if node.flavor == SCATTERING else SCATTERING
-    out = BoundaryNode(op=node.op, flavor=flavor, P=node.P, M=node.M,
-                       D=node.D, G_map=_frozen(g), K_map=_frozen(k),
-                       L_eff=node.L_eff, state_space=node.state_space,
-                       weight_ext=node.weight_ext,
-                       energy_preserving=node.energy_preserving)
-    wellposed, gen = _try_wellposedness(out)
-    object.__setattr__(out, "internally_wellposed", wellposed)
-    object.__setattr__(out, "main_generator",
-                       None if gen is None else _frozen(gen))
-    return out
+    return BoundaryNode(op=node.op, flavor=flavor, P=node.P, M=node.M,
+                        D=node.D, G_map=_frozen(g), K_map=_frozen(k),
+                        L_eff=node.L_eff, state_space=node.state_space,
+                        weight_ext=node.weight_ext,
+                        energy_preserving=node.energy_preserving)
 
 
 def _kernel_generator(node: BoundaryNode) -> np.ndarray:
@@ -365,12 +371,9 @@ def _kernel_generator(node: BoundaryNode) -> np.ndarray:
 
 def _try_wellposedness(node: BoundaryNode):
     try:
-        gen = _kernel_generator(node)
+        return internal_wellposedness(node)
     except (IllPosedRestriction, SingularCoreProjection):
         return False, None
-    wa = node.state_space.gram @ gen
-    lam = np.linalg.eigvalsh(0.5 * (wa + wa.T))[-1]
-    return bool(lam <= 1e-10), gen
 
 
 def internal_wellposedness(node: BoundaryNode) -> tuple[bool, np.ndarray | None]:

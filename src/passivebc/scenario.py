@@ -9,6 +9,7 @@ errors, so acceptance runs stay reproducible byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,12 +20,14 @@ from .errors import ScenarioError
 from .jet import transform_node
 from .node import BoundaryNode, impedance_node, scattering_node
 from .sim import InputSignal
+from .triplet import BoundaryOperator
 from .wave1d import WaveCoefficients, WaveSystem
 
 __all__ = ["Scenario", "load_scenario", "build_system", "build_node",
-           "build_signal", "build_initial_state"]
+           "build_flavor_node", "build_signal", "build_initial_state"]
 
 SCHEMA_VERSION = 1
+GRID_RTOL = 1e-9    # allowed |n dt - t_final| relative to t_final
 
 _TOP_KEYS = {
     "schema_version": True, "formulation": False, "N": True,
@@ -73,31 +76,51 @@ def _expect_keys(mapping: dict, allowed: dict, where: str) -> None:
         _fail(f"missing keys in {where}: {missing}")
 
 
-def _positive_number(raw, name: str) -> float:
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+def _is_number(raw) -> bool:
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
+def _finite_number(raw, name: str) -> float:
+    """A JSON number that is finite as a float (NaN, infinity and integers
+    beyond the float range are refused)."""
+    if not _is_number(raw):
         _fail(f"{name} must be a number")
-    if not raw > 0:
+    try:
+        value = float(raw)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        _fail(f"{name} must be finite, got {raw!r}")
+    return value
+
+
+def _positive_number(raw, name: str) -> float:
+    value = _finite_number(raw, name)
+    if not value > 0:
         _fail(f"{name} must be positive")
-    return float(raw)
+    return value
+
+
+def _number_list(raw, name: str, size: int) -> np.ndarray:
+    if not (isinstance(raw, list) and len(raw) == size):
+        _fail(f"{name} must be a list of length {size}")
+    return np.array([_finite_number(v, name) for v in raw])
 
 
 def _coefficient_array(raw, name: str, size: int) -> np.ndarray:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return np.full(size, float(raw))
+    if _is_number(raw):
+        return np.full(size, _finite_number(raw, f"coefficient {name}"))
     if isinstance(raw, list):
-        arr = np.asarray(raw, dtype=float)
-        if arr.shape != (size,):
-            _fail(f"coefficient {name} must have length {size}")
-        return arr
+        return _number_list(raw, f"coefficient {name}", size)
     _fail(f"coefficient {name} must be a number or a list")
 
 
 def _parse_P(raw) -> np.ndarray:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw) * np.eye(2)
+    if _is_number(raw):
+        return _finite_number(raw, "P") * np.eye(2)
     if isinstance(raw, list) and len(raw) == 2 \
             and all(isinstance(r, list) and len(r) == 2 for r in raw):
-        return np.asarray(raw, dtype=float)
+        return np.vstack([_number_list(r, "P", 2) for r in raw])
     _fail("P must be a scalar or a 2x2 row-major matrix")
 
 
@@ -116,9 +139,12 @@ def _parse_input(raw) -> dict:
                        channel_weights=True)
     _expect_keys(raw, allowed, "input")
     if kind != "zero":
-        w = raw["channel_weights"]
-        if not (isinstance(w, list) and len(w) == 2):
-            _fail("input channel_weights must be a list of length 2")
+        _number_list(raw["channel_weights"], "input channel_weights", 2)
+        for key in ("amplitude", "frequency", "center"):
+            if key in raw:
+                _finite_number(raw[key], f"input {key}")
+        if kind == "gauss_pulse":
+            _positive_number(raw["width"], "input width")
     return dict(raw)
 
 
@@ -134,7 +160,33 @@ def _parse_initial(raw) -> dict:
     elif kind == "gauss":
         allowed.update(center=True, width=True)
     _expect_keys(raw, allowed, "initial")
+    if kind == "standing_wave":
+        k = raw["k"]
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            _fail("initial k must be a positive integer")
+    elif kind == "gauss":
+        _finite_number(raw["center"], "initial center")
+        _positive_number(raw["width"], "initial width")
     return dict(raw)
+
+
+def _time_grid(raw_t_final, raw_dt) -> tuple[float, float]:
+    """``(t_final, dt)`` with t_final a whole number of steps of dt.
+
+    The simulator runs ``round(t_final / dt)`` steps, so a grid that this
+    rounding would stretch or shrink by more than ``GRID_RTOL`` is refused
+    rather than silently reinterpreted.
+    """
+    t_final = _positive_number(raw_t_final, "t_final")
+    dt = _positive_number(raw_dt, "dt")
+    steps = t_final / dt
+    if not math.isfinite(steps):
+        _fail(f"t_final / dt = {steps} is not a finite step count")
+    n = round(steps)
+    if abs(n * dt - t_final) > GRID_RTOL * t_final:
+        _fail(f"t_final {t_final!r} is not a whole number of steps dt "
+              f"{dt!r} (nearest grid ends at {n * dt!r})")
+    return t_final, dt
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -175,6 +227,7 @@ def load_scenario(path: str | Path) -> Scenario:
     b_arr = _coefficient_array(coeffs["b"], "b", n + 1)
 
     beta = _positive_number(raw.get("beta", 1.0), "beta")
+    t_final, dt = _time_grid(raw["t_final"], raw["dt"])
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         _fail("seed must be an integer")
@@ -187,9 +240,7 @@ def load_scenario(path: str | Path) -> Scenario:
                     P=_parse_P(raw["P"]), flavor=flavor, beta=beta,
                     input=_parse_input(raw["input"]),
                     initial=_parse_initial(raw["initial"]),
-                    t_final=_positive_number(raw["t_final"], "t_final"),
-                    dt=_positive_number(raw["dt"], "dt"),
-                    seed=seed, out=out)
+                    t_final=t_final, dt=dt, seed=seed, out=out)
 
 
 def build_system(sc: Scenario) -> WaveSystem:
@@ -197,10 +248,16 @@ def build_system(sc: Scenario) -> WaveSystem:
     return wave1d.assemble(coeffs)
 
 
+def build_flavor_node(sc: Scenario, sys: WaveSystem,
+                      op: BoundaryOperator) -> BoundaryNode:
+    """Node of the scenario's flavor and P on ``op`` with the system M, D."""
+    builder = impedance_node if sc.flavor == "impedance" else scattering_node
+    return builder(op, sc.P, sys.M_map, sys.D_map)
+
+
 def build_node(sc: Scenario, sys: WaveSystem) -> BoundaryNode:
     """Node on the operator selected by the scenario formulation."""
-    builder = impedance_node if sc.flavor == "impedance" else scattering_node
-    node_a = builder(sys.op_A, sc.P, sys.M_map, sys.D_map)
+    node_a = build_flavor_node(sc, sys, sys.op_A)
     if sc.formulation == "position-momentum":
         return node_a
     return transform_node(sys.jet, node_a)

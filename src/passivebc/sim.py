@@ -33,6 +33,7 @@ import scipy.linalg
 
 from .errors import (
     IncompatibleInitialData,
+    NonFiniteValue,
     SingularBoundaryBlock,
     SingularStepMatrix,
 )
@@ -75,6 +76,11 @@ class InputSignal:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        params = (self.amplitude, self.frequency, self.center, self.width)
+        if not (np.isfinite(params).all()
+                and np.isfinite(self.amplitude * w).all()):
+            raise NonFiniteValue("input signal parameters or its peak "
+                                 "amplitude * weights are not finite")
         if self.kind == "gauss_pulse" and not self.width > 0.0:
             raise ValueError("gauss_pulse width must be positive")
 
@@ -134,6 +140,9 @@ class StepSolver:
 
     @staticmethod
     def _factor(matrix: np.ndarray):
+        if not np.isfinite(matrix).all():
+            raise NonFiniteValue("midpoint step matrix iota -/+ dt L_eff/2 "
+                                 "leaves the floating-point range")
         try:
             with warnings.catch_warnings():
                 # zero pivots are reported through our own exception below
@@ -151,7 +160,8 @@ class StepSolver:
     def step(self, z: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
         rhs = self._behind @ z
         rhs[self._ncore:] += 2.0 * np.asarray(u_mid, dtype=float)
-        return scipy.linalg.lu_solve(self._lu, rhs)
+        # finiteness of the states is checked once per run by simulate
+        return scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
 
     def step_back(self, z: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
         """Invert one midpoint step (the scheme is time-symmetric)."""
@@ -159,7 +169,7 @@ class StepSolver:
             self._lu_back = self._factor(self._behind)
         rhs = self._ahead @ z
         rhs[self._ncore:] -= 2.0 * np.asarray(u_mid, dtype=float)
-        return scipy.linalg.lu_solve(self._lu_back, rhs)
+        return scipy.linalg.lu_solve(self._lu_back, rhs, check_finite=False)
 
 
 def consistent_initialization(node: BoundaryNode, z_core: np.ndarray,
@@ -216,6 +226,8 @@ def simulate(node: BoundaryNode, z_core0: np.ndarray, signal: InputSignal,
         u_mid = signal(times[n] + 0.5 * dt)
         inputs[n] = u_mid
         states[n + 1] = solver.step(states[n], u_mid)
+    if not np.isfinite(states).all():
+        raise NonFiniteValue("the trajectory left the floating-point range")
 
     outputs = np.empty((n_steps, m))
     for i, j, z_mid in _midpoint_blocks(states):

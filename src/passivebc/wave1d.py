@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -51,8 +52,6 @@ __all__ = [
     "assemble",
     "analytic_standing_wave",
     "initial_state",
-    "mass_map",
-    "damping_map",
 ]
 
 
@@ -70,8 +69,8 @@ class WaveCoefficients:
     def __post_init__(self):
         if self.N < 1:
             raise InvalidCoefficients("need at least one cell")
-        if not self.length > 0.0:
-            raise InvalidCoefficients("length must be positive")
+        if not (math.isfinite(self.length) and self.length > 0.0):
+            raise InvalidCoefficients("length must be positive and finite")
         for name, arr, size in (("rho", self.rho, self.N + 1),
                                 ("T", self.T, self.N),
                                 ("a", self.a, self.N + 1),
@@ -80,6 +79,8 @@ class WaveCoefficients:
             if arr.shape != (size,):
                 raise InvalidCoefficients(
                     f"{name} must have shape ({size},), got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise InvalidCoefficients(f"{name} holds NaN or infinity")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if np.any(self.rho <= 0.0) or np.any(self.T <= 0.0) \
@@ -100,7 +101,10 @@ class WaveCoefficients:
 
 @dataclass(frozen=True)
 class WaveSystem:
-    """Assembled spaces, dual pair, boundary operator and jet transform."""
+    """Assembled spaces, dual pair and boundary operator.
+
+    The strain-momentum jet transform is built on first read of ``jet``.
+    """
 
     coeffs: WaveCoefficients
     nodes: np.ndarray
@@ -110,9 +114,13 @@ class WaveSystem:
     A_map: LinearMap
     dual_pair: DualPairTriplet
     op_A: BoundaryOperator
-    jet: JetTransform
     M_map: LinearMap
     D_map: LinearMap
+
+    @cached_property
+    def jet(self) -> JetTransform:
+        """Strain-momentum transform of ``op_A``, built once on first read."""
+        return build_jet(self.op_A, self.A_map)
 
 
 def constant_coefficients(N: int, length: float = 1.0, rho: float = 1.0,
@@ -144,7 +152,7 @@ def _trapezoid_weights(N: int, h: float) -> np.ndarray:
 
 def assemble(coeffs: WaveCoefficients,
              boundary_gram: np.ndarray | None = None) -> WaveSystem:
-    """Build the exact dual pair, its second-order lift and the jet transform.
+    """Build the exact dual pair and its second-order lift.
 
     ``boundary_gram`` overrides the identity Gram of the two-point
     boundary space (the trace identities are Gram-independent; the choice
@@ -183,22 +191,13 @@ def assemble(coeffs: WaveCoefficients,
 
     dual_pair = assemble_dual_pair(A_map, B_ext, iota_Y, lambda1, pi1, G1)
     op_A = lift_second_order(dual_pair)
-    jet = build_jet(op_A, A_map)
 
     return WaveSystem(coeffs=coeffs, nodes=nodes, cells=cells, X=X, Y=Y,
-                      A_map=A_map, dual_pair=dual_pair, op_A=op_A, jet=jet,
+                      A_map=A_map, dual_pair=dual_pair, op_A=op_A,
                       M_map=LinearMap(np.diag(coeffs.rho), domain=X,
                                       codomain=X),
                       D_map=LinearMap(np.diag(coeffs.b), domain=X,
                                       codomain=X))
-
-
-def mass_map(sys: WaveSystem) -> LinearMap:
-    return sys.M_map
-
-
-def damping_map(sys: WaveSystem) -> LinearMap:
-    return sys.D_map
 
 
 def analytic_standing_wave(k: int, coeffs: WaveCoefficients

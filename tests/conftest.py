@@ -1,7 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from passivebc import wave1d
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Property tests draw the same examples on every run, so a test run is
+# reproducible; `--hypothesis-profile=default` draws fresh ones.
+settings.register_profile("reproducible", derandomize=True)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from passivebc import cli
 from passivebc.errors import ScenarioError
@@ -249,6 +252,159 @@ class TestCayleyCommand:
                          "--out", str(out)]) == 0
         _, data = read_csv(out)
         assert np.isfinite(data).all()
+
+
+def edited(doc, edits):
+    """Copy of a scenario document with ``{key path: value}`` applied."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in edits.items():
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return doc
+
+
+def run_cli(tmp_path, capsys, command, doc):
+    """Exit code and stderr of one CLI run; an escaping exception fails."""
+    scn = write_scenario(tmp_path, doc)
+    argv = [command, "--scenario", scn]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "run.csv")]
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+DAMPED_SINE = json.loads((SCENARIOS / "damped_sine.json").read_text())
+NAN, INF = math.nan, math.inf
+
+REJECTED_INPUTS = {
+    "t_final_infinite": {("t_final",): INF},
+    "rho_nan": {("coefficients", "rho"): NAN},
+    "P_nan": {("P",): NAN},
+    "P_matrix_infinite": {("P",): [[0.1, INF], [0.0, 0.1]]},
+    "T_list_nan": {("coefficients", "T"): [1.0] * 31 + [NAN]},
+    "a_list_not_numbers": {("coefficients", "a"): ["1"] * 33},
+    "length_overflows_float": {("length",): 10 ** 400},
+    "input_amplitude_nan": {("input", "amplitude"): NAN},
+    "input_weights_infinite": {("input", "channel_weights"): [INF, 0.0]},
+    "beta_infinite": {("beta",): INF},
+    "dt_beyond_t_final": {("dt",): 1.0, ("t_final",): 0.3},
+    "t_final_not_whole_steps": {("dt",): 0.3, ("t_final",): 1.0},
+    "step_count_overflows": {("dt",): 1e-300, ("t_final",): 1e300},
+    "initial_gauss_width_zero": {("initial",): {"kind": "gauss",
+                                                "center": 0.5,
+                                                "width": 0.0}},
+    "initial_mode_zero": {("initial",): {"kind": "standing_wave", "k": 0}},
+    "input_pulse_width_negative": {("input",): {
+        "kind": "gauss_pulse", "amplitude": 1.0, "center": 0.5,
+        "width": -1.0, "channel_weights": [1.0, 0.0]}},
+    # finite inputs whose arithmetic leaves the float range
+    "rho_at_float_max": {("coefficients", "rho"): 1.7976931348623157e308},
+    "input_amplitude_overflows_step": {
+        ("input", "amplitude"): 1.7976931348623157e308},
+    "step_matrix_overflows": {("dt",): 1e150, ("t_final",): 2e150,
+                              ("coefficients", "b"): 1e308},
+    "damping_overflows_eigensolver": {
+        ("length",): 20.0, ("coefficients", "b"): 1.7976931348623157e308},
+}
+
+
+class TestInputRobustness:
+    @pytest.mark.parametrize("case", sorted(REJECTED_INPUTS))
+    def test_rejected_with_named_error(self, tmp_path, capsys, case):
+        doc = edited(DAMPED_SINE, REJECTED_INPUTS[case])
+        code, err = run_cli(tmp_path, capsys, "simulate", doc)
+        assert code in (2, 3), err
+        assert "Traceback" not in err and err.strip()
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_linalg_failure_exits_3_by_name(self, tmp_path, capsys):
+        doc = edited(DAMPED_SINE,
+                     REJECTED_INPUTS["damping_overflows_eigensolver"])
+        code, err = run_cli(tmp_path, capsys, "simulate", doc)
+        assert code == 3, err
+        assert err.strip().splitlines()[-1].startswith("LinAlgError: ")
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 10 ** 6),
+           dt=st.floats(1e-6, 10.0, allow_subnormal=False))
+    def test_whole_step_grids_load(self, tmp_path, n, dt):
+        doc = base_scenario(t_final=n * dt, dt=dt)
+        sc = load_scenario(write_scenario(tmp_path, doc))
+        assert round(sc.t_final / sc.dt) == n
+
+
+EXTREME_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+                     1e300, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 10 ** 400]))
+
+# Numeric scenario fields and how a value is placed in the document.
+FUZZED_FIELDS = {
+    "length": lambda v: {("length",): v},
+    "rho": lambda v: {("coefficients", "rho"): v},
+    "T": lambda v: {("coefficients", "T"): [1.0, v, 1.0, 1.0]},
+    "a": lambda v: {("coefficients", "a"): v},
+    "b": lambda v: {("coefficients", "b"): [0.1, 0.0, v, 0.0, 0.1]},
+    "P": lambda v: {("P",): v},
+    "P_entry": lambda v: {("P",): [[0.3, v], [0.0, 0.3]]},
+    "beta": lambda v: {("beta",): v},
+    "amplitude": lambda v: {("input", "amplitude"): v},
+    "center": lambda v: {("input", "center"): v},
+    "width": lambda v: {("input", "width"): v},
+    "weight": lambda v: {("input", "channel_weights"): [v, 1.0]},
+    "initial_center": lambda v: {("initial", "center"): v},
+    "initial_width": lambda v: {("initial", "width"): v},
+}
+
+
+def fuzz_base():
+    return base_scenario(
+        N=4, coefficients={"rho": 1.0, "T": 1.0, "a": 1.0, "b": 0.2},
+        input={"kind": "gauss_pulse", "amplitude": 0.5, "center": 0.01,
+               "width": 0.02, "channel_weights": [1.0, 0.5]},
+        initial={"kind": "gauss", "center": 0.5, "width": 0.2})
+
+
+class TestScenarioFuzz:
+    """Extreme and non-finite numbers anywhere in a scenario end in a
+    documented exit code, never in an escaping exception."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fields=st.dictionaries(st.sampled_from(sorted(FUZZED_FIELDS)),
+                                  EXTREME_FLOATS, min_size=1, max_size=3),
+           dt=st.one_of(st.just(0.01), EXTREME_FLOATS),
+           steps=st.integers(1, 3))
+    def test_simulate(self, tmp_path, capsys, fields, dt, steps):
+        # One to three steps of a fuzzed dt: a run's time and memory grow
+        # with its step count.  test_cayley fuzzes the grid fields freely,
+        # through the parser, without stepping.
+        edits = {("dt",): dt, ("t_final",): steps * dt}
+        for name, value in fields.items():
+            edits.update(FUZZED_FIELDS[name](value))
+        code, err = run_cli(tmp_path, capsys, "simulate",
+                            edited(fuzz_base(), edits))
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fields=st.dictionaries(
+        st.sampled_from(sorted(FUZZED_FIELDS) + ["t_final", "dt"]),
+        EXTREME_FLOATS, min_size=1, max_size=3))
+    def test_cayley(self, tmp_path, capsys, fields):
+        edits = {}
+        for name, value in fields.items():
+            edits.update(FUZZED_FIELDS[name](value) if name in FUZZED_FIELDS
+                         else {(name,): value})
+        code, err = run_cli(tmp_path, capsys, "cayley",
+                            edited(fuzz_base(), edits))
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
 
 
 def test_module_entry_point_runs_without_warnings():

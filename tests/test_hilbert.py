@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from passivebc import hilbert
-from passivebc.errors import NonPositiveGram, NonSymmetricGram, RankDeficient
+from passivebc.errors import (
+    NonFiniteValue,
+    NonPositiveGram,
+    NonSymmetricGram,
+    RankDeficient,
+)
 from passivebc.hilbert import (
     LinearMap,
     adjoint,
@@ -43,6 +50,82 @@ class TestMakeSpace:
         sp = make_space(2, np.eye(2), "X")
         with pytest.raises(ValueError):
             sp.gram[0, 0] = 5.0
+
+
+@st.composite
+def spd_grams(draw):
+    """Random SPD Gram: diagonal, banded (half-width 1 to 3) or dense.
+
+    A banded Gram is ``B^T B + I/10`` with B upper triangular of the same
+    half-width, so it is SPD with exactly that band; sizes reach past four
+    times the half-width, where ``make_space`` takes the banded route.  The
+    shift keeps every Gram clear of the positivity gate, which the
+    near-singular test probes on its own.
+    """
+    kind = draw(st.sampled_from(["diagonal", "banded", "dense"]))
+    half = draw(st.integers(1, 3))
+    n = draw(st.integers(half + 1 if kind == "banded" else 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "diagonal":
+        return np.diag(np.exp(rng.uniform(-6.0, 6.0, n)))
+    if kind == "banded":
+        b = np.diag(rng.uniform(0.2, 3.0, n))
+        for k in range(1, half + 1):
+            b += np.diag(rng.uniform(-2.0, 2.0, n - k), k)
+        return b.T @ b + 0.1 * np.eye(n)
+    c = rng.standard_normal((n, n))
+    return c @ c.T + 0.1 * np.eye(n)
+
+
+def _spectrum(g):
+    eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
+    return eigs[0], eigs[-1]
+
+
+class TestStructuredEigenvalueBounds:
+    """``make_space`` bounds against dense ``eigvalsh``, relative to the
+    largest eigenvalue (the Gram's scale)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spd_grams())
+    def test_bounds_match_eigvalsh(self, g):
+        lo, hi = _spectrum(g)
+        sp = make_space(len(g), g, "W")
+        assert abs(sp.eig_min - lo) <= 1e-12 * hi
+        assert abs(sp.eig_max - hi) <= 1e-12 * hi
+
+    @settings(max_examples=100, deadline=None)
+    @given(spd_grams(), st.floats(0.0, 1e-13))
+    def test_near_singular_rejected(self, g, rel):
+        # Shift the spectrum to [rel, 1 + rel] (hi - lo); a clustered
+        # spectrum leaves only roundoff after the shift, so it is skipped.
+        lo, hi = _spectrum(g)
+        assume(len(g) == 1 or hi - lo >= 0.1 * hi)
+        shifted = g - (lo - rel * (hi - lo)) * np.eye(len(g))
+        with pytest.raises(NonPositiveGram):
+            make_space(len(g), shifted, "W")
+
+    @settings(max_examples=100, deadline=None)
+    @given(spd_grams(), st.floats(1e-3, 1.0))
+    def test_indefinite_rejected_with_smallest_eigenvalue(self, g, frac):
+        lo, hi = _spectrum(g)
+        shifted = g - (lo + frac * hi) * np.eye(len(g))
+        ref_lo, ref_hi = _spectrum(shifted)
+        with pytest.raises(NonPositiveGram) as info:
+            make_space(len(g), shifted, "W")
+        scale = max(abs(ref_lo), abs(ref_hi))
+        assert abs(info.value.min_eig - ref_lo) <= 1e-12 * scale
+
+    @settings(max_examples=50, deadline=None)
+    @given(spd_grams(), st.sampled_from([np.nan, np.inf, -np.inf]),
+           st.data())
+    def test_non_finite_rejected(self, g, bad, data):
+        i = data.draw(st.integers(0, len(g) - 1))
+        j = data.draw(st.integers(0, len(g) - 1))
+        g = g.copy()
+        g[i, j] = g[j, i] = bad
+        with pytest.raises(NonFiniteValue):
+            make_space(len(g), g, "W")
 
 
 class TestAdjoint:
@@ -224,6 +307,15 @@ def test_contraction_param_flag():
     assert ContractionParam.from_matrix(np.eye(2), sp).is_contraction
     assert not ContractionParam.from_matrix(1.5 * np.eye(2),
                                             sp).is_contraction
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_contraction_param_rejects_non_finite(bad):
+    from passivebc.hilbert import ContractionParam
+    P = np.zeros((2, 2))
+    P[1, 0] = bad
+    with pytest.raises(NonFiniteValue):
+        ContractionParam.from_matrix(P, euclidean_space(2, "G"))
 
 
 def test_linear_map_shape_mismatch_rejected():

@@ -20,7 +20,7 @@ from passivebc.node import (
     scattering_slack,
 )
 
-from conftest import wave_system
+from conftest import ROOT, wave_system
 
 
 def rotation(theta):
@@ -201,6 +201,59 @@ class TestWellposedness:
         sym = np.linalg.eigvalsh(0.5 * (wa + wa.T))
         assert sym[-1] <= 1e-10
         assert sym[0] < -1e-6
+
+
+class TestLazySetUp:
+    """The jet and well-posedness are built on first read, and only then."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name, calls):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    def test_position_momentum_set_up_builds_neither(self, monkeypatch):
+        from passivebc import node as node_mod
+        from passivebc import scenario, wave1d
+        calls = {}
+        self._count(monkeypatch, wave1d, "build_jet", calls)
+        self._count(monkeypatch, node_mod, "_kernel_generator", calls)
+        sc = scenario.load_scenario(ROOT / "scenarios" / "damped_sine.json")
+        assert sc.formulation == "position-momentum"
+        sys = scenario.build_system(sc)
+        nd = scenario.build_node(sc, sys)
+        external_cayley(nd, 2.0)
+        assert calls == {}
+
+        jt = sys.jet
+        assert sys.jet is jt
+        assert calls == {"build_jet": 1}
+
+        ok = nd.internally_wellposed
+        gen = nd.main_generator
+        assert nd.internally_wellposed is ok and nd.main_generator is gen
+        assert calls == {"build_jet": 1, "_kernel_generator": 1}
+        ok_ref, gen_ref = internal_wellposedness(nd)
+        assert ok == ok_ref and np.array_equal(gen, gen_ref)
+
+    @pytest.mark.parametrize("b", [0.0, 0.4])
+    @pytest.mark.parametrize("flavor", ["scattering", "impedance"])
+    @pytest.mark.parametrize("name", ["I", "-I", "0", "rotation"])
+    def test_wellposedness_values_unchanged(self, b, flavor, name):
+        # values of the eager computation this property replaced
+        P = {"I": np.eye(2), "-I": -np.eye(2), "0": np.zeros((2, 2)),
+             "rotation": rotation(0.7)}[name]
+        sys = wave_system(6, rho=1.3, b=b)
+        builder = scattering_node if flavor == "scattering" \
+            else impedance_node
+        nd = builder(sys.op_A, P, sys.M_map, sys.D_map)
+        expected = not (flavor == "impedance" and name == "-I")
+        assert nd.internally_wellposed is expected
+        assert (nd.main_generator is None) is not expected
+        assert external_cayley(nd, 2.0).internally_wellposed is True
 
 
 class TestPassivityResidual:

@@ -7,6 +7,7 @@ import scipy.linalg
 
 from passivebc.errors import (
     IncompatibleInitialData,
+    NonFiniteValue,
     SingularBoundaryBlock,
     SingularStepMatrix,
 )
@@ -57,6 +58,16 @@ class TestSignals:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             InputSignal("sawtooth", weights=np.ones(2))
+
+    @pytest.mark.parametrize("field", ["weights", "amplitude", "frequency",
+                                       "center", "width"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        params = {"weights": np.ones(2), "amplitude": 1.0,
+                  "frequency": 1.0, "center": 0.5, "width": 0.1}
+        params[field] = np.array([1.0, bad]) if field == "weights" else bad
+        with pytest.raises(NonFiniteValue):
+            InputSignal("gauss_pulse", **params)
 
 
 class TestConsistentInitialization:

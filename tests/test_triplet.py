@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from passivebc import wave1d
 from passivebc.errors import GreenIdentityViolated, TraceNotSurjective
 from passivebc.hilbert import LinearMap, euclidean_space, make_space
 from passivebc.triplet import (
+    GREEN_TOL,
     BoundaryOperator,
     assemble_dual_pair,
     extend_adjoint,
@@ -159,6 +163,107 @@ class TestLift:
         op = wave_system(4).op_A
         bad = dataclasses.replace(op, Gamma1=2.0 * op.Gamma1)
         assert green_residual(bad) > 1e-6
+
+
+def dense_green_residual(op):
+    """Operator Green defect in dense algebra: the reference formula."""
+    wl = op.core.gram @ op.L
+    defect = (op.iota.T @ wl + wl.T @ op.iota
+              - op.Gamma1.T @ op.Gamma0 - op.Gamma0.T @ op.Gamma1)
+    return np.linalg.norm(defect) / (1.0 + np.linalg.norm(wl))
+
+
+def dense_dual_pair_defect(A, B_ext, iota_Y, lam1, pi1, lam2, pi2):
+    """(residual, worst entry) of the dual-pair defect, in dense algebra."""
+    pairing = iota_Y.T @ A.codomain.gram @ A.matrix
+    defect = (-B_ext.matrix.T @ A.domain.gram - pairing
+              - pi1.T @ lam1 + pi2.T @ lam2)
+    return (np.linalg.norm(defect) / (1.0 + np.linalg.norm(pairing)),
+            np.abs(defect).max())
+
+
+def gate_systems(rng):
+    """Wave systems with random fields and boundary Grams, plus a pair
+    with two boundary blocks."""
+    systems = []
+    for N in (3, 8, 33):
+        c = rng.standard_normal((2, 2))
+        gram = c @ c.T + 0.5 * np.eye(2)
+        systems.append(wave1d.assemble(
+            wave1d.random_coefficients(N, rng), boundary_gram=gram))
+    return systems
+
+
+class TestStructuredGates:
+    """The CSR gates against their dense formulas."""
+
+    def test_green_residual_matches_dense_on_exact_operators(self, rng):
+        ops = [sys.op_A for sys in gate_systems(rng)]
+        ops += [gate_systems(rng)[1].jet.target,
+                lift_second_order(synthetic_two_block_pair(rng))]
+        for op in ops:
+            res = green_residual(op)
+            assert res <= GREEN_TOL
+            assert abs(res - dense_green_residual(op)) <= 1e-15
+
+    def test_green_residual_matches_dense_on_corrupted_operators(self, rng):
+        for sys in gate_systems(rng):
+            op = sys.op_A
+            corrupted = [
+                dataclasses.replace(op, Gamma1=2.0 * op.Gamma1),
+                dataclasses.replace(
+                    op, Gamma0=op.Gamma0 + 1e-6 * rng.standard_normal(
+                        op.Gamma0.shape)),
+                dataclasses.replace(
+                    op, L=op.L + 1e-9 * rng.standard_normal(op.L.shape)),
+            ]
+            for bad in corrupted:
+                res = green_residual(bad)
+                assert res > GREEN_TOL
+                assert res == pytest.approx(dense_green_residual(bad),
+                                            rel=1e-12)
+
+    def test_corrupt_gamma1_suite_operator_fails_gate(self):
+        from passivebc.scenario import build_system, load_scenario
+        from passivebc.verify import run_suite
+        from conftest import ROOT
+        sc = load_scenario(ROOT / "scenarios" / "damped_sine.json")
+        checks = {c.name: c for c in run_suite(sc, "green",
+                                               corrupt_gamma1=True)}
+        check = checks["green_identity"]
+        assert not check.passed
+        op = build_system(sc).op_A
+        bad = dataclasses.replace(op, Gamma1=2.0 * op.Gamma1)
+        assert check.residual == pytest.approx(dense_green_residual(bad),
+                                               rel=1e-12)
+
+    def test_dual_pair_residual_matches_dense(self, rng):
+        pairs = [sys.dual_pair for sys in gate_systems(rng)]
+        pairs.append(synthetic_two_block_pair(rng))
+        for dp in pairs:
+            res, _ = dense_dual_pair_defect(dp.A, dp.B_ext, dp.iota_Y,
+                                            dp.Lambda1, dp.Pi1, dp.Lambda2,
+                                            dp.Pi2)
+            assert dp.residual <= GREEN_TOL
+            assert abs(dp.residual - res) <= 1e-15
+
+    def test_dual_pair_violation_matches_dense(self, rng):
+        for dp in [sys.dual_pair for sys in gate_systems(rng)] + [
+                synthetic_two_block_pair(rng)]:
+            b_bad = LinearMap(dp.B_ext.matrix + 1e-8 * rng.standard_normal(
+                dp.B_ext.matrix.shape), dp.B_ext.domain, dp.B_ext.codomain)
+            pi1_bad = dp.Pi1 + 1e-4
+            for b_ext, pi1 in ((b_bad, dp.Pi1), (dp.B_ext, pi1_bad)):
+                res, worst = dense_dual_pair_defect(
+                    dp.A, b_ext, dp.iota_Y, dp.Lambda1, pi1, dp.Lambda2,
+                    dp.Pi2)
+                with pytest.raises(GreenIdentityViolated) as info:
+                    assemble_dual_pair(dp.A, b_ext, dp.iota_Y, dp.Lambda1,
+                                       pi1, dp.G1, dp.Lambda2, dp.Pi2,
+                                       dp.G2)
+                assert info.value.residual == pytest.approx(res, rel=1e-12)
+                assert info.value.worst_entry == pytest.approx(worst,
+                                                               rel=1e-12)
 
 
 class TestMinimalDomain:

@@ -28,6 +28,20 @@ class TestCoefficients:
         with pytest.raises(InvalidCoefficients):
             constant_coefficients(4, b=-0.1)
 
+    @pytest.mark.parametrize("field", ["rho", "T", "a", "b", "length"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gates(self, field, bad):
+        from passivebc.wave1d import WaveCoefficients
+        args = {"length": 1.0, "rho": np.ones(5), "T": np.ones(4),
+                "a": np.ones(5), "b": np.zeros(5)}
+        if field == "length":
+            args["length"] = bad
+        else:
+            args[field] = args[field].copy()
+            args[field][1] = bad
+        with pytest.raises(InvalidCoefficients):
+            WaveCoefficients(4, **args)
+
     def test_shape_gates(self):
         from passivebc.wave1d import WaveCoefficients
         with pytest.raises(InvalidCoefficients):
