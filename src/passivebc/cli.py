@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a verify check failed, 2 scenario/schema errors,
 3 numeric gate failures (the message names the violated invariant, or the
-linear-algebra routine that failed on the data).  CSV
+linear-algebra routine that failed on the data), 4 any other exception,
+printed as ``internal error: <Type>: <msg>`` (traceback at DEBUG).  CSV
 files are written atomically (temp file + rename) with 17 significant
 digits so golden-file comparisons round-trip exactly.
 """
@@ -10,6 +11,7 @@ digits so golden-file comparisons round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 import tempfile
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_SCHEMA = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 CSV_COLUMNS = ("t", "H", "H_p", "H_k", "u_1", "u_2", "y_1", "y_2",
                "balance_residual", "scattering_slack")
@@ -225,6 +228,11 @@ def main(argv: list[str] | None = None) -> int:
         # LinAlgError: a factorization or eigensolver failed on the data
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception as exc:
+        # exit 1 would read as a failed verify check
+        logging.getLogger("passivebc").debug("internal error", exc_info=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -117,6 +117,10 @@ class SingularStepMatrix(PassivebcError):
     """Implicit midpoint step matrix is (numerically) singular."""
 
 
+class TimeGridTooLarge(PassivebcError):
+    """The time grid and its states cannot be allocated."""
+
+
 # ---------------------------------------------------------------- wave model
 
 

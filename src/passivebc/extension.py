@@ -11,6 +11,16 @@ W_G Gamma0 (Dirichlet type).  For contractions P the realized generator is
 dissipative with respect to the core Gram; in finite dimensions that is
 already the whole contraction-semigroup statement, so no separate resolvent
 check is performed.
+
+Extended coordinates put the core first (``iota = [I | 0]``), which gives
+the kernel in closed form.  Let the nb rows of ``V = [V_core | V_tau]`` be
+an orthonormal basis of the row space of C at ``NULLSPACE_RCOND`` (its
+leading right singular vectors).  When the square ``V_tau`` is invertible,
+``ker C = span [I; X]`` with ``V_tau X = -V_core``, and the generator is
+``A_main = L[:, :core] + L[:, core:] X``, at O(core^2 nb) cost.  The
+reported and gated condition is that of the core projection of an
+orthonormal kernel basis, ``sqrt((1 + sigma_max(X)^2) / (1 +
+sigma_min(X)^2))``, with ``sigma_min(X) = 0`` when nb < core.
 """
 
 from __future__ import annotations
@@ -18,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IllPosedRestriction, SingularCoreProjection
 from .hilbert import ContractionParam, _frozen
@@ -36,7 +45,10 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class GeneratorRealization:
-    """Square generator on core coordinates with its defining data."""
+    """Square generator on core coordinates with its defining data.
+
+    ``domain_basis`` is a kernel basis whose core projection is the identity.
+    """
 
     A_main: np.ndarray
     domain_basis: np.ndarray
@@ -58,27 +70,43 @@ def constraint_matrix(op: BoundaryOperator, P) -> np.ndarray:
 def generator_from_contraction(op: BoundaryOperator, P) -> GeneratorRealization:
     """Realize the restriction of the maximal operator defined by P.
 
-    With N spanning ker C, the generator is ``A_main = (L N)(iota N)^{-1}``.
     Raises ``IllPosedRestriction`` when the kernel dimension differs from
     the core dimension and ``SingularCoreProjection`` when the core
     projection on the kernel has condition number above 1e12.
     """
-    c = constraint_matrix(op, P)
-    basis = scipy.linalg.null_space(c, rcond=NULLSPACE_RCOND)
-    if basis.shape[1] != op.core.dim:
-        raise IllPosedRestriction(
-            f"constraint kernel has dimension {basis.shape[1]}, "
-            f"expected core dimension {op.core.dim}")
-    core_proj = op.iota @ basis
-    sigma = np.linalg.svd(core_proj, compute_uv=False)
-    if sigma[-1] == 0.0 or sigma[0] / sigma[-1] > CONDITION_LIMIT:
-        raise SingularCoreProjection(
-            "core projection on the constraint kernel is singular "
-            f"(condition {np.inf if sigma[-1] == 0 else sigma[0]/sigma[-1]:.3e})")
-    a_main = np.linalg.solve(core_proj.T, (op.L @ basis).T).T
+    a_main, basis, condition = _restrict_to_kernel(
+        constraint_matrix(op, P), op.L, op.core.dim)
     param = ContractionParam.from_matrix(P, op.bspace)
     return GeneratorRealization(_frozen(a_main), _frozen(basis), param, op,
-                                condition=float(sigma[0] / sigma[-1]))
+                                condition=condition)
+
+
+def _restrict_to_kernel(c: np.ndarray, action: np.ndarray, core_dim: int):
+    """``(A_main, basis, condition)`` of ``action`` on ``ker c`` (see above).
+
+    The gates are those of generator_from_contraction; the kernel is the
+    one an SVD null space of ``c`` at ``NULLSPACE_RCOND`` spans.
+    """
+    _, sigma, vt = np.linalg.svd(c, full_matrices=False)
+    rank = int(np.sum(sigma > NULLSPACE_RCOND * sigma.max(initial=0.0)))
+    if c.shape[1] - rank != core_dim:
+        raise IllPosedRestriction(
+            f"constraint kernel has dimension {c.shape[1] - rank}, "
+            f"expected core dimension {core_dim}")
+    u, s, wt = np.linalg.svd(vt[:rank, core_dim:])   # V_tau, nb x nb
+    condition = np.inf
+    if not s.size or s[-1] > np.finfo(float).eps * s.size * s[0]:
+        x = -(wt.T / s) @ (u.T @ vt[:rank, :core_dim])
+        sx = np.linalg.svd(x, compute_uv=False)
+        s_min = sx[-1] if sx.size == core_dim else 0.0   # else X has a kernel
+        condition = float(np.hypot(1.0, sx.max(initial=0.0))
+                          / np.hypot(1.0, s_min))
+    if not condition <= CONDITION_LIMIT:
+        raise SingularCoreProjection(
+            "core projection on the constraint kernel is singular "
+            f"(condition {condition:.3e})")
+    a_main = action[:, :core_dim] + action[:, core_dim:] @ x
+    return a_main, np.vstack([np.eye(core_dim), x]), condition
 
 
 def dissipativity_residual(g: GeneratorRealization) -> float:

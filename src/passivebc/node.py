@@ -43,6 +43,7 @@ from .errors import (
     NotAContraction,
     SingularCoreProjection,
 )
+from .extension import _restrict_to_kernel
 from .hilbert import (
     ContractionParam,
     HilbertSpaceSpec,
@@ -52,7 +53,7 @@ from .hilbert import (
     is_dual_unitary,
     make_space,
 )
-from .triplet import NULLSPACE_RCOND, BoundaryOperator
+from .triplet import BoundaryOperator
 
 __all__ = [
     "BoundaryNode",
@@ -86,16 +87,6 @@ class BoundaryNode:
     weight_ext: np.ndarray             # diag(I, M^{-1}, I_tau)
     energy_preserving: bool
 
-    @property
-    def n_inputs(self) -> int:
-        return self.G_map.shape[0]
-
-    def input_of(self, z_ext: np.ndarray) -> np.ndarray:
-        return self.G_map @ z_ext
-
-    def output_of(self, z_ext: np.ndarray) -> np.ndarray:
-        return self.K_map @ z_ext
-
     def dual_gram(self) -> np.ndarray:
         """Gram of the dual boundary space (inputs/outputs live there).
 
@@ -122,7 +113,10 @@ class BoundaryNode:
 
     @cached_property
     def _wellposedness(self) -> tuple[bool, np.ndarray | None]:
-        wellposed, gen = _try_wellposedness(self)
+        try:
+            wellposed, gen = internal_wellposedness(self)
+        except (IllPosedRestriction, SingularCoreProjection):
+            return False, None
         return wellposed, None if gen is None else _frozen(gen)
 
     @cached_property
@@ -350,32 +344,6 @@ def external_cayley(node: BoundaryNode, beta: float) -> BoundaryNode:
                         energy_preserving=node.energy_preserving)
 
 
-def _kernel_generator(node: BoundaryNode) -> np.ndarray:
-    """Generator of the interior dynamics on ker G_map."""
-    if node.G_map.shape[0] == 0:
-        basis = np.eye(node.op.ext_dim)
-    else:
-        basis = scipy.linalg.null_space(node.G_map, rcond=NULLSPACE_RCOND)
-    if basis.shape[1] != node.op.core.dim:
-        raise IllPosedRestriction(
-            f"ker G has dimension {basis.shape[1]}, expected "
-            f"{node.op.core.dim}")
-    core_proj = node.op.iota @ basis
-    sigma = np.linalg.svd(core_proj, compute_uv=False)
-    if sigma[-1] == 0.0 or sigma[0] / sigma[-1] > 1e12:
-        raise SingularCoreProjection(
-            "core projection on ker G is singular; the input map does "
-            "not determine the boundary coordinates")
-    return np.linalg.solve(core_proj.T, (node.L_eff @ basis).T).T
-
-
-def _try_wellposedness(node: BoundaryNode):
-    try:
-        return internal_wellposedness(node)
-    except (IllPosedRestriction, SingularCoreProjection):
-        return False, None
-
-
 def internal_wellposedness(node: BoundaryNode) -> tuple[bool, np.ndarray | None]:
     """Check surjectivity of G_map and dissipativity of its kernel restriction.
 
@@ -386,7 +354,7 @@ def internal_wellposedness(node: BoundaryNode) -> tuple[bool, np.ndarray | None]
     m = node.G_map.shape[0]
     if m > 0 and np.linalg.matrix_rank(node.G_map) < m:
         return False, None
-    gen = _kernel_generator(node)
+    gen, _, _ = _restrict_to_kernel(node.G_map, node.L_eff, node.op.core.dim)
     wa = node.state_space.gram @ gen
     lam = np.linalg.eigvalsh(0.5 * (wa + wa.T))[-1]
     return bool(lam <= 1e-10), gen

@@ -36,6 +36,7 @@ from .errors import (
     NonFiniteValue,
     SingularBoundaryBlock,
     SingularStepMatrix,
+    TimeGridTooLarge,
 )
 from .node import BoundaryNode, EnergyLedger
 
@@ -211,16 +212,24 @@ def step_midpoint(node: BoundaryNode, z: np.ndarray, u_mid: np.ndarray,
 
 def simulate(node: BoundaryNode, z_core0: np.ndarray, signal: InputSignal,
              t_final: float, dt: float) -> Trajectory:
-    """Integrate on a uniform grid and fill the energy ledger."""
-    n_steps = max(1, int(round(t_final / dt)))
-    times = dt * np.arange(n_steps + 1)
-    z0 = consistent_initialization(node, z_core0, signal(0.0))
-    solver = StepSolver(node, dt)
+    """Integrate on a uniform grid and fill the energy ledger.
 
+    Raises ``TimeGridTooLarge`` when the grid's states cannot be allocated.
+    """
+    n_steps = max(1, int(round(t_final / dt)))
     ext = node.op.ext_dim
     m = node.G_map.shape[0]
-    states = np.empty((n_steps + 1, ext))
-    inputs = np.empty((n_steps, m))
+    try:
+        times = dt * np.arange(n_steps + 1)
+        states = np.empty((n_steps + 1, ext))
+        inputs = np.empty((n_steps, m))
+    except (ValueError, MemoryError) as exc:
+        nbytes = 8.0 * (n_steps + 1) * (ext + 1) + 8.0 * n_steps * m
+        raise TimeGridTooLarge(
+            f"cannot allocate {n_steps:.6g} steps of {ext}-dimensional "
+            f"states ({nbytes:.3e} bytes requested): {exc}") from exc
+    z0 = consistent_initialization(node, z_core0, signal(0.0))
+    solver = StepSolver(node, dt)
     states[0] = z0
     for n in range(n_steps):
         u_mid = signal(times[n] + 0.5 * dt)
@@ -259,6 +268,7 @@ def balance_ledger(node: BoundaryNode, trajectory: Trajectory) -> EnergyLedger:
     The ledger is evaluated in vectorized blocks of ``LEDGER_CHUNK``
     states from the node's precomputed ``ledger_factors``; midpoint states
     are formed one block at a time, never for the whole trajectory.
+    Raises ``NonFiniteValue`` when any ledger entry is NaN or infinite.
     """
     f = node.ledger_factors
     states = trajectory.states_ext
@@ -276,7 +286,11 @@ def balance_ledger(node: BoundaryNode, trajectory: Trajectory) -> EnergyLedger:
         slack[i:j] = f.scattering_slack(z_mid)
     h = hp + hk
     supplied = f.supplied_power(trajectory.inputs, trajectory.outputs)
+    residual = h[1:] - h[:-1] - dt * (supplied - dissipated)
+    slack = dt * slack
+    if not all(np.isfinite(a).all()
+               for a in (h, hp, hk, supplied, dissipated, residual, slack)):
+        raise NonFiniteValue("the energy ledger left the floating-point "
+                             "range (finite states, overflowing energies)")
     return EnergyLedger(H=h, H_p=hp, H_k=hk, supplied=supplied,
-                        dissipated=dissipated,
-                        residual=h[1:] - h[:-1] - dt * (supplied - dissipated),
-                        slack=dt * slack)
+                        dissipated=dissipated, residual=residual, slack=slack)

@@ -94,10 +94,6 @@ class WaveCoefficients:
     def h(self) -> float:
         return self.length / self.N
 
-    def is_constant(self) -> bool:
-        return (np.ptp(self.rho) == 0.0 and np.ptp(self.T) == 0.0
-                and np.ptp(self.a) == 0.0 and np.ptp(self.b) == 0.0)
-
 
 @dataclass(frozen=True)
 class WaveSystem:

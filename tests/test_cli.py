@@ -307,6 +307,10 @@ REJECTED_INPUTS = {
                               ("coefficients", "b"): 1e308},
     "damping_overflows_eigensolver": {
         ("length",): 20.0, ("coefficients", "b"): 1.7976931348623157e308},
+    # finite states whose energies overflow
+    "input_amplitude_overflows_ledger": {("input", "amplitude"): 1e300},
+    # a whole-step grid whose step count overflows an array index
+    "step_count_unallocatable": {("dt",): 1.0, ("t_final",): 1e300},
 }
 
 
@@ -325,6 +329,28 @@ class TestInputRobustness:
         code, err = run_cli(tmp_path, capsys, "simulate", doc)
         assert code == 3, err
         assert err.strip().splitlines()[-1].startswith("LinAlgError: ")
+
+    @pytest.mark.parametrize("case, message", [
+        ("input_amplitude_overflows_ledger",
+         "NonFiniteValue: the energy ledger"),
+        ("step_count_unallocatable",
+         "TimeGridTooLarge: cannot allocate 1e+300 steps of 68-dimensional")])
+    def test_late_failure_exits_3_by_name(self, tmp_path, capsys, case,
+                                          message):
+        doc = edited(DAMPED_SINE, REJECTED_INPUTS[case])
+        code, err = run_cli(tmp_path, capsys, "simulate", doc)
+        assert code == 3, err
+        assert err.strip().splitlines()[-1].startswith(message), err
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_unexpected_exception_exits_4_in_one_line(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def broken(path, out=None):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "run_scenario", broken)
+        code, err = run_cli(tmp_path, capsys, "simulate", DAMPED_SINE)
+        assert code == cli.EXIT_INTERNAL == 4
+        assert err == "internal error: RuntimeError: boom\n"
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

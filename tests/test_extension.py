@@ -1,17 +1,28 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passivebc.errors import IllPosedRestriction, SingularCoreProjection
 from passivebc.extension import (
+    CONDITION_LIMIT,
     constraint_matrix,
     dissipativity_residual,
     generator_from_contraction,
 )
 from passivebc.hilbert import contraction_norm, euclidean_space, make_space
-from passivebc.triplet import BoundaryOperator
+from passivebc.node import (
+    external_cayley,
+    impedance_node,
+    internal_wellposedness,
+    scattering_node,
+)
+from passivebc.triplet import NULLSPACE_RCOND, BoundaryOperator
 
-from conftest import wave_system
+from conftest import random_wave_system, wave_system
 
 
 def random_contraction(rng, m, bspace, target=None):
@@ -158,3 +169,184 @@ def test_ill_posed_restriction_detected():
     assert np.allclose(constraint_matrix(op, [[3.0]]), 0.0)
     with pytest.raises(IllPosedRestriction):
         generator_from_contraction(op, [[3.0]])
+
+
+def svd_realization(c, action, iota):
+    """The SVD null-space realization the closed form replaced (oracle).
+
+    Returns ``(A_main, condition)`` with ``A_main = (L N)(iota N)^{-1}``
+    for an orthonormal basis N of ker c.
+    """
+    basis = scipy.linalg.null_space(c, rcond=NULLSPACE_RCOND)
+    if basis.shape[1] != iota.shape[0]:
+        raise IllPosedRestriction("oracle: kernel dimension")
+    core_proj = iota @ basis
+    sigma = np.linalg.svd(core_proj, compute_uv=False)
+    if sigma[-1] == 0.0 or sigma[0] / sigma[-1] > CONDITION_LIMIT:
+        raise SingularCoreProjection("oracle: core projection")
+    a_main = np.linalg.solve(core_proj.T, (action @ basis).T).T
+    return a_main, sigma[0] / sigma[-1]
+
+
+def oracle_outcome(c, action, iota):
+    try:
+        return svd_realization(c, action, iota)
+    except (IllPosedRestriction, SingularCoreProjection) as exc:
+        return type(exc)
+
+
+def folded_damping(sys):
+    """The maximal operator with the damping folded into its action."""
+    op = sys.op_A
+    nx = op.core_blocks[0]
+    folded = op.L.copy()
+    folded[nx:, :] -= sys.D_map.matrix @ op.iota[nx:, :]
+    return dataclasses.replace(op, L=folded)
+
+
+def assert_same_generator(a_main, condition, oracle):
+    a_ref, cond_ref = oracle
+    assert np.abs(a_main - a_ref).max() <= 1e-12 * (
+        1.0 + np.linalg.norm(a_ref))
+    assert abs(condition - cond_ref) <= 1e-10 * cond_ref
+
+
+SYSTEMS = dict(n=st.integers(2, 64), seed=st.integers(0, 2 ** 32 - 1),
+               damped=st.booleans())
+
+
+class TestClosedFormRealization:
+    """The closed-form kernel realizes what the SVD null space did."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(norm=st.floats(0.05, 2.0), **SYSTEMS)
+    def test_generator_matches_svd_oracle(self, n, seed, damped, norm):
+        rng = np.random.default_rng(seed)
+        sys = random_wave_system(n, rng, b_max=0.5 if damped else 0.0)
+        op = folded_damping(sys) if damped else sys.op_A
+        p = random_contraction(rng, 2, op.bspace, target=norm)
+        oracle = oracle_outcome(constraint_matrix(op, p), op.L, op.iota)
+        if isinstance(oracle, type):
+            with pytest.raises(oracle):
+                generator_from_contraction(op, p)
+            return
+        g = generator_from_contraction(op, p)
+        assert_same_generator(g.A_main, g.condition, oracle)
+        assert np.abs(op.iota @ g.domain_basis
+                      - np.eye(op.core.dim)).max() == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(norm=st.floats(0.0, 1.0), beta=st.floats(0.1, 10.0),
+           flavor=st.sampled_from(["scattering", "impedance"]),
+           cayley=st.booleans(), **SYSTEMS)
+    def test_node_generator_matches_svd_oracle(self, n, seed, damped, norm,
+                                               beta, flavor, cayley):
+        rng = np.random.default_rng(seed)
+        sys = random_wave_system(n, rng, b_max=0.5 if damped else 0.0)
+        builder = scattering_node if flavor == "scattering" \
+            else impedance_node
+        p = random_contraction(rng, 2, sys.op_A.bspace, target=norm)
+        nd = builder(sys.op_A, p, sys.M_map, sys.D_map)
+        if cayley:
+            nd = external_cayley(nd, beta)
+        oracle = oracle_outcome(nd.G_map, nd.L_eff, nd.op.iota)
+        if isinstance(oracle, type):
+            with pytest.raises(oracle):
+                internal_wellposedness(nd)
+            return
+        ok, gen = internal_wellposedness(nd)
+        a_ref, _ = oracle
+        assert np.abs(gen - a_ref).max() <= 1e-12 * (
+            1.0 + np.linalg.norm(a_ref))
+        wa = nd.state_space.gram @ a_ref
+        assert ok is bool(np.linalg.eigvalsh(0.5 * (wa + wa.T))[-1] <= 1e-10)
+
+    @pytest.mark.parametrize("case", [
+        "dirichlet", "mixed_dirichlet_side", "vanishing_constraint",
+        "no_boundary_coordinates", "no_boundary_coordinates_no_traces",
+        "no_traces", "ill_conditioned_boundary_block",
+        "near_singular_boundary_block", "negligible_constraint_row"])
+    def test_degenerate_cases_raise_what_the_oracle_raises(self, case):
+        op, p, expected = degenerate_case(case)
+        oracle = oracle_outcome(constraint_matrix(op, p), op.L, op.iota)
+        if expected is None:
+            g = generator_from_contraction(op, p)
+            assert_same_generator(g.A_main, g.condition, oracle)
+        else:
+            assert oracle is expected
+            with pytest.raises(expected):
+                generator_from_contraction(op, p)
+
+    def test_dirichlet_node_raises_what_the_oracle_raises(self):
+        sys = wave_system(6, b=0.3)
+        nd = impedance_node(sys.op_A, -np.eye(2), sys.M_map, sys.D_map)
+        assert oracle_outcome(nd.G_map, nd.L_eff, nd.op.iota) \
+            is SingularCoreProjection
+        with pytest.raises(SingularCoreProjection):
+            internal_wellposedness(nd)
+        assert nd.internally_wellposed is False
+
+    def test_no_null_space_and_no_large_svd(self, monkeypatch, rng):
+        sys = wave_system(24, b=0.3)
+        op = sys.op_A
+        shapes = []
+
+        def record(svd):
+            def recorded(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return svd(a, *args, **kwargs)
+            return recorded
+
+        def refused(*args, **kwargs):
+            raise AssertionError("null_space called")
+        monkeypatch.setattr(scipy.linalg, "null_space", refused)
+        monkeypatch.setattr(np.linalg, "svd", record(np.linalg.svd))
+        monkeypatch.setattr(scipy.linalg, "svd", record(scipy.linalg.svd))
+
+        p = random_contraction(rng, 2, op.bspace)
+        generator_from_contraction(op, p)
+        nd = scattering_node(op, p, sys.M_map, sys.D_map)
+        assert nd.internally_wellposed
+        assert shapes and max(min(s) for s in shapes) <= op.n_boundary
+
+
+def small_op(gamma0, gamma1, ext_dim=3):
+    """Two core coordinates, ``ext_dim - 2`` boundary ones, given traces."""
+    gamma0 = np.asarray(gamma0, dtype=float).reshape(-1, ext_dim)
+    action = np.array([[0.0, 1.0, 0.5], [-1.0, 0.0, 0.25]])[:, :ext_dim]
+    return BoundaryOperator(
+        core=euclidean_space(2, "Z"), ext_dim=ext_dim,
+        iota=np.eye(2, ext_dim), L=action, Gamma0=gamma0,
+        Gamma1=np.asarray(gamma1, dtype=float).reshape(-1, ext_dim),
+        bspace=euclidean_space(len(gamma0), "G"), core_blocks=(1, 1))
+
+
+def degenerate_case(name):
+    """``(operator, P, expected error or None)`` for a degenerate case."""
+    none = np.zeros((0, 0))
+    return {
+        "dirichlet": (wave_system(4).op_A, -np.eye(2),
+                      SingularCoreProjection),
+        "mixed_dirichlet_side": (wave_system(4).op_A, np.diag([1.0, -1.0]),
+                                 SingularCoreProjection),
+        # (P - 1) W_G Gamma0 - (P + 1) Gamma1 = 0 for P = 3, W_G = 2
+        "vanishing_constraint": (dataclasses.replace(
+            small_op([1, 0, 0], [1, 0, 0]), bspace=make_space(
+                1, [[2.0]], "G")), [[3.0]], IllPosedRestriction),
+        "no_traces": (small_op([], []), none, IllPosedRestriction),
+        "no_boundary_coordinates": (small_op([1, 0], [0, 1], ext_dim=2),
+                                    [[0.5]], IllPosedRestriction),
+        "no_boundary_coordinates_no_traces": (small_op([], [], ext_dim=2),
+                                              none, None),
+        # C = -[1, 0, eps]: the core projection has condition 1/eps
+        "ill_conditioned_boundary_block": (
+            small_op([1, 0, 0], [0, 0, 1e-8]), [[0.0]], None),
+        "near_singular_boundary_block": (
+            small_op([1, 0, 0], [0, 0, 1e-14]), [[0.0]],
+            SingularCoreProjection),
+        # the second constraint row lies below NULLSPACE_RCOND, so the
+        # kernel is span{e2, e3}, on which the core projection is singular
+        "negligible_constraint_row": (
+            small_op([[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1e-12]]),
+            np.zeros((2, 2)), SingularCoreProjection),
+    }[name]

@@ -220,7 +220,7 @@ class TestLazySetUp:
         from passivebc import scenario, wave1d
         calls = {}
         self._count(monkeypatch, wave1d, "build_jet", calls)
-        self._count(monkeypatch, node_mod, "_kernel_generator", calls)
+        self._count(monkeypatch, node_mod, "_restrict_to_kernel", calls)
         sc = scenario.load_scenario(ROOT / "scenarios" / "damped_sine.json")
         assert sc.formulation == "position-momentum"
         sys = scenario.build_system(sc)
@@ -235,7 +235,7 @@ class TestLazySetUp:
         ok = nd.internally_wellposed
         gen = nd.main_generator
         assert nd.internally_wellposed is ok and nd.main_generator is gen
-        assert calls == {"build_jet": 1, "_kernel_generator": 1}
+        assert calls == {"build_jet": 1, "_restrict_to_kernel": 1}
         ok_ref, gen_ref = internal_wellposedness(nd)
         assert ok == ok_ref and np.array_equal(gen, gen_ref)
 
