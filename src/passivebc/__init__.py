@@ -47,7 +47,6 @@ from .sim import (
     balance_ledger,
     consistent_initialization,
     simulate,
-    step_midpoint,
 )
 from .triplet import (
     BoundaryOperator,

@@ -213,14 +213,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return run_scenario(args.scenario, args.out)
-        if args.command == "verify":
-            return verify_suite(args.scenario, args.suite,
-                                corrupt_gamma1=args.corrupt_gamma1)
-        if args.command == "jet-compare":
-            return jet_compare(args.scenario, args.out)
-        return cayley_report(args.scenario, args.beta)
+        # Overflow and NaN on extreme data end at a named finiteness gate;
+        # NumPy's warnings about them would only add stderr lines.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if args.command == "simulate":
+                return run_scenario(args.scenario, args.out)
+            if args.command == "verify":
+                return verify_suite(args.scenario, args.suite,
+                                    corrupt_gamma1=args.corrupt_gamma1)
+            if args.command == "jet-compare":
+                return jet_compare(args.scenario, args.out)
+            return cayley_report(args.scenario, args.beta)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -15,7 +15,10 @@ exactly the source system in new coordinates (``Xi_i (A z1, z2, tau) =
 Gamma_i (z1, z2, tau)`` as matrices); off ran A the operator extends
 naturally because ker A* is annihilated by B_ext.  Distance from ran A is
 measured with the codomain-orthogonal projectors of the factor map and is
-an invariant of the transformed flow.
+an invariant of the transformed flow.  The target is realized by the same
+builder as the second-order lift (``triplet._realize``), with
+``(to_y, velocity) = (I, A)`` where the lift has ``(A, I)``: the strain
+block enters B_ext as it is and the factor map moves into ``w1' = A w2``.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import GreenIdentityViolated
-from .hilbert import LinearMap, _frozen, helmholtz_projectors, make_space
+from .hilbert import LinearMap, _frozen, helmholtz_projectors
 from .node import BoundaryNode, impedance_node, scattering_node
-from .triplet import GREEN_TOL, BoundaryOperator, green_residual
+from .triplet import BoundaryOperator, _realize
 
 __all__ = [
     "JetTransform",
@@ -51,61 +53,20 @@ class JetTransform:
     target: BoundaryOperator
 
 
-def build_jet(op_A: BoundaryOperator, A_iso: LinearMap) -> JetTransform:
+def build_jet(op_A: BoundaryOperator) -> JetTransform:
     """Construct the strain-momentum realization of a lifted operator.
 
-    ``op_A`` must carry the dual pair it was lifted from and ``A_iso`` must
-    be its (injective) factor map.  The target operator lives on extended
+    ``op_A`` must carry the dual pair it was lifted from, whose (injective)
+    factor map becomes ``A_iso``.  The target operator lives on extended
     coordinates ``(w1, w2, tau)`` of dimension ``dim Y + dim X + nb``.
     """
     dp = op_A.pair
     if dp is None:
         raise ValueError("source operator does not carry its dual pair")
-    if A_iso.matrix.shape != dp.A.matrix.shape or not np.array_equal(
-            A_iso.matrix, dp.A.matrix):
-        raise ValueError("A_iso does not match the factor map of the pair")
-    p_ran, p_ker = helmholtz_projectors(A_iso)  # raises RankDeficient
-
-    nx = dp.A.domain.dim
-    dim_y = dp.A.codomain.dim
-    nb = dp.n_boundary_coords
-    ext_dim = dim_y + nx + nb
-    core_dim = dim_y + nx
-    m1 = dp.G1.dim
-    m2 = dp.G2.dim if dp.G2 is not None else 0
-    m = m1 + m2
-
-    w_core = scipy.linalg.block_diag(dp.A.codomain.gram, dp.A.domain.gram)
-    core = make_space(core_dim, w_core,
-                      f"{dp.A.codomain.label}(+){dp.A.domain.label}")
-
-    iota = np.hstack([np.eye(core_dim), np.zeros((core_dim, nb))])
-
-    # y~(w1, tau) = [w1; tau] in the extended Y coordinates.
-    select_y = np.zeros((dim_y + nb, ext_dim))
-    select_y[:dim_y, :dim_y] = np.eye(dim_y)
-    select_y[dim_y:, core_dim:] = np.eye(nb)
-
-    L = np.zeros((core_dim, ext_dim))
-    L[:dim_y, dim_y:core_dim] = dp.A.matrix
-    L[dim_y:, :] = dp.B_ext.matrix @ select_y
-
-    xi0 = np.zeros((m, ext_dim))
-    xi1 = np.zeros((m, ext_dim))
-    xi0[:m1, dim_y:core_dim] = dp.Lambda1
-    xi0[m1:, :] = dp.Pi2 @ select_y
-    xi1[:m1, :] = -dp.Pi1 @ select_y
-    xi1[m1:, dim_y:core_dim] = dp.Lambda2
-
-    target = BoundaryOperator(core=core, ext_dim=ext_dim,
-                              iota=_frozen(iota), L=_frozen(L),
-                              Gamma0=_frozen(xi0), Gamma1=_frozen(xi1),
-                              bspace=op_A.bspace,
-                              core_blocks=(dim_y, nx), pair=dp)
-    res = green_residual(target)
-    if res > GREEN_TOL:
-        raise GreenIdentityViolated(res, res, "jet target")
-    return JetTransform(A_iso=A_iso, P_ran=_frozen(p_ran),
+    p_ran, p_ker = helmholtz_projectors(dp.A)  # raises RankDeficient
+    target = _realize(dp, dp.A.codomain.gram, dp.A.codomain.label,
+                      np.eye(dp.A.codomain.dim), dp.A.matrix, "jet target")
+    return JetTransform(A_iso=dp.A, P_ran=_frozen(p_ran),
                         P_ker=_frozen(p_ker), source=op_A, target=target)
 
 

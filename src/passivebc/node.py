@@ -39,6 +39,7 @@ from .errors import (
     IllPosedRestriction,
     InconsistentBoundaryData,
     MassNotSPD,
+    NonFiniteValue,
     NonPositiveBeta,
     NotAContraction,
     SingularCoreProjection,
@@ -330,12 +331,22 @@ def impedance_node(op: BoundaryOperator, P, M: LinearMap,
 
 
 def external_cayley(node: BoundaryNode, beta: float) -> BoundaryNode:
-    """Recombine the port maps, exchanging scattering and impedance forms."""
+    """Recombine the port maps, exchanging scattering and impedance forms.
+
+    Raises ``NonFiniteValue`` when beta is so large or small that the
+    scale or the new maps leave the floating-point range.
+    """
     if not beta > 0.0:
         raise NonPositiveBeta(f"beta must be positive, got {beta}")
     scale = 1.0 / math.sqrt(2.0 * beta)
+    if not 0.0 < scale < math.inf:
+        raise NonFiniteValue(f"Cayley scale 1/sqrt(2 beta) is {scale:g} at "
+                             f"beta={beta:g}")
     g = scale * (beta * node.G_map + node.K_map)
     k = scale * (beta * node.G_map - node.K_map)
+    if not (np.isfinite(g).all() and np.isfinite(k).all()):
+        raise NonFiniteValue(f"Cayley-transformed port maps at beta={beta:g} "
+                             "leave the floating-point range")
     flavor = IMPEDANCE if node.flavor == SCATTERING else SCATTERING
     return BoundaryNode(op=node.op, flavor=flavor, P=node.P, M=node.M,
                         D=node.D, G_map=_frozen(g), K_map=_frozen(k),

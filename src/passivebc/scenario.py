@@ -17,7 +17,6 @@ import numpy as np
 
 from . import wave1d
 from .errors import ScenarioError
-from .jet import transform_node
 from .node import BoundaryNode, impedance_node, scattering_node
 from .sim import InputSignal
 from .triplet import BoundaryOperator
@@ -257,10 +256,8 @@ def build_flavor_node(sc: Scenario, sys: WaveSystem,
 
 def build_node(sc: Scenario, sys: WaveSystem) -> BoundaryNode:
     """Node on the operator selected by the scenario formulation."""
-    node_a = build_flavor_node(sc, sys, sys.op_A)
-    if sc.formulation == "position-momentum":
-        return node_a
-    return transform_node(sys.jet, node_a)
+    op = sys.op_A if sc.formulation == "position-momentum" else sys.jet.target
+    return build_flavor_node(sc, sys, op)
 
 
 def build_signal(sc: Scenario) -> InputSignal:

@@ -45,7 +45,6 @@ __all__ = [
     "Trajectory",
     "StepSolver",
     "consistent_initialization",
-    "step_midpoint",
     "simulate",
     "balance_ledger",
 ]
@@ -202,12 +201,6 @@ def consistent_initialization(node: BoundaryNode, z_core: np.ndarray,
         raise SingularBoundaryBlock(
             "boundary block of the input map is rank deficient")
     return np.concatenate([z_core, tau])
-
-
-def step_midpoint(node: BoundaryNode, z: np.ndarray, u_mid: np.ndarray,
-                  dt: float) -> np.ndarray:
-    """Single midpoint step (factorize once via StepSolver for long runs)."""
-    return StepSolver(node, dt).step(np.asarray(z, dtype=float), u_mid)
 
 
 def simulate(node: BoundaryNode, z_core0: np.ndarray, signal: InputSignal,

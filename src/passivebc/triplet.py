@@ -22,7 +22,10 @@ for which the operator Green identity
 
     iota^T W_Z L + L^T W_Z iota = Gamma1^T Gamma0 + Gamma0^T Gamma1
 
-holds exactly whenever the dual-pair identity does.
+holds exactly whenever the dual-pair identity does.  The lift and the
+strain-momentum target of :mod:`passivebc.jet` share one realization: the
+lift feeds ``(to_y, velocity) = (A, I)``, i.e. ``[A z1; tau]`` to B_ext and
+``z1' = z2``, the jet target ``(I, A)``.
 """
 
 from __future__ import annotations
@@ -127,10 +130,6 @@ def extend_adjoint(A: LinearMap, injection: np.ndarray,
     return LinearMap(b, domain=ext_space, codomain=A.domain), iota_y
 
 
-def _empty_block(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols))
-
-
 def assemble_dual_pair(A: LinearMap, B_ext: LinearMap, iota_Y: np.ndarray,
                        Lambda1: np.ndarray, Pi1: np.ndarray,
                        G1: HilbertSpaceSpec,
@@ -150,8 +149,8 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap, iota_Y: np.ndarray,
     Lambda1 = np.atleast_2d(np.asarray(Lambda1, dtype=float))
     Pi1 = np.atleast_2d(np.asarray(Pi1, dtype=float))
     if G2 is None:
-        Lambda2 = _empty_block(0, A.domain.dim)
-        Pi2 = _empty_block(0, ext_dim)
+        Lambda2 = np.zeros((0, A.domain.dim))
+        Pi2 = np.zeros((0, ext_dim))
     else:
         Lambda2 = np.atleast_2d(np.asarray(Lambda2, dtype=float))
         Pi2 = np.atleast_2d(np.asarray(Pi2, dtype=float))
@@ -183,50 +182,46 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap, iota_Y: np.ndarray,
                            residual=residual)
 
 
-def lift_second_order(dp: DualPairTriplet) -> BoundaryOperator:
-    """Lift a dual pair to the maximal second-order boundary operator.
+def _realize(dp: DualPairTriplet, w1: np.ndarray, label1: str,
+             to_y: np.ndarray, velocity: np.ndarray,
+             where: str) -> BoundaryOperator:
+    """Boundary operator on extended coordinates ``(v, z2, tau)`` of a pair.
 
-    Extended coordinates are ``(z1, z2, tau)`` with tau the boundary block
-    of the extended Y side; the Y~ element fed to B_ext and the Pi traces
-    is ``[A z1; tau]``.
+    The core is ``blockdiag(w1, W_X)`` over ``(v, z2)``; the Y~ element fed
+    to B_ext and the Pi traces is ``[to_y v; tau]`` and the first block row
+    of the action is ``v' = velocity z2``.  Raises ``TraceNotSurjective``
+    and ``GreenIdentityViolated`` (naming ``where``) at their gates.
     """
-    nx = dp.A.domain.dim
+    n1, nx = to_y.shape[1], dp.A.domain.dim
     dim_y = dp.A.codomain.dim
     nb = dp.n_boundary_coords
-    ext_dim = 2 * nx + nb
+    core_dim = n1 + nx
+    ext_dim = core_dim + nb
     m1 = dp.G1.dim
-    m2 = dp.G2.dim if dp.G2 is not None else 0
-    m = m1 + m2
+    m = m1 + (dp.G2.dim if dp.G2 is not None else 0)
 
-    # Core Z = X_h (+) X with W_Z = blockdiag(A^T W_Y A, W_X).
-    w_h = dp.A.matrix.T @ dp.A.codomain.gram @ dp.A.matrix
-    w_z = scipy.linalg.block_diag(0.5 * (w_h + w_h.T), dp.A.domain.gram)
-    core = make_space(2 * nx, w_z,
-                      f"{dp.A.domain.label}_h(+){dp.A.domain.label}")
+    core = make_space(core_dim, scipy.linalg.block_diag(w1, dp.A.domain.gram),
+                      f"{label1}(+){dp.A.domain.label}")
+    iota = np.hstack([np.eye(core_dim), np.zeros((core_dim, nb))])
 
-    iota = np.hstack([np.eye(2 * nx), np.zeros((2 * nx, nb))])
+    y_select = np.zeros((dim_y + nb, ext_dim))
+    y_select[:dim_y, :n1] = to_y
+    y_select[dim_y:, core_dim:] = np.eye(nb)
 
-    # y~(z1, tau) = [A z1; tau] in Y~ coordinates.
-    lift_y = np.zeros((dim_y + nb, ext_dim))
-    lift_y[:dim_y, :nx] = dp.A.matrix
-    lift_y[dim_y:, 2 * nx:] = np.eye(nb)
-
-    L = np.zeros((2 * nx, ext_dim))
-    L[:nx, nx:2 * nx] = np.eye(nx)
-    L[nx:, :] = dp.B_ext.matrix @ lift_y
+    L = np.zeros((core_dim, ext_dim))
+    L[:n1, n1:core_dim] = velocity
+    L[n1:, :] = dp.B_ext.matrix @ y_select
 
     gamma0 = np.zeros((m, ext_dim))
     gamma1 = np.zeros((m, ext_dim))
-    gamma0[:m1, nx:2 * nx] = dp.Lambda1
-    gamma0[m1:, :] = dp.Pi2 @ lift_y
-    gamma1[:m1, :] = -dp.Pi1 @ lift_y
-    gamma1[m1:, nx:2 * nx] = dp.Lambda2
+    gamma0[:m1, n1:core_dim] = dp.Lambda1
+    gamma0[m1:, :] = dp.Pi2 @ y_select
+    gamma1[:m1, :] = -dp.Pi1 @ y_select
+    gamma1[m1:, n1:core_dim] = dp.Lambda2
 
-    if m > 0:
-        stacked = np.vstack([gamma0, gamma1])
-        if np.linalg.matrix_rank(stacked) < 2 * m:
-            raise TraceNotSurjective("lifted traces [Gamma0; Gamma1] are "
-                                     "rank deficient")
+    if m > 0 and np.linalg.matrix_rank(np.vstack([gamma0, gamma1])) < 2 * m:
+        raise TraceNotSurjective(f"{where}: traces [Gamma0; Gamma1] are "
+                                 "rank deficient")
 
     if dp.G2 is None:
         bgram = dp.G1.gram
@@ -237,11 +232,24 @@ def lift_second_order(dp: DualPairTriplet) -> BoundaryOperator:
     op = BoundaryOperator(core=core, ext_dim=ext_dim, iota=_frozen(iota),
                           L=_frozen(L), Gamma0=_frozen(gamma0),
                           Gamma1=_frozen(gamma1), bspace=bspace,
-                          core_blocks=(nx, nx), pair=dp)
+                          core_blocks=(n1, nx), pair=dp)
     res = green_residual(op)
     if res > GREEN_TOL:
-        raise GreenIdentityViolated(res, res, "second-order lift")
+        raise GreenIdentityViolated(res, res, where)
     return op
+
+
+def lift_second_order(dp: DualPairTriplet) -> BoundaryOperator:
+    """Lift a dual pair to the maximal second-order boundary operator.
+
+    Extended coordinates are ``(z1, z2, tau)`` with tau the boundary block
+    of the extended Y side; the Y~ element fed to B_ext and the Pi traces
+    is ``[A z1; tau]``.
+    """
+    a = dp.A.matrix
+    w_h = a.T @ dp.A.codomain.gram @ a
+    return _realize(dp, 0.5 * (w_h + w_h.T), f"{dp.A.domain.label}_h",
+                    a, np.eye(dp.A.domain.dim), "second-order lift")
 
 
 def _frobenius(a: csr_array) -> float:

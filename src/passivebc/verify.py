@@ -10,7 +10,7 @@ the two node flavors (``cayley``), and the strain-momentum transport
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -20,7 +20,7 @@ from . import node as node_mod
 from .hilbert import contraction_norm
 from .jet import push_state, state_injection
 from .scenario import Scenario, build_system
-from .triplet import BoundaryOperator, green_residual
+from .triplet import green_residual
 
 __all__ = ["CheckResult", "run_suite", "SUITES", "random_contraction"]
 
@@ -59,10 +59,7 @@ def _subspace_gap(u: np.ndarray, v: np.ndarray) -> float:
 def _green_checks(sys, corrupt_gamma1: bool) -> list[CheckResult]:
     op = sys.op_A
     if corrupt_gamma1:
-        op = BoundaryOperator(core=op.core, ext_dim=op.ext_dim,
-                              iota=op.iota, L=op.L, Gamma0=op.Gamma0,
-                              Gamma1=2.0 * op.Gamma1, bspace=op.bspace,
-                              core_blocks=op.core_blocks, pair=op.pair)
+        op = replace(op, Gamma1=2.0 * op.Gamma1)
     return [
         CheckResult("green_identity_dual_pair", sys.dual_pair.residual,
                     1e-12),

@@ -116,7 +116,7 @@ class WaveSystem:
     @cached_property
     def jet(self) -> JetTransform:
         """Strain-momentum transform of ``op_A``, built once on first read."""
-        return build_jet(self.op_A, self.A_map)
+        return build_jet(self.op_A)
 
 
 def constant_coefficients(N: int, length: float = 1.0, rho: float = 1.0,

@@ -314,6 +314,7 @@ REJECTED_INPUTS = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestInputRobustness:
     @pytest.mark.parametrize("case", sorted(REJECTED_INPUTS))
     def test_rejected_with_named_error(self, tmp_path, capsys, case):
@@ -342,6 +343,32 @@ class TestInputRobustness:
         assert code == 3, err
         assert err.strip().splitlines()[-1].startswith(message), err
         assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("beta", ["1e308", "1e-320"])
+    def test_extreme_cayley_beta_exits_3_by_name(self, tmp_path, capsys,
+                                                 beta):
+        # 1/sqrt(2 beta) underflows to 0 at 1e308; at 1e-320 the maps of
+        # the second transform overflow
+        scn = write_scenario(tmp_path, DAMPED_SINE)
+        code = cli.main(["cayley", "--scenario", scn, "--beta", beta])
+        captured = capsys.readouterr()
+        assert code == 3, captured.err
+        assert captured.err.startswith("NonFiniteValue: Cayley")
+        assert captured.err.count("\n") == 1
+        assert "involution residual" not in captured.out
+
+    def test_ledger_overflow_prints_one_line(self, tmp_path):
+        # NumPy's floating-point warnings would precede the named error
+        doc = edited(DAMPED_SINE,
+                     REJECTED_INPUTS["input_amplitude_overflows_ledger"])
+        proc = subprocess.run(
+            [sys.executable, "-m", "passivebc.cli", "simulate",
+             "--scenario", write_scenario(tmp_path, doc),
+             "--out", str(tmp_path / "run.csv")],
+            env=src_env(), capture_output=True, text=True)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("NonFiniteValue: the energy ledger")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
     def test_unexpected_exception_exits_4_in_one_line(self, tmp_path, capsys,
                                                       monkeypatch):
@@ -395,6 +422,7 @@ def fuzz_base():
         initial={"kind": "gauss", "center": 0.5, "width": 0.2})
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestScenarioFuzz:
     """Extreme and non-finite numbers anywhere in a scenario end in a
     documented exit code, never in an escaping exception."""
@@ -433,12 +461,17 @@ class TestScenarioFuzz:
         assert "Traceback" not in err
 
 
-def test_module_entry_point_runs_without_warnings():
+def src_env():
+    """Environment in which a child interpreter imports this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point_runs_without_warnings():
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "passivebc.cli", "--help"],
-        env=env, capture_output=True, text=True)
+        env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "usage: passivebc" in proc.stdout

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -238,6 +239,35 @@ class TestLazySetUp:
         assert calls == {"build_jet": 1, "_restrict_to_kernel": 1}
         ok_ref, gen_ref = internal_wellposedness(nd)
         assert ok == ok_ref and np.array_equal(gen, gen_ref)
+
+    @pytest.mark.parametrize("flavor", ["scattering", "impedance"])
+    def test_strain_momentum_node_built_once(self, monkeypatch, tmp_path,
+                                             flavor):
+        # on the jet target directly, equal to the transform of the
+        # position-momentum node bit for bit
+        from passivebc import node as node_mod
+        from passivebc import scenario
+        from passivebc.jet import transform_node
+        doc = json.loads((ROOT / "scenarios" / "damped_sine.json").read_text())
+        doc.update(formulation="strain-momentum", flavor=flavor,
+                   P=[[0.3, 0.1], [-0.2, 0.4]])
+        path = tmp_path / "strain.json"
+        path.write_text(json.dumps(doc))
+        sc = scenario.load_scenario(path)
+        sys = scenario.build_system(sc)
+        calls = {}
+        self._count(monkeypatch, node_mod, "_build_node", calls)
+        nd = scenario.build_node(sc, sys)
+        assert calls == {"_build_node": 1}
+        assert nd.op is sys.jet.target and nd.flavor == flavor
+        ref = transform_node(
+            sys.jet, scenario.build_flavor_node(sc, sys, sys.op_A))
+        for got, want in ((nd.G_map, ref.G_map), (nd.K_map, ref.K_map),
+                          (nd.L_eff, ref.L_eff),
+                          (nd.weight_ext, ref.weight_ext),
+                          (nd.P.matrix, ref.P.matrix),
+                          (nd.state_space.gram, ref.state_space.gram)):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("b", [0.0, 0.4])
     @pytest.mark.parametrize("flavor", ["scattering", "impedance"])

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passivebc.errors import (
     IncompatibleInitialData,
@@ -11,7 +13,12 @@ from passivebc.errors import (
     SingularBoundaryBlock,
     SingularStepMatrix,
 )
-from passivebc.hilbert import ContractionParam
+from passivebc.extension import (
+    dissipativity_residual,
+    generator_from_contraction,
+)
+from passivebc.hilbert import ContractionParam, contraction_norm
+from passivebc.jet import push_state
 from passivebc.node import impedance_node, scattering_node
 from passivebc.sim import (
     LEDGER_CHUNK,
@@ -20,7 +27,6 @@ from passivebc.sim import (
     balance_ledger,
     consistent_initialization,
     simulate,
-    step_midpoint,
 )
 from passivebc.wave1d import analytic_standing_wave, initial_state
 
@@ -108,7 +114,7 @@ class TestStepMidpoint:
         nd = neumann_node(sys)
         z0 = consistent_initialization(
             nd, initial_state(sys, "standing_wave", k=1), np.zeros(2))
-        z1 = step_midpoint(nd, z0, np.zeros(2), 1e-12)
+        z1 = StepSolver(nd, 1e-12).step(z0, np.zeros(2))
         assert np.linalg.norm(z1 - z0) <= 1e-9 * np.linalg.norm(z0)
 
     def test_kernel_states_keep_norm_with_unitary_parameter(self, rng):
@@ -122,7 +128,7 @@ class TestStepMidpoint:
         w = nd.state_space.gram
         for _ in range(5):
             z = kernel @ rng.standard_normal(kernel.shape[1])
-            zn = step_midpoint(nd, z, np.zeros(2), 5e-3)
+            zn = StepSolver(nd, 5e-3).step(z, np.zeros(2))
             n0 = float((nd.op.iota @ z) @ w @ (nd.op.iota @ z))
             n1 = float((nd.op.iota @ zn) @ w @ (nd.op.iota @ zn))
             assert n1 == pytest.approx(n0, rel=1e-12)
@@ -146,7 +152,7 @@ class TestStepMidpoint:
         def defect(dt):
             z0 = np.concatenate([mode, np.zeros(17)])
             ze = consistent_initialization(nd, z0, np.zeros(2))
-            z1 = step_midpoint(nd, ze, np.zeros(2), dt)
+            z1 = StepSolver(nd, dt).step(ze, np.zeros(2))
             exact = np.concatenate([mode * math.cos(omega * dt),
                                     -omega * mode * math.sin(omega * dt)])
             return np.linalg.norm(z1[:34] - exact)
@@ -432,3 +438,39 @@ class TestVectorizedLedger:
         assert led.slack.max() > 0.0
         closure = np.abs(led.residual + 0.5 * led.slack)
         assert (closure <= 1e-10 * (1.0 + np.abs(led.H[1:]))).all()
+
+
+class TestLedgerProperties:
+    """Random coefficient fields and contractions: the ledger closes and
+    the contraction's restriction is dissipative, at the acceptance
+    tolerances (C2, C5)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 16), seed=st.integers(0, 2 ** 32 - 1),
+           b_max=st.floats(0.0, 1.0), norm=st.floats(0.05, 1.0),
+           flavor=st.sampled_from(["scattering", "impedance"]),
+           strain=st.booleans(), steps=st.integers(1, 20))
+    def test_ledger_closes_and_restriction_dissipative(
+            self, n, seed, b_max, norm, flavor, strain, steps):
+        rng = np.random.default_rng(seed)
+        sys = random_wave_system(n, rng, b_max=b_max)
+        raw = rng.standard_normal((2, 2))
+        p = raw * (norm / contraction_norm(raw, sys.op_A.bspace))
+        z0 = initial_state(sys, "gauss", center=rng.uniform(0.2, 0.8),
+                           width=rng.uniform(0.05, 0.3))
+        op = sys.op_A
+        if strain:
+            op, z0 = sys.jet.target, push_state(sys.jet, z0)
+        builder = scattering_node if flavor == "scattering" \
+            else impedance_node
+        nd = builder(op, p, sys.M_map, sys.D_map)
+        signal = InputSignal("sine", weights=rng.uniform(-1.0, 1.0, 2),
+                             amplitude=rng.uniform(0.0, 1.0),
+                             frequency=rng.uniform(0.1, 5.0))
+        dt = 1e-2
+        led = simulate(nd, z0, signal, steps * dt, dt).ledger
+        tol = 1e-10 * (1.0 + led.H.max())
+        assert np.abs(led.residual + 0.5 * led.slack).max() <= tol
+        assert led.slack.min() >= -tol
+        assert dissipativity_residual(
+            generator_from_contraction(op, p)) <= 1e-10

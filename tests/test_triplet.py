@@ -2,10 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from passivebc import wave1d
 from passivebc.errors import GreenIdentityViolated, TraceNotSurjective
 from passivebc.hilbert import LinearMap, euclidean_space, make_space
+from passivebc.jet import build_jet, state_injection
 from passivebc.triplet import (
     GREEN_TOL,
     BoundaryOperator,
@@ -264,6 +266,97 @@ class TestStructuredGates:
                 assert info.value.residual == pytest.approx(res, rel=1e-12)
                 assert info.value.worst_entry == pytest.approx(worst,
                                                                rel=1e-12)
+
+
+def lift_recipe(dp):
+    """The second-order lift as assembled on its own, before it shared a
+    builder with the jet: (iota, L, Gamma0, Gamma1, core Gram, blocks,
+    core label)."""
+    nx = dp.A.domain.dim
+    dim_y = dp.A.codomain.dim
+    nb = dp.n_boundary_coords
+    ext_dim = 2 * nx + nb
+    m1 = dp.G1.dim
+    m = m1 + (dp.G2.dim if dp.G2 is not None else 0)
+    w_h = dp.A.matrix.T @ dp.A.codomain.gram @ dp.A.matrix
+    w_z = scipy.linalg.block_diag(0.5 * (w_h + w_h.T), dp.A.domain.gram)
+    iota = np.hstack([np.eye(2 * nx), np.zeros((2 * nx, nb))])
+    lift_y = np.zeros((dim_y + nb, ext_dim))
+    lift_y[:dim_y, :nx] = dp.A.matrix
+    lift_y[dim_y:, 2 * nx:] = np.eye(nb)
+    L = np.zeros((2 * nx, ext_dim))
+    L[:nx, nx:2 * nx] = np.eye(nx)
+    L[nx:, :] = dp.B_ext.matrix @ lift_y
+    gamma0 = np.zeros((m, ext_dim))
+    gamma1 = np.zeros((m, ext_dim))
+    gamma0[:m1, nx:2 * nx] = dp.Lambda1
+    gamma0[m1:, :] = dp.Pi2 @ lift_y
+    gamma1[:m1, :] = -dp.Pi1 @ lift_y
+    gamma1[m1:, nx:2 * nx] = dp.Lambda2
+    label = f"{dp.A.domain.label}_h(+){dp.A.domain.label}"
+    return iota, L, gamma0, gamma1, w_z, (nx, nx), label
+
+
+def jet_recipe(dp):
+    """The strain-momentum target as assembled on its own, same tuple."""
+    nx = dp.A.domain.dim
+    dim_y = dp.A.codomain.dim
+    nb = dp.n_boundary_coords
+    ext_dim = dim_y + nx + nb
+    core_dim = dim_y + nx
+    m1 = dp.G1.dim
+    m = m1 + (dp.G2.dim if dp.G2 is not None else 0)
+    w_core = scipy.linalg.block_diag(dp.A.codomain.gram, dp.A.domain.gram)
+    iota = np.hstack([np.eye(core_dim), np.zeros((core_dim, nb))])
+    select_y = np.zeros((dim_y + nb, ext_dim))
+    select_y[:dim_y, :dim_y] = np.eye(dim_y)
+    select_y[dim_y:, core_dim:] = np.eye(nb)
+    L = np.zeros((core_dim, ext_dim))
+    L[:dim_y, dim_y:core_dim] = dp.A.matrix
+    L[dim_y:, :] = dp.B_ext.matrix @ select_y
+    xi0 = np.zeros((m, ext_dim))
+    xi1 = np.zeros((m, ext_dim))
+    xi0[:m1, dim_y:core_dim] = dp.Lambda1
+    xi0[m1:, :] = dp.Pi2 @ select_y
+    xi1[:m1, :] = -dp.Pi1 @ select_y
+    xi1[m1:, dim_y:core_dim] = dp.Lambda2
+    label = f"{dp.A.codomain.label}(+){dp.A.domain.label}"
+    return iota, L, xi0, xi1, w_core, (dim_y, nx), label
+
+
+def assert_realizes(op, recipe):
+    iota, L, g0, g1, gram, blocks, label = recipe
+    for got, want in ((op.iota, iota), (op.L, L), (op.Gamma0, g0),
+                      (op.Gamma1, g1), (op.core.gram, gram)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert op.core_blocks == blocks
+    assert op.core.label == label
+    assert op.ext_dim == L.shape[1]
+
+
+class TestSharedRealization:
+    """The lift and the jet target share one builder; it reproduces the
+    two recipes they were assembled with separately, bit for bit."""
+
+    @pytest.mark.parametrize("N", [1, 3, 16, 64])
+    def test_wave_systems(self, rng, N):
+        sys = random_wave_system(N, rng)
+        assert_realizes(lift_second_order(sys.dual_pair),
+                        lift_recipe(sys.dual_pair))
+        assert_realizes(build_jet(sys.op_A).target,
+                        jet_recipe(sys.dual_pair))
+
+    def test_two_block_pair(self, rng):
+        dp = synthetic_two_block_pair(rng)
+        op = lift_second_order(dp)
+        assert_realizes(op, lift_recipe(dp))
+        jt = build_jet(op)
+        assert_realizes(jt.target, jet_recipe(dp))
+        assert green_residual(jt.target) <= 1e-12
+        inj = state_injection(jt)
+        assert np.abs(jt.target.Gamma0 @ inj - op.Gamma0).max() <= 1e-12
+        assert np.abs(jt.target.Gamma1 @ inj - op.Gamma1).max() <= 1e-12
 
 
 class TestMinimalDomain:
