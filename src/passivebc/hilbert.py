@@ -123,15 +123,14 @@ def make_space(dim: int, gram, label: str) -> HilbertSpaceSpec:
     g = np.asarray(gram, dtype=float).reshape(dim, dim)
     if dim == 0:
         return HilbertSpaceSpec(0, _frozen(g), label, 0.0, 0.0)
+    if not np.isfinite(g).all():
+        raise NonFiniteValue(f"gram of space {label!r} holds NaN or infinity")
     scale = np.linalg.norm(g)
     if scale == 0.0:
         raise NonPositiveGram(label, 0.0)
     if np.linalg.norm(g - g.T) > SYM_RTOL * scale:
         raise NonSymmetricGram(f"gram of space {label!r} is not symmetric")
-    g = 0.5 * (g + g.T)
-    # after the sum, so that entries overflowing it are caught too
-    if not np.isfinite(g).all():
-        raise NonFiniteValue(f"gram of space {label!r} holds NaN or infinity")
+    g = 0.5 * g + 0.5 * g.T   # halves first: no overflow near the max
     eig_min, eig_max = _extreme_eigenvalues(g)
     if eig_min <= SPD_RTOL * abs(eig_max):
         raise NonPositiveGram(label, eig_min)
@@ -145,8 +144,12 @@ def _extreme_eigenvalues(g: np.ndarray) -> tuple[float, float]:
     under a quarter of the dimension goes to LAPACK's ``dsbevx``
     (``eig_banded`` with ``select='i'``), whose band reduction costs about
     6 n^2 b flops against 4/3 n^3 for the dense one; anything wider goes
-    to dense ``eigvalsh``.
+    to dense ``eigvalsh``.  Raises ``LinAlgError``, as ``eigvalsh`` does,
+    when the matrix holds NaN or infinity.
     """
+    if not np.isfinite(g).all():
+        raise np.linalg.LinAlgError("eigenvalues of a matrix holding NaN or "
+                                    "infinity")
     n = g.shape[0]
     rows, cols = np.nonzero(g)
     bandwidth = int(np.abs(rows - cols).max()) if rows.size else 0
@@ -241,7 +244,7 @@ def check_dissipative(D: LinearMap) -> tuple[bool, float]:
     if D.domain.dim != D.codomain.dim:
         raise ValueError("check_dissipative requires a square map")
     wd = D.domain.gram @ D.matrix
-    lam = float(np.linalg.eigvalsh(0.5 * (wd + wd.T))[0])
+    lam = _extreme_eigenvalues(0.5 * (wd + wd.T))[0]
     return lam >= -DISSIPATIVITY_TOL, lam
 
 

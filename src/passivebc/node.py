@@ -49,6 +49,7 @@ from .hilbert import (
     ContractionParam,
     HilbertSpaceSpec,
     LinearMap,
+    _extreme_eigenvalues,
     _frozen,
     check_dissipative,
     is_dual_unitary,
@@ -244,7 +245,7 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
     wm = w2 @ M.matrix
     if np.linalg.norm(wm - wm.T) > 1e-10 * (1.0 + np.linalg.norm(wm)):
         raise MassNotSPD("mass map is not self-adjoint on its space")
-    if np.linalg.eigvalsh(0.5 * (wm + wm.T))[0] <= 0.0:
+    if _extreme_eigenvalues(0.5 * (wm + wm.T))[0] <= 0.0:
         raise MassNotSPD("mass quadratic form is not positive definite")
     ok, lam = check_dissipative(D)
     if not ok:
@@ -333,11 +334,14 @@ def impedance_node(op: BoundaryOperator, P, M: LinearMap,
 def external_cayley(node: BoundaryNode, beta: float) -> BoundaryNode:
     """Recombine the port maps, exchanging scattering and impedance forms.
 
-    Raises ``NonFiniteValue`` when beta is so large or small that the
-    scale or the new maps leave the floating-point range.
+    Raises ``NonFiniteValue`` when beta is subnormal (it then holds fewer
+    significant bits than a double) or when the scale or the new maps leave
+    the floating-point range.
     """
     if not beta > 0.0:
         raise NonPositiveBeta(f"beta must be positive, got {beta}")
+    if beta < np.finfo(float).tiny:
+        raise NonFiniteValue(f"Cayley parameter beta={beta:g} is subnormal")
     scale = 1.0 / math.sqrt(2.0 * beta)
     if not 0.0 < scale < math.inf:
         raise NonFiniteValue(f"Cayley scale 1/sqrt(2 beta) is {scale:g} at "

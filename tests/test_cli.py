@@ -241,7 +241,16 @@ class TestCayleyCommand:
         assert cli.main(["cayley", "--scenario", scn]) == 0
         out = capsys.readouterr().out
         assert "impedance -> scattering" in out
-        assert "involution residual" in out
+        assert "round-trip residual" in out
+
+    def test_round_trip_at_beta_2_is_roundoff(self, tmp_path, capsys):
+        # applying the beta = 2 transform twice misses the original maps
+        # by 5e-1 on this scenario; the inverse recovers them
+        scn = write_scenario(tmp_path, DAMPED_SINE)
+        assert cli.main(["cayley", "--scenario", scn, "--beta", "2"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("round-trip residual: ")
+        assert float(line.split(": ")[1]) <= 1e-14
 
     def test_strain_momentum_formulation_runs(self, tmp_path):
         doc = base_scenario(formulation="strain-momentum", N=12,
@@ -355,7 +364,7 @@ class TestInputRobustness:
         assert code == 3, captured.err
         assert captured.err.startswith("NonFiniteValue: Cayley")
         assert captured.err.count("\n") == 1
-        assert "involution residual" not in captured.out
+        assert "round-trip residual" not in captured.out
 
     def test_ledger_overflow_prints_one_line(self, tmp_path):
         # NumPy's floating-point warnings would precede the named error

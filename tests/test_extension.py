@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from passivebc.errors import IllPosedRestriction, SingularCoreProjection
@@ -20,7 +20,8 @@ from passivebc.node import (
     internal_wellposedness,
     scattering_node,
 )
-from passivebc.triplet import NULLSPACE_RCOND, BoundaryOperator
+from passivebc.triplet import NULLSPACE_RCOND, BoundaryOperator, green_residual
+from passivebc.verify import _kernel_gap
 
 from conftest import random_wave_system, wave_system
 
@@ -195,9 +196,10 @@ def oracle_outcome(c, action, iota):
         return type(exc)
 
 
-def folded_damping(sys):
-    """The maximal operator with the damping folded into its action."""
-    op = sys.op_A
+def folded_damping(sys, op=None):
+    """The maximal operator (default ``sys.op_A``) with the damping folded
+    into its action."""
+    op = sys.op_A if op is None else op
     nx = op.core_blocks[0]
     folded = op.L.copy()
     folded[nx:, :] -= sys.D_map.matrix @ op.iota[nx:, :]
@@ -350,3 +352,95 @@ def degenerate_case(name):
             small_op([[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1e-12]]),
             np.zeros((2, 2)), SingularCoreProjection),
     }[name]
+
+
+def dense_residual(op, g):
+    """Largest eigenvalue of the dense sym(W_Z A_main) (oracle)."""
+    wa = op.core.gram @ g.A_main
+    return np.linalg.eigvalsh(0.5 * (wa + wa.T))[-1]
+
+
+def trace_allowance(op, g):
+    """The docstring's Weyl bound on |trace form - dense spectrum|, plus
+    one unit roundoff of the same scale for forming and solving either
+    side (exact arithmetic is what the bound covers)."""
+    x = g.domain_basis[op.core.dim:]
+    scale = (1.0 + np.linalg.norm(x, 2) ** 2) * (
+        1.0 + np.linalg.norm(op.core.gram @ op.L))
+    return 0.5 * scale * green_residual(op) + np.finfo(float).eps * scale
+
+
+def realized(op, p):
+    try:
+        return generator_from_contraction(op, p)
+    except (IllPosedRestriction, SingularCoreProjection):
+        assume(False)
+
+
+TRACE_CASES = dict(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
+                   norm=st.floats(0.05, 2.0), jet=st.booleans())
+
+
+class TestTraceDissipativity:
+    """``dissipativity_residual`` reads the dense spectrum from the traces."""
+
+    # N = 1: the lift's core has dimension 2m, so no zero eigenvalue is
+    # implied and the trace form is not clamped
+    @example(n=1, seed=1, norm=0.5, jet=False)
+    @settings(max_examples=60, deadline=None)
+    @given(**TRACE_CASES)
+    def test_matches_dense_spectrum_within_bound(self, n, seed, norm, jet):
+        rng = np.random.default_rng(seed)
+        sys = random_wave_system(n, rng)
+        op = sys.jet.target if jet else sys.op_A
+        g = realized(op, random_contraction(rng, 2, op.bspace, target=norm))
+        assert abs(dissipativity_residual(g) - dense_residual(op, g)) \
+            <= trace_allowance(op, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**TRACE_CASES)
+    def test_folded_damping_bounded_by_trace_form(self, n, seed, norm, jet):
+        rng = np.random.default_rng(seed)
+        sys = random_wave_system(n, rng, b_max=1.0)
+        op = folded_damping(sys, sys.jet.target if jet else sys.op_A)
+        g = realized(op, random_contraction(rng, 2, op.bspace, target=norm))
+        assert dense_residual(op, g) \
+            <= dissipativity_residual(g) + trace_allowance(op, g)
+
+
+class TestKernelGap:
+    """``verify._kernel_gap`` against ``scipy.linalg.subspace_angles``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 40), m=st.integers(0, 4),
+           seed=st.integers(0, 2 ** 32 - 1), log_delta=st.floats(-14, 0))
+    def test_matches_subspace_angles(self, n, m, seed, log_delta):
+        assume(m <= n)
+        rng = np.random.default_rng(seed)
+        trace = rng.standard_normal((m, n))
+        ker = scipy.linalg.null_space(trace, rcond=1e-10)
+        mix = rng.standard_normal((ker.shape[1],) * 2) \
+            + 3.0 * np.eye(ker.shape[1])
+        basis = (ker + 10.0 ** log_delta
+                 * rng.standard_normal(ker.shape)) @ mix
+        angles = scipy.linalg.subspace_angles(basis, ker)
+        ref = angles.max() if angles.size else 0.0
+        gap = _kernel_gap(basis, trace)
+        assert abs(np.sin(gap) - np.sin(ref)) <= 1e-12
+        if ref < 1.0:
+            assert abs(gap - ref) <= 1e-12 + 1e-10 * ref
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_dimension_mismatch_is_a_right_angle(self, rng, extra):
+        trace = rng.standard_normal((2, 9))
+        basis = rng.standard_normal((9, 7 + extra))
+        assert _kernel_gap(basis, trace) == np.pi / 2.0
+
+    def test_rank_counted_at_null_space_rcond(self, rng):
+        # the second row lies below rcond 1e-10, so the kernel has
+        # dimension n - 1, as null_space counts it
+        trace = rng.standard_normal((2, 9))
+        trace[1] = 1e-12 * trace[0] + 1e-13 * rng.standard_normal(9)
+        basis = scipy.linalg.null_space(trace, rcond=1e-10)
+        assert basis.shape[1] == 8
+        assert _kernel_gap(basis, trace) <= 1e-12

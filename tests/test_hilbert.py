@@ -82,6 +82,17 @@ def _spectrum(g):
     return eigs[0], eigs[-1]
 
 
+@settings(max_examples=50, deadline=None)
+@given(spd_grams(), st.integers(0, 2**32 - 1))
+def test_symmetrized_gram_is_the_mean_with_its_transpose(g, seed):
+    # halving before the sum is exact in the normal range, so Grams keep
+    # the bytes of 0.5 (g + g^T)
+    noise = np.random.default_rng(seed).standard_normal(g.shape)
+    g = g + 1e-14 * np.abs(g).max() * noise
+    assert make_space(len(g), g, "W").gram.tobytes() == \
+        (0.5 * (g + g.T)).tobytes()
+
+
 class TestStructuredEigenvalueBounds:
     """``make_space`` bounds against dense ``eigvalsh``, relative to the
     largest eigenvalue (the Gram's scale)."""
@@ -259,6 +270,32 @@ class TestCheckDissipative:
         ok, lam = check_dissipative(D)
         assert not ok
         assert lam == pytest.approx(-0.1, abs=1e-12)
+
+
+class TestCheckDissipativeStructured:
+    """``check_dissipative`` reads the structure-aware extreme eigenvalue."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(spd_grams(), st.floats(0.0, 2.0))
+    def test_matches_eigvalsh(self, g, shift):
+        # diagonal, banded and dense forms with spectra of either sign
+        lo, hi = _spectrum(g)
+        d = g - shift * hi * np.eye(len(g))
+        sp = euclidean_space(len(g), "X")
+        ok, lam = check_dissipative(LinearMap(d, sp, sp))
+        ref = _spectrum(d)[0]
+        assert abs(lam - ref) <= 1e-12 * hi
+        assert ok is (lam >= -1e-10)
+
+    # the largest finite value overflows when the form is symmetrized
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, np.finfo(float).max])
+    def test_non_finite_form_fails_like_eigvalsh(self, bad):
+        sp = euclidean_space(3, "X")
+        d = np.eye(3)
+        d[1, 1] = bad
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(np.linalg.LinAlgError):
+            check_dissipative(LinearMap(d, sp, sp))
 
 
 class TestHelmholtz:

@@ -104,6 +104,22 @@ class TestConstruction:
         with pytest.raises(DampingNotDissipative):
             impedance_node(sys.op_A, np.eye(2), sys.M_map, bad)
 
+    def test_diagonal_gates_run_no_dense_eigensolver(self, monkeypatch):
+        # the mass and damping forms of a wave system are diagonal
+        sys = wave_system(16, b=0.3)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("dense eigvalsh called")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        for builder in (scattering_node, impedance_node):
+            builder(sys.op_A, 0.5 * np.eye(2), sys.M_map, sys.D_map)
+        with pytest.raises(MassNotSPD):
+            impedance_node(sys.op_A, np.eye(2),
+                           LinearMap(-np.eye(17), sys.X, sys.X), sys.D_map)
+        with pytest.raises(DampingNotDissipative):
+            impedance_node(sys.op_A, np.eye(2), sys.M_map,
+                           LinearMap(-0.1 * np.eye(17), sys.X, sys.X))
+
     def test_dual_gram_inverted_once_and_read_only(self):
         sys = wave_system(4)
         nd = scattering_node(sys.op_A, 0.5 * rotation(0.3), sys.M_map,
