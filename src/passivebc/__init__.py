@@ -27,7 +27,6 @@ from .hilbert import (
     contraction_norm,
     dual_space,
     euclidean_space,
-    helmholtz_projectors,
     make_space,
     riesz,
 )

@@ -117,6 +117,10 @@ class SingularStepMatrix(PassivebcError):
     """Implicit midpoint step matrix is (numerically) singular."""
 
 
+class InvalidTimeGrid(PassivebcError):
+    """The final time is not a whole number of positive, finite steps."""
+
+
 class TimeGridTooLarge(PassivebcError):
     """The time grid and its states cannot be allocated."""
 

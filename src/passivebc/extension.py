@@ -12,7 +12,7 @@ dissipative with respect to the core Gram; in finite dimensions that is
 already the whole contraction-semigroup statement, so no separate resolvent
 check is performed.
 
-Extended coordinates put the core first (``iota = [I | 0]``), which gives
+Extended coordinates put the core first (see ``triplet``), which gives
 the kernel in closed form.  Let the nb rows of ``V = [V_core | V_tau]`` be
 an orthonormal basis of the row space of C at ``NULLSPACE_RCOND`` (its
 leading right singular vectors).  When the square ``V_tau`` is invertible,

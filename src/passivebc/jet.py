@@ -14,11 +14,12 @@ and state mapping ``w = (A z1, z2)``.  On states with w1 in ran A this is
 exactly the source system in new coordinates (``Xi_i (A z1, z2, tau) =
 Gamma_i (z1, z2, tau)`` as matrices); off ran A the operator extends
 naturally because ker A* is annihilated by B_ext.  Distance from ran A is
-measured with the codomain-orthogonal projectors of the factor map and is
-an invariant of the transformed flow.  The target is realized by the same
-builder as the second-order lift (``triplet._realize``), with
-``(to_y, velocity) = (I, A)`` where the lift has ``(A, I)``: the strain
-block enters B_ext as it is and the factor map moves into ``w1' = A w2``.
+an invariant of the transformed flow; it is measured, and states are
+pulled back, by one solve with the factored normal matrix ``A^T W_Y A``.
+The target is realized by the same builder as the second-order lift
+(``triplet._realize``), with ``(to_y, velocity) = (I, A)`` where the lift
+has ``(A, I)``: the strain block enters B_ext as it is and the factor map
+moves into ``w1' = A w2``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .hilbert import LinearMap, _frozen, helmholtz_projectors
+from .errors import RankDeficient
+from .hilbert import RANK_RTOL, LinearMap, _extreme_eigenvalues, _frozen
 from .node import BoundaryNode, impedance_node, scattering_node
 from .triplet import BoundaryOperator, _realize
 
@@ -47,10 +49,13 @@ class JetTransform:
     """Transport data between the two first-order realizations."""
 
     A_iso: LinearMap
-    P_ran: np.ndarray
-    P_ker: np.ndarray
+    normal_factor: np.ndarray         # upper Cholesky factor of A^T W_Y A
     source: BoundaryOperator
     target: BoundaryOperator
+
+    def normal_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``(A^T W_Y A)^{-1} rhs`` from the stored factor."""
+        return scipy.linalg.cho_solve((self.normal_factor, False), rhs)
 
 
 def build_jet(op_A: BoundaryOperator) -> JetTransform:
@@ -59,15 +64,24 @@ def build_jet(op_A: BoundaryOperator) -> JetTransform:
     ``op_A`` must carry the dual pair it was lifted from, whose (injective)
     factor map becomes ``A_iso``.  The target operator lives on extended
     coordinates ``(w1, w2, tau)`` of dimension ``dim Y + dim X + nb``.
+    Raises ``RankDeficient`` when the smallest eigenvalue of ``A^T W_Y A``
+    is at most ``RANK_RTOL`` times the largest.
     """
     dp = op_A.pair
     if dp is None:
         raise ValueError("source operator does not carry its dual pair")
-    p_ran, p_ker = helmholtz_projectors(dp.A)  # raises RankDeficient
+    a = dp.A.matrix
+    normal = a.T @ dp.A.codomain.gram @ a
+    lo, hi = _extreme_eigenvalues(0.5 * (normal + normal.T))
+    if lo <= RANK_RTOL * max(abs(hi), 1e-300):
+        raise RankDeficient(
+            f"map {dp.A.domain.label!r} -> {dp.A.codomain.label!r} is not "
+            f"injective (normal-matrix eigenvalue {lo:.3e})")
     target = _realize(dp, dp.A.codomain.gram, dp.A.codomain.label,
-                      np.eye(dp.A.codomain.dim), dp.A.matrix, "jet target")
-    return JetTransform(A_iso=dp.A, P_ran=_frozen(p_ran),
-                        P_ker=_frozen(p_ker), source=op_A, target=target)
+                      np.eye(dp.A.codomain.dim), a, "jet target")
+    return JetTransform(A_iso=dp.A,
+                        normal_factor=_frozen(scipy.linalg.cholesky(normal)),
+                        source=op_A, target=target)
 
 
 def state_injection(jt: JetTransform) -> np.ndarray:
@@ -92,11 +106,13 @@ def pull_state(jt: JetTransform, w: np.ndarray) -> np.ndarray:
     """
     dim_y = jt.A_iso.codomain.dim
     w = np.asarray(w, dtype=float)
+    return np.concatenate([_range_coordinates(jt, w[:dim_y]), w[dim_y:]])
+
+
+def _range_coordinates(jt: JetTransform, w1: np.ndarray) -> np.ndarray:
+    """z minimizing ``||A z - w1||`` in the codomain norm (normal equations)."""
     a = jt.A_iso.matrix
-    gram = a.T @ jt.A_iso.codomain.gram @ a
-    rhs = a.T @ jt.A_iso.codomain.gram @ w[:dim_y]
-    z1 = np.linalg.solve(gram, rhs)
-    return np.concatenate([z1, w[dim_y:]])
+    return jt.normal_solve(a.T @ (jt.A_iso.codomain.gram @ w1))
 
 
 def transform_node(jt: JetTransform, node_A: BoundaryNode) -> BoundaryNode:
@@ -112,5 +128,5 @@ def transform_node(jt: JetTransform, node_A: BoundaryNode) -> BoundaryNode:
 def ran_A_defect(jt: JetTransform, w1: np.ndarray) -> float:
     """Distance of a strain block from ran A in the codomain norm."""
     w1 = np.asarray(w1, dtype=float)
-    v = jt.P_ker @ w1
+    v = w1 - jt.A_iso.matrix @ _range_coordinates(jt, w1)
     return float(np.sqrt(max(v @ jt.A_iso.codomain.gram @ v, 0.0)))

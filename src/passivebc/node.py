@@ -51,6 +51,7 @@ from .hilbert import (
     LinearMap,
     _extreme_eigenvalues,
     _frozen,
+    _norm,
     check_dissipative,
     is_dual_unitary,
     make_space,
@@ -128,15 +129,12 @@ class BoundaryNode:
         a, b = _weighted_traces(self.op, self.weight_ext)
         w = self.state_space.gram
         return LedgerFactors(
-            flavor=self.flavor, iota=self.op.iota, n1=n1,
+            flavor=self.flavor, n1=n1, core_dim=self.op.core.dim,
             w_p=w[:n1, :n1], w_k=w[n1:, n1:],
             velocity_rows=self.weight_ext[n1:n1 + n2, :],
             damping=_frozen(self.D.matrix.T @ self.D.domain.gram),
             trace_gap=_frozen(a - b), P=self.P.matrix,
             dual_gram=self.dual_gram())
-
-    def energy(self, z_ext: np.ndarray) -> float:
-        return sum(self.energy_split(z_ext))
 
     def energy_split(self, z_ext: np.ndarray) -> tuple[float, float]:
         """(potential, kinetic) energy of the core part of a state."""
@@ -165,7 +163,7 @@ class LedgerFactors:
     (extended states, or port samples), returning one value per row:
 
     * ``H_p = <z1, W_11 z1>/2`` and ``H_k = <z2, W_22 z2>/2`` on the core
-      part ``iota z`` under the mass-weighted state Gram;
+      part ``z[:core_dim]`` under the mass-weighted state Gram;
     * dissipated power ``<v, D^T W_D v>`` with ``v = M^{-1} z2``;
     * contraction slack ``(||(a-b)z||^2 - ||P(a-b)z||^2)/2`` in the dual
       norm, with ``a = W_G Gamma0 diag(I, M^{-1}, I)`` and
@@ -175,8 +173,8 @@ class LedgerFactors:
     """
 
     flavor: str
-    iota: np.ndarray
     n1: int
+    core_dim: int
     w_p: np.ndarray             # W_11 of the state space
     w_k: np.ndarray             # W_22 of the state space
     velocity_rows: np.ndarray   # rows of weight_ext giving M^{-1} z2
@@ -186,9 +184,8 @@ class LedgerFactors:
     dual_gram: np.ndarray
 
     def energy_split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        zc = z @ self.iota.T
-        return (0.5 * _row_forms(zc[:, :self.n1], self.w_p),
-                0.5 * _row_forms(zc[:, self.n1:], self.w_k))
+        return (0.5 * _row_forms(z[:, :self.n1], self.w_p),
+                0.5 * _row_forms(z[:, self.n1:self.core_dim], self.w_k))
 
     def dissipated_power(self, z: np.ndarray) -> np.ndarray:
         return _row_forms(z @ self.velocity_rows.T, self.damping)
@@ -243,7 +240,7 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
 
     w1, w2 = _split_core_gram(op)
     wm = w2 @ M.matrix
-    if np.linalg.norm(wm - wm.T) > 1e-10 * (1.0 + np.linalg.norm(wm)):
+    if _norm(wm - wm.T) > 1e-10 * (1.0 + _norm(wm)):
         raise MassNotSPD("mass map is not self-adjoint on its space")
     if _extreme_eigenvalues(0.5 * (wm + wm.T))[0] <= 0.0:
         raise MassNotSPD("mass quadratic form is not positive definite")
@@ -254,7 +251,7 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
             f"-1e-10")
 
     msym = 0.5 * M.matrix + 0.5 * M.matrix.T   # no overflow near the max
-    if np.linalg.norm(M.matrix - msym) <= 1e-12 * (1.0 + np.linalg.norm(msym)):
+    if _norm(M.matrix - msym) <= 1e-12 * (1.0 + _norm(msym)):
         minv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(msym),
                                       np.eye(n2))
     else:
@@ -270,9 +267,9 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
 
 def _effective_action(op: BoundaryOperator, D: LinearMap,
                       weight_ext: np.ndarray) -> np.ndarray:
-    n1, n2 = op.core_blocks
+    n1 = op.core_blocks[0]
     damping_rows = np.zeros((op.core.dim, op.ext_dim))
-    damping_rows[n1:, :] = D.matrix @ op.iota[n1:, :]
+    damping_rows[n1:, n1:op.core.dim] = D.matrix
     return (op.L - damping_rows) @ weight_ext
 
 
@@ -309,7 +306,7 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
     l_eff = _effective_action(op, D, weight_ext)
 
     wd = D.domain.gram @ D.matrix
-    no_damping = np.linalg.norm(wd + wd.T) <= 1e-10 * (1.0 + np.linalg.norm(wd))
+    no_damping = _norm(wd + wd.T) <= 1e-10 * (1.0 + _norm(wd))
     preserving = no_damping and is_dual_unitary(pmat, op.bspace)
 
     return BoundaryNode(op=op, flavor=flavor, P=param, M=M, D=D,
@@ -398,7 +395,7 @@ def passivity_residual(node: BoundaryNode, z_ext: np.ndarray,
     if gap > CONSISTENCY_RTOL * (1.0 + np.linalg.norm(u)):
         raise InconsistentBoundaryData(
             f"G z differs from u by {gap:.3e}")
-    zc = node.op.iota @ z_ext
+    zc = z_ext[:node.op.core.dim]
     power = 2.0 * float(zc @ node.state_space.gram @ (node.L_eff @ z_ext))
     supplied = node.ledger_factors.supplied_power(_row(u), _row(y))
     return power - 2.0 * float(supplied[0])

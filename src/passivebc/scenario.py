@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import wave1d
-from .errors import ScenarioError
+from .errors import InvalidTimeGrid, ScenarioError
 from .node import BoundaryNode, impedance_node, scattering_node
-from .sim import InputSignal
+from .sim import InputSignal, time_steps
 from .triplet import BoundaryOperator
 from .wave1d import WaveCoefficients, WaveSystem
 
@@ -26,7 +26,6 @@ __all__ = ["Scenario", "load_scenario", "build_system", "build_node",
            "build_flavor_node", "build_signal", "build_initial_state"]
 
 SCHEMA_VERSION = 1
-GRID_RTOL = 1e-9    # allowed |n dt - t_final| relative to t_final
 
 _TOP_KEYS = {
     "schema_version": True, "formulation": False, "N": True,
@@ -172,19 +171,15 @@ def _parse_initial(raw) -> dict:
 def _time_grid(raw_t_final, raw_dt) -> tuple[float, float]:
     """``(t_final, dt)`` with t_final a whole number of steps of dt.
 
-    The simulator runs ``round(t_final / dt)`` steps, so a grid that this
-    rounding would stretch or shrink by more than ``GRID_RTOL`` is refused
-    rather than silently reinterpreted.
+    The grid rule is the simulator's (``sim.time_steps``); its
+    ``InvalidTimeGrid`` is reported as a ``ScenarioError``.
     """
     t_final = _positive_number(raw_t_final, "t_final")
     dt = _positive_number(raw_dt, "dt")
-    steps = t_final / dt
-    if not math.isfinite(steps):
-        _fail(f"t_final / dt = {steps} is not a finite step count")
-    n = round(steps)
-    if abs(n * dt - t_final) > GRID_RTOL * t_final:
-        _fail(f"t_final {t_final!r} is not a whole number of steps dt "
-              f"{dt!r} (nearest grid ends at {n * dt!r})")
+    try:
+        time_steps(t_final, dt)
+    except InvalidTimeGrid as exc:
+        _fail(str(exc))
     return t_final, dt
 
 

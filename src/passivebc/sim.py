@@ -25,6 +25,7 @@ blocks of ``LEDGER_CHUNK`` states from per-node factors built once
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -33,6 +34,7 @@ import scipy.linalg
 
 from .errors import (
     IncompatibleInitialData,
+    InvalidTimeGrid,
     NonFiniteValue,
     SingularBoundaryBlock,
     SingularStepMatrix,
@@ -45,11 +47,13 @@ __all__ = [
     "Trajectory",
     "StepSolver",
     "consistent_initialization",
+    "time_steps",
     "simulate",
     "balance_ledger",
 ]
 
 INIT_RTOL = 1e-10
+GRID_RTOL = 1e-9        # allowed |n dt - t_final| relative to t_final
 SINGULARITY_RTOL = 1e-13
 LEDGER_CHUNK = 256      # states per vectorized block of the ledger
 
@@ -112,9 +116,6 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.times) - 1
 
-    def midpoint_states(self) -> np.ndarray:
-        return 0.5 * (self.states_ext[:-1] + self.states_ext[1:])
-
 
 class StepSolver:
     """LU-factored midpoint stepper for a fixed node and step size."""
@@ -124,16 +125,15 @@ class StepSolver:
             raise ValueError("dt must be positive")
         self.node = node
         self.dt = dt
-        ncore, ext = node.op.iota.shape
+        ncore, ext = node.op.core.dim, node.op.ext_dim
         m = node.G_map.shape[0]
         if ncore + m != ext:
             raise SingularStepMatrix(
                 f"step system is not square: core {ncore} + inputs {m} "
                 f"!= extended dimension {ext}")
-        self._ahead = np.vstack([node.op.iota - 0.5 * dt * node.L_eff,
-                                 node.G_map])
-        self._behind = np.vstack([node.op.iota + 0.5 * dt * node.L_eff,
-                                  -node.G_map])
+        iota = np.eye(ncore, ext)
+        self._ahead = np.vstack([iota - 0.5 * dt * node.L_eff, node.G_map])
+        self._behind = np.vstack([iota + 0.5 * dt * node.L_eff, -node.G_map])
         self._lu = self._factor(self._ahead)
         self._lu_back = None
         self._ncore = ncore
@@ -203,13 +203,39 @@ def consistent_initialization(node: BoundaryNode, z_core: np.ndarray,
     return np.concatenate([z_core, tau])
 
 
+def time_steps(t_final: float, dt: float) -> int:
+    """Step count n of the grid ``0, dt, ..., n dt = t_final``.
+
+    Raises ``InvalidTimeGrid`` unless t_final and dt are positive and
+    finite and ``n = round(t_final / dt)`` meets t_final to ``GRID_RTOL``
+    relative: a grid is refused rather than stretched or shrunk.
+    """
+    t_final, dt = float(t_final), float(dt)
+    for name, value in (("t_final", t_final), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidTimeGrid(f"{name} must be positive and finite, "
+                                  f"got {value!r}")
+    steps = t_final / dt
+    if not math.isfinite(steps):
+        raise InvalidTimeGrid(f"t_final / dt = {steps} is not a finite step "
+                              "count")
+    n = round(steps)
+    if abs(n * dt - t_final) > GRID_RTOL * t_final:
+        raise InvalidTimeGrid(f"t_final {t_final!r} is not a whole number of "
+                              f"steps dt {dt!r} (nearest grid ends at "
+                              f"{n * dt!r})")
+    return n
+
+
 def simulate(node: BoundaryNode, z_core0: np.ndarray, signal: InputSignal,
              t_final: float, dt: float) -> Trajectory:
     """Integrate on a uniform grid and fill the energy ledger.
 
-    Raises ``TimeGridTooLarge`` when the grid's states cannot be allocated.
+    Raises ``InvalidTimeGrid`` when t_final is not a whole number of steps
+    dt (see ``time_steps``) and ``TimeGridTooLarge`` when the grid's states
+    cannot be allocated.
     """
-    n_steps = max(1, int(round(t_final / dt)))
+    n_steps = time_steps(t_final, dt)
     ext = node.op.ext_dim
     m = node.G_map.shape[0]
     try:

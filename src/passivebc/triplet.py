@@ -10,6 +10,10 @@ through the Green identity
 
 which is checked exactly (as a matrix residual) at assembly.
 
+Extended coordinates put the core first, ``y~ = (y, tau)`` and ``z~ =
+(z, tau)``, so ``iota_Y = iota = [I | 0]``: modules slice where the formulas
+write a projection and store none (``_realize`` notes its one-row case).
+
 The lift produces a maximal second-order operator on extended coordinates
 ``(z1, z2, tau)`` over the core space ``Z = X_h (+) X`` with
 ``W_Z = blockdiag(A^T W_Y A, W_X)``, action ``L(z1, z2, tau) =
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, eye_array
 
 from .errors import (
     DegenerateCoreProjection,
@@ -63,8 +67,7 @@ class DualPairTriplet:
     """Validated dual pair with trace maps and one or two boundary blocks."""
 
     A: LinearMap                      # X -> Y
-    B_ext: LinearMap                  # Y~ -> X
-    iota_Y: np.ndarray                # Y~ -> Y coordinate projection
+    B_ext: LinearMap                  # Y~ = (y, tau) -> X
     Lambda1: np.ndarray               # X -> G1
     Pi1: np.ndarray                   # Y~ -> G1 dual coordinates
     G1: HilbertSpaceSpec
@@ -86,16 +89,15 @@ class DualPairTriplet:
 class BoundaryOperator:
     """Maximal operator with traces on extended coordinates.
 
-    ``core`` carries the energy Gram W_Z; ``iota`` projects extended
-    coordinates onto the core, ``L`` is the action and ``Gamma0``/``Gamma1``
-    map into the boundary space ``bspace`` and its covariant dual.
+    ``core`` carries the energy Gram W_Z of the leading extended
+    coordinates, ``L`` is the action and ``Gamma0``/``Gamma1`` map into
+    the boundary space ``bspace`` and its covariant dual.
     ``core_blocks`` records the (z1, z2) split of the core coordinates,
     which downstream mass weighting needs.
     """
 
     core: HilbertSpaceSpec
     ext_dim: int
-    iota: np.ndarray
     L: np.ndarray
     Gamma0: np.ndarray
     Gamma1: np.ndarray
@@ -107,14 +109,19 @@ class BoundaryOperator:
     def n_boundary(self) -> int:
         return self.bspace.dim
 
+    @property
+    def iota(self) -> np.ndarray:
+        """Dense core projection ``[I | 0]``, built on each read."""
+        return np.eye(self.core.dim, self.ext_dim)
+
 
 def extend_adjoint(A: LinearMap, injection: np.ndarray,
-                   label: str = "Y~") -> tuple[LinearMap, np.ndarray]:
+                   label: str = "Y~") -> LinearMap:
     """Extension of -A* to ``Y (+) R^nb`` by a boundary injection.
 
     ``B_ext = W_X^{-1} [-A^T W_Y | E]`` where the columns of E are the
     covariant boundary functionals; the Green identity then holds by
-    construction.  Returns the extension and the Y-coordinate projection.
+    construction.
     """
     w_x = A.domain.gram
     w_y = A.codomain.gram
@@ -126,11 +133,10 @@ def extend_adjoint(A: LinearMap, injection: np.ndarray,
     b = np.linalg.solve(w_x, np.hstack([-A.matrix.T @ w_y, injection]))
     ext_gram = scipy.linalg.block_diag(w_y, np.eye(nb))
     ext_space = make_space(dim_y + nb, ext_gram, label)
-    iota_y = np.hstack([np.eye(dim_y), np.zeros((dim_y, nb))])
-    return LinearMap(b, domain=ext_space, codomain=A.domain), iota_y
+    return LinearMap(b, domain=ext_space, codomain=A.domain)
 
 
-def assemble_dual_pair(A: LinearMap, B_ext: LinearMap, iota_Y: np.ndarray,
+def assemble_dual_pair(A: LinearMap, B_ext: LinearMap,
                        Lambda1: np.ndarray, Pi1: np.ndarray,
                        G1: HilbertSpaceSpec,
                        Lambda2: np.ndarray | None = None,
@@ -145,7 +151,6 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap, iota_Y: np.ndarray,
     w_x = A.domain.gram
     w_y = A.codomain.gram
     ext_dim = B_ext.domain.dim
-    iota_Y = np.asarray(iota_Y, dtype=float)
     Lambda1 = np.atleast_2d(np.asarray(Lambda1, dtype=float))
     Pi1 = np.atleast_2d(np.asarray(Pi1, dtype=float))
     if G2 is None:
@@ -157,7 +162,8 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap, iota_Y: np.ndarray,
 
     # Bilinear defect in y~^T (.) x coordinates, on CSR factors: iota_Y is
     # a coordinate projection and the trace products have rank m.
-    pairing = csr_array(iota_Y).T @ csr_array(w_y) @ csr_array(A.matrix)
+    iota_y_t = eye_array(ext_dim, A.codomain.dim, format="csr")
+    pairing = iota_y_t @ csr_array(w_y) @ csr_array(A.matrix)
     defect = (-csr_array(B_ext.matrix).T @ csr_array(w_x) - pairing
               - csr_array(Pi1).T @ csr_array(Lambda1)
               + csr_array(Pi2).T @ csr_array(Lambda2))
@@ -176,8 +182,7 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap, iota_Y: np.ndarray,
         if np.linalg.matrix_rank(pi) < m:
             raise TraceNotSurjective("stacked Pi traces are rank deficient")
 
-    return DualPairTriplet(A, B_ext, _frozen(iota_Y), _frozen(Lambda1),
-                           _frozen(Pi1), G1,
+    return DualPairTriplet(A, B_ext, _frozen(Lambda1), _frozen(Pi1), G1,
                            _frozen(Lambda2), _frozen(Pi2), G2,
                            residual=residual)
 
@@ -202,22 +207,25 @@ def _realize(dp: DualPairTriplet, w1: np.ndarray, label1: str,
 
     core = make_space(core_dim, scipy.linalg.block_diag(w1, dp.A.domain.gram),
                       f"{label1}(+){dp.A.domain.label}")
-    iota = np.hstack([np.eye(core_dim), np.zeros((core_dim, nb))])
-
-    y_select = np.zeros((dim_y + nb, ext_dim))
-    y_select[:dim_y, :n1] = to_y
-    y_select[dim_y:, core_dim:] = np.eye(nb)
 
     L = np.zeros((core_dim, ext_dim))
-    L[:n1, n1:core_dim] = velocity
-    L[n1:, :] = dp.B_ext.matrix @ y_select
-
     gamma0 = np.zeros((m, ext_dim))
     gamma1 = np.zeros((m, ext_dim))
+    L[:n1, n1:core_dim] = velocity
     gamma0[:m1, n1:core_dim] = dp.Lambda1
-    gamma0[m1:, :] = dp.Pi2 @ y_select
-    gamma1[:m1, :] = -dp.Pi1 @ y_select
     gamma1[m1:, n1:core_dim] = dp.Lambda2
+    # A map M on Y~ = (y, tau) acts on (v, z2, tau) as M S for the selection
+    # S = [[to_y, 0, 0], [0, 0, I]]: [M_y to_y | 0 | M_tau], where + 0.0 turns
+    # -0.0 into +0.0 as M S does.  NumPy hands a one-row M S to BLAS gemv,
+    # whose sums depend on the shape of S, so a one-row M takes the dense S.
+    for rows, on_y_ext in ((L[n1:], dp.B_ext.matrix), (gamma0[m1:], dp.Pi2),
+                           (gamma1[:m1], -dp.Pi1)):
+        if on_y_ext.shape[0] == 1:
+            rows[:] = on_y_ext @ scipy.linalg.block_diag(
+                to_y, np.zeros((0, nx)), np.eye(nb))
+        else:
+            rows[:, :n1] = on_y_ext[:, :dim_y] @ to_y
+            rows[:, core_dim:] = on_y_ext[:, dim_y:] + 0.0
 
     if m > 0 and np.linalg.matrix_rank(np.vstack([gamma0, gamma1])) < 2 * m:
         raise TraceNotSurjective(f"{where}: traces [Gamma0; Gamma1] are "
@@ -229,10 +237,9 @@ def _realize(dp: DualPairTriplet, w1: np.ndarray, label1: str,
         bgram = scipy.linalg.block_diag(dp.G1.gram, dp.G2.gram)
     bspace = make_space(m, bgram, "G")
 
-    op = BoundaryOperator(core=core, ext_dim=ext_dim, iota=_frozen(iota),
-                          L=_frozen(L), Gamma0=_frozen(gamma0),
-                          Gamma1=_frozen(gamma1), bspace=bspace,
-                          core_blocks=(n1, nx), pair=dp)
+    op = BoundaryOperator(core=core, ext_dim=ext_dim, L=_frozen(L),
+                          Gamma0=_frozen(gamma0), Gamma1=_frozen(gamma1),
+                          bspace=bspace, core_blocks=(n1, nx), pair=dp)
     res = green_residual(op)
     if res > GREEN_TOL:
         raise GreenIdentityViolated(res, res, where)
@@ -265,7 +272,7 @@ def green_residual(op: BoundaryOperator) -> float:
     Gamma0^T Gamma1 has rank m), so the cost grows with the nonzeros.
     """
     wl = csr_array(op.core.gram) @ csr_array(op.L)
-    iota = csr_array(op.iota)
+    iota = eye_array(op.core.dim, op.ext_dim, format="csr")
     g0, g1 = csr_array(op.Gamma0), csr_array(op.Gamma1)
     defect = iota.T @ wl + wl.T @ iota - g1.T @ g0 - g0.T @ g1
     return _frobenius(defect) / (1.0 + _frobenius(wl))
@@ -294,11 +301,11 @@ def skew_on_minimal(op: BoundaryOperator,
     v = minimal_domain(op)
     if v.shape[1] == 0:
         return 0.0
-    iv = op.iota @ v
+    iv = v[:op.core.dim]
     if np.linalg.matrix_rank(iv, tol=NULLSPACE_RCOND * max(
             1.0, float(np.abs(iv).max()))) < v.shape[1]:
         raise DegenerateCoreProjection(
             "core projection is not injective on the minimal domain")
     action = op.L if L is None else np.asarray(L, dtype=float)
-    compressed = v.T @ op.iota.T @ op.core.gram @ action @ v
+    compressed = iv.T @ op.core.gram @ action @ v
     return float(np.linalg.norm(0.5 * (compressed + compressed.T)))

@@ -143,9 +143,10 @@ def _jet_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
         energy = max(energy, abs(float(w @ wc @ w) - float(z @ zc @ z))
                      / (1.0 + abs(float(z @ zc @ z))))
 
+    # B_ext on Y times the projector I - A (A^T W_Y A)^{-1} A^T W_Y onto ker A*
     dp = jt.source.pair
-    dim_y = jt.A_iso.codomain.dim
-    ker_rows = dp.B_ext.matrix[:, :dim_y] @ jt.P_ker
+    b_y, a = dp.B_ext.matrix[:, :jt.A_iso.codomain.dim], jt.A_iso.matrix
+    ker_rows = b_y - (b_y @ a) @ jt.normal_solve(a.T @ w_y)
     kernel = float(np.linalg.norm(ker_rows)
                    / (1.0 + np.linalg.norm(dp.B_ext.matrix)))
 

@@ -11,7 +11,8 @@ integration-by-parts identity
     <B_ext y~, x>_X + <iota_Y y~, A x>_Y = tau_R x_N - tau_L x_0
 
 holds exactly once the two boundary fluxes (tau_L, tau_R) are carried as
-explicit extra coordinates.  The endpoint traces
+extra coordinates after the Y ones (``y~ = (y, tau)``, see ``triplet``).
+The endpoint traces
 
     Lambda1 x = (x_0, x_N),     Pi1 y~ = (tau_L, -tau_R)
 
@@ -174,7 +175,7 @@ def assemble(coeffs: WaveCoefficients,
     injection = np.zeros((N + 1, 2))
     injection[0, 0] = -1.0
     injection[N, 1] = 1.0
-    B_ext, iota_Y = extend_adjoint(A_map, injection)
+    B_ext = extend_adjoint(A_map, injection)
 
     lambda1 = np.zeros((2, N + 1))
     lambda1[0, 0] = 1.0
@@ -185,7 +186,7 @@ def assemble(coeffs: WaveCoefficients,
     G1 = make_space(2, np.eye(2) if boundary_gram is None
                     else boundary_gram, "G1")
 
-    dual_pair = assemble_dual_pair(A_map, B_ext, iota_Y, lambda1, pi1, G1)
+    dual_pair = assemble_dual_pair(A_map, B_ext, lambda1, pi1, G1)
     op_A = lift_second_order(dual_pair)
 
     return WaveSystem(coeffs=coeffs, nodes=nodes, cells=cells, X=X, Y=Y,

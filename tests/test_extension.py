@@ -162,8 +162,7 @@ def test_ill_posed_restriction_detected():
     core = euclidean_space(2, "Z")
     bspace = make_space(1, [[2.0]], "G")
     gamma = np.array([[1.0, 0.0, 0.0]])
-    op = BoundaryOperator(core=core, ext_dim=3,
-                          iota=np.eye(2, 3), L=np.zeros((2, 3)),
+    op = BoundaryOperator(core=core, ext_dim=3, L=np.zeros((2, 3)),
                           Gamma0=gamma, Gamma1=gamma, bspace=bspace,
                           core_blocks=(1, 1))
     # (P-1) W_G Gamma0 - (P+1) Gamma1 = 0 for P = 3, W_G = 2
@@ -317,8 +316,8 @@ def small_op(gamma0, gamma1, ext_dim=3):
     gamma0 = np.asarray(gamma0, dtype=float).reshape(-1, ext_dim)
     action = np.array([[0.0, 1.0, 0.5], [-1.0, 0.0, 0.25]])[:, :ext_dim]
     return BoundaryOperator(
-        core=euclidean_space(2, "Z"), ext_dim=ext_dim,
-        iota=np.eye(2, ext_dim), L=action, Gamma0=gamma0,
+        core=euclidean_space(2, "Z"), ext_dim=ext_dim, L=action,
+        Gamma0=gamma0,
         Gamma1=np.asarray(gamma1, dtype=float).reshape(-1, ext_dim),
         bspace=euclidean_space(len(gamma0), "G"), core_blocks=(1, 1))
 

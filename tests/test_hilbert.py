@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,10 +19,16 @@ from passivebc.hilbert import (
     contraction_norm,
     dual_space,
     euclidean_space,
-    helmholtz_projectors,
     inner,
     make_space,
     riesz,
+)
+
+from passivebc.jet import build_jet, pull_state, push_state, ran_A_defect
+from passivebc.triplet import (
+    assemble_dual_pair,
+    extend_adjoint,
+    lift_second_order,
 )
 
 from conftest import wave_system
@@ -45,6 +53,14 @@ class TestMakeSpace:
     def test_asymmetric_gram_rejected(self):
         with pytest.raises(NonSymmetricGram):
             make_space(2, [[1.0, 0.1], [0.0, 1.0]], "bad")
+
+    def test_huge_asymmetric_gram_rejected(self):
+        # the Frobenius norms of g and g - g^T overflow at entries near
+        # 1e200 when summed as squares; the gate takes them by BLAS dnrm2
+        with pytest.raises(NonSymmetricGram):
+            make_space(2, [[1e200, 1e200], [0.0, 1e200]], "W")
+        sp = make_space(2, [[1e200, 5e199], [5e199, 1e200]], "W")
+        assert sp.eig_min == pytest.approx(5e199)
 
     def test_gram_is_frozen(self):
         sp = make_space(2, np.eye(2), "X")
@@ -298,37 +314,69 @@ class TestCheckDissipativeStructured:
             check_dissipative(LinearMap(d, sp, sp))
 
 
+def jet_of_factor(a, dom, cod):
+    """build_jet of the lift of a dual pair with factor map ``a``.
+
+    B_ext extends -A* by one boundary column on the first X coordinate,
+    with the traces the Green identity forces.
+    """
+    A = LinearMap(a, dom, cod)
+    injection = np.eye(dom.dim, 1)
+    b_ext = extend_adjoint(A, injection)
+    pi1 = np.eye(1, cod.dim + 1, cod.dim)
+    dp = assemble_dual_pair(A, b_ext, -injection.T, pi1,
+                            euclidean_space(1, "G1"))
+    return build_jet(lift_second_order(dp))
+
+
+def ker_projector(jt):
+    """I - A (A^T W_Y A)^{-1} A^T W_Y from the jet's normal factor."""
+    a = jt.A_iso.matrix
+    return (np.eye(a.shape[0])
+            - a @ jt.normal_solve(a.T @ jt.A_iso.codomain.gram))
+
+
 class TestHelmholtz:
-    def test_identity(self):
+    """The splitting of the codomain into ran A and ker A* that the jet's
+    normal-equation factor carries (``ran_A_defect``, ``pull_state``)."""
+
+    def test_identity(self, rng):
         sp = euclidean_space(2, "Y")
-        p_ran, p_ker = helmholtz_projectors(LinearMap(np.eye(2), sp, sp))
-        assert np.allclose(p_ran, np.eye(2), atol=1e-14)
-        assert np.allclose(p_ker, 0.0, atol=1e-14)
+        jt = jet_of_factor(np.eye(2), euclidean_space(2, "X"), sp)
+        assert np.allclose(ker_projector(jt), 0.0, atol=1e-14)
+        for _ in range(5):
+            assert ran_A_defect(jt, rng.standard_normal(2)) <= 1e-14
 
     def test_coordinate_axis(self):
         dom = euclidean_space(1, "X")
         cod = euclidean_space(2, "Y")
-        p_ran, p_ker = helmholtz_projectors(
-            LinearMap(np.array([[1.0], [0.0]]), dom, cod))
-        assert np.allclose(p_ran, np.diag([1.0, 0.0]), atol=1e-14)
-        assert np.allclose(p_ker, np.diag([0.0, 1.0]), atol=1e-14)
+        jt = jet_of_factor(np.array([[1.0], [0.0]]), dom, cod)
+        assert np.allclose(ker_projector(jt), np.diag([0.0, 1.0]),
+                           atol=1e-14)
+        assert ran_A_defect(jt, np.array([3.0, -2.0])) == pytest.approx(
+            2.0, rel=1e-14)
+        w = push_state(jt, np.array([3.0, 0.5]))
+        assert np.allclose(pull_state(jt, w), [3.0, 0.5], atol=1e-14)
 
     def test_wave_strain_map(self):
-        sys = wave_system(4)
-        p_ran, p_ker = helmholtz_projectors(sys.A_map)
-        assert np.linalg.norm(p_ran @ p_ran - p_ran) <= 1e-12
-        assert np.allclose(p_ran + p_ker, np.eye(9), atol=1e-14)
+        jt = wave_system(4).jet
+        p_ker = ker_projector(jt)
+        assert np.linalg.norm(p_ker @ p_ker - p_ker) <= 1e-12
         # W_Y self-adjointness of the projector
-        w = sys.Y.gram
-        assert np.linalg.norm(w @ p_ran - p_ran.T @ w) <= 1e-12
-        assert np.linalg.matrix_rank(p_ran) == 5
+        w = jt.A_iso.codomain.gram
+        assert np.linalg.norm(w @ p_ker - p_ker.T @ w) <= 1e-12
+        assert np.linalg.matrix_rank(p_ker) == 9 - 5
+        assert np.linalg.norm(p_ker @ jt.A_iso.matrix) <= 1e-12
 
     def test_rank_deficient_rejected(self):
         dom = euclidean_space(2, "X")
         cod = euclidean_space(3, "Y")
+        op = jet_of_factor(np.eye(3, 2), dom, cod).source
         a = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+        bad = dataclasses.replace(
+            op, pair=dataclasses.replace(op.pair, A=LinearMap(a, dom, cod)))
         with pytest.raises(RankDeficient):
-            helmholtz_projectors(LinearMap(a, dom, cod))
+            build_jet(bad)
 
 
 def test_dual_space_inverts_gram():

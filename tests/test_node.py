@@ -98,6 +98,22 @@ class TestConstruction:
         with pytest.raises(MassNotSPD):
             impedance_node(sys.op_A, np.eye(2), skew, sys.D_map)
 
+    def test_huge_asymmetric_mass_rejected_as_mass(self):
+        # the Frobenius norms of W M overflow at entries near 1e200
+        sys = wave_system(4)
+        huge = LinearMap(1e200 * (np.eye(5) + 0.5 * np.eye(5, 5, 1)),
+                         sys.X, sys.X)
+        with pytest.raises(MassNotSPD):
+            impedance_node(sys.op_A, np.eye(2), huge, sys.D_map)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200])
+    def test_huge_damping_not_energy_preserving(self, scale):
+        sys = wave_system(4)
+        m, _ = identity_maps(sys)
+        d = LinearMap(scale * np.eye(5), sys.X, sys.X)
+        assert not scattering_node(sys.op_A, rotation(0.7), m,
+                                   d).energy_preserving
+
     def test_damping_gate(self):
         sys = wave_system(4)
         bad = LinearMap(-0.1 * np.eye(5), sys.X, sys.X)

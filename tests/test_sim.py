@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from passivebc.errors import (
     IncompatibleInitialData,
+    InvalidTimeGrid,
     NonFiniteValue,
     SingularBoundaryBlock,
     SingularStepMatrix,
@@ -27,6 +28,7 @@ from passivebc.sim import (
     balance_ledger,
     consistent_initialization,
     simulate,
+    time_steps,
 )
 from passivebc.wave1d import analytic_standing_wave, initial_state
 
@@ -184,7 +186,7 @@ class TestSimulate:
         sig = InputSignal("sine", weights=np.array([0.5, 1.0]),
                           amplitude=0.4, frequency=2.0)
         traj = simulate(nd, initial_state(sys, "gauss"), sig, 0.2, 1e-3)
-        mids = traj.midpoint_states()
+        mids = 0.5 * (traj.states_ext[:-1] + traj.states_ext[1:])
         for i in range(traj.n_steps):
             gap = np.linalg.norm(nd.G_map @ mids[i] - traj.inputs[i])
             assert gap <= 1e-9
@@ -248,6 +250,29 @@ class TestConcurrency:
             assert np.array_equal(a.ledger.H, b.ledger.H)
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize("t_final, dt, steps", [
+        (0.002, 1e-3, 2), (0.3, 0.1, 3), (1.0, 1e-3, 1000),
+        (1.0 + 1e-10, 1.0, 1)])
+    def test_whole_step_grids(self, t_final, dt, steps):
+        assert time_steps(t_final, dt) == steps
+
+    @pytest.mark.parametrize("t_final, dt", [
+        (0.0015, 1e-3),            # 1.5 steps: was run as 2, ending at 0.002
+        (1.0 + 1e-8, 1.0),         # off the grid by more than GRID_RTOL
+        (-1.0, 1e-3),              # was run as 1 step
+        (0.0, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3),
+        (1.0, 0.0), (1.0, -1e-3), (1.0, math.nan),
+        (1e300, 1e-300),           # t_final / dt overflows
+        (1e-3, 1.0)])              # zero steps
+    def test_simulate_refuses_other_grids(self, t_final, dt):
+        sys = wave_system(4)
+        nd = neumann_node(sys)
+        with pytest.raises(InvalidTimeGrid):
+            simulate(nd, initial_state(sys, "zero"), InputSignal.zero(2),
+                     t_final, dt)
+
+
 class TestLedger:
     def test_midpoint_energy_identity(self, rng):
         # dH equals dt times the power functional at the midpoint state
@@ -256,7 +281,7 @@ class TestLedger:
         sig = InputSignal("gauss_pulse", weights=np.array([1.0, 0.3]),
                           amplitude=0.5, center=0.1, width=0.05)
         traj = simulate(nd, initial_state(sys, "gauss"), sig, 0.2, 1e-3)
-        mids = traj.midpoint_states()
+        mids = 0.5 * (traj.states_ext[:-1] + traj.states_ext[1:])
         w = nd.state_space.gram
         dt = 1e-3
         for i in range(traj.n_steps):
@@ -341,7 +366,6 @@ class TestLedger:
         hk_direct = 0.5 * float((z2 / sys.coeffs.rho) @ sys.X.gram @ z2)
         assert hp == pytest.approx(hp_direct, rel=1e-12)
         assert hk == pytest.approx(hk_direct, rel=1e-12)
-        assert nd.energy(z) == pytest.approx(hp + hk, rel=1e-14)
 
     def test_balance_ledger_matches_simulate(self):
         sys = wave_system(8, b=0.1)

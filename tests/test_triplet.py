@@ -44,8 +44,7 @@ def synthetic_two_block_pair(rng, nx=5, ny=6, nb=3, m1=2, m2=1):
     B_ext = LinearMap(b, ext_space, X)
     G1 = euclidean_space(m1, "G1")
     G2 = euclidean_space(m2, "G2")
-    return assemble_dual_pair(A, B_ext, iota_Y, lam1, pi1, G1,
-                              lam2, pi2, G2)
+    return assemble_dual_pair(A, B_ext, lam1, pi1, G1, lam2, pi2, G2)
 
 
 class TestAssembleDualPair:
@@ -62,7 +61,7 @@ class TestAssembleDualPair:
             yt = rng.standard_normal(dp.ext_Y_dim)
             x = rng.standard_normal(7)
             lhs = (-float(dp.B_ext(yt) @ wx @ x)
-                   - float((dp.iota_Y @ yt) @ wy @ (dp.A(x))))
+                   - float(yt[:dp.A.codomain.dim] @ wy @ (dp.A(x))))
             rhs = float((dp.Pi1 @ yt) @ (dp.Lambda1 @ x))
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -72,8 +71,8 @@ class TestAssembleDualPair:
         residuals = {}
         for eps in (1e-3, 1e-6):
             with pytest.raises(GreenIdentityViolated) as info:
-                assemble_dual_pair(dp.A, dp.B_ext, dp.iota_Y, dp.Lambda1,
-                                   dp.Pi1 + eps, dp.G1)
+                assemble_dual_pair(dp.A, dp.B_ext, dp.Lambda1, dp.Pi1 + eps,
+                                   dp.G1)
             residuals[eps] = info.value.residual
         assert residuals[1e-3] == pytest.approx(1e3 * residuals[1e-6],
                                                 rel=1e-6)
@@ -84,8 +83,8 @@ class TestAssembleDualPair:
         A = LinearMap(np.zeros((3, 2)), X, Y)
         B = LinearMap(np.zeros((2, 3)), Y, X)
         G0 = euclidean_space(0, "G1")
-        dp = assemble_dual_pair(A, B, np.eye(3), np.zeros((0, 2)),
-                                np.zeros((0, 3)), G0)
+        dp = assemble_dual_pair(A, B, np.zeros((0, 2)), np.zeros((0, 3)),
+                                G0)
         assert dp.residual == 0.0
 
     def test_two_block_pair(self, rng):
@@ -104,8 +103,7 @@ class TestAssembleDualPair:
         b = -A.matrix.T @ iota_Y - lam1.T @ pi1
         B_ext = LinearMap(b, euclidean_space(5, "Y~"), X)
         with pytest.raises(TraceNotSurjective):
-            assemble_dual_pair(A, B_ext, iota_Y, lam1, pi1,
-                               euclidean_space(2, "G1"))
+            assemble_dual_pair(A, B_ext, lam1, pi1, euclidean_space(2, "G1"))
 
 
 class TestLift:
@@ -175,8 +173,10 @@ def dense_green_residual(op):
     return np.linalg.norm(defect) / (1.0 + np.linalg.norm(wl))
 
 
-def dense_dual_pair_defect(A, B_ext, iota_Y, lam1, pi1, lam2, pi2):
-    """(residual, worst entry) of the dual-pair defect, in dense algebra."""
+def dense_dual_pair_defect(A, B_ext, lam1, pi1, lam2, pi2):
+    """(residual, worst entry) of the dual-pair defect, in dense algebra,
+    with the dense coordinate projection iota_Y = [I | 0]."""
+    iota_Y = np.eye(A.codomain.dim, B_ext.domain.dim)
     pairing = iota_Y.T @ A.codomain.gram @ A.matrix
     defect = (-B_ext.matrix.T @ A.domain.gram - pairing
               - pi1.T @ lam1 + pi2.T @ lam2)
@@ -243,9 +243,8 @@ class TestStructuredGates:
         pairs = [sys.dual_pair for sys in gate_systems(rng)]
         pairs.append(synthetic_two_block_pair(rng))
         for dp in pairs:
-            res, _ = dense_dual_pair_defect(dp.A, dp.B_ext, dp.iota_Y,
-                                            dp.Lambda1, dp.Pi1, dp.Lambda2,
-                                            dp.Pi2)
+            res, _ = dense_dual_pair_defect(dp.A, dp.B_ext, dp.Lambda1,
+                                            dp.Pi1, dp.Lambda2, dp.Pi2)
             assert dp.residual <= GREEN_TOL
             assert abs(dp.residual - res) <= 1e-15
 
@@ -257,15 +256,24 @@ class TestStructuredGates:
             pi1_bad = dp.Pi1 + 1e-4
             for b_ext, pi1 in ((b_bad, dp.Pi1), (dp.B_ext, pi1_bad)):
                 res, worst = dense_dual_pair_defect(
-                    dp.A, b_ext, dp.iota_Y, dp.Lambda1, pi1, dp.Lambda2,
-                    dp.Pi2)
+                    dp.A, b_ext, dp.Lambda1, pi1, dp.Lambda2, dp.Pi2)
                 with pytest.raises(GreenIdentityViolated) as info:
-                    assemble_dual_pair(dp.A, b_ext, dp.iota_Y, dp.Lambda1,
-                                       pi1, dp.G1, dp.Lambda2, dp.Pi2,
-                                       dp.G2)
+                    assemble_dual_pair(dp.A, b_ext, dp.Lambda1, pi1, dp.G1,
+                                       dp.Lambda2, dp.Pi2, dp.G2)
                 assert info.value.residual == pytest.approx(res, rel=1e-12)
                 assert info.value.worst_entry == pytest.approx(worst,
                                                                rel=1e-12)
+
+
+def via_y_select(on_y_ext, to_y, core_dim, ext_dim):
+    """A map on Y~ = (y, tau) carried to (v, z2, tau) by the dense
+    selection y_select with [to_y v; tau] = y_select (v, z2, tau)."""
+    dim_y, n1 = to_y.shape
+    nb = ext_dim - core_dim
+    y_select = np.zeros((dim_y + nb, ext_dim))
+    y_select[:dim_y, :n1] = to_y
+    y_select[dim_y:, core_dim:] = np.eye(nb)
+    return on_y_ext @ y_select
 
 
 def lift_recipe(dp):
@@ -273,7 +281,6 @@ def lift_recipe(dp):
     builder with the jet: (iota, L, Gamma0, Gamma1, core Gram, blocks,
     core label)."""
     nx = dp.A.domain.dim
-    dim_y = dp.A.codomain.dim
     nb = dp.n_boundary_coords
     ext_dim = 2 * nx + nb
     m1 = dp.G1.dim
@@ -281,17 +288,14 @@ def lift_recipe(dp):
     w_h = dp.A.matrix.T @ dp.A.codomain.gram @ dp.A.matrix
     w_z = scipy.linalg.block_diag(0.5 * (w_h + w_h.T), dp.A.domain.gram)
     iota = np.hstack([np.eye(2 * nx), np.zeros((2 * nx, nb))])
-    lift_y = np.zeros((dim_y + nb, ext_dim))
-    lift_y[:dim_y, :nx] = dp.A.matrix
-    lift_y[dim_y:, 2 * nx:] = np.eye(nb)
     L = np.zeros((2 * nx, ext_dim))
     L[:nx, nx:2 * nx] = np.eye(nx)
-    L[nx:, :] = dp.B_ext.matrix @ lift_y
+    L[nx:, :] = via_y_select(dp.B_ext.matrix, dp.A.matrix, 2 * nx, ext_dim)
     gamma0 = np.zeros((m, ext_dim))
     gamma1 = np.zeros((m, ext_dim))
     gamma0[:m1, nx:2 * nx] = dp.Lambda1
-    gamma0[m1:, :] = dp.Pi2 @ lift_y
-    gamma1[:m1, :] = -dp.Pi1 @ lift_y
+    gamma0[m1:, :] = via_y_select(dp.Pi2, dp.A.matrix, 2 * nx, ext_dim)
+    gamma1[:m1, :] = via_y_select(-dp.Pi1, dp.A.matrix, 2 * nx, ext_dim)
     gamma1[m1:, nx:2 * nx] = dp.Lambda2
     label = f"{dp.A.domain.label}_h(+){dp.A.domain.label}"
     return iota, L, gamma0, gamma1, w_z, (nx, nx), label
@@ -308,17 +312,15 @@ def jet_recipe(dp):
     m = m1 + (dp.G2.dim if dp.G2 is not None else 0)
     w_core = scipy.linalg.block_diag(dp.A.codomain.gram, dp.A.domain.gram)
     iota = np.hstack([np.eye(core_dim), np.zeros((core_dim, nb))])
-    select_y = np.zeros((dim_y + nb, ext_dim))
-    select_y[:dim_y, :dim_y] = np.eye(dim_y)
-    select_y[dim_y:, core_dim:] = np.eye(nb)
+    eye_y = np.eye(dim_y)
     L = np.zeros((core_dim, ext_dim))
     L[:dim_y, dim_y:core_dim] = dp.A.matrix
-    L[dim_y:, :] = dp.B_ext.matrix @ select_y
+    L[dim_y:, :] = via_y_select(dp.B_ext.matrix, eye_y, core_dim, ext_dim)
     xi0 = np.zeros((m, ext_dim))
     xi1 = np.zeros((m, ext_dim))
     xi0[:m1, dim_y:core_dim] = dp.Lambda1
-    xi0[m1:, :] = dp.Pi2 @ select_y
-    xi1[:m1, :] = -dp.Pi1 @ select_y
+    xi0[m1:, :] = via_y_select(dp.Pi2, eye_y, core_dim, ext_dim)
+    xi1[:m1, :] = via_y_select(-dp.Pi1, eye_y, core_dim, ext_dim)
     xi1[m1:, dim_y:core_dim] = dp.Lambda2
     label = f"{dp.A.codomain.label}(+){dp.A.domain.label}"
     return iota, L, xi0, xi1, w_core, (dim_y, nx), label
@@ -385,8 +387,7 @@ class TestMinimalDomain:
 
     def test_empty_boundary_block_full_space(self):
         core = euclidean_space(2, "Z")
-        op = BoundaryOperator(core=core, ext_dim=2, iota=np.eye(2),
-                              L=np.zeros((2, 2)),
+        op = BoundaryOperator(core=core, ext_dim=2, L=np.zeros((2, 2)),
                               Gamma0=np.zeros((0, 2)),
                               Gamma1=np.zeros((0, 2)),
                               bspace=euclidean_space(0, "G"),

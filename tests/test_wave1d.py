@@ -80,7 +80,7 @@ class TestAssembly:
             yt = rng.standard_normal(dp.ext_Y_dim)
             x = rng.standard_normal(13)
             lhs = (float(dp.B_ext(yt) @ sys.X.gram @ x)
-                   + float((dp.iota_Y @ yt) @ sys.Y.gram @ sys.A_map(x)))
+                   + float(yt[:sys.Y.dim] @ sys.Y.gram @ sys.A_map(x)))
             rhs = yt[-1] * x[-1] - yt[-2] * x[0]
             scale = 1.0 + np.linalg.norm(yt) * np.linalg.norm(x)
             assert abs(lhs - rhs) <= 1e-12 * scale
