@@ -26,10 +26,13 @@ class NonSymmetricGram(PassivebcError):
 class NonPositiveGram(PassivebcError):
     """Gram matrix has a non-positive eigenvalue."""
 
-    def __init__(self, label: str, min_eig: float):
+    def __init__(self, label: str, min_eig: float, max_eig: float,
+                 rtol: float):
         super().__init__(f"gram of space {label!r} is not positive definite "
-                         f"(smallest eigenvalue {min_eig:.3e})")
+                         f"(smallest eigenvalue {min_eig:.3e} is at most "
+                         f"{rtol:g} times the largest, {max_eig:.3e})")
         self.min_eig = min_eig
+        self.max_eig = max_eig
 
 
 class RankDeficient(PassivebcError):

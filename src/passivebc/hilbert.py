@@ -114,9 +114,9 @@ def make_space(dim: int, gram, label: str) -> HilbertSpaceSpec:
 
     Raises ``NonFiniteValue`` if the Gram holds NaN or infinity,
     ``NonSymmetricGram`` if it is asymmetric beyond a relative tolerance of
-    1e-12 and ``NonPositiveGram`` (reporting the smallest eigenvalue) if it
-    is not positive definite.  The bounds come from the Gram's structure
-    (see ``_extreme_eigenvalues``).
+    1e-12 and ``NonPositiveGram`` (reporting the smallest and the largest
+    eigenvalue) unless the smallest exceeds 1e-12 times the largest.  The
+    bounds come from the Gram's structure (see ``_extreme_eigenvalues``).
     """
     g = np.asarray(gram, dtype=float).reshape(dim, dim)
     if dim == 0:
@@ -125,13 +125,13 @@ def make_space(dim: int, gram, label: str) -> HilbertSpaceSpec:
         raise NonFiniteValue(f"gram of space {label!r} holds NaN or infinity")
     scale = _norm(g)
     if scale == 0.0:
-        raise NonPositiveGram(label, 0.0)
+        raise NonPositiveGram(label, 0.0, 0.0, SPD_RTOL)
     if _norm(g - g.T) > SYM_RTOL * scale:
         raise NonSymmetricGram(f"gram of space {label!r} is not symmetric")
     g = 0.5 * g + 0.5 * g.T   # halves first: no overflow near the max
     eig_min, eig_max = _extreme_eigenvalues(g)
     if eig_min <= SPD_RTOL * abs(eig_max):
-        raise NonPositiveGram(label, eig_min)
+        raise NonPositiveGram(label, eig_min, eig_max, SPD_RTOL)
     return HilbertSpaceSpec(dim, _frozen(g), label, eig_min, eig_max)
 
 

@@ -61,24 +61,25 @@ class JetTransform:
 def build_jet(op_A: BoundaryOperator) -> JetTransform:
     """Construct the strain-momentum realization of a lifted operator.
 
-    ``op_A`` must carry the dual pair it was lifted from, whose (injective)
-    factor map becomes ``A_iso``.  The target operator lives on extended
-    coordinates ``(w1, w2, tau)`` of dimension ``dim Y + dim X + nb``.
-    Raises ``RankDeficient`` when the smallest eigenvalue of ``A^T W_Y A``
-    is at most ``RANK_RTOL`` times the largest.
+    ``op_A`` must be the second-order lift of the dual pair it carries,
+    whose (injective) factor map becomes ``A_iso``; its core Gram holds
+    ``A^T W_Y A`` in the position block.  The target operator lives on
+    extended coordinates ``(w1, w2, tau)`` of dimension
+    ``dim Y + dim X + nb``.  Raises ``RankDeficient`` when the smallest
+    eigenvalue of ``A^T W_Y A`` is at most ``RANK_RTOL`` times the largest.
     """
     dp = op_A.pair
-    if dp is None:
-        raise ValueError("source operator does not carry its dual pair")
-    a = dp.A.matrix
-    normal = a.T @ dp.A.codomain.gram @ a
-    lo, hi = _extreme_eigenvalues(0.5 * (normal + normal.T))
+    if dp is None or op_A.core_blocks[0] != dp.A.domain.dim:
+        raise ValueError("source operator is not the lift of a dual pair")
+    nx = dp.A.domain.dim
+    normal = op_A.core.gram[:nx, :nx]
+    lo, hi = _extreme_eigenvalues(normal)
     if lo <= RANK_RTOL * max(abs(hi), 1e-300):
         raise RankDeficient(
             f"map {dp.A.domain.label!r} -> {dp.A.codomain.label!r} is not "
             f"injective (normal-matrix eigenvalue {lo:.3e})")
     target = _realize(dp, dp.A.codomain.gram, dp.A.codomain.label,
-                      np.eye(dp.A.codomain.dim), a, "jet target")
+                      np.eye(dp.A.codomain.dim), dp.A.matrix, "jet target")
     return JetTransform(A_iso=dp.A,
                         normal_factor=_frozen(scipy.linalg.cholesky(normal)),
                         source=op_A, target=target)

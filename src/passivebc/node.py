@@ -1,8 +1,8 @@
 """Boundary nodes: input/state/output colligations over a boundary operator.
 
 Two flavors are built from the traces of a :class:`BoundaryOperator`, both
-composed with the mass weight ``diag(I, M^{-1})`` on extended coordinates
-(the boundary block is untouched):
+composed with the mass weight ``diag(I, M^{-1}, I)`` on extended coordinates,
+M^{-1} acting on the momentum columns only (applied there by slicing):
 
 scattering (contraction P on the dual boundary space):
 
@@ -14,7 +14,7 @@ impedance:
     G = ((I - P) W_G Gamma0 + (I + P) Gamma1) / 2,
     K = ((I + P) W_G Gamma0 + (I - P) Gamma1) / 2.
 
-The interior action is ``L_eff = (L - diag(0, D) iota) diag(I, M^{-1})``
+The interior action is ``L_eff = (L - diag(0, D) iota) diag(I, M^{-1}, I)``
 and the state energy is measured by ``W = blockdiag(W_1, W_2 M^{-1})``,
 i.e. kinetic energy uses the inverse-mass inner product.  The external
 Cayley transform at real beta > 0 recombines the port maps,
@@ -28,7 +28,7 @@ scattering maps exactly onto the impedance maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -87,7 +87,7 @@ class BoundaryNode:
     K_map: np.ndarray
     L_eff: np.ndarray
     state_space: HilbertSpaceSpec      # core with mass-weighted Gram
-    weight_ext: np.ndarray             # diag(I, M^{-1}, I_tau)
+    M_inv: np.ndarray                  # M^{-1} on the momentum block
     energy_preserving: bool
 
     def dual_gram(self) -> np.ndarray:
@@ -125,13 +125,13 @@ class BoundaryNode:
     @cached_property
     def ledger_factors(self) -> "LedgerFactors":
         """Per-node factors of the energy ledger, built on first use."""
-        n1, n2 = self.op.core_blocks
-        a, b = _weighted_traces(self.op, self.weight_ext)
+        n1 = self.op.core_blocks[0]
+        a, b = _weighted_traces(self.op, self.M_inv)
         w = self.state_space.gram
         return LedgerFactors(
             flavor=self.flavor, n1=n1, core_dim=self.op.core.dim,
             w_p=w[:n1, :n1], w_k=w[n1:, n1:],
-            velocity_rows=self.weight_ext[n1:n1 + n2, :],
+            M_inv=self.M_inv,
             damping=_frozen(self.D.matrix.T @ self.D.domain.gram),
             trace_gap=_frozen(a - b), P=self.P.matrix,
             dual_gram=self.dual_gram())
@@ -177,7 +177,7 @@ class LedgerFactors:
     core_dim: int
     w_p: np.ndarray             # W_11 of the state space
     w_k: np.ndarray             # W_22 of the state space
-    velocity_rows: np.ndarray   # rows of weight_ext giving M^{-1} z2
+    M_inv: np.ndarray           # M^{-1}, giving v = M^{-1} z2
     damping: np.ndarray         # D^T W_D
     trace_gap: np.ndarray       # a - b
     P: np.ndarray
@@ -188,7 +188,8 @@ class LedgerFactors:
                 0.5 * _row_forms(z[:, self.n1:self.core_dim], self.w_k))
 
     def dissipated_power(self, z: np.ndarray) -> np.ndarray:
-        return _row_forms(z @ self.velocity_rows.T, self.damping)
+        return _row_forms(z[:, self.n1:self.core_dim] @ self.M_inv.T,
+                          self.damping)
 
     def scattering_slack(self, z: np.ndarray) -> np.ndarray:
         v = z @ self.trace_gap.T
@@ -231,8 +232,8 @@ def _split_core_gram(op: BoundaryOperator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
-    """Validate M, D and build weight matrices for the mass-weighted node."""
-    n1, n2 = op.core_blocks
+    """Validate M, D; return M^{-1} and the mass-weighted state space."""
+    n2 = op.core_blocks[1]
     if M.domain.dim != n2 or M.codomain.dim != n2:
         raise ValueError("mass map must be square on the momentum block")
     if D.domain.dim != n2 or D.codomain.dim != n2:
@@ -257,26 +258,28 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
     else:
         minv = np.linalg.solve(M.matrix, np.eye(n2))
 
-    nb = op.ext_dim - op.core.dim
-    weight_ext = scipy.linalg.block_diag(np.eye(n1), minv, np.eye(nb))
     w_state = scipy.linalg.block_diag(w1, 0.5 * ((w2 @ minv) + (w2 @ minv).T))
     state_space = make_space(op.core.dim, w_state,
                              op.core.label + "_M")
-    return weight_ext, state_space, minv
+    return minv, state_space
 
 
-def _effective_action(op: BoundaryOperator, D: LinearMap,
-                      weight_ext: np.ndarray) -> np.ndarray:
-    n1 = op.core_blocks[0]
-    damping_rows = np.zeros((op.core.dim, op.ext_dim))
-    damping_rows[n1:, n1:op.core.dim] = D.matrix
-    return (op.L - damping_rows) @ weight_ext
+def _mass_weighted(x: np.ndarray, op: BoundaryOperator, minv: np.ndarray):
+    """``x diag(I, M^{-1}, I)``, whose product turns -0.0 into +0.0 (+ 0.0)."""
+    out, momentum = x + 0.0, slice(op.core_blocks[0], op.core.dim)
+    out[:, momentum] = x[:, momentum] @ minv
+    return out
 
 
-def _weighted_traces(op: BoundaryOperator, weight_ext: np.ndarray):
-    a = op.bspace.gram @ op.Gamma0 @ weight_ext
-    b = op.Gamma1 @ weight_ext
-    return a, b
+def _effective_action(op: BoundaryOperator, D: LinearMap, minv: np.ndarray):
+    action, n1 = op.L.copy(), op.core_blocks[0]
+    action[n1:, n1:op.core.dim] -= D.matrix
+    return _mass_weighted(action, op, minv)
+
+
+def _weighted_traces(op: BoundaryOperator, minv: np.ndarray):
+    return (_mass_weighted(op.bspace.gram @ op.Gamma0, op, minv),
+            _mass_weighted(op.Gamma1, op, minv))
 
 
 def _as_param(P, op: BoundaryOperator) -> ContractionParam:
@@ -290,8 +293,8 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
     param = _as_param(P, op)
     if not param.is_contraction:
         raise NotAContraction(param.dual_norm)
-    weight_ext, state_space, _ = _prepare_weights(op, M, D)
-    a, b = _weighted_traces(op, weight_ext)
+    minv, state_space = _prepare_weights(op, M, D)
+    a, b = _weighted_traces(op, minv)
     pmat = param.matrix
     m = op.n_boundary
     eye = np.eye(m)
@@ -303,7 +306,7 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
         k = 0.5 * ((eye + pmat) @ a + (eye - pmat) @ b)
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-    l_eff = _effective_action(op, D, weight_ext)
+    l_eff = _effective_action(op, D, minv)
 
     wd = D.domain.gram @ D.matrix
     no_damping = _norm(wd + wd.T) <= 1e-10 * (1.0 + _norm(wd))
@@ -312,7 +315,7 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
     return BoundaryNode(op=op, flavor=flavor, P=param, M=M, D=D,
                         G_map=_frozen(g), K_map=_frozen(k),
                         L_eff=_frozen(l_eff), state_space=state_space,
-                        weight_ext=_frozen(weight_ext),
+                        M_inv=_frozen(minv),
                         energy_preserving=preserving)
 
 
@@ -349,11 +352,7 @@ def external_cayley(node: BoundaryNode, beta: float) -> BoundaryNode:
         raise NonFiniteValue(f"Cayley-transformed port maps at beta={beta:g} "
                              "leave the floating-point range")
     flavor = IMPEDANCE if node.flavor == SCATTERING else SCATTERING
-    return BoundaryNode(op=node.op, flavor=flavor, P=node.P, M=node.M,
-                        D=node.D, G_map=_frozen(g), K_map=_frozen(k),
-                        L_eff=node.L_eff, state_space=node.state_space,
-                        weight_ext=node.weight_ext,
-                        energy_preserving=node.energy_preserving)
+    return replace(node, flavor=flavor, G_map=_frozen(g), K_map=_frozen(k))
 
 
 def internal_wellposedness(node: BoundaryNode) -> tuple[bool, np.ndarray | None]:

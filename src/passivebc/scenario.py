@@ -223,8 +223,8 @@ def load_scenario(path: str | Path) -> Scenario:
     beta = _positive_number(raw.get("beta", 1.0), "beta")
     t_final, dt = _time_grid(raw["t_final"], raw["dt"])
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        _fail("seed must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        _fail("seed must be a nonnegative integer")
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         _fail("out must be a string path")

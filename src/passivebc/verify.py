@@ -127,7 +127,7 @@ def _jet_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
     jt = sys.jet
     nx = jt.A_iso.domain.dim
     w_y = jt.A_iso.codomain.gram
-    w_h = jt.A_iso.matrix.T @ w_y @ jt.A_iso.matrix
+    w_h = jt.source.core.gram[:nx, :nx]      # A^T W_Y A, held by the lift
 
     iso = 0.0
     energy = 0.0

@@ -34,7 +34,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidCoefficients, NonConstantCoefficients
+from .errors import (
+    InvalidCoefficients,
+    NonConstantCoefficients,
+    NonFiniteValue,
+)
 from .hilbert import HilbertSpaceSpec, LinearMap, make_space
 from .jet import JetTransform, build_jet
 from .triplet import (
@@ -207,6 +211,8 @@ def analytic_standing_wave(k: int, coeffs: WaveCoefficients
         omega   = sqrt((T (k pi / length)^2 + a) / rho),
 
     which solves the continuous equation with zero traction at both ends.
+    Raises ``NonFiniteValue`` when kappa = k pi / length or omega is not a
+    finite float.
     """
     if k < 1:
         raise ValueError("mode number k must be a positive integer")
@@ -220,8 +226,15 @@ def analytic_standing_wave(k: int, coeffs: WaveCoefficients
     rho = float(coeffs.rho[0])
     T = float(coeffs.T[0])
     a = float(coeffs.a[0])
-    kappa = k * math.pi / coeffs.length
-    omega = math.sqrt((T * kappa ** 2 + a) / rho)
+    try:
+        kappa = k * math.pi / coeffs.length
+        omega = math.sqrt((T * kappa ** 2 + a) / rho)
+    except OverflowError:
+        kappa = omega = math.inf
+    if not (math.isfinite(kappa) and math.isfinite(omega)):
+        raise NonFiniteValue("standing-wave mode k gives a wave number "
+                             "k pi / length or a frequency omega beyond "
+                             "the float range")
     nodes = np.linspace(0.0, coeffs.length, coeffs.N + 1)
     mode = np.cos(kappa * nodes)
 

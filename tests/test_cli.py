@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -365,6 +366,46 @@ class TestInputRobustness:
         assert captured.err.startswith("NonFiniteValue: Cayley")
         assert captured.err.count("\n") == 1
         assert "round-trip residual" not in captured.out
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        # NumPy's generators refuse negative seeds
+        code, err = run_cli(tmp_path, capsys, command, base_scenario(seed=-1))
+        assert code == 2, err
+        assert err == "scenario error: seed must be a nonnegative integer\n"
+
+    @pytest.mark.parametrize("k", [10 ** 300, 10 ** 400],
+                             ids=["1e300", "1e400"])
+    @pytest.mark.parametrize("command", ["simulate", "jet-compare"])
+    def test_huge_standing_wave_mode_exits_3_in_one_line(
+            self, tmp_path, capsys, command, k):
+        doc = base_scenario(initial={"kind": "standing_wave", "k": k})
+        out = tmp_path / "run.csv"
+        code = cli.main([command, "--scenario", write_scenario(tmp_path, doc),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("NonFiniteValue: standing-wave mode k"), err
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edits, label", [
+        ({("coefficients", "rho"): 1e-300}, "X_h(+)X_M"),
+        ({("length",): 1e300}, "Y~")])
+    def test_relative_gram_gate_names_both_eigenvalues(self, tmp_path, capsys,
+                                                       edits, label):
+        # the smallest eigenvalue is positive; the message must show that
+        # it is at most 1e-12 times the largest
+        code, err = run_cli(tmp_path, capsys, "simulate",
+                            edited(DAMPED_SINE, edits))
+        assert code == 3, err
+        found = re.fullmatch(
+            re.escape(f"NonPositiveGram: gram of space {label!r} is not "
+                      "positive definite (smallest eigenvalue ")
+            + r"(\S+) is at most 1e-12 times the largest, (\S+)\)\n", err)
+        assert found, err
+        smallest, largest = map(float, found.groups())
+        assert 0.0 < smallest <= 1e-12 * largest
 
     def test_ledger_overflow_prints_one_line(self, tmp_path):
         # NumPy's floating-point warnings would precede the named error

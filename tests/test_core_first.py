@@ -2,43 +2,85 @@
 
 Extended coordinates put the core first (see ``passivebc.triplet``), so the
 library slices where the formulas write the projections iota, iota_Y and
-y_select.  On random wave systems, for the second-order lift and the jet
-target, the sliced forms must equal the dense ones byte for byte, and the
+y_select, and a node applies M^{-1} to the momentum columns only where the
+formulas write the mass weight ``diag(I, M^{-1}, I)``.  On random wave
+systems, for the second-order lift and the jet target, the sliced forms
+must equal the dense ones byte for byte (to 1e-14 relative for a
+non-diagonal mass, whose products BLAS may sum in another order), and the
 jet's normal-equation solves must agree with a least-squares oracle.
 """
 
 import ast
+import math
 
 import numpy as np
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passivebc.hilbert import contraction_norm
+from passivebc.hilbert import LinearMap, contraction_norm
 from passivebc.jet import pull_state, ran_A_defect
-from passivebc.node import _row_forms, impedance_node, scattering_node
+from passivebc.node import (
+    _mass_weighted,
+    _row_forms,
+    impedance_node,
+    scattering_node,
+)
 from passivebc.sim import StepSolver
 
-from conftest import ROOT, random_wave_system
+from conftest import ROOT, dense_mass_weight, random_wave_system
 from test_triplet import assert_realizes, jet_recipe, lift_recipe
 
 SYSTEMS = dict(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
                jet=st.booleans())
 
 
-def system_and_node(n, seed, jet):
-    """A random wave system, its lift or jet target, and a node on it."""
+def system_and_node(n, seed, jet, full_mass=False):
+    """A random wave system, its lift or jet target, and a node on it.
+
+    With ``full_mass`` the node's mass is ``M = W_2^{-1} S`` for a random
+    SPD S: self-adjoint for W_2, but neither diagonal nor symmetric.
+    """
     rng = np.random.default_rng(seed)
     sys = random_wave_system(n, rng)
     op = sys.jet.target if jet else sys.op_A
     raw = rng.standard_normal((2, 2))
     p = raw * (rng.uniform(0.1, 1.0) / contraction_norm(raw, op.bspace))
     builder = impedance_node if rng.uniform() < 0.5 else scattering_node
-    return sys, op, builder(op, p, sys.M_map, sys.D_map), rng
+    mass = sys.M_map
+    if full_mass:
+        x = mass.domain
+        f = rng.standard_normal((x.dim, x.dim))
+        s = f @ f.T / x.dim + np.eye(x.dim)
+        mass = LinearMap(np.linalg.solve(x.gram, s), x, x)
+    return sys, op, builder(op, p, mass, sys.D_map), rng
 
 
 def same_bytes(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def dense_node_formulas(nd, z):
+    """L_eff, G_map, K_map and the dissipated power of the rows of ``z``,
+    from the dense mass weight ``W = diag(I, M^{-1}, I)``."""
+    op, w = nd.op, dense_mass_weight(nd)
+    n1, core = op.core_blocks[0], op.core.dim
+    damping_rows = np.zeros((core, op.ext_dim))
+    damping_rows[n1:, n1:core] = nd.D.matrix
+    a, b = op.bspace.gram @ op.Gamma0 @ w, op.Gamma1 @ w
+    p, eye = nd.P.matrix, np.eye(op.n_boundary)
+    if nd.flavor == "scattering":
+        g, k = (a + b) / math.sqrt(2.0), -p @ (a - b) / math.sqrt(2.0)
+    else:
+        g = 0.5 * ((eye - p) @ a + (eye + p) @ b)
+        k = 0.5 * ((eye + p) @ a + (eye - p) @ b)
+    power = _row_forms(z @ w[n1:core].T, nd.D.matrix.T @ nd.D.domain.gram)
+    return (op.L - damping_rows) @ w, g, k, power
+
+
+def sliced_node_formulas(nd, z):
+    return (nd.L_eff, nd.G_map, nd.K_map,
+            nd.ledger_factors.dissipated_power(z))
 
 
 @settings(max_examples=25, deadline=None)
@@ -70,12 +112,45 @@ def test_node_and_step_matrices_equal_dense_iota_formulas(n, seed, jet, dt):
     n1 = op.core_blocks[0]
     damping_rows = np.zeros((op.core.dim, op.ext_dim))
     damping_rows[n1:, :] = sys.D_map.matrix @ iota[n1:, :]
-    assert same_bytes(nd.L_eff, (op.L - damping_rows) @ nd.weight_ext)
+    assert same_bytes(nd.L_eff,
+                      (op.L - damping_rows) @ dense_mass_weight(nd))
     solver = StepSolver(nd, dt)
     assert same_bytes(solver._ahead, np.vstack(
         [iota - 0.5 * dt * nd.L_eff, nd.G_map]))
     assert same_bytes(solver._behind, np.vstack(
         [iota + 0.5 * dt * nd.L_eff, -nd.G_map]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.integers(1, 40), zeros=st.floats(0.0, 1.0), **SYSTEMS)
+def test_mass_weight_equals_dense_product(n, seed, jet, rows, zeros):
+    # signed zeros in every column: the dense product turns -0.0 into +0.0
+    _, op, nd, rng = system_and_node(n, seed, jet)
+    x = rng.standard_normal((rows, op.ext_dim))
+    x[rng.uniform(size=x.shape) < zeros] = -0.0
+    assert same_bytes(_mass_weighted(x, op, nd.M_inv),
+                      x @ dense_mass_weight(nd))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.integers(1, 50), **SYSTEMS)
+def test_node_maps_equal_dense_mass_weight(n, seed, jet, rows):
+    _, op, nd, rng = system_and_node(n, seed, jet)
+    z = rng.standard_normal((rows, op.ext_dim))
+    for got, want in zip(sliced_node_formulas(nd, z),
+                         dense_node_formulas(nd, z)):
+        assert same_bytes(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.integers(1, 50), **SYSTEMS)
+def test_node_maps_match_dense_weight_for_full_mass(n, seed, jet, rows):
+    _, op, nd, rng = system_and_node(n, seed, jet, full_mass=True)
+    z = rng.standard_normal((rows, op.ext_dim))
+    for got, want in zip(sliced_node_formulas(nd, z),
+                         dense_node_formulas(nd, z)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @settings(max_examples=25, deadline=None)
@@ -105,14 +180,15 @@ def test_normal_solves_match_least_squares(n, seed):
 
 def test_projections_are_sliced_not_read():
     """No module reads ``.iota`` (the property builds the dense [I | 0]
-    for callers outside the package), the removed iota_Y or the jet's
-    former projectors."""
+    for callers outside the package), the removed iota_Y, the jet's
+    former projectors or the node's former dense mass weight."""
     offenders = []
     for path in sorted((ROOT / "src" / "passivebc").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if not (isinstance(node, ast.Attribute)
                     and isinstance(node.ctx, ast.Load)):
                 continue
-            if node.attr in ("iota", "iota_Y", "P_ker", "P_ran"):
+            if node.attr in ("iota", "iota_Y", "P_ker", "P_ran",
+                             "weight_ext", "velocity_rows"):
                 offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert not offenders, offenders

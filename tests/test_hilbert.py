@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -49,6 +48,17 @@ class TestMakeSpace:
         with pytest.raises(NonPositiveGram) as info:
             make_space(2, [[1.0, 2.0], [2.0, 1.0]], "bad")
         assert info.value.min_eig == pytest.approx(-1.0, abs=1e-12)
+        assert info.value.max_eig == pytest.approx(3.0, abs=1e-12)
+
+    def test_relative_gate_reports_both_eigenvalues(self):
+        # both eigenvalues are positive; the gate is relative to the largest
+        with pytest.raises(NonPositiveGram) as info:
+            make_space(2, np.diag([2.0, 4e12]), "stiff")
+        assert info.value.min_eig == 2.0 and info.value.max_eig == 4e12
+        assert str(info.value) == (
+            "gram of space 'stiff' is not positive definite (smallest "
+            "eigenvalue 2.000e+00 is at most 1e-12 times the largest, "
+            "4.000e+12)")
 
     def test_asymmetric_gram_rejected(self):
         with pytest.raises(NonSymmetricGram):
@@ -314,8 +324,8 @@ class TestCheckDissipativeStructured:
             check_dissipative(LinearMap(d, sp, sp))
 
 
-def jet_of_factor(a, dom, cod):
-    """build_jet of the lift of a dual pair with factor map ``a``.
+def lift_of_factor(a, dom, cod):
+    """The second-order lift of a dual pair with factor map ``a``.
 
     B_ext extends -A* by one boundary column on the first X coordinate,
     with the traces the Green identity forces.
@@ -326,7 +336,11 @@ def jet_of_factor(a, dom, cod):
     pi1 = np.eye(1, cod.dim + 1, cod.dim)
     dp = assemble_dual_pair(A, b_ext, -injection.T, pi1,
                             euclidean_space(1, "G1"))
-    return build_jet(lift_second_order(dp))
+    return lift_second_order(dp)
+
+
+def jet_of_factor(a, dom, cod):
+    return build_jet(lift_of_factor(a, dom, cod))
 
 
 def ker_projector(jt):
@@ -369,14 +383,18 @@ class TestHelmholtz:
         assert np.linalg.norm(p_ker @ jt.A_iso.matrix) <= 1e-12
 
     def test_rank_deficient_rejected(self):
-        dom = euclidean_space(2, "X")
-        cod = euclidean_space(3, "Y")
-        op = jet_of_factor(np.eye(3, 2), dom, cod).source
-        a = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
-        bad = dataclasses.replace(
-            op, pair=dataclasses.replace(op.pair, A=LinearMap(a, dom, cod)))
+        # A^T A has eigenvalues 1 and 1e-11: the lift's core Gram passes
+        # its 1e-12 SPD gate, the jet's RANK_RTOL = 1e-10 gate refuses it
+        a = np.array([[1.0, 0.0], [0.0, 10 ** -5.5], [0.0, 0.0]])
+        op = lift_of_factor(a, euclidean_space(2, "X"),
+                            euclidean_space(3, "Y"))
         with pytest.raises(RankDeficient):
-            build_jet(bad)
+            build_jet(op)
+
+    def test_jet_target_is_not_a_lift(self):
+        jt = wave_system(4).jet
+        with pytest.raises(ValueError, match="not the lift"):
+            build_jet(jt.target)
 
 
 def test_dual_space_inverts_gram():

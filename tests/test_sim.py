@@ -32,7 +32,7 @@ from passivebc.sim import (
 )
 from passivebc.wave1d import analytic_standing_wave, initial_state
 
-from conftest import random_wave_system, wave_system
+from conftest import dense_mass_weight, random_wave_system, wave_system
 
 
 def rotation(theta):
@@ -403,8 +403,8 @@ def oracle_run(node, z_core0, signal, t_final, dt):
     n1, n2 = op.core_blocks
     w = node.state_space.gram
     wd = np.linalg.inv(op.bspace.gram)
-    gap = (op.bspace.gram @ op.Gamma0 @ node.weight_ext
-           - op.Gamma1 @ node.weight_ext)
+    weight = dense_mass_weight(node)
+    gap = op.bspace.gram @ op.Gamma0 @ weight - op.Gamma1 @ weight
     hp = np.array([0.5 * float(zc[:n1] @ w[:n1, :n1] @ zc[:n1])
                    for zc in states @ op.iota.T])
     hk = np.array([0.5 * float(zc[n1:] @ w[n1:, n1:] @ zc[n1:])
@@ -417,7 +417,7 @@ def oracle_run(node, z_core0, signal, t_final, dt):
             supplied[i] = float(u @ wd @ y)
         else:
             supplied[i] = 0.5 * (float(u @ wd @ u) - float(y @ wd @ y))
-        v = node.weight_ext[n1:n1 + n2] @ z_mid
+        v = weight[n1:n1 + n2] @ z_mid
         dissipated[i] = float((node.D.matrix @ v) @ node.D.domain.gram @ v)
         r = gap @ z_mid
         pr = node.P.matrix @ r

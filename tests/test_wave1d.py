@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from passivebc.errors import InvalidCoefficients, NonConstantCoefficients
+from passivebc.errors import (
+    InvalidCoefficients,
+    NonConstantCoefficients,
+    NonFiniteValue,
+)
 from passivebc.triplet import green_residual, minimal_domain
 from passivebc.wave1d import (
     analytic_standing_wave,
@@ -164,6 +168,19 @@ class TestStandingWaveOracle:
 
         r1, r2 = residual(64), residual(128)
         assert r1 / r2 == pytest.approx(4.0, rel=0.15)
+
+    @pytest.mark.parametrize("k", [10 ** 300, 10 ** 400],
+                             ids=["1e300", "1e400"])
+    def test_mode_beyond_float_range_rejected(self, k):
+        # omega^2 overflows at 1e300; k pi itself overflows at 1e400
+        with pytest.raises(NonFiniteValue, match="beyond the float range"):
+            analytic_standing_wave(k, constant_coefficients(8))
+
+    def test_mode_with_wave_number_beyond_float_range_rejected(self):
+        # a finite k pi whose quotient by a short length overflows
+        coeffs = constant_coefficients(8, length=1e-300)
+        with pytest.raises(NonFiniteValue):
+            analytic_standing_wave(10 ** 10, coeffs)
 
     def test_varying_coefficients_rejected(self, rng):
         c = random_coefficients(8, rng)
