@@ -88,7 +88,14 @@ class BoundaryNode:
     L_eff: np.ndarray
     state_space: HilbertSpaceSpec      # core with mass-weighted Gram
     M_inv: np.ndarray                  # M^{-1} on the momentum block
-    energy_preserving: bool
+
+    @cached_property
+    def energy_preserving(self) -> bool:
+        """No damping (sym(W D) = 0) and a dual-unitary P; computed on
+        first read."""
+        wd = self.D.domain.gram @ self.D.matrix
+        no_damping = _norm(wd + wd.T) <= 1e-10 * (1.0 + _norm(wd))
+        return no_damping and is_dual_unitary(self.P.matrix, self.op.bspace)
 
     def dual_gram(self) -> np.ndarray:
         """Gram of the dual boundary space (inputs/outputs live there).
@@ -307,16 +314,10 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
     l_eff = _effective_action(op, D, minv)
-
-    wd = D.domain.gram @ D.matrix
-    no_damping = _norm(wd + wd.T) <= 1e-10 * (1.0 + _norm(wd))
-    preserving = no_damping and is_dual_unitary(pmat, op.bspace)
-
     return BoundaryNode(op=op, flavor=flavor, P=param, M=M, D=D,
                         G_map=_frozen(g), K_map=_frozen(k),
                         L_eff=_frozen(l_eff), state_space=state_space,
-                        M_inv=_frozen(minv),
-                        energy_preserving=preserving)
+                        M_inv=_frozen(minv))
 
 
 def scattering_node(op: BoundaryOperator, P, M: LinearMap,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,6 +77,10 @@ def _expect_keys(mapping: dict, allowed: dict, where: str) -> None:
 
 def _is_number(raw) -> bool:
     return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
+def _is_int(raw) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool)
 
 
 def _finite_number(raw, name: str) -> float:
@@ -160,7 +165,7 @@ def _parse_initial(raw) -> dict:
     _expect_keys(raw, allowed, "initial")
     if kind == "standing_wave":
         k = raw["k"]
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        if not (_is_int(k) and k >= 1):
             _fail("initial k must be a positive integer")
     elif kind == "gauss":
         _finite_number(raw["center"], "initial center")
@@ -187,16 +192,25 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file; raises ``ScenarioError``."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         _fail(f"cannot read scenario file {path}: {exc}")
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         _fail(f"scenario file {path} is not valid JSON: {exc}")
+    except ValueError:
+        # json's int() refuses literals beyond Python's digit limit
+        _fail(f"scenario file {path} holds an integer literal of more than "
+              f"{sys.get_int_max_str_digits()} digits")
+    except RecursionError:
+        _fail(f"scenario file {path} nests arrays or objects too deeply")
     if not isinstance(raw, dict):
         _fail("scenario must be a JSON object")
     _expect_keys(raw, _TOP_KEYS, "scenario")
-    if raw["schema_version"] != SCHEMA_VERSION:
-        _fail(f"schema_version must be {SCHEMA_VERSION}")
+    if not (_is_int(raw["schema_version"])
+            and raw["schema_version"] == SCHEMA_VERSION):
+        _fail(f"schema_version must be the integer {SCHEMA_VERSION}")
 
     formulation = raw.get("formulation", "position-momentum")
     if formulation not in _FORMULATIONS:
@@ -206,7 +220,7 @@ def load_scenario(path: str | Path) -> Scenario:
         _fail(f"flavor must be one of {_FLAVORS}")
 
     n = raw["N"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not (_is_int(n) and n >= 1):
         _fail("N must be a positive integer")
     length = _positive_number(raw["length"], "length")
 
@@ -223,7 +237,7 @@ def load_scenario(path: str | Path) -> Scenario:
     beta = _positive_number(raw.get("beta", 1.0), "beta")
     t_final, dt = _time_grid(raw["t_final"], raw["dt"])
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not (_is_int(seed) and seed >= 0):
         _fail("seed must be a nonnegative integer")
     out = raw.get("out")
     if out is not None and not isinstance(out, str):

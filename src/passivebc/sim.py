@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -118,24 +118,32 @@ class Trajectory:
 
 
 class StepSolver:
-    """LU-factored midpoint stepper for a fixed node and step size."""
+    """LU-factored midpoint map for a fixed node and step size dt.
+
+    A step solves ``[iota - dt/2 L_eff; G] z' = [iota + dt/2 L_eff; -G] z
+    + [0; 2 u_mid]``.  The rule is symmetric, so ``StepSolver(node, -dt)``
+    is the inverse step; any nonzero dt is accepted.
+    """
 
     def __init__(self, node: BoundaryNode, dt: float):
-        if not dt > 0.0:
-            raise ValueError("dt must be positive")
-        self.node = node
-        self.dt = dt
+        if dt == 0.0 or math.isnan(dt):
+            raise ValueError(f"dt must be nonzero, got {dt!r}")
         ncore, ext = node.op.core.dim, node.op.ext_dim
         m = node.G_map.shape[0]
         if ncore + m != ext:
             raise SingularStepMatrix(
                 f"step system is not square: core {ncore} + inputs {m} "
                 f"!= extended dimension {ext}")
-        iota = np.eye(ncore, ext)
-        self._ahead = np.vstack([iota - 0.5 * dt * node.L_eff, node.G_map])
-        self._behind = np.vstack([iota + 0.5 * dt * node.L_eff, -node.G_map])
-        self._lu = self._factor(self._ahead)
-        self._lu_back = None
+        # iota +/- h (h = dt/2 L_eff) bit for bit: h + 0.0 and 0.0 - h turn
+        # -0.0 into +0.0 as iota's zeros do; _factor refuses a non-finite h
+        with np.errstate(over="ignore", invalid="ignore"):
+            behind = np.vstack([(0.5 * dt) * node.L_eff + 0.0, -node.G_map])
+        ahead = np.vstack([0.0 - behind[:ncore], node.G_map])
+        diag = np.arange(ncore)
+        for matrix in (ahead, behind):
+            matrix[diag, diag] += 1.0
+        self._behind = behind
+        self._lu = self._factor(ahead)
         self._ncore = ncore
 
     @staticmethod
@@ -162,14 +170,6 @@ class StepSolver:
         rhs[self._ncore:] += 2.0 * np.asarray(u_mid, dtype=float)
         # finiteness of the states is checked once per run by simulate
         return scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
-
-    def step_back(self, z: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
-        """Invert one midpoint step (the scheme is time-symmetric)."""
-        if self._lu_back is None:
-            self._lu_back = self._factor(self._behind)
-        rhs = self._ahead @ z
-        rhs[self._ncore:] -= 2.0 * np.asarray(u_mid, dtype=float)
-        return scipy.linalg.lu_solve(self._lu_back, rhs, check_finite=False)
 
 
 def consistent_initialization(node: BoundaryNode, z_core: np.ndarray,
@@ -262,9 +262,7 @@ def simulate(node: BoundaryNode, z_core0: np.ndarray, signal: InputSignal,
         outputs[i:j] = z_mid @ node.K_map.T
     traj = Trajectory(times=times, states_ext=states, inputs=inputs,
                       outputs=outputs)
-    # attach the ledger to the frozen trajectory instead of building it twice
-    object.__setattr__(traj, "ledger", balance_ledger(node, traj))
-    return traj
+    return replace(traj, ledger=balance_ledger(node, traj))
 
 
 def _midpoint_blocks(states: np.ndarray):

@@ -199,13 +199,13 @@ def test_c6_conservation_and_reversal():
     led = traj.ledger
     drift = float(np.abs(led.H - led.H[0]).max() / led.H[0])
 
-    solver = StepSolver(nd, 1e-3)
+    forward, back = StepSolver(nd, 1e-3), StepSolver(nd, -1e-3)
     z = consistent_initialization(nd, z0, np.zeros(2))
     start = z.copy()
     for _ in range(1000):
-        z = solver.step(z, np.zeros(2))
+        z = forward.step(z, np.zeros(2))
     for _ in range(1000):
-        z = solver.step_back(z, np.zeros(2))
+        z = back.step(z, np.zeros(2))
     reversal = float(np.linalg.norm(z - start))
     ok = drift <= 1e-9 and reversal <= 1e-10
     report("C6 conservation", ok,

@@ -374,6 +374,45 @@ class TestInputRobustness:
         assert code == 2, err
         assert err == "scenario error: seed must be a nonnegative integer\n"
 
+    @pytest.mark.parametrize("path", [("initial", "k"), ("t_final",),
+                                      ("seed",)], ids=lambda p: p[-1])
+    def test_integer_beyond_digit_limit_exits_2(self, tmp_path, capsys,
+                                                path):
+        # json's int() refuses literals longer than Python's digit limit
+        # (4300 by default) with a bare ValueError
+        text = json.dumps(edited(base_scenario(), {path: "HUGE"}))
+        scn = tmp_path / "scenario.json"
+        scn.write_text(text.replace('"HUGE"', "1" + "0" * 5000))
+        out = tmp_path / "run.csv"
+        code = cli.main(["simulate", "--scenario", str(scn),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("scenario error: ") and "integer literal" in err
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100000],
+                             ids=["not_utf8", "nested_too_deep"])
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, content):
+        scn = tmp_path / "scenario.json"
+        scn.write_bytes(content)
+        code = cli.main(["simulate", "--scenario", str(scn),
+                         "--out", str(tmp_path / "run.csv")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("scenario error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2],
+                             ids=["true", "1.0", "string", "2"])
+    def test_schema_version_other_than_integer_1_exits_2(self, tmp_path,
+                                                         capsys, version):
+        code, err = run_cli(tmp_path, capsys, "simulate",
+                            base_scenario(schema_version=version))
+        assert code == 2, err
+        assert err == ("scenario error: schema_version must be the "
+                       "integer 1\n")
+
     @pytest.mark.parametrize("k", [10 ** 300, 10 ** 400],
                              ids=["1e300", "1e400"])
     @pytest.mark.parametrize("command", ["simulate", "jet-compare"])

@@ -115,10 +115,38 @@ def test_node_and_step_matrices_equal_dense_iota_formulas(n, seed, jet, dt):
     assert same_bytes(nd.L_eff,
                       (op.L - damping_rows) @ dense_mass_weight(nd))
     solver = StepSolver(nd, dt)
-    assert same_bytes(solver._ahead, np.vstack(
+    lu, piv = scipy.linalg.lu_factor(np.vstack(
         [iota - 0.5 * dt * nd.L_eff, nd.G_map]))
+    assert same_bytes(solver._lu[0], lu) and same_bytes(solver._lu[1], piv)
     assert same_bytes(solver._behind, np.vstack(
         [iota + 0.5 * dt * nd.L_eff, -nd.G_map]))
+
+
+def step_back_oracle(nd, dt, z, u_mid):
+    """The removed ``StepSolver.step_back``: the backward system
+    ``[iota + dt/2 L_eff; -G] z' = [iota - dt/2 L_eff; G] z - [0; 2 u]``
+    with its own LU factor."""
+    iota, ncore = nd.op.iota, nd.op.core.dim
+    ahead = np.vstack([iota - 0.5 * dt * nd.L_eff, nd.G_map])
+    behind = np.vstack([iota + 0.5 * dt * nd.L_eff, -nd.G_map])
+    rhs = ahead @ z
+    rhs[ncore:] -= 2.0 * u_mid
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(behind), rhs,
+                                 check_finite=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dt=st.floats(1e-4, 1e-1), **SYSTEMS)
+def test_negative_step_is_the_inverse_step(n, seed, jet, dt):
+    # the step at -dt is the backward system with its input rows negated
+    # on both sides; partial pivoting solves both to the same bytes
+    _, op, nd, rng = system_and_node(n, seed, jet)
+    z = rng.standard_normal(op.ext_dim)
+    u = rng.standard_normal(nd.G_map.shape[0])
+    back = StepSolver(nd, -dt).step(z, u)
+    assert same_bytes(back, step_back_oracle(nd, dt, z, u))
+    again = StepSolver(nd, dt).step(back, u)
+    assert np.linalg.norm(again - z) <= 1e-10 * (1.0 + np.linalg.norm(z))
 
 
 @settings(max_examples=25, deadline=None)
@@ -181,14 +209,23 @@ def test_normal_solves_match_least_squares(n, seed):
 def test_projections_are_sliced_not_read():
     """No module reads ``.iota`` (the property builds the dense [I | 0]
     for callers outside the package), the removed iota_Y, the jet's
-    former projectors or the node's former dense mass weight."""
+    former projectors or the node's former dense mass weight, and no
+    module defines or uses the removed second step map (``step_back`` with
+    its ``_ahead`` matrix and ``_lu_back`` factor)."""
+    projections = ("iota", "iota_Y", "P_ker", "P_ran", "weight_ext",
+                   "velocity_rows")
+    second_step = ("step_back", "_ahead", "_lu_back")
     offenders = []
     for path in sorted((ROOT / "src" / "passivebc").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if not (isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, ast.Load)):
+            if isinstance(node, ast.FunctionDef):
+                name, banned = node.name, second_step
+            elif isinstance(node, ast.Attribute):
+                read = isinstance(node.ctx, ast.Load)
+                name = node.attr
+                banned = second_step + (projections if read else ())
+            else:
                 continue
-            if node.attr in ("iota", "iota_Y", "P_ker", "P_ran",
-                             "weight_ext", "velocity_rows"):
-                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+            if name in banned:
+                offenders.append(f"{path.name}:{node.lineno} .{name}")
     assert not offenders, offenders

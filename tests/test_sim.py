@@ -169,6 +169,16 @@ class TestStepMidpoint:
         with pytest.raises(SingularStepMatrix):
             StepSolver(broken, 1e-3)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.0, math.nan])
+    def test_zero_or_nan_step_refused(self, dt):
+        with pytest.raises(ValueError, match="dt must be nonzero"):
+            StepSolver(neumann_node(wave_system(4)), dt)
+
+    @pytest.mark.parametrize("dt", [math.inf, -math.inf])
+    def test_infinite_step_fails_finiteness_gate(self, dt):
+        with pytest.raises(NonFiniteValue, match="midpoint step matrix"):
+            StepSolver(neumann_node(wave_system(4)), dt)
+
 
 class TestSimulate:
     def test_zero_everything_stays_zero(self):
@@ -222,12 +232,12 @@ class TestSimulate:
         nd = impedance_node(sys.op_A, np.eye(2), eye, zero)
         z0 = consistent_initialization(
             nd, initial_state(sys, "standing_wave", k=2), np.zeros(2))
-        solver = StepSolver(nd, 1e-3)
+        forward, back = StepSolver(nd, 1e-3), StepSolver(nd, -1e-3)
         z = z0.copy()
         for _ in range(100):
-            z = solver.step(z, np.zeros(2))
+            z = forward.step(z, np.zeros(2))
         for _ in range(100):
-            z = solver.step_back(z, np.zeros(2))
+            z = back.step(z, np.zeros(2))
         assert np.linalg.norm(z - z0) <= 1e-10
 
 
