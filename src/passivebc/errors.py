@@ -128,6 +128,11 @@ class TimeGridTooLarge(PassivebcError):
     """The time grid and its states cannot be allocated."""
 
 
+class ShapeMismatch(PassivebcError):
+    """An input signal, input sample or state has the wrong channel count
+    or dimension for the node it is applied to."""
+
+
 # ---------------------------------------------------------------- wave model
 
 

@@ -18,7 +18,9 @@ the energy increment obeys the *identity*
 which the Green identity converts into boundary supply minus dissipation
 minus a nonnegative contraction slack; the ledger records all three and
 their residual at machine precision.  The step loop only advances the
-state; outputs and the ledger are evaluated afterwards in vectorized
+state, in one block through LAPACK ``getrs`` on the stored factor
+(:meth:`StepSolver.advance`), with every midpoint input sampled before it
+starts; outputs and the ledger are evaluated afterwards in vectorized
 blocks of ``LEDGER_CHUNK`` states from per-node factors built once
 (:class:`~passivebc.node.LedgerFactors`).
 """
@@ -36,6 +38,7 @@ from .errors import (
     IncompatibleInitialData,
     InvalidTimeGrid,
     NonFiniteValue,
+    ShapeMismatch,
     SingularBoundaryBlock,
     SingularStepMatrix,
     TimeGridTooLarge,
@@ -64,7 +67,9 @@ class InputSignal:
 
     Kinds: ``zero``; ``sine`` with ``u(t) = amplitude sin(2 pi frequency t)
     * weights``; ``gauss_pulse`` with ``u(t) = amplitude
-    exp(-((t - center)/width)^2) * weights``.
+    exp(-((t - center)/width)^2) * weights``.  Called on a time or an array
+    of times, it returns shape ``t.shape + (m,)``; each sample has the bits
+    of the call on its time alone.
     """
 
     kind: str
@@ -88,14 +93,16 @@ class InputSignal:
         if self.kind == "gauss_pulse" and not self.width > 0.0:
             raise ValueError("gauss_pulse width must be positive")
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
         if self.kind == "zero":
-            return np.zeros_like(self.weights)
+            return np.zeros(t.shape + self.weights.shape)
         if self.kind == "sine":
-            return (self.amplitude
-                    * np.sin(2.0 * np.pi * self.frequency * t)) * self.weights
-        arg = (t - self.center) / self.width
-        return (self.amplitude * np.exp(-arg * arg)) * self.weights
+            profile = np.sin(2.0 * np.pi * self.frequency * t)
+        else:
+            arg = (t - self.center) / self.width
+            profile = np.exp(-arg * arg)
+        return np.multiply.outer(self.amplitude * profile, self.weights)
 
     @staticmethod
     def zero(m: int) -> "InputSignal":
@@ -117,12 +124,21 @@ class Trajectory:
         return len(self.times) - 1
 
 
+def _expect_shape(name: str, array: np.ndarray, shape: tuple) -> None:
+    if array.shape != shape:
+        raise ShapeMismatch(f"{name} has shape {array.shape}; the node "
+                            f"expects {shape}")
+
+
 class StepSolver:
     """LU-factored midpoint map for a fixed node and step size dt.
 
     A step solves ``[iota - dt/2 L_eff; G] z' = [iota + dt/2 L_eff; -G] z
     + [0; 2 u_mid]``.  The rule is symmetric, so ``StepSolver(node, -dt)``
-    is the inverse step; any nonzero dt is accepted.
+    is the inverse step; any nonzero dt is accepted.  ``advance`` runs a
+    block of steps in place through LAPACK ``getrs``, fetched once; ``step``
+    is ``advance`` on a two-row buffer.  The solver holds no scratch
+    buffers, so one instance may serve several threads.
     """
 
     def __init__(self, node: BoundaryNode, dt: float):
@@ -144,6 +160,8 @@ class StepSolver:
             matrix[diag, diag] += 1.0
         self._behind = behind
         self._lu = self._factor(ahead)
+        self._getrs, = scipy.linalg.get_lapack_funcs(("getrs",),
+                                                     (self._lu[0],))
         self._ncore = ncore
 
     @staticmethod
@@ -165,11 +183,39 @@ class StepSolver:
                 f"(pivot ratio {diag.min() / max(diag.max(), 1e-300):.3e})")
         return lu
 
+    def advance(self, states: np.ndarray, inputs: np.ndarray) -> None:
+        """Fill ``states[1:]`` in place: row k + 1 is the step from row k
+        with midpoint input ``inputs[k]``.
+
+        ``states`` is a C-contiguous float64 array of shape ``(n + 1,
+        ext_dim)`` and ``inputs`` has shape ``(n, m)``; anything else
+        raises ``ShapeMismatch``.  Finiteness of the states is left to the
+        caller (``simulate`` checks it once per run).
+        """
+        ext, m = self._behind.shape[1], self._behind.shape[0] - self._ncore
+        if not (isinstance(states, np.ndarray) and states.dtype == np.float64
+                and states.flags.c_contiguous):
+            raise ShapeMismatch("states must be a C-contiguous float64 "
+                                "array: each step is solved in place")
+        _expect_shape("states", states, states.shape[:1] + (ext,))
+        inputs = np.asarray(inputs, dtype=float)
+        _expect_shape("inputs", inputs, (len(states) - 1, m))
+        (lu, piv), getrs = self._lu, self._getrs
+        behind, ncore = self._behind, self._ncore
+        for z, nxt, u in zip(states[:-1], states[1:], inputs):
+            np.matmul(behind, z, out=nxt)
+            nxt[ncore:] += 2.0 * u
+            # a contiguous float64 row is overwritten, not copied; the
+            # checked shapes leave getrs no illegal argument to report
+            getrs(lu, piv, nxt, overwrite_b=True)
+
     def step(self, z: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
-        rhs = self._behind @ z
-        rhs[self._ncore:] += 2.0 * np.asarray(u_mid, dtype=float)
-        # finiteness of the states is checked once per run by simulate
-        return scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
+        states = np.empty((2, self._behind.shape[1]))
+        z = np.asarray(z, dtype=float)
+        _expect_shape("state z", z, states.shape[1:])
+        states[0] = z
+        self.advance(states, np.asarray(u_mid, dtype=float)[None])
+        return states[1]
 
 
 def consistent_initialization(node: BoundaryNode, z_core: np.ndarray,
@@ -184,6 +230,8 @@ def consistent_initialization(node: BoundaryNode, z_core: np.ndarray,
     z_core = np.asarray(z_core, dtype=float)
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     ncore = node.op.core.dim
+    _expect_shape("initial core state", z_core, (ncore,))
+    _expect_shape("initial input u0", u0, (node.G_map.shape[0],))
     nb = node.op.ext_dim - ncore
     g_core = node.G_map[:, :ncore]
     g_tau = node.G_map[:, ncore:]
@@ -232,28 +280,25 @@ def simulate(node: BoundaryNode, z_core0: np.ndarray, signal: InputSignal,
     """Integrate on a uniform grid and fill the energy ledger.
 
     Raises ``InvalidTimeGrid`` when t_final is not a whole number of steps
-    dt (see ``time_steps``) and ``TimeGridTooLarge`` when the grid's states
-    cannot be allocated.
+    dt (see ``time_steps``), ``ShapeMismatch`` when the signal's channel
+    count is not the node's, and ``TimeGridTooLarge`` when the grid's
+    states, midpoint times and inputs cannot be allocated.
     """
     n_steps = time_steps(t_final, dt)
     ext = node.op.ext_dim
     m = node.G_map.shape[0]
+    _expect_shape("input signal weights", signal.weights, (m,))
     try:
         times = dt * np.arange(n_steps + 1)
         states = np.empty((n_steps + 1, ext))
-        inputs = np.empty((n_steps, m))
+        inputs = signal(times[:-1] + 0.5 * dt)
     except (ValueError, MemoryError) as exc:
-        nbytes = 8.0 * (n_steps + 1) * (ext + 1) + 8.0 * n_steps * m
+        nbytes = 8.0 * (n_steps + 1) * (ext + 1) + 8.0 * n_steps * (m + 1)
         raise TimeGridTooLarge(
             f"cannot allocate {n_steps:.6g} steps of {ext}-dimensional "
             f"states ({nbytes:.3e} bytes requested): {exc}") from exc
-    z0 = consistent_initialization(node, z_core0, signal(0.0))
-    solver = StepSolver(node, dt)
-    states[0] = z0
-    for n in range(n_steps):
-        u_mid = signal(times[n] + 0.5 * dt)
-        inputs[n] = u_mid
-        states[n + 1] = solver.step(states[n], u_mid)
+    states[0] = consistent_initialization(node, z_core0, signal(0.0))
+    StepSolver(node, dt).advance(states, inputs)
     if not np.isfinite(states).all():
         raise NonFiniteValue("the trajectory left the floating-point range")
 

@@ -1,0 +1,204 @@
+"""The block stepper, held to the per-step solve it replaces.
+
+``simulate`` samples every midpoint input in one array call and advances
+the states with ``StepSolver.advance`` (LAPACK ``getrs`` on the stored
+factor, in place).  The oracle below is the former step loop: one scalar
+signal call and one ``lu_solve(lu_factor(ahead), behind @ z + [0; 2u])``
+per step, with ``ahead``/``behind`` written from the dense ``iota``.  The
+trajectory, outputs and ledger must equal it byte for byte.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from passivebc.hilbert import contraction_norm
+from passivebc.jet import push_state
+from passivebc.node import impedance_node, scattering_node
+from passivebc.sim import (
+    LEDGER_CHUNK,
+    InputSignal,
+    StepSolver,
+    Trajectory,
+    _midpoint_blocks,
+    balance_ledger,
+    consistent_initialization,
+    simulate,
+)
+from passivebc.wave1d import initial_state
+
+from conftest import random_wave_system, wave_system
+from test_core_first import same_bytes
+
+
+def scalar_sample(signal, t):
+    """The former ``InputSignal.__call__`` on one time."""
+    if signal.kind == "zero":
+        return np.zeros_like(signal.weights)
+    if signal.kind == "sine":
+        return (signal.amplitude * np.sin(
+            2.0 * np.pi * signal.frequency * t)) * signal.weights
+    arg = (t - signal.center) / signal.width
+    return (signal.amplitude * np.exp(-arg * arg)) * signal.weights
+
+
+def step_oracle(nd, dt):
+    """The former step: dense iota formulas, one ``lu_solve`` per call."""
+    iota, ncore = nd.op.iota, nd.op.core.dim
+    lu = scipy.linalg.lu_factor(np.vstack([iota - 0.5 * dt * nd.L_eff,
+                                           nd.G_map]))
+    behind = np.vstack([iota + 0.5 * dt * nd.L_eff, -nd.G_map])
+
+    def step(z, u):
+        rhs = behind @ z
+        rhs[ncore:] += 2.0 * u
+        return scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+    return step
+
+
+def simulate_oracle(nd, z_core0, signal, n_steps, dt):
+    """The former ``simulate``: a per-step loop of scalar samples and
+    ``lu_solve``, then the same chunked outputs and ledger."""
+    m = nd.G_map.shape[0]
+    step = step_oracle(nd, dt)
+    times = dt * np.arange(n_steps + 1)
+    states = np.empty((n_steps + 1, nd.op.ext_dim))
+    inputs = np.empty((n_steps, m))
+    states[0] = consistent_initialization(nd, z_core0,
+                                          scalar_sample(signal, 0.0))
+    for n in range(n_steps):
+        u_mid = scalar_sample(signal, times[n] + 0.5 * dt)
+        inputs[n] = u_mid
+        states[n + 1] = step(states[n], u_mid)
+    outputs = np.empty((n_steps, m))
+    for i, j, z_mid in _midpoint_blocks(states):
+        outputs[i:j] = z_mid @ nd.K_map.T
+    traj = Trajectory(times=times, states_ext=states, inputs=inputs,
+                      outputs=outputs)
+    return replace(traj, ledger=balance_ledger(nd, traj))
+
+
+def random_signal(kind, rng):
+    if kind == "zero":
+        return InputSignal.zero(2)
+    weights = rng.uniform(-1.0, 1.0, 2)
+    amplitude = rng.uniform(0.0, 1.0)
+    if kind == "sine":
+        return InputSignal("sine", weights=weights, amplitude=amplitude,
+                           frequency=rng.uniform(0.1, 5.0))
+    return InputSignal("gauss_pulse", weights=weights, amplitude=amplitude,
+                       center=rng.uniform(0.0, 0.1),
+                       width=rng.uniform(0.005, 0.1))
+
+
+CASES = dict(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
+             flavor=st.sampled_from(["impedance", "scattering"]),
+             strain=st.booleans(),
+             kind=st.sampled_from(["zero", "sine", "gauss_pulse"]),
+             dt=st.floats(1e-4, 1e-1))
+
+
+def node_and_state(n, seed, flavor, strain):
+    rng = np.random.default_rng(seed)
+    sys = random_wave_system(n, rng, b_max=0.6)
+    raw = rng.standard_normal((2, 2))
+    p = raw * (rng.uniform(0.1, 0.9) / contraction_norm(raw, sys.op_A.bspace))
+    op, z0 = sys.op_A, initial_state(sys, "gauss",
+                                     center=rng.uniform(0.2, 0.8),
+                                     width=rng.uniform(0.05, 0.3))
+    if strain:
+        op, z0 = sys.jet.target, push_state(sys.jet, z0)
+    builder = impedance_node if flavor == "impedance" else scattering_node
+    return builder(op, p, sys.M_map, sys.D_map), z0, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_steps=st.sampled_from([1, 2, LEDGER_CHUNK - 1, LEDGER_CHUNK,
+                                LEDGER_CHUNK + 1]), **CASES)
+def test_simulate_equals_per_step_oracle(n, seed, flavor, strain, kind, dt,
+                                         n_steps):
+    nd, z0, rng = node_and_state(n, seed, flavor, strain)
+    signal = random_signal(kind, rng)
+    got = simulate(nd, z0, signal, n_steps * dt, dt)
+    want = simulate_oracle(nd, z0, signal, n_steps, dt)
+    for name in ("times", "states_ext", "inputs", "outputs"):
+        assert same_bytes(getattr(got, name), getattr(want, name)), name
+    for name in ("H", "H_p", "H_k", "supplied", "dissipated", "residual",
+                 "slack"):
+        assert same_bytes(getattr(got.ledger, name),
+                          getattr(want.ledger, name)), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(sign=st.sampled_from([1.0, -1.0]), **CASES)
+def test_step_equals_per_step_oracle(n, seed, flavor, strain, kind, dt,
+                                     sign):
+    nd, _, rng = node_and_state(n, seed, flavor, strain)
+    z = rng.standard_normal(nd.op.ext_dim)
+    u = scalar_sample(random_signal(kind, rng), rng.uniform(0.0, 1.0))
+    got = StepSolver(nd, sign * dt).step(z, u)
+    assert same_bytes(got, step_oracle(nd, sign * dt)(z, u))
+
+
+def test_one_factor_and_no_lu_solve_per_run(monkeypatch):
+    sys = wave_system(8, b=0.2)
+    nd = impedance_node(sys.op_A, 0.5 * np.eye(2), sys.M_map, sys.D_map)
+    calls = {"lu_factor": 0, "lu_solve": 0}
+
+    def counted(name):
+        original = getattr(scipy.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(scipy.linalg, name, counted(name))
+    sig = InputSignal("sine", weights=np.array([1.0, -0.3]), amplitude=0.2)
+    simulate(nd, initial_state(sys, "gauss"), sig, 0.3, 1e-3)
+    assert calls == {"lu_factor": 1, "lu_solve": 0}
+
+
+SIGNALS = dict(
+    kind=st.sampled_from(["zero", "sine", "gauss_pulse"]),
+    weights=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
+    amplitude=st.floats(-5.0, 5.0),
+    frequency=st.floats(1e-3, 1e3),
+    center=st.floats(-1e4, 1e4),
+    width=st.floats(1e-3, 1e4),
+    times=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=50))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**SIGNALS)
+def test_array_sampling_equals_scalar_calls(kind, weights, amplitude,
+                                            frequency, center, width, times):
+    signal = InputSignal(kind, weights=weights, amplitude=amplitude,
+                         frequency=frequency, center=center, width=width)
+    m = len(weights)
+    t = np.array(times)
+    got = signal(t)
+    assert got.shape == (len(times), m)
+    for i, ti in enumerate(times):
+        one = signal(ti)
+        assert one.shape == (m,)
+        assert same_bytes(got[i], one)
+        assert same_bytes(one, scalar_sample(signal, ti))
+    if kind == "zero":
+        assert same_bytes(got, np.zeros((len(times), m)))
+
+
+@pytest.mark.parametrize("kind", ["zero", "sine", "gauss_pulse"])
+@pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3)])
+def test_sample_shape_is_time_shape_plus_channels(kind, shape):
+    signal = InputSignal(kind, weights=[1.0, -2.0, 0.5], amplitude=0.7,
+                         width=0.2)
+    got = signal(np.full(shape, 0.25))
+    assert got.shape == shape + (3,)
+    assert got.dtype == np.float64
+    if kind == "zero":
+        assert not got.any()

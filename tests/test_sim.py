@@ -11,6 +11,7 @@ from passivebc.errors import (
     IncompatibleInitialData,
     InvalidTimeGrid,
     NonFiniteValue,
+    ShapeMismatch,
     SingularBoundaryBlock,
     SingularStepMatrix,
 )
@@ -21,6 +22,12 @@ from passivebc.extension import (
 from passivebc.hilbert import ContractionParam, contraction_norm
 from passivebc.jet import push_state
 from passivebc.node import impedance_node, scattering_node
+from passivebc.scenario import (
+    build_initial_state,
+    build_node,
+    build_system,
+    load_scenario,
+)
 from passivebc.sim import (
     LEDGER_CHUNK,
     InputSignal,
@@ -32,7 +39,7 @@ from passivebc.sim import (
 )
 from passivebc.wave1d import analytic_standing_wave, initial_state
 
-from conftest import dense_mass_weight, random_wave_system, wave_system
+from conftest import ROOT, dense_mass_weight, random_wave_system, wave_system
 
 
 def rotation(theta):
@@ -239,6 +246,67 @@ class TestSimulate:
         for _ in range(100):
             z = back.step(z, np.zeros(2))
         assert np.linalg.norm(z - z0) <= 1e-10
+
+
+class TestShapeMismatch:
+    """Inputs whose channel count or dimension is not the node's are
+    refused where they enter, not broadcast onto the node's ports."""
+
+    @pytest.fixture(scope="class")
+    def damped_sine(self):
+        sc = load_scenario(ROOT / "scenarios" / "damped_sine.json")
+        sys = build_system(sc)
+        return build_node(sc, sys), build_initial_state(sc, sys)
+
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.5, -0.5]])
+    def test_simulate_refuses_other_channel_counts(self, damped_sine,
+                                                  weights):
+        nd, z0 = damped_sine
+        assert nd.G_map.shape[0] == 2
+        sig = InputSignal("sine", weights=weights, amplitude=0.1)
+        with pytest.raises(ShapeMismatch, match="input signal weights"):
+            simulate(nd, z0, sig, 0.01, 1e-3)
+
+    @pytest.mark.parametrize("u0", [[0.0], [0.0, 0.0, 0.0]])
+    def test_initialization_refuses_other_channel_counts(self, damped_sine,
+                                                        u0):
+        nd, z0 = damped_sine
+        with pytest.raises(ShapeMismatch, match="initial input u0"):
+            consistent_initialization(nd, z0, u0)
+
+    def test_initialization_refuses_wrong_core_length(self, damped_sine):
+        nd, z0 = damped_sine
+        with pytest.raises(ShapeMismatch, match="initial core state"):
+            consistent_initialization(nd, z0[:-1], np.zeros(2))
+
+    @pytest.mark.parametrize("u", [[0.0], [0.0, 0.0, 0.0], 0.0])
+    def test_step_refuses_other_channel_counts(self, damped_sine, u):
+        nd, _ = damped_sine
+        z = np.zeros(nd.op.ext_dim)
+        with pytest.raises(ShapeMismatch, match="inputs"):
+            StepSolver(nd, 1e-3).step(z, u)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_step_refuses_wrong_state_length(self, damped_sine, delta):
+        nd, _ = damped_sine
+        z = np.zeros(nd.op.ext_dim + delta)
+        with pytest.raises(ShapeMismatch, match="state z"):
+            StepSolver(nd, 1e-3).step(z, np.zeros(2))
+
+    def test_advance_refuses_bad_blocks(self, damped_sine):
+        nd, _ = damped_sine
+        solver, ext = StepSolver(nd, 1e-3), nd.op.ext_dim
+        with pytest.raises(ShapeMismatch, match="inputs"):
+            solver.advance(np.zeros((4, ext)), np.zeros((4, 2)))
+        with pytest.raises(ShapeMismatch, match="inputs"):
+            solver.advance(np.zeros((4, ext)), np.zeros((3, 1)))
+        with pytest.raises(ShapeMismatch, match="states"):
+            solver.advance(np.zeros((4, ext + 1)), np.zeros((3, 2)))
+        # rows that getrs could not overwrite in place
+        for states in (np.zeros((4, ext), order="F"),
+                       np.zeros((4, ext), dtype=np.float32)):
+            with pytest.raises(ShapeMismatch, match="C-contiguous float64"):
+                solver.advance(states, np.zeros((3, 2)))
 
 
 class TestConcurrency:
