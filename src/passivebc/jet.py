@@ -31,7 +31,7 @@ import scipy.linalg
 
 from .errors import RankDeficient
 from .hilbert import RANK_RTOL, LinearMap, _extreme_eigenvalues, _frozen
-from .node import BoundaryNode, impedance_node, scattering_node
+from .node import BoundaryNode, _build_node
 from .triplet import BoundaryOperator, _realize
 
 __all__ = [
@@ -121,9 +121,8 @@ def transform_node(jt: JetTransform, node_A: BoundaryNode) -> BoundaryNode:
     if node_A.op is not jt.source:
         raise ValueError("node was not built on the source operator of "
                          "this transform")
-    builder = scattering_node if node_A.flavor == "scattering" \
-        else impedance_node
-    return builder(jt.target, node_A.P, node_A.M, node_A.D)
+    return _build_node(jt.target, node_A.P, node_A.M, node_A.D,
+                       node_A.flavor)
 
 
 def ran_A_defect(jt: JetTransform, w1: np.ndarray) -> float:

@@ -42,6 +42,7 @@ from .errors import (
     NonFiniteValue,
     NonPositiveBeta,
     NotAContraction,
+    ShapeMismatch,
     SingularCoreProjection,
 )
 from .extension import _restrict_to_kernel
@@ -61,7 +62,6 @@ from .triplet import BoundaryOperator
 __all__ = [
     "BoundaryNode",
     "EnergyLedger",
-    "LedgerFactors",
     "scattering_node",
     "impedance_node",
     "external_cayley",
@@ -130,84 +130,74 @@ class BoundaryNode:
         return wellposed, None if gen is None else _frozen(gen)
 
     @cached_property
-    def ledger_factors(self) -> "LedgerFactors":
-        """Per-node factors of the energy ledger, built on first use."""
-        n1 = self.op.core_blocks[0]
+    def _trace_gap_and_damping(self) -> tuple[np.ndarray, np.ndarray]:
+        """``a - b`` and ``D^T W_D``: the two ledger factors the node does
+        not hold otherwise, built on first use."""
         a, b = _weighted_traces(self.op, self.M_inv)
+        return (_frozen(a - b),
+                _frozen(self.D.matrix.T @ self.D.domain.gram))
+
+    # The ledger forms below take one extended state (or port sample) per
+    # row of a 2-D block and return one value per row.
+
+    def energy_split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``H_p = <z1, W_11 z1>/2`` and ``H_k = <z2, W_22 z2>/2`` on the
+        core part of each state, under the mass-weighted state Gram."""
+        z = _expect_rows("states", z, self.op.ext_dim)
+        n1, core = self.op.core_blocks[0], self.op.core.dim
         w = self.state_space.gram
-        return LedgerFactors(
-            flavor=self.flavor, n1=n1, core_dim=self.op.core.dim,
-            w_p=w[:n1, :n1], w_k=w[n1:, n1:],
-            M_inv=self.M_inv,
-            damping=_frozen(self.D.matrix.T @ self.D.domain.gram),
-            trace_gap=_frozen(a - b), P=self.P.matrix,
-            dual_gram=self.dual_gram())
+        return (0.5 * _row_forms(z[:, :n1], w[:n1, :n1]),
+                0.5 * _row_forms(z[:, n1:core], w[n1:, n1:]))
 
-    def energy_split(self, z_ext: np.ndarray) -> tuple[float, float]:
-        """(potential, kinetic) energy of the core part of a state."""
-        hp, hk = self.ledger_factors.energy_split(_row(z_ext))
-        return float(hp[0]), float(hk[0])
+    def dissipated_power(self, z: np.ndarray) -> np.ndarray:
+        """Damping form ``<v, D^T W_D v>`` with ``v = M^{-1} z2``."""
+        z = _expect_rows("states", z, self.op.ext_dim)
+        n1, core = self.op.core_blocks[0], self.op.core.dim
+        return _row_forms(z[:, n1:core] @ self.M_inv.T,
+                          self._trace_gap_and_damping[1])
 
-    def dissipated_power(self, z_ext: np.ndarray) -> float:
-        """Damping quadratic form <D M^{-1} z2, M^{-1} z2> at a state."""
-        return float(self.ledger_factors.dissipated_power(_row(z_ext))[0])
+    def scattering_slack(self, z: np.ndarray) -> np.ndarray:
+        """Contraction slack ``(||(a-b)z||^2 - ||P(a-b)z||^2)/2`` in the
+        dual norm, nonnegative for a contraction P; ``a = W_G Gamma0
+        diag(I, M^{-1}, I)`` and ``b = Gamma1 diag(I, M^{-1}, I)``."""
+        z = _expect_rows("states", z, self.op.ext_dim)
+        wd = self.dual_gram()
+        v = z @ self._trace_gap_and_damping[0].T
+        return 0.5 * (_row_forms(v, wd) - _row_forms(v @ self.P.matrix.T, wd))
+
+    def supplied_power(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``<u, y>`` (impedance) or ``(||u||^2 - ||y||^2)/2`` (scattering)
+        in the dual boundary pairing."""
+        u = _expect_rows("inputs", u, self.G_map.shape[0])
+        y = _expect_rows("outputs", y, self.G_map.shape[0])
+        if len(u) != len(y):
+            raise ShapeMismatch(f"{len(u)} input rows against {len(y)} "
+                                "output rows")
+        wd = self.dual_gram()
+        if self.flavor == IMPEDANCE:
+            return np.einsum("ij,ij->i", u @ wd, y)
+        return 0.5 * (_row_forms(u, wd) - _row_forms(y, wd))
 
 
-def _row(z: np.ndarray) -> np.ndarray:
-    return np.asarray(z, dtype=float).reshape(1, -1)
+def _expect_rows(name: str, x, width: int) -> np.ndarray:
+    """``x`` as a float array; ``ShapeMismatch`` unless it is 2-D with
+    ``width`` columns."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ShapeMismatch(f"{name} has shape {x.shape}; the node expects "
+                            f"one row of {width} per sample")
+    return x
+
+
+def _require_finite(**arrays: np.ndarray) -> None:
+    for name, x in arrays.items():
+        if not np.isfinite(x).all():
+            raise NonFiniteValue(f"{name} holds NaN or infinity")
 
 
 def _row_forms(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Quadratic form ``x_i^T W x_i`` of every row of ``x``."""
     return np.einsum("ij,ij->i", x @ w, x)
-
-
-@dataclass(frozen=True)
-class LedgerFactors:
-    """Factors of every ledger formula of one node, built once.
-
-    Each method evaluates its formula on all rows of a 2-D array at once
-    (extended states, or port samples), returning one value per row:
-
-    * ``H_p = <z1, W_11 z1>/2`` and ``H_k = <z2, W_22 z2>/2`` on the core
-      part ``z[:core_dim]`` under the mass-weighted state Gram;
-    * dissipated power ``<v, D^T W_D v>`` with ``v = M^{-1} z2``;
-    * contraction slack ``(||(a-b)z||^2 - ||P(a-b)z||^2)/2`` in the dual
-      norm, with ``a = W_G Gamma0 diag(I, M^{-1}, I)`` and
-      ``b = Gamma1 diag(I, M^{-1}, I)``;
-    * supplied power ``<u, y>`` (impedance) or ``(||u||^2 - ||y||^2)/2``
-      (scattering) in the dual boundary pairing.
-    """
-
-    flavor: str
-    n1: int
-    core_dim: int
-    w_p: np.ndarray             # W_11 of the state space
-    w_k: np.ndarray             # W_22 of the state space
-    M_inv: np.ndarray           # M^{-1}, giving v = M^{-1} z2
-    damping: np.ndarray         # D^T W_D
-    trace_gap: np.ndarray       # a - b
-    P: np.ndarray
-    dual_gram: np.ndarray
-
-    def energy_split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (0.5 * _row_forms(z[:, :self.n1], self.w_p),
-                0.5 * _row_forms(z[:, self.n1:self.core_dim], self.w_k))
-
-    def dissipated_power(self, z: np.ndarray) -> np.ndarray:
-        return _row_forms(z[:, self.n1:self.core_dim] @ self.M_inv.T,
-                          self.damping)
-
-    def scattering_slack(self, z: np.ndarray) -> np.ndarray:
-        v = z @ self.trace_gap.T
-        return 0.5 * (_row_forms(v, self.dual_gram)
-                      - _row_forms(v @ self.P.T, self.dual_gram))
-
-    def supplied_power(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        wd = self.dual_gram
-        if self.flavor == IMPEDANCE:
-            return np.einsum("ij,ij->i", u @ wd, y)
-        return 0.5 * (_row_forms(u, wd) - _row_forms(y, wd))
 
 
 @dataclass(frozen=True)
@@ -372,11 +362,6 @@ def internal_wellposedness(node: BoundaryNode) -> tuple[bool, np.ndarray | None]
     return bool(lam <= 1e-10), gen
 
 
-def scattering_slack(node: BoundaryNode, z_ext: np.ndarray) -> float:
-    """Nonnegative gap ``(||(a-b)z||^2 - ||P(a-b)z||^2)/2`` in the dual norm."""
-    return float(node.ledger_factors.scattering_slack(_row(z_ext))[0])
-
-
 def passivity_residual(node: BoundaryNode, z_ext: np.ndarray,
                        u: np.ndarray, y: np.ndarray) -> float:
     """Pointwise passivity defect at a consistent extended state.
@@ -386,16 +371,18 @@ def passivity_residual(node: BoundaryNode, z_ext: np.ndarray,
 
     (norms and pairing in the dual boundary space); nonpositive up to
     roundoff for every contraction P, zero for unitary P with no damping.
-    Raises ``InconsistentBoundaryData`` unless ``G_map z = u``.
+    Raises ``NonFiniteValue`` when an argument holds NaN or infinity and
+    ``InconsistentBoundaryData`` unless ``G_map z = u``.
     """
     z_ext = np.asarray(z_ext, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    _require_finite(state=z_ext, input=u, output=y)
     gap = np.linalg.norm(node.G_map @ z_ext - u)
     if gap > CONSISTENCY_RTOL * (1.0 + np.linalg.norm(u)):
         raise InconsistentBoundaryData(
             f"G z differs from u by {gap:.3e}")
     zc = z_ext[:node.op.core.dim]
     power = 2.0 * float(zc @ node.state_space.gram @ (node.L_eff @ z_ext))
-    supplied = node.ledger_factors.supplied_power(_row(u), _row(y))
+    supplied = node.supplied_power(u[None], y[None])
     return power - 2.0 * float(supplied[0])

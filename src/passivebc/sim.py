@@ -21,8 +21,8 @@ their residual at machine precision.  The step loop only advances the
 state, in one block through LAPACK ``getrs`` on the stored factor
 (:meth:`StepSolver.advance`), with every midpoint input sampled before it
 starts; outputs and the ledger are evaluated afterwards in vectorized
-blocks of ``LEDGER_CHUNK`` states from per-node factors built once
-(:class:`~passivebc.node.LedgerFactors`).
+blocks of ``LEDGER_CHUNK`` states by the node's row-wise ledger methods
+(:meth:`~passivebc.node.BoundaryNode.energy_split` and its siblings).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import (
     SingularStepMatrix,
     TimeGridTooLarge,
 )
-from .node import BoundaryNode, EnergyLedger
+from .node import BoundaryNode, EnergyLedger, _require_finite
 
 __all__ = [
     "InputSignal",
@@ -225,13 +225,15 @@ def consistent_initialization(node: BoundaryNode, z_core: np.ndarray,
     The boundary block of G must determine the extra coordinates; raises
     ``IncompatibleInitialData`` when no completion matches u0 and
     ``SingularBoundaryBlock`` when the block is rank deficient (the
-    constraint then cannot involve the boundary coordinates).
+    constraint then cannot involve the boundary coordinates).  Raises
+    ``NonFiniteValue`` when z_core or u0 holds NaN or infinity.
     """
     z_core = np.asarray(z_core, dtype=float)
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     ncore = node.op.core.dim
     _expect_shape("initial core state", z_core, (ncore,))
     _expect_shape("initial input u0", u0, (node.G_map.shape[0],))
+    _require_finite(initial_core_state=z_core, initial_input_u0=u0)
     nb = node.op.ext_dim - ncore
     g_core = node.G_map[:, :ncore]
     g_tau = node.G_map[:, ncore:]
@@ -328,11 +330,10 @@ def balance_ledger(node: BoundaryNode, trajectory: Trajectory) -> EnergyLedger:
     recorded scattering slack up to roundoff.
 
     The ledger is evaluated in vectorized blocks of ``LEDGER_CHUNK``
-    states from the node's precomputed ``ledger_factors``; midpoint states
-    are formed one block at a time, never for the whole trajectory.
+    states by the node's row-wise ledger methods; midpoint states are
+    formed one block at a time, never for the whole trajectory.
     Raises ``NonFiniteValue`` when any ledger entry is NaN or infinite.
     """
-    f = node.ledger_factors
     states = trajectory.states_ext
     n = trajectory.n_steps
     dt = float(trajectory.times[1] - trajectory.times[0]) if n else 0.0
@@ -340,14 +341,14 @@ def balance_ledger(node: BoundaryNode, trajectory: Trajectory) -> EnergyLedger:
     hk = np.empty(n + 1)
     for i in range(0, n + 1, LEDGER_CHUNK):
         block = slice(i, i + LEDGER_CHUNK)
-        hp[block], hk[block] = f.energy_split(states[block])
+        hp[block], hk[block] = node.energy_split(states[block])
     dissipated = np.empty(n)
     slack = np.empty(n)
     for i, j, z_mid in _midpoint_blocks(states):
-        dissipated[i:j] = f.dissipated_power(z_mid)
-        slack[i:j] = f.scattering_slack(z_mid)
+        dissipated[i:j] = node.dissipated_power(z_mid)
+        slack[i:j] = node.scattering_slack(z_mid)
     h = hp + hk
-    supplied = f.supplied_power(trajectory.inputs, trajectory.outputs)
+    supplied = node.supplied_power(trajectory.inputs, trajectory.outputs)
     residual = h[1:] - h[:-1] - dt * (supplied - dissipated)
     slack = dt * slack
     if not all(np.isfinite(a).all()

@@ -112,11 +112,10 @@ def _extension_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
 def _cayley_checks(sc: Scenario, sys) -> list[CheckResult]:
     scat = node_mod.scattering_node(sys.op_A, sc.P, sys.M_map, sys.D_map)
     imp = node_mod.impedance_node(sys.op_A, sc.P, sys.M_map, sys.D_map)
-    twice = node_mod.external_cayley(
-        node_mod.external_cayley(scat, 1.0), 1.0)
+    once = node_mod.external_cayley(scat, 1.0)
+    twice = node_mod.external_cayley(once, 1.0)
     invol = max(np.abs(twice.G_map - scat.G_map).max(),
                 np.abs(twice.K_map - scat.K_map).max())
-    once = node_mod.external_cayley(scat, 1.0)
     agree = max(np.abs(once.G_map - imp.G_map).max(),
                 np.abs(once.K_map - imp.K_map).max())
     return [CheckResult("cayley_involution", float(invol), 1e-14),

@@ -109,7 +109,6 @@ class WaveSystem:
 
     coeffs: WaveCoefficients
     nodes: np.ndarray
-    cells: np.ndarray
     X: HilbertSpaceSpec
     Y: HilbertSpaceSpec
     A_map: LinearMap
@@ -162,7 +161,6 @@ def assemble(coeffs: WaveCoefficients,
     N = coeffs.N
     h = coeffs.h
     nodes = np.linspace(0.0, coeffs.length, N + 1)
-    cells = nodes[:-1] + 0.5 * h
 
     w_nodes = _trapezoid_weights(N, h)
     X = make_space(N + 1, np.diag(w_nodes), "X")
@@ -193,7 +191,7 @@ def assemble(coeffs: WaveCoefficients,
     dual_pair = assemble_dual_pair(A_map, B_ext, lambda1, pi1, G1)
     op_A = lift_second_order(dual_pair)
 
-    return WaveSystem(coeffs=coeffs, nodes=nodes, cells=cells, X=X, Y=Y,
+    return WaveSystem(coeffs=coeffs, nodes=nodes, X=X, Y=Y,
                       A_map=A_map, dual_pair=dual_pair, op_A=op_A,
                       M_map=LinearMap(np.diag(coeffs.rho), domain=X,
                                       codomain=X),

@@ -79,8 +79,7 @@ def dense_node_formulas(nd, z):
 
 
 def sliced_node_formulas(nd, z):
-    return (nd.L_eff, nd.G_map, nd.K_map,
-            nd.ledger_factors.dissipated_power(z))
+    return (nd.L_eff, nd.G_map, nd.K_map, nd.dissipated_power(z))
 
 
 @settings(max_examples=25, deadline=None)
@@ -95,12 +94,12 @@ def test_realized_blocks_equal_y_select_products(n, seed, jet):
 @given(rows=st.integers(1, 300), **SYSTEMS)
 def test_energy_split_equals_projected_forms(n, seed, jet, rows):
     _, op, nd, rng = system_and_node(n, seed, jet)
-    f = nd.ledger_factors
+    n1, gram = op.core_blocks[0], nd.state_space.gram
     z = rng.standard_normal((rows, op.ext_dim))
     zc = z @ op.iota.T
-    want = (0.5 * _row_forms(zc[:, :f.n1], f.w_p),
-            0.5 * _row_forms(zc[:, f.n1:], f.w_k))
-    got = f.energy_split(z)
+    want = (0.5 * _row_forms(zc[:, :n1], gram[:n1, :n1]),
+            0.5 * _row_forms(zc[:, n1:], gram[n1:, n1:]))
+    got = nd.energy_split(z)
     assert all(same_bytes(g, w) for g, w in zip(got, want))
 
 

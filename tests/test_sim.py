@@ -309,6 +309,46 @@ class TestShapeMismatch:
                 solver.advance(states, np.zeros((3, 2)))
 
 
+class TestNonFiniteEntry:
+    """NaN or infinity in an initial state or input is refused at entry;
+    the residual gates downstream compare with ``>``, which NaN passes."""
+
+    @pytest.fixture(scope="class")
+    def damped_sine(self):
+        sc = load_scenario(ROOT / "scenarios" / "damped_sine.json")
+        sys = build_system(sc)
+        return build_node(sc, sys), build_initial_state(sc, sys)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("arg", ["initial_core_state",
+                                     "initial_input_u0"])
+    def test_initialization_refuses(self, damped_sine, bad, arg):
+        nd, z0 = damped_sine
+        args = {"initial_core_state": z0.copy(),
+                "initial_input_u0": np.zeros(2)}
+        args[arg][0] = bad
+        with pytest.raises(NonFiniteValue, match=arg):
+            consistent_initialization(nd, args["initial_core_state"],
+                                      args["initial_input_u0"])
+
+    def test_simulate_refuses_before_factoring(self, damped_sine,
+                                               monkeypatch):
+        nd, z0 = damped_sine
+        calls = []
+        original = scipy.linalg.lu_factor
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+        z0 = z0.copy()
+        z0[3] = np.nan
+        sig = InputSignal("sine", weights=[1.0, 0.0], amplitude=0.1)
+        with pytest.raises(NonFiniteValue, match="initial_core_state"):
+            simulate(nd, z0, sig, 0.01, 1e-3)
+        assert calls == []
+
+
 class TestConcurrency:
     def test_parallel_simulations_match_sequential(self):
         # nodes are immutable; independent runs may share one freely
@@ -437,7 +477,7 @@ class TestLedger:
         sys = wave_system(10, rho=1.6, a=0.9, T=1.2)
         nd = neumann_node(sys)
         z = rng.standard_normal(sys.op_A.ext_dim)
-        hp, hk = nd.energy_split(z)
+        hp, hk = (h[0] for h in nd.energy_split(z[None]))
         az1 = sys.A_map.matrix @ z[:11]
         hp_direct = 0.5 * float(az1 @ sys.Y.gram @ az1)
         z2 = z[11:22]
