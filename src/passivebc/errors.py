@@ -130,7 +130,8 @@ class TimeGridTooLarge(PassivebcError):
 
 class ShapeMismatch(PassivebcError):
     """An input signal, input sample or state has the wrong channel count
-    or dimension for the node it is applied to."""
+    or dimension for the node it is applied to, or a Gram the wrong shape
+    for its space."""
 
 
 # ---------------------------------------------------------------- wave model

@@ -9,6 +9,14 @@ identity downstream becomes a plain matrix identity.
 
 All values are immutable after construction (arrays are frozen), so they can
 be shared freely between threads.
+
+Set-up gates read a Gram by its band (``make_space``, ``check_dissipative``,
+the Green gates in ``triplet``, the mass gate in ``node``).  The products
+whose bits a run's states, ledger and CSV carry stay dense and keep their
+summation order: ``extend_adjoint``'s ``-A^T W_Y`` and its solve against
+W_X, ``_realize``'s ``B_ext[:, :dim_y] @ to_y``, the lift's ``A^T W_Y A``,
+the ``cho_solve`` for M^{-1}, ``node._mass_weighted``, the step's
+``lu_factor``/``getrs`` and the ledger.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from .errors import (
     NonFiniteValue,
     NonPositiveGram,
     NonSymmetricGram,
+    ShapeMismatch,
 )
 
 __all__ = [
@@ -55,13 +64,19 @@ def _frozen(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HilbertSpaceSpec:
-    """A finite-dimensional real Hilbert space in fixed coordinates."""
+    """A finite-dimensional real Hilbert space in fixed coordinates.
+
+    ``make_space`` derives ``bandwidth``, a half-width outside which every
+    entry of ``gram`` is +0.0; the gates that read the Gram read only that
+    band.
+    """
 
     dim: int
     gram: np.ndarray
     label: str
     eig_min: float = field(compare=False, default=0.0)
     eig_max: float = field(compare=False, default=0.0)
+    bandwidth: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
@@ -112,31 +127,44 @@ class ContractionParam:
 def make_space(dim: int, gram, label: str) -> HilbertSpaceSpec:
     """Validate a Gram matrix and build a space with cached eigenvalue bounds.
 
-    Raises ``NonFiniteValue`` if the Gram holds NaN or infinity,
-    ``NonSymmetricGram`` if it is asymmetric beyond a relative tolerance of
-    1e-12 and ``NonPositiveGram`` (reporting the smallest and the largest
-    eigenvalue) unless the smallest exceeds 1e-12 times the largest.  The
-    bounds come from the Gram's structure (see ``_extreme_eigenvalues``).
+    Raises ``ShapeMismatch`` unless the Gram is 2-D of shape (dim, dim),
+    ``NonFiniteValue`` if it holds NaN or infinity, ``NonSymmetricGram`` if
+    it is asymmetric beyond a relative tolerance of 1e-12 and
+    ``NonPositiveGram`` (reporting the smallest and the largest eigenvalue)
+    unless the smallest exceeds 1e-12 times the largest.  The Gram is read
+    once in full, for its half-bandwidth b (``_bandwidth``); every gate
+    then reads its 2b + 1 diagonals, and the bounds come from their
+    structure (see ``_extreme_eigenvalues``).  The stored Gram holds the
+    bytes of ``0.5 * g + 0.5 * g.T``.
     """
-    g = np.asarray(gram, dtype=float).reshape(dim, dim)
+    g = np.asarray(gram, dtype=float)
+    if g.shape != (dim, dim):
+        raise ShapeMismatch(f"gram of space {label!r} has shape {g.shape}; "
+                            f"the space needs ({dim}, {dim})")
     if dim == 0:
         return HilbertSpaceSpec(0, _frozen(g), label, 0.0, 0.0)
-    if not np.isfinite(g).all():
+    bandwidth = _bandwidth(g)
+    band = _band(g, bandwidth)
+    if not np.isfinite(band).all():
         raise NonFiniteValue(f"gram of space {label!r} holds NaN or infinity")
-    scale = _norm(g)
+    scale = _norm(band)
     if scale == 0.0:
         raise NonPositiveGram(label, 0.0, 0.0, SPD_RTOL)
-    if _norm(g - g.T) > SYM_RTOL * scale:
+    band_t = _band_transpose(band)
+    if _norm(band - band_t) > SYM_RTOL * scale:
         raise NonSymmetricGram(f"gram of space {label!r} is not symmetric")
-    g = 0.5 * g + 0.5 * g.T   # halves first: no overflow near the max
-    eig_min, eig_max = _extreme_eigenvalues(g)
+    band = 0.5 * band + 0.5 * band_t   # halves first: no overflow near the max
+    eig_min, eig_max = _extreme_eigenvalues(band)
     if eig_min <= SPD_RTOL * abs(eig_max):
         raise NonPositiveGram(label, eig_min, eig_max, SPD_RTOL)
-    return HilbertSpaceSpec(dim, _frozen(g), label, eig_min, eig_max)
+    g = _dense(band)
+    g.setflags(write=False)
+    return HilbertSpaceSpec(dim, g, label, eig_min, eig_max, bandwidth)
 
 
 def _norm(a: np.ndarray) -> float:
-    """Frobenius norm by BLAS ``nrm2``, which does not overflow.
+    """Frobenius norm by BLAS ``nrm2``, which does not overflow; 0.0 for an
+    empty array.
 
     ``np.linalg.norm`` sums squares and returns inf for entries above about
     1e154, where a gate ``||d|| > tol ||g||`` would compare ``inf`` with
@@ -146,38 +174,106 @@ def _norm(a: np.ndarray) -> float:
     feed the gates entries of 1e200 (``test_hilbert.py``, ``test_node.py``)
     are the guard.
     """
-    return float(scipy.linalg.blas.dnrm2(np.ravel(a)))
+    a = np.ravel(a)
+    return float(scipy.linalg.blas.dnrm2(a)) if a.size else 0.0
 
 
-def _extreme_eigenvalues(g: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a finite symmetric matrix.
+def _bandwidth(g: np.ndarray) -> int:
+    """Half-bandwidth of a square float matrix: the largest ``|i - j|``
+    over the entries whose bits are not all zero.
 
-    A diagonal matrix gives its sorted diagonal.  A band of half-width b
-    under a quarter of the dimension goes to LAPACK's ``dsbevx``
-    (``eig_banded`` with ``select='i'``), whose band reduction costs about
-    6 n^2 b flops against 4/3 n^3 for the dense one; anything wider goes
-    to dense ``eigvalsh``.  Raises ``LinAlgError``, as ``eigvalsh`` does,
-    when the matrix holds NaN or infinity.
+    One pass over the bit patterns; only +0.0 has all-zero bits, so -0.0,
+    NaN and infinity all lie inside the band.
     """
-    if not np.isfinite(g).all():
+    n = len(g)
+    if n == 0:
+        return 0
+    nonzero = g.view(np.uint64) != 0
+    rows = np.arange(n)
+    first = nonzero.argmax(axis=1)
+    last = n - 1 - nonzero[:, ::-1].argmax(axis=1)
+    used = nonzero[rows, first]
+    return int(np.maximum(rows - first, last - rows)[used].max(initial=0))
+
+
+def _band_entries(n: int, bandwidth: int):
+    """Slots of an ``(n, 2b + 1)`` band that lie inside an n x n matrix,
+    with the row and the column of each, ordered by row, then column."""
+    cols = np.arange(n)[:, None] + np.arange(-bandwidth, bandwidth + 1)
+    inside = (cols >= 0) & (cols < n)
+    rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
+    return inside, rows[inside], cols[inside]
+
+
+def _band(g: np.ndarray, bandwidth: int) -> np.ndarray:
+    """Diagonals -b..b of a square matrix: ``band[i, b + k] = g[i, i + k]``,
+    +0.0 where ``i + k`` leaves the matrix."""
+    inside, rows, cols = _band_entries(len(g), bandwidth)
+    band = np.zeros(inside.shape)
+    band[inside] = g[rows, cols]
+    return band
+
+
+def _dense(band: np.ndarray) -> np.ndarray:
+    """The square matrix of a band, +0.0 off it."""
+    n = len(band)
+    inside, rows, cols = _band_entries(n, band.shape[1] // 2)
+    g = np.zeros((n, n))
+    g[rows, cols] = band[inside]
+    return g
+
+
+def _band_transpose(band: np.ndarray) -> np.ndarray:
+    """Band of the transpose: ``g[i + k, i]`` in slot ``(i, b + k)``."""
+    b = band.shape[1] // 2
+    inside, rows, cols = _band_entries(len(band), b)
+    out = np.zeros_like(band)
+    out[inside] = band[cols, b + rows - cols]
+    return out
+
+
+def _band_product(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Band of the product of two square matrices given by their bands, in
+    one pass per diagonal of the left factor."""
+    n, p, q = len(a), a.shape[1] // 2, c.shape[1] // 2
+    shifted = np.zeros((n + 2 * p, 2 * q + 1))   # row p + i holds row i
+    shifted[p:p + n] = c
+    out = np.zeros((n, 2 * (p + q) + 1))
+    for k in range(2 * p + 1):
+        # a[i, k] = g_a[i, i + k - p] meets row i + k - p of the right one
+        out[:, k:k + 2 * q + 1] += a[:, k, None] * shifted[k:k + n]
+    return out
+
+
+def _extreme_eigenvalues(band: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of a symmetric matrix from its band.
+
+    The route follows the diagonals that hold a nonzero value, as a scan of
+    the dense matrix would: a diagonal matrix gives its sorted diagonal; a
+    band of half-width w under a quarter of the dimension goes to LAPACK's
+    ``dsbevx`` (``eig_banded`` with ``select='i'``), whose band reduction
+    costs about 6 n^2 w flops against 4/3 n^3 for the dense one; anything
+    wider goes to dense ``eigvalsh``.  Raises ``LinAlgError``, as
+    ``eigvalsh`` does, when the band holds NaN or infinity.
+    """
+    if not np.isfinite(band).all():
         raise np.linalg.LinAlgError("eigenvalues of a matrix holding NaN or "
                                     "infinity")
-    n = g.shape[0]
-    rows, cols = np.nonzero(g)
-    bandwidth = int(np.abs(rows - cols).max()) if rows.size else 0
-    if bandwidth == 0:
-        diag = np.diagonal(g)
+    n, b = len(band), band.shape[1] // 2
+    used = np.flatnonzero(band[:, b:].any(axis=0))
+    width = int(used[-1]) if used.size else 0
+    if width == 0:
+        diag = band[:, b]
         return float(diag.min()), float(diag.max())
-    if 4 * bandwidth < n:
-        band = np.zeros((bandwidth + 1, n))
-        for k in range(bandwidth + 1):
-            band[k, :n - k] = np.diagonal(g, -k)
-        lo, hi = (scipy.linalg.eig_banded(band, lower=True,
+    if 4 * width < n:
+        # LAPACK's lower band storage: lower[k, i] = g[i + k, i]
+        lower = np.ascontiguousarray(band[:, b:b + width + 1].T)
+        lo, hi = (scipy.linalg.eig_banded(lower, lower=True,
                                           eigvals_only=True, select="i",
                                           select_range=(i, i))[0]
                   for i in (0, n - 1))
         return float(lo), float(hi)
-    eigs = np.linalg.eigvalsh(g)
+    eigs = np.linalg.eigvalsh(_dense(band))
     return float(eigs[0]), float(eigs[-1])
 
 
@@ -235,26 +331,17 @@ def contraction_norm(P, boundary_space: HilbertSpaceSpec) -> float:
     return float(np.linalg.norm(w_inv_half @ P @ w_half, 2))
 
 
-def is_dual_unitary(P, boundary_space: HilbertSpaceSpec,
-                    tol: float = 1e-10) -> bool:
-    """Whether P is unitary on the dual boundary space."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    if boundary_space.dim == 0:
-        return True
-    w_half, w_inv_half = _sqrt_and_inv_sqrt(boundary_space.gram)
-    u = w_inv_half @ P @ w_half
-    return bool(np.linalg.norm(u.T @ u - np.eye(boundary_space.dim)) <= tol)
-
-
 def check_dissipative(D: LinearMap) -> tuple[bool, float]:
     """Test whether -D is dissipative on the domain of D.
 
     Returns ``(ok, lam)`` where ``lam`` is the smallest eigenvalue of the
     symmetric part of W D; ``ok`` is true iff ``lam >= -1e-10``, i.e.
-    ``Re<-Dx, x> <= 0`` for all x up to tolerance.
+    ``Re<-Dx, x> <= 0`` for all x up to tolerance.  W D is formed from the
+    bands of its factors.
     """
     if D.domain.dim != D.codomain.dim:
         raise ValueError("check_dissipative requires a square map")
-    wd = D.domain.gram @ D.matrix
-    lam = _extreme_eigenvalues(0.5 * (wd + wd.T))[0]
+    wd = _band_product(_band(D.domain.gram, D.domain.bandwidth),
+                       _band(D.matrix, _bandwidth(D.matrix)))
+    lam = _extreme_eigenvalues(0.5 * (wd + _band_transpose(wd)))[0]
     return lam >= -DISSIPATIVITY_TOL, lam

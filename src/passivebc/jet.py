@@ -30,7 +30,13 @@ import numpy as np
 import scipy.linalg
 
 from .errors import RankDeficient
-from .hilbert import RANK_RTOL, LinearMap, _extreme_eigenvalues, _frozen
+from .hilbert import (
+    RANK_RTOL,
+    LinearMap,
+    _band,
+    _extreme_eigenvalues,
+    _frozen,
+)
 from .node import BoundaryNode, _build_node
 from .triplet import BoundaryOperator, _realize
 
@@ -73,7 +79,7 @@ def build_jet(op_A: BoundaryOperator) -> JetTransform:
         raise ValueError("source operator is not the lift of a dual pair")
     nx = dp.A.domain.dim
     normal = op_A.core.gram[:nx, :nx]
-    lo, hi = _extreme_eigenvalues(normal)
+    lo, hi = _extreme_eigenvalues(_band(normal, op_A.core.bandwidth))
     if lo <= RANK_RTOL * max(abs(hi), 1e-300):
         raise RankDeficient(
             f"map {dp.A.domain.label!r} -> {dp.A.codomain.label!r} is not "

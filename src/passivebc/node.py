@@ -50,11 +50,14 @@ from .hilbert import (
     ContractionParam,
     HilbertSpaceSpec,
     LinearMap,
+    _band,
+    _band_product,
+    _band_transpose,
+    _bandwidth,
     _extreme_eigenvalues,
     _frozen,
     _norm,
     check_dissipative,
-    is_dual_unitary,
     make_space,
 )
 from .triplet import BoundaryOperator
@@ -88,14 +91,6 @@ class BoundaryNode:
     L_eff: np.ndarray
     state_space: HilbertSpaceSpec      # core with mass-weighted Gram
     M_inv: np.ndarray                  # M^{-1} on the momentum block
-
-    @cached_property
-    def energy_preserving(self) -> bool:
-        """No damping (sym(W D) = 0) and a dual-unitary P; computed on
-        first read."""
-        wd = self.D.domain.gram @ self.D.matrix
-        no_damping = _norm(wd + wd.T) <= 1e-10 * (1.0 + _norm(wd))
-        return no_damping and is_dual_unitary(self.P.matrix, self.op.bspace)
 
     def dual_gram(self) -> np.ndarray:
         """Gram of the dual boundary space (inputs/outputs live there).
@@ -221,15 +216,25 @@ class EnergyLedger:
 
 
 def _split_core_gram(op: BoundaryOperator) -> tuple[np.ndarray, np.ndarray]:
-    n1, n2 = op.core_blocks
+    """The two diagonal blocks of the core Gram; ``ValueError`` unless the
+    Gram's band, the only place its nonzeros can be, leaves the
+    off-diagonal blocks zero."""
+    n1, b = op.core_blocks[0], op.core.bandwidth
     w = op.core.gram
-    if np.any(w[:n1, n1:]) or np.any(w[n1:, :n1]):
+    near = slice(max(n1 - b, 0), n1)
+    far = slice(n1, n1 + b)
+    if np.any(w[near, far]) or np.any(w[far, near]):
         raise ValueError("core Gram is not block diagonal over core_blocks")
     return w[:n1, :n1], w[n1:, n1:]
 
 
 def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
-    """Validate M, D; return M^{-1} and the mass-weighted state space."""
+    """Validate M, D; return M^{-1} and the mass-weighted state space.
+
+    The gate-only product W_2 M is formed from the bands of its factors.
+    M^{-1} (``cho_solve``) and ``W_2 M^{-1}``, which the step and the ledger
+    read, stay dense products whose bits the stored trajectories depend on.
+    """
     n2 = op.core_blocks[1]
     if M.domain.dim != n2 or M.codomain.dim != n2:
         raise ValueError("mass map must be square on the momentum block")
@@ -237,10 +242,12 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
         raise ValueError("damping map must be square on the momentum block")
 
     w1, w2 = _split_core_gram(op)
-    wm = w2 @ M.matrix
-    if _norm(wm - wm.T) > 1e-10 * (1.0 + _norm(wm)):
+    wm = _band_product(_band(w2, op.core.bandwidth),
+                       _band(M.matrix, _bandwidth(M.matrix)))
+    wm_t = _band_transpose(wm)
+    if _norm(wm - wm_t) > 1e-10 * (1.0 + _norm(wm)):
         raise MassNotSPD("mass map is not self-adjoint on its space")
-    if _extreme_eigenvalues(0.5 * (wm + wm.T))[0] <= 0.0:
+    if _extreme_eigenvalues(0.5 * (wm + wm_t))[0] <= 0.0:
         raise MassNotSPD("mass quadratic form is not positive definite")
     ok, lam = check_dissipative(D)
     if not ok:
@@ -255,7 +262,8 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
     else:
         minv = np.linalg.solve(M.matrix, np.eye(n2))
 
-    w_state = scipy.linalg.block_diag(w1, 0.5 * ((w2 @ minv) + (w2 @ minv).T))
+    w2_minv = w2 @ minv
+    w_state = scipy.linalg.block_diag(w1, 0.5 * (w2_minv + w2_minv.T))
     state_space = make_space(op.core.dim, w_state,
                              op.core.label + "_M")
     return minv, state_space
@@ -371,12 +379,20 @@ def passivity_residual(node: BoundaryNode, z_ext: np.ndarray,
 
     (norms and pairing in the dual boundary space); nonpositive up to
     roundoff for every contraction P, zero for unitary P with no damping.
-    Raises ``NonFiniteValue`` when an argument holds NaN or infinity and
-    ``InconsistentBoundaryData`` unless ``G_map z = u``.
+    Raises ``ShapeMismatch`` unless z_ext has the node's extended
+    dimension and u, y its channel count, ``NonFiniteValue`` when an
+    argument holds NaN or infinity and ``InconsistentBoundaryData`` unless
+    ``G_map z = u``.
     """
     z_ext = np.asarray(z_ext, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    m = node.G_map.shape[0]
+    for name, x, shape in (("state", z_ext, (node.op.ext_dim,)),
+                           ("input", u, (m,)), ("output", y, (m,))):
+        if x.shape != shape:
+            raise ShapeMismatch(f"{name} has shape {x.shape}; the node "
+                                f"expects {shape}")
     _require_finite(state=z_ext, input=u, output=y)
     gap = np.linalg.norm(node.G_map @ z_ext - u)
     if gap > CONSISTENCY_RTOL * (1.0 + np.linalg.norm(u)):

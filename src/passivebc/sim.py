@@ -151,10 +151,16 @@ class StepSolver:
                 f"step system is not square: core {ncore} + inputs {m} "
                 f"!= extended dimension {ext}")
         # iota +/- h (h = dt/2 L_eff) bit for bit: h + 0.0 and 0.0 - h turn
-        # -0.0 into +0.0 as iota's zeros do; _factor refuses a non-finite h
+        # -0.0 into +0.0 as iota's zeros do; _factor refuses a non-finite h.
+        # ``ahead`` is Fortran-ordered, so LAPACK factors it in place.
+        behind = np.empty((ext, ext))
+        ahead = np.empty((ext, ext), order="F")
         with np.errstate(over="ignore", invalid="ignore"):
-            behind = np.vstack([(0.5 * dt) * node.L_eff + 0.0, -node.G_map])
-        ahead = np.vstack([0.0 - behind[:ncore], node.G_map])
+            np.multiply(0.5 * dt, node.L_eff, out=behind[:ncore])
+        behind[:ncore] += 0.0
+        np.negative(node.G_map, out=behind[ncore:])
+        np.subtract(0.0, behind[:ncore], out=ahead[:ncore])
+        ahead[ncore:] = node.G_map
         diag = np.arange(ncore)
         for matrix in (ahead, behind):
             matrix[diag, diag] += 1.0
@@ -166,6 +172,7 @@ class StepSolver:
 
     @staticmethod
     def _factor(matrix: np.ndarray):
+        """LU factors of ``matrix``, computed in its own storage."""
         if not np.isfinite(matrix).all():
             raise NonFiniteValue("midpoint step matrix iota -/+ dt L_eff/2 "
                                  "leaves the floating-point range")
@@ -173,7 +180,8 @@ class StepSolver:
             with warnings.catch_warnings():
                 # zero pivots are reported through our own exception below
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu = scipy.linalg.lu_factor(matrix)
+                lu = scipy.linalg.lu_factor(matrix, overwrite_a=True,
+                                            check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise SingularStepMatrix(str(exc)) from exc
         diag = np.abs(np.diag(lu[0]))

@@ -45,7 +45,13 @@ from .errors import (
     GreenIdentityViolated,
     TraceNotSurjective,
 )
-from .hilbert import HilbertSpaceSpec, LinearMap, _frozen, make_space
+from .hilbert import (
+    HilbertSpaceSpec,
+    LinearMap,
+    _band_entries,
+    _frozen,
+    make_space,
+)
 
 __all__ = [
     "DualPairTriplet",
@@ -121,7 +127,8 @@ def extend_adjoint(A: LinearMap, injection: np.ndarray,
 
     ``B_ext = W_X^{-1} [-A^T W_Y | E]`` where the columns of E are the
     covariant boundary functionals; the Green identity then holds by
-    construction.
+    construction.  The GEMM ``-A^T W_Y`` and the dense solve against W_X
+    stay as they are: the step reads the bits of B_ext.
     """
     w_x = A.domain.gram
     w_y = A.codomain.gram
@@ -148,8 +155,6 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap,
     ``-<B_ext y~, x> - <iota_Y y~, A x> = <Pi1 y~, Lambda1 x> - <Pi2 y~, Lambda2 x>``
     normalized by ``1 + ||iota_Y^T W_Y A||_F``; assembly fails above 1e-12.
     """
-    w_x = A.domain.gram
-    w_y = A.codomain.gram
     ext_dim = B_ext.domain.dim
     Lambda1 = np.atleast_2d(np.asarray(Lambda1, dtype=float))
     Pi1 = np.atleast_2d(np.asarray(Pi1, dtype=float))
@@ -163,8 +168,8 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap,
     # Bilinear defect in y~^T (.) x coordinates, on CSR factors: iota_Y is
     # a coordinate projection and the trace products have rank m.
     iota_y_t = eye_array(ext_dim, A.codomain.dim, format="csr")
-    pairing = iota_y_t @ csr_array(w_y) @ csr_array(A.matrix)
-    defect = (-csr_array(B_ext.matrix).T @ csr_array(w_x) - pairing
+    pairing = iota_y_t @ _gram_csr(A.codomain) @ csr_array(A.matrix)
+    defect = (-csr_array(B_ext.matrix).T @ _gram_csr(A.domain) - pairing
               - csr_array(Pi1).T @ csr_array(Lambda1)
               + csr_array(Pi2).T @ csr_array(Lambda2))
     residual = _frobenius(defect) / (1.0 + _frobenius(pairing))
@@ -218,6 +223,7 @@ def _realize(dp: DualPairTriplet, w1: np.ndarray, label1: str,
     # S = [[to_y, 0, 0], [0, 0, I]]: [M_y to_y | 0 | M_tau], where + 0.0 turns
     # -0.0 into +0.0 as M S does.  NumPy hands a one-row M S to BLAS gemv,
     # whose sums depend on the shape of S, so a one-row M takes the dense S.
+    # These dense products stay: L_eff and the port maps carry their bits.
     for rows, on_y_ext in ((L[n1:], dp.B_ext.matrix), (gamma0[m1:], dp.Pi2),
                            (gamma1[:m1], -dp.Pi1)):
         if on_y_ext.shape[0] == 1:
@@ -254,9 +260,20 @@ def lift_second_order(dp: DualPairTriplet) -> BoundaryOperator:
     is ``[A z1; tau]``.
     """
     a = dp.A.matrix
+    # dense on purpose: A^T W_Y A feeds H and the jet's Cholesky factor
     w_h = a.T @ dp.A.codomain.gram @ a
     return _realize(dp, 0.5 * (w_h + w_h.T), f"{dp.A.domain.label}_h",
                     a, np.eye(dp.A.domain.dim), "second-order lift")
+
+
+def _gram_csr(space: HilbertSpaceSpec) -> csr_array:
+    """CSR of a space's Gram read from its band: the entries, in the order,
+    of ``csr_array(space.gram)``, so products with it keep their bits."""
+    _, rows, cols = _band_entries(space.dim, space.bandwidth)
+    gram = csr_array((space.gram[rows, cols], (rows, cols)),
+                     shape=(space.dim, space.dim))
+    gram.eliminate_zeros()
+    return gram
 
 
 def _frobenius(a: csr_array) -> float:
@@ -269,9 +286,10 @@ def green_residual(op: BoundaryOperator) -> float:
     """Defect of the operator Green identity, relative to 1 + ||W_Z L||_F.
 
     Evaluated on CSR factors (iota is a coordinate projection and
-    Gamma0^T Gamma1 has rank m), so the cost grows with the nonzeros.
+    Gamma0^T Gamma1 has rank m; W_Z is read from its band), so the cost
+    grows with the nonzeros.
     """
-    wl = csr_array(op.core.gram) @ csr_array(op.L)
+    wl = _gram_csr(op.core) @ csr_array(op.L)
     iota = eye_array(op.core.dim, op.ext_dim, format="csr")
     g0, g1 = csr_array(op.Gamma0), csr_array(op.Gamma1)
     defect = iota.T @ wl + wl.T @ iota - g1.T @ g0 - g0.T @ g1

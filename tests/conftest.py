@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import settings
 
 from passivebc import wave1d
+from passivebc.hilbert import HilbertSpaceSpec, _norm, _sqrt_and_inv_sqrt
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,3 +34,21 @@ def dense_mass_weight(node):
     n1 = node.op.core_blocks[0]
     nb = node.op.ext_dim - node.op.core.dim
     return scipy.linalg.block_diag(np.eye(n1), node.M_inv, np.eye(nb))
+
+
+def is_dual_unitary(P, boundary_space: HilbertSpaceSpec,
+                    tol: float = 1e-10) -> bool:
+    """Whether P is unitary on the dual boundary space."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    if boundary_space.dim == 0:
+        return True
+    w_half, w_inv_half = _sqrt_and_inv_sqrt(boundary_space.gram)
+    u = w_inv_half @ P @ w_half
+    return bool(np.linalg.norm(u.T @ u - np.eye(boundary_space.dim)) <= tol)
+
+
+def energy_preserving(node) -> bool:
+    """No damping (sym(W D) = 0) and a dual-unitary P."""
+    wd = node.D.domain.gram @ node.D.matrix
+    no_damping = _norm(wd + wd.T) <= 1e-10 * (1.0 + _norm(wd))
+    return no_damping and is_dual_unitary(node.P.matrix, node.op.bspace)

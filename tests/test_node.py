@@ -10,6 +10,7 @@ from passivebc.errors import (
     MassNotSPD,
     NonPositiveBeta,
     NotAContraction,
+    ShapeMismatch,
 )
 from passivebc.hilbert import LinearMap
 from passivebc.node import (
@@ -20,7 +21,7 @@ from passivebc.node import (
     scattering_node,
 )
 
-from conftest import ROOT, dense_mass_weight, wave_system
+from conftest import ROOT, dense_mass_weight, energy_preserving, wave_system
 
 
 def rotation(theta):
@@ -52,13 +53,13 @@ class TestConstruction:
         sys = wave_system(4)
         m, d = identity_maps(sys)
         nd = scattering_node(sys.op_A, rotation(0.7), m, d)
-        assert nd.energy_preserving
+        assert energy_preserving(nd)
 
     def test_damped_node_not_energy_preserving(self):
         sys = wave_system(4, b=0.3)
         nd = scattering_node(sys.op_A, rotation(0.7), sys.M_map,
                              sys.D_map)
-        assert not nd.energy_preserving
+        assert not energy_preserving(nd)
 
     def test_impedance_neumann_input(self):
         # P = I: the input map reads the traction trace
@@ -111,8 +112,8 @@ class TestConstruction:
         sys = wave_system(4)
         m, _ = identity_maps(sys)
         d = LinearMap(scale * np.eye(5), sys.X, sys.X)
-        assert not scattering_node(sys.op_A, rotation(0.7), m,
-                                   d).energy_preserving
+        assert not energy_preserving(scattering_node(sys.op_A, rotation(0.7),
+                                                     m, d))
 
     def test_damping_gate(self):
         sys = wave_system(4)
@@ -385,6 +386,38 @@ class TestPassivityResidual:
                 - 2.0 * nd.dissipated_power(z[None])[0]
             assert res == pytest.approx(expected,
                                         abs=1e-10 * (1 + abs(expected)))
+
+
+class TestPassivityResidualShapes:
+    """A state or port sample of the wrong length is a ``ShapeMismatch``,
+    not a NumPy broadcasting error."""
+
+    @staticmethod
+    def consistent(rng):
+        sys = wave_system(4)
+        nd = impedance_node(sys.op_A, 0.5 * np.eye(2), sys.M_map, sys.D_map)
+        z = rng.standard_normal(sys.op_A.ext_dim)
+        return nd, z, nd.G_map @ z, nd.K_map @ z
+
+    @pytest.mark.parametrize("length", ["short", "long"])
+    def test_state_of_wrong_length(self, rng, length):
+        nd, z, u, y = self.consistent(rng)
+        bad = z[:-1] if length == "short" else np.append(z, 0.0)
+        with pytest.raises(ShapeMismatch, match="state"):
+            passivity_residual(nd, bad, u, y)
+
+    @pytest.mark.parametrize("which", ["input", "output"])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_port_sample_of_wrong_length(self, rng, which, length):
+        nd, z, u, y = self.consistent(rng)
+        bad = np.ones(length)
+        args = (bad, y) if which == "input" else (u, bad)
+        with pytest.raises(ShapeMismatch, match=which):
+            passivity_residual(nd, z, *args)
+
+    def test_matching_shapes_still_evaluate(self, rng):
+        nd, z, u, y = self.consistent(rng)
+        assert np.isfinite(passivity_residual(nd, z, u, y))
 
 
 class TestAlgebraicInvariants:
