@@ -43,9 +43,11 @@ from .node import (
 from .sim import (
     InputSignal,
     Trajectory,
+    TrajectoryBlock,
     balance_ledger,
     consistent_initialization,
     simulate,
+    simulate_blocks,
 )
 from .triplet import (
     BoundaryOperator,

@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 a verify check failed, 2 scenario/schema errors,
 linear-algebra routine that failed on the data), 4 any other exception,
 printed as ``internal error: <Type>: <msg>`` (traceback at DEBUG).  CSV
 files are written atomically (temp file + rename) with 17 significant
-digits so golden-file comparisons round-trip exactly.
+digits so golden-file comparisons round-trip exactly; ``simulate`` and
+``jet-compare`` write each block of a run as it is stepped
+(``sim.simulate_blocks``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .scenario import (
     build_system,
     load_scenario,
 )
-from .sim import simulate
+from .sim import simulate_blocks
 from .verify import SUITES, run_suite
 
 __all__ = ["main", "run_scenario", "verify_suite", "jet_compare"]
@@ -47,37 +49,50 @@ CSV_COLUMNS = ("t", "H", "H_p", "H_k", "u_1", "u_2", "y_1", "y_2",
                "balance_residual", "scattering_slack")
 
 
-def _write_csv_atomic(path: str, header: tuple[str, ...], table) -> None:
-    """Write ``header`` and the rows of a 2-D float array, 17 digits each."""
-    table = np.asarray(table, dtype=float)
+def _write_csv_atomic(path: str, header: tuple[str, ...], table) -> int:
+    """Write ``header`` and the rows of ``table``, 17 digits each; return
+    the row count.
+
+    ``table`` is an iterable of rows or of 2-D row blocks (a 2-D array is
+    read row by row); each is written as it arrives, so a streamed run
+    holds one block.  The file appears only once the last row is written:
+    if reading ``table`` raises, the temp file is removed.
+    """
     row = ",".join(["%.17g"] * len(header)) + "\n"
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
+    count = 0
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for values in table.tolist():
-                fh.write(row % tuple(values))
+            for block in table:
+                rows = np.atleast_2d(np.asarray(block, dtype=float)).tolist()
+                fh.write("".join([row % tuple(values) for values in rows]))
+                count += len(rows)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return count
 
 
 def _trajectory_table(traj) -> np.ndarray:
-    """CSV_COLUMNS as an array; the first row holds zero port samples."""
+    """CSV_COLUMNS of a ``Trajectory`` or a ``TrajectoryBlock`` as an
+    array: row k carries the ports and ledger of the step ending on it, and
+    the first grid row holds zero port samples."""
     led = traj.ledger
-    table = np.zeros((traj.n_steps + 1, len(CSV_COLUMNS)))
+    table = np.zeros((len(traj.times), len(CSV_COLUMNS)))
+    first = len(traj.times) - len(traj.inputs)   # 1 on the block of row 0
     table[:, 0] = traj.times
     table[:, 1] = led.H
     table[:, 2] = led.H_p
     table[:, 3] = led.H_k
-    table[1:, 4:6] = traj.inputs[:, :2]
-    table[1:, 6:8] = traj.outputs[:, :2]
-    table[1:, 8] = led.residual
-    table[1:, 9] = led.slack
+    table[first:, 4:6] = traj.inputs[:, :2]
+    table[first:, 6:8] = traj.outputs[:, :2]
+    table[first:, 8] = led.residual
+    table[first:, 9] = led.slack
     return table
 
 
@@ -99,9 +114,10 @@ def run_scenario(path: str, out: str | None = None) -> int:
     z0 = build_initial_state(sc, sys_)
     if sc.formulation == "strain-momentum":
         z0 = push_state(sys_.jet, z0)
-    traj = simulate(node, z0, signal, sc.t_final, sc.dt)
-    _write_csv_atomic(out_path, CSV_COLUMNS, _trajectory_table(traj))
-    print(f"wrote {traj.n_steps} steps to {out_path}")
+    blocks = simulate_blocks(node, z0, signal, sc.t_final, sc.dt)
+    rows = _write_csv_atomic(out_path, CSV_COLUMNS,
+                             map(_trajectory_table, blocks))
+    print(f"wrote {rows - 1} steps to {out_path}")
     return EXIT_OK
 
 
@@ -135,21 +151,28 @@ def jet_compare(path: str, out: str | None = None) -> int:
     node_b = build_flavor_node(sc, sys_, jt.target)
     signal = build_signal(sc)
     z0 = build_initial_state(sc, sys_)
-    traj_a = simulate(node_a, z0, signal, sc.t_final, sc.dt)
-    traj_b = simulate(node_b, push_state(jt, z0), signal, sc.t_final, sc.dt)
+    blocks_a = simulate_blocks(node_a, z0, signal, sc.t_final, sc.dt)
+    blocks_b = simulate_blocks(node_b, push_state(jt, z0), signal,
+                               sc.t_final, sc.dt)
 
     nc_a = sys_.op_A.core.dim
     dim_y = jt.A_iso.codomain.dim
-    rows = []
-    for i, t in enumerate(traj_a.times):
-        z = traj_a.states_ext[i][:nc_a]
-        w = traj_b.states_ext[i][:jt.target.core.dim]
-        dev = float(np.linalg.norm(push_state(jt, z) - w))
-        rows.append([t, dev, ran_A_defect(jt, w[:dim_y])])
-    _write_csv_atomic(out_path, ("t", "state_deviation", "ran_a_defect"),
-                      rows)
-    worst = max(r[1] for r in rows)
-    print(f"wrote {len(rows)} rows to {out_path}; max deviation {worst:.3e}")
+    worst = -math.inf
+
+    def deviation_rows():
+        nonlocal worst
+        for a, b in zip(blocks_a, blocks_b):
+            rows = []
+            for t, z, w in zip(a.times, a.states_ext[:, :nc_a],
+                               b.states_ext[:, :jt.target.core.dim]):
+                dev = float(np.linalg.norm(push_state(jt, z) - w))
+                worst = max(worst, dev)
+                rows.append([t, dev, ran_A_defect(jt, w[:dim_y])])
+            yield rows
+    count = _write_csv_atomic(out_path,
+                              ("t", "state_deviation", "ran_a_defect"),
+                              deviation_rows())
+    print(f"wrote {count} rows to {out_path}; max deviation {worst:.3e}")
     return EXIT_OK
 
 

@@ -319,12 +319,13 @@ def _sqrt_and_inv_sqrt(gram: np.ndarray):
 def contraction_norm(P, boundary_space: HilbertSpaceSpec) -> float:
     """Operator norm of P on the dual boundary space (Gram W^{-1}).
 
-    Equals the largest singular value of W^{-1/2} P W^{1/2}.
+    Equals the largest singular value of W^{-1/2} P W^{1/2}.  Raises
+    ``ShapeMismatch`` unless P is m x m on the m-dimensional space.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     m = boundary_space.dim
     if P.shape != (m, m):
-        raise ValueError(f"P must be {m}x{m}, got {P.shape}")
+        raise ShapeMismatch(f"P must be {m}x{m}, got {P.shape}")
     if m == 0:
         return 0.0
     w_half, w_inv_half = _sqrt_and_inv_sqrt(boundary_space.gram)

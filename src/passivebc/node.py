@@ -231,15 +231,18 @@ def _split_core_gram(op: BoundaryOperator) -> tuple[np.ndarray, np.ndarray]:
 def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
     """Validate M, D; return M^{-1} and the mass-weighted state space.
 
-    The gate-only product W_2 M is formed from the bands of its factors.
-    M^{-1} (``cho_solve``) and ``W_2 M^{-1}``, which the step and the ledger
-    read, stay dense products whose bits the stored trajectories depend on.
+    NaN or infinity in M or D is a ``NonFiniteValue``, raised before the
+    band gates.  The gate-only product W_2 M is formed from the bands of
+    its factors.  M^{-1} (``cho_solve``) and ``W_2 M^{-1}``, which the step
+    and the ledger read, stay dense products whose bits the stored
+    trajectories depend on.
     """
     n2 = op.core_blocks[1]
     if M.domain.dim != n2 or M.codomain.dim != n2:
         raise ValueError("mass map must be square on the momentum block")
     if D.domain.dim != n2 or D.codomain.dim != n2:
         raise ValueError("damping map must be square on the momentum block")
+    _require_finite(mass_map_M=M.matrix, damping_map_D=D.matrix)
 
     w1, w2 = _split_core_gram(op)
     wm = _band_product(_band(w2, op.core.bandwidth),

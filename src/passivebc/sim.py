@@ -17,19 +17,22 @@ the energy increment obeys the *identity*
 
 which the Green identity converts into boundary supply minus dissipation
 minus a nonnegative contraction slack; the ledger records all three and
-their residual at machine precision.  The step loop only advances the
-state, in one block through LAPACK ``getrs`` on the stored factor
-(:meth:`StepSolver.advance`), with every midpoint input sampled before it
-starts; outputs and the ledger are evaluated afterwards in vectorized
-blocks of ``LEDGER_CHUNK`` states by the node's row-wise ledger methods
-(:meth:`~passivebc.node.BoundaryNode.energy_split` and its siblings).
+their residual at machine precision.  A run (:func:`simulate_blocks`)
+samples every midpoint input first, then advances ``LEDGER_CHUNK`` steps
+at a time through LAPACK ``getrs`` on the stored factor
+(:meth:`StepSolver.advance`) in one block-sized buffer, and evaluates the
+outputs and the ledger of each block by the node's row-wise ledger
+methods (:meth:`~passivebc.node.BoundaryNode.energy_split` and its
+siblings) before the next; :func:`simulate` collects the blocks.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 import scipy.linalg
@@ -48,10 +51,12 @@ from .node import BoundaryNode, EnergyLedger, _require_finite
 __all__ = [
     "InputSignal",
     "Trajectory",
+    "TrajectoryBlock",
     "StepSolver",
     "consistent_initialization",
     "time_steps",
     "simulate",
+    "simulate_blocks",
     "balance_ledger",
 ]
 
@@ -198,7 +203,7 @@ class StepSolver:
         ``states`` is a C-contiguous float64 array of shape ``(n + 1,
         ext_dim)`` and ``inputs`` has shape ``(n, m)``; anything else
         raises ``ShapeMismatch``.  Finiteness of the states is left to the
-        caller (``simulate`` checks it once per run).
+        caller (``simulate_blocks`` checks each block).
         """
         ext, m = self._behind.shape[1], self._behind.shape[0] - self._ncore
         if not (isinstance(states, np.ndarray) and states.dtype == np.float64
@@ -210,9 +215,10 @@ class StepSolver:
         _expect_shape("inputs", inputs, (len(states) - 1, m))
         (lu, piv), getrs = self._lu, self._getrs
         behind, ncore = self._behind, self._ncore
-        for z, nxt, u in zip(states[:-1], states[1:], inputs):
+        # doubling is exact: one scaled block gives every step's 2 u bits
+        for z, nxt, u2 in zip(states[:-1], states[1:], 2.0 * inputs):
             np.matmul(behind, z, out=nxt)
-            nxt[ncore:] += 2.0 * u
+            nxt[ncore:] += u2
             # a contiguous float64 row is overwritten, not copied; the
             # checked shapes leave getrs no illegal argument to report
             getrs(lu, piv, nxt, overwrite_b=True)
@@ -285,6 +291,131 @@ def time_steps(t_final: float, dt: float) -> int:
     return n
 
 
+def _checked_grid(node: BoundaryNode, signal: InputSignal, t_final: float,
+                  dt: float) -> int:
+    """Step count of a run, after its grid and channel-count gates."""
+    n_steps = time_steps(t_final, dt)
+    _expect_shape("input signal weights", signal.weights,
+                  (node.G_map.shape[0],))
+    return n_steps
+
+
+@contextmanager
+def _grid_allocation(n_steps: int, ext: int, nbytes: float, what: str):
+    """Turn a failed allocation of ``what`` into ``TimeGridTooLarge``."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise TimeGridTooLarge(
+            f"cannot allocate {n_steps:.6g} steps of {ext}-dimensional "
+            f"states ({nbytes:.3e} bytes requested for {what}): "
+            f"{exc}") from exc
+
+
+@dataclass(frozen=True)
+class TrajectoryBlock:
+    """Grid rows ``start, ..., start + len(times) - 1`` of a run and the
+    steps ending on them (step k ends on row k + 1), so the block of row 0
+    holds one step fewer than rows.  H, H_p and H_k are per row, the other
+    ledger entries per step.  ``states_ext`` is a view of the run's buffer,
+    which the next block overwrites.
+    """
+
+    start: int
+    times: np.ndarray
+    states_ext: np.ndarray
+    inputs: np.ndarray
+    outputs: np.ndarray
+    ledger: EnergyLedger
+
+
+def simulate_blocks(node: BoundaryNode, z_core0: np.ndarray,
+                    signal: InputSignal, t_final: float, dt: float):
+    """``simulate`` as an iterator of ``TrajectoryBlock``, one per
+    ``LEDGER_CHUNK`` grid rows, holding one ``(LEDGER_CHUNK + 1) x
+    ext_dim`` buffer of states.
+
+    The set-up (grid, signal, initial state, step factor, every midpoint
+    input) is done before this returns; each block is then stepped from
+    the last state of the one before and checked for finiteness before its
+    ledger.  Errors have ``simulate``'s types, messages and order.
+    """
+    n_steps = _checked_grid(node, signal, t_final, dt)
+    m = node.G_map.shape[0]
+    nbytes = 8.0 * (n_steps + 1) + 8.0 * n_steps * (m + 1)
+    with _grid_allocation(n_steps, node.op.ext_dim, nbytes,
+                          "the time grid, its midpoint times and inputs"):
+        times = dt * np.arange(n_steps + 1)
+        inputs = signal(times[:-1] + 0.5 * dt)
+    buffer = np.empty((LEDGER_CHUNK + 1, node.op.ext_dim))
+    buffer[0] = consistent_initialization(node, z_core0, signal(0.0))
+    advanced = _advanced(StepSolver(node, dt), buffer, inputs)
+    return _ledger_blocks(node, times, inputs, None, advanced)
+
+
+def _advanced(solver: StepSolver, buffer: np.ndarray, inputs: np.ndarray):
+    """Yield ``(i, states)``, the rows i..min(i + LEDGER_CHUNK, n) of the
+    run, stepped in ``buffer`` from the last row of the block before."""
+    n = len(inputs)
+    for i in range(0, n + 1, LEDGER_CHUNK):
+        states = buffer[:min(LEDGER_CHUNK, n - i) + 1]
+        if i:
+            states[0] = buffer[LEDGER_CHUNK]
+        solver.advance(states, inputs[i:i + len(states) - 1])
+        if i + LEDGER_CHUNK > n:
+            solver = None      # free the factor before the last ledger
+        if not np.isfinite(states).all():
+            raise NonFiniteValue("the trajectory left the floating-point "
+                                 "range")
+        yield i, states
+
+
+def _ledger_blocks(node: BoundaryNode, times: np.ndarray, inputs: np.ndarray,
+                   outputs: np.ndarray | None, advanced):
+    """Yield the ``TrajectoryBlock`` of each ``(i, states)`` of ``advanced``.
+
+    A row's bits depend on the rows evaluated with it, so every row-wise
+    form sees fixed blocks: H_p and H_k the rows ``[i, i + LEDGER_CHUNK)``;
+    outputs (read off the midpoint states when ``outputs`` is None),
+    supplied and dissipated power and the slack the steps ``[i, j)``.  H of
+    row i - 1 and the ports of step i - 1 carry over to the next block.
+    """
+    n = len(times) - 1
+    dt = float(times[1] - times[0]) if n else 0.0
+    h_prev, carry = np.empty(0), None
+    for i, states in advanced:
+        j = i + len(states) - 1
+        hp, hk = node.energy_split(states[:LEDGER_CHUNK])
+        z_mid = 0.5 * (states[:-1] + states[1:])
+        u = inputs[i:j]
+        y = z_mid @ node.K_map.T if outputs is None else outputs[i:j]
+        steps = (u, y, node.supplied_power(u, y),
+                 node.dissipated_power(z_mid), node.scattering_slack(z_mid))
+        if carry is None:
+            carry = [a[:0] for a in steps]
+        r = len(hp)
+        u, y, supplied, dissipated, slack = (
+            np.concatenate([c, a[:r - 1]]) for c, a in zip(carry, steps))
+        carry = [a[r - 1:] for a in steps]
+        h = hp + hk
+        h_all = np.concatenate([h_prev, h])
+        h_prev = h[-1:]
+        residual = h_all[1:] - h_all[:-1] - dt * (supplied - dissipated)
+        slack = dt * slack
+        if not all(np.isfinite(a).all() for a in
+                   (h, hp, hk, supplied, dissipated, residual, slack)):
+            for _ in advanced:   # a later non-finite state is named first
+                pass
+            raise NonFiniteValue("the energy ledger left the floating-point "
+                                 "range (finite states, overflowing "
+                                 "energies)")
+        yield TrajectoryBlock(
+            start=i, times=times[i:i + r], states_ext=states[:r], inputs=u,
+            outputs=y, ledger=EnergyLedger(
+                H=h, H_p=hp, H_k=hk, supplied=supplied,
+                dissipated=dissipated, residual=residual, slack=slack))
+
+
 def simulate(node: BoundaryNode, z_core0: np.ndarray, signal: InputSignal,
              t_final: float, dt: float) -> Trajectory:
     """Integrate on a uniform grid and fill the energy ledger.
@@ -292,40 +423,31 @@ def simulate(node: BoundaryNode, z_core0: np.ndarray, signal: InputSignal,
     Raises ``InvalidTimeGrid`` when t_final is not a whole number of steps
     dt (see ``time_steps``), ``ShapeMismatch`` when the signal's channel
     count is not the node's, and ``TimeGridTooLarge`` when the grid's
-    states, midpoint times and inputs cannot be allocated.
+    states, or its times and midpoint inputs, cannot be allocated.  The
+    trajectory is the collected ``simulate_blocks``.
     """
-    n_steps = time_steps(t_final, dt)
+    n_steps = _checked_grid(node, signal, t_final, dt)
     ext = node.op.ext_dim
-    m = node.G_map.shape[0]
-    _expect_shape("input signal weights", signal.weights, (m,))
-    try:
-        times = dt * np.arange(n_steps + 1)
+    with _grid_allocation(n_steps, ext, 8.0 * (n_steps + 1) * ext,
+                          "the states"):
         states = np.empty((n_steps + 1, ext))
-        inputs = signal(times[:-1] + 0.5 * dt)
-    except (ValueError, MemoryError) as exc:
-        nbytes = 8.0 * (n_steps + 1) * (ext + 1) + 8.0 * n_steps * (m + 1)
-        raise TimeGridTooLarge(
-            f"cannot allocate {n_steps:.6g} steps of {ext}-dimensional "
-            f"states ({nbytes:.3e} bytes requested): {exc}") from exc
-    states[0] = consistent_initialization(node, z_core0, signal(0.0))
-    StepSolver(node, dt).advance(states, inputs)
-    if not np.isfinite(states).all():
-        raise NonFiniteValue("the trajectory left the floating-point range")
-
-    outputs = np.empty((n_steps, m))
-    for i, j, z_mid in _midpoint_blocks(states):
-        outputs[i:j] = z_mid @ node.K_map.T
-    traj = Trajectory(times=times, states_ext=states, inputs=inputs,
-                      outputs=outputs)
-    return replace(traj, ledger=balance_ledger(node, traj))
+    blocks = []
+    for block in simulate_blocks(node, z_core0, signal, t_final, dt):
+        states[block.start:block.start + len(block.times)] = block.states_ext
+        blocks.append(block)
+    return Trajectory(states_ext=states, ledger=_joined_ledger(blocks),
+                      **{name: _joined(blocks, name)
+                         for name in ("times", "inputs", "outputs")})
 
 
-def _midpoint_blocks(states: np.ndarray):
-    """Yield ``(i, j, z_mid)`` for the steps i..j-1, LEDGER_CHUNK at a time."""
-    n = len(states) - 1
-    for i in range(0, n, LEDGER_CHUNK):
-        j = min(i + LEDGER_CHUNK, n)
-        yield i, j, 0.5 * (states[i:j] + states[i + 1:j + 1])
+def _joined(blocks: list, name: str) -> np.ndarray:
+    read = attrgetter(name)
+    return np.concatenate([read(b) for b in blocks])
+
+
+def _joined_ledger(blocks: list) -> EnergyLedger:
+    return EnergyLedger(**{name: _joined(blocks, "ledger." + name)
+                           for name in EnergyLedger.__dataclass_fields__})
 
 
 def balance_ledger(node: BoundaryNode, trajectory: Trajectory) -> EnergyLedger:
@@ -337,31 +459,14 @@ def balance_ledger(node: BoundaryNode, trajectory: Trajectory) -> EnergyLedger:
     residual ``dH - dt (supply - dissipation)`` equals minus half the
     recorded scattering slack up to roundoff.
 
-    The ledger is evaluated in vectorized blocks of ``LEDGER_CHUNK``
-    states by the node's row-wise ledger methods; midpoint states are
-    formed one block at a time, never for the whole trajectory.
-    Raises ``NonFiniteValue`` when any ledger entry is NaN or infinite.
+    The stored states are read in the blocks of ``simulate_blocks``, by
+    the same row-wise ledger, so a trajectory from ``simulate`` gets its
+    own ledger back bit for bit.  Raises ``NonFiniteValue`` when any
+    ledger entry is NaN or infinite.
     """
     states = trajectory.states_ext
-    n = trajectory.n_steps
-    dt = float(trajectory.times[1] - trajectory.times[0]) if n else 0.0
-    hp = np.empty(n + 1)
-    hk = np.empty(n + 1)
-    for i in range(0, n + 1, LEDGER_CHUNK):
-        block = slice(i, i + LEDGER_CHUNK)
-        hp[block], hk[block] = node.energy_split(states[block])
-    dissipated = np.empty(n)
-    slack = np.empty(n)
-    for i, j, z_mid in _midpoint_blocks(states):
-        dissipated[i:j] = node.dissipated_power(z_mid)
-        slack[i:j] = node.scattering_slack(z_mid)
-    h = hp + hk
-    supplied = node.supplied_power(trajectory.inputs, trajectory.outputs)
-    residual = h[1:] - h[:-1] - dt * (supplied - dissipated)
-    slack = dt * slack
-    if not all(np.isfinite(a).all()
-               for a in (h, hp, hk, supplied, dissipated, residual, slack)):
-        raise NonFiniteValue("the energy ledger left the floating-point "
-                             "range (finite states, overflowing energies)")
-    return EnergyLedger(H=h, H_p=hp, H_k=hk, supplied=supplied,
-                        dissipated=dissipated, residual=residual, slack=slack)
+    advanced = ((i, states[i:i + LEDGER_CHUNK + 1])
+                for i in range(0, trajectory.n_steps + 1, LEDGER_CHUNK))
+    return _joined_ledger(list(_ledger_blocks(
+        node, trajectory.times, trajectory.inputs, trajectory.outputs,
+        advanced)))

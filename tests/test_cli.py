@@ -354,6 +354,25 @@ class TestInputRobustness:
         assert err.strip().splitlines()[-1].startswith(message), err
         assert not (tmp_path / "run.csv").exists()
 
+    def test_wrong_shape_contraction_is_schema_error(self, tmp_path, capsys):
+        doc = edited(DAMPED_SINE, {("P",): (0.5 * np.eye(3)).tolist()})
+        code, err = run_cli(tmp_path, capsys, "simulate", doc)
+        assert code == 2, err
+        assert "P must be a scalar or a 2x2" in err
+
+    def test_wrong_shape_contraction_past_schema_exits_3(self, tmp_path,
+                                                         capsys, monkeypatch):
+        # the node's own gate names the shape; it used to end in exit 4
+        import passivebc.scenario as scenario
+        monkeypatch.setattr(scenario, "_parse_P",
+                            lambda raw: np.asarray(raw, dtype=float))
+        doc = edited(DAMPED_SINE, {("P",): (0.5 * np.eye(3)).tolist()})
+        code, err = run_cli(tmp_path, capsys, "simulate", doc)
+        assert code == 3, err
+        assert err.strip().splitlines()[-1].startswith(
+            "ShapeMismatch: P must be 2x2, got (3, 3)"), err
+        assert not (tmp_path / "run.csv").exists()
+
     @pytest.mark.parametrize("beta", ["1e308", "1e-320"])
     def test_extreme_cayley_beta_exits_3_by_name(self, tmp_path, capsys,
                                                  beta):

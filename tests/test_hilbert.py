@@ -10,8 +10,10 @@ from passivebc.errors import (
     NonPositiveGram,
     NonSymmetricGram,
     RankDeficient,
+    ShapeMismatch,
 )
 from passivebc.hilbert import (
+    ContractionParam,
     LinearMap,
     adjoint,
     check_dissipative,
@@ -248,6 +250,15 @@ class TestContractionNorm:
     def test_scalar_scaling(self):
         sp = euclidean_space(2, "G")
         assert contraction_norm(0.5 * np.eye(2), sp) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (1, 1)])
+    def test_wrong_shape_is_shape_mismatch(self, shape):
+        sp = euclidean_space(2, "G")
+        p = np.full(shape, 0.1)
+        with pytest.raises(ShapeMismatch, match=r"P must be 2x2, got \("):
+            contraction_norm(p, sp)
+        with pytest.raises(ShapeMismatch, match="P must be 2x2"):
+            ContractionParam.from_matrix(p, sp)
 
     def test_weighted_nilpotent(self):
         # W = diag(4, 1): W^{-1/2} P W^{1/2} = [[0, 1/2], [0, 0]]

@@ -8,6 +8,7 @@ from passivebc.errors import (
     DampingNotDissipative,
     InconsistentBoundaryData,
     MassNotSPD,
+    NonFiniteValue,
     NonPositiveBeta,
     NotAContraction,
     ShapeMismatch,
@@ -120,6 +121,25 @@ class TestConstruction:
         bad = LinearMap(-0.1 * np.eye(5), sys.X, sys.X)
         with pytest.raises(DampingNotDissipative):
             impedance_node(sys.op_A, np.eye(2), sys.M_map, bad)
+
+    @pytest.mark.parametrize("builder", [scattering_node, impedance_node])
+    @pytest.mark.parametrize("which", ["M", "D"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mass_or_damping_named(self, builder, which, bad):
+        # these ended in the mass gate's LinAlgError
+        sys = wave_system(4, b=0.2)
+        maps = {"M": sys.M_map.matrix.copy(), "D": sys.D_map.matrix.copy()}
+        maps[which][2, 2] = bad
+        m, d = (LinearMap(maps[k], sys.X, sys.X) for k in ("M", "D"))
+        with pytest.raises(NonFiniteValue, match=f"map_{which} holds NaN"):
+            builder(sys.op_A, 0.5 * np.eye(2), m, d)
+
+    @pytest.mark.parametrize("builder", [scattering_node, impedance_node])
+    @pytest.mark.parametrize("p", [0.5 * np.eye(3), np.zeros((2, 3)), 0.5])
+    def test_wrong_shape_parameter_named(self, builder, p):
+        sys = wave_system(4)
+        with pytest.raises(ShapeMismatch, match="P must be 2x2, got"):
+            builder(sys.op_A, p, sys.M_map, sys.D_map)
 
     def test_diagonal_gates_run_no_dense_eigensolver(self, monkeypatch):
         # the mass and damping forms of a wave system are diagonal

@@ -1,0 +1,184 @@
+"""Streamed runs: ``simulate_blocks`` and the CLI's block-by-block CSV.
+
+``passivebc simulate`` writes each block's rows as soon as the block is
+stepped.  The file must equal, byte for byte, the table of the collected
+``simulate`` trajectory on every row partition (a final block shorter than
+``LEDGER_CHUNK``, exactly one block, one row past it, a final one-row
+block), and a run must hold one block of states, not the whole trajectory.
+At N=128 a row's energy already depends on how many rows share its block,
+so the ledger is also held to the row partition it had before streaming.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from passivebc import cli
+from passivebc.errors import TimeGridTooLarge
+from passivebc.jet import push_state
+from passivebc.node import impedance_node
+from passivebc.scenario import (
+    build_initial_state,
+    build_node,
+    build_signal,
+    build_system,
+    load_scenario,
+)
+from passivebc.sim import (
+    LEDGER_CHUNK,
+    InputSignal,
+    simulate,
+    simulate_blocks,
+)
+from passivebc.wave1d import initial_state
+
+from conftest import wave_system
+from test_core_first import same_bytes
+
+DT = 1e-3
+BOUNDARY_STEPS = (1, LEDGER_CHUNK - 1, LEDGER_CHUNK, LEDGER_CHUNK + 1,
+                  2 * LEDGER_CHUNK, 2 * LEDGER_CHUNK + 1)
+
+
+def random_scenario(n_steps, flavor, strain, seed, N=8):
+    """A scenario document with random coefficients and contraction."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((2, 2))
+    return {
+        "schema_version": 1,
+        "formulation": "strain-momentum" if strain else "position-momentum",
+        "N": N, "length": 1.0,
+        "coefficients": {"rho": rng.uniform(0.5, 2.0, N + 1).tolist(),
+                         "T": rng.uniform(0.5, 2.0, N).tolist(),
+                         "a": rng.uniform(0.5, 2.0, N + 1).tolist(),
+                         "b": rng.uniform(0.0, 1.0, N + 1).tolist()},
+        "P": (raw * (0.6 / np.linalg.norm(raw, 2))).tolist(),
+        "flavor": flavor, "beta": 1.0,
+        "input": {"kind": "sine", "amplitude": float(rng.uniform(0.1, 1.0)),
+                  "frequency": float(rng.uniform(0.5, 5.0)),
+                  "channel_weights": [1.0, float(rng.uniform(-1.0, 1.0))]},
+        "initial": {"kind": "gauss", "center": 0.5, "width": 0.1},
+        "t_final": n_steps * DT, "dt": DT, "seed": 1,
+    }
+
+
+def scenario_run(path):
+    """Node, initial core state and signal of a scenario, as the CLI builds
+    them."""
+    sc = load_scenario(path)
+    sys_ = build_system(sc)
+    z0 = build_initial_state(sc, sys_)
+    if sc.formulation == "strain-momentum":
+        z0 = push_state(sys_.jet, z0)
+    return sc, build_node(sc, sys_), z0, build_signal(sc)
+
+
+def unstreamed_ledger(nd, traj):
+    """Outputs and ledger as evaluated over stored states before runs were
+    streamed: H on the rows ``[i, i + LEDGER_CHUNK)``, the midpoint forms
+    on the steps ``[i, i + LEDGER_CHUNK)``, supplied power in one call."""
+    states, n = traj.states_ext, traj.n_steps
+    hp, hk = np.empty(n + 1), np.empty(n + 1)
+    for i in range(0, n + 1, LEDGER_CHUNK):
+        rows = slice(i, i + LEDGER_CHUNK)
+        hp[rows], hk[rows] = nd.energy_split(states[rows])
+    outputs = np.empty((n, nd.G_map.shape[0]))
+    dissipated, slack = np.empty(n), np.empty(n)
+    for i in range(0, n, LEDGER_CHUNK):
+        j = min(i + LEDGER_CHUNK, n)
+        z_mid = 0.5 * (states[i:j] + states[i + 1:j + 1])
+        outputs[i:j] = z_mid @ nd.K_map.T
+        dissipated[i:j] = nd.dissipated_power(z_mid)
+        slack[i:j] = nd.scattering_slack(z_mid)
+    h = hp + hk
+    supplied = nd.supplied_power(traj.inputs, outputs)
+    dt = float(traj.times[1] - traj.times[0])
+    return dict(outputs=outputs, H=h, H_p=hp, H_k=hk, supplied=supplied,
+                dissipated=dissipated, slack=dt * slack,
+                residual=h[1:] - h[:-1] - dt * (supplied - dissipated))
+
+
+def boundary_examples(test):
+    for n_steps in BOUNDARY_STEPS:
+        for flavor in ("impedance", "scattering"):
+            test = example(n_steps=n_steps, flavor=flavor,
+                           strain=n_steps % 2 == 1, seed=n_steps,
+                           N=128)(test)
+    return test
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n_steps=st.integers(1, 700),
+       flavor=st.sampled_from(["impedance", "scattering"]),
+       strain=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       N=st.sampled_from([8, 32, 128]))
+@boundary_examples
+def test_streamed_csv_equals_collected_table(tmp_path, n_steps, flavor,
+                                             strain, seed, N):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(random_scenario(n_steps, flavor, strain,
+                                               seed, N)))
+    streamed, collected = tmp_path / "streamed.csv", tmp_path / "whole.csv"
+    assert cli.main(["simulate", "--scenario", str(path),
+                     "--out", str(streamed)]) == 0
+
+    sc, nd, z0, signal = scenario_run(path)
+    traj = simulate(nd, z0, signal, sc.t_final, sc.dt)
+    cli._write_csv_atomic(str(collected), cli.CSV_COLUMNS,
+                          cli._trajectory_table(traj))
+    assert streamed.read_bytes() == collected.read_bytes()
+    for name, want in unstreamed_ledger(nd, traj).items():
+        got = traj.outputs if name == "outputs" else getattr(traj.ledger,
+                                                              name)
+        assert same_bytes(got, want), name
+
+    # the blocks partition the grid rows LEDGER_CHUNK at a time
+    starts = []
+    for block in simulate_blocks(nd, z0, signal, sc.t_final, sc.dt):
+        rows = slice(block.start, block.start + len(block.times))
+        starts.append(block.start)
+        assert len(block.times) == min(LEDGER_CHUNK,
+                                       n_steps + 1 - block.start)
+        assert same_bytes(block.states_ext, traj.states_ext[rows])
+    assert starts == list(range(0, n_steps + 1, LEDGER_CHUNK))
+
+
+def test_run_holds_one_block_of_states(tmp_path, capsys):
+    # a stored trajectory grows by ext_dim doubles per step (1.6 kB at
+    # N=64); the run may grow only by its O(n m) times and midpoint inputs
+    peaks = {}
+    for n_steps in (2000, 8000):
+        path = tmp_path / f"run{n_steps}.json"
+        path.write_text(json.dumps(random_scenario(
+            n_steps, "scattering", False, seed=5, N=64)))
+        tracemalloc.start()
+        try:
+            assert cli.run_scenario(str(path), str(tmp_path / "run.csv")) == 0
+            peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    _, nd, _, _ = scenario_run(path)
+    per_step = (peaks[8000] - peaks[2000]) / 6000
+    assert per_step < 8 * 8 < 8 * nd.op.ext_dim, (peaks, per_step)
+    assert "wrote 8000 steps" in capsys.readouterr().out
+
+
+def test_unallocatable_grid_names_what_it_requested():
+    sys = wave_system(4)
+    nd = impedance_node(sys.op_A, np.eye(2), sys.M_map, sys.D_map)
+    args = (nd, initial_state(sys, "zero"), InputSignal.zero(2), 1e300, 1.0)
+    prefix = r"cannot allocate 1e\+300 steps of 12-dimensional states "
+    with pytest.raises(TimeGridTooLarge,
+                       match=prefix + r"\(9\.600e\+301 bytes requested for "
+                             r"the states\)"):
+        simulate(*args)
+    with pytest.raises(TimeGridTooLarge,
+                       match=prefix + r"\(3\.200e\+301 bytes requested for "
+                             r"the time grid, its midpoint times and "
+                             r"inputs\)"):
+        simulate_blocks(*args)
