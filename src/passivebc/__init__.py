@@ -44,7 +44,6 @@ from .sim import (
     InputSignal,
     Trajectory,
     TrajectoryBlock,
-    balance_ledger,
     consistent_initialization,
     simulate,
     simulate_blocks,

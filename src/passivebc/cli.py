@@ -1,9 +1,10 @@
 """Command-line entry point: simulate, verify, jet-compare, cayley.
 
-Exit codes: 0 success, 1 a verify check failed, 2 scenario/schema errors,
-3 numeric gate failures (the message names the violated invariant, or the
-linear-algebra routine that failed on the data), 4 any other exception,
-printed as ``internal error: <Type>: <msg>`` (traceback at DEBUG).  CSV
+Exit codes: 0 success, 1 a verify check failed, 2 scenario/schema errors
+and unusable output paths, 3 numeric gate failures (the message names the
+violated invariant, or the linear-algebra routine that failed on the
+data), 4 any other exception, printed as ``internal error: <Type>:
+<msg>`` (traceback at DEBUG).  CSV
 files are written atomically (temp file + rename) with 17 significant
 digits so golden-file comparisons round-trip exactly; ``simulate`` and
 ``jet-compare`` write each block of a run as it is stepped
@@ -55,12 +56,12 @@ def _write_csv_atomic(path: str, header: tuple[str, ...], table) -> int:
 
     ``table`` is an iterable of rows or of 2-D row blocks (a 2-D array is
     read row by row); each is written as it arrives, so a streamed run
-    holds one block.  The file appears only once the last row is written:
-    if reading ``table`` raises, the temp file is removed.
+    holds one block.  The file's directory must exist.  The file appears
+    only once the last row is written: if reading ``table`` raises, the
+    temp file is removed.
     """
     row = ",".join(["%.17g"] * len(header)) + "\n"
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
     count = 0
     try:
@@ -97,10 +98,21 @@ def _trajectory_table(traj) -> np.ndarray:
 
 
 def _resolve_out(sc: Scenario, out_flag: str | None) -> str:
+    """The CSV path of a run, its directory made; ``ScenarioError`` naming
+    the path when there is none, it is a directory or its directory cannot
+    be made (a regular file in the way, say), before any set-up."""
     out = out_flag or sc.out
     if out is None:
         raise ScenarioError("no output path: set 'out' in the scenario "
                             "or pass --out")
+    target = Path(out)
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot make the directory of output path "
+                            f"{out}: {exc}") from exc
+    if target.is_dir():
+        raise ScenarioError(f"output path {out} is a directory")
     return out
 
 

@@ -149,4 +149,5 @@ class NonConstantCoefficients(PassivebcError):
 
 
 class ScenarioError(PassivebcError):
-    """Scenario file is malformed or violates the schema."""
+    """Scenario file is malformed or violates the schema, or the run's
+    output path is a directory or cannot be made."""

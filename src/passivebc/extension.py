@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IllPosedRestriction, SingularCoreProjection
-from .hilbert import ContractionParam, _frozen
+from .hilbert import ContractionParam, _as_param, _frozen
 from .triplet import NULLSPACE_RCOND, BoundaryOperator
 
 __all__ = [
@@ -71,25 +71,28 @@ class GeneratorRealization:
 
 
 def constraint_matrix(op: BoundaryOperator, P) -> np.ndarray:
-    """Boundary constraint ``(P - I) W_G Gamma0 - (P + I) Gamma1``."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    m = op.n_boundary
-    if P.shape != (m, m):
-        raise ValueError(f"P must be {m}x{m}, got {P.shape}")
-    eye = np.eye(m)
+    """Boundary constraint ``(P - I) W_G Gamma0 - (P + I) Gamma1``.
+
+    P is a matrix or a ``ContractionParam``; a matrix passes the nodes'
+    gate (``ContractionParam.from_matrix``), so NaN or infinity raises
+    ``NonFiniteValue`` and a P that is not m x m ``ShapeMismatch``.
+    """
+    P = _as_param(P, op.bspace).matrix
+    eye = np.eye(op.n_boundary)
     return (P - eye) @ op.bspace.gram @ op.Gamma0 - (P + eye) @ op.Gamma1
 
 
 def generator_from_contraction(op: BoundaryOperator, P) -> GeneratorRealization:
     """Realize the restriction of the maximal operator defined by P.
 
-    Raises ``IllPosedRestriction`` when the kernel dimension differs from
-    the core dimension and ``SingularCoreProjection`` when the core
-    projection on the kernel has condition number above 1e12.
+    P is gated as in ``constraint_matrix``, before any SVD.  Raises
+    ``IllPosedRestriction`` when the kernel dimension differs from the core
+    dimension and ``SingularCoreProjection`` when the core projection on the
+    kernel has condition number above 1e12.
     """
+    param = _as_param(P, op.bspace)
     a_main, basis, condition = _restrict_to_kernel(
-        constraint_matrix(op, P), op.L, op.core.dim)
-    param = ContractionParam.from_matrix(P, op.bspace)
+        constraint_matrix(op, param), op.L, op.core.dim)
     return GeneratorRealization(_frozen(a_main), _frozen(basis), param, op,
                                 condition=condition)
 

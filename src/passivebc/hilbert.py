@@ -124,6 +124,15 @@ class ContractionParam:
                                 nrm <= 1.0 + CONTRACTION_TOL)
 
 
+def _as_param(P, boundary_space: HilbertSpaceSpec) -> ContractionParam:
+    """P as a ``ContractionParam`` on ``boundary_space``: one passed in is
+    kept, any other P goes through ``ContractionParam.from_matrix``, which
+    raises ``NonFiniteValue`` or ``ShapeMismatch`` before any SVD."""
+    if isinstance(P, ContractionParam):
+        return P
+    return ContractionParam.from_matrix(P, boundary_space)
+
+
 def make_space(dim: int, gram, label: str) -> HilbertSpaceSpec:
     """Validate a Gram matrix and build a space with cached eigenvalue bounds.
 

@@ -36,20 +36,19 @@ import scipy.linalg
 
 from .errors import (
     DampingNotDissipative,
-    IllPosedRestriction,
     InconsistentBoundaryData,
     MassNotSPD,
     NonFiniteValue,
     NonPositiveBeta,
     NotAContraction,
     ShapeMismatch,
-    SingularCoreProjection,
 )
 from .extension import _restrict_to_kernel
 from .hilbert import (
     ContractionParam,
     HilbertSpaceSpec,
     LinearMap,
+    _as_param,
     _band,
     _band_product,
     _band_transpose,
@@ -102,27 +101,6 @@ class BoundaryNode:
     @cached_property
     def _dual_gram(self) -> np.ndarray:
         return _frozen(np.linalg.inv(self.op.bspace.gram))
-
-    @property
-    def internally_wellposed(self) -> bool:
-        """Whether ker G_map carries a dissipative square generator.
-
-        Computed with ``main_generator`` on first read of either.
-        """
-        return self._wellposedness[0]
-
-    @property
-    def main_generator(self) -> np.ndarray | None:
-        """Generator on ker G_map, or None when there is no square one."""
-        return self._wellposedness[1]
-
-    @cached_property
-    def _wellposedness(self) -> tuple[bool, np.ndarray | None]:
-        try:
-            wellposed, gen = internal_wellposedness(self)
-        except (IllPosedRestriction, SingularCoreProjection):
-            return False, None
-        return wellposed, None if gen is None else _frozen(gen)
 
     @cached_property
     def _trace_gap_and_damping(self) -> tuple[np.ndarray, np.ndarray]:
@@ -290,15 +268,9 @@ def _weighted_traces(op: BoundaryOperator, minv: np.ndarray):
             _mass_weighted(op.Gamma1, op, minv))
 
 
-def _as_param(P, op: BoundaryOperator) -> ContractionParam:
-    if isinstance(P, ContractionParam):
-        return P
-    return ContractionParam.from_matrix(P, op.bspace)
-
-
 def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
                 flavor: str) -> BoundaryNode:
-    param = _as_param(P, op)
+    param = _as_param(P, op.bspace)
     if not param.is_contraction:
         raise NotAContraction(param.dual_norm)
     minv, state_space = _prepare_weights(op, M, D)

@@ -57,7 +57,6 @@ __all__ = [
     "time_steps",
     "simulate",
     "simulate_blocks",
-    "balance_ledger",
 ]
 
 INIT_RTOL = 1e-10
@@ -122,7 +121,7 @@ class Trajectory:
     states_ext: np.ndarray           # (n+1, ext_dim)
     inputs: np.ndarray               # (n, m) at interval midpoints
     outputs: np.ndarray              # (n, m) at interval midpoints
-    ledger: EnergyLedger | None = None
+    ledger: EnergyLedger
 
     @property
     def n_steps(self) -> int:
@@ -338,19 +337,28 @@ def simulate_blocks(node: BoundaryNode, z_core0: np.ndarray,
     The set-up (grid, signal, initial state, step factor, every midpoint
     input) is done before this returns; each block is then stepped from
     the last state of the one before and checked for finiteness before its
-    ledger.  Errors have ``simulate``'s types, messages and order.
+    ledger.  Errors have ``simulate``'s types, messages and order; a signal
+    whose samples leave the floating-point range (``2 pi f t`` overflowing,
+    say) raises ``NonFiniteValue`` before the initial state and the step.
     """
     n_steps = _checked_grid(node, signal, t_final, dt)
     m = node.G_map.shape[0]
     nbytes = 8.0 * (n_steps + 1) + 8.0 * n_steps * (m + 1)
     with _grid_allocation(n_steps, node.op.ext_dim, nbytes,
-                          "the time grid, its midpoint times and inputs"):
+                          "the time grid, its midpoint times and inputs"), \
+            np.errstate(over="ignore", invalid="ignore"):
         times = dt * np.arange(n_steps + 1)
         inputs = signal(times[:-1] + 0.5 * dt)
+        u0 = signal(0.0)
+    if not np.isfinite(inputs).all():
+        k = int(np.argmin(np.isfinite(inputs).all(axis=1)))
+        raise NonFiniteValue(f"input signal {signal.kind!r} holds NaN or "
+                             "infinity at the midpoint t = "
+                             f"{float(times[k] + 0.5 * dt)!r} of step {k}")
     buffer = np.empty((LEDGER_CHUNK + 1, node.op.ext_dim))
-    buffer[0] = consistent_initialization(node, z_core0, signal(0.0))
+    buffer[0] = consistent_initialization(node, z_core0, u0)
     advanced = _advanced(StepSolver(node, dt), buffer, inputs)
-    return _ledger_blocks(node, times, inputs, None, advanced)
+    return _ledger_blocks(node, times, inputs, advanced)
 
 
 def _advanced(solver: StepSolver, buffer: np.ndarray, inputs: np.ndarray):
@@ -371,14 +379,14 @@ def _advanced(solver: StepSolver, buffer: np.ndarray, inputs: np.ndarray):
 
 
 def _ledger_blocks(node: BoundaryNode, times: np.ndarray, inputs: np.ndarray,
-                   outputs: np.ndarray | None, advanced):
+                   advanced):
     """Yield the ``TrajectoryBlock`` of each ``(i, states)`` of ``advanced``.
 
     A row's bits depend on the rows evaluated with it, so every row-wise
     form sees fixed blocks: H_p and H_k the rows ``[i, i + LEDGER_CHUNK)``;
-    outputs (read off the midpoint states when ``outputs`` is None),
-    supplied and dissipated power and the slack the steps ``[i, j)``.  H of
-    row i - 1 and the ports of step i - 1 carry over to the next block.
+    outputs (read off the midpoint states), supplied and dissipated power
+    and the slack the steps ``[i, j)``.  H of row i - 1 and the ports of
+    step i - 1 carry over to the next block.
     """
     n = len(times) - 1
     dt = float(times[1] - times[0]) if n else 0.0
@@ -388,7 +396,7 @@ def _ledger_blocks(node: BoundaryNode, times: np.ndarray, inputs: np.ndarray,
         hp, hk = node.energy_split(states[:LEDGER_CHUNK])
         z_mid = 0.5 * (states[:-1] + states[1:])
         u = inputs[i:j]
-        y = z_mid @ node.K_map.T if outputs is None else outputs[i:j]
+        y = z_mid @ node.K_map.T
         steps = (u, y, node.supplied_power(u, y),
                  node.dissipated_power(z_mid), node.scattering_slack(z_mid))
         if carry is None:
@@ -448,25 +456,3 @@ def _joined(blocks: list, name: str) -> np.ndarray:
 def _joined_ledger(blocks: list) -> EnergyLedger:
     return EnergyLedger(**{name: _joined(blocks, "ledger." + name)
                            for name in EnergyLedger.__dataclass_fields__})
-
-
-def balance_ledger(node: BoundaryNode, trajectory: Trajectory) -> EnergyLedger:
-    """Per-step energy balance of a midpoint trajectory.
-
-    For the impedance flavor the supplied power is ``<u, y>`` in the dual
-    boundary pairing, for scattering ``(||u||^2 - ||y||^2) / 2``; both are
-    evaluated at the midpoint state, as is the dissipated power.  The
-    residual ``dH - dt (supply - dissipation)`` equals minus half the
-    recorded scattering slack up to roundoff.
-
-    The stored states are read in the blocks of ``simulate_blocks``, by
-    the same row-wise ledger, so a trajectory from ``simulate`` gets its
-    own ledger back bit for bit.  Raises ``NonFiniteValue`` when any
-    ledger entry is NaN or infinite.
-    """
-    states = trajectory.states_ext
-    advanced = ((i, states[i:i + LEDGER_CHUNK + 1])
-                for i in range(0, trajectory.n_steps + 1, LEDGER_CHUNK))
-    return _joined_ledger(list(_ledger_blocks(
-        node, trajectory.times, trajectory.inputs, trajectory.outputs,
-        advanced)))

@@ -115,11 +115,6 @@ class BoundaryOperator:
     def n_boundary(self) -> int:
         return self.bspace.dim
 
-    @property
-    def iota(self) -> np.ndarray:
-        """Dense core projection ``[I | 0]``, built on each read."""
-        return np.eye(self.core.dim, self.ext_dim)
-
 
 def extend_adjoint(A: LinearMap, injection: np.ndarray,
                    label: str = "Y~") -> LinearMap:

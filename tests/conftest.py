@@ -7,6 +7,7 @@ from hypothesis import settings
 
 from passivebc import wave1d
 from passivebc.hilbert import HilbertSpaceSpec, _norm, _sqrt_and_inv_sqrt
+from passivebc.sim import LEDGER_CHUNK
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,6 +28,12 @@ def wave_system(N, **kwargs):
 
 def random_wave_system(N, rng, **kwargs):
     return wave1d.assemble(wave1d.random_coefficients(N, rng, **kwargs))
+
+
+def iota(op):
+    """The dense core projection ``[I | 0]`` the library applies by
+    slicing."""
+    return np.eye(op.core.dim, op.ext_dim)
 
 
 def dense_mass_weight(node):
@@ -52,3 +59,28 @@ def energy_preserving(node) -> bool:
     wd = node.D.domain.gram @ node.D.matrix
     no_damping = _norm(wd + wd.T) <= 1e-10 * (1.0 + _norm(wd))
     return no_damping and is_dual_unitary(node.P.matrix, node.op.bspace)
+
+
+def unstreamed_ledger(nd, times, states, inputs):
+    """Outputs and ledger as evaluated over stored states before runs were
+    streamed: H on the rows ``[i, i + LEDGER_CHUNK)``, the midpoint forms
+    on the steps ``[i, i + LEDGER_CHUNK)``, supplied power in one call."""
+    n = len(times) - 1
+    hp, hk = np.empty(n + 1), np.empty(n + 1)
+    for i in range(0, n + 1, LEDGER_CHUNK):
+        rows = slice(i, i + LEDGER_CHUNK)
+        hp[rows], hk[rows] = nd.energy_split(states[rows])
+    outputs = np.empty((n, nd.G_map.shape[0]))
+    dissipated, slack = np.empty(n), np.empty(n)
+    for i in range(0, n, LEDGER_CHUNK):
+        j = min(i + LEDGER_CHUNK, n)
+        z_mid = 0.5 * (states[i:j] + states[i + 1:j + 1])
+        outputs[i:j] = z_mid @ nd.K_map.T
+        dissipated[i:j] = nd.dissipated_power(z_mid)
+        slack[i:j] = nd.scattering_slack(z_mid)
+    h = hp + hk
+    supplied = nd.supplied_power(inputs, outputs)
+    dt = float(times[1] - times[0])
+    return dict(outputs=outputs, H=h, H_p=hp, H_k=hk, supplied=supplied,
+                dissipated=dissipated, slack=dt * slack,
+                residual=h[1:] - h[:-1] - dt * (supplied - dissipated))

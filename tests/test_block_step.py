@@ -8,8 +8,6 @@ per step, with ``ahead``/``behind`` written from the dense ``iota``.  The
 trajectory, outputs and ledger must equal it byte for byte.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,19 +16,18 @@ from hypothesis import strategies as st
 
 from passivebc.hilbert import contraction_norm
 from passivebc.jet import push_state
-from passivebc.node import impedance_node, scattering_node
+from passivebc.node import EnergyLedger, impedance_node, scattering_node
 from passivebc.sim import (
     LEDGER_CHUNK,
     InputSignal,
     StepSolver,
     Trajectory,
-    balance_ledger,
     consistent_initialization,
     simulate,
 )
 from passivebc.wave1d import initial_state
 
-from conftest import random_wave_system, wave_system
+from conftest import iota, random_wave_system, unstreamed_ledger, wave_system
 from test_core_first import same_bytes
 
 
@@ -47,10 +44,10 @@ def scalar_sample(signal, t):
 
 def step_oracle(nd, dt):
     """The former step: dense iota formulas, one ``lu_solve`` per call."""
-    iota, ncore = nd.op.iota, nd.op.core.dim
-    lu = scipy.linalg.lu_factor(np.vstack([iota - 0.5 * dt * nd.L_eff,
+    proj, ncore = iota(nd.op), nd.op.core.dim
+    lu = scipy.linalg.lu_factor(np.vstack([proj - 0.5 * dt * nd.L_eff,
                                            nd.G_map]))
-    behind = np.vstack([iota + 0.5 * dt * nd.L_eff, -nd.G_map])
+    behind = np.vstack([proj + 0.5 * dt * nd.L_eff, -nd.G_map])
 
     def step(z, u):
         rhs = behind @ z
@@ -73,13 +70,10 @@ def simulate_oracle(nd, z_core0, signal, n_steps, dt):
         u_mid = scalar_sample(signal, times[n] + 0.5 * dt)
         inputs[n] = u_mid
         states[n + 1] = step(states[n], u_mid)
-    outputs = np.empty((n_steps, m))
-    for i in range(0, n_steps, LEDGER_CHUNK):
-        j = min(i + LEDGER_CHUNK, n_steps)
-        outputs[i:j] = 0.5 * (states[i:j] + states[i + 1:j + 1]) @ nd.K_map.T
-    traj = Trajectory(times=times, states_ext=states, inputs=inputs,
-                      outputs=outputs)
-    return replace(traj, ledger=balance_ledger(nd, traj))
+    ledger = unstreamed_ledger(nd, times, states, inputs)
+    outputs = ledger.pop("outputs")
+    return Trajectory(times=times, states_ext=states, inputs=inputs,
+                      outputs=outputs, ledger=EnergyLedger(**ledger))
 
 
 def random_signal(kind, rng):

@@ -275,6 +275,10 @@ def edited(doc, edits):
     return doc
 
 
+def refused(*args, **kwargs):
+    raise AssertionError("a run was set up or stepped")
+
+
 def run_cli(tmp_path, capsys, command, doc):
     """Exit code and stderr of one CLI run; an escaping exception fails."""
     scn = write_scenario(tmp_path, doc)
@@ -321,6 +325,10 @@ REJECTED_INPUTS = {
     "input_amplitude_overflows_ledger": {("input", "amplitude"): 1e300},
     # a whole-step grid whose step count overflows an array index
     "step_count_unallocatable": {("dt",): 1.0, ("t_final",): 1e300},
+    # 2 pi f, or 2 pi f t from step 143 on, leaves the float range
+    "input_frequency_overflows": {("input", "frequency"): 1e308},
+    "input_phase_overflows_mid_grid": {
+        ("input", "frequency"): 2e307, ("t_final",): 2.0, ("dt",): 0.01},
 }
 
 
@@ -477,6 +485,40 @@ class TestInputRobustness:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("NonFiniteValue: the energy ledger")
         assert proc.stderr.count("\n") == 1, proc.stderr
+
+    @pytest.mark.parametrize("case, step", [
+        ("input_frequency_overflows", 0),
+        ("input_phase_overflows_mid_grid", 143)])
+    def test_overflowing_input_signal_exits_3_before_stepping(
+            self, tmp_path, capsys, monkeypatch, case, step):
+        import passivebc.sim as sim
+        monkeypatch.setattr(sim, "StepSolver", refused)
+        code, err = run_cli(tmp_path, capsys, "simulate",
+                            edited(DAMPED_SINE, REJECTED_INPUTS[case]))
+        assert code == 3, err
+        assert err.startswith("NonFiniteValue: input signal 'sine' holds "
+                              "NaN or infinity at the midpoint t = "), err
+        assert err.endswith(f" of step {step}\n") and err.count("\n") == 1
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("where", ["directory", "under_a_file"])
+    @pytest.mark.parametrize("command", ["simulate", "jet-compare"])
+    def test_unusable_output_path_exits_2_before_set_up(
+            self, tmp_path, capsys, monkeypatch, command, where):
+        monkeypatch.setattr(cli, "simulate_blocks", refused)
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "file").write_text("")
+        out = tmp_path / {"directory": "taken",
+                          "under_a_file": "file/run.csv"}[where]
+        scn = write_scenario(tmp_path, DAMPED_SINE)
+        code = cli.main([command, "--scenario", scn, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("scenario error: ") and str(out) in err, err
+        assert err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "file", "scenario.json", "taken"]
+        assert not any((tmp_path / "taken").iterdir())
 
     def test_unexpected_exception_exits_4_in_one_line(self, tmp_path, capsys,
                                                       monkeypatch):

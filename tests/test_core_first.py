@@ -28,7 +28,7 @@ from passivebc.node import (
 )
 from passivebc.sim import StepSolver
 
-from conftest import ROOT, dense_mass_weight, random_wave_system
+from conftest import ROOT, dense_mass_weight, iota, random_wave_system
 from test_triplet import assert_realizes, jet_recipe, lift_recipe
 
 SYSTEMS = dict(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
@@ -96,7 +96,7 @@ def test_energy_split_equals_projected_forms(n, seed, jet, rows):
     _, op, nd, rng = system_and_node(n, seed, jet)
     n1, gram = op.core_blocks[0], nd.state_space.gram
     z = rng.standard_normal((rows, op.ext_dim))
-    zc = z @ op.iota.T
+    zc = z @ iota(op).T
     want = (0.5 * _row_forms(zc[:, :n1], gram[:n1, :n1]),
             0.5 * _row_forms(zc[:, n1:], gram[n1:, n1:]))
     got = nd.energy_split(z)
@@ -107,27 +107,27 @@ def test_energy_split_equals_projected_forms(n, seed, jet, rows):
 @given(dt=st.floats(1e-4, 1e-1), **SYSTEMS)
 def test_node_and_step_matrices_equal_dense_iota_formulas(n, seed, jet, dt):
     sys, op, nd, _ = system_and_node(n, seed, jet)
-    iota = op.iota
+    proj = iota(op)
     n1 = op.core_blocks[0]
     damping_rows = np.zeros((op.core.dim, op.ext_dim))
-    damping_rows[n1:, :] = sys.D_map.matrix @ iota[n1:, :]
+    damping_rows[n1:, :] = sys.D_map.matrix @ proj[n1:, :]
     assert same_bytes(nd.L_eff,
                       (op.L - damping_rows) @ dense_mass_weight(nd))
     solver = StepSolver(nd, dt)
     lu, piv = scipy.linalg.lu_factor(np.vstack(
-        [iota - 0.5 * dt * nd.L_eff, nd.G_map]))
+        [proj - 0.5 * dt * nd.L_eff, nd.G_map]))
     assert same_bytes(solver._lu[0], lu) and same_bytes(solver._lu[1], piv)
     assert same_bytes(solver._behind, np.vstack(
-        [iota + 0.5 * dt * nd.L_eff, -nd.G_map]))
+        [proj + 0.5 * dt * nd.L_eff, -nd.G_map]))
 
 
 def step_back_oracle(nd, dt, z, u_mid):
     """The removed ``StepSolver.step_back``: the backward system
     ``[iota + dt/2 L_eff; -G] z' = [iota - dt/2 L_eff; G] z - [0; 2 u]``
     with its own LU factor."""
-    iota, ncore = nd.op.iota, nd.op.core.dim
-    ahead = np.vstack([iota - 0.5 * dt * nd.L_eff, nd.G_map])
-    behind = np.vstack([iota + 0.5 * dt * nd.L_eff, -nd.G_map])
+    proj, ncore = iota(nd.op), nd.op.core.dim
+    ahead = np.vstack([proj - 0.5 * dt * nd.L_eff, nd.G_map])
+    behind = np.vstack([proj + 0.5 * dt * nd.L_eff, -nd.G_map])
     rhs = ahead @ z
     rhs[ncore:] -= 2.0 * u_mid
     return scipy.linalg.lu_solve(scipy.linalg.lu_factor(behind), rhs,
@@ -206,8 +206,8 @@ def test_normal_solves_match_least_squares(n, seed):
 
 
 def test_projections_are_sliced_not_read():
-    """No module reads ``.iota`` (the property builds the dense [I | 0]
-    for callers outside the package), the removed iota_Y, the jet's
+    """No module reads the removed dense ``.iota`` (``conftest.iota``
+    builds [I | 0] for the test oracles) or iota_Y, the jet's
     former projectors or the node's former dense mass weight, and no
     module defines or uses the removed second step map (``step_back`` with
     its ``_ahead`` matrix and ``_lu_back`` factor)."""

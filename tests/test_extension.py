@@ -6,14 +6,24 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from passivebc.errors import IllPosedRestriction, SingularCoreProjection
+from passivebc.errors import (
+    IllPosedRestriction,
+    NonFiniteValue,
+    ShapeMismatch,
+    SingularCoreProjection,
+)
 from passivebc.extension import (
     CONDITION_LIMIT,
     constraint_matrix,
     dissipativity_residual,
     generator_from_contraction,
 )
-from passivebc.hilbert import contraction_norm, euclidean_space, make_space
+from passivebc.hilbert import (
+    ContractionParam,
+    contraction_norm,
+    euclidean_space,
+    make_space,
+)
 from passivebc.node import (
     external_cayley,
     impedance_node,
@@ -23,7 +33,7 @@ from passivebc.node import (
 from passivebc.triplet import NULLSPACE_RCOND, BoundaryOperator, green_residual
 from passivebc.verify import _kernel_gap
 
-from conftest import random_wave_system, wave_system
+from conftest import iota, random_wave_system, wave_system
 
 
 def random_contraction(rng, m, bspace, target=None):
@@ -49,6 +59,42 @@ class TestConstraintMatrix:
         expected = -op.bspace.gram @ op.Gamma0 - op.Gamma1
         assert np.allclose(constraint_matrix(op, np.zeros((2, 2))),
                            expected, atol=1e-14)
+
+    def test_keeps_its_bits_for_a_matrix_or_a_parameter(self, rng):
+        op = random_wave_system(6, rng).op_A
+        p = random_contraction(rng, 2, op.bspace)
+        eye = np.eye(2)
+        want = (p - eye) @ op.bspace.gram @ op.Gamma0 - (p + eye) @ op.Gamma1
+        for given in (p, ContractionParam.from_matrix(p, op.bspace)):
+            assert constraint_matrix(op, given).tobytes() == want.tobytes()
+        assert generator_from_contraction(op, p).P.matrix.tobytes() \
+            == p.tobytes()
+
+
+@pytest.mark.parametrize("build", [constraint_matrix,
+                                   generator_from_contraction])
+class TestParameterGate:
+    """P passes the nodes' ``ContractionParam`` gate before any SVD."""
+
+    @pytest.fixture(autouse=True)
+    def no_svd(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("SVD of an ungated P")
+        monkeypatch.setattr(np.linalg, "svd", refused)
+
+    def test_wrong_shape_is_shape_mismatch(self, build):
+        op = wave_system(4).op_A
+        with pytest.raises(ShapeMismatch,
+                           match=r"P must be 2x2, got \(3, 3\)"):
+            build(op, 0.5 * np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_named(self, build, bad):
+        op = wave_system(4).op_A
+        p = 0.5 * np.eye(2)
+        p[0, 1] = bad
+        with pytest.raises(NonFiniteValue, match="contraction parameter P"):
+            build(op, p)
 
 
 class TestGeneratorFromContraction:
@@ -90,7 +136,7 @@ class TestGeneratorFromContraction:
         # fold the damping into the action the way nodes do
         import dataclasses
         folded = op.L.copy()
-        folded[7:, :] -= sys.D_map.matrix @ op.iota[7:, :]
+        folded[7:, :] -= sys.D_map.matrix @ iota(op)[7:, :]
         damped = dataclasses.replace(op, L=folded)
         for _ in range(5):
             p = random_contraction(rng, 2, op.bspace)
@@ -108,7 +154,7 @@ class TestGeneratorFromContraction:
         c = constraint_matrix(op, p)
         assert np.abs(c @ g.domain_basis).max() <= 1e-12
         # core projection is square, invertible, with reported condition
-        proj = op.iota @ g.domain_basis
+        proj = iota(op) @ g.domain_basis
         assert proj.shape == (op.core.dim, op.core.dim)
         assert np.isfinite(g.condition) and g.condition >= 1.0
         assert g.P.is_contraction
@@ -123,7 +169,7 @@ class TestGeneratorFromContraction:
         mix = rng.standard_normal((basis.shape[1], basis.shape[1]))
         mix += 3.0 * np.eye(basis.shape[1])
         alt = basis @ mix
-        a_alt = np.linalg.solve((op.iota @ alt).T, (op.L @ alt).T).T
+        a_alt = np.linalg.solve((iota(op) @ alt).T, (op.L @ alt).T).T
         scale = 1.0 + np.linalg.norm(g.A_main)
         assert np.abs(a_alt - g.A_main).max() <= 1e-12 * scale
 
@@ -201,7 +247,7 @@ def folded_damping(sys, op=None):
     op = sys.op_A if op is None else op
     nx = op.core_blocks[0]
     folded = op.L.copy()
-    folded[nx:, :] -= sys.D_map.matrix @ op.iota[nx:, :]
+    folded[nx:, :] -= sys.D_map.matrix @ iota(op)[nx:, :]
     return dataclasses.replace(op, L=folded)
 
 
@@ -226,14 +272,14 @@ class TestClosedFormRealization:
         sys = random_wave_system(n, rng, b_max=0.5 if damped else 0.0)
         op = folded_damping(sys) if damped else sys.op_A
         p = random_contraction(rng, 2, op.bspace, target=norm)
-        oracle = oracle_outcome(constraint_matrix(op, p), op.L, op.iota)
+        oracle = oracle_outcome(constraint_matrix(op, p), op.L, iota(op))
         if isinstance(oracle, type):
             with pytest.raises(oracle):
                 generator_from_contraction(op, p)
             return
         g = generator_from_contraction(op, p)
         assert_same_generator(g.A_main, g.condition, oracle)
-        assert np.abs(op.iota @ g.domain_basis
+        assert np.abs(iota(op) @ g.domain_basis
                       - np.eye(op.core.dim)).max() == 0.0
 
     @settings(max_examples=40, deadline=None)
@@ -250,7 +296,7 @@ class TestClosedFormRealization:
         nd = builder(sys.op_A, p, sys.M_map, sys.D_map)
         if cayley:
             nd = external_cayley(nd, beta)
-        oracle = oracle_outcome(nd.G_map, nd.L_eff, nd.op.iota)
+        oracle = oracle_outcome(nd.G_map, nd.L_eff, iota(nd.op))
         if isinstance(oracle, type):
             with pytest.raises(oracle):
                 internal_wellposedness(nd)
@@ -269,7 +315,7 @@ class TestClosedFormRealization:
         "near_singular_boundary_block", "negligible_constraint_row"])
     def test_degenerate_cases_raise_what_the_oracle_raises(self, case):
         op, p, expected = degenerate_case(case)
-        oracle = oracle_outcome(constraint_matrix(op, p), op.L, op.iota)
+        oracle = oracle_outcome(constraint_matrix(op, p), op.L, iota(op))
         if expected is None:
             g = generator_from_contraction(op, p)
             assert_same_generator(g.A_main, g.condition, oracle)
@@ -281,11 +327,10 @@ class TestClosedFormRealization:
     def test_dirichlet_node_raises_what_the_oracle_raises(self):
         sys = wave_system(6, b=0.3)
         nd = impedance_node(sys.op_A, -np.eye(2), sys.M_map, sys.D_map)
-        assert oracle_outcome(nd.G_map, nd.L_eff, nd.op.iota) \
+        assert oracle_outcome(nd.G_map, nd.L_eff, iota(nd.op)) \
             is SingularCoreProjection
         with pytest.raises(SingularCoreProjection):
             internal_wellposedness(nd)
-        assert nd.internally_wellposed is False
 
     def test_no_null_space_and_no_large_svd(self, monkeypatch, rng):
         sys = wave_system(24, b=0.3)
@@ -307,7 +352,7 @@ class TestClosedFormRealization:
         p = random_contraction(rng, 2, op.bspace)
         generator_from_contraction(op, p)
         nd = scattering_node(op, p, sys.M_map, sys.D_map)
-        assert nd.internally_wellposed
+        assert internal_wellposedness(nd)[0]
         assert shapes and max(min(s) for s in shapes) <= op.n_boundary
 
 

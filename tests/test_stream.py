@@ -36,7 +36,7 @@ from passivebc.sim import (
 )
 from passivebc.wave1d import initial_state
 
-from conftest import wave_system
+from conftest import unstreamed_ledger, wave_system
 from test_core_first import same_bytes
 
 DT = 1e-3
@@ -77,31 +77,6 @@ def scenario_run(path):
     return sc, build_node(sc, sys_), z0, build_signal(sc)
 
 
-def unstreamed_ledger(nd, traj):
-    """Outputs and ledger as evaluated over stored states before runs were
-    streamed: H on the rows ``[i, i + LEDGER_CHUNK)``, the midpoint forms
-    on the steps ``[i, i + LEDGER_CHUNK)``, supplied power in one call."""
-    states, n = traj.states_ext, traj.n_steps
-    hp, hk = np.empty(n + 1), np.empty(n + 1)
-    for i in range(0, n + 1, LEDGER_CHUNK):
-        rows = slice(i, i + LEDGER_CHUNK)
-        hp[rows], hk[rows] = nd.energy_split(states[rows])
-    outputs = np.empty((n, nd.G_map.shape[0]))
-    dissipated, slack = np.empty(n), np.empty(n)
-    for i in range(0, n, LEDGER_CHUNK):
-        j = min(i + LEDGER_CHUNK, n)
-        z_mid = 0.5 * (states[i:j] + states[i + 1:j + 1])
-        outputs[i:j] = z_mid @ nd.K_map.T
-        dissipated[i:j] = nd.dissipated_power(z_mid)
-        slack[i:j] = nd.scattering_slack(z_mid)
-    h = hp + hk
-    supplied = nd.supplied_power(traj.inputs, outputs)
-    dt = float(traj.times[1] - traj.times[0])
-    return dict(outputs=outputs, H=h, H_p=hp, H_k=hk, supplied=supplied,
-                dissipated=dissipated, slack=dt * slack,
-                residual=h[1:] - h[:-1] - dt * (supplied - dissipated))
-
-
 def boundary_examples(test):
     for n_steps in BOUNDARY_STEPS:
         for flavor in ("impedance", "scattering"):
@@ -132,7 +107,8 @@ def test_streamed_csv_equals_collected_table(tmp_path, n_steps, flavor,
     cli._write_csv_atomic(str(collected), cli.CSV_COLUMNS,
                           cli._trajectory_table(traj))
     assert streamed.read_bytes() == collected.read_bytes()
-    for name, want in unstreamed_ledger(nd, traj).items():
+    for name, want in unstreamed_ledger(nd, traj.times, traj.states_ext,
+                                        traj.inputs).items():
         got = traj.outputs if name == "outputs" else getattr(traj.ledger,
                                                               name)
         assert same_bytes(got, want), name

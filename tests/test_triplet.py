@@ -19,7 +19,7 @@ from passivebc.triplet import (
     skew_on_minimal,
 )
 
-from conftest import random_wave_system, wave_system
+from conftest import iota, random_wave_system, wave_system
 
 
 def synthetic_two_block_pair(rng, nx=5, ny=6, nb=3, m1=2, m2=1):
@@ -144,8 +144,8 @@ class TestLift:
         for _ in range(25):
             f = rng.standard_normal(op.ext_dim)
             g = rng.standard_normal(op.ext_dim)
-            lhs = float((op.iota @ f) @ w @ (op.L @ g)) \
-                + float((op.L @ f) @ w @ (op.iota @ g))
+            lhs = float((iota(op) @ f) @ w @ (op.L @ g)) \
+                + float((op.L @ f) @ w @ (iota(op) @ g))
             rhs = float((op.Gamma1 @ f) @ (op.Gamma0 @ g)) \
                 + float((op.Gamma0 @ f) @ (op.Gamma1 @ g))
             scale = 1.0 + np.linalg.norm(f) * np.linalg.norm(g)
@@ -168,7 +168,7 @@ class TestLift:
 def dense_green_residual(op):
     """Operator Green defect in dense algebra: the reference formula."""
     wl = op.core.gram @ op.L
-    defect = (op.iota.T @ wl + wl.T @ op.iota
+    defect = (iota(op).T @ wl + wl.T @ iota(op)
               - op.Gamma1.T @ op.Gamma0 - op.Gamma0.T @ op.Gamma1)
     return np.linalg.norm(defect) / (1.0 + np.linalg.norm(wl))
 
@@ -327,8 +327,8 @@ def jet_recipe(dp):
 
 
 def assert_realizes(op, recipe):
-    iota, L, g0, g1, gram, blocks, label = recipe
-    for got, want in ((op.iota, iota), (op.L, L), (op.Gamma0, g0),
+    proj, L, g0, g1, gram, blocks, label = recipe
+    for got, want in ((iota(op), proj), (op.L, L), (op.Gamma0, g0),
                       (op.Gamma1, g1), (op.core.gram, gram)):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -411,11 +411,11 @@ class TestSkewOnMinimal:
         op = sys.op_A
         nx = 9
         folded = op.L.copy()
-        folded[nx:, :] -= sys.D_map.matrix @ op.iota[nx:, :]
+        folded[nx:, :] -= sys.D_map.matrix @ iota(op)[nx:, :]
         defect = skew_on_minimal(op, L=folded)
         assert defect > 1e-3
         v = minimal_domain(op)
-        sym = v.T @ op.iota.T @ op.core.gram @ folded @ v
+        sym = v.T @ iota(op).T @ op.core.gram @ folded @ v
         eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
         assert eigs[0] < -1e-8          # strictly negative modes present
         assert eigs[-1] <= 1e-12        # and none positive
@@ -423,7 +423,7 @@ class TestSkewOnMinimal:
     def test_eigenvalues_within_roundoff(self):
         op = wave_system(8).op_A
         v = minimal_domain(op)
-        sym = v.T @ op.iota.T @ op.core.gram @ op.L @ v
+        sym = v.T @ iota(op).T @ op.core.gram @ op.L @ v
         eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
         assert np.abs(eigs).max() <= 1e-12
 

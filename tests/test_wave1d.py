@@ -103,7 +103,7 @@ class TestAssembly:
     def test_weighted_boundary_gram(self, rng):
         # a non-identity boundary Gram reweights the ports but keeps all
         # structural identities and the midpoint ledger exact
-        from passivebc.node import impedance_node
+        from passivebc.node import impedance_node, internal_wellposedness
         from passivebc.sim import InputSignal, simulate
         from passivebc.wave1d import initial_state
 
@@ -119,7 +119,7 @@ class TestAssembly:
         from passivebc.hilbert import contraction_norm
         p = raw * (0.7 / contraction_norm(raw, sys.op_A.bspace))
         nd = impedance_node(sys.op_A, p, sys.M_map, sys.D_map)
-        assert nd.internally_wellposed
+        assert internal_wellposedness(nd)[0]
         sig = InputSignal("sine", weights=np.array([1.0, 0.2]),
                           amplitude=0.3, frequency=1.0)
         traj = simulate(nd, initial_state(sys, "gauss"), sig, 0.2, 1e-3)
