@@ -43,7 +43,6 @@ from .node import (
 from .sim import (
     InputSignal,
     Trajectory,
-    TrajectoryBlock,
     consistent_initialization,
     simulate,
     simulate_blocks,

@@ -2,13 +2,13 @@
 
 Exit codes: 0 success, 1 a verify check failed, 2 scenario/schema errors
 and unusable output paths, 3 numeric gate failures (the message names the
-violated invariant, or the linear-algebra routine that failed on the
-data), 4 any other exception, printed as ``internal error: <Type>:
-<msg>`` (traceback at DEBUG).  CSV
-files are written atomically (temp file + rename) with 17 significant
-digits so golden-file comparisons round-trip exactly; ``simulate`` and
-``jet-compare`` write each block of a run as it is stepped
-(``sim.simulate_blocks``).
+violated invariant, the linear-algebra routine that failed on the data,
+or a set-up too large to allocate), 4 any other exception, printed as
+``internal error: <Type>: <msg>`` (traceback at DEBUG).  CSV files are
+written atomically (temp file + rename) with 17 significant digits so
+golden-file comparisons round-trip exactly; ``simulate`` and
+``jet-compare`` write each block of a run, a ``sim.Trajectory``, as it is
+stepped (``sim.simulate_blocks``).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _write_csv_atomic(path: str, header: tuple[str, ...], table) -> int:
 
 
 def _trajectory_table(traj) -> np.ndarray:
-    """CSV_COLUMNS of a ``Trajectory`` or a ``TrajectoryBlock`` as an
+    """CSV_COLUMNS of a ``Trajectory``, a whole run or one block, as an
     array: row k carries the ports and ledger of the step ending on it, and
     the first grid row holds zero port samples."""
     led = traj.ledger
@@ -133,11 +133,10 @@ def run_scenario(path: str, out: str | None = None) -> int:
     return EXIT_OK
 
 
-def verify_suite(path: str, suite: str = "all",
-                 corrupt_gamma1: bool = False) -> int:
+def verify_suite(path: str, suite: str = "all") -> int:
     """Run the named property suite; print one line per check."""
     sc = load_scenario(path)
-    checks = run_suite(sc, suite, corrupt_gamma1=corrupt_gamma1)
+    checks = run_suite(sc, suite)
     failed = None
     for chk in checks:
         status = "PASS" if chk.passed else "FAIL"
@@ -236,9 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="run property suites on the scenario's "
                                 "system")
     p_ver.add_argument("--suite", default="all", choices=SUITES)
-    p_ver.add_argument("--corrupt-gamma1", action="store_true",
-                       help="debug: inject a trace fault to exercise "
-                            "failure reporting")
 
     p_jet = sub.add_parser("jet-compare", parents=[common],
                            help="simulate both formulations and export "
@@ -262,16 +258,16 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "simulate":
                 return run_scenario(args.scenario, args.out)
             if args.command == "verify":
-                return verify_suite(args.scenario, args.suite,
-                                    corrupt_gamma1=args.corrupt_gamma1)
+                return verify_suite(args.scenario, args.suite)
             if args.command == "jet-compare":
                 return jet_compare(args.scenario, args.out)
             return cayley_report(args.scenario, args.beta)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (PassivebcError, np.linalg.LinAlgError) as exc:
-        # LinAlgError: a factorization or eigensolver failed on the data
+    except (PassivebcError, np.linalg.LinAlgError, MemoryError) as exc:
+        # LinAlgError: a factorization or eigensolver failed on the data;
+        # MemoryError: the set-up (an N x N assembly, say) is too large
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except Exception as exc:

@@ -20,10 +20,11 @@ minus a nonnegative contraction slack; the ledger records all three and
 their residual at machine precision.  A run (:func:`simulate_blocks`)
 samples every midpoint input first, then advances ``LEDGER_CHUNK`` steps
 at a time through LAPACK ``getrs`` on the stored factor
-(:meth:`StepSolver.advance`) in one block-sized buffer, and evaluates the
-outputs and the ledger of each block by the node's row-wise ledger
-methods (:meth:`~passivebc.node.BoundaryNode.energy_split` and its
-siblings) before the next; :func:`simulate` collects the blocks.
+(:meth:`StepSolver.advance`) in one block-sized buffer, and yields each
+block as a :class:`Trajectory` with its outputs and ledger, evaluated by
+the node's row-wise ledger methods
+(:meth:`~passivebc.node.BoundaryNode.energy_split` and its siblings),
+before it steps the next; :func:`simulate` joins the blocks.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 import scipy.linalg
@@ -51,7 +51,6 @@ from .node import BoundaryNode, EnergyLedger, _require_finite
 __all__ = [
     "InputSignal",
     "Trajectory",
-    "TrajectoryBlock",
     "StepSolver",
     "consistent_initialization",
     "time_steps",
@@ -115,17 +114,26 @@ class InputSignal:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid, extended states and midpoint port samples of one run."""
+    """Time grid, extended states and midpoint port samples of a run, or
+    of one block of it.
 
-    times: np.ndarray                # (n+1,)
-    states_ext: np.ndarray           # (n+1, ext_dim)
-    inputs: np.ndarray               # (n, m) at interval midpoints
-    outputs: np.ndarray              # (n, m) at interval midpoints
+    A run (``simulate``) holds its n + 1 grid rows and n steps.  A block
+    (``simulate_blocks``) holds rows ``i, ..., i + len(times) - 1`` and the
+    steps ending on them (step k ends on row k + 1), so the block of row 0
+    holds one step fewer than rows; its ``states_ext`` is a view of the
+    run's buffer, which the next block overwrites.  H, H_p and H_k are per
+    row, the other ledger entries per step.
+    """
+
+    times: np.ndarray                # (rows,)
+    states_ext: np.ndarray           # (rows, ext_dim)
+    inputs: np.ndarray               # (steps, m) at interval midpoints
+    outputs: np.ndarray              # (steps, m) at interval midpoints
     ledger: EnergyLedger
 
     @property
     def n_steps(self) -> int:
-        return len(self.times) - 1
+        return len(self.inputs)
 
 
 def _expect_shape(name: str, array: np.ndarray, shape: tuple) -> None:
@@ -311,35 +319,20 @@ def _grid_allocation(n_steps: int, ext: int, nbytes: float, what: str):
             f"{exc}") from exc
 
 
-@dataclass(frozen=True)
-class TrajectoryBlock:
-    """Grid rows ``start, ..., start + len(times) - 1`` of a run and the
-    steps ending on them (step k ends on row k + 1), so the block of row 0
-    holds one step fewer than rows.  H, H_p and H_k are per row, the other
-    ledger entries per step.  ``states_ext`` is a view of the run's buffer,
-    which the next block overwrites.
-    """
-
-    start: int
-    times: np.ndarray
-    states_ext: np.ndarray
-    inputs: np.ndarray
-    outputs: np.ndarray
-    ledger: EnergyLedger
-
-
 def simulate_blocks(node: BoundaryNode, z_core0: np.ndarray,
                     signal: InputSignal, t_final: float, dt: float):
-    """``simulate`` as an iterator of ``TrajectoryBlock``, one per
+    """``simulate`` as an iterator of ``Trajectory`` blocks, one per
     ``LEDGER_CHUNK`` grid rows, holding one ``(LEDGER_CHUNK + 1) x
     ext_dim`` buffer of states.
 
     The set-up (grid, signal, initial state, step factor, every midpoint
     input) is done before this returns; each block is then stepped from
     the last state of the one before and checked for finiteness before its
-    ledger.  Errors have ``simulate``'s types, messages and order; a signal
-    whose samples leave the floating-point range (``2 pi f t`` overflowing,
-    say) raises ``NonFiniteValue`` before the initial state and the step.
+    ledger, and the run stops at the first block whose states or ledger
+    leave the floating-point range.  Errors have ``simulate``'s types,
+    messages and order; a signal whose samples leave the floating-point
+    range (``2 pi f t`` overflowing, say) raises ``NonFiniteValue`` before
+    the initial state and the step.
     """
     n_steps = _checked_grid(node, signal, t_final, dt)
     m = node.G_map.shape[0]
@@ -357,30 +350,14 @@ def simulate_blocks(node: BoundaryNode, z_core0: np.ndarray,
                              f"{float(times[k] + 0.5 * dt)!r} of step {k}")
     buffer = np.empty((LEDGER_CHUNK + 1, node.op.ext_dim))
     buffer[0] = consistent_initialization(node, z_core0, u0)
-    advanced = _advanced(StepSolver(node, dt), buffer, inputs)
-    return _ledger_blocks(node, times, inputs, advanced)
+    return _blocks(node, StepSolver(node, dt), buffer, times, inputs)
 
 
-def _advanced(solver: StepSolver, buffer: np.ndarray, inputs: np.ndarray):
-    """Yield ``(i, states)``, the rows i..min(i + LEDGER_CHUNK, n) of the
-    run, stepped in ``buffer`` from the last row of the block before."""
-    n = len(inputs)
-    for i in range(0, n + 1, LEDGER_CHUNK):
-        states = buffer[:min(LEDGER_CHUNK, n - i) + 1]
-        if i:
-            states[0] = buffer[LEDGER_CHUNK]
-        solver.advance(states, inputs[i:i + len(states) - 1])
-        if i + LEDGER_CHUNK > n:
-            solver = None      # free the factor before the last ledger
-        if not np.isfinite(states).all():
-            raise NonFiniteValue("the trajectory left the floating-point "
-                                 "range")
-        yield i, states
-
-
-def _ledger_blocks(node: BoundaryNode, times: np.ndarray, inputs: np.ndarray,
-                   advanced):
-    """Yield the ``TrajectoryBlock`` of each ``(i, states)`` of ``advanced``.
+def _blocks(node: BoundaryNode, solver: StepSolver, buffer: np.ndarray,
+            times: np.ndarray, inputs: np.ndarray):
+    """For each i, step rows ``i..j = min(i + LEDGER_CHUNK, n)`` in
+    ``buffer`` from the last row of the block before, check them and yield
+    rows ``[i, i + LEDGER_CHUNK)`` as a ``Trajectory`` with their ledger.
 
     A row's bits depend on the rows evaluated with it, so every row-wise
     form sees fixed blocks: H_p and H_k the rows ``[i, i + LEDGER_CHUNK)``;
@@ -388,11 +365,19 @@ def _ledger_blocks(node: BoundaryNode, times: np.ndarray, inputs: np.ndarray,
     and the slack the steps ``[i, j)``.  H of row i - 1 and the ports of
     step i - 1 carry over to the next block.
     """
-    n = len(times) - 1
-    dt = float(times[1] - times[0]) if n else 0.0
+    n, dt = len(inputs), float(times[1] - times[0])
     h_prev, carry = np.empty(0), None
-    for i, states in advanced:
+    for i in range(0, n + 1, LEDGER_CHUNK):
+        states = buffer[:min(LEDGER_CHUNK, n - i) + 1]
+        if i:
+            states[0] = buffer[LEDGER_CHUNK]
         j = i + len(states) - 1
+        solver.advance(states, inputs[i:j])
+        if i + LEDGER_CHUNK > n:
+            solver = None      # free the factor before the last ledger
+        if not np.isfinite(states).all():
+            raise NonFiniteValue("the trajectory left the floating-point "
+                                 "range")
         hp, hk = node.energy_split(states[:LEDGER_CHUNK])
         z_mid = 0.5 * (states[:-1] + states[1:])
         u = inputs[i:j]
@@ -412,13 +397,11 @@ def _ledger_blocks(node: BoundaryNode, times: np.ndarray, inputs: np.ndarray,
         slack = dt * slack
         if not all(np.isfinite(a).all() for a in
                    (h, hp, hk, supplied, dissipated, residual, slack)):
-            for _ in advanced:   # a later non-finite state is named first
-                pass
             raise NonFiniteValue("the energy ledger left the floating-point "
                                  "range (finite states, overflowing "
                                  "energies)")
-        yield TrajectoryBlock(
-            start=i, times=times[i:i + r], states_ext=states[:r], inputs=u,
+        yield Trajectory(
+            times=times[i:i + r], states_ext=states[:r], inputs=u,
             outputs=y, ledger=EnergyLedger(
                 H=h, H_p=hp, H_k=hk, supplied=supplied,
                 dissipated=dissipated, residual=residual, slack=slack))
@@ -432,27 +415,26 @@ def simulate(node: BoundaryNode, z_core0: np.ndarray, signal: InputSignal,
     dt (see ``time_steps``), ``ShapeMismatch`` when the signal's channel
     count is not the node's, and ``TimeGridTooLarge`` when the grid's
     states, or its times and midpoint inputs, cannot be allocated.  The
-    trajectory is the collected ``simulate_blocks``.
+    trajectory is the blocks of ``simulate_blocks``, joined.
     """
     n_steps = _checked_grid(node, signal, t_final, dt)
     ext = node.op.ext_dim
     with _grid_allocation(n_steps, ext, 8.0 * (n_steps + 1) * ext,
                           "the states"):
         states = np.empty((n_steps + 1, ext))
-    blocks = []
+    blocks, row = [], 0
     for block in simulate_blocks(node, z_core0, signal, t_final, dt):
-        states[block.start:block.start + len(block.times)] = block.states_ext
+        states[row:row + len(block.times)] = block.states_ext
+        row += len(block.times)
         blocks.append(block)
-    return Trajectory(states_ext=states, ledger=_joined_ledger(blocks),
-                      **{name: _joined(blocks, name)
-                         for name in ("times", "inputs", "outputs")})
+    return _joined(blocks, states_ext=states)
 
 
-def _joined(blocks: list, name: str) -> np.ndarray:
-    read = attrgetter(name)
-    return np.concatenate([read(b) for b in blocks])
-
-
-def _joined_ledger(blocks: list) -> EnergyLedger:
-    return EnergyLedger(**{name: _joined(blocks, "ledger." + name)
-                           for name in EnergyLedger.__dataclass_fields__})
+def _joined(parts: list, **fields):
+    """The dataclass of ``parts`` whose fields other than ``fields`` join
+    the parts' own: arrays concatenated, dataclasses joined in turn."""
+    for name in type(parts[0]).__dataclass_fields__.keys() - fields.keys():
+        values = [getattr(p, name) for p in parts]
+        fields[name] = (_joined(values) if is_dataclass(values[0])
+                        else np.concatenate(values))
+    return type(parts[0])(**fields)

@@ -10,7 +10,7 @@ the two node flavors (``cayley``), and the strain-momentum transport
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -63,14 +63,11 @@ def _kernel_gap(basis: np.ndarray, trace: np.ndarray) -> float:
     return float(np.arcsin(min(np.linalg.norm(row @ q, 2), 1.0)))
 
 
-def _green_checks(sys, corrupt_gamma1: bool) -> list[CheckResult]:
-    op = sys.op_A
-    if corrupt_gamma1:
-        op = replace(op, Gamma1=2.0 * op.Gamma1)
+def _green_checks(sys) -> list[CheckResult]:
     return [
         CheckResult("green_identity_dual_pair", sys.dual_pair.residual,
                     1e-12),
-        CheckResult("green_identity", green_residual(op), 1e-12),
+        CheckResult("green_identity", green_residual(sys.op_A), 1e-12),
         CheckResult("green_identity_jet_target",
                     green_residual(sys.jet.target), 1e-12),
     ]
@@ -161,8 +158,7 @@ def _jet_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
             CheckResult("jet_trace_transport", transport, 1e-12)]
 
 
-def run_suite(sc: Scenario, suite: str,
-              corrupt_gamma1: bool = False) -> list[CheckResult]:
+def run_suite(sc: Scenario, suite: str) -> list[CheckResult]:
     """Run one named suite (or all) against the scenario's wave system."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
@@ -170,7 +166,7 @@ def run_suite(sc: Scenario, suite: str,
     rng = np.random.default_rng(sc.seed)
     checks: list[CheckResult] = []
     if suite in ("all", "green"):
-        checks += _green_checks(sys, corrupt_gamma1)
+        checks += _green_checks(sys)
     if suite in ("all", "extension"):
         checks += _extension_checks(sys, rng)
     if suite in ("all", "cayley"):

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,20 @@ def wave_system(N, **kwargs):
 
 def random_wave_system(N, rng, **kwargs):
     return wave1d.assemble(wave1d.random_coefficients(N, rng, **kwargs))
+
+
+def double_gamma1(monkeypatch):
+    """Make ``verify`` check systems whose ``op_A`` has twice its trace
+    ``Gamma1``, a Green-identity fault that the ``green`` suite must name."""
+    from passivebc import verify
+    build = verify.build_system
+
+    def build_faulty(sc):
+        sound = build(sc)
+        op = sound.op_A
+        return dataclasses.replace(sound, op_A=dataclasses.replace(
+            op, Gamma1=2.0 * op.Gamma1))
+    monkeypatch.setattr(verify, "build_system", build_faulty)
 
 
 def iota(op):

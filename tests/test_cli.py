@@ -15,6 +15,8 @@ from passivebc import cli
 from passivebc.errors import ScenarioError
 from passivebc.scenario import build_node, build_system, load_scenario
 
+from conftest import double_gamma1
+
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
 
@@ -130,10 +132,11 @@ class TestExitCodes:
         assert cli.main(["verify", "--scenario", scn,
                          "--suite", suite]) == 0
 
-    def test_corrupted_trace_fails_named(self, tmp_path, capsys):
+    def test_corrupted_trace_fails_named(self, tmp_path, capsys,
+                                         monkeypatch):
+        double_gamma1(monkeypatch)
         scn = write_scenario(tmp_path, base_scenario())
-        code = cli.main(["verify", "--scenario", scn, "--suite", "green",
-                         "--corrupt-gamma1"])
+        code = cli.main(["verify", "--scenario", scn, "--suite", "green"])
         captured = capsys.readouterr().out
         assert code == 1
         assert "verification failed: green_identity" in captured
@@ -485,6 +488,44 @@ class TestInputRobustness:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("NonFiniteValue: the energy ledger")
         assert proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_ledger_overflow_stops_the_run_at_its_block(
+            self, tmp_path, capsys, monkeypatch):
+        # 1000 steps make four blocks; the ledger overflows in the first,
+        # so no later block is stepped
+        import passivebc.sim as sim
+        advance, calls = sim.StepSolver.advance, []
+
+        def counted(solver, states, inputs):
+            calls.append(len(inputs))
+            advance(solver, states, inputs)
+        monkeypatch.setattr(sim.StepSolver, "advance", counted)
+        doc = edited(DAMPED_SINE,
+                     REJECTED_INPUTS["input_amplitude_overflows_ledger"])
+        assert doc["t_final"] / doc["dt"] > 2 * sim.LEDGER_CHUNK
+        code, err = run_cli(tmp_path, capsys, "simulate", doc)
+        assert code == 3, err
+        assert err.startswith("NonFiniteValue: the energy ledger"), err
+        assert calls == [sim.LEDGER_CHUNK]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "scenario.json"]
+
+    def test_unallocatable_set_up_exits_3_by_name(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # what `N: 10000000` raises in the assembly, without allocating
+        import passivebc.wave1d as wave1d
+
+        def unallocatable(coeffs):
+            raise MemoryError("Unable to allocate 728. TiB for an array "
+                              "with shape (10000001, 10000001) and data "
+                              "type float64")
+        monkeypatch.setattr(wave1d, "assemble", unallocatable)
+        code, err = run_cli(tmp_path, capsys, "simulate", DAMPED_SINE)
+        assert code == 3, err
+        assert err == ("MemoryError: Unable to allocate 728. TiB for an "
+                       "array with shape (10000001, 10000001) and data "
+                       "type float64\n")
+        assert not (tmp_path / "run.csv").exists()
 
     @pytest.mark.parametrize("case, step", [
         ("input_frequency_overflows", 0),

@@ -114,14 +114,15 @@ def test_streamed_csv_equals_collected_table(tmp_path, n_steps, flavor,
         assert same_bytes(got, want), name
 
     # the blocks partition the grid rows LEDGER_CHUNK at a time
-    starts = []
+    starts, start = [], 0
     for block in simulate_blocks(nd, z0, signal, sc.t_final, sc.dt):
-        rows = slice(block.start, block.start + len(block.times))
-        starts.append(block.start)
-        assert len(block.times) == min(LEDGER_CHUNK,
-                                       n_steps + 1 - block.start)
+        rows = slice(start, start + len(block.times))
+        starts.append(start)
+        assert len(block.times) == min(LEDGER_CHUNK, n_steps + 1 - start)
         assert same_bytes(block.states_ext, traj.states_ext[rows])
+        start += len(block.times)
     assert starts == list(range(0, n_steps + 1, LEDGER_CHUNK))
+    assert start == n_steps + 1
 
 
 def test_run_holds_one_block_of_states(tmp_path, capsys):

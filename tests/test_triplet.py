@@ -225,13 +225,13 @@ class TestStructuredGates:
                 assert res == pytest.approx(dense_green_residual(bad),
                                             rel=1e-12)
 
-    def test_corrupt_gamma1_suite_operator_fails_gate(self):
+    def test_corrupt_gamma1_suite_operator_fails_gate(self, monkeypatch):
         from passivebc.scenario import build_system, load_scenario
         from passivebc.verify import run_suite
-        from conftest import ROOT
+        from conftest import ROOT, double_gamma1
         sc = load_scenario(ROOT / "scenarios" / "damped_sine.json")
-        checks = {c.name: c for c in run_suite(sc, "green",
-                                               corrupt_gamma1=True)}
+        double_gamma1(monkeypatch)
+        checks = {c.name: c for c in run_suite(sc, "green")}
         check = checks["green_identity"]
         assert not check.passed
         op = build_system(sc).op_A
