@@ -30,7 +30,7 @@ from .hilbert import (
     make_space,
     riesz,
 )
-from .jet import JetTransform, build_jet, push_state, ran_A_defect, transform_node
+from .jet import JetTransform, build_jet, push_state, ran_A_defect
 from .node import (
     BoundaryNode,
     EnergyLedger,

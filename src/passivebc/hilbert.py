@@ -10,12 +10,15 @@ identity downstream becomes a plain matrix identity.
 All values are immutable after construction (arrays are frozen), so they can
 be shared freely between threads.
 
-Set-up gates read a Gram by its band (``make_space``, ``check_dissipative``,
-the Green gates in ``triplet``, the mass gate in ``node``).  The products
-whose bits a run's states, ledger and CSV carry stay dense and keep their
-summation order: ``extend_adjoint``'s ``-A^T W_Y`` and its solve against
-W_X, ``_realize``'s ``B_ext[:, :dim_y] @ to_y``, the lift's ``A^T W_Y A``,
-the ``cho_solve`` for M^{-1}, ``node._mass_weighted``, the step's
+A space holds its Gram by its band, the ``(dim, 2b + 1)`` array of its
+diagonals -b..b, and set-up gates read that band (``make_space``,
+``check_dissipative``, the Green gates in ``triplet``, the mass gate in
+``node``).  ``HilbertSpaceSpec.gram`` builds the dense matrix afresh on
+each read, for the set-up products whose bits a run's states, ledger and
+CSV carry; they stay dense and keep their summation order:
+``extend_adjoint``'s ``-A^T W_Y`` and its solve against W_X, ``_realize``'s
+``B_ext[:, :dim_y] @ to_y``, the lift's ``A^T W_Y A``, the ``cho_solve``
+for M^{-1} and ``W_2 M^{-1}``, ``node._mass_weighted``, the step's
 ``lu_factor``/``getrs`` and the ledger.
 """
 
@@ -66,17 +69,30 @@ def _frozen(a) -> np.ndarray:
 class HilbertSpaceSpec:
     """A finite-dimensional real Hilbert space in fixed coordinates.
 
-    ``make_space`` derives ``bandwidth``, a half-width outside which every
-    entry of ``gram`` is +0.0; the gates that read the Gram read only that
-    band.
+    ``band`` holds the Gram's diagonals -b..b, ``band[i, b + k] = W[i, i +
+    k]`` (+0.0 where ``i + k`` leaves the matrix), read-only; every entry
+    of W outside them is +0.0.  ``make_space`` derives the half-width b,
+    ``bandwidth``, and stores the band it validated.
     """
 
     dim: int
-    gram: np.ndarray
+    band: np.ndarray
     label: str
     eig_min: float = field(compare=False, default=0.0)
     eig_max: float = field(compare=False, default=0.0)
-    bandwidth: int = field(compare=False, default=0)
+
+    @property
+    def bandwidth(self) -> int:
+        return self.band.shape[1] // 2
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The dense Gram, a new read-only dim x dim array on every read:
+        for set-up products and tests, not for a per-step or per-row
+        loop."""
+        g = _dense(self.band)
+        g.setflags(write=False)
+        return g
 
 
 @dataclass(frozen=True)
@@ -90,7 +106,7 @@ class LinearMap:
     def __post_init__(self):
         m = _frozen(self.matrix)
         if m.shape != (self.codomain.dim, self.domain.dim):
-            raise ValueError(
+            raise ShapeMismatch(
                 f"matrix shape {m.shape} does not match map "
                 f"{self.domain.label!r} (dim {self.domain.dim}) -> "
                 f"{self.codomain.label!r} (dim {self.codomain.dim})")
@@ -143,17 +159,16 @@ def make_space(dim: int, gram, label: str) -> HilbertSpaceSpec:
     unless the smallest exceeds 1e-12 times the largest.  The Gram is read
     once in full, for its half-bandwidth b (``_bandwidth``); every gate
     then reads its 2b + 1 diagonals, and the bounds come from their
-    structure (see ``_extreme_eigenvalues``).  The stored Gram holds the
-    bytes of ``0.5 * g + 0.5 * g.T``.
+    structure (see ``_extreme_eigenvalues``).  The space stores the band
+    of ``0.5 * g + 0.5 * g.T``, and no dense copy.
     """
     g = np.asarray(gram, dtype=float)
     if g.shape != (dim, dim):
         raise ShapeMismatch(f"gram of space {label!r} has shape {g.shape}; "
                             f"the space needs ({dim}, {dim})")
     if dim == 0:
-        return HilbertSpaceSpec(0, _frozen(g), label, 0.0, 0.0)
-    bandwidth = _bandwidth(g)
-    band = _band(g, bandwidth)
+        return HilbertSpaceSpec(0, _frozen(np.zeros((0, 1))), label)
+    band = _band(g, _bandwidth(g))
     if not np.isfinite(band).all():
         raise NonFiniteValue(f"gram of space {label!r} holds NaN or infinity")
     scale = _norm(band)
@@ -166,9 +181,8 @@ def make_space(dim: int, gram, label: str) -> HilbertSpaceSpec:
     eig_min, eig_max = _extreme_eigenvalues(band)
     if eig_min <= SPD_RTOL * abs(eig_max):
         raise NonPositiveGram(label, eig_min, eig_max, SPD_RTOL)
-    g = _dense(band)
-    g.setflags(write=False)
-    return HilbertSpaceSpec(dim, g, label, eig_min, eig_max, bandwidth)
+    band.setflags(write=False)
+    return HilbertSpaceSpec(dim, band, label, eig_min, eig_max)
 
 
 def _norm(a: np.ndarray) -> float:
@@ -350,8 +364,9 @@ def check_dissipative(D: LinearMap) -> tuple[bool, float]:
     bands of its factors.
     """
     if D.domain.dim != D.codomain.dim:
-        raise ValueError("check_dissipative requires a square map")
-    wd = _band_product(_band(D.domain.gram, D.domain.bandwidth),
-                       _band(D.matrix, _bandwidth(D.matrix)))
+        raise ShapeMismatch(f"check_dissipative requires a square map, got "
+                            f"{D.domain.label!r} (dim {D.domain.dim}) -> "
+                            f"{D.codomain.label!r} (dim {D.codomain.dim})")
+    wd = _band_product(D.domain.band, _band(D.matrix, _bandwidth(D.matrix)))
     lam = _extreme_eigenvalues(0.5 * (wd + _band_transpose(wd)))[0]
     return lam >= -DISSIPATIVITY_TOL, lam

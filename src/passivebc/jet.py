@@ -25,6 +25,7 @@ moves into ``w1' = A w2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -33,11 +34,11 @@ from .errors import RankDeficient
 from .hilbert import (
     RANK_RTOL,
     LinearMap,
-    _band,
+    _band_entries,
+    _dense,
     _extreme_eigenvalues,
     _frozen,
 )
-from .node import BoundaryNode, _build_node
 from .triplet import BoundaryOperator, _realize
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "build_jet",
     "push_state",
     "pull_state",
-    "transform_node",
     "ran_A_defect",
 ]
 
@@ -63,6 +63,11 @@ class JetTransform:
         """``(A^T W_Y A)^{-1} rhs`` from the stored factor."""
         return scipy.linalg.cho_solve((self.normal_factor, False), rhs)
 
+    @cached_property
+    def _codomain_gram(self) -> np.ndarray:
+        """Dense W_Y for the per-state solves, built on first use."""
+        return self.A_iso.codomain.gram
+
 
 def build_jet(op_A: BoundaryOperator) -> JetTransform:
     """Construct the strain-momentum realization of a lifted operator.
@@ -78,16 +83,17 @@ def build_jet(op_A: BoundaryOperator) -> JetTransform:
     if dp is None or op_A.core_blocks[0] != dp.A.domain.dim:
         raise ValueError("source operator is not the lift of a dual pair")
     nx = dp.A.domain.dim
-    normal = op_A.core.gram[:nx, :nx]
-    lo, hi = _extreme_eigenvalues(_band(normal, op_A.core.bandwidth))
+    inside = _band_entries(nx, op_A.core.bandwidth)[0]
+    normal = np.where(inside, op_A.core.band[:nx], 0.0)   # A^T W_Y A
+    lo, hi = _extreme_eigenvalues(normal)
     if lo <= RANK_RTOL * max(abs(hi), 1e-300):
         raise RankDeficient(
             f"map {dp.A.domain.label!r} -> {dp.A.codomain.label!r} is not "
             f"injective (normal-matrix eigenvalue {lo:.3e})")
     target = _realize(dp, dp.A.codomain.gram, dp.A.codomain.label,
                       np.eye(dp.A.codomain.dim), dp.A.matrix, "jet target")
-    return JetTransform(A_iso=dp.A,
-                        normal_factor=_frozen(scipy.linalg.cholesky(normal)),
+    factor = scipy.linalg.cholesky(_dense(normal))
+    return JetTransform(A_iso=dp.A, normal_factor=_frozen(factor),
                         source=op_A, target=target)
 
 
@@ -119,20 +125,11 @@ def pull_state(jt: JetTransform, w: np.ndarray) -> np.ndarray:
 def _range_coordinates(jt: JetTransform, w1: np.ndarray) -> np.ndarray:
     """z minimizing ``||A z - w1||`` in the codomain norm (normal equations)."""
     a = jt.A_iso.matrix
-    return jt.normal_solve(a.T @ (jt.A_iso.codomain.gram @ w1))
-
-
-def transform_node(jt: JetTransform, node_A: BoundaryNode) -> BoundaryNode:
-    """Rebuild a node on the transformed operator with the same P, M, D."""
-    if node_A.op is not jt.source:
-        raise ValueError("node was not built on the source operator of "
-                         "this transform")
-    return _build_node(jt.target, node_A.P, node_A.M, node_A.D,
-                       node_A.flavor)
+    return jt.normal_solve(a.T @ (jt._codomain_gram @ w1))
 
 
 def ran_A_defect(jt: JetTransform, w1: np.ndarray) -> float:
     """Distance of a strain block from ran A in the codomain norm."""
     w1 = np.asarray(w1, dtype=float)
     v = w1 - jt.A_iso.matrix @ _range_coordinates(jt, w1)
-    return float(np.sqrt(max(v @ jt.A_iso.codomain.gram @ v, 0.0)))
+    return float(np.sqrt(max(v @ jt._codomain_gram @ v, 0.0)))

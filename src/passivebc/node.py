@@ -35,6 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    CoreGramNotBlockDiagonal,
     DampingNotDissipative,
     InconsistentBoundaryData,
     MassNotSPD,
@@ -50,9 +51,11 @@ from .hilbert import (
     LinearMap,
     _as_param,
     _band,
+    _band_entries,
     _band_product,
     _band_transpose,
     _bandwidth,
+    _dense,
     _extreme_eigenvalues,
     _frozen,
     _norm,
@@ -110,6 +113,12 @@ class BoundaryNode:
         return (_frozen(a - b),
                 _frozen(self.D.matrix.T @ self.D.domain.gram))
 
+    @cached_property
+    def _state_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """W_11 and W_22, the diagonal blocks of the state Gram, built on
+        first use."""
+        return _diagonal_blocks(self.state_space, self.op.core_blocks[0])
+
     # The ledger forms below take one extended state (or port sample) per
     # row of a 2-D block and return one value per row.
 
@@ -118,9 +127,9 @@ class BoundaryNode:
         core part of each state, under the mass-weighted state Gram."""
         z = _expect_rows("states", z, self.op.ext_dim)
         n1, core = self.op.core_blocks[0], self.op.core.dim
-        w = self.state_space.gram
-        return (0.5 * _row_forms(z[:, :n1], w[:n1, :n1]),
-                0.5 * _row_forms(z[:, n1:core], w[n1:, n1:]))
+        w11, w22 = self._state_blocks
+        return (0.5 * _row_forms(z[:, :n1], w11),
+                0.5 * _row_forms(z[:, n1:core], w22))
 
     def dissipated_power(self, z: np.ndarray) -> np.ndarray:
         """Damping form ``<v, D^T W_D v>`` with ``v = M^{-1} z2``."""
@@ -193,17 +202,27 @@ class EnergyLedger:
     slack: np.ndarray
 
 
+def _diagonal_blocks(space: HilbertSpaceSpec,
+                     n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dense blocks ``[:n1, :n1]`` and ``[n1:, n1:]`` of a space's Gram,
+    read-only, from its band."""
+    blocks = _dense(space.band[:n1]), _dense(space.band[n1:])
+    for w in blocks:
+        w.setflags(write=False)
+    return blocks
+
+
 def _split_core_gram(op: BoundaryOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The two diagonal blocks of the core Gram; ``ValueError`` unless the
-    Gram's band, the only place its nonzeros can be, leaves the
+    """The two diagonal blocks of the core Gram; ``CoreGramNotBlockDiagonal``
+    unless its band, the only place its nonzeros can be, leaves the
     off-diagonal blocks zero."""
-    n1, b = op.core_blocks[0], op.core.bandwidth
-    w = op.core.gram
-    near = slice(max(n1 - b, 0), n1)
-    far = slice(n1, n1 + b)
-    if np.any(w[near, far]) or np.any(w[far, near]):
-        raise ValueError("core Gram is not block diagonal over core_blocks")
-    return w[:n1, :n1], w[n1:, n1:]
+    n1 = op.core_blocks[0]
+    inside, rows, cols = _band_entries(op.core.dim, op.core.bandwidth)
+    if op.core.band[inside][(rows < n1) != (cols < n1)].any():
+        raise CoreGramNotBlockDiagonal(
+            f"core Gram of {op.core.label!r} couples the blocks "
+            f"{op.core_blocks} of its coordinates")
+    return _diagonal_blocks(op.core, n1)
 
 
 def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
@@ -216,10 +235,11 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
     trajectories depend on.
     """
     n2 = op.core_blocks[1]
-    if M.domain.dim != n2 or M.codomain.dim != n2:
-        raise ValueError("mass map must be square on the momentum block")
-    if D.domain.dim != n2 or D.codomain.dim != n2:
-        raise ValueError("damping map must be square on the momentum block")
+    for name, f in (("mass", M), ("damping", D)):
+        if f.domain.dim != n2 or f.codomain.dim != n2:
+            raise ShapeMismatch(
+                f"{name} map is {f.codomain.dim} x {f.domain.dim}; it must "
+                f"be square on the momentum block ({n2})")
     _require_finite(mass_map_M=M.matrix, damping_map_D=D.matrix)
 
     w1, w2 = _split_core_gram(op)

@@ -43,6 +43,7 @@ from scipy.sparse import csr_array, eye_array
 from .errors import (
     DegenerateCoreProjection,
     GreenIdentityViolated,
+    ShapeMismatch,
     TraceNotSurjective,
 )
 from .hilbert import (
@@ -129,8 +130,10 @@ def extend_adjoint(A: LinearMap, injection: np.ndarray,
     w_y = A.codomain.gram
     dim_y = A.codomain.dim
     injection = np.atleast_2d(np.asarray(injection, dtype=float))
-    if injection.shape[0] != A.domain.dim:
-        raise ValueError("injection must have one row per X coordinate")
+    if injection.ndim != 2 or injection.shape[0] != A.domain.dim:
+        raise ShapeMismatch(f"injection has shape {injection.shape}; it "
+                            f"needs one row per coordinate of "
+                            f"{A.domain.label!r} ({A.domain.dim})")
     nb = injection.shape[1]
     b = np.linalg.solve(w_x, np.hstack([-A.matrix.T @ w_y, injection]))
     ext_gram = scipy.linalg.block_diag(w_y, np.eye(nb))
@@ -264,8 +267,8 @@ def lift_second_order(dp: DualPairTriplet) -> BoundaryOperator:
 def _gram_csr(space: HilbertSpaceSpec) -> csr_array:
     """CSR of a space's Gram read from its band: the entries, in the order,
     of ``csr_array(space.gram)``, so products with it keep their bits."""
-    _, rows, cols = _band_entries(space.dim, space.bandwidth)
-    gram = csr_array((space.gram[rows, cols], (rows, cols)),
+    inside, rows, cols = _band_entries(space.dim, space.bandwidth)
+    gram = csr_array((space.band[inside], (rows, cols)),
                      shape=(space.dim, space.dim))
     gram.eliminate_zeros()
     return gram

@@ -123,7 +123,9 @@ def _jet_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
     jt = sys.jet
     nx = jt.A_iso.domain.dim
     w_y = jt.A_iso.codomain.gram
-    w_h = jt.source.core.gram[:nx, :nx]      # A^T W_Y A, held by the lift
+    zc = jt.source.core.gram
+    wc = jt.target.core.gram
+    w_h = zc[:nx, :nx]                       # A^T W_Y A, held by the lift
 
     iso = 0.0
     energy = 0.0
@@ -134,8 +136,6 @@ def _jet_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
                   / (1.0 + abs(float(z1 @ w_h @ z1))))
         z = rng.standard_normal(2 * nx)
         w = push_state(jt, z)
-        zc = jt.source.core.gram
-        wc = jt.target.core.gram
         energy = max(energy, abs(float(w @ wc @ w) - float(z @ zc @ z))
                      / (1.0 + abs(float(z @ zc @ z))))
 

@@ -4,15 +4,17 @@
 passes over its full square, as the library did before it read Grams by
 their band.  The banded library must raise the same error class, store the
 same bytes and report the same eigenvalue bounds.  A space built here
-claims no structure: its ``bandwidth`` spans the whole square, so library
-code that reads a Gram by its band reads all of it.
+claims no structure: it holds its Gram as a full-width band, of
+``bandwidth`` dim - 1, so library code that reads a Gram by its band reads
+all of it.
 """
 
 import numpy as np
 import scipy.linalg
 
 from passivebc.errors import NonFiniteValue, NonPositiveGram, NonSymmetricGram
-from passivebc.hilbert import SPD_RTOL, SYM_RTOL, HilbertSpaceSpec, _frozen
+from passivebc.hilbert import (SPD_RTOL, SYM_RTOL, HilbertSpaceSpec, _band,
+                               _frozen)
 
 
 def dense_norm(a) -> float:
@@ -22,7 +24,7 @@ def dense_norm(a) -> float:
 def make_space(dim: int, gram, label: str) -> HilbertSpaceSpec:
     g = np.asarray(gram, dtype=float).reshape(dim, dim)
     if dim == 0:
-        return HilbertSpaceSpec(0, _frozen(g), label, 0.0, 0.0)
+        return HilbertSpaceSpec(0, _frozen(np.zeros((0, 1))), label)
     if not np.isfinite(g).all():
         raise NonFiniteValue(f"gram of space {label!r} holds NaN or infinity")
     scale = dense_norm(g)
@@ -34,8 +36,8 @@ def make_space(dim: int, gram, label: str) -> HilbertSpaceSpec:
     eig_min, eig_max = extreme_eigenvalues(g)
     if eig_min <= SPD_RTOL * abs(eig_max):
         raise NonPositiveGram(label, eig_min, eig_max, SPD_RTOL)
-    return HilbertSpaceSpec(dim, _frozen(g), label, eig_min, eig_max,
-                            dim - 1)
+    return HilbertSpaceSpec(dim, _frozen(_band(g, dim - 1)), label, eig_min,
+                            eig_max)
 
 
 def extreme_eigenvalues(g: np.ndarray) -> tuple[float, float]:

@@ -10,8 +10,9 @@ import time
 import numpy as np
 from passivebc.extension import dissipativity_residual, generator_from_contraction
 from passivebc.hilbert import LinearMap, contraction_norm
-from passivebc.jet import push_state, ran_A_defect, transform_node
+from passivebc.jet import push_state, ran_A_defect
 from passivebc.node import (
+    _build_node,
     external_cayley,
     impedance_node,
     passivity_residual,
@@ -230,7 +231,7 @@ def test_c7_jet_equivalence():
         sys = assemble(coeffs)
         jt = sys.jet
         nd_a = impedance_node(sys.op_A, np.eye(2), sys.M_map, sys.D_map)
-        nd_b = transform_node(jt, nd_a)
+        nd_b = _build_node(jt.target, nd_a.P, nd_a.M, nd_a.D, nd_a.flavor)
         z0 = initial_state(sys, init)
         ta = simulate(nd_a, z0, sig, 0.5, 1e-3)
         tb = simulate(nd_b, push_state(jt, z0), sig, 0.5, 1e-3)

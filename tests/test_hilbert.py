@@ -435,5 +435,5 @@ def test_contraction_param_rejects_non_finite(bad):
 def test_linear_map_shape_mismatch_rejected():
     dom = euclidean_space(3, "X")
     cod = euclidean_space(2, "Y")
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeMismatch, match="does not match map"):
         LinearMap(np.zeros((3, 3)), dom, cod)
