@@ -16,6 +16,15 @@ class NonFiniteValue(PassivebcError):
     """An input matrix, array or scalar holds NaN or infinity."""
 
 
+class UnknownChoice(PassivebcError):
+    """A named choice (an input or initial-state kind, a node flavor, a
+    verify suite) is not one the library offers."""
+
+
+class NonPositiveParameter(PassivebcError):
+    """A width or a mode number that must be positive is not."""
+
+
 # ---------------------------------------------------------------- spaces
 
 
@@ -59,6 +68,11 @@ class TraceNotSurjective(PassivebcError):
 
 class DegenerateCoreProjection(PassivebcError):
     """Core projection restricted to a domain basis is not injective."""
+
+
+class NotALift(PassivebcError):
+    """An operator passed where the second-order lift of a dual pair is
+    needed is not one."""
 
 
 # ---------------------------------------------------------------- extensions
@@ -126,7 +140,8 @@ class SingularStepMatrix(PassivebcError):
 
 
 class InvalidTimeGrid(PassivebcError):
-    """The final time is not a whole number of positive, finite steps."""
+    """The final time is not a whole number of positive, finite steps, or
+    a step size is zero or NaN."""
 
 
 class TimeGridTooLarge(PassivebcError):

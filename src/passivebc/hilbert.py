@@ -13,13 +13,19 @@ be shared freely between threads.
 A space holds its Gram by its band, the ``(dim, 2b + 1)`` array of its
 diagonals -b..b, and set-up gates read that band (``make_space``,
 ``check_dissipative``, the Green gates in ``triplet``, the mass gate in
-``node``).  ``HilbertSpaceSpec.gram`` builds the dense matrix afresh on
-each read, for the set-up products whose bits a run's states, ledger and
-CSV carry; they stay dense and keep their summation order:
-``extend_adjoint``'s ``-A^T W_Y`` and its solve against W_X, ``_realize``'s
-``B_ext[:, :dim_y] @ to_y``, the lift's ``A^T W_Y A``, the ``cho_solve``
-for M^{-1} and ``W_2 M^{-1}``, ``node._mass_weighted``, the step's
-``lu_factor``/``getrs`` and the ledger.
+``node``).  Set-up code that knows a Gram's band passes it to
+``_space_from_band``, which runs ``make_space``'s gates on it, so no dense
+Gram is formed.
+``_band_apply`` multiplies by a matrix given by its band: a diagonal one
+(the wave model's W_X, W_Y, mass, damping and M^{-1}) scales rows or
+columns with the GEMM's bits, since each GEMM entry then holds one
+nonzero product; a wider one is made dense for the GEMM.
+``HilbertSpaceSpec.gram`` builds the dense matrix afresh on each read.
+The products whose entries sum several terms stay dense GEMMs and keep
+their summation order, because a run's states, ledger and CSV carry their
+bits: the lift's ``(A^T W_Y) A``, ``_realize``'s ``B_ext[:, :dim_y] @
+to_y``, M^{-1} of a non-diagonal mass, the step's ``lu_factor``/``getrs``
+and the step itself.
 """
 
 from __future__ import annotations
@@ -158,17 +164,27 @@ def make_space(dim: int, gram, label: str) -> HilbertSpaceSpec:
     ``NonPositiveGram`` (reporting the smallest and the largest eigenvalue)
     unless the smallest exceeds 1e-12 times the largest.  The Gram is read
     once in full, for its half-bandwidth b (``_bandwidth``); every gate
-    then reads its 2b + 1 diagonals, and the bounds come from their
-    structure (see ``_extreme_eigenvalues``).  The space stores the band
-    of ``0.5 * g + 0.5 * g.T``, and no dense copy.
+    then reads its 2b + 1 diagonals (``_space_from_band``), and the bounds
+    come from their structure (see ``_extreme_eigenvalues``).  The space
+    stores the band of ``0.5 * g + 0.5 * g.T``, and no dense copy.
     """
     g = np.asarray(gram, dtype=float)
     if g.shape != (dim, dim):
         raise ShapeMismatch(f"gram of space {label!r} has shape {g.shape}; "
                             f"the space needs ({dim}, {dim})")
-    if dim == 0:
+    return _space_from_band(_band(g, _bandwidth(g)), label)
+
+
+def _space_from_band(band: np.ndarray, label: str) -> HilbertSpaceSpec:
+    """``make_space`` for the Gram whose diagonals -b..b are ``band`` (+0.0
+    in the slots outside the matrix and off the band): the same gates,
+    errors and stored bytes, with no dense Gram formed.  Diagonals of
+    +0.0 bits at the band's edges are dropped first, so the space holds
+    the band ``make_space`` would find."""
+    band = np.asarray(band, dtype=float)
+    if len(band) == 0:
         return HilbertSpaceSpec(0, _frozen(np.zeros((0, 1))), label)
-    band = _band(g, _bandwidth(g))
+    band = _trimmed(band)
     if not np.isfinite(band).all():
         raise NonFiniteValue(f"gram of space {label!r} holds NaN or infinity")
     scale = _norm(band)
@@ -182,7 +198,7 @@ def make_space(dim: int, gram, label: str) -> HilbertSpaceSpec:
     if eig_min <= SPD_RTOL * abs(eig_max):
         raise NonPositiveGram(label, eig_min, eig_max, SPD_RTOL)
     band.setflags(write=False)
-    return HilbertSpaceSpec(dim, band, label, eig_min, eig_max)
+    return HilbertSpaceSpec(len(band), band, label, eig_min, eig_max)
 
 
 def _norm(a: np.ndarray) -> float:
@@ -244,6 +260,69 @@ def _dense(band: np.ndarray) -> np.ndarray:
     g = np.zeros((n, n))
     g[rows, cols] = band[inside]
     return g
+
+
+def _trimmed(band: np.ndarray) -> np.ndarray:
+    """The band without its outer diagonals whose bits are all zero: the
+    band of half-width ``_bandwidth`` of its matrix, when the slots
+    outside the matrix hold +0.0."""
+    b = band.shape[1] // 2
+    used = np.flatnonzero((band.view(np.uint64) != 0).any(axis=0))
+    w = int(np.abs(used - b).max(initial=0))
+    return band[:, b - w:b + w + 1]
+
+
+def _block_band(*bands: np.ndarray) -> np.ndarray:
+    """Band of the block-diagonal matrix of the matrices of ``bands``."""
+    b = max(x.shape[1] // 2 for x in bands)
+    out = np.zeros((sum(len(x) for x in bands), 2 * b + 1))
+    row = 0
+    for x in bands:
+        n, k = len(x), x.shape[1] // 2
+        inside = _band_entries(n, k)[0]
+        out[row:row + n, b - k:b + k + 1] = np.where(inside, x, 0.0)
+        row += n
+    return out
+
+
+def _band_apply(x: np.ndarray, band: np.ndarray,
+                left: bool = False) -> np.ndarray:
+    """``x @ W``, or ``W @ x`` with ``left``, for the square W of ``band``
+    and a finite x.
+
+    A diagonal W (a band of one column) scales the columns (rows) of x.
+    Each GEMM entry then sums a single nonzero product, which FMA rounds
+    once, so the elementwise product has the GEMM's bits; ``+ 0.0`` turns
+    -0.0 into +0.0 as the GEMM's zero start does, and the output is
+    C-ordered as the GEMM's is, so later products keep their bits too.
+    A wider band goes to the GEMM on the dense W, built for this call.
+    """
+    if band.shape[1] > 1:
+        w = _dense(band)
+        return w @ x if left else x @ w
+    d = band[:, 0]
+    if left:
+        d = d.reshape(d.shape + (1,) * (np.ndim(x) - 1))
+    out = np.multiply(x, d, order="C")
+    out += 0.0
+    return out
+
+
+def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``W^{-1} rhs`` for the square W of ``band`` and a 2-D rhs, with the
+    bits of LAPACK's solve for a positive diagonal W and an rhs free of
+    -0.0.
+
+    LAPACK solves a diagonal system by its triangular solve, which
+    divides by the pivot for a single right-hand side and multiplies by
+    its reciprocal for several; a diagonal W is solved the same way.  A
+    wider band goes to the dense solve.
+    """
+    if band.shape[1] > 1:
+        return np.linalg.solve(_dense(band), rhs)
+    if rhs.shape[1] == 1:
+        return rhs / band
+    return rhs * (1.0 / band)
 
 
 def _band_transpose(band: np.ndarray) -> np.ndarray:

@@ -25,15 +25,15 @@ moves into ``w1' = A w2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .errors import RankDeficient
+from .errors import NotALift, RankDeficient
 from .hilbert import (
     RANK_RTOL,
     LinearMap,
+    _band_apply,
     _band_entries,
     _dense,
     _extreme_eigenvalues,
@@ -63,11 +63,6 @@ class JetTransform:
         """``(A^T W_Y A)^{-1} rhs`` from the stored factor."""
         return scipy.linalg.cho_solve((self.normal_factor, False), rhs)
 
-    @cached_property
-    def _codomain_gram(self) -> np.ndarray:
-        """Dense W_Y for the per-state solves, built on first use."""
-        return self.A_iso.codomain.gram
-
 
 def build_jet(op_A: BoundaryOperator) -> JetTransform:
     """Construct the strain-momentum realization of a lifted operator.
@@ -81,7 +76,7 @@ def build_jet(op_A: BoundaryOperator) -> JetTransform:
     """
     dp = op_A.pair
     if dp is None or op_A.core_blocks[0] != dp.A.domain.dim:
-        raise ValueError("source operator is not the lift of a dual pair")
+        raise NotALift("source operator is not the lift of a dual pair")
     nx = dp.A.domain.dim
     inside = _band_entries(nx, op_A.core.bandwidth)[0]
     normal = np.where(inside, op_A.core.band[:nx], 0.0)   # A^T W_Y A
@@ -90,7 +85,7 @@ def build_jet(op_A: BoundaryOperator) -> JetTransform:
         raise RankDeficient(
             f"map {dp.A.domain.label!r} -> {dp.A.codomain.label!r} is not "
             f"injective (normal-matrix eigenvalue {lo:.3e})")
-    target = _realize(dp, dp.A.codomain.gram, dp.A.codomain.label,
+    target = _realize(dp, dp.A.codomain.band, dp.A.codomain.label,
                       np.eye(dp.A.codomain.dim), dp.A.matrix, "jet target")
     factor = scipy.linalg.cholesky(_dense(normal))
     return JetTransform(A_iso=dp.A, normal_factor=_frozen(factor),
@@ -124,12 +119,13 @@ def pull_state(jt: JetTransform, w: np.ndarray) -> np.ndarray:
 
 def _range_coordinates(jt: JetTransform, w1: np.ndarray) -> np.ndarray:
     """z minimizing ``||A z - w1||`` in the codomain norm (normal equations)."""
-    a = jt.A_iso.matrix
-    return jt.normal_solve(a.T @ (jt._codomain_gram @ w1))
+    a, w_y = jt.A_iso.matrix, jt.A_iso.codomain.band
+    return jt.normal_solve(a.T @ _band_apply(w1, w_y, left=True))
 
 
 def ran_A_defect(jt: JetTransform, w1: np.ndarray) -> float:
     """Distance of a strain block from ran A in the codomain norm."""
     w1 = np.asarray(w1, dtype=float)
     v = w1 - jt.A_iso.matrix @ _range_coordinates(jt, w1)
-    return float(np.sqrt(max(v @ jt._codomain_gram @ v, 0.0)))
+    return float(np.sqrt(max(_band_apply(v, jt.A_iso.codomain.band) @ v,
+                             0.0)))

@@ -43,6 +43,7 @@ from .errors import (
     NonPositiveBeta,
     NotAContraction,
     ShapeMismatch,
+    UnknownChoice,
 )
 from .extension import _restrict_to_kernel
 from .hilbert import (
@@ -51,16 +52,19 @@ from .hilbert import (
     LinearMap,
     _as_param,
     _band,
+    _band_apply,
     _band_entries,
     _band_product,
     _band_transpose,
     _bandwidth,
+    _block_band,
     _dense,
     _extreme_eigenvalues,
     _frozen,
     _norm,
+    _space_from_band,
+    _trimmed,
     check_dissipative,
-    make_space,
 )
 from .triplet import BoundaryOperator
 
@@ -106,17 +110,22 @@ class BoundaryNode:
         return _frozen(np.linalg.inv(self.op.bspace.gram))
 
     @cached_property
+    def _minv_band(self) -> np.ndarray:
+        """Band of ``M_inv``, read once from the dense field."""
+        return _frozen(_band(self.M_inv, _bandwidth(self.M_inv)))
+
+    @cached_property
     def _trace_gap_and_damping(self) -> tuple[np.ndarray, np.ndarray]:
-        """``a - b`` and ``D^T W_D``: the two ledger factors the node does
-        not hold otherwise, built on first use."""
-        a, b = _weighted_traces(self.op, self.M_inv)
-        return (_frozen(a - b),
-                _frozen(self.D.matrix.T @ self.D.domain.gram))
+        """``a - b`` and the band of ``D^T W_D``: the two ledger factors the
+        node does not hold otherwise, built on first use."""
+        a, b = _weighted_traces(self.op, self._minv_band)
+        damping = _band_apply(self.D.matrix.T, self.D.domain.band)
+        return _frozen(a - b), _frozen(_band(damping, _bandwidth(damping)))
 
     @cached_property
     def _state_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """W_11 and W_22, the diagonal blocks of the state Gram, built on
-        first use."""
+        """Bands of W_11 and W_22, the diagonal blocks of the state Gram,
+        built on first use."""
         return _diagonal_blocks(self.state_space, self.op.core_blocks[0])
 
     # The ledger forms below take one extended state (or port sample) per
@@ -127,16 +136,15 @@ class BoundaryNode:
         core part of each state, under the mass-weighted state Gram."""
         z = _expect_rows("states", z, self.op.ext_dim)
         n1, core = self.op.core_blocks[0], self.op.core.dim
-        w11, w22 = self._state_blocks
-        return (0.5 * _row_forms(z[:, :n1], w11),
-                0.5 * _row_forms(z[:, n1:core], w22))
+        return tuple(0.5 * _row_forms(_band_apply(x, w), x) for x, w in
+                     zip((z[:, :n1], z[:, n1:core]), self._state_blocks))
 
     def dissipated_power(self, z: np.ndarray) -> np.ndarray:
         """Damping form ``<v, D^T W_D v>`` with ``v = M^{-1} z2``."""
         z = _expect_rows("states", z, self.op.ext_dim)
         n1, core = self.op.core_blocks[0], self.op.core.dim
-        return _row_forms(z[:, n1:core] @ self.M_inv.T,
-                          self._trace_gap_and_damping[1])
+        v = _band_apply(z[:, n1:core], _band_transpose(self._minv_band))
+        return _row_forms(_band_apply(v, self._trace_gap_and_damping[1]), v)
 
     def scattering_slack(self, z: np.ndarray) -> np.ndarray:
         """Contraction slack ``(||(a-b)z||^2 - ||P(a-b)z||^2)/2`` in the
@@ -145,7 +153,8 @@ class BoundaryNode:
         z = _expect_rows("states", z, self.op.ext_dim)
         wd = self.dual_gram()
         v = z @ self._trace_gap_and_damping[0].T
-        return 0.5 * (_row_forms(v, wd) - _row_forms(v @ self.P.matrix.T, wd))
+        vp = v @ self.P.matrix.T
+        return 0.5 * (_row_forms(v @ wd, v) - _row_forms(vp @ wd, vp))
 
     def supplied_power(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``<u, y>`` (impedance) or ``(||u||^2 - ||y||^2)/2`` (scattering)
@@ -157,8 +166,8 @@ class BoundaryNode:
                                 "output rows")
         wd = self.dual_gram()
         if self.flavor == IMPEDANCE:
-            return np.einsum("ij,ij->i", u @ wd, y)
-        return 0.5 * (_row_forms(u, wd) - _row_forms(y, wd))
+            return _row_forms(u @ wd, y)
+        return 0.5 * (_row_forms(u @ wd, u) - _row_forms(y @ wd, y))
 
 
 def _expect_rows(name: str, x, width: int) -> np.ndarray:
@@ -177,9 +186,10 @@ def _require_finite(**arrays: np.ndarray) -> None:
             raise NonFiniteValue(f"{name} holds NaN or infinity")
 
 
-def _row_forms(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Quadratic form ``x_i^T W x_i`` of every row of ``x``."""
-    return np.einsum("ij,ij->i", x @ w, x)
+def _row_forms(xw: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pairing ``x_i^T W y_i`` of every row, given ``xw = x W``: the
+    quadratic form of the rows of x for ``y = x``."""
+    return np.einsum("ij,ij->i", xw, y)
 
 
 @dataclass(frozen=True)
@@ -204,18 +214,21 @@ class EnergyLedger:
 
 def _diagonal_blocks(space: HilbertSpaceSpec,
                      n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """The dense blocks ``[:n1, :n1]`` and ``[n1:, n1:]`` of a space's Gram,
-    read-only, from its band."""
-    blocks = _dense(space.band[:n1]), _dense(space.band[n1:])
+    """Bands of the blocks ``[:n1, :n1]`` and ``[n1:, n1:]`` of a space's
+    Gram, read-only, each of its own half-width (a diagonal block gets a
+    band of one column)."""
+    blocks = tuple(
+        _trimmed(np.where(_band_entries(len(x), space.bandwidth)[0], x, 0.0))
+        for x in (space.band[:n1], space.band[n1:]))
     for w in blocks:
         w.setflags(write=False)
     return blocks
 
 
 def _split_core_gram(op: BoundaryOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The two diagonal blocks of the core Gram; ``CoreGramNotBlockDiagonal``
-    unless its band, the only place its nonzeros can be, leaves the
-    off-diagonal blocks zero."""
+    """Bands of the two diagonal blocks of the core Gram;
+    ``CoreGramNotBlockDiagonal`` unless its band, the only place its
+    nonzeros can be, leaves the off-diagonal blocks zero."""
     n1 = op.core_blocks[0]
     inside, rows, cols = _band_entries(op.core.dim, op.core.bandwidth)
     if op.core.band[inside][(rows < n1) != (cols < n1)].any():
@@ -226,13 +239,15 @@ def _split_core_gram(op: BoundaryOperator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
-    """Validate M, D; return M^{-1} and the mass-weighted state space.
+    """Validate M, D; return the band of M^{-1} and the mass-weighted state
+    space.
 
     NaN or infinity in M or D is a ``NonFiniteValue``, raised before the
     band gates.  The gate-only product W_2 M is formed from the bands of
-    its factors.  M^{-1} (``cho_solve``) and ``W_2 M^{-1}``, which the step
-    and the ledger read, stay dense products whose bits the stored
-    trajectories depend on.
+    its factors.  M^{-1} (``_mass_inverse``) and ``W_2 M^{-1}``, which the
+    step and the ledger read, keep the bits of the dense ``cho_solve`` and
+    GEMM: ``W_2 M^{-1}`` is a band product when a factor is diagonal,
+    since each entry then holds one product, and a dense GEMM otherwise.
     """
     n2 = op.core_blocks[1]
     for name, f in (("mass", M), ("damping", D)):
@@ -243,8 +258,8 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
     _require_finite(mass_map_M=M.matrix, damping_map_D=D.matrix)
 
     w1, w2 = _split_core_gram(op)
-    wm = _band_product(_band(w2, op.core.bandwidth),
-                       _band(M.matrix, _bandwidth(M.matrix)))
+    m_band = _band(M.matrix, _bandwidth(M.matrix))
+    wm = _band_product(w2, m_band)
     wm_t = _band_transpose(wm)
     if _norm(wm - wm_t) > 1e-10 * (1.0 + _norm(wm)):
         raise MassNotSPD("mass map is not self-adjoint on its space")
@@ -256,24 +271,46 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
             f"damping symmetric part has eigenvalue {lam:.3e} below "
             f"-1e-10")
 
-    msym = 0.5 * M.matrix + 0.5 * M.matrix.T   # no overflow near the max
-    if _norm(M.matrix - msym) <= 1e-12 * (1.0 + _norm(msym)):
-        minv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(msym),
-                                      np.eye(n2))
+    minv = _mass_inverse(M.matrix, m_band)
+    if min(w2.shape[1], minv.shape[1]) == 1:
+        w2_minv = _band_product(w2, minv)
     else:
-        minv = np.linalg.solve(M.matrix, np.eye(n2))
+        w2_minv = _dense(w2) @ _dense(minv)
+        w2_minv = _band(w2_minv, _bandwidth(w2_minv))
+    state_band = _block_band(w1, 0.5 * (w2_minv + _band_transpose(w2_minv)))
+    return minv, _space_from_band(state_band, op.core.label + "_M")
 
-    w2_minv = w2 @ minv
-    w_state = scipy.linalg.block_diag(w1, 0.5 * (w2_minv + w2_minv.T))
-    state_space = make_space(op.core.dim, w_state,
-                             op.core.label + "_M")
-    return minv, state_space
+
+def _mass_inverse(m: np.ndarray, m_band: np.ndarray) -> np.ndarray:
+    """Band of M^{-1} for the mass matrix ``m`` of band ``m_band``: by
+    ``cho_solve`` against the identity when M is symmetric to 1e-12
+    relative, by ``solve`` otherwise.
+
+    A diagonal M with a positive ``M_sym = 0.5 M + 0.5 M^T`` gets
+    ``cho_solve``'s bits without a factorization: its Cholesky factor is
+    ``s = sqrt(M_sym)`` and both triangular solves multiply by the
+    reciprocal pivot, so M^{-1} is ``(1/s)(1/s)``.  A diagonal with a zero
+    or negative entry goes to ``cho_factor``, which refuses it.
+    """
+    if m_band.shape[1] == 1:
+        diag = 0.5 * m_band + 0.5 * m_band   # M_sym's diagonal, bit for bit
+        if (diag > 0.0).all():
+            r = 1.0 / np.sqrt(diag)
+            return r * r
+    msym = 0.5 * m + 0.5 * m.T
+    eye = np.eye(len(m))
+    if _norm(m - msym) <= 1e-12 * (1.0 + _norm(msym)):
+        minv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(msym), eye)
+    else:
+        minv = np.linalg.solve(m, eye)
+    return _band(minv, _bandwidth(minv))
 
 
 def _mass_weighted(x: np.ndarray, op: BoundaryOperator, minv: np.ndarray):
-    """``x diag(I, M^{-1}, I)``, whose product turns -0.0 into +0.0 (+ 0.0)."""
+    """``x diag(I, M^{-1}, I)`` for the band ``minv`` of M^{-1}, whose
+    product turns -0.0 into +0.0 (+ 0.0)."""
     out, momentum = x + 0.0, slice(op.core_blocks[0], op.core.dim)
-    out[:, momentum] = x[:, momentum] @ minv
+    out[:, momentum] = _band_apply(x[:, momentum], minv)
     return out
 
 
@@ -290,6 +327,8 @@ def _weighted_traces(op: BoundaryOperator, minv: np.ndarray):
 
 def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
                 flavor: str) -> BoundaryNode:
+    if flavor not in (SCATTERING, IMPEDANCE):
+        raise UnknownChoice(f"unknown flavor {flavor!r}")
     param = _as_param(P, op.bspace)
     if not param.is_contraction:
         raise NotAContraction(param.dual_norm)
@@ -301,16 +340,14 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
     if flavor == SCATTERING:
         g = (a + b) / math.sqrt(2.0)
         k = -pmat @ (a - b) / math.sqrt(2.0)
-    elif flavor == IMPEDANCE:
+    else:
         g = 0.5 * ((eye - pmat) @ a + (eye + pmat) @ b)
         k = 0.5 * ((eye + pmat) @ a + (eye - pmat) @ b)
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
     l_eff = _effective_action(op, D, minv)
     return BoundaryNode(op=op, flavor=flavor, P=param, M=M, D=D,
                         G_map=_frozen(g), K_map=_frozen(k),
                         L_eff=_frozen(l_eff), state_space=state_space,
-                        M_inv=_frozen(minv))
+                        M_inv=_frozen(_dense(minv)))
 
 
 def scattering_node(op: BoundaryOperator, P, M: LinearMap,

@@ -41,10 +41,12 @@ from .errors import (
     IncompatibleInitialData,
     InvalidTimeGrid,
     NonFiniteValue,
+    NonPositiveParameter,
     ShapeMismatch,
     SingularBoundaryBlock,
     SingularStepMatrix,
     TimeGridTooLarge,
+    UnknownChoice,
 )
 from .node import BoundaryNode, EnergyLedger, _require_finite
 
@@ -84,7 +86,7 @@ class InputSignal:
 
     def __post_init__(self):
         if self.kind not in ("zero", "sine", "gauss_pulse"):
-            raise ValueError(f"unknown input kind {self.kind!r}")
+            raise UnknownChoice(f"unknown input kind {self.kind!r}")
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -94,7 +96,7 @@ class InputSignal:
             raise NonFiniteValue("input signal parameters or its peak "
                                  "amplitude * weights are not finite")
         if self.kind == "gauss_pulse" and not self.width > 0.0:
-            raise ValueError("gauss_pulse width must be positive")
+            raise NonPositiveParameter("gauss_pulse width must be positive")
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -155,7 +157,7 @@ class StepSolver:
 
     def __init__(self, node: BoundaryNode, dt: float):
         if dt == 0.0 or math.isnan(dt):
-            raise ValueError(f"dt must be nonzero, got {dt!r}")
+            raise InvalidTimeGrid(f"dt must be nonzero, got {dt!r}")
         ncore, ext = node.op.core.dim, node.op.ext_dim
         m = node.G_map.shape[0]
         if ncore + m != ext:

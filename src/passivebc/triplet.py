@@ -49,9 +49,14 @@ from .errors import (
 from .hilbert import (
     HilbertSpaceSpec,
     LinearMap,
+    _band,
+    _band_apply,
     _band_entries,
+    _band_solve,
+    _bandwidth,
+    _block_band,
     _frozen,
-    make_space,
+    _space_from_band,
 )
 
 __all__ = [
@@ -123,21 +128,21 @@ def extend_adjoint(A: LinearMap, injection: np.ndarray,
 
     ``B_ext = W_X^{-1} [-A^T W_Y | E]`` where the columns of E are the
     covariant boundary functionals; the Green identity then holds by
-    construction.  The GEMM ``-A^T W_Y`` and the dense solve against W_X
-    stay as they are: the step reads the bits of B_ext.
+    construction.  ``-A^T W_Y`` and the solve against W_X are
+    ``_band_apply``'s and ``_band_solve``'s, which keep the bits of the
+    dense GEMM and LAPACK solve and scale rows for diagonal Grams.  The
+    extended space's Gram is ``blockdiag(W_Y, I)``, built as a band.
     """
-    w_x = A.domain.gram
-    w_y = A.codomain.gram
-    dim_y = A.codomain.dim
     injection = np.atleast_2d(np.asarray(injection, dtype=float))
     if injection.ndim != 2 or injection.shape[0] != A.domain.dim:
         raise ShapeMismatch(f"injection has shape {injection.shape}; it "
                             f"needs one row per coordinate of "
                             f"{A.domain.label!r} ({A.domain.dim})")
     nb = injection.shape[1]
-    b = np.linalg.solve(w_x, np.hstack([-A.matrix.T @ w_y, injection]))
-    ext_gram = scipy.linalg.block_diag(w_y, np.eye(nb))
-    ext_space = make_space(dim_y + nb, ext_gram, label)
+    w_y = A.codomain.band
+    b = _band_solve(A.domain.band,
+                    np.hstack([_band_apply(-A.matrix.T, w_y), injection]))
+    ext_space = _space_from_band(_block_band(w_y, np.ones((nb, 1))), label)
     return LinearMap(b, domain=ext_space, codomain=A.domain)
 
 
@@ -195,9 +200,10 @@ def _realize(dp: DualPairTriplet, w1: np.ndarray, label1: str,
              where: str) -> BoundaryOperator:
     """Boundary operator on extended coordinates ``(v, z2, tau)`` of a pair.
 
-    The core is ``blockdiag(w1, W_X)`` over ``(v, z2)``; the Y~ element fed
-    to B_ext and the Pi traces is ``[to_y v; tau]`` and the first block row
-    of the action is ``v' = velocity z2``.  Raises ``TraceNotSurjective``
+    The core Gram is ``blockdiag(w1, W_X)`` over ``(v, z2)``, built from
+    the band ``w1`` of its first block; the Y~ element fed to B_ext and
+    the Pi traces is ``[to_y v; tau]`` and the first block row of the
+    action is ``v' = velocity z2``.  Raises ``TraceNotSurjective``
     and ``GreenIdentityViolated`` (naming ``where``) at their gates.
     """
     n1, nx = to_y.shape[1], dp.A.domain.dim
@@ -208,8 +214,8 @@ def _realize(dp: DualPairTriplet, w1: np.ndarray, label1: str,
     m1 = dp.G1.dim
     m = m1 + (dp.G2.dim if dp.G2 is not None else 0)
 
-    core = make_space(core_dim, scipy.linalg.block_diag(w1, dp.A.domain.gram),
-                      f"{label1}(+){dp.A.domain.label}")
+    core = _space_from_band(_block_band(w1, dp.A.domain.band),
+                            f"{label1}(+){dp.A.domain.label}")
 
     L = np.zeros((core_dim, ext_dim))
     gamma0 = np.zeros((m, ext_dim))
@@ -235,11 +241,8 @@ def _realize(dp: DualPairTriplet, w1: np.ndarray, label1: str,
         raise TraceNotSurjective(f"{where}: traces [Gamma0; Gamma1] are "
                                  "rank deficient")
 
-    if dp.G2 is None:
-        bgram = dp.G1.gram
-    else:
-        bgram = scipy.linalg.block_diag(dp.G1.gram, dp.G2.gram)
-    bspace = make_space(m, bgram, "G")
+    bspace = _space_from_band(_block_band(
+        *(g.band for g in (dp.G1, dp.G2) if g is not None)), "G")
 
     op = BoundaryOperator(core=core, ext_dim=ext_dim, L=_frozen(L),
                           Gamma0=_frozen(gamma0), Gamma1=_frozen(gamma1),
@@ -258,9 +261,10 @@ def lift_second_order(dp: DualPairTriplet) -> BoundaryOperator:
     is ``[A z1; tau]``.
     """
     a = dp.A.matrix
-    # dense on purpose: A^T W_Y A feeds H and the jet's Cholesky factor
-    w_h = a.T @ dp.A.codomain.gram @ a
-    return _realize(dp, 0.5 * (w_h + w_h.T), f"{dp.A.domain.label}_h",
+    # the GEMM (A^T W_Y) A stays: it feeds H and the jet's Cholesky factor
+    w_h = _band_apply(a.T, dp.A.codomain.band) @ a
+    w_h = 0.5 * (w_h + w_h.T)
+    return _realize(dp, _band(w_h, _bandwidth(w_h)), f"{dp.A.domain.label}_h",
                     a, np.eye(dp.A.domain.dim), "second-order lift")
 
 

@@ -17,6 +17,7 @@ import scipy.linalg
 
 from . import extension as ext
 from . import node as node_mod
+from .errors import UnknownChoice
 from .hilbert import contraction_norm
 from .jet import push_state, state_injection
 from .scenario import Scenario, build_system
@@ -161,7 +162,7 @@ def _jet_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
 def run_suite(sc: Scenario, suite: str) -> list[CheckResult]:
     """Run one named suite (or all) against the scenario's wave system."""
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+        raise UnknownChoice(f"unknown suite {suite!r}; choose from {SUITES}")
     sys = build_system(sc)
     rng = np.random.default_rng(sc.seed)
     checks: list[CheckResult] = []

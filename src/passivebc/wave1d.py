@@ -38,8 +38,10 @@ from .errors import (
     InvalidCoefficients,
     NonConstantCoefficients,
     NonFiniteValue,
+    NonPositiveParameter,
+    UnknownChoice,
 )
-from .hilbert import HilbertSpaceSpec, LinearMap, make_space
+from .hilbert import HilbertSpaceSpec, LinearMap, _space_from_band, make_space
 from .jet import JetTransform, build_jet
 from .triplet import (
     BoundaryOperator,
@@ -163,9 +165,9 @@ def assemble(coeffs: WaveCoefficients,
     nodes = np.linspace(0.0, coeffs.length, N + 1)
 
     w_nodes = _trapezoid_weights(N, h)
-    X = make_space(N + 1, np.diag(w_nodes), "X")
+    X = _space_from_band(w_nodes[:, None], "X")
     w_y = np.concatenate([np.full(N, h), w_nodes])
-    Y = make_space(2 * N + 1, np.diag(w_y), "Y")
+    Y = _space_from_band(w_y[:, None], "Y")
 
     # A x = [T^{1/2} grad x; a^{1/2} x], grad mapping nodes to cells.
     grad = (np.eye(N, N + 1, 1) - np.eye(N, N + 1)) / h
@@ -213,7 +215,7 @@ def analytic_standing_wave(k: int, coeffs: WaveCoefficients
     finite float.
     """
     if k < 1:
-        raise ValueError("mode number k must be a positive integer")
+        raise NonPositiveParameter("mode number k must be a positive integer")
     if np.ptp(coeffs.rho) != 0.0 or np.ptp(coeffs.T) != 0.0 \
             or np.ptp(coeffs.a) != 0.0:
         raise NonConstantCoefficients(
@@ -260,8 +262,8 @@ def initial_state(sys: WaveSystem, kind: str, **params) -> np.ndarray:
     if kind == "gauss":
         center = float(params.get("center", 0.5 * sys.coeffs.length))
         width = float(params.get("width", 0.1 * sys.coeffs.length))
-        if width <= 0.0:
-            raise ValueError("gauss width must be positive")
+        if not width > 0.0:   # NaN too
+            raise NonPositiveParameter("gauss width must be positive")
         z1 = np.exp(-((sys.nodes - center) / width) ** 2)
         return np.concatenate([z1, np.zeros(n)])
-    raise ValueError(f"unknown initial state kind {kind!r}")
+    raise UnknownChoice(f"unknown initial state kind {kind!r}")

@@ -58,6 +58,12 @@ def dense_mass_weight(node):
     return scipy.linalg.block_diag(np.eye(n1), node.M_inv, np.eye(nb))
 
 
+def row_forms(x, w):
+    """Quadratic form ``x_i^T W x_i`` of every row of ``x`` for a dense W:
+    the GEMM the node's ledger forms must match."""
+    return np.einsum("ij,ij->i", x @ w, x)
+
+
 def is_dual_unitary(P, boundary_space: HilbertSpaceSpec,
                     tol: float = 1e-10) -> bool:
     """Whether P is unitary on the dual boundary space."""

@@ -3,11 +3,14 @@
 ``make_space`` reads a Gram once in full, for its half-bandwidth, and runs
 every gate on the band.  Against the dense validation it must raise the
 same error class, store the same bytes and report the same eigenvalue
-bounds, for every input below.
+bounds, for every input below.  Products with a diagonal matrix given by
+its band must have the bytes of the dense GEMM, LAPACK solve and
+``cho_solve`` they replace.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
@@ -15,6 +18,7 @@ from scipy.sparse import csr_array
 from passivebc import hilbert
 from passivebc.errors import ShapeMismatch
 from passivebc.hilbert import SYM_RTOL, make_space
+from passivebc.node import _mass_inverse
 from passivebc.triplet import _gram_csr
 
 import dense_gram_oracle as oracle
@@ -111,6 +115,65 @@ def test_band_algebra_matches_dense(g, seed):
     dense = g @ right
     assert np.abs(hilbert._dense(product) - dense).max() <= \
         1e-14 * n * (1.0 + np.abs(g).max() * np.abs(right).max())
+
+
+@st.composite
+def diagonal_products(draw):
+    """A diagonal d of 1 to 300 entries and a block x of 1 to 40 rows (or
+    one vector) with d's length as columns, both of either sign over
+    sixteen decades, with some entries +0.0 or -0.0."""
+    n = draw(st.integers(1, 300))
+    rows = draw(st.sampled_from([None, 1, 2, 7, 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def signed(shape, zeros):
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        a[rng.uniform(size=shape) < zeros] = 0.0
+        a[rng.uniform(size=shape) < zeros] = -0.0
+        return a
+    d = signed(n, draw(st.sampled_from([0.0, 0.1, 0.5])))
+    x = signed((n,) if rows is None else (rows, n),
+               draw(st.sampled_from([0.0, 0.1, 0.5])))
+    return d, x
+
+
+def assert_same_array(got, want):
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(diagonal_products())
+def test_diagonal_band_products_have_the_gemm_bytes(dx):
+    d, x = dx
+    dense = np.diag(d)
+    assert_same_array(hilbert._band_apply(x, d[:, None]), x @ dense)
+    xt = x.T   # F-ordered for a block, as the library's A^T is
+    assert_same_array(hilbert._band_apply(xt, d[:, None], left=True),
+                      dense @ xt)
+    flipped = x[..., ::-1]   # a strided view
+    assert_same_array(hilbert._band_apply(flipped, d[:, None]),
+                      flipped @ dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(diagonal_products())
+def test_diagonal_solve_and_inverse_have_the_lapack_bytes(dx):
+    d, x = dx
+    rhs = np.atleast_2d(x).T            # one to 40 right-hand sides
+    d = np.where(d == 0.0, 1.0, d)
+    want = np.linalg.solve(np.diag(d), rhs)
+    got = hilbert._band_solve(d[:, None], rhs)
+    assert np.array_equal(got, want)    # values, for either sign of d
+    pos, plain = np.abs(d), rhs + 0.0   # the library's W_X and -0.0-free rhs
+    assert got.shape == want.shape
+    assert hilbert._band_solve(pos[:, None], plain).tobytes() == \
+        np.linalg.solve(np.diag(pos), plain).tobytes()
+    m = np.diag(pos)
+    assert hilbert._dense(_mass_inverse(m, pos[:, None])).tobytes() == \
+        scipy.linalg.cho_solve(scipy.linalg.cho_factor(m),
+                               np.eye(len(m))).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

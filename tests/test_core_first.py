@@ -22,13 +22,13 @@ from passivebc.hilbert import LinearMap, contraction_norm
 from passivebc.jet import pull_state, ran_A_defect
 from passivebc.node import (
     _mass_weighted,
-    _row_forms,
     impedance_node,
     scattering_node,
 )
 from passivebc.sim import StepSolver
 
-from conftest import ROOT, dense_mass_weight, iota, random_wave_system
+from conftest import (ROOT, dense_mass_weight, iota, random_wave_system,
+                      row_forms)
 from test_triplet import assert_realizes, jet_recipe, lift_recipe
 
 SYSTEMS = dict(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
@@ -74,7 +74,7 @@ def dense_node_formulas(nd, z):
     else:
         g = 0.5 * ((eye - p) @ a + (eye + p) @ b)
         k = 0.5 * ((eye + p) @ a + (eye - p) @ b)
-    power = _row_forms(z @ w[n1:core].T, nd.D.matrix.T @ nd.D.domain.gram)
+    power = row_forms(z @ w[n1:core].T, nd.D.matrix.T @ nd.D.domain.gram)
     return (op.L - damping_rows) @ w, g, k, power
 
 
@@ -97,8 +97,8 @@ def test_energy_split_equals_projected_forms(n, seed, jet, rows):
     n1, gram = op.core_blocks[0], nd.state_space.gram
     z = rng.standard_normal((rows, op.ext_dim))
     zc = z @ iota(op).T
-    want = (0.5 * _row_forms(zc[:, :n1], gram[:n1, :n1]),
-            0.5 * _row_forms(zc[:, n1:], gram[n1:, n1:]))
+    want = (0.5 * row_forms(zc[:, :n1], gram[:n1, :n1]),
+            0.5 * row_forms(zc[:, n1:], gram[n1:, n1:]))
     got = nd.energy_split(z)
     assert all(same_bytes(g, w) for g, w in zip(got, want))
 
@@ -155,7 +155,7 @@ def test_mass_weight_equals_dense_product(n, seed, jet, rows, zeros):
     _, op, nd, rng = system_and_node(n, seed, jet)
     x = rng.standard_normal((rows, op.ext_dim))
     x[rng.uniform(size=x.shape) < zeros] = -0.0
-    assert same_bytes(_mass_weighted(x, op, nd.M_inv),
+    assert same_bytes(_mass_weighted(x, op, nd._minv_band),
                       x @ dense_mass_weight(nd))
 
 

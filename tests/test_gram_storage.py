@@ -4,23 +4,29 @@
 (``dense_gram_oracle``), read-only, on every read.  What a node keeps must
 grow linearly in N, and no per-block or per-row loop may read ``.gram``:
 a run reads it as often for one block (or one row) as for many.  A builder
-given an operator of the wrong shape names the fault with a
+given an operator of the wrong shape, an unknown name, a width or mode
+number that is not positive or a zero or NaN step names the fault with a
 ``PassivebcError``.
 """
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from passivebc import cli, wave1d
+from passivebc import cli, node, verify, wave1d
 from passivebc.errors import (
     CoreGramNotBlockDiagonal,
+    InvalidTimeGrid,
+    NonPositiveParameter,
+    NotALift,
     PassivebcError,
     ShapeMismatch,
+    UnknownChoice,
 )
 from passivebc.hilbert import (
     HilbertSpaceSpec,
@@ -30,12 +36,14 @@ from passivebc.hilbert import (
     euclidean_space,
     make_space,
 )
+from passivebc.jet import build_jet
 from passivebc.node import impedance_node, scattering_node
-from passivebc.sim import LEDGER_CHUNK
+from passivebc.scenario import load_scenario
+from passivebc.sim import LEDGER_CHUNK, InputSignal, StepSolver
 from passivebc.triplet import _gram_csr, extend_adjoint
 
 import dense_gram_oracle as oracle
-from conftest import wave_system
+from conftest import ROOT, wave_system
 from test_hilbert import spd_grams
 from test_stream import random_scenario
 
@@ -162,6 +170,68 @@ def test_wrong_shape_raises_a_named_error(which, N, wrong):
     with pytest.raises(PassivebcError) as info:
         build_with_wrong_shape(which, N, wrong)
     assert info.type is ShapeMismatch
+
+
+def names_other_than(*known):
+    return st.text(max_size=12).filter(lambda s: s not in known)
+
+
+def small_node(flavor):
+    sys_ = wave_system(2)
+    return node._build_node(sys_.op_A, np.eye(2), sys_.M_map, sys_.D_map,
+                            flavor)
+
+
+def jet_of_a_non_lift(target):
+    """``build_jet`` on the jet's own target, or on a lift that lost its
+    dual pair."""
+    sys_ = wave_system(2)
+    return build_jet(sys_.jet.target if target
+                     else dataclasses.replace(sys_.op_A, pair=None))
+
+
+NON_POSITIVE = st.floats(max_value=0.0, allow_infinity=False)
+
+# fault: (bad values, a call that passes one, the error it must raise)
+ARGUMENT_FAULTS = {
+    "input kind": (names_other_than("zero", "sine", "gauss_pulse"),
+                   lambda kind: InputSignal(kind, weights=np.ones(2)),
+                   UnknownChoice),
+    "pulse width": (NON_POSITIVE,
+                    lambda w: InputSignal("gauss_pulse", weights=np.ones(2),
+                                          width=w),
+                    NonPositiveParameter),
+    "step": (st.sampled_from([0.0, -0.0, math.nan]),
+             lambda dt: StepSolver(small_node(node.IMPEDANCE), dt),
+             InvalidTimeGrid),
+    "mode number": (st.integers(max_value=0),
+                    lambda k: wave1d.analytic_standing_wave(
+                        k, wave_system(2).coeffs),
+                    NonPositiveParameter),
+    "gauss width": (NON_POSITIVE | st.just(math.nan),
+                    lambda w: wave1d.initial_state(wave_system(2), "gauss",
+                                                   width=w),
+                    NonPositiveParameter),
+    "initial kind": (names_other_than("zero", "standing_wave", "gauss"),
+                     lambda kind: wave1d.initial_state(wave_system(2), kind),
+                     UnknownChoice),
+    "flavor": (names_other_than(node.SCATTERING, node.IMPEDANCE), small_node,
+               UnknownChoice),
+    "jet source": (st.booleans(), jet_of_a_non_lift, NotALift),
+    "suite": (names_other_than(*verify.SUITES),
+              lambda suite: verify.run_suite(load_scenario(
+                  ROOT / "scenarios" / "standing_wave.json"), suite),
+              UnknownChoice),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), fault=st.sampled_from(sorted(ARGUMENT_FAULTS)))
+def test_bad_argument_raises_a_named_error(data, fault):
+    values, call, error = ARGUMENT_FAULTS[fault]
+    with pytest.raises(PassivebcError) as info:
+        call(data.draw(values))
+    assert info.type is error
 
 
 @pytest.mark.parametrize("far", [False, True])

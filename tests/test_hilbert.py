@@ -9,6 +9,7 @@ from passivebc.errors import (
     NonFiniteValue,
     NonPositiveGram,
     NonSymmetricGram,
+    NotALift,
     RankDeficient,
     ShapeMismatch,
 )
@@ -404,7 +405,7 @@ class TestHelmholtz:
 
     def test_jet_target_is_not_a_lift(self):
         jt = wave_system(4).jet
-        with pytest.raises(ValueError, match="not the lift"):
+        with pytest.raises(NotALift, match="not the lift"):
             build_jet(jt.target)
 
 

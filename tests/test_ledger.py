@@ -19,15 +19,13 @@ from passivebc.errors import NonFiniteValue, ShapeMismatch
 from passivebc.hilbert import LinearMap, contraction_norm
 from passivebc.node import (
     BoundaryNode,
-    _row_forms,
-    _weighted_traces,
     impedance_node,
     passivity_residual,
     scattering_node,
 )
 from passivebc.sim import LEDGER_CHUNK
 
-from conftest import wave_system
+from conftest import dense_mass_weight, row_forms, wave_system
 from test_core_first import same_bytes
 
 
@@ -38,26 +36,27 @@ def ledger_oracle(nd):
     w = nd.state_space.gram
     w_p, w_k = w[:n1, :n1], w[n1:, n1:]
     damping = nd.D.matrix.T @ nd.D.domain.gram
-    a, b = _weighted_traces(op, nd.M_inv)
+    mass = dense_mass_weight(nd)
+    a, b = op.bspace.gram @ op.Gamma0 @ mass, op.Gamma1 @ mass
     trace_gap = a - b
     p = nd.P.matrix
     dual = np.linalg.inv(op.bspace.gram)
 
     def energy_split(z):
-        return (0.5 * _row_forms(z[:, :n1], w_p),
-                0.5 * _row_forms(z[:, n1:core], w_k))
+        return (0.5 * row_forms(z[:, :n1], w_p),
+                0.5 * row_forms(z[:, n1:core], w_k))
 
     def dissipated_power(z):
-        return _row_forms(z[:, n1:core] @ nd.M_inv.T, damping)
+        return row_forms(z[:, n1:core] @ nd.M_inv.T, damping)
 
     def scattering_slack(z):
         v = z @ trace_gap.T
-        return 0.5 * (_row_forms(v, dual) - _row_forms(v @ p.T, dual))
+        return 0.5 * (row_forms(v, dual) - row_forms(v @ p.T, dual))
 
     def supplied_power(u, y):
         if nd.flavor == "impedance":
             return np.einsum("ij,ij->i", u @ dual, y)
-        return 0.5 * (_row_forms(u, dual) - _row_forms(y, dual))
+        return 0.5 * (row_forms(u, dual) - row_forms(y, dual))
     return energy_split, dissipated_power, scattering_slack, supplied_power
 
 

@@ -15,6 +15,7 @@ from passivebc.errors import (
     ShapeMismatch,
     SingularBoundaryBlock,
     SingularStepMatrix,
+    UnknownChoice,
 )
 from passivebc.extension import (
     dissipativity_residual,
@@ -77,7 +78,7 @@ class TestSignals:
         assert sig(0.4)[1] == 0.0
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownChoice):
             InputSignal("sawtooth", weights=np.ones(2))
 
     @pytest.mark.parametrize("field", ["weights", "amplitude", "frequency",
@@ -184,7 +185,7 @@ class TestStepMidpoint:
 
     @pytest.mark.parametrize("dt", [0.0, -0.0, math.nan])
     def test_zero_or_nan_step_refused(self, dt):
-        with pytest.raises(ValueError, match="dt must be nonzero"):
+        with pytest.raises(InvalidTimeGrid, match="dt must be nonzero"):
             StepSolver(neumann_node(wave_system(4)), dt)
 
     @pytest.mark.parametrize("dt", [math.inf, -math.inf])

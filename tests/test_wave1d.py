@@ -7,6 +7,7 @@ from passivebc.errors import (
     InvalidCoefficients,
     NonConstantCoefficients,
     NonFiniteValue,
+    UnknownChoice,
 )
 from passivebc.triplet import green_residual, minimal_domain
 from passivebc.wave1d import (
@@ -221,5 +222,5 @@ class TestInitialStates:
         assert np.isfinite(energy) and energy > 0.0
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownChoice):
             initial_state(wave_system(4), "sawtooth")
