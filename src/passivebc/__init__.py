@@ -55,6 +55,7 @@ from .triplet import (
     lift_second_order,
     minimal_domain,
     skew_on_minimal,
+    strain_momentum,
 )
 from .wave1d import (
     WaveCoefficients,

@@ -159,14 +159,14 @@ def jet_compare(path: str, out: str | None = None) -> int:
     jt = sys_.jet
 
     node_a = build_flavor_node(sc, sys_, sys_.op_A)
-    node_b = build_flavor_node(sc, sys_, jt.target)
+    node_b = build_flavor_node(sc, sys_, sys_.op_strain)
     signal = build_signal(sc)
     z0 = build_initial_state(sc, sys_)
     blocks_a = simulate_blocks(node_a, z0, signal, sc.t_final, sc.dt)
     blocks_b = simulate_blocks(node_b, push_state(jt, z0), signal,
                                sc.t_final, sc.dt)
 
-    nc_a = sys_.op_A.core.dim
+    nc_a, nc_b = sys_.op_A.core.dim, sys_.op_strain.core.dim
     dim_y = jt.A_iso.codomain.dim
     worst = -math.inf
 
@@ -175,7 +175,7 @@ def jet_compare(path: str, out: str | None = None) -> int:
         for a, b in zip(blocks_a, blocks_b):
             rows = []
             for t, z, w in zip(a.times, a.states_ext[:, :nc_a],
-                               b.states_ext[:, :jt.target.core.dim]):
+                               b.states_ext[:, :nc_b]):
                 dev = float(np.linalg.norm(push_state(jt, z) - w))
                 worst = max(worst, dev)
                 rows.append([t, dev, ran_A_defect(jt, w[:dim_y])])

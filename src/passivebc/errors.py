@@ -70,11 +70,6 @@ class DegenerateCoreProjection(PassivebcError):
     """Core projection restricted to a domain basis is not injective."""
 
 
-class NotALift(PassivebcError):
-    """An operator passed where the second-order lift of a dual pair is
-    needed is not one."""
-
-
 # ---------------------------------------------------------------- extensions
 
 

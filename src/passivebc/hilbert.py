@@ -23,9 +23,9 @@ nonzero product; a wider one is made dense for the GEMM.
 ``HilbertSpaceSpec.gram`` builds the dense matrix afresh on each read.
 The products whose entries sum several terms stay dense GEMMs and keep
 their summation order, because a run's states, ledger and CSV carry their
-bits: the lift's ``(A^T W_Y) A``, ``_realize``'s ``B_ext[:, :dim_y] @
-to_y``, M^{-1} of a non-diagonal mass, the step's ``lu_factor``/``getrs``
-and the step itself.
+bits: the normal matrix ``(A^T W_Y) A`` of the lift and the jet,
+``_realize``'s ``B_ext[:, :dim_y] @ to_y``, M^{-1} of a non-diagonal mass,
+the step's ``lu_factor``/``getrs`` and the step itself.
 """
 
 from __future__ import annotations

@@ -1,25 +1,22 @@
 """Equivalence transform between position-momentum and strain-momentum forms.
 
-Given the second-order boundary operator on core ``(z1, z2)`` and the
-injective factor ``A: X -> Y`` it was built from, the transform carries the
-system onto the core ``(w1, w2) in Y (+) X`` with action
+The two realizations of a dual pair with injective factor ``A: X -> Y``
+are ``triplet.lift_second_order`` on the core ``(z1, z2)`` and
+``triplet.strain_momentum`` on the core ``(w1, w2) in Y (+) X`` with action
 
     w1' = A w2-block,    w2' = B_ext [w1; tau],
 
 traces
 
-    Xi0 = (Lambda1 w2, Pi2 [w1; tau]),   Xi1 = (-Pi1 [w1; tau], Lambda2 w2),
+    Xi0 = (Lambda1 w2, Pi2 [w1; tau]),   Xi1 = (-Pi1 [w1; tau], Lambda2 w2).
 
-and state mapping ``w = (A z1, z2)``.  On states with w1 in ran A this is
-exactly the source system in new coordinates (``Xi_i (A z1, z2, tau) =
+This module transports states between them by ``w = (A z1, z2)``.  On
+states with w1 in ran A the strain-momentum form is exactly the
+position-momentum one in new coordinates (``Xi_i (A z1, z2, tau) =
 Gamma_i (z1, z2, tau)`` as matrices); off ran A the operator extends
 naturally because ker A* is annihilated by B_ext.  Distance from ran A is
 an invariant of the transformed flow; it is measured, and states are
 pulled back, by one solve with the factored normal matrix ``A^T W_Y A``.
-The target is realized by the same builder as the second-order lift
-(``triplet._realize``), with ``(to_y, velocity) = (I, A)`` where the lift
-has ``(A, I)``: the strain block enters B_ext as it is and the factor map
-moves into ``w1' = A w2``.
 """
 
 from __future__ import annotations
@@ -29,17 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NotALift, RankDeficient
+from .errors import NonFiniteValue, RankDeficient, ShapeMismatch
 from .hilbert import (
     RANK_RTOL,
     LinearMap,
+    _band,
     _band_apply,
-    _band_entries,
-    _dense,
+    _bandwidth,
     _extreme_eigenvalues,
-    _frozen,
 )
-from .triplet import BoundaryOperator, _realize
+from .triplet import _normal_gram
 
 __all__ = [
     "JetTransform",
@@ -56,64 +52,64 @@ class JetTransform:
 
     A_iso: LinearMap
     normal_factor: np.ndarray         # upper Cholesky factor of A^T W_Y A
-    source: BoundaryOperator
-    target: BoundaryOperator
 
     def normal_solve(self, rhs: np.ndarray) -> np.ndarray:
         """``(A^T W_Y A)^{-1} rhs`` from the stored factor."""
         return scipy.linalg.cho_solve((self.normal_factor, False), rhs)
 
 
-def build_jet(op_A: BoundaryOperator) -> JetTransform:
-    """Construct the strain-momentum realization of a lifted operator.
+def build_jet(A: LinearMap) -> JetTransform:
+    """Factor the normal matrix ``A^T W_Y A`` of the factor map ``A``.
 
-    ``op_A`` must be the second-order lift of the dual pair it carries,
-    whose (injective) factor map becomes ``A_iso``; its core Gram holds
-    ``A^T W_Y A`` in the position block.  The target operator lives on
-    extended coordinates ``(w1, w2, tau)`` of dimension
-    ``dim Y + dim X + nb``.  Raises ``RankDeficient`` when the smallest
-    eigenvalue of ``A^T W_Y A`` is at most ``RANK_RTOL`` times the largest.
+    Raises ``RankDeficient`` when its smallest eigenvalue is at most
+    ``RANK_RTOL`` times the largest, i.e. when A is not injective.
     """
-    dp = op_A.pair
-    if dp is None or op_A.core_blocks[0] != dp.A.domain.dim:
-        raise NotALift("source operator is not the lift of a dual pair")
-    nx = dp.A.domain.dim
-    inside = _band_entries(nx, op_A.core.bandwidth)[0]
-    normal = np.where(inside, op_A.core.band[:nx], 0.0)   # A^T W_Y A
-    lo, hi = _extreme_eigenvalues(normal)
+    normal = _normal_gram(A)
+    lo, hi = _extreme_eigenvalues(_band(normal, _bandwidth(normal)))
     if lo <= RANK_RTOL * max(abs(hi), 1e-300):
         raise RankDeficient(
-            f"map {dp.A.domain.label!r} -> {dp.A.codomain.label!r} is not "
+            f"map {A.domain.label!r} -> {A.codomain.label!r} is not "
             f"injective (normal-matrix eigenvalue {lo:.3e})")
-    target = _realize(dp, dp.A.codomain.band, dp.A.codomain.label,
-                      np.eye(dp.A.codomain.dim), dp.A.matrix, "jet target")
-    factor = scipy.linalg.cholesky(_dense(normal))
-    return JetTransform(A_iso=dp.A, normal_factor=_frozen(factor),
-                        source=op_A, target=target)
+    factor = scipy.linalg.cholesky(normal)
+    factor.setflags(write=False)
+    return JetTransform(A_iso=A, normal_factor=factor)
 
 
-def state_injection(jt: JetTransform) -> np.ndarray:
-    """Matrix diag(A, I, I_tau) carrying source extended states to target ones."""
+def state_injection(jt: JetTransform, nb: int) -> np.ndarray:
+    """Matrix diag(A, I, I_tau) carrying extended position-momentum states
+    with ``nb`` boundary coordinates to strain-momentum ones."""
     nx = jt.A_iso.domain.dim
-    nb = jt.source.ext_dim - jt.source.core.dim
     return scipy.linalg.block_diag(jt.A_iso.matrix, np.eye(nx), np.eye(nb))
 
 
+def _vector(name: str, x, size: int) -> np.ndarray:
+    """``x`` as a float vector; ``ShapeMismatch`` unless it has shape
+    ``(size,)``, ``NonFiniteValue`` if it holds NaN or infinity."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (size,):
+        raise ShapeMismatch(f"{name} has shape {x.shape}; the transform "
+                            f"expects ({size},)")
+    if not np.isfinite(x).all():
+        raise NonFiniteValue(f"{name} holds NaN or infinity")
+    return x
+
+
 def push_state(jt: JetTransform, z: np.ndarray) -> np.ndarray:
-    """Map a source core state (z1, z2) to the target core state (A z1, z2)."""
+    """Map a position-momentum core state (z1, z2) to the strain-momentum
+    core state (A z1, z2)."""
     nx = jt.A_iso.domain.dim
-    z = np.asarray(z, dtype=float)
+    z = _vector("position-momentum state", z, 2 * nx)
     return np.concatenate([jt.A_iso.matrix @ z[:nx], z[nx:]])
 
 
 def pull_state(jt: JetTransform, w: np.ndarray) -> np.ndarray:
-    """Recover (z1, z2) from a target core state with w1 in ran A.
+    """Recover (z1, z2) from a strain-momentum core state with w1 in ran A.
 
     z1 solves the weighted normal equations of the injective factor, so no
     pseudo-inverse is formed.
     """
     dim_y = jt.A_iso.codomain.dim
-    w = np.asarray(w, dtype=float)
+    w = _vector("strain-momentum state", w, dim_y + jt.A_iso.domain.dim)
     return np.concatenate([_range_coordinates(jt, w[:dim_y]), w[dim_y:]])
 
 
@@ -125,7 +121,7 @@ def _range_coordinates(jt: JetTransform, w1: np.ndarray) -> np.ndarray:
 
 def ran_A_defect(jt: JetTransform, w1: np.ndarray) -> float:
     """Distance of a strain block from ran A in the codomain norm."""
-    w1 = np.asarray(w1, dtype=float)
+    w1 = _vector("strain block", w1, jt.A_iso.codomain.dim)
     v = w1 - jt.A_iso.matrix @ _range_coordinates(jt, w1)
     return float(np.sqrt(max(_band_apply(v, jt.A_iso.codomain.band) @ v,
                              0.0)))

@@ -96,7 +96,7 @@ class BoundaryNode:
     K_map: np.ndarray
     L_eff: np.ndarray
     state_space: HilbertSpaceSpec      # core with mass-weighted Gram
-    M_inv: np.ndarray                  # M^{-1} on the momentum block
+    M_inv: np.ndarray                  # band of M^{-1} on the momentum block
 
     def dual_gram(self) -> np.ndarray:
         """Gram of the dual boundary space (inputs/outputs live there).
@@ -110,15 +110,10 @@ class BoundaryNode:
         return _frozen(np.linalg.inv(self.op.bspace.gram))
 
     @cached_property
-    def _minv_band(self) -> np.ndarray:
-        """Band of ``M_inv``, read once from the dense field."""
-        return _frozen(_band(self.M_inv, _bandwidth(self.M_inv)))
-
-    @cached_property
     def _trace_gap_and_damping(self) -> tuple[np.ndarray, np.ndarray]:
         """``a - b`` and the band of ``D^T W_D``: the two ledger factors the
         node does not hold otherwise, built on first use."""
-        a, b = _weighted_traces(self.op, self._minv_band)
+        a, b = _weighted_traces(self.op, self.M_inv)
         damping = _band_apply(self.D.matrix.T, self.D.domain.band)
         return _frozen(a - b), _frozen(_band(damping, _bandwidth(damping)))
 
@@ -143,7 +138,7 @@ class BoundaryNode:
         """Damping form ``<v, D^T W_D v>`` with ``v = M^{-1} z2``."""
         z = _expect_rows("states", z, self.op.ext_dim)
         n1, core = self.op.core_blocks[0], self.op.core.dim
-        v = _band_apply(z[:, n1:core], _band_transpose(self._minv_band))
+        v = _band_apply(z[:, n1:core], _band_transpose(self.M_inv))
         return _row_forms(_band_apply(v, self._trace_gap_and_damping[1]), v)
 
     def scattering_slack(self, z: np.ndarray) -> np.ndarray:
@@ -315,9 +310,12 @@ def _mass_weighted(x: np.ndarray, op: BoundaryOperator, minv: np.ndarray):
 
 
 def _effective_action(op: BoundaryOperator, D: LinearMap, minv: np.ndarray):
-    action, n1 = op.L.copy(), op.core_blocks[0]
-    action[n1:, n1:op.core.dim] -= D.matrix
-    return _mass_weighted(action, op, minv)
+    """``(L - diag(0, D) iota) diag(I, M^{-1}, I)``, in one copy of L."""
+    n1, momentum = op.core_blocks[0], slice(op.core_blocks[0], op.core.dim)
+    action = op.L + 0.0   # as in _mass_weighted
+    action[n1:, momentum] -= D.matrix
+    action[:, momentum] = _band_apply(action[:, momentum], minv)
+    return action
 
 
 def _weighted_traces(op: BoundaryOperator, minv: np.ndarray):
@@ -344,10 +342,11 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
         g = 0.5 * ((eye - pmat) @ a + (eye + pmat) @ b)
         k = 0.5 * ((eye + pmat) @ a + (eye - pmat) @ b)
     l_eff = _effective_action(op, D, minv)
+    for x in (g, k, l_eff, minv):   # built here: frozen, not copied
+        x.setflags(write=False)
     return BoundaryNode(op=op, flavor=flavor, P=param, M=M, D=D,
-                        G_map=_frozen(g), K_map=_frozen(k),
-                        L_eff=_frozen(l_eff), state_space=state_space,
-                        M_inv=_frozen(_dense(minv)))
+                        G_map=g, K_map=k, L_eff=l_eff,
+                        state_space=state_space, M_inv=minv)
 
 
 def scattering_node(op: BoundaryOperator, P, M: LinearMap,

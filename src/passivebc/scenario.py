@@ -265,7 +265,7 @@ def build_flavor_node(sc: Scenario, sys: WaveSystem,
 
 def build_node(sc: Scenario, sys: WaveSystem) -> BoundaryNode:
     """Node on the operator selected by the scenario formulation."""
-    op = sys.op_A if sc.formulation == "position-momentum" else sys.jet.target
+    op = sys.op_A if sc.formulation == "position-momentum" else sys.op_strain
     return build_flavor_node(sc, sys, op)
 
 

@@ -26,10 +26,11 @@ for which the operator Green identity
 
     iota^T W_Z L + L^T W_Z iota = Gamma1^T Gamma0 + Gamma0^T Gamma1
 
-holds exactly whenever the dual-pair identity does.  The lift and the
-strain-momentum target of :mod:`passivebc.jet` share one realization: the
-lift feeds ``(to_y, velocity) = (A, I)``, i.e. ``[A z1; tau]`` to B_ext and
-``z1' = z2``, the jet target ``(I, A)``.
+holds exactly whenever the dual-pair identity does.  The strain-momentum
+form (``strain_momentum``, the target of :mod:`passivebc.jet`) realizes the
+same pair on ``Y (+) X`` with ``W = blockdiag(W_Y, W_X)``.  Both go through
+``_realize``: the lift feeds ``(to_y, velocity) = (A, I)``, i.e. ``[A z1;
+tau]`` to B_ext and ``z1' = z2``, the strain-momentum form ``(I, A)``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ __all__ = [
     "extend_adjoint",
     "assemble_dual_pair",
     "lift_second_order",
+    "strain_momentum",
     "green_residual",
     "minimal_domain",
     "skew_on_minimal",
@@ -115,7 +117,6 @@ class BoundaryOperator:
     Gamma1: np.ndarray
     bspace: HilbertSpaceSpec
     core_blocks: tuple[int, int]
-    pair: DualPairTriplet | None = field(compare=False, default=None)
 
     @property
     def n_boundary(self) -> int:
@@ -244,13 +245,21 @@ def _realize(dp: DualPairTriplet, w1: np.ndarray, label1: str,
     bspace = _space_from_band(_block_band(
         *(g.band for g in (dp.G1, dp.G2) if g is not None)), "G")
 
-    op = BoundaryOperator(core=core, ext_dim=ext_dim, L=_frozen(L),
-                          Gamma0=_frozen(gamma0), Gamma1=_frozen(gamma1),
-                          bspace=bspace, core_blocks=(n1, nx), pair=dp)
+    for x in (L, gamma0, gamma1):
+        x.setflags(write=False)
+    op = BoundaryOperator(core=core, ext_dim=ext_dim, L=L, Gamma0=gamma0,
+                          Gamma1=gamma1, bspace=bspace, core_blocks=(n1, nx))
     res = green_residual(op)
     if res > GREEN_TOL:
         raise GreenIdentityViolated(res, res, where)
     return op
+
+
+def _normal_gram(A: LinearMap) -> np.ndarray:
+    """``A^T W_Y A`` as ``sym((A^T W_Y) A)``; the GEMM stays, since its bits
+    reach the lift's H and the jet's Cholesky factor."""
+    w_h = _band_apply(A.matrix.T, A.codomain.band) @ A.matrix
+    return 0.5 * (w_h + w_h.T)
 
 
 def lift_second_order(dp: DualPairTriplet) -> BoundaryOperator:
@@ -260,12 +269,16 @@ def lift_second_order(dp: DualPairTriplet) -> BoundaryOperator:
     of the extended Y side; the Y~ element fed to B_ext and the Pi traces
     is ``[A z1; tau]``.
     """
-    a = dp.A.matrix
-    # the GEMM (A^T W_Y) A stays: it feeds H and the jet's Cholesky factor
-    w_h = _band_apply(a.T, dp.A.codomain.band) @ a
-    w_h = 0.5 * (w_h + w_h.T)
+    w_h = _normal_gram(dp.A)
     return _realize(dp, _band(w_h, _bandwidth(w_h)), f"{dp.A.domain.label}_h",
-                    a, np.eye(dp.A.domain.dim), "second-order lift")
+                    dp.A.matrix, np.eye(dp.A.domain.dim), "second-order lift")
+
+
+def strain_momentum(dp: DualPairTriplet) -> BoundaryOperator:
+    """Strain-momentum realization on ``(w1, w2, tau)`` over ``Y (+) X``:
+    B_ext and the Pi traces read ``[w1; tau]``, and ``w1' = A w2``."""
+    return _realize(dp, dp.A.codomain.band, dp.A.codomain.label,
+                    np.eye(dp.A.codomain.dim), dp.A.matrix, "jet target")
 
 
 def _gram_csr(space: HilbertSpaceSpec) -> csr_array:

@@ -70,7 +70,7 @@ def _green_checks(sys) -> list[CheckResult]:
                     1e-12),
         CheckResult("green_identity", green_residual(sys.op_A), 1e-12),
         CheckResult("green_identity_jet_target",
-                    green_residual(sys.jet.target), 1e-12),
+                    green_residual(sys.op_strain), 1e-12),
     ]
 
 
@@ -124,8 +124,8 @@ def _jet_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
     jt = sys.jet
     nx = jt.A_iso.domain.dim
     w_y = jt.A_iso.codomain.gram
-    zc = jt.source.core.gram
-    wc = jt.target.core.gram
+    zc = sys.op_A.core.gram
+    wc = sys.op_strain.core.gram
     w_h = zc[:nx, :nx]                       # A^T W_Y A, held by the lift
 
     iso = 0.0
@@ -141,17 +141,17 @@ def _jet_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
                      / (1.0 + abs(float(z @ zc @ z))))
 
     # B_ext on Y times the projector I - A (A^T W_Y A)^{-1} A^T W_Y onto ker A*
-    dp = jt.source.pair
+    dp = sys.dual_pair
     b_y, a = dp.B_ext.matrix[:, :jt.A_iso.codomain.dim], jt.A_iso.matrix
     ker_rows = b_y - (b_y @ a) @ jt.normal_solve(a.T @ w_y)
     kernel = float(np.linalg.norm(ker_rows)
                    / (1.0 + np.linalg.norm(dp.B_ext.matrix)))
 
     # Trace transport: Xi agrees with Gamma after injecting source states.
-    inj = state_injection(jt)
+    inj = state_injection(jt, dp.n_boundary_coords)
     transport = max(
-        float(np.abs(jt.target.Gamma0 @ inj - jt.source.Gamma0).max()),
-        float(np.abs(jt.target.Gamma1 @ inj - jt.source.Gamma1).max()))
+        float(np.abs(sys.op_strain.Gamma0 @ inj - sys.op_A.Gamma0).max()),
+        float(np.abs(sys.op_strain.Gamma1 @ inj - sys.op_A.Gamma1).max()))
 
     return [CheckResult("jet_isometry", iso, 1e-12),
             CheckResult("jet_energy_push", energy, 1e-12),

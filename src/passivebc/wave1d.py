@@ -18,7 +18,9 @@ The endpoint traces
 
 then satisfy the dual-pair Green identity to machine precision, and the
 second-order lift yields bulk traces: boundary velocity for Gamma0 and
-outward-normal traction (-tau_L, +tau_R) for Gamma1.
+outward-normal traction (-tau_L, +tau_R) for Gamma1.  ``assemble`` stops at
+the pair; the lift, the strain-momentum form and the jet transport are
+built from it on first read of ``WaveSystem.op_A``, ``op_strain``, ``jet``.
 
 Coefficients rho (density), a (restoring) and b (damping) are per node,
 the stiffness T per cell; rho, T, a must be strictly positive and b
@@ -49,6 +51,7 @@ from .triplet import (
     assemble_dual_pair,
     extend_adjoint,
     lift_second_order,
+    strain_momentum,
 )
 
 __all__ = [
@@ -104,10 +107,8 @@ class WaveCoefficients:
 
 @dataclass(frozen=True)
 class WaveSystem:
-    """Assembled spaces, dual pair and boundary operator.
-
-    The strain-momentum jet transform is built on first read of ``jet``.
-    """
+    """Assembled spaces and dual pair; its two realizations and the jet
+    transform between them are built once, on first read."""
 
     coeffs: WaveCoefficients
     nodes: np.ndarray
@@ -115,14 +116,23 @@ class WaveSystem:
     Y: HilbertSpaceSpec
     A_map: LinearMap
     dual_pair: DualPairTriplet
-    op_A: BoundaryOperator
     M_map: LinearMap
     D_map: LinearMap
 
     @cached_property
+    def op_A(self) -> BoundaryOperator:
+        """Position-momentum realization: the second-order lift."""
+        return lift_second_order(self.dual_pair)
+
+    @cached_property
+    def op_strain(self) -> BoundaryOperator:
+        """Strain-momentum realization of the dual pair."""
+        return strain_momentum(self.dual_pair)
+
+    @cached_property
     def jet(self) -> JetTransform:
-        """Strain-momentum transform of ``op_A``, built once on first read."""
-        return build_jet(self.op_A)
+        """State transport between ``op_A`` and ``op_strain``."""
+        return build_jet(self.A_map)
 
 
 def constant_coefficients(N: int, length: float = 1.0, rho: float = 1.0,
@@ -154,7 +164,7 @@ def _trapezoid_weights(N: int, h: float) -> np.ndarray:
 
 def assemble(coeffs: WaveCoefficients,
              boundary_gram: np.ndarray | None = None) -> WaveSystem:
-    """Build the exact dual pair and its second-order lift.
+    """Build the spaces, the factor map and the exact dual pair.
 
     ``boundary_gram`` overrides the identity Gram of the two-point
     boundary space (the trace identities are Gram-independent; the choice
@@ -190,11 +200,8 @@ def assemble(coeffs: WaveCoefficients,
     G1 = make_space(2, np.eye(2) if boundary_gram is None
                     else boundary_gram, "G1")
 
-    dual_pair = assemble_dual_pair(A_map, B_ext, lambda1, pi1, G1)
-    op_A = lift_second_order(dual_pair)
-
-    return WaveSystem(coeffs=coeffs, nodes=nodes, X=X, Y=Y,
-                      A_map=A_map, dual_pair=dual_pair, op_A=op_A,
+    return WaveSystem(coeffs, nodes, X, Y, A_map,
+                      assemble_dual_pair(A_map, B_ext, lambda1, pi1, G1),
                       M_map=LinearMap(np.diag(coeffs.rho), domain=X,
                                       codomain=X),
                       D_map=LinearMap(np.diag(coeffs.b), domain=X,
@@ -211,11 +218,14 @@ def analytic_standing_wave(k: int, coeffs: WaveCoefficients
         omega   = sqrt((T (k pi / length)^2 + a) / rho),
 
     which solves the continuous equation with zero traction at both ends.
-    Raises ``NonFiniteValue`` when kappa = k pi / length or omega is not a
-    finite float.
+    Raises ``NonPositiveParameter`` unless k is a positive integer (a
+    Python or NumPy integer, not a bool), and ``NonFiniteValue`` when kappa
+    = k pi / length or omega is not a finite float.
     """
-    if k < 1:
-        raise NonPositiveParameter("mode number k must be a positive integer")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) \
+            or k < 1:
+        raise NonPositiveParameter(
+            f"mode number k must be a positive integer, got {k!r}")
     if np.ptp(coeffs.rho) != 0.0 or np.ptp(coeffs.T) != 0.0 \
             or np.ptp(coeffs.a) != 0.0:
         raise NonConstantCoefficients(
@@ -227,7 +237,7 @@ def analytic_standing_wave(k: int, coeffs: WaveCoefficients
     T = float(coeffs.T[0])
     a = float(coeffs.a[0])
     try:
-        kappa = k * math.pi / coeffs.length
+        kappa = int(k) * math.pi / coeffs.length
         omega = math.sqrt((T * kappa ** 2 + a) / rho)
     except OverflowError:
         kappa = omega = math.inf
@@ -256,8 +266,7 @@ def initial_state(sys: WaveSystem, kind: str, **params) -> np.ndarray:
     if kind == "zero":
         return np.zeros(2 * n)
     if kind == "standing_wave":
-        state, _ = analytic_standing_wave(int(params.get("k", 1)),
-                                          sys.coeffs)
+        state, _ = analytic_standing_wave(params.get("k", 1), sys.coeffs)
         return state(0.0)
     if kind == "gauss":
         center = float(params.get("center", 0.5 * sys.coeffs.length))

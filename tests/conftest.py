@@ -7,7 +7,8 @@ import scipy.linalg
 from hypothesis import settings
 
 from passivebc import wave1d
-from passivebc.hilbert import HilbertSpaceSpec, _norm, _sqrt_and_inv_sqrt
+from passivebc.hilbert import (HilbertSpaceSpec, _dense, _norm,
+                               _sqrt_and_inv_sqrt)
 from passivebc.sim import LEDGER_CHUNK
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,8 +41,10 @@ def double_gamma1(monkeypatch):
     def build_faulty(sc):
         sound = build(sc)
         op = sound.op_A
-        return dataclasses.replace(sound, op_A=dataclasses.replace(
+        # op_A is built on first read: store the faulty one in its place
+        object.__setattr__(sound, "op_A", dataclasses.replace(
             op, Gamma1=2.0 * op.Gamma1))
+        return sound
     monkeypatch.setattr(verify, "build_system", build_faulty)
 
 
@@ -55,7 +58,7 @@ def dense_mass_weight(node):
     """The dense ``diag(I, M^{-1}, I_tau)`` a node applies by slicing."""
     n1 = node.op.core_blocks[0]
     nb = node.op.ext_dim - node.op.core.dim
-    return scipy.linalg.block_diag(np.eye(n1), node.M_inv, np.eye(nb))
+    return scipy.linalg.block_diag(np.eye(n1), _dense(node.M_inv), np.eye(nb))
 
 
 def row_forms(x, w):

@@ -231,14 +231,15 @@ def test_c7_jet_equivalence():
         sys = assemble(coeffs)
         jt = sys.jet
         nd_a = impedance_node(sys.op_A, np.eye(2), sys.M_map, sys.D_map)
-        nd_b = _build_node(jt.target, nd_a.P, nd_a.M, nd_a.D, nd_a.flavor)
+        nd_b = _build_node(sys.op_strain, nd_a.P, nd_a.M, nd_a.D,
+                           nd_a.flavor)
         z0 = initial_state(sys, init)
         ta = simulate(nd_a, z0, sig, 0.5, 1e-3)
         tb = simulate(nd_b, push_state(jt, z0), sig, 0.5, 1e-3)
         nc = sys.op_A.core.dim
         for i in range(ta.n_steps + 1):
             z = ta.states_ext[i][:nc]
-            w = tb.states_ext[i][:jt.target.core.dim]
+            w = tb.states_ext[i][:sys.op_strain.core.dim]
             worst_dev = max(worst_dev, float(np.linalg.norm(
                 push_state(jt, z) - w)))
             worst_defect = max(worst_defect,

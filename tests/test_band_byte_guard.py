@@ -59,7 +59,7 @@ def operator_bytes(N, length, check_stacking):
            "B_ext": digest(b_ext.matrix), "ext": digest(b_ext.domain.gram)}
     undamped = LinearMap(np.zeros((N + 1, N + 1)), sys.X, sys.X)
     p = 0.6 * np.array([[0.6, -0.8], [0.8, 0.6]])
-    for name, op in (("lift", sys.op_A), ("jet", sys.jet.target)):
+    for name, op in (("lift", sys.op_A), ("jet", sys.op_strain)):
         out[name, "core"] = digest(op.core.gram)
         out[name, "green"] = triplet.green_residual(op)
         for build in (node.scattering_node, node.impedance_node):
@@ -67,8 +67,9 @@ def operator_bytes(N, length, check_stacking):
                 nd = build(op, p, sys.M_map, d)
                 solver = StepSolver(nd, DT)
                 key = (name, build.__name__, damping)
-                for field in ("L_eff", "G_map", "K_map", "M_inv"):
+                for field in ("L_eff", "G_map", "K_map"):
                     out[key + (field,)] = digest(getattr(nd, field))
+                out[key + ("M_inv",)] = digest(hilbert._dense(nd.M_inv))
                 out[key + ("state",)] = digest(nd.state_space.gram)
                 out[key + ("lu",)] = digest(solver._lu[0])
                 out[key + ("piv",)] = digest(solver._lu[1])

@@ -43,7 +43,7 @@ def system_and_node(n, seed, jet, full_mass=False):
     """
     rng = np.random.default_rng(seed)
     sys = random_wave_system(n, rng)
-    op = sys.jet.target if jet else sys.op_A
+    op = sys.op_strain if jet else sys.op_A
     raw = rng.standard_normal((2, 2))
     p = raw * (rng.uniform(0.1, 1.0) / contraction_norm(raw, op.bspace))
     builder = impedance_node if rng.uniform() < 0.5 else scattering_node
@@ -155,7 +155,7 @@ def test_mass_weight_equals_dense_product(n, seed, jet, rows, zeros):
     _, op, nd, rng = system_and_node(n, seed, jet)
     x = rng.standard_normal((rows, op.ext_dim))
     x[rng.uniform(size=x.shape) < zeros] = -0.0
-    assert same_bytes(_mass_weighted(x, op, nd._minv_band),
+    assert same_bytes(_mass_weighted(x, op, nd.M_inv),
                       x @ dense_mass_weight(nd))
 
 

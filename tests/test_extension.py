@@ -436,7 +436,7 @@ class TestTraceDissipativity:
     def test_matches_dense_spectrum_within_bound(self, n, seed, norm, jet):
         rng = np.random.default_rng(seed)
         sys = random_wave_system(n, rng)
-        op = sys.jet.target if jet else sys.op_A
+        op = sys.op_strain if jet else sys.op_A
         g = realized(op, random_contraction(rng, 2, op.bspace, target=norm))
         assert abs(dissipativity_residual(g) - dense_residual(op, g)) \
             <= trace_allowance(op, g)
@@ -446,7 +446,7 @@ class TestTraceDissipativity:
     def test_folded_damping_bounded_by_trace_form(self, n, seed, norm, jet):
         rng = np.random.default_rng(seed)
         sys = random_wave_system(n, rng, b_max=1.0)
-        op = folded_damping(sys, sys.jet.target if jet else sys.op_A)
+        op = folded_damping(sys, sys.op_strain if jet else sys.op_A)
         g = realized(op, random_contraction(rng, 2, op.bspace, target=norm))
         assert dense_residual(op, g) \
             <= dissipativity_residual(g) + trace_allowance(op, g)

@@ -22,8 +22,8 @@ from passivebc import cli, node, verify, wave1d
 from passivebc.errors import (
     CoreGramNotBlockDiagonal,
     InvalidTimeGrid,
+    NonFiniteValue,
     NonPositiveParameter,
-    NotALift,
     PassivebcError,
     ShapeMismatch,
     UnknownChoice,
@@ -36,7 +36,7 @@ from passivebc.hilbert import (
     euclidean_space,
     make_space,
 )
-from passivebc.jet import build_jet
+from passivebc.jet import pull_state, push_state, ran_A_defect
 from passivebc.node import impedance_node, scattering_node
 from passivebc.scenario import load_scenario
 from passivebc.sim import LEDGER_CHUNK, InputSignal, StepSolver
@@ -99,7 +99,7 @@ def test_node_grams_grow_linearly():
         sys_ = wave1d.assemble(wave1d.random_coefficients(
             N, np.random.default_rng(N)))
         nd = impedance_node(sys_.op_A, np.eye(2), sys_.M_map, sys_.D_map)
-        spaces = reachable_spaces(nd)
+        spaces = reachable_spaces((sys_, nd))
         assert {sp.label for sp in spaces} >= {"X", "Y", "Y~", "G",
                                                "X_h(+)X", "X_h(+)X_M"}
         total[N] = sum(sp.band.nbytes for sp in spaces)
@@ -182,13 +182,22 @@ def small_node(flavor):
                             flavor)
 
 
-def jet_of_a_non_lift(target):
-    """``build_jet`` on the jet's own target, or on a lift that lost its
-    dual pair."""
-    sys_ = wave_system(2)
-    return build_jet(sys_.jet.target if target
-                     else dataclasses.replace(sys_.op_A, pair=None))
+def jet_transport(call):
+    """``push_state``, ``pull_state`` or ``ran_A_defect`` (index
+    ``call[0]``) of the N = 2 jet on ``call[1](n)``, where n is the length
+    it expects: 6, 8 and 5."""
+    fn, length = ((push_state, 6), (pull_state, 8), (ran_A_defect, 5))[call[0]]
+    return fn(wave_system(2).jet, call[1](length))
 
+
+WRONG_LENGTH = st.tuples(
+    st.integers(0, 2),
+    st.sampled_from([lambda n: np.zeros(n - 1), lambda n: np.zeros(n + 1),
+                     lambda n: np.zeros((1, n)), lambda n: 0.0]))
+NOT_FINITE = st.tuples(
+    st.integers(0, 2),
+    st.sampled_from([math.nan, math.inf, -math.inf]).map(
+        lambda v: lambda n: np.append(np.ones(n - 1), v)))
 
 NON_POSITIVE = st.floats(max_value=0.0, allow_infinity=False)
 
@@ -217,7 +226,8 @@ ARGUMENT_FAULTS = {
                      UnknownChoice),
     "flavor": (names_other_than(node.SCATTERING, node.IMPEDANCE), small_node,
                UnknownChoice),
-    "jet source": (st.booleans(), jet_of_a_non_lift, NotALift),
+    "jet transport length": (WRONG_LENGTH, jet_transport, ShapeMismatch),
+    "jet transport value": (NOT_FINITE, jet_transport, NonFiniteValue),
     "suite": (names_other_than(*verify.SUITES),
               lambda suite: verify.run_suite(load_scenario(
                   ROOT / "scenarios" / "standing_wave.json"), suite),

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from passivebc.errors import NonFiniteValue, ShapeMismatch
 from passivebc.hilbert import LinearMap, euclidean_space
 from passivebc.jet import (
-    build_jet,
     pull_state,
     push_state,
     ran_A_defect,
@@ -12,14 +12,19 @@ from passivebc.jet import (
 )
 from passivebc.node import _build_node, impedance_node, internal_wellposedness
 from passivebc.sim import InputSignal, simulate
-from passivebc.triplet import assemble_dual_pair, green_residual, lift_second_order
+from passivebc.triplet import (
+    assemble_dual_pair,
+    green_residual,
+    lift_second_order,
+    strain_momentum,
+)
 
 from conftest import iota, random_wave_system, wave_system
 
 
-def on_target(jt, nd):
+def on_target(target, nd):
     """The node with ``nd``'s P, M, D and flavor on the jet target."""
-    return _build_node(jt.target, nd.P, nd.M, nd.D, nd.flavor)
+    return _build_node(target, nd.P, nd.M, nd.D, nd.flavor)
 
 
 def identity_factor_pair():
@@ -41,13 +46,13 @@ def identity_factor_pair():
 class TestBuildJet:
     def test_wave_dimensions(self):
         sys = wave_system(4)
-        assert sys.jet.target.ext_dim == 16
-        assert sys.jet.target.core.dim == 14
-        assert sys.jet.target.core_blocks == (9, 5)
+        assert sys.op_strain.ext_dim == 16
+        assert sys.op_strain.core.dim == 14
+        assert sys.op_strain.core_blocks == (9, 5)
 
     @pytest.mark.parametrize("N", [4, 16])
     def test_target_green_identity(self, N):
-        assert green_residual(wave_system(N).jet.target) <= 1e-12
+        assert green_residual(wave_system(N).op_strain) <= 1e-12
 
     def test_isometry(self, rng):
         sys = wave_system(8)
@@ -64,20 +69,20 @@ class TestBuildJet:
         # Xi composed with the state injection reproduces Gamma exactly
         sys = wave_system(6)
         jt = sys.jet
-        inj = state_injection(jt)
-        assert np.abs(jt.target.Gamma0 @ inj - sys.op_A.Gamma0).max() \
+        inj = state_injection(jt, 2)
+        assert np.abs(sys.op_strain.Gamma0 @ inj - sys.op_A.Gamma0).max() \
             <= 1e-12
-        assert np.abs(jt.target.Gamma1 @ inj - sys.op_A.Gamma1).max() \
+        assert np.abs(sys.op_strain.Gamma1 @ inj - sys.op_A.Gamma1).max() \
             <= 1e-12
 
     def test_identity_factor_degenerates_to_source(self):
         dp = identity_factor_pair()
         op = lift_second_order(dp)
-        jt = build_jet(op)
-        assert np.array_equal(jt.target.L, op.L)
-        assert np.array_equal(jt.target.Gamma0, op.Gamma0)
-        assert np.array_equal(jt.target.Gamma1, op.Gamma1)
-        assert np.array_equal(iota(jt.target), iota(op))
+        target = strain_momentum(dp)
+        assert np.array_equal(target.L, op.L)
+        assert np.array_equal(target.Gamma0, op.Gamma0)
+        assert np.array_equal(target.Gamma1, op.Gamma1)
+        assert np.array_equal(iota(target), iota(op))
 
 
 class TestStateTransport:
@@ -85,11 +90,28 @@ class TestStateTransport:
         sys = wave_system(4)
         assert not push_state(sys.jet, np.zeros(10)).any()
 
+    @pytest.mark.parametrize("length", [17, 19, 21, 26])
+    def test_push_refuses_a_state_of_another_length(self, length):
+        # at N = 8 the cores have 18 and 26 entries; a 21-entry state used
+        # to come back with 29 entries
+        with pytest.raises(ShapeMismatch, match=r"expects \(18,\)"):
+            push_state(wave_system(8).jet, np.ones(length))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_transport_refuses_non_finite_entries(self, bad):
+        jt = wave_system(8).jet
+        for fn, length in ((push_state, 18), (pull_state, 26),
+                           (ran_A_defect, 17)):
+            x = np.ones(length)
+            x[3] = bad
+            with pytest.raises(NonFiniteValue, match="NaN or infinity"):
+                fn(jt, x)
+
     def test_energy_preserved(self, rng):
         sys = wave_system(8)
         jt = sys.jet
         wa = sys.op_A.core.gram
-        wb = jt.target.core.gram
+        wb = sys.op_strain.core.gram
         for _ in range(20):
             z = rng.standard_normal(18)
             w = push_state(jt, z)
@@ -148,7 +170,7 @@ class TestTransformNode:
     def test_traction_input_reads_strain_boundary(self):
         sys = wave_system(4)
         nd = impedance_node(sys.op_A, np.eye(2), sys.M_map, sys.D_map)
-        out = on_target(sys.jet, nd)
+        out = on_target(sys.op_strain, nd)
         # input map is the signed flux extraction on the tau block only
         assert np.allclose(out.G_map[:, 14:], np.diag([-1.0, 1.0]),
                            atol=1e-14)
@@ -158,7 +180,7 @@ class TestTransformNode:
         sys = wave_system(6, rho=1.2, b=0.3)
         nd = impedance_node(sys.op_A, np.zeros((2, 2)), sys.M_map,
                             sys.D_map)
-        out = on_target(sys.jet, nd)
+        out = on_target(sys.op_strain, nd)
         ok, gen = internal_wellposedness(out)
         assert ok
         wa = out.state_space.gram @ gen
@@ -167,12 +189,11 @@ class TestTransformNode:
     def test_identity_factor_transform_is_identity(self):
         dp = identity_factor_pair()
         op = lift_second_order(dp)
-        jt = build_jet(op)
         x = euclidean_space(3, "X")
         m = LinearMap(np.eye(3), x, x)
         d = LinearMap(np.zeros((3, 3)), x, x)
         nd = impedance_node(op, np.eye(1), m, d)
-        out = on_target(jt, nd)
+        out = on_target(strain_momentum(dp), nd)
         assert np.allclose(out.G_map, nd.G_map, atol=1e-14)
         assert np.allclose(out.K_map, nd.K_map, atol=1e-14)
         assert np.allclose(out.L_eff, nd.L_eff, atol=1e-14)
@@ -183,7 +204,7 @@ class TestTrajectoryEquivalence:
         sys = random_wave_system(12, rng, b_max=0.5)
         jt = sys.jet
         nd_a = impedance_node(sys.op_A, np.eye(2), sys.M_map, sys.D_map)
-        nd_b = on_target(jt, nd_a)
+        nd_b = on_target(sys.op_strain, nd_a)
         from passivebc.wave1d import initial_state
         z0 = initial_state(sys, "gauss", center=0.4, width=0.15)
         sig = InputSignal("sine", weights=np.array([1.0, 0.0]),
@@ -193,7 +214,7 @@ class TestTrajectoryEquivalence:
         nc = sys.op_A.core.dim
         for i in range(ta.n_steps + 1):
             z = ta.states_ext[i][:nc]
-            w = tb.states_ext[i][:jt.target.core.dim]
+            w = tb.states_ext[i][:sys.op_strain.core.dim]
             assert np.linalg.norm(push_state(jt, z) - w) <= 1e-10
             assert ran_A_defect(jt, w[:sys.Y.dim]) <= 1e-10
         assert np.abs(ta.ledger.H - tb.ledger.H).max() <= 1e-10

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import passivebc.node as node_mod
 from passivebc import wave1d
 from passivebc.errors import NonFiniteValue, ShapeMismatch
-from passivebc.hilbert import LinearMap, contraction_norm
+from passivebc.hilbert import LinearMap, _dense, contraction_norm
 from passivebc.node import (
     BoundaryNode,
     impedance_node,
@@ -47,7 +47,7 @@ def ledger_oracle(nd):
                 0.5 * row_forms(z[:, n1:core], w_k))
 
     def dissipated_power(z):
-        return row_forms(z[:, n1:core] @ nd.M_inv.T, damping)
+        return row_forms(z[:, n1:core] @ _dense(nd.M_inv).T, damping)
 
     def scattering_slack(z):
         v = z @ trace_gap.T
@@ -65,7 +65,7 @@ def random_node(n, seed, flavor, jet, damped):
     f = rng.standard_normal((2, 2))
     sys = wave1d.assemble(wave1d.random_coefficients(n, rng),
                           boundary_gram=f @ f.T + 0.5 * np.eye(2))
-    op = sys.jet.target if jet else sys.op_A
+    op = sys.op_strain if jet else sys.op_A
     raw = rng.standard_normal((2, 2))
     p = raw * (rng.uniform(0.0, 1.0) / contraction_norm(raw, op.bspace))
     damping = sys.D_map if damped else LinearMap(

@@ -266,8 +266,9 @@ class TestWellposedness:
 
 
 class TestLazySetUp:
-    """The jet is built on first read, and only then; well-posedness only
-    when ``internal_wellposedness`` is called."""
+    """The lift, the strain-momentum form and the jet are each built on
+    first read, and only then; well-posedness only when
+    ``internal_wellposedness`` is called."""
 
     @staticmethod
     def _count(monkeypatch, module, name, calls):
@@ -299,6 +300,46 @@ class TestLazySetUp:
         assert calls == {"build_jet": 1, "_restrict_to_kernel": 1}
         assert ok and gen.shape == (nd.op.core.dim, nd.op.core.dim)
 
+    def _count_realizations(self, monkeypatch):
+        from passivebc import wave1d
+        calls = {}
+        for name in ("lift_second_order", "strain_momentum", "build_jet"):
+            self._count(monkeypatch, wave1d, name, calls)
+        return calls
+
+    @staticmethod
+    def _scenario(tmp_path, formulation):
+        doc = json.loads((ROOT / "scenarios" / "damped_sine.json").read_text())
+        doc.update(formulation=formulation, out=str(tmp_path / "run.csv"))
+        path = tmp_path / f"{formulation}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_strain_momentum_run_builds_no_lift(self, monkeypatch,
+                                                tmp_path, capsys):
+        from passivebc import cli
+        calls = self._count_realizations(monkeypatch)
+        path = self._scenario(tmp_path, "strain-momentum")
+        assert cli.run_scenario(path) == 0
+        assert calls == {"strain_momentum": 1, "build_jet": 1}
+
+    def test_position_momentum_run_builds_only_the_lift(self, monkeypatch,
+                                                        tmp_path, capsys):
+        from passivebc import cli
+        calls = self._count_realizations(monkeypatch)
+        path = self._scenario(tmp_path, "position-momentum")
+        assert cli.run_scenario(path) == 0
+        assert calls == {"lift_second_order": 1}
+
+    def test_verify_all_builds_each_once(self, monkeypatch, capsys):
+        from passivebc import cli
+        calls = self._count_realizations(monkeypatch)
+        path = ROOT / "scenarios" / "damped_sine.json"
+        assert cli.verify_suite(str(path), "all") == 0
+        assert "all 13 checks passed" in capsys.readouterr().out
+        assert calls == {"lift_second_order": 1, "strain_momentum": 1,
+                         "build_jet": 1}
+
     @pytest.mark.parametrize("flavor", ["scattering", "impedance"])
     def test_strain_momentum_node_built_once(self, monkeypatch, tmp_path,
                                              flavor):
@@ -317,9 +358,9 @@ class TestLazySetUp:
         self._count(monkeypatch, node_mod, "_build_node", calls)
         nd = scenario.build_node(sc, sys)
         assert calls == {"_build_node": 1}
-        assert nd.op is sys.jet.target and nd.flavor == flavor
+        assert nd.op is sys.op_strain and nd.flavor == flavor
         src = scenario.build_flavor_node(sc, sys, sys.op_A)
-        ref = node_mod._build_node(sys.jet.target, src.P, src.M, src.D,
+        ref = node_mod._build_node(sys.op_strain, src.P, src.M, src.D,
                                    src.flavor)
         for got, want in ((nd.G_map, ref.G_map), (nd.K_map, ref.K_map),
                           (nd.L_eff, ref.L_eff),

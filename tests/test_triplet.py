@@ -17,6 +17,7 @@ from passivebc.triplet import (
     lift_second_order,
     minimal_domain,
     skew_on_minimal,
+    strain_momentum,
 )
 
 from conftest import iota, random_wave_system, wave_system
@@ -201,7 +202,7 @@ class TestStructuredGates:
 
     def test_green_residual_matches_dense_on_exact_operators(self, rng):
         ops = [sys.op_A for sys in gate_systems(rng)]
-        ops += [gate_systems(rng)[1].jet.target,
+        ops += [gate_systems(rng)[1].op_strain,
                 lift_second_order(synthetic_two_block_pair(rng))]
         for op in ops:
             res = green_residual(op)
@@ -346,19 +347,19 @@ class TestSharedRealization:
         sys = random_wave_system(N, rng)
         assert_realizes(lift_second_order(sys.dual_pair),
                         lift_recipe(sys.dual_pair))
-        assert_realizes(build_jet(sys.op_A).target,
+        assert_realizes(strain_momentum(sys.dual_pair),
                         jet_recipe(sys.dual_pair))
 
     def test_two_block_pair(self, rng):
         dp = synthetic_two_block_pair(rng)
         op = lift_second_order(dp)
         assert_realizes(op, lift_recipe(dp))
-        jt = build_jet(op)
-        assert_realizes(jt.target, jet_recipe(dp))
-        assert green_residual(jt.target) <= 1e-12
-        inj = state_injection(jt)
-        assert np.abs(jt.target.Gamma0 @ inj - op.Gamma0).max() <= 1e-12
-        assert np.abs(jt.target.Gamma1 @ inj - op.Gamma1).max() <= 1e-12
+        target = strain_momentum(dp)
+        assert_realizes(target, jet_recipe(dp))
+        assert green_residual(target) <= 1e-12
+        inj = state_injection(build_jet(dp.A), dp.n_boundary_coords)
+        assert np.abs(target.Gamma0 @ inj - op.Gamma0).max() <= 1e-12
+        assert np.abs(target.Gamma1 @ inj - op.Gamma1).max() <= 1e-12
 
 
 class TestMinimalDomain:

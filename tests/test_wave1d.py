@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passivebc.errors import (
     InvalidCoefficients,
     NonConstantCoefficients,
     NonFiniteValue,
+    NonPositiveParameter,
     UnknownChoice,
 )
 from passivebc.triplet import green_residual, minimal_domain
@@ -114,7 +117,7 @@ class TestAssembly:
         assert np.allclose(sys.op_A.bspace.gram, wg)
         assert sys.dual_pair.residual <= 1e-12
         assert green_residual(sys.op_A) <= 1e-12
-        assert green_residual(sys.jet.target) <= 1e-12
+        assert green_residual(sys.op_strain) <= 1e-12
 
         raw = rng.standard_normal((2, 2))
         from passivebc.hilbert import contraction_norm
@@ -213,6 +216,24 @@ class TestInitialStates:
         state, _ = analytic_standing_wave(1, sys.coeffs)
         assert np.array_equal(initial_state(sys, "standing_wave", k=1),
                               state(0.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.floats(allow_nan=True) | st.booleans()
+           | st.text(max_size=3) | st.integers(max_value=0)
+           | st.sampled_from([1.5, 1.9, 2.0, np.float64(3.0), "2", None]))
+    def test_standing_wave_mode_must_be_a_positive_integer(self, k):
+        # 1.9 used to run as k = 1 and 1.5 to give no zero-traction mode
+        sys = wave_system(4)
+        with pytest.raises(NonPositiveParameter, match="positive integer"):
+            initial_state(sys, "standing_wave", k=k)
+        with pytest.raises(NonPositiveParameter, match="positive integer"):
+            analytic_standing_wave(k, sys.coeffs)
+
+    def test_standing_wave_takes_numpy_integers(self):
+        sys = wave_system(8)
+        assert np.array_equal(
+            initial_state(sys, "standing_wave", k=np.int64(2)),
+            initial_state(sys, "standing_wave", k=2))
 
     def test_gauss_has_positive_energy(self):
         sys = wave_system(64)
