@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PassivebcError, ScenarioError
+from .errors import PassivebcError, ScenarioError, ShapeMismatch
 from .jet import push_state, ran_A_defect
 from .node import external_cayley
 from .scenario import (
@@ -82,7 +82,12 @@ def _write_csv_atomic(path: str, header: tuple[str, ...], table) -> int:
 def _trajectory_table(traj) -> np.ndarray:
     """CSV_COLUMNS of a ``Trajectory``, a whole run or one block, as an
     array: row k carries the ports and ledger of the step ending on it, and
-    the first grid row holds zero port samples."""
+    the first grid row holds zero port samples.  ``ShapeMismatch`` unless
+    the run has the two ports the columns name."""
+    m = traj.inputs.shape[1]
+    if m != 2 or traj.outputs.shape[1] != 2:
+        raise ShapeMismatch(f"the CSV has columns for 2 ports; the run has "
+                            f"m = {m}")
     led = traj.ledger
     table = np.zeros((len(traj.times), len(CSV_COLUMNS)))
     first = len(traj.times) - len(traj.inputs)   # 1 on the block of row 0

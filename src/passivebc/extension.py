@@ -17,10 +17,13 @@ the kernel in closed form.  Let the nb rows of ``V = [V_core | V_tau]`` be
 an orthonormal basis of the row space of C at ``NULLSPACE_RCOND`` (its
 leading right singular vectors).  When the square ``V_tau`` is invertible,
 ``ker C = span [I; X]`` with ``V_tau X = -V_core``, and the generator is
-``A_main = L[:, :core] + L[:, core:] X``, at O(core^2 nb) cost.  The
-reported and gated condition is that of the core projection of an
-orthonormal kernel basis, ``sqrt((1 + sigma_max(X)^2) / (1 +
-sigma_min(X)^2))``, with ``sigma_min(X) = 0`` when nb < core.
+``A_main = L[:, :core] + L[:, core:] X``.  A realization holds only the
+nb x core kernel coordinates X, at O(core nb^2) cost per call;
+``A_main`` (O(core^2 nb)) and the kernel basis ``domain_basis = [I; X]``
+are built from X on each read.  The reported and gated condition is that
+of the core projection of an orthonormal kernel basis, ``sqrt((1 +
+sigma_max(X)^2) / (1 + sigma_min(X)^2))``, with ``sigma_min(X) = 0`` when
+nb < core.
 
 Dissipativity is read from the boundary traces, as the Green identity
 ``iota^T W_Z L + L^T W_Z iota = Gamma1^T Gamma0 + Gamma0^T Gamma1`` allows:
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IllPosedRestriction, SingularCoreProjection
-from .hilbert import ContractionParam, _as_param, _frozen
+from .hilbert import ContractionParam, _as_param
 from .triplet import NULLSPACE_RCOND, BoundaryOperator
 
 __all__ = [
@@ -58,16 +61,33 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class GeneratorRealization:
-    """Square generator on core coordinates with its defining data.
+    """Restriction of ``parent`` to ``ker C = span [I; X]`` for the
+    contraction P, held by its kernel coordinates X (nb x core, read-only).
 
-    ``domain_basis`` is a kernel basis whose core projection is the identity.
+    ``A_main`` and ``domain_basis`` are built from X on each read, as
+    ``HilbertSpaceSpec.gram`` is from its band: a new read-only array every
+    time, for checks and tests, not for a loop.
     """
 
-    A_main: np.ndarray
-    domain_basis: np.ndarray
+    X: np.ndarray
     P: ContractionParam
     parent: BoundaryOperator
     condition: float = field(compare=False, default=0.0)
+
+    @property
+    def A_main(self) -> np.ndarray:
+        """Square generator ``L[:, :core] + L[:, core:] X`` on core
+        coordinates."""
+        a_main = _kernel_action(self.parent.L, self.X)
+        a_main.setflags(write=False)
+        return a_main
+
+    @property
+    def domain_basis(self) -> np.ndarray:
+        """Kernel basis ``[I; X]``, whose core projection is the identity."""
+        basis = np.vstack([np.eye(self.X.shape[1]), self.X])
+        basis.setflags(write=False)
+        return basis
 
 
 def constraint_matrix(op: BoundaryOperator, P) -> np.ndarray:
@@ -91,14 +111,14 @@ def generator_from_contraction(op: BoundaryOperator, P) -> GeneratorRealization:
     kernel has condition number above 1e12.
     """
     param = _as_param(P, op.bspace)
-    a_main, basis, condition = _restrict_to_kernel(
-        constraint_matrix(op, param), op.L, op.core.dim)
-    return GeneratorRealization(_frozen(a_main), _frozen(basis), param, op,
-                                condition=condition)
+    x, condition = _restrict_to_kernel(constraint_matrix(op, param),
+                                       op.core.dim)
+    return GeneratorRealization(x, param, op, condition=condition)
 
 
-def _restrict_to_kernel(c: np.ndarray, action: np.ndarray, core_dim: int):
-    """``(A_main, basis, condition)`` of ``action`` on ``ker c`` (see above).
+def _restrict_to_kernel(c: np.ndarray, core_dim: int):
+    """``(X, condition)`` of ``ker c = span [I; X]`` (see above), X
+    read-only.
 
     The gates are those of generator_from_contraction; the kernel is the
     one an SVD null space of ``c`` at ``NULLSPACE_RCOND`` spans.
@@ -121,8 +141,16 @@ def _restrict_to_kernel(c: np.ndarray, action: np.ndarray, core_dim: int):
         raise SingularCoreProjection(
             "core projection on the constraint kernel is singular "
             f"(condition {condition:.3e})")
-    a_main = action[:, :core_dim] + action[:, core_dim:] @ x
-    return a_main, np.vstack([np.eye(core_dim), x]), condition
+    x.setflags(write=False)
+    return x, condition
+
+
+def _kernel_action(action: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``action [I; X] = action[:, :core] + action[:, core:] X``, the
+    generator ``action`` realizes on the kernel ``span [I; X]``: a new
+    array."""
+    core_dim = x.shape[1]
+    return action[:, :core_dim] + action[:, core_dim:] @ x
 
 
 def dissipativity_residual(g: GeneratorRealization) -> float:
@@ -140,7 +168,7 @@ def dissipativity_residual(g: GeneratorRealization) -> float:
     op = g.parent
     core, m = op.core.dim, op.n_boundary
     traces = np.vstack([op.Gamma0, op.Gamma1])
-    tk = traces[:, :core] + traces[:, core:] @ g.domain_basis[core:]
+    tk = traces[:, :core] + traces[:, core:] @ g.X
     r = np.linalg.qr(tk.T, mode="r")
     s = r[:, :m] @ r[:, m:].T
     lam = np.linalg.eigvalsh(0.5 * (s + s.T)).max(initial=-np.inf)

@@ -31,6 +31,7 @@ the step's ``lu_factor``/``getrs`` and the step itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -99,6 +100,17 @@ class HilbertSpaceSpec:
         g = _dense(self.band)
         g.setflags(write=False)
         return g
+
+    @cached_property
+    def gram_roots(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(W^{1/2}, W^{-1/2})`` from one ``eigh`` of the Gram, built on
+        first read and shared, read-only, by every later one."""
+        eigs, vecs = np.linalg.eigh(self.gram)
+        s = np.sqrt(eigs)
+        roots = (vecs * s) @ vecs.T, (vecs / s) @ vecs.T
+        for r in roots:
+            r.setflags(write=False)
+        return roots
 
 
 @dataclass(frozen=True)
@@ -412,17 +424,13 @@ def riesz(space: HilbertSpaceSpec) -> LinearMap:
     return LinearMap(space.gram, domain=space, codomain=dual_space(space))
 
 
-def _sqrt_and_inv_sqrt(gram: np.ndarray):
-    eigs, vecs = np.linalg.eigh(gram)
-    s = np.sqrt(eigs)
-    return (vecs * s) @ vecs.T, (vecs / s) @ vecs.T
-
-
 def contraction_norm(P, boundary_space: HilbertSpaceSpec) -> float:
     """Operator norm of P on the dual boundary space (Gram W^{-1}).
 
-    Equals the largest singular value of W^{-1/2} P W^{1/2}.  Raises
-    ``ShapeMismatch`` unless P is m x m on the m-dimensional space.
+    Equals the largest singular value of W^{-1/2} P W^{1/2}, with the
+    roots of the space's Gram factored once per space
+    (``HilbertSpaceSpec.gram_roots``).  Raises ``ShapeMismatch`` unless P
+    is m x m on the m-dimensional space.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     m = boundary_space.dim
@@ -430,7 +438,7 @@ def contraction_norm(P, boundary_space: HilbertSpaceSpec) -> float:
         raise ShapeMismatch(f"P must be {m}x{m}, got {P.shape}")
     if m == 0:
         return 0.0
-    w_half, w_inv_half = _sqrt_and_inv_sqrt(boundary_space.gram)
+    w_half, w_inv_half = boundary_space.gram_roots
     return float(np.linalg.norm(w_inv_half @ P @ w_half, 2))
 
 

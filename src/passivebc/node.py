@@ -45,7 +45,7 @@ from .errors import (
     ShapeMismatch,
     UnknownChoice,
 )
-from .extension import _restrict_to_kernel
+from .extension import _kernel_action, _restrict_to_kernel
 from .hilbert import (
     ContractionParam,
     HilbertSpaceSpec,
@@ -395,7 +395,8 @@ def internal_wellposedness(node: BoundaryNode) -> tuple[bool, np.ndarray | None]
     m = node.G_map.shape[0]
     if m > 0 and np.linalg.matrix_rank(node.G_map) < m:
         return False, None
-    gen, _, _ = _restrict_to_kernel(node.G_map, node.L_eff, node.op.core.dim)
+    x, _ = _restrict_to_kernel(node.G_map, node.op.core.dim)
+    gen = _kernel_action(node.L_eff, x)
     wa = node.state_space.gram @ gen
     lam = np.linalg.eigvalsh(0.5 * (wa + wa.T))[-1]
     return bool(lam <= 1e-10), gen

@@ -256,23 +256,52 @@ def analytic_standing_wave(k: int, coeffs: WaveCoefficients
     return state, omega
 
 
+_INITIAL_PARAMETERS = {"zero": (), "standing_wave": ("k",),
+                       "gauss": ("center", "width")}
+
+
+def _real(value) -> float | None:
+    """``value`` as a float if it is a real number (a Python or NumPy
+    integer or float, not a bool), else None; an integer beyond the float
+    range gives inf."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def initial_state(sys: WaveSystem, kind: str, **params) -> np.ndarray:
     """Core state (z1, z2) for the named initial condition.
 
     ``zero``; ``standing_wave`` with mode ``k``; ``gauss`` with ``center``
-    and ``width`` (displacement bump, zero momentum).
+    and ``width`` (displacement bump, zero momentum).  Raises
+    ``UnknownChoice`` for another kind or a parameter the kind does not
+    take, ``NonFiniteValue`` unless ``center`` is a finite real number and
+    ``NonPositiveParameter`` unless ``width`` is a positive finite real
+    number (or ``k`` a positive integer, see ``analytic_standing_wave``).
     """
+    if kind not in tuple(_INITIAL_PARAMETERS):
+        raise UnknownChoice(f"unknown initial state kind {kind!r}")
+    extra = sorted(set(params) - set(_INITIAL_PARAMETERS[kind]))
+    if extra:
+        raise UnknownChoice(f"initial state kind {kind!r} takes no "
+                            f"parameter {', '.join(map(repr, extra))}")
     n = sys.coeffs.N + 1
     if kind == "zero":
         return np.zeros(2 * n)
     if kind == "standing_wave":
         state, _ = analytic_standing_wave(params.get("k", 1), sys.coeffs)
         return state(0.0)
-    if kind == "gauss":
-        center = float(params.get("center", 0.5 * sys.coeffs.length))
-        width = float(params.get("width", 0.1 * sys.coeffs.length))
-        if not width > 0.0:   # NaN too
-            raise NonPositiveParameter("gauss width must be positive")
-        z1 = np.exp(-((sys.nodes - center) / width) ** 2)
-        return np.concatenate([z1, np.zeros(n)])
-    raise UnknownChoice(f"unknown initial state kind {kind!r}")
+    center = _real(params.get("center", 0.5 * sys.coeffs.length))
+    width = _real(params.get("width", 0.1 * sys.coeffs.length))
+    if center is None or not math.isfinite(center):
+        raise NonFiniteValue("gauss center must be a finite real number, "
+                             f"got {params['center']!r}")
+    if width is None or not 0.0 < width < math.inf:   # NaN too
+        raise NonPositiveParameter("gauss width must be a positive finite "
+                                   f"real number, got {params['width']!r}")
+    z1 = np.exp(-((sys.nodes - center) / width) ** 2)
+    return np.concatenate([z1, np.zeros(n)])

@@ -7,8 +7,7 @@ import scipy.linalg
 from hypothesis import settings
 
 from passivebc import wave1d
-from passivebc.hilbert import (HilbertSpaceSpec, _dense, _norm,
-                               _sqrt_and_inv_sqrt)
+from passivebc.hilbert import HilbertSpaceSpec, _dense, _norm
 from passivebc.sim import LEDGER_CHUNK
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,7 +72,7 @@ def is_dual_unitary(P, boundary_space: HilbertSpaceSpec,
     P = np.atleast_2d(np.asarray(P, dtype=float))
     if boundary_space.dim == 0:
         return True
-    w_half, w_inv_half = _sqrt_and_inv_sqrt(boundary_space.gram)
+    w_half, w_inv_half = boundary_space.gram_roots
     u = w_inv_half @ P @ w_half
     return bool(np.linalg.norm(u.T @ u - np.eye(boundary_space.dim)) <= tol)
 

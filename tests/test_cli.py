@@ -12,8 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from passivebc import cli
-from passivebc.errors import ScenarioError
+from passivebc.errors import ScenarioError, ShapeMismatch
+from passivebc.node import EnergyLedger
 from passivebc.scenario import build_node, build_system, load_scenario
+from passivebc.sim import Trajectory
 
 from conftest import double_gamma1
 
@@ -215,6 +217,21 @@ class TestCsvContract:
                          "--out", str(out)]) == 0
         _, data = read_csv(out)
         assert (np.diff(data[:, 1]) <= 1e-12).all()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_port_count_other_than_two_is_refused(self, tmp_path, m):
+        # one port used to be broadcast into both columns, a third dropped
+        rows, steps = 4, 3
+        ledger = EnergyLedger(*[np.zeros(rows)] * 3, *[np.zeros(steps)] * 4)
+        traj = Trajectory(np.arange(rows, dtype=float), np.zeros((rows, 5)),
+                          np.ones((steps, m)), np.ones((steps, m)), ledger)
+        with pytest.raises(ShapeMismatch, match=f"m = {m}"):
+            cli._trajectory_table(traj)
+        out = tmp_path / "ports.csv"
+        with pytest.raises(ShapeMismatch):
+            cli._write_csv_atomic(str(out), cli.CSV_COLUMNS,
+                                  map(cli._trajectory_table, [traj]))
+        assert not list(tmp_path.iterdir())
 
 
 class TestJetCompare:

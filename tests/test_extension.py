@@ -20,6 +20,7 @@ from passivebc.extension import (
 )
 from passivebc.hilbert import (
     ContractionParam,
+    _frozen,
     contraction_norm,
     euclidean_space,
     make_space,
@@ -450,6 +451,134 @@ class TestTraceDissipativity:
         g = realized(op, random_contraction(rng, 2, op.bspace, target=norm))
         assert dense_residual(op, g) \
             <= dissipativity_residual(g) + trace_allowance(op, g)
+
+
+def eager_realization(c, action, core):
+    """``(A_main, domain_basis)`` of ``action`` on ``ker c = span [I; X]``
+    as the realization once built and stored them, eagerly on every call,
+    for a c that passes its gates (oracle)."""
+    _, sigma, vt = np.linalg.svd(c, full_matrices=False)
+    rank = int(np.sum(sigma > NULLSPACE_RCOND * sigma.max(initial=0.0)))
+    u, s, wt = np.linalg.svd(vt[:rank, core:])
+    x = -(wt.T / s) @ (u.T @ vt[:rank, :core])
+    a_main = action[:, :core] + action[:, core:] @ x
+    return _frozen(a_main), _frozen(np.vstack([np.eye(core), x]))
+
+
+def eager_dissipativity_residual(op, basis):
+    """``dissipativity_residual`` as it read the stored kernel basis
+    (oracle)."""
+    core, m = op.core.dim, op.n_boundary
+    traces = np.vstack([op.Gamma0, op.Gamma1])
+    tk = traces[:, :core] + traces[:, core:] @ basis[core:]
+    r = np.linalg.qr(tk.T, mode="r")
+    s = r[:, :m] @ r[:, m:].T
+    lam = np.linalg.eigvalsh(0.5 * (s + s.T)).max(initial=-np.inf)
+    return float(max(lam, 0.0) if core > 2 * m else lam)
+
+
+def reachable_arrays(value, skip=()):
+    """Every array reachable from ``value`` through dataclass fields,
+    cached attributes and tuples, leaving out the attributes ``skip``."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for v in value for a in reachable_arrays(v)]
+    if dataclasses.is_dataclass(value):
+        return [a for name, v in vars(value).items() if name not in skip
+                for a in reachable_arrays(v)]
+    return []
+
+
+LAZY_CASES = dict(n=st.integers(1, 48), seed=st.integers(0, 2 ** 32 - 1),
+                  norm=st.floats(0.05, 2.0), jet=st.booleans(),
+                  damped=st.booleans())
+
+
+def lazy_case(n, seed, norm, jet, damped):
+    """A realization of a random contraction or expansion on ``op_A`` or
+    ``op_strain``, with or without damping folded into its action."""
+    rng = np.random.default_rng(seed)
+    sys = random_wave_system(n, rng, b_max=1.0 if damped else 0.0)
+    op = sys.op_strain if jet else sys.op_A
+    if damped:
+        op = folded_damping(sys, op)
+    p = random_contraction(rng, 2, op.bspace, target=norm)
+    return op, p, realized(op, p)
+
+
+class TestLazyRealization:
+    """A realization holds only X; ``A_main`` and ``domain_basis`` are
+    built from it on each read with the bytes of the eager build."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**LAZY_CASES)
+    def test_reads_have_the_eager_bytes(self, n, seed, norm, jet, damped):
+        op, p, g = lazy_case(n, seed, norm, jet, damped)
+        a_main, basis = eager_realization(constraint_matrix(op, p), op.L,
+                                          op.core.dim)
+        for got, want in ((g.A_main, a_main), (g.domain_basis, basis)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous
+        assert g.X.tobytes() == basis[op.core.dim:].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(**LAZY_CASES)
+    def test_dissipativity_keeps_its_bits(self, n, seed, norm, jet, damped):
+        op, p, g = lazy_case(n, seed, norm, jet, damped)
+        _, basis = eager_realization(constraint_matrix(op, p), op.L,
+                                     op.core.dim)
+        got = dissipativity_residual(g)
+        want = eager_dissipativity_residual(op, basis)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(norm=st.floats(0.0, 1.0),
+           flavor=st.sampled_from([scattering_node, impedance_node]),
+           **SYSTEMS)
+    def test_node_generator_keeps_its_bits(self, n, seed, damped, norm,
+                                           flavor):
+        rng = np.random.default_rng(seed)
+        sys = random_wave_system(n, rng, b_max=0.5 if damped else 0.0)
+        p = random_contraction(rng, 2, sys.op_A.bspace, target=norm)
+        nd = flavor(sys.op_A, p, sys.M_map, sys.D_map)
+        if isinstance(oracle_outcome(nd.G_map, nd.L_eff, iota(nd.op)),
+                      type):
+            return
+        _, gen = internal_wellposedness(nd)
+        want, _ = eager_realization(nd.G_map, nd.L_eff, nd.op.core.dim)
+        assert gen.tobytes() == want.tobytes()
+
+    def test_each_read_is_a_new_read_only_array(self, rng):
+        op = random_wave_system(6, rng).op_A
+        g = generator_from_contraction(
+            op, random_contraction(rng, 2, op.bspace))
+        assert not g.X.flags.writeable
+        for name in ("A_main", "domain_basis"):
+            first, second = getattr(g, name), getattr(g, name)
+            assert first is not second
+            assert not np.shares_memory(first, second)
+            assert not np.shares_memory(first, g.X)
+            assert not (first.flags.writeable or second.flags.writeable)
+            assert first.tobytes() == second.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            g.X[0, 0] = 1.0
+
+    @pytest.mark.parametrize("n", [1, 8, 48])
+    def test_holds_only_the_kernel_coordinates(self, rng, n):
+        op = random_wave_system(n, rng).op_A
+        core, nb = op.core.dim, op.ext_dim - op.core.dim
+        g = generator_from_contraction(
+            op, random_contraction(rng, 2, op.bspace))
+        g.A_main, g.domain_basis, dissipativity_residual(g)
+        assert g.X.shape == (nb, core)
+        assert g.X.nbytes == 8 * nb * core
+        # nothing is cached on the realization by a read
+        assert set(vars(g)) == {f.name for f in dataclasses.fields(g)}
+        own = reachable_arrays(g, skip=("parent",))
+        assert any(a is g.X for a in own)
+        assert max(a.size for a in own) < core ** 2
 
 
 class TestKernelGap:

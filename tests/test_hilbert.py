@@ -4,7 +4,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from passivebc import hilbert
 from passivebc.errors import (
     NonFiniteValue,
     NonPositiveGram,
@@ -279,7 +278,7 @@ class TestContractionNorm:
 
     def test_invariant_under_dual_unitary_conjugation(self, rng):
         sp = make_space(2, [[3.0, 0.5], [0.5, 1.0]], "G")
-        w_half, w_inv_half = hilbert._sqrt_and_inv_sqrt(sp.gram)
+        w_half, w_inv_half = sp.gram_roots
         P = rng.standard_normal((2, 2))
         base = contraction_norm(P, sp)
         for _ in range(10):
@@ -287,6 +286,39 @@ class TestContractionNorm:
             u = w_half @ q @ w_inv_half  # unitary on the dual space
             assert contraction_norm(u @ P @ np.linalg.inv(u), sp) == \
                 pytest.approx(base, abs=1e-10)
+
+
+    def test_gram_roots_factored_once_per_space(self, monkeypatch, rng):
+        sp = make_space(3, [[3.0, 0.5, 0.0], [0.5, 1.0, 0.2],
+                            [0.0, 0.2, 2.0]], "G")
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for _ in range(5):
+            contraction_norm(rng.standard_normal((3, 3)), sp)
+            ContractionParam.from_matrix(rng.standard_normal((3, 3)), sp)
+        assert calls == [(3, 3)]
+        assert all(not r.flags.writeable for r in sp.gram_roots)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_cached_roots_keep_the_dual_norm_bits(self, m, seed):
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((m, m))
+        sp = make_space(m, f @ f.T + m * np.eye(m), "G")
+        # the roots as contraction_norm formed them on every call
+        eigs, vecs = np.linalg.eigh(sp.gram)
+        w_half = (vecs * np.sqrt(eigs)) @ vecs.T
+        w_inv_half = (vecs / np.sqrt(eigs)) @ vecs.T
+        for _ in range(3):
+            P = rng.standard_normal((m, m))
+            want = float(np.linalg.norm(w_inv_half @ P @ w_half, 2))
+            assert np.array(contraction_norm(P, sp)).tobytes() \
+                == np.array(want).tobytes()
 
 
 class TestCheckDissipative:

@@ -245,3 +245,37 @@ class TestInitialStates:
     def test_unknown_kind_rejected(self):
         with pytest.raises(UnknownChoice):
             initial_state(wave_system(4), "sawtooth")
+
+    @pytest.mark.parametrize("kind, params, extra", [
+        ("zero", dict(k=3), "k"), ("zero", dict(center=0.5), "center"),
+        ("standing_wave", dict(k=1, width=0.1), "width"),
+        ("gauss", dict(k=2), "k"),
+        ("gauss", dict(center=0.5, sigma=0.1), "sigma")])
+    def test_parameter_the_kind_does_not_take_is_named(self, kind, params,
+                                                       extra):
+        with pytest.raises(UnknownChoice, match=f"takes no parameter "
+                                                f"'{extra}'"):
+            initial_state(wave_system(4), kind, **params)
+
+    @pytest.mark.parametrize("center", [
+        "0.5", "x", True, False, None, 1j, np.bool_(True), [0.5], 10 ** 400,
+        math.nan, math.inf, -math.inf])
+    def test_gauss_center_must_be_a_finite_real_number(self, center):
+        with pytest.raises(NonFiniteValue, match="gauss center"):
+            initial_state(wave_system(4), "gauss", center=center)
+
+    @settings(max_examples=40, deadline=None)
+    @given(width=st.sampled_from(["0.1", True, None, 1j, math.inf,
+                                  math.nan, 10 ** 400])
+           | st.floats(max_value=0.0) | st.integers(max_value=0))
+    def test_gauss_width_must_be_a_positive_real_number(self, width):
+        with pytest.raises(NonPositiveParameter, match="gauss width"):
+            initial_state(wave_system(4), "gauss", width=width)
+
+    @pytest.mark.parametrize("center, width", [
+        (0, 1), (np.float32(0.25), np.int64(2)), (np.int32(1), 0.1)])
+    def test_gauss_takes_python_and_numpy_reals(self, center, width):
+        sys = wave_system(8)
+        want = np.exp(-((sys.nodes - float(center)) / float(width)) ** 2)
+        z = initial_state(sys, "gauss", center=center, width=width)
+        assert z[:9].tobytes() == want.tobytes() and not z[9:].any()
