@@ -97,11 +97,6 @@ class MassNotSPD(PassivebcError):
     """Mass operator is not symmetric positive definite on its space."""
 
 
-class CoreGramNotBlockDiagonal(PassivebcError):
-    """Core Gram couples the position and momentum blocks of an operator's
-    core coordinates, which the mass weighting keeps apart."""
-
-
 class DampingNotDissipative(PassivebcError):
     """Negative of the damping operator fails the dissipativity test."""
 
@@ -144,10 +139,11 @@ class TimeGridTooLarge(PassivebcError):
 
 
 class ShapeMismatch(PassivebcError):
-    """An input signal, input sample or state has the wrong channel count
-    or dimension for the node it is applied to, a Gram the wrong shape for
-    its space, or a map, mass, damping or boundary injection the wrong
-    shape for the spaces it joins."""
+    """An input signal, input sample, state or vector has the wrong channel
+    count or dimension for the node, map or inner product it meets, a Gram
+    the wrong shape for its space, a map, mass, damping or boundary
+    injection the wrong shape for the spaces it joins, or an operator's
+    core is not a direct sum of two blocks."""
 
 
 # ---------------------------------------------------------------- wave model

@@ -21,6 +21,10 @@ Gram is formed.
 columns with the GEMM's bits, since each GEMM entry then holds one
 nonzero product; a wider one is made dense for the GEMM.
 ``HilbertSpaceSpec.gram`` builds the dense matrix afresh on each read.
+A direct sum (``direct_sum``: X_h (+) X, Y (+) X, G1 (+) G2, Y (+) R^nb)
+holds the block-diagonal band of its summands and keeps the summands
+themselves in ``HilbertSpaceSpec.blocks``, so no module splits a band back
+into blocks or eigen-solves a Gram whose blocks were already validated.
 The products whose entries sum several terms stay dense GEMMs and keep
 their summation order, because a run's states, ledger and CSV carry their
 bits: the normal matrix ``(A^T W_Y) A`` of the lift and the jet,
@@ -48,6 +52,7 @@ __all__ = [
     "LinearMap",
     "ContractionParam",
     "make_space",
+    "direct_sum",
     "euclidean_space",
     "dual_space",
     "inner",
@@ -79,7 +84,9 @@ class HilbertSpaceSpec:
     ``band`` holds the Gram's diagonals -b..b, ``band[i, b + k] = W[i, i +
     k]`` (+0.0 where ``i + k`` leaves the matrix), read-only; every entry
     of W outside them is +0.0.  ``make_space`` derives the half-width b,
-    ``bandwidth``, and stores the band it validated.
+    ``bandwidth``, and stores the band it validated.  ``blocks`` holds the
+    summands of a ``direct_sum``, in order, and is empty for any other
+    space.
     """
 
     dim: int
@@ -87,6 +94,7 @@ class HilbertSpaceSpec:
     label: str
     eig_min: float = field(compare=False, default=0.0)
     eig_max: float = field(compare=False, default=0.0)
+    blocks: tuple["HilbertSpaceSpec", ...] = field(compare=False, default=())
 
     @property
     def bandwidth(self) -> int:
@@ -131,6 +139,9 @@ class LinearMap:
         object.__setattr__(self, "matrix", m)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        """``matrix @ x``; ``ShapeMismatch`` unless x has domain rows."""
+        x = np.asarray(x)
+        _expect_shape("argument", x, (self.domain.dim,) + x.shape[1:])
         return self.matrix @ x
 
 
@@ -150,12 +161,25 @@ class ContractionParam:
     @staticmethod
     def from_matrix(P, boundary_space: HilbertSpaceSpec) -> "ContractionParam":
         P = np.atleast_2d(np.asarray(P, dtype=float))
-        if not np.isfinite(P).all():
-            raise NonFiniteValue("contraction parameter P holds NaN or "
-                                 "infinity")
+        _require_finite(**{"contraction parameter P": P})
         nrm = contraction_norm(P, boundary_space)
         return ContractionParam(_frozen(P), boundary_space, nrm,
                                 nrm <= 1.0 + CONTRACTION_TOL)
+
+
+def _expect_shape(name: str, array: np.ndarray, shape: tuple) -> None:
+    """``ShapeMismatch`` naming ``name`` unless ``array`` has ``shape``."""
+    if array.shape != shape:
+        raise ShapeMismatch(f"{name} has shape {array.shape}; the library "
+                            f"expects {shape}")
+
+
+def _require_finite(**arrays: np.ndarray) -> None:
+    """``NonFiniteValue`` naming the first keyword whose array holds NaN
+    or infinity."""
+    for name, x in arrays.items():
+        if not np.isfinite(x).all():
+            raise NonFiniteValue(f"{name} holds NaN or infinity")
 
 
 def _as_param(P, boundary_space: HilbertSpaceSpec) -> ContractionParam:
@@ -181,9 +205,7 @@ def make_space(dim: int, gram, label: str) -> HilbertSpaceSpec:
     stores the band of ``0.5 * g + 0.5 * g.T``, and no dense copy.
     """
     g = np.asarray(gram, dtype=float)
-    if g.shape != (dim, dim):
-        raise ShapeMismatch(f"gram of space {label!r} has shape {g.shape}; "
-                            f"the space needs ({dim}, {dim})")
+    _expect_shape(f"gram of space {label!r}", g, (dim, dim))
     return _space_from_band(_band(g, _bandwidth(g)), label)
 
 
@@ -197,8 +219,7 @@ def _space_from_band(band: np.ndarray, label: str) -> HilbertSpaceSpec:
     if len(band) == 0:
         return HilbertSpaceSpec(0, _frozen(np.zeros((0, 1))), label)
     band = _trimmed(band)
-    if not np.isfinite(band).all():
-        raise NonFiniteValue(f"gram of space {label!r} holds NaN or infinity")
+    _require_finite(**{f"gram of space {label!r}": band})
     scale = _norm(band)
     if scale == 0.0:
         raise NonPositiveGram(label, 0.0, 0.0, SPD_RTOL)
@@ -211,6 +232,26 @@ def _space_from_band(band: np.ndarray, label: str) -> HilbertSpaceSpec:
         raise NonPositiveGram(label, eig_min, eig_max, SPD_RTOL)
     band.setflags(write=False)
     return HilbertSpaceSpec(len(band), band, label, eig_min, eig_max)
+
+
+def direct_sum(label: str, *spaces: HilbertSpaceSpec) -> HilbertSpaceSpec:
+    """The space ``spaces[0] (+) spaces[1] (+) ...`` with the block-diagonal
+    Gram of its summands, which it keeps in ``blocks``.
+
+    The summands are validated spaces, so only the relative gate runs
+    again: ``NonPositiveGram`` (naming ``label``) unless the smallest of
+    their eigenvalue bounds exceeds 1e-12 times the largest.  Those
+    extremes are the sum's bounds; no band is symmetrized, trimmed or
+    eigen-solved again.
+    """
+    band = _block_band(*(s.band for s in spaces))
+    band.setflags(write=False)
+    used = [s for s in spaces if s.dim]
+    eig_min = min((s.eig_min for s in used), default=0.0)
+    eig_max = max((s.eig_max for s in used), default=0.0)
+    if used and eig_min <= SPD_RTOL * abs(eig_max):
+        raise NonPositiveGram(label, eig_min, eig_max, SPD_RTOL)
+    return HilbertSpaceSpec(len(band), band, label, eig_min, eig_max, spaces)
 
 
 def _norm(a: np.ndarray) -> float:
@@ -402,7 +443,11 @@ def dual_space(space: HilbertSpaceSpec) -> HilbertSpaceSpec:
 
 
 def inner(space: HilbertSpaceSpec, x, y) -> float:
-    return float(np.asarray(x) @ space.gram @ np.asarray(y))
+    """``x^T W y``; ``ShapeMismatch`` unless x and y are dim-vectors."""
+    x, y = np.asarray(x), np.asarray(y)
+    for name, v in (("x", x), ("y", y)):
+        _expect_shape(name, v, (space.dim,))
+    return float(x @ space.gram @ y)
 
 
 def norm(space: HilbertSpaceSpec, x) -> float:
@@ -450,10 +495,8 @@ def check_dissipative(D: LinearMap) -> tuple[bool, float]:
     ``Re<-Dx, x> <= 0`` for all x up to tolerance.  W D is formed from the
     bands of its factors.
     """
-    if D.domain.dim != D.codomain.dim:
-        raise ShapeMismatch(f"check_dissipative requires a square map, got "
-                            f"{D.domain.label!r} (dim {D.domain.dim}) -> "
-                            f"{D.codomain.label!r} (dim {D.codomain.dim})")
+    _expect_shape(f"map {D.domain.label!r} -> {D.codomain.label!r}",
+                  D.matrix, (D.domain.dim, D.domain.dim))
     wd = _band_product(D.domain.band, _band(D.matrix, _bandwidth(D.matrix)))
     lam = _extreme_eigenvalues(0.5 * (wd + _band_transpose(wd)))[0]
     return lam >= -DISSIPATIVITY_TOL, lam

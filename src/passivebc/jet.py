@@ -26,14 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NonFiniteValue, RankDeficient, ShapeMismatch
+from .errors import RankDeficient
 from .hilbert import (
     RANK_RTOL,
     LinearMap,
     _band,
     _band_apply,
     _bandwidth,
+    _expect_shape,
     _extreme_eigenvalues,
+    _require_finite,
 )
 from .triplet import _normal_gram
 
@@ -86,11 +88,8 @@ def _vector(name: str, x, size: int) -> np.ndarray:
     """``x`` as a float vector; ``ShapeMismatch`` unless it has shape
     ``(size,)``, ``NonFiniteValue`` if it holds NaN or infinity."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (size,):
-        raise ShapeMismatch(f"{name} has shape {x.shape}; the transform "
-                            f"expects ({size},)")
-    if not np.isfinite(x).all():
-        raise NonFiniteValue(f"{name} holds NaN or infinity")
+    _expect_shape(name, x, (size,))
+    _require_finite(**{name: x})
     return x
 
 

@@ -16,7 +16,9 @@ impedance:
 
 The interior action is ``L_eff = (L - diag(0, D) iota) diag(I, M^{-1}, I)``
 and the state energy is measured by ``W = blockdiag(W_1, W_2 M^{-1})``,
-i.e. kinetic energy uses the inverse-mass inner product.  The external
+i.e. kinetic energy uses the inverse-mass inner product.  W_1 and W_2 are
+the core's two blocks; the state space is the direct sum ``W_1 (+)
+sym(W_2 M^{-1})``, whose blocks the ledger reads.  The external
 Cayley transform at real beta > 0 recombines the port maps,
 
     G' = (beta G + K) / sqrt(2 beta),   K' = (beta G - K) / sqrt(2 beta),
@@ -35,14 +37,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    CoreGramNotBlockDiagonal,
     DampingNotDissipative,
     InconsistentBoundaryData,
     MassNotSPD,
     NonFiniteValue,
     NonPositiveBeta,
     NotAContraction,
-    ShapeMismatch,
     UnknownChoice,
 )
 from .extension import _kernel_action, _restrict_to_kernel
@@ -53,18 +53,18 @@ from .hilbert import (
     _as_param,
     _band,
     _band_apply,
-    _band_entries,
     _band_product,
     _band_transpose,
     _bandwidth,
-    _block_band,
     _dense,
+    _expect_shape,
     _extreme_eigenvalues,
     _frozen,
     _norm,
+    _require_finite,
     _space_from_band,
-    _trimmed,
     check_dissipative,
+    direct_sum,
 )
 from .triplet import BoundaryOperator
 
@@ -117,12 +117,6 @@ class BoundaryNode:
         damping = _band_apply(self.D.matrix.T, self.D.domain.band)
         return _frozen(a - b), _frozen(_band(damping, _bandwidth(damping)))
 
-    @cached_property
-    def _state_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bands of W_11 and W_22, the diagonal blocks of the state Gram,
-        built on first use."""
-        return _diagonal_blocks(self.state_space, self.op.core_blocks[0])
-
     # The ledger forms below take one extended state (or port sample) per
     # row of a 2-D block and return one value per row.
 
@@ -131,8 +125,8 @@ class BoundaryNode:
         core part of each state, under the mass-weighted state Gram."""
         z = _expect_rows("states", z, self.op.ext_dim)
         n1, core = self.op.core_blocks[0], self.op.core.dim
-        return tuple(0.5 * _row_forms(_band_apply(x, w), x) for x, w in
-                     zip((z[:, :n1], z[:, n1:core]), self._state_blocks))
+        return tuple(0.5 * _row_forms(_band_apply(x, w.band), x) for x, w in
+                     zip((z[:, :n1], z[:, n1:core]), self.state_space.blocks))
 
     def dissipated_power(self, z: np.ndarray) -> np.ndarray:
         """Damping form ``<v, D^T W_D v>`` with ``v = M^{-1} z2``."""
@@ -155,10 +149,8 @@ class BoundaryNode:
         """``<u, y>`` (impedance) or ``(||u||^2 - ||y||^2)/2`` (scattering)
         in the dual boundary pairing."""
         u = _expect_rows("inputs", u, self.G_map.shape[0])
-        y = _expect_rows("outputs", y, self.G_map.shape[0])
-        if len(u) != len(y):
-            raise ShapeMismatch(f"{len(u)} input rows against {len(y)} "
-                                "output rows")
+        y = np.asarray(y, dtype=float)
+        _expect_shape("outputs", y, u.shape)
         wd = self.dual_gram()
         if self.flavor == IMPEDANCE:
             return _row_forms(u @ wd, y)
@@ -169,16 +161,8 @@ def _expect_rows(name: str, x, width: int) -> np.ndarray:
     """``x`` as a float array; ``ShapeMismatch`` unless it is 2-D with
     ``width`` columns."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != width:
-        raise ShapeMismatch(f"{name} has shape {x.shape}; the node expects "
-                            f"one row of {width} per sample")
+    _expect_shape(name, x, x.shape[:1] + (width,))
     return x
-
-
-def _require_finite(**arrays: np.ndarray) -> None:
-    for name, x in arrays.items():
-        if not np.isfinite(x).all():
-            raise NonFiniteValue(f"{name} holds NaN or infinity")
 
 
 def _row_forms(xw: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -207,35 +191,9 @@ class EnergyLedger:
     slack: np.ndarray
 
 
-def _diagonal_blocks(space: HilbertSpaceSpec,
-                     n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bands of the blocks ``[:n1, :n1]`` and ``[n1:, n1:]`` of a space's
-    Gram, read-only, each of its own half-width (a diagonal block gets a
-    band of one column)."""
-    blocks = tuple(
-        _trimmed(np.where(_band_entries(len(x), space.bandwidth)[0], x, 0.0))
-        for x in (space.band[:n1], space.band[n1:]))
-    for w in blocks:
-        w.setflags(write=False)
-    return blocks
-
-
-def _split_core_gram(op: BoundaryOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Bands of the two diagonal blocks of the core Gram;
-    ``CoreGramNotBlockDiagonal`` unless its band, the only place its
-    nonzeros can be, leaves the off-diagonal blocks zero."""
-    n1 = op.core_blocks[0]
-    inside, rows, cols = _band_entries(op.core.dim, op.core.bandwidth)
-    if op.core.band[inside][(rows < n1) != (cols < n1)].any():
-        raise CoreGramNotBlockDiagonal(
-            f"core Gram of {op.core.label!r} couples the blocks "
-            f"{op.core_blocks} of its coordinates")
-    return _diagonal_blocks(op.core, n1)
-
-
 def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
     """Validate M, D; return the band of M^{-1} and the mass-weighted state
-    space.
+    space, the direct sum of the core's first block and sym(W_2 M^{-1}).
 
     NaN or infinity in M or D is a ``NonFiniteValue``, raised before the
     band gates.  The gate-only product W_2 M is formed from the bands of
@@ -244,15 +202,12 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
     GEMM: ``W_2 M^{-1}`` is a band product when a factor is diagonal,
     since each entry then holds one product, and a dense GEMM otherwise.
     """
-    n2 = op.core_blocks[1]
-    for name, f in (("mass", M), ("damping", D)):
-        if f.domain.dim != n2 or f.codomain.dim != n2:
-            raise ShapeMismatch(
-                f"{name} map is {f.codomain.dim} x {f.domain.dim}; it must "
-                f"be square on the momentum block ({n2})")
+    position, momentum = op.core.blocks
+    for name, f in (("mass map", M), ("damping map", D)):
+        _expect_shape(name, f.matrix, (momentum.dim, momentum.dim))
     _require_finite(mass_map_M=M.matrix, damping_map_D=D.matrix)
 
-    w1, w2 = _split_core_gram(op)
+    w2 = momentum.band
     m_band = _band(M.matrix, _bandwidth(M.matrix))
     wm = _band_product(w2, m_band)
     wm_t = _band_transpose(wm)
@@ -272,8 +227,9 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
     else:
         w2_minv = _dense(w2) @ _dense(minv)
         w2_minv = _band(w2_minv, _bandwidth(w2_minv))
-    state_band = _block_band(w1, 0.5 * (w2_minv + _band_transpose(w2_minv)))
-    return minv, _space_from_band(state_band, op.core.label + "_M")
+    kinetic = _space_from_band(0.5 * (w2_minv + _band_transpose(w2_minv)),
+                               momentum.label + "_M")
+    return minv, direct_sum(op.core.label + "_M", position, kinetic)
 
 
 def _mass_inverse(m: np.ndarray, m_band: np.ndarray) -> np.ndarray:
@@ -422,9 +378,7 @@ def passivity_residual(node: BoundaryNode, z_ext: np.ndarray,
     m = node.G_map.shape[0]
     for name, x, shape in (("state", z_ext, (node.op.ext_dim,)),
                            ("input", u, (m,)), ("output", y, (m,))):
-        if x.shape != shape:
-            raise ShapeMismatch(f"{name} has shape {x.shape}; the node "
-                                f"expects {shape}")
+        _expect_shape(name, x, shape)
     _require_finite(state=z_ext, input=u, output=y)
     gap = np.linalg.norm(node.G_map @ z_ext - u)
     if gap > CONSISTENCY_RTOL * (1.0 + np.linalg.norm(u)):

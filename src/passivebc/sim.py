@@ -48,7 +48,8 @@ from .errors import (
     TimeGridTooLarge,
     UnknownChoice,
 )
-from .node import BoundaryNode, EnergyLedger, _require_finite
+from .hilbert import _expect_shape, _require_finite
+from .node import BoundaryNode, EnergyLedger
 
 __all__ = [
     "InputSignal",
@@ -136,12 +137,6 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return len(self.inputs)
-
-
-def _expect_shape(name: str, array: np.ndarray, shape: tuple) -> None:
-    if array.shape != shape:
-        raise ShapeMismatch(f"{name} has shape {array.shape}; the node "
-                            f"expects {shape}")
 
 
 class StepSolver:

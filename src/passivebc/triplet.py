@@ -55,9 +55,11 @@ from .hilbert import (
     _band_entries,
     _band_solve,
     _bandwidth,
-    _block_band,
+    _expect_shape,
     _frozen,
+    _require_finite,
     _space_from_band,
+    direct_sum,
 )
 
 __all__ = [
@@ -104,19 +106,33 @@ class BoundaryOperator:
     """Maximal operator with traces on extended coordinates.
 
     ``core`` carries the energy Gram W_Z of the leading extended
-    coordinates, ``L`` is the action and ``Gamma0``/``Gamma1`` map into
-    the boundary space ``bspace`` and its covariant dual.
-    ``core_blocks`` records the (z1, z2) split of the core coordinates,
-    which downstream mass weighting needs.
+    coordinates as the direct sum of its (z1, z2) blocks, ``L`` is the
+    action and ``Gamma0``/``Gamma1`` map into the boundary space
+    ``bspace`` and its covariant dual.  ``core_blocks``, the dimensions of
+    the two blocks, which the mass weighting keeps apart, is read from the
+    core and ``ext_dim`` from L.  Raises ``ShapeMismatch`` unless ``core``
+    is a ``direct_sum`` of two spaces.
     """
 
     core: HilbertSpaceSpec
-    ext_dim: int
     L: np.ndarray
     Gamma0: np.ndarray
     Gamma1: np.ndarray
     bspace: HilbertSpaceSpec
-    core_blocks: tuple[int, int]
+
+    def __post_init__(self):
+        if len(self.core.blocks) != 2:
+            raise ShapeMismatch(f"core {self.core.label!r} has "
+                                f"{len(self.core.blocks)} direct-sum blocks; "
+                                "a boundary operator needs two")
+
+    @property
+    def core_blocks(self) -> tuple[int, int]:
+        return tuple(b.dim for b in self.core.blocks)
+
+    @property
+    def ext_dim(self) -> int:
+        return self.L.shape[1]
 
     @property
     def n_boundary(self) -> int:
@@ -132,18 +148,17 @@ def extend_adjoint(A: LinearMap, injection: np.ndarray,
     construction.  ``-A^T W_Y`` and the solve against W_X are
     ``_band_apply``'s and ``_band_solve``'s, which keep the bits of the
     dense GEMM and LAPACK solve and scale rows for diagonal Grams.  The
-    extended space's Gram is ``blockdiag(W_Y, I)``, built as a band.
+    extended space is the direct sum ``Y (+) R^nb``.
     """
     injection = np.atleast_2d(np.asarray(injection, dtype=float))
-    if injection.ndim != 2 or injection.shape[0] != A.domain.dim:
-        raise ShapeMismatch(f"injection has shape {injection.shape}; it "
-                            f"needs one row per coordinate of "
-                            f"{A.domain.label!r} ({A.domain.dim})")
+    _expect_shape("injection", injection,
+                  (A.domain.dim,) + injection.shape[1:2])
     nb = injection.shape[1]
     w_y = A.codomain.band
     b = _band_solve(A.domain.band,
                     np.hstack([_band_apply(-A.matrix.T, w_y), injection]))
-    ext_space = _space_from_band(_block_band(w_y, np.ones((nb, 1))), label)
+    ext_space = direct_sum(label, A.codomain,
+                           _space_from_band(np.ones((nb, 1)), f"R^{nb}"))
     return LinearMap(b, domain=ext_space, codomain=A.domain)
 
 
@@ -157,7 +172,9 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap,
 
     The residual is the Frobenius norm of the bilinear defect of
     ``-<B_ext y~, x> - <iota_Y y~, A x> = <Pi1 y~, Lambda1 x> - <Pi2 y~, Lambda2 x>``
-    normalized by ``1 + ||iota_Y^T W_Y A||_F``; assembly fails above 1e-12.
+    normalized by ``1 + ||iota_Y^T W_Y A||_F``; assembly fails above 1e-12
+    or when the residual is NaN.  NaN or infinity in A, B_ext or a trace
+    is refused first, as ``NonFiniteValue`` naming the array.
     """
     ext_dim = B_ext.domain.dim
     Lambda1 = np.atleast_2d(np.asarray(Lambda1, dtype=float))
@@ -168,6 +185,8 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap,
     else:
         Lambda2 = np.atleast_2d(np.asarray(Lambda2, dtype=float))
         Pi2 = np.atleast_2d(np.asarray(Pi2, dtype=float))
+    _require_finite(A=A.matrix, B_ext=B_ext.matrix, Lambda1=Lambda1, Pi1=Pi1,
+                    Lambda2=Lambda2, Pi2=Pi2)
 
     # Bilinear defect in y~^T (.) x coordinates, on CSR factors: iota_Y is
     # a coordinate projection and the trace products have rank m.
@@ -177,7 +196,7 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap,
               - csr_array(Pi1).T @ csr_array(Lambda1)
               + csr_array(Pi2).T @ csr_array(Lambda2))
     residual = _frobenius(defect) / (1.0 + _frobenius(pairing))
-    if residual > GREEN_TOL:
+    if not residual <= GREEN_TOL:
         raise GreenIdentityViolated(residual, float(abs(defect).max()),
                                     "dual pair")
 
@@ -196,27 +215,24 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap,
                            residual=residual)
 
 
-def _realize(dp: DualPairTriplet, w1: np.ndarray, label1: str,
+def _realize(dp: DualPairTriplet, first: HilbertSpaceSpec,
              to_y: np.ndarray, velocity: np.ndarray,
              where: str) -> BoundaryOperator:
     """Boundary operator on extended coordinates ``(v, z2, tau)`` of a pair.
 
-    The core Gram is ``blockdiag(w1, W_X)`` over ``(v, z2)``, built from
-    the band ``w1`` of its first block; the Y~ element fed to B_ext and
-    the Pi traces is ``[to_y v; tau]`` and the first block row of the
-    action is ``v' = velocity z2``.  Raises ``TraceNotSurjective``
-    and ``GreenIdentityViolated`` (naming ``where``) at their gates.
+    The core is ``first (+) X`` over ``(v, z2)``; the Y~ element fed to
+    B_ext and the Pi traces is ``[to_y v; tau]`` and the first block row
+    of the action is ``v' = velocity z2``.  Raises ``TraceNotSurjective``
+    and ``GreenIdentityViolated`` (naming ``where``, and for a NaN
+    residual too) at their gates.
     """
-    n1, nx = to_y.shape[1], dp.A.domain.dim
-    dim_y = dp.A.codomain.dim
-    nb = dp.n_boundary_coords
-    core_dim = n1 + nx
+    core = direct_sum(f"{first.label}(+){dp.A.domain.label}", first,
+                      dp.A.domain)
+    bspace = direct_sum("G", *(g for g in (dp.G1, dp.G2) if g is not None))
+    n1, nx, core_dim = first.dim, dp.A.domain.dim, core.dim
+    dim_y, nb = dp.A.codomain.dim, dp.n_boundary_coords
     ext_dim = core_dim + nb
-    m1 = dp.G1.dim
-    m = m1 + (dp.G2.dim if dp.G2 is not None else 0)
-
-    core = _space_from_band(_block_band(w1, dp.A.domain.band),
-                            f"{label1}(+){dp.A.domain.label}")
+    m1, m = dp.G1.dim, bspace.dim
 
     L = np.zeros((core_dim, ext_dim))
     gamma0 = np.zeros((m, ext_dim))
@@ -242,15 +258,12 @@ def _realize(dp: DualPairTriplet, w1: np.ndarray, label1: str,
         raise TraceNotSurjective(f"{where}: traces [Gamma0; Gamma1] are "
                                  "rank deficient")
 
-    bspace = _space_from_band(_block_band(
-        *(g.band for g in (dp.G1, dp.G2) if g is not None)), "G")
-
     for x in (L, gamma0, gamma1):
         x.setflags(write=False)
-    op = BoundaryOperator(core=core, ext_dim=ext_dim, L=L, Gamma0=gamma0,
-                          Gamma1=gamma1, bspace=bspace, core_blocks=(n1, nx))
+    op = BoundaryOperator(core=core, L=L, Gamma0=gamma0, Gamma1=gamma1,
+                          bspace=bspace)
     res = green_residual(op)
-    if res > GREEN_TOL:
+    if not res <= GREEN_TOL:
         raise GreenIdentityViolated(res, res, where)
     return op
 
@@ -270,15 +283,17 @@ def lift_second_order(dp: DualPairTriplet) -> BoundaryOperator:
     is ``[A z1; tau]``.
     """
     w_h = _normal_gram(dp.A)
-    return _realize(dp, _band(w_h, _bandwidth(w_h)), f"{dp.A.domain.label}_h",
-                    dp.A.matrix, np.eye(dp.A.domain.dim), "second-order lift")
+    x_h = _space_from_band(_band(w_h, _bandwidth(w_h)),
+                           f"{dp.A.domain.label}_h")
+    return _realize(dp, x_h, dp.A.matrix, np.eye(dp.A.domain.dim),
+                    "second-order lift")
 
 
 def strain_momentum(dp: DualPairTriplet) -> BoundaryOperator:
     """Strain-momentum realization on ``(w1, w2, tau)`` over ``Y (+) X``:
     B_ext and the Pi traces read ``[w1; tau]``, and ``w1' = A w2``."""
-    return _realize(dp, dp.A.codomain.band, dp.A.codomain.label,
-                    np.eye(dp.A.codomain.dim), dp.A.matrix, "jet target")
+    return _realize(dp, dp.A.codomain, np.eye(dp.A.codomain.dim),
+                    dp.A.matrix, "jet target")
 
 
 def _gram_csr(space: HilbertSpaceSpec) -> csr_array:
@@ -329,8 +344,11 @@ def skew_on_minimal(op: BoundaryOperator,
     V is the minimal-domain basis; with no damping folded into L the value
     is at roundoff level because the Green identity kills the boundary
     terms on the kernel.  An alternative action (e.g. with damping folded
-    in) may be supplied.
+    in) may be supplied; ``ShapeMismatch`` unless it has the shape of
+    ``op.L``.
     """
+    action = op.L if L is None else np.asarray(L, dtype=float)
+    _expect_shape("action L", action, op.L.shape)
     v = minimal_domain(op)
     if v.shape[1] == 0:
         return 0.0
@@ -339,6 +357,5 @@ def skew_on_minimal(op: BoundaryOperator,
             1.0, float(np.abs(iv).max()))) < v.shape[1]:
         raise DegenerateCoreProjection(
             "core projection is not injective on the minimal domain")
-    action = op.L if L is None else np.asarray(L, dtype=float)
     compressed = iv.T @ op.core.gram @ action @ v
     return float(np.linalg.norm(0.5 * (compressed + compressed.T)))

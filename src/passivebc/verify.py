@@ -41,8 +41,11 @@ class CheckResult:
 
 def random_contraction(rng: np.random.Generator, bspace,
                        target_norm: float | None = None) -> np.ndarray:
-    """Random matrix scaled to a dual-space norm (uniform in (0, 1] if None)."""
+    """Random matrix scaled to a dual-space norm (uniform in (0, 1] if None);
+    the empty 0 x 0 matrix on a 0-dimensional boundary space."""
     m = bspace.dim
+    if m == 0:
+        return np.zeros((0, 0))
     raw = rng.standard_normal((m, m))
     nrm = contraction_norm(raw, bspace)
     scale = rng.uniform(0.05, 1.0) if target_norm is None else target_norm

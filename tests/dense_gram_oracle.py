@@ -9,6 +9,8 @@ claims no structure: it holds its Gram as a full-width band, of
 ``bandwidth`` dim - 1, so library code that reads a Gram by its band reads
 all of it, and ``hilbert._band_apply`` multiplies by it as a dense GEMM.
 
+``direct_sum`` validates the dense ``block_diag`` of its summands with
+``make_space`` and attaches the summands, as the library's sum keeps them.
 ``extend_adjoint``, ``lift_second_order``, ``prepare_weights`` and
 ``mass_weighted`` are the set-up products as the library formed them
 before it scaled rows by diagonal Grams and masses: GEMMs on the dense
@@ -16,6 +18,8 @@ Grams, LAPACK's solve against W_X and ``cho_solve`` against the identity
 for M^{-1}.  They take and return what their library counterparts do
 (bands of M^{-1}, spaces), so a test can patch them in.
 """
+
+import dataclasses
 
 import numpy as np
 import scipy.linalg
@@ -80,6 +84,14 @@ def space_from_band(band, label: str) -> HilbertSpaceSpec:
                       label)
 
 
+def direct_sum(label: str, *spaces: HilbertSpaceSpec) -> HilbertSpaceSpec:
+    """``make_space`` of the dense ``block_diag`` of the summands' Grams,
+    holding the summands in ``blocks``."""
+    dim = sum(s.dim for s in spaces)
+    g = scipy.linalg.block_diag(*(s.gram for s in spaces)).reshape(dim, dim)
+    return dataclasses.replace(make_space(dim, g, label), blocks=spaces)
+
+
 def full_band(g: np.ndarray) -> np.ndarray:
     """The band of half-width n - 1 of an n x n matrix: all of it."""
     return _band(g, max(len(g) - 1, 0))
@@ -93,8 +105,8 @@ def extend_adjoint(A: LinearMap, injection, label: str = "Y~") -> LinearMap:
     nb = injection.shape[1]
     b = np.linalg.solve(A.domain.gram,
                         np.hstack([-A.matrix.T @ w_y, injection]))
-    ext_space = make_space(A.codomain.dim + nb,
-                           scipy.linalg.block_diag(w_y, np.eye(nb)), label)
+    ext_space = direct_sum(label, A.codomain,
+                           make_space(nb, np.eye(nb), f"R^{nb}"))
     return LinearMap(b, domain=ext_space, codomain=A.domain)
 
 
@@ -102,29 +114,28 @@ def lift_second_order(dp):
     """The lift with its core block ``A^T W_Y A`` from two dense GEMMs."""
     a = dp.A.matrix
     w_h = a.T @ dp.A.codomain.gram @ a
-    return triplet._realize(dp, full_band(0.5 * (w_h + w_h.T)),
-                            f"{dp.A.domain.label}_h", a,
-                            np.eye(dp.A.domain.dim), "second-order lift")
+    x_h = make_space(len(w_h), 0.5 * (w_h + w_h.T), f"{dp.A.domain.label}_h")
+    return triplet._realize(dp, x_h, a, np.eye(dp.A.domain.dim),
+                            "second-order lift")
 
 
 def prepare_weights(op, M: LinearMap, D: LinearMap):
     """M^{-1} by ``cho_solve`` against the identity (``solve`` for a
     non-symmetric M) and the state Gram ``blockdiag(W_1, sym(W_2 M^{-1}))``
     by a dense GEMM; no gates."""
-    n1, n2 = op.core_blocks
-    g = op.core.gram
-    w1 = np.ascontiguousarray(g[:n1, :n1])
-    w2 = np.ascontiguousarray(g[n1:, n1:])
+    position, momentum = op.core.blocks
+    n2 = momentum.dim
     msym = 0.5 * M.matrix + 0.5 * M.matrix.T
     if dense_norm(M.matrix - msym) <= 1e-12 * (1.0 + dense_norm(msym)):
         minv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(msym),
                                       np.eye(n2))
     else:
         minv = np.linalg.solve(M.matrix, np.eye(n2))
-    w2_minv = w2 @ minv
-    w_state = scipy.linalg.block_diag(w1, 0.5 * (w2_minv + w2_minv.T))
-    return full_band(minv), make_space(op.core.dim, w_state,
-                                       op.core.label + "_M")
+    w2_minv = momentum.gram @ minv
+    kinetic = make_space(n2, 0.5 * (w2_minv + w2_minv.T),
+                         momentum.label + "_M")
+    return full_band(minv), direct_sum(op.core.label + "_M", position,
+                                       kinetic)
 
 
 def mass_weighted(x: np.ndarray, op, minv: np.ndarray) -> np.ndarray:

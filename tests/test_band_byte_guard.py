@@ -3,10 +3,10 @@ masses leave every operator the step reads bit for bit as the dense
 set-up gives it.
 
 Each system is built twice: by the library, and with the dense oracle
-(``dense_gram_oracle``) patched in: its ``make_space`` and
-``space_from_band`` into every module that binds the library's, and its
-dense ``extend_adjoint``, lift, ``prepare_weights`` and ``mass_weighted``
-in place of the library's.  The oracle's spaces claim a band that spans
+(``dense_gram_oracle``) patched in: its ``make_space``,
+``space_from_band`` and ``direct_sum`` into every module that binds the
+library's, and its dense ``extend_adjoint``, lift, ``prepare_weights`` and
+``mass_weighted`` in place of the library's.  The oracle's spaces claim a band that spans
 the whole square, so the band-reading gates read all of it there and
 every product with a Gram is a dense GEMM or LAPACK solve.  Both builds
 must store the same bytes in the extended Y Gram and ``B_ext``, the core
@@ -91,6 +91,8 @@ def assert_dense_bytes(N, length, monkeypatch):
             patch.setattr(module, "make_space", oracle.make_space)
         for module in (hilbert, triplet, wave1d, node):
             patch.setattr(module, "_space_from_band", oracle.space_from_band)
+        for module in (triplet, node):
+            patch.setattr(module, "direct_sum", oracle.direct_sum)
         patch.setattr(wave1d, "extend_adjoint", oracle.extend_adjoint)
         patch.setattr(wave1d, "lift_second_order", oracle.lift_second_order)
         patch.setattr(node, "_prepare_weights", oracle.prepare_weights)

@@ -22,6 +22,7 @@ from passivebc.hilbert import (
     ContractionParam,
     _frozen,
     contraction_norm,
+    direct_sum,
     euclidean_space,
     make_space,
 )
@@ -206,12 +207,11 @@ class TestDomains:
 
 def test_ill_posed_restriction_detected():
     # a degenerate operator whose constraint vanishes identically
-    core = euclidean_space(2, "Z")
+    core = direct_sum("Z", euclidean_space(1, "Z1"), euclidean_space(1, "Z2"))
     bspace = make_space(1, [[2.0]], "G")
     gamma = np.array([[1.0, 0.0, 0.0]])
-    op = BoundaryOperator(core=core, ext_dim=3, L=np.zeros((2, 3)),
-                          Gamma0=gamma, Gamma1=gamma, bspace=bspace,
-                          core_blocks=(1, 1))
+    op = BoundaryOperator(core=core, L=np.zeros((2, 3)), Gamma0=gamma,
+                          Gamma1=gamma, bspace=bspace)
     # (P-1) W_G Gamma0 - (P+1) Gamma1 = 0 for P = 3, W_G = 2
     assert np.allclose(constraint_matrix(op, [[3.0]]), 0.0)
     with pytest.raises(IllPosedRestriction):
@@ -362,10 +362,11 @@ def small_op(gamma0, gamma1, ext_dim=3):
     gamma0 = np.asarray(gamma0, dtype=float).reshape(-1, ext_dim)
     action = np.array([[0.0, 1.0, 0.5], [-1.0, 0.0, 0.25]])[:, :ext_dim]
     return BoundaryOperator(
-        core=euclidean_space(2, "Z"), ext_dim=ext_dim, L=action,
-        Gamma0=gamma0,
+        core=direct_sum("Z", euclidean_space(1, "Z1"),
+                        euclidean_space(1, "Z2")),
+        L=action, Gamma0=gamma0,
         Gamma1=np.asarray(gamma1, dtype=float).reshape(-1, ext_dim),
-        bspace=euclidean_space(len(gamma0), "G"), core_blocks=(1, 1))
+        bspace=euclidean_space(len(gamma0), "G"))
 
 
 def degenerate_case(name):

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from passivebc import cli, node, verify, wave1d
 from passivebc.errors import (
-    CoreGramNotBlockDiagonal,
     InvalidTimeGrid,
     NonFiniteValue,
     NonPositiveParameter,
@@ -242,16 +241,3 @@ def test_bad_argument_raises_a_named_error(data, fault):
     with pytest.raises(PassivebcError) as info:
         call(data.draw(values))
     assert info.type is error
-
-
-@pytest.mark.parametrize("far", [False, True])
-def test_coupled_core_gram_is_named(far):
-    sys_ = wave_system(5)
-    op = sys_.op_A
-    n1, dim = op.core_blocks[0], op.core.dim
-    g = np.array(op.core.gram)
-    i, j = (0, dim - 1) if far else (n1 - 1, n1)
-    g[i, j] = g[j, i] = 1e-3 * g[i, i]
-    coupled = dataclasses.replace(op, core=make_space(dim, g, "Z"))
-    with pytest.raises(CoreGramNotBlockDiagonal, match="'Z' couples"):
-        impedance_node(coupled, np.eye(2), sys_.M_map, sys_.D_map)

@@ -21,8 +21,10 @@ from passivebc.hilbert import (
     euclidean_space,
     inner,
     make_space,
+    norm,
     riesz,
 )
+from passivebc.verify import random_contraction
 
 from passivebc.jet import build_jet, pull_state, push_state, ran_A_defect
 from passivebc.triplet import (
@@ -464,3 +466,29 @@ def test_linear_map_shape_mismatch_rejected():
     cod = euclidean_space(2, "Y")
     with pytest.raises(ShapeMismatch, match="does not match map"):
         LinearMap(np.zeros((3, 3)), dom, cod)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: inner(euclidean_space(3, "X"), x, np.ones(3)),
+    lambda x: inner(euclidean_space(3, "X"), np.ones(3), x),
+    lambda x: norm(euclidean_space(3, "X"), x),
+    lambda x: LinearMap(np.ones((2, 3)), euclidean_space(3, "X"),
+                        euclidean_space(2, "Y"))(x),
+])
+@pytest.mark.parametrize("x", [np.ones(2), np.ones(4), np.ones((2, 3)),
+                               np.float64(1.0)])
+def test_vector_of_the_wrong_length_is_a_shape_mismatch(call, x):
+    with pytest.raises(ShapeMismatch, match="has shape"):
+        call(x)
+
+
+def test_linear_map_applies_to_vectors_and_column_blocks():
+    f = LinearMap(np.arange(6.0).reshape(2, 3), euclidean_space(3, "X"),
+                  euclidean_space(2, "Y"))
+    assert f(np.ones(3)).tolist() == [3.0, 12.0]
+    assert f(np.ones((3, 2))).shape == (2, 2)
+
+
+def test_random_contraction_on_an_empty_boundary_space():
+    p = random_contraction(np.random.default_rng(0), euclidean_space(0, "G"))
+    assert p.shape == (0, 0)

@@ -5,8 +5,18 @@ import pytest
 import scipy.linalg
 
 from passivebc import wave1d
-from passivebc.errors import GreenIdentityViolated, TraceNotSurjective
-from passivebc.hilbert import LinearMap, euclidean_space, make_space
+from passivebc.errors import (
+    GreenIdentityViolated,
+    NonFiniteValue,
+    ShapeMismatch,
+    TraceNotSurjective,
+)
+from passivebc.hilbert import (
+    LinearMap,
+    direct_sum,
+    euclidean_space,
+    make_space,
+)
 from passivebc.jet import build_jet, state_injection
 from passivebc.triplet import (
     GREEN_TOL,
@@ -387,12 +397,12 @@ class TestMinimalDomain:
         assert minimal_domain(free).shape[1] == op.ext_dim
 
     def test_empty_boundary_block_full_space(self):
-        core = euclidean_space(2, "Z")
-        op = BoundaryOperator(core=core, ext_dim=2, L=np.zeros((2, 2)),
+        core = direct_sum("Z", euclidean_space(1, "Z1"),
+                          euclidean_space(1, "Z2"))
+        op = BoundaryOperator(core=core, L=np.zeros((2, 2)),
                               Gamma0=np.zeros((0, 2)),
                               Gamma1=np.zeros((0, 2)),
-                              bspace=euclidean_space(0, "G"),
-                              core_blocks=(1, 1))
+                              bspace=euclidean_space(0, "G"))
         assert minimal_domain(op).shape[1] == 2
         assert green_residual(op) == 0.0
         assert skew_on_minimal(op) == 0.0
@@ -443,3 +453,55 @@ def test_lift_preserves_exactness_scaling(rng):
         sys = random_wave_system(12, rng)
         assert green_residual(sys.op_A) <= 4.0 * max(
             sys.dual_pair.residual, 1e-12)
+
+
+DUAL_PAIR_ARRAYS = ("A", "B_ext", "Lambda1", "Pi1", "Lambda2", "Pi2")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", DUAL_PAIR_ARRAYS)
+def test_dual_pair_refuses_non_finite_arrays_by_name(name, bad, rng):
+    dp = synthetic_two_block_pair(rng)
+    arrays = {n: getattr(dp, n) for n in DUAL_PAIR_ARRAYS}
+    if name in ("A", "B_ext"):
+        f = arrays[name]
+        m = np.array(f.matrix)
+        m[0, -1] = bad
+        arrays[name] = LinearMap(m, f.domain, f.codomain)
+    else:
+        arrays[name] = np.array(arrays[name])
+        arrays[name][-1, 0] = bad
+    with pytest.raises(NonFiniteValue, match=f"^{name} holds"):
+        assemble_dual_pair(arrays["A"], arrays["B_ext"], arrays["Lambda1"],
+                           arrays["Pi1"], dp.G1, arrays["Lambda2"],
+                           arrays["Pi2"], dp.G2)
+
+
+def test_green_gates_fail_closed_on_a_nan_residual():
+    # entries of 1e200 overflow the Frobenius norms: the defect and its
+    # scale read inf, the residual inf / inf = NaN, which "> GREEN_TOL"
+    # let through
+    dp = wave_system(4).dual_pair
+    huge = LinearMap(1e200 * dp.A.matrix, dp.A.domain, dp.A.codomain)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(GreenIdentityViolated, match="dual pair: "
+                           "residual nan"):
+            assemble_dual_pair(huge, dp.B_ext, dp.Lambda1, dp.Pi1, dp.G1)
+        with pytest.raises(GreenIdentityViolated, match="jet target: "
+                           "residual nan"):
+            strain_momentum(dataclasses.replace(dp, A=huge))
+
+
+def test_jet_target_gate_refuses_a_nan_factor_map():
+    dp = wave_system(4).dual_pair
+    a = np.array(dp.A.matrix)
+    a[0, 0] = np.nan
+    nan_map = LinearMap(a, dp.A.domain, dp.A.codomain)
+    with pytest.raises(GreenIdentityViolated, match="jet target"):
+        strain_momentum(dataclasses.replace(dp, A=nan_map))
+
+
+def test_skew_on_minimal_refuses_an_action_of_the_wrong_shape():
+    op = wave_system(4).op_A
+    with pytest.raises(ShapeMismatch, match="action L"):
+        skew_on_minimal(op, op.L[:, :-1])
