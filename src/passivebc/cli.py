@@ -130,7 +130,12 @@ def run_scenario(path: str, out: str | None = None) -> int:
     signal = build_signal(sc)
     z0 = build_initial_state(sc, sys_)
     if sc.formulation == "strain-momentum":
-        z0 = push_state(sys_.jet, z0)
+        # the zero state pushes to +0.0: only another one needs the jet
+        z0 = (push_state(sys_.jet, z0) if z0.any()
+              else np.zeros(node.op.core.dim))
+    # the run reads the node alone: release the assembled system before
+    # the step matrices are allocated and factored
+    del sys_
     blocks = simulate_blocks(node, z0, signal, sc.t_final, sc.dt)
     rows = _write_csv_atomic(out_path, CSV_COLUMNS,
                              map(_trajectory_table, blocks))

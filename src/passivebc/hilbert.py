@@ -71,7 +71,12 @@ RANK_RTOL = 1e-10
 
 
 def _frozen(a) -> np.ndarray:
-    """Contiguous float copy with the write flag cleared."""
+    """``a`` as a read-only C-ordered float64 array: ``a`` itself when it
+    is one that owns its data, else a copy that later writes cannot reach."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.base is None and a.flags.c_contiguous
+            and not a.flags.writeable):
+        return a
     out = np.array(a, dtype=float, order="C")
     out.setflags(write=False)
     return out

@@ -14,12 +14,15 @@ impedance:
     G = ((I - P) W_G Gamma0 + (I + P) Gamma1) / 2,
     K = ((I + P) W_G Gamma0 + (I - P) Gamma1) / 2.
 
-The interior action is ``L_eff = (L - diag(0, D) iota) diag(I, M^{-1}, I)``
-and the state energy is measured by ``W = blockdiag(W_1, W_2 M^{-1})``,
-i.e. kinetic energy uses the inverse-mass inner product.  W_1 and W_2 are
-the core's two blocks; the state space is the direct sum ``W_1 (+)
-sym(W_2 M^{-1})``, whose blocks the ledger reads.  The external
-Cayley transform at real beta > 0 recombines the port maps,
+The interior action is ``L_eff = (L - diag(0, D) iota) diag(I, M^{-1}, I)``.
+The node does not store it: ``BoundaryNode.L_eff`` builds it on first read,
+and :class:`~passivebc.sim.StepSolver` writes it straight into its step
+matrix (``_effective_action``).  The state energy is measured by
+``W = blockdiag(W_1, W_2 M^{-1})``, i.e. kinetic energy uses the
+inverse-mass inner product.  W_1 and W_2 are the core's two blocks; the
+state space is the direct sum ``W_1 (+) sym(W_2 M^{-1})``, whose blocks
+the ledger reads.  The external Cayley transform at real beta > 0
+recombines the port maps,
 
     G' = (beta G + K) / sqrt(2 beta),   K' = (beta G - K) / sqrt(2 beta),
 
@@ -85,7 +88,8 @@ IMPEDANCE = "impedance"
 
 @dataclass(frozen=True)
 class BoundaryNode:
-    """Immutable colligation (G_map, L_eff, K_map) over extended coordinates."""
+    """Immutable colligation (G_map, L_eff, K_map) over extended coordinates;
+    ``L_eff`` is built from ``op``, ``D`` and ``M_inv`` on first read."""
 
     op: BoundaryOperator
     flavor: str
@@ -94,9 +98,16 @@ class BoundaryNode:
     D: LinearMap
     G_map: np.ndarray
     K_map: np.ndarray
-    L_eff: np.ndarray
     state_space: HilbertSpaceSpec      # core with mass-weighted Gram
     M_inv: np.ndarray                  # band of M^{-1} on the momentum block
+
+    @cached_property
+    def L_eff(self) -> np.ndarray:
+        """``(L - diag(0, D) iota) diag(I, M^{-1}, I)``, read-only, built on
+        first read; a run does not read it (``StepSolver`` builds its own)."""
+        action = _effective_action(self.op, self.D, self.M_inv)
+        action.setflags(write=False)
+        return action
 
     def dual_gram(self) -> np.ndarray:
         """Gram of the dual boundary space (inputs/outputs live there).
@@ -265,12 +276,20 @@ def _mass_weighted(x: np.ndarray, op: BoundaryOperator, minv: np.ndarray):
     return out
 
 
-def _effective_action(op: BoundaryOperator, D: LinearMap, minv: np.ndarray):
-    """``(L - diag(0, D) iota) diag(I, M^{-1}, I)``, in one copy of L."""
+def _effective_action(op: BoundaryOperator, D: LinearMap, minv: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """``(L - diag(0, D) iota) diag(I, M^{-1}, I)``, written into ``out``
+    (core x ext) or a new array: one copy of L.  A diagonal M^{-1} scales
+    the momentum columns in place with ``_band_apply``'s diagonal ops."""
     n1, momentum = op.core_blocks[0], slice(op.core_blocks[0], op.core.dim)
-    action = op.L + 0.0   # as in _mass_weighted
+    action = np.add(op.L, 0.0, out=out)   # as in _mass_weighted
     action[n1:, momentum] -= D.matrix
-    action[:, momentum] = _band_apply(action[:, momentum], minv)
+    columns = action[:, momentum]
+    if minv.shape[1] == 1:
+        np.multiply(columns, minv[:, 0], out=columns)
+        columns += 0.0
+    else:
+        action[:, momentum] = _band_apply(columns, minv)
     return action
 
 
@@ -297,12 +316,11 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
     else:
         g = 0.5 * ((eye - pmat) @ a + (eye + pmat) @ b)
         k = 0.5 * ((eye + pmat) @ a + (eye - pmat) @ b)
-    l_eff = _effective_action(op, D, minv)
-    for x in (g, k, l_eff, minv):   # built here: frozen, not copied
+    for x in (g, k, minv):   # built here: frozen, not copied
         x.setflags(write=False)
     return BoundaryNode(op=op, flavor=flavor, P=param, M=M, D=D,
-                        G_map=g, K_map=k, L_eff=l_eff,
-                        state_space=state_space, M_inv=minv)
+                        G_map=g, K_map=k, state_space=state_space,
+                        M_inv=minv)
 
 
 def scattering_node(op: BoundaryOperator, P, M: LinearMap,

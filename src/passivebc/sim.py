@@ -49,7 +49,7 @@ from .errors import (
     UnknownChoice,
 )
 from .hilbert import _expect_shape, _require_finite
-from .node import BoundaryNode, EnergyLedger
+from .node import BoundaryNode, EnergyLedger, _effective_action
 
 __all__ = [
     "InputSignal",
@@ -161,14 +161,19 @@ class StepSolver:
                 f"!= extended dimension {ext}")
         # iota +/- h (h = dt/2 L_eff) bit for bit: h + 0.0 and 0.0 - h turn
         # -0.0 into +0.0 as iota's zeros do; _factor refuses a non-finite h.
-        # ``ahead`` is Fortran-ordered, so LAPACK factors it in place.
+        # L_eff is written into h and scaled there: no other copy.  ``ahead``
+        # is allocated once h is written, so NumPy's buffers for the strided
+        # momentum columns add nothing to the peak, and is Fortran-ordered,
+        # so LAPACK factors it in place.
         behind = np.empty((ext, ext))
-        ahead = np.empty((ext, ext), order="F")
+        h = behind[:ncore]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(0.5 * dt, node.L_eff, out=behind[:ncore])
-        behind[:ncore] += 0.0
+            _effective_action(node.op, node.D, node.M_inv, out=h)
+            np.multiply(0.5 * dt, h, out=h)
+        h += 0.0
         np.negative(node.G_map, out=behind[ncore:])
-        np.subtract(0.0, behind[:ncore], out=ahead[:ncore])
+        ahead = np.empty((ext, ext), order="F")
+        np.subtract(0.0, h, out=ahead[:ncore])
         ahead[ncore:] = node.G_map
         diag = np.arange(ncore)
         for matrix in (ahead, behind):

@@ -35,7 +35,7 @@ tau]`` to B_ext and ``z1' = z2``, the strain-momentum form ``(I, A)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -76,11 +76,16 @@ __all__ = [
 
 GREEN_TOL = 1e-12
 NULLSPACE_RCOND = 1e-10
+_TRACES = ("Lambda1", "Pi1", "Lambda2", "Pi2")
 
 
 @dataclass(frozen=True)
 class DualPairTriplet:
-    """Validated dual pair with trace maps and one or two boundary blocks."""
+    """Validated dual pair with trace maps and one or two boundary blocks.
+
+    A NaN or infinite trace is refused where a pair is made, by
+    ``dataclasses.replace`` too, as ``NonFiniteValue`` naming it.
+    """
 
     A: LinearMap                      # X -> Y
     B_ext: LinearMap                  # Y~ = (y, tau) -> X
@@ -91,6 +96,10 @@ class DualPairTriplet:
     Pi2: np.ndarray | None = None      # Y~ -> G2
     G2: HilbertSpaceSpec | None = None
     residual: float = field(compare=False, default=0.0)
+
+    def __post_init__(self):
+        _require_finite(**{name: x for name in _TRACES
+                           if (x := getattr(self, name)) is not None})
 
     @property
     def ext_Y_dim(self) -> int:
@@ -148,7 +157,8 @@ def extend_adjoint(A: LinearMap, injection: np.ndarray,
     construction.  ``-A^T W_Y`` and the solve against W_X are
     ``_band_apply``'s and ``_band_solve``'s, which keep the bits of the
     dense GEMM and LAPACK solve and scale rows for diagonal Grams.  The
-    extended space is the direct sum ``Y (+) R^nb``.
+    extended space is the direct sum ``Y (+) R^nb``.  The map holds the
+    array built here, frozen in place, not a copy.
     """
     injection = np.atleast_2d(np.asarray(injection, dtype=float))
     _expect_shape("injection", injection,
@@ -157,6 +167,7 @@ def extend_adjoint(A: LinearMap, injection: np.ndarray,
     w_y = A.codomain.band
     b = _band_solve(A.domain.band,
                     np.hstack([_band_apply(-A.matrix.T, w_y), injection]))
+    b.setflags(write=False)
     ext_space = direct_sum(label, A.codomain,
                            _space_from_band(np.ones((nb, 1)), f"R^{nb}"))
     return LinearMap(b, domain=ext_space, codomain=A.domain)
@@ -185,8 +196,9 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap,
     else:
         Lambda2 = np.atleast_2d(np.asarray(Lambda2, dtype=float))
         Pi2 = np.atleast_2d(np.asarray(Pi2, dtype=float))
-    _require_finite(A=A.matrix, B_ext=B_ext.matrix, Lambda1=Lambda1, Pi1=Pi1,
-                    Lambda2=Lambda2, Pi2=Pi2)
+    _require_finite(A=A.matrix, B_ext=B_ext.matrix)
+    dp = DualPairTriplet(A, B_ext, _frozen(Lambda1), _frozen(Pi1), G1,
+                         _frozen(Lambda2), _frozen(Pi2), G2)
 
     # Bilinear defect in y~^T (.) x coordinates, on CSR factors: iota_Y is
     # a coordinate projection and the trace products have rank m.
@@ -210,9 +222,7 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap,
         if np.linalg.matrix_rank(pi) < m:
             raise TraceNotSurjective("stacked Pi traces are rank deficient")
 
-    return DualPairTriplet(A, B_ext, _frozen(Lambda1), _frozen(Pi1), G1,
-                           _frozen(Lambda2), _frozen(Pi2), G2,
-                           residual=residual)
+    return replace(dp, residual=residual)
 
 
 def _realize(dp: DualPairTriplet, first: HilbertSpaceSpec,

@@ -13,9 +13,16 @@ from hypothesis import strategies as st
 
 from passivebc import cli
 from passivebc.errors import ScenarioError, ShapeMismatch
+from passivebc.jet import push_state
 from passivebc.node import EnergyLedger
-from passivebc.scenario import build_node, build_system, load_scenario
-from passivebc.sim import Trajectory
+from passivebc.scenario import (
+    build_initial_state,
+    build_node,
+    build_signal,
+    build_system,
+    load_scenario,
+)
+from passivebc.sim import Trajectory, simulate_blocks
 
 from conftest import double_gamma1
 
@@ -683,3 +690,29 @@ def test_module_entry_point_runs_without_warnings():
         env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "usage: passivebc" in proc.stdout
+
+
+def test_zero_state_strain_momentum_run_builds_no_jet(tmp_path, monkeypatch,
+                                                      capsys):
+    doc = json.loads((SCENARIOS / "damped_sine.json").read_text())
+    assert doc["initial"] == {"kind": "zero"}
+    doc.update(formulation="strain-momentum", out=str(tmp_path / "run.csv"))
+    path = write_scenario(tmp_path, doc)
+    systems = []
+
+    def kept(sc):
+        systems.append(build_system(sc))
+        return systems[-1]
+    monkeypatch.setattr(cli, "build_system", kept)
+    assert cli.run_scenario(path) == 0
+    sys_, = systems
+    assert "jet" not in sys_.__dict__
+    # the bytes of the run that pushes its zero state through the jet
+    sc = load_scenario(path)
+    z0 = push_state(sys_.jet, build_initial_state(sc, sys_))
+    blocks = simulate_blocks(build_node(sc, sys_), z0, build_signal(sc),
+                             sc.t_final, sc.dt)
+    pushed = tmp_path / "pushed.csv"
+    cli._write_csv_atomic(str(pushed), cli.CSV_COLUMNS,
+                          map(cli._trajectory_table, blocks))
+    assert (tmp_path / "run.csv").read_bytes() == pushed.read_bytes()

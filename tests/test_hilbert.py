@@ -482,6 +482,48 @@ def test_vector_of_the_wrong_length_is_a_shape_mismatch(call, x):
         call(x)
 
 
+def _map_over(a):
+    return LinearMap(a, euclidean_space(3, "X"), euclidean_space(2, "Y"))
+
+
+def test_linear_map_keeps_a_frozen_array_it_is_handed():
+    # read-only and owning its data: frozen already, so not copied again
+    a = np.arange(6.0).reshape(2, 3).copy()
+    a.setflags(write=False)
+    assert np.shares_memory(_map_over(a).matrix, a)
+
+
+@pytest.mark.parametrize("read_only_view", [False, True])
+def test_linear_map_copies_what_a_caller_can_still_write(read_only_view):
+    # the caller's writable array, or a read-only view of it, is copied:
+    # later writes to it leave the map as built
+    w = np.arange(6.0).reshape(2, 3).copy()
+    a = w.view() if read_only_view else w
+    if read_only_view:
+        a.setflags(write=False)
+    f = _map_over(a)
+    assert not np.shares_memory(f.matrix, w)
+    assert not f.matrix.flags.writeable
+    w[0, 0] = 99.0
+    assert a[0, 0] == 99.0
+    assert f.matrix.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+
+
+def test_extend_adjoint_hands_its_array_to_the_map(monkeypatch):
+    from passivebc import triplet
+    built = []
+    solve = triplet._band_solve
+
+    def spy(band, rhs):
+        built.append(solve(band, rhs))
+        return built[-1]
+    monkeypatch.setattr(triplet, "_band_solve", spy)
+    sys_ = wave_system(8)
+    assert len(built) == 1
+    assert np.shares_memory(sys_.dual_pair.B_ext.matrix, built[0])
+    assert not sys_.dual_pair.B_ext.matrix.flags.writeable
+
+
 def test_linear_map_applies_to_vectors_and_column_blocks():
     f = LinearMap(np.arange(6.0).reshape(2, 3), euclidean_space(3, "X"),
                   euclidean_space(2, "Y"))

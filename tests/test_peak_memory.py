@@ -1,0 +1,125 @@
+"""A run keeps only what it steps.
+
+The node builds ``L_eff`` only when it is read; ``StepSolver`` writes the
+effective action straight into its own step matrix and scales it there;
+``cli.run_scenario`` lets the assembled system go before the step is
+factored.
+"""
+
+import dataclasses
+import json
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+from passivebc import cli, sim
+from passivebc.node import (
+    BoundaryNode,
+    _effective_action,
+    impedance_node,
+    scattering_node,
+)
+from passivebc.sim import InputSignal, StepSolver
+
+from conftest import ROOT, random_wave_system
+
+DT = 1e-3
+
+
+@pytest.mark.parametrize("name, formulation", [
+    ("damped_sine", "position-momentum"),
+    ("damped_sine", "strain-momentum"),
+    ("jet_standing_wave", "strain-momentum"),
+    ("gauss_scattering", "position-momentum"),
+])
+def test_system_is_released_before_the_step_is_factored(
+        name, formulation, monkeypatch, tmp_path, capsys):
+    doc = json.loads((ROOT / "scenarios" / f"{name}.json").read_text())
+    doc.update(formulation=formulation, out=str(tmp_path / "run.csv"))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    systems, alive = [], []
+    build = cli.build_system
+
+    def tracked(sc):
+        sys_ = build(sc)
+        systems.append(weakref.ref(sys_))
+        return sys_
+
+    class Probe(StepSolver):
+        def __init__(self, node, dt):
+            alive.append(systems[0]() is not None)
+            super().__init__(node, dt)
+
+    monkeypatch.setattr(cli, "build_system", tracked)
+    monkeypatch.setattr(sim, "StepSolver", Probe)
+    assert cli.run_scenario(str(path)) == 0
+    assert alive == [False]
+
+
+def _damped_node(N, rng, build=impedance_node):
+    sys_ = random_wave_system(N, rng)
+    p = 0.6 * np.array([[0.6, -0.8], [0.8, 0.6]])
+    return build(sys_.op_A, p, sys_.M_map, sys_.D_map)
+
+
+@pytest.mark.parametrize("dt", [DT, -DT])
+def test_step_solver_allocates_its_two_matrices_and_one_mask(dt, rng):
+    # behind and ahead, ext x ext doubles each, and _factor's finiteness
+    # mask of ahead, ext x ext bools; no copy of L_eff or of its momentum
+    # columns
+    nd = _damped_node(128, rng)
+    assert nd.M_inv.shape[1] == 1   # a diagonal mass, scaled in place
+    StepSolver(nd, dt)              # LAPACK lookup and first-call caches
+    ext = nd.op.ext_dim
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        solver = StepSolver(nd, dt)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert solver._behind.shape == (ext, ext)
+    assert peak <= 1.01 * (2 * 8 * ext * ext + ext * ext)
+
+
+def test_effective_action_scales_the_momentum_columns_in_place(rng):
+    # only NumPy's ufunc buffers, 64 KB per operand, and no core x n2
+    # temporary (4.2 MB at N=512); the bytes are the stored L_eff's
+    nd = _damped_node(512, rng)
+    op = nd.op
+    out = np.empty((op.core.dim, op.ext_dim))
+    _effective_action(op, nd.D, nd.M_inv, out=out)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _effective_action(op, nd.D, nd.M_inv, out=out)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * op.core.dim * op.core_blocks[1] / 4
+    assert out.tobytes() == nd.L_eff.tobytes()
+
+
+def test_l_eff_is_not_a_field():
+    assert "L_eff" not in {f.name for f in dataclasses.fields(BoundaryNode)}
+
+
+@pytest.mark.parametrize("build", [impedance_node, scattering_node])
+def test_l_eff_is_built_once_on_read(build, rng):
+    nd = _damped_node(16, rng, build)
+    assert "L_eff" not in nd.__dict__
+    first = nd.L_eff
+    assert nd.L_eff is first
+    assert not first.flags.writeable
+    assert first.shape == (nd.op.core.dim, nd.op.ext_dim)
+
+
+def test_a_run_that_only_steps_never_builds_l_eff(rng):
+    nd = _damped_node(16, rng)
+    signal = InputSignal("sine", weights=[1.0, 0.5], amplitude=0.3)
+    traj = sim.simulate(nd, np.zeros(nd.op.core.dim), signal, 0.3, DT)
+    assert traj.n_steps == 300
+    assert "L_eff" not in nd.__dict__

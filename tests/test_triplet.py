@@ -501,6 +501,27 @@ def test_jet_target_gate_refuses_a_nan_factor_map():
         strain_momentum(dataclasses.replace(dp, A=nan_map))
 
 
+@pytest.mark.parametrize("realize", [lift_second_order, strain_momentum])
+@pytest.mark.parametrize("name", ["Lambda1", "Pi1"])
+def test_a_pair_refuses_a_non_finite_trace_where_it_is_made(realize, name):
+    # a pair made by replace is checked as one made by assemble_dual_pair;
+    # a NaN trace used to reach _realize's rank test as a bare LinAlgError
+    dp = wave_system(4).dual_pair
+    bad = np.array(getattr(dp, name))
+    bad[0, -1] = np.nan
+    with pytest.raises(NonFiniteValue, match=f"^{name} holds"):
+        realize(dataclasses.replace(dp, **{name: bad}))
+
+
+@pytest.mark.parametrize("name", ["Lambda2", "Pi2"])
+def test_a_two_block_pair_refuses_a_non_finite_second_trace(name, rng):
+    dp = synthetic_two_block_pair(rng)
+    bad = np.array(getattr(dp, name))
+    bad[-1, 0] = np.inf
+    with pytest.raises(NonFiniteValue, match=f"^{name} holds"):
+        dataclasses.replace(dp, **{name: bad})
+
+
 def test_skew_on_minimal_refuses_an_action_of_the_wrong_shape():
     op = wave_system(4).op_A
     with pytest.raises(ShapeMismatch, match="action L"):
