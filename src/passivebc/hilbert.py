@@ -16,18 +16,18 @@ diagonals -b..b, and set-up gates read that band (``make_space``,
 ``node``).  Set-up code that knows a Gram's band passes it to
 ``_space_from_band``, which runs ``make_space``'s gates on it, so no dense
 Gram is formed.
-``_band_apply`` multiplies by a matrix given by its band: a diagonal one
-(the wave model's W_X, W_Y, mass, damping and M^{-1}) scales rows or
-columns with the GEMM's bits, since each GEMM entry then holds one
-nonzero product; a wider one is made dense for the GEMM.
+``_band_apply`` is the one band-times-matrix kernel: a narrow band
+(``_is_narrow``) adds its 2b + 1 diagonal products, so a product's rows
+are formed apart, and a diagonal one (the wave model's W_X, W_Y, mass,
+damping, M^{-1}) keeps the GEMM's bits; a wider band is made dense.
 ``HilbertSpaceSpec.gram`` builds the dense matrix afresh on each read.
 A direct sum (``direct_sum``: X_h (+) X, Y (+) X, G1 (+) G2, Y (+) R^nb)
 holds the block-diagonal band of its summands and keeps the summands
 themselves in ``HilbertSpaceSpec.blocks``, so no module splits a band back
 into blocks or eigen-solves a Gram whose blocks were already validated.
-The products whose entries sum several terms stay dense GEMMs and keep
-their summation order, because a run's states, ledger and CSV carry their
-bits: the normal matrix ``(A^T W_Y) A`` of the lift and the jet,
+The products of dense operators whose entries sum several terms stay
+GEMMs and keep their summation order, because a run's states and CSV
+carry their bits: the normal matrix ``(A^T W_Y) A`` of the lift and the jet,
 ``_realize``'s ``B_ext[:, :dim_y] @ to_y``, M^{-1} of a non-diagonal mass,
 the step's ``lu_factor``/``getrs`` and the step itself.
 """
@@ -343,25 +343,41 @@ def _block_band(*bands: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_apply(x: np.ndarray, band: np.ndarray,
-                left: bool = False) -> np.ndarray:
-    """``x @ W``, or ``W @ x`` with ``left``, for the square W of ``band``
-    and a finite x.
+def _is_narrow(width: int, n: int) -> bool:
+    """4 width < n: whether a band algorithm beats the dense one."""
+    return 4 * width < n
 
-    A diagonal W (a band of one column) scales the columns (rows) of x.
-    Each GEMM entry then sums a single nonzero product, which FMA rounds
-    once, so the elementwise product has the GEMM's bits; ``+ 0.0`` turns
-    -0.0 into +0.0 as the GEMM's zero start does, and the output is
-    C-ordered as the GEMM's is, so later products keep their bits too.
-    A wider band goes to the GEMM on the dense W, built for this call.
+
+def _band_apply(x: np.ndarray, band: np.ndarray, left: bool = False,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """``x @ W``, or ``W @ x`` with ``left``, for the square W of ``band``
+    and a finite x, into ``out`` (x itself too) or a new C-ordered array.
+
+    A narrow W (``_is_narrow``) adds the products of its 2b + 1 diagonals,
+    so each row of ``x @ W`` (column of ``W @ x``) comes from that row
+    alone; a diagonal W gives one product per entry, which has the GEMM's
+    bits, and ``+ 0.0`` turns -0.0 into +0.0 as the GEMM's zero start
+    does.  A wider W goes to the GEMM on its dense matrix.
     """
-    if band.shape[1] > 1:
+    n, b = len(band), band.shape[1] // 2
+    if out is None:
+        out = np.empty(np.shape(x))
+    if b and not _is_narrow(b, n):
         w = _dense(band)
-        return w @ x if left else x @ w
-    d = band[:, 0]
-    if left:
-        d = d.reshape(d.shape + (1,) * (np.ndim(x) - 1))
-    out = np.multiply(x, d, order="C")
+        out[...] = w @ x if left else x @ w
+        return out
+    if b and np.may_share_memory(out, x):
+        x = x.copy()
+    # W's axis is x's last (first with ``left``, moved last)
+    acc = np.moveaxis(out, 0, -1) if left else out
+    x = np.moveaxis(x, 0, -1) if left else x
+    np.multiply(x, band[:, b], out=acc)
+    for k in range(1, b + 1):
+        # W[i, i + k] and W[i + k, i]; ``x @ W`` reads them as W^T's
+        pair = band[:-k, b + k], band[k:, b - k]
+        up, down = pair if left else pair[::-1]
+        acc[..., :-k] += x[..., k:] * up
+        acc[..., k:] += x[..., :-k] * down
     out += 0.0
     return out
 
@@ -410,7 +426,7 @@ def _extreme_eigenvalues(band: np.ndarray) -> tuple[float, float]:
 
     The route follows the diagonals that hold a nonzero value, as a scan of
     the dense matrix would: a diagonal matrix gives its sorted diagonal; a
-    band of half-width w under a quarter of the dimension goes to LAPACK's
+    narrow band of half-width w (``_is_narrow``) goes to LAPACK's
     ``dsbevx`` (``eig_banded`` with ``select='i'``), whose band reduction
     costs about 6 n^2 w flops against 4/3 n^3 for the dense one; anything
     wider goes to dense ``eigvalsh``.  Raises ``LinAlgError``, as
@@ -425,7 +441,7 @@ def _extreme_eigenvalues(band: np.ndarray) -> tuple[float, float]:
     if width == 0:
         diag = band[:, b]
         return float(diag.min()), float(diag.max())
-    if 4 * width < n:
+    if _is_narrow(width, n):
         # LAPACK's lower band storage: lower[k, i] = g[i + k, i]
         lower = np.ascontiguousarray(band[:, b:b + width + 1].T)
         lo, hi = (scipy.linalg.eig_banded(lower, lower=True,

@@ -59,7 +59,6 @@ from .hilbert import (
     _band_product,
     _band_transpose,
     _bandwidth,
-    _dense,
     _expect_shape,
     _extreme_eigenvalues,
     _frozen,
@@ -94,7 +93,6 @@ class BoundaryNode:
     op: BoundaryOperator
     flavor: str
     P: ContractionParam
-    M: LinearMap
     D: LinearMap
     G_map: np.ndarray
     K_map: np.ndarray
@@ -207,11 +205,9 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
     space, the direct sum of the core's first block and sym(W_2 M^{-1}).
 
     NaN or infinity in M or D is a ``NonFiniteValue``, raised before the
-    band gates.  The gate-only product W_2 M is formed from the bands of
-    its factors.  M^{-1} (``_mass_inverse``) and ``W_2 M^{-1}``, which the
-    step and the ledger read, keep the bits of the dense ``cho_solve`` and
-    GEMM: ``W_2 M^{-1}`` is a band product when a factor is diagonal,
-    since each entry then holds one product, and a dense GEMM otherwise.
+    band gates.  W_2 M (for the gates) and ``W_2 M^{-1}`` are band
+    products, with the GEMM's bits when a factor is diagonal; M^{-1}
+    (``_mass_inverse``) has the bits of the dense ``cho_solve``.
     """
     position, momentum = op.core.blocks
     for name, f in (("mass map", M), ("damping map", D)):
@@ -233,11 +229,7 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
             f"-1e-10")
 
     minv = _mass_inverse(M.matrix, m_band)
-    if min(w2.shape[1], minv.shape[1]) == 1:
-        w2_minv = _band_product(w2, minv)
-    else:
-        w2_minv = _dense(w2) @ _dense(minv)
-        w2_minv = _band(w2_minv, _bandwidth(w2_minv))
+    w2_minv = _band_product(w2, minv)
     kinetic = _space_from_band(0.5 * (w2_minv + _band_transpose(w2_minv)),
                                momentum.label + "_M")
     return minv, direct_sum(op.core.label + "_M", position, kinetic)
@@ -272,24 +264,20 @@ def _mass_weighted(x: np.ndarray, op: BoundaryOperator, minv: np.ndarray):
     """``x diag(I, M^{-1}, I)`` for the band ``minv`` of M^{-1}, whose
     product turns -0.0 into +0.0 (+ 0.0)."""
     out, momentum = x + 0.0, slice(op.core_blocks[0], op.core.dim)
-    out[:, momentum] = _band_apply(x[:, momentum], minv)
+    _band_apply(x[:, momentum], minv, out=out[:, momentum])
     return out
 
 
 def _effective_action(op: BoundaryOperator, D: LinearMap, minv: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
     """``(L - diag(0, D) iota) diag(I, M^{-1}, I)``, written into ``out``
-    (core x ext) or a new array: one copy of L.  A diagonal M^{-1} scales
-    the momentum columns in place with ``_band_apply``'s diagonal ops."""
+    (core x ext) or a new array: one copy of L, whose momentum columns
+    ``_band_apply`` weights in place."""
     n1, momentum = op.core_blocks[0], slice(op.core_blocks[0], op.core.dim)
     action = np.add(op.L, 0.0, out=out)   # as in _mass_weighted
     action[n1:, momentum] -= D.matrix
     columns = action[:, momentum]
-    if minv.shape[1] == 1:
-        np.multiply(columns, minv[:, 0], out=columns)
-        columns += 0.0
-    else:
-        action[:, momentum] = _band_apply(columns, minv)
+    _band_apply(columns, minv, out=columns)
     return action
 
 
@@ -318,7 +306,7 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
         k = 0.5 * ((eye + pmat) @ a + (eye - pmat) @ b)
     for x in (g, k, minv):   # built here: frozen, not copied
         x.setflags(write=False)
-    return BoundaryNode(op=op, flavor=flavor, P=param, M=M, D=D,
+    return BoundaryNode(op=op, flavor=flavor, P=param, D=D,
                         G_map=g, K_map=k, state_space=state_space,
                         M_inv=minv)
 

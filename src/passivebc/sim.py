@@ -64,7 +64,7 @@ __all__ = [
 INIT_RTOL = 1e-10
 GRID_RTOL = 1e-9        # allowed |n dt - t_final| relative to t_final
 SINGULARITY_RTOL = 1e-13
-LEDGER_CHUNK = 256      # states per vectorized block of the ledger
+LEDGER_CHUNK = 256      # steps per block of a run and its ledger
 
 
 @dataclass(frozen=True)
@@ -121,11 +121,11 @@ class Trajectory:
     of one block of it.
 
     A run (``simulate``) holds its n + 1 grid rows and n steps.  A block
-    (``simulate_blocks``) holds rows ``i, ..., i + len(times) - 1`` and the
-    steps ending on them (step k ends on row k + 1), so the block of row 0
-    holds one step fewer than rows; its ``states_ext`` is a view of the
-    run's buffer, which the next block overwrites.  H, H_p and H_k are per
-    row, the other ledger entries per step.
+    (``simulate_blocks``) holds steps ``i, ..., i + len(inputs) - 1`` and
+    the rows they end on (step k ends on row k + 1), and the first block
+    row 0 as well, so it holds one row more than steps; its ``states_ext``
+    is a view of the run's buffer, which the next block overwrites.  H,
+    H_p and H_k are per row, the other ledger entries per step.
     """
 
     times: np.ndarray                # (rows,)
@@ -324,8 +324,8 @@ def _grid_allocation(n_steps: int, ext: int, nbytes: float, what: str):
 def simulate_blocks(node: BoundaryNode, z_core0: np.ndarray,
                     signal: InputSignal, t_final: float, dt: float):
     """``simulate`` as an iterator of ``Trajectory`` blocks, one per
-    ``LEDGER_CHUNK`` grid rows, holding one ``(LEDGER_CHUNK + 1) x
-    ext_dim`` buffer of states.
+    ``LEDGER_CHUNK`` steps, holding one ``(LEDGER_CHUNK + 1) x ext_dim``
+    buffer of states.
 
     The set-up (grid, signal, initial state, step factor, every midpoint
     input) is done before this returns; each block is then stepped from
@@ -357,54 +357,45 @@ def simulate_blocks(node: BoundaryNode, z_core0: np.ndarray,
 
 def _blocks(node: BoundaryNode, solver: StepSolver, buffer: np.ndarray,
             times: np.ndarray, inputs: np.ndarray):
-    """For each i, step rows ``i..j = min(i + LEDGER_CHUNK, n)`` in
-    ``buffer`` from the last row of the block before, check them and yield
-    rows ``[i, i + LEDGER_CHUNK)`` as a ``Trajectory`` with their ledger.
-
-    A row's bits depend on the rows evaluated with it, so every row-wise
-    form sees fixed blocks: H_p and H_k the rows ``[i, i + LEDGER_CHUNK)``;
-    outputs (read off the midpoint states), supplied and dissipated power
-    and the slack the steps ``[i, j)``.  H of row i - 1 and the ports of
-    step i - 1 carry over to the next block.
+    """For each i, step ``[i, j = min(i + LEDGER_CHUNK, n))`` in ``buffer``
+    from the last row of the block before, check the rows and yield the
+    steps with the rows they end on (row 0 too in the first block) and
+    their ledger.  Each ledger form reads a row alone, so only H of the
+    last row carries over, into the next block's first residual.
     """
     n, dt = len(inputs), float(times[1] - times[0])
-    h_prev, carry = np.empty(0), None
-    for i in range(0, n + 1, LEDGER_CHUNK):
-        states = buffer[:min(LEDGER_CHUNK, n - i) + 1]
+    h_before = np.empty(0)
+    for i in range(0, n, LEDGER_CHUNK):
+        j = min(i + LEDGER_CHUNK, n)
+        states = buffer[:j - i + 1]
         if i:
             states[0] = buffer[LEDGER_CHUNK]
-        j = i + len(states) - 1
         solver.advance(states, inputs[i:j])
-        if i + LEDGER_CHUNK > n:
+        if j == n:
             solver = None      # free the factor before the last ledger
         if not np.isfinite(states).all():
             raise NonFiniteValue("the trajectory left the floating-point "
                                  "range")
-        hp, hk = node.energy_split(states[:LEDGER_CHUNK])
+        first = 1 if i else 0
+        hp, hk = node.energy_split(states[first:])
+        h = hp + hk
+        h_all = np.concatenate([h_before, h])
+        h_before = h[-1:]
         z_mid = 0.5 * (states[:-1] + states[1:])
         u = inputs[i:j]
         y = z_mid @ node.K_map.T
-        steps = (u, y, node.supplied_power(u, y),
-                 node.dissipated_power(z_mid), node.scattering_slack(z_mid))
-        if carry is None:
-            carry = [a[:0] for a in steps]
-        r = len(hp)
-        u, y, supplied, dissipated, slack = (
-            np.concatenate([c, a[:r - 1]]) for c, a in zip(carry, steps))
-        carry = [a[r - 1:] for a in steps]
-        h = hp + hk
-        h_all = np.concatenate([h_prev, h])
-        h_prev = h[-1:]
+        supplied = node.supplied_power(u, y)
+        dissipated = node.dissipated_power(z_mid)
         residual = h_all[1:] - h_all[:-1] - dt * (supplied - dissipated)
-        slack = dt * slack
+        slack = dt * node.scattering_slack(z_mid)
         if not all(np.isfinite(a).all() for a in
                    (h, hp, hk, supplied, dissipated, residual, slack)):
             raise NonFiniteValue("the energy ledger left the floating-point "
                                  "range (finite states, overflowing "
                                  "energies)")
         yield Trajectory(
-            times=times[i:i + r], states_ext=states[:r], inputs=u,
-            outputs=y, ledger=EnergyLedger(
+            times=times[i + first:j + 1], states_ext=states[first:],
+            inputs=u, outputs=y, ledger=EnergyLedger(
                 H=h, H_p=hp, H_k=hk, supplied=supplied,
                 dissipated=dissipated, residual=residual, slack=slack))
 

@@ -155,8 +155,8 @@ def extend_adjoint(A: LinearMap, injection: np.ndarray,
     ``B_ext = W_X^{-1} [-A^T W_Y | E]`` where the columns of E are the
     covariant boundary functionals; the Green identity then holds by
     construction.  ``-A^T W_Y`` and the solve against W_X are
-    ``_band_apply``'s and ``_band_solve``'s, which keep the bits of the
-    dense GEMM and LAPACK solve and scale rows for diagonal Grams.  The
+    ``_band_apply``'s and ``_band_solve``'s, which scale rows for diagonal
+    Grams with the bits of the dense GEMM and LAPACK solve.  The
     extended space is the direct sum ``Y (+) R^nb``.  The map holds the
     array built here, frozen in place, not a copy.
     """

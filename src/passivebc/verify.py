@@ -53,18 +53,19 @@ def random_contraction(rng: np.random.Generator, bspace,
 
 
 def _kernel_gap(basis: np.ndarray, trace: np.ndarray) -> float:
-    """Largest principal angle (in radians) between span(basis) and ker trace.
+    """Upper bound on the largest principal angle (in radians) between
+    span(basis) and ker trace, for a basis with singular values >= 1
+    (``[I; X]`` or an orthonormal one); pi/2 when their dimensions differ.
 
-    The orthonormal row space R of the trace is counted at rcond 1e-10, the
-    rank rule of ``scipy.linalg.null_space``; the angle is
-    ``arcsin ||R^T Q||_2`` for an orthonormal basis Q of span(basis).
-    """
-    q = np.linalg.qr(basis)[0]
-    _, sigma, vt = np.linalg.svd(trace, full_matrices=False)
-    row = vt[:int(np.sum(sigma > 1e-10 * sigma.max(initial=0.0)))]
-    if q.shape[1] != trace.shape[1] - row.shape[0]:
+    With the rank r of the trace counted at rcond 1e-10, as by
+    ``scipy.linalg.null_space``, the sine is <= ``||trace basis||_2 /
+    sigma_r``."""
+    sigma = np.linalg.svd(trace, compute_uv=False)
+    rank = int(np.sum(sigma > 1e-10 * sigma.max(initial=0.0)))
+    if basis.shape[1] != trace.shape[1] - rank:
         return np.pi / 2.0
-    return float(np.arcsin(min(np.linalg.norm(row @ q, 2), 1.0)))
+    gap = np.linalg.norm(trace @ basis, 2) / sigma[rank - 1] if rank else 0.0
+    return float(np.arcsin(min(gap, 1.0)))
 
 
 def _green_checks(sys) -> list[CheckResult]:

@@ -183,6 +183,9 @@ def assemble(coeffs: WaveCoefficients,
     grad = (np.eye(N, N + 1, 1) - np.eye(N, N + 1)) / h
     a_mat = np.vstack([np.sqrt(coeffs.T)[:, None] * grad,
                        np.diag(np.sqrt(coeffs.a))])
+    mass, damping = np.diag(coeffs.rho), np.diag(coeffs.b)
+    for x in (a_mat, mass, damping):   # built here: frozen, not copied
+        x.setflags(write=False)
     A_map = LinearMap(a_mat, domain=X, codomain=Y)
 
     # Signed boundary injection: <E tau, x> = tau_R x_N - tau_L x_0.
@@ -202,10 +205,8 @@ def assemble(coeffs: WaveCoefficients,
 
     return WaveSystem(coeffs, nodes, X, Y, A_map,
                       assemble_dual_pair(A_map, B_ext, lambda1, pi1, G1),
-                      M_map=LinearMap(np.diag(coeffs.rho), domain=X,
-                                      codomain=X),
-                      D_map=LinearMap(np.diag(coeffs.b), domain=X,
-                                      codomain=X))
+                      M_map=LinearMap(mass, domain=X, codomain=X),
+                      D_map=LinearMap(damping, domain=X, codomain=X))
 
 
 def analytic_standing_wave(k: int, coeffs: WaveCoefficients

@@ -5,8 +5,13 @@ every gate on the band.  Against the dense validation it must raise the
 same error class, store the same bytes and report the same eigenvalue
 bounds, for every input below.  Products with a diagonal matrix given by
 its band must have the bytes of the dense GEMM, LAPACK solve and
-``cho_solve`` they replace.
+``cho_solve`` they replace; products with a narrow band, summed by its
+diagonals, must agree with the GEMM to a rounding bound and allocate no
+dense square.
 """
+
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +20,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
-from passivebc import hilbert
+from passivebc import hilbert, node
 from passivebc.errors import ShapeMismatch
-from passivebc.hilbert import SYM_RTOL, make_space
+from passivebc.hilbert import (SYM_RTOL, LinearMap, direct_sum,
+                               euclidean_space, make_space)
 from passivebc.node import _mass_inverse
 from passivebc.triplet import _gram_csr
 
@@ -155,6 +161,79 @@ def test_diagonal_band_products_have_the_gemm_bytes(dx):
     flipped = x[..., ::-1]   # a strided view
     assert_same_array(hilbert._band_apply(flipped, d[:, None]),
                       flipped @ dense)
+
+
+def product_bound(x, w, b):
+    """``2 (n + 2b + 2) eps |x| |W|``: twice ``gamma_{n+2b+1}`` of the
+    product's absolute sum (Higham, Accuracy and Stability, 2nd ed., sec.
+    3.1), a bound on the gap between the band kernel's and the GEMM's
+    roundings of each entry of ``x @ W``."""
+    return 2 * (len(w) + 2 * b + 2) * np.finfo(float).eps * (np.abs(x)
+                                                             @ np.abs(w))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 16), b=st.integers(0, 3),
+       rows=st.sampled_from([None, 1, 5]), seed=st.integers(0, 2**32 - 1))
+def test_band_products_match_the_gemm(n, b, rows, seed):
+    # n around 4 b: narrow bands are summed by diagonals, wider ones GEMMed
+    b = min(b, n - 1)
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((n, n)) * (_offsets(n) <= b)
+    band = hilbert._band(w, b)
+    x = rng.standard_normal((n,) if rows is None else (rows, n))
+    xt = x.T
+    cases = ((x, False, x @ w, product_bound(x, w, b)),
+             (xt, True, w @ xt, product_bound(xt.T, w.T, b).T))
+    for arg, left, want, bound in cases:
+        got = hilbert._band_apply(arg, band, left=left)
+        aliased = arg.copy()
+        same = hilbert._band_apply(aliased, band, left=left, out=aliased)
+        assert same is aliased and np.array_equal(same, got)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        if b == 0:
+            assert got.tobytes() == want.tobytes()
+        assert (np.abs(got - want) <= bound).all()
+
+
+def test_narrow_band_product_allocates_no_square():
+    # at n = 2049 (the lift's X_h at N = 2048) a 256-row block times a
+    # tridiagonal W stays below half of one n x n array of doubles
+    n = 2049
+    band = np.random.default_rng(3).uniform(1.0, 2.0, (n, 3))
+    x = np.ones((256, n))
+    tracemalloc.start()
+    try:
+        hilbert._band_apply(x, band)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * n * n
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 24), b=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_kinetic_gram_of_non_diagonal_factors_matches_the_gemm(n, b, seed):
+    # W_2 M^{-1} of a banded W_2 and a mass M = W_2^{-1} S (S SPD), which
+    # is self-adjoint for W_2 and has a full M^{-1}
+    rng = np.random.default_rng(seed)
+    b = min(b, n - 1)
+    f = rng.standard_normal((n, n)) * (_offsets(n) <= b)
+    w2 = make_space(n, f @ f.T / n + np.eye(n), "W_2")
+    s = rng.standard_normal((n, n))
+    mass = LinearMap(np.linalg.solve(w2.gram, s @ s.T / n + np.eye(n)),
+                     w2, w2)
+    op = SimpleNamespace(core=direct_sum("Z", euclidean_space(1, "Q"), w2))
+    damping = LinearMap(np.zeros((n, n)), w2, w2)
+    minv, state = node._prepare_weights(op, mass, damping)
+    dense_minv = hilbert._dense(minv)
+    product = w2.gram @ dense_minv
+    want = 0.5 * (product + product.T)
+    width = w2.bandwidth + minv.shape[1] // 2
+    bound = product_bound(w2.gram, dense_minv, width)
+    got = state.blocks[1].gram
+    assert (np.abs(got - want) <= 0.5 * (bound + bound.T)).all()
 
 
 @settings(max_examples=100, deadline=None)

@@ -582,8 +582,30 @@ class TestLazyRealization:
         assert max(a.size for a in own) < core ** 2
 
 
+def qr_kernel_angle(basis, trace):
+    """Largest principal angle between span(basis) and ker trace, as
+    ``verify`` measured it before it bounded the angle from the trace:
+    ``arcsin ||R Q||_2`` for the orthonormal row space R of the trace,
+    counted at rcond 1e-10, and a QR basis Q of the span."""
+    q = np.linalg.qr(basis)[0]
+    _, sigma, vt = np.linalg.svd(trace, full_matrices=False)
+    row = vt[:int(np.sum(sigma > 1e-10 * sigma.max(initial=0.0)))]
+    if q.shape[1] != trace.shape[1] - row.shape[0]:
+        return np.pi / 2.0
+    return float(np.arcsin(min(np.linalg.norm(row @ q, 2), 1.0)))
+
+
+def graph_pair(rng, k, m):
+    """A random trace ``L [C | -I_m]`` on R^(k + m) and its kernel basis
+    ``[I_k; C]``, whose singular values are all at least 1."""
+    c = rng.standard_normal((m, k))
+    lead = rng.standard_normal((m, m)) + 3.0 * np.eye(m)
+    return lead @ np.hstack([c, -np.eye(m)]), np.vstack([np.eye(k), c])
+
+
 class TestKernelGap:
-    """``verify._kernel_gap`` against ``scipy.linalg.subspace_angles``."""
+    """``verify._kernel_gap`` bounds the angle that ``qr_kernel_angle``
+    measures, and the oracle matches ``scipy.linalg.subspace_angles``."""
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 40), m=st.integers(0, 4),
@@ -599,10 +621,36 @@ class TestKernelGap:
                  * rng.standard_normal(ker.shape)) @ mix
         angles = scipy.linalg.subspace_angles(basis, ker)
         ref = angles.max() if angles.size else 0.0
-        gap = _kernel_gap(basis, trace)
+        gap = qr_kernel_angle(basis, trace)
         assert abs(np.sin(gap) - np.sin(ref)) <= 1e-12
         if ref < 1.0:
             assert abs(gap - ref) <= 1e-12 + 1e-10 * ref
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 40), m=st.integers(0, 4),
+           seed=st.integers(0, 2 ** 32 - 1), log_delta=st.floats(-14, 0),
+           orthonormal=st.booleans())
+    def test_bound_covers_the_angle(self, k, m, seed, log_delta,
+                                    orthonormal):
+        # both kinds of basis verify passes: [I; X] and an orthonormal one,
+        # near the kernel (small delta) and far from it
+        rng = np.random.default_rng(seed)
+        trace, ker = graph_pair(rng, k, m)
+        basis = ker + 10.0 ** log_delta * rng.standard_normal(ker.shape)
+        basis[:k] = np.eye(k)
+        if orthonormal:
+            basis = np.linalg.qr(basis)[0]
+        angle = qr_kernel_angle(basis, trace)
+        # the bound holds exactly; both sides round at about 1e-15
+        assert _kernel_gap(basis, trace) >= angle * (1 - 1e-12) - 1e-14
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_exact_kernel_is_a_zero_angle(self, rng, m):
+        # [C | -I] [I; C] = C - C: every entry is exactly zero
+        c = rng.standard_normal((m, 7))
+        trace, ker = np.hstack([c, -np.eye(m)]), np.vstack([np.eye(7), c])
+        assert not (trace @ ker).any()
+        assert _kernel_gap(ker, trace) == 0.0
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_dimension_mismatch_is_a_right_angle(self, rng, extra):

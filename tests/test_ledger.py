@@ -5,12 +5,14 @@ and ``supplied_power`` evaluate one state (or port sample) per row.  The
 oracle below is the former per-node factor class: the same formulas in the
 same operand order on factors built apart from the node, so every method
 must equal it byte for byte on random wave systems, for the lift and the
-jet target, with and without damping, under a random boundary Gram.
+jet target, with and without damping, under a random boundary Gram; the
+energy of a narrow non-diagonal Gram block (the lift's ``A^T W_Y A``),
+which the node sums by diagonals, to a rounding bound.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import passivebc.node as node_mod
@@ -26,7 +28,7 @@ from passivebc.node import (
 from passivebc.sim import LEDGER_CHUNK
 
 from conftest import dense_mass_weight, row_forms, wave_system
-from test_core_first import same_bytes
+from test_core_first import assert_half_forms, same_bytes
 
 
 def ledger_oracle(nd):
@@ -90,14 +92,36 @@ def test_row_methods_equal_former_factor_formulas(n, seed, flavor, jet,
         ledger_oracle(nd)
     z = rng.standard_normal((rows, nd.op.ext_dim))
     u, y = rng.standard_normal((2, rows, nd.G_map.shape[0]))
-    got_p, got_k = nd.energy_split(z)
-    want_p, want_k = energy_split(z)
-    assert same_bytes(got_p, want_p) and same_bytes(got_k, want_k)
+    n1, core = nd.op.core_blocks[0], nd.op.core.dim
+    for got, want, x, block in zip(nd.energy_split(z), energy_split(z),
+                                   (z[:, :n1], z[:, n1:core]),
+                                   nd.state_space.blocks):
+        assert_half_forms(got, want, x, block)
     assert same_bytes(nd.dissipated_power(z), dissipated_power(z))
     assert same_bytes(nd.scattering_slack(z), scattering_slack(z))
     assert same_bytes(nd.supplied_power(u, y), supplied_power(u, y))
     if not damped:
         assert not nd.dissipated_power(z).any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 64), seed=st.integers(0, 2 ** 32 - 1),
+       flavor=st.sampled_from(["impedance", "scattering"]),
+       jet=st.booleans(),
+       sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12))
+@example(n=4, seed=0, flavor="impedance", jet=False, sizes=[1, 1, 30, 1])
+@example(n=64, seed=1, flavor="scattering", jet=False, sizes=[1, 255, 1])
+def test_row_forms_read_each_row_alone(n, seed, flavor, jet, sizes):
+    # the rows' energies and dissipated powers have the bytes they have
+    # in any other partition of the rows into blocks
+    nd, rng = random_node(n, seed, flavor, jet, damped=True)
+    z = rng.standard_normal((sum(sizes), nd.op.ext_dim))
+    whole = (*nd.energy_split(z), nd.dissipated_power(z))
+    cuts = np.cumsum([0] + sizes)
+    parts = [(*nd.energy_split(z[i:j]), nd.dissipated_power(z[i:j]))
+             for i, j in zip(cuts[:-1], cuts[1:])]
+    for k, want in enumerate(whole):
+        assert same_bytes(np.concatenate([p[k] for p in parts]), want)
 
 
 class TestShapeMismatch:

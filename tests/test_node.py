@@ -361,7 +361,7 @@ class TestLazySetUp:
         assert calls == {"_build_node": 1}
         assert nd.op is sys.op_strain and nd.flavor == flavor
         src = scenario.build_flavor_node(sc, sys, sys.op_A)
-        ref = node_mod._build_node(sys.op_strain, src.P, src.M, src.D,
+        ref = node_mod._build_node(sys.op_strain, src.P, sys.M_map, src.D,
                                    src.flavor)
         for got, want in ((nd.G_map, ref.G_map), (nd.K_map, ref.K_map),
                           (nd.L_eff, ref.L_eff),

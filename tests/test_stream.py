@@ -1,12 +1,14 @@
 """Streamed runs: ``simulate_blocks`` and the CLI's block-by-block CSV.
 
 ``passivebc simulate`` writes each block's rows as soon as the block is
-stepped.  The file must equal, byte for byte, the table of the collected
-``simulate`` trajectory on every row partition (a final block shorter than
-``LEDGER_CHUNK``, exactly one block, one row past it, a final one-row
-block), and a run must hold one block of states, not the whole trajectory.
-At N=128 a row's energy already depends on how many rows share its block,
-so the ledger is also held to the row partition it had before streaming.
+stepped.  A block holds ``LEDGER_CHUNK`` steps (fewer in the last) and the
+rows they end on, and the first block row 0 as well.  The file must
+equal, byte for byte, the table of the collected ``simulate`` trajectory
+on every step count around the block size (a final block shorter than
+``LEDGER_CHUNK``, exactly one block, one step past it, a final one-step
+block), and a run must hold one block of states, not the whole
+trajectory.  Every ledger form reads a row alone, so the ledger also
+equals the one evaluated on the row partition used before streaming.
 """
 
 import json
@@ -31,6 +33,8 @@ from passivebc.scenario import (
 from passivebc.sim import (
     LEDGER_CHUNK,
     InputSignal,
+    StepSolver,
+    consistent_initialization,
     simulate,
     simulate_blocks,
 )
@@ -113,16 +117,45 @@ def test_streamed_csv_equals_collected_table(tmp_path, n_steps, flavor,
                                                               name)
         assert same_bytes(got, want), name
 
-    # the blocks partition the grid rows LEDGER_CHUNK at a time
+    # the blocks partition the steps LEDGER_CHUNK at a time, each with the
+    # rows its steps end on (and row 0 in the first)
     starts, start = [], 0
     for block in simulate_blocks(nd, z0, signal, sc.t_final, sc.dt):
-        rows = slice(start, start + len(block.times))
+        rows = slice(start + (start > 0), start + block.n_steps + 1)
         starts.append(start)
-        assert len(block.times) == min(LEDGER_CHUNK, n_steps + 1 - start)
+        assert block.n_steps == min(LEDGER_CHUNK, n_steps - start)
         assert same_bytes(block.states_ext, traj.states_ext[rows])
-        start += len(block.times)
-    assert starts == list(range(0, n_steps + 1, LEDGER_CHUNK))
-    assert start == n_steps + 1
+        start += block.n_steps
+    assert starts == list(range(0, n_steps, LEDGER_CHUNK))
+    assert start == n_steps
+
+
+@pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 513])
+def test_block_holds_its_steps_and_the_rows_they_end_on(n_steps):
+    # block k: steps [256 k, min(256 k + 256, n)) and the rows they end
+    # on, row 0 in the first; rows against one unblocked advance
+    sys = wave_system(4, b=0.2)
+    nd = impedance_node(sys.op_A, 0.5 * np.eye(2), sys.M_map, sys.D_map)
+    signal = InputSignal("sine", weights=np.array([1.0, -0.5]),
+                         amplitude=0.3, frequency=2.0)
+    z0 = initial_state(sys, "gauss")
+    times = DT * np.arange(n_steps + 1)
+    inputs = signal(times[:-1] + 0.5 * DT)
+    states = np.empty((n_steps + 1, nd.op.ext_dim))
+    states[0] = consistent_initialization(nd, z0, signal(0.0))
+    StepSolver(nd, DT).advance(states, inputs)
+    hp, hk = nd.energy_split(states)
+    h = hp + hk
+    blocks = simulate_blocks(nd, z0, signal, n_steps * DT, DT)
+    for k, block in enumerate(blocks):
+        first = LEDGER_CHUNK * k
+        steps = slice(first, min(first + LEDGER_CHUNK, n_steps))
+        rows = slice(first + (k > 0), steps.stop + 1)
+        assert same_bytes(block.inputs, inputs[steps])
+        assert same_bytes(block.times, times[rows])
+        assert same_bytes(block.states_ext, states[rows])
+        assert same_bytes(block.ledger.H, h[rows])
+    assert k == (n_steps - 1) // LEDGER_CHUNK
 
 
 def test_run_holds_one_block_of_states(tmp_path, capsys):

@@ -145,6 +145,21 @@ class TestAssembly:
             assert 2.0 <= ratio <= 8.0
 
 
+    def test_maps_hold_the_arrays_assembled_for_them(self, monkeypatch):
+        # A, M and D are frozen where they are built, not copied again
+        built = []
+        for name in ("vstack", "diag"):
+            def spy(*args, make=getattr(np, name), **kwargs):
+                built.append(make(*args, **kwargs))
+                return built[-1]
+            monkeypatch.setattr(np, name, spy)
+        sys = wave_system(6, b=0.3)
+        monkeypatch.undo()
+        for f in (sys.A_map, sys.M_map, sys.D_map):
+            assert any(np.shares_memory(f.matrix, x) for x in built)
+            assert not f.matrix.flags.writeable
+
+
 class TestStandingWaveOracle:
     def test_unit_frequency(self):
         state, omega = analytic_standing_wave(1, constant_coefficients(8))
