@@ -172,11 +172,13 @@ def jet_compare(path: str, out: str | None = None) -> int:
     node_b = build_flavor_node(sc, sys_, sys_.op_strain)
     signal = build_signal(sc)
     z0 = build_initial_state(sc, sys_)
+    nc_a, nc_b = node_a.op.core.dim, node_b.op.core.dim
+    # the runs read the jet and the nodes alone: release the system first
+    del sys_
     blocks_a = simulate_blocks(node_a, z0, signal, sc.t_final, sc.dt)
     blocks_b = simulate_blocks(node_b, push_state(jt, z0), signal,
                                sc.t_final, sc.dt)
 
-    nc_a, nc_b = sys_.op_A.core.dim, sys_.op_strain.core.dim
     dim_y = jt.A_iso.codomain.dim
     worst = -math.inf
 

@@ -26,9 +26,9 @@ holds the block-diagonal band of its summands and keeps the summands
 themselves in ``HilbertSpaceSpec.blocks``, so no module splits a band back
 into blocks or eigen-solves a Gram whose blocks were already validated.
 The products of dense operators whose entries sum several terms stay
-GEMMs and keep their summation order, because a run's states and CSV
-carry their bits: the normal matrix ``(A^T W_Y) A`` of the lift and the jet,
-``_realize``'s ``B_ext[:, :dim_y] @ to_y``, M^{-1} of a non-diagonal mass,
+GEMMs and keep their summation order, because a run's states and CSV carry
+their bits: the normal matrix ``(A^T W_Y) A`` (``LinearMap.normal_band``),
+``_realize``'s ``B_ext[:, :dim_y] @ A``, M^{-1} of a non-diagonal mass,
 the step's ``lu_factor``/``getrs`` and the step itself.
 """
 
@@ -148,6 +148,15 @@ class LinearMap:
         x = np.asarray(x)
         _expect_shape("argument", x, (self.domain.dim,) + x.shape[1:])
         return self.matrix @ x
+
+    @cached_property
+    def normal_band(self) -> np.ndarray:
+        """Read-only band of ``A^T W A`` (W the codomain's Gram), formed once,
+        on first read, as ``sym((A^T W) A)``; the GEMM's bits reach the
+        lift's X_h and H, and the jet factors the same band."""
+        w = _band_apply(self.matrix.T, self.codomain.band) @ self.matrix
+        w = 0.5 * (w + w.T)
+        return _frozen(_band(w, _bandwidth(w)))
 
 
 @dataclass(frozen=True)
@@ -468,7 +477,7 @@ def inner(space: HilbertSpaceSpec, x, y) -> float:
     x, y = np.asarray(x), np.asarray(y)
     for name, v in (("x", x), ("y", y)):
         _expect_shape(name, v, (space.dim,))
-    return float(x @ space.gram @ y)
+    return float(x @ _band_apply(y, space.band, left=True))
 
 
 def norm(space: HilbertSpaceSpec, x) -> float:

@@ -16,7 +16,8 @@ position-momentum one in new coordinates (``Xi_i (A z1, z2, tau) =
 Gamma_i (z1, z2, tau)`` as matrices); off ran A the operator extends
 naturally because ker A* is annihilated by B_ext.  Distance from ran A is
 an invariant of the transformed flow; it is measured, and states are
-pulled back, by one solve with the factored normal matrix ``A^T W_Y A``.
+pulled back, by one O(b n) solve with the normal matrix ``A^T W_Y A``,
+factored by band from ``LinearMap.normal_band``, which the lift reads too.
 """
 
 from __future__ import annotations
@@ -30,14 +31,12 @@ from .errors import RankDeficient
 from .hilbert import (
     RANK_RTOL,
     LinearMap,
-    _band,
     _band_apply,
-    _bandwidth,
     _expect_shape,
     _extreme_eigenvalues,
     _require_finite,
+    norm,
 )
-from .triplet import _normal_gram
 
 __all__ = [
     "JetTransform",
@@ -53,35 +52,30 @@ class JetTransform:
     """Transport data between the two first-order realizations."""
 
     A_iso: LinearMap
-    normal_factor: np.ndarray         # upper Cholesky factor of A^T W_Y A
+    normal_factor: np.ndarray         # lower band Cholesky factor, (b + 1) x n
 
     def normal_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``(A^T W_Y A)^{-1} rhs`` from the stored factor."""
-        return scipy.linalg.cho_solve((self.normal_factor, False), rhs)
+        """``(A^T W_Y A)^{-1} rhs`` from the stored band factor."""
+        return scipy.linalg.cho_solve_banded((self.normal_factor, True), rhs)
 
 
 def build_jet(A: LinearMap) -> JetTransform:
-    """Factor the normal matrix ``A^T W_Y A`` of the factor map ``A``.
+    """Factor ``A.normal_band`` by band, ``A^T W_Y A = C C^T`` with
+    ``factor[k, i] = C[i + k, i]`` (LAPACK's lower band storage, ``pbtrf``).
 
     Raises ``RankDeficient`` when its smallest eigenvalue is at most
     ``RANK_RTOL`` times the largest, i.e. when A is not injective.
     """
-    normal = _normal_gram(A)
-    lo, hi = _extreme_eigenvalues(_band(normal, _bandwidth(normal)))
+    band = A.normal_band
+    lo, hi = _extreme_eigenvalues(band)
     if lo <= RANK_RTOL * max(abs(hi), 1e-300):
         raise RankDeficient(
             f"map {A.domain.label!r} -> {A.codomain.label!r} is not "
             f"injective (normal-matrix eigenvalue {lo:.3e})")
-    factor = scipy.linalg.cholesky(normal)
+    b = band.shape[1] // 2
+    factor = scipy.linalg.cholesky_banded(band[:, b:].T, lower=True)
     factor.setflags(write=False)
     return JetTransform(A_iso=A, normal_factor=factor)
-
-
-def state_injection(jt: JetTransform, nb: int) -> np.ndarray:
-    """Matrix diag(A, I, I_tau) carrying extended position-momentum states
-    with ``nb`` boundary coordinates to strain-momentum ones."""
-    nx = jt.A_iso.domain.dim
-    return scipy.linalg.block_diag(jt.A_iso.matrix, np.eye(nx), np.eye(nb))
 
 
 def _vector(name: str, x, size: int) -> np.ndarray:
@@ -122,5 +116,4 @@ def ran_A_defect(jt: JetTransform, w1: np.ndarray) -> float:
     """Distance of a strain block from ran A in the codomain norm."""
     w1 = _vector("strain block", w1, jt.A_iso.codomain.dim)
     v = w1 - jt.A_iso.matrix @ _range_coordinates(jt, w1)
-    return float(np.sqrt(max(_band_apply(v, jt.A_iso.codomain.band) @ v,
-                             0.0)))
+    return norm(jt.A_iso.codomain, v)

@@ -16,8 +16,8 @@ write a projection and store none (``_realize`` notes its one-row case).
 
 The lift produces a maximal second-order operator on extended coordinates
 ``(z1, z2, tau)`` over the core space ``Z = X_h (+) X`` with
-``W_Z = blockdiag(A^T W_Y A, W_X)``, action ``L(z1, z2, tau) =
-(z2, B_ext[A z1; tau])`` and traces
+``W_Z = blockdiag(A^T W_Y A, W_X)`` (``LinearMap.normal_band``), action
+``L(z1, z2, tau) = (z2, B_ext[A z1; tau])`` and traces
 
     Gamma0 = (Lambda1 z2, Pi2 [A z1; tau]),
     Gamma1 = (-Pi1 [A z1; tau], Lambda2 z2),
@@ -26,16 +26,18 @@ for which the operator Green identity
 
     iota^T W_Z L + L^T W_Z iota = Gamma1^T Gamma0 + Gamma0^T Gamma1
 
-holds exactly whenever the dual-pair identity does.  The strain-momentum
-form (``strain_momentum``, the target of :mod:`passivebc.jet`) realizes the
-same pair on ``Y (+) X`` with ``W = blockdiag(W_Y, W_X)``.  Both go through
-``_realize``: the lift feeds ``(to_y, velocity) = (A, I)``, i.e. ``[A z1;
-tau]`` to B_ext and ``z1' = z2``, the strain-momentum form ``(I, A)``.
+holds exactly whenever the dual-pair identity does (``green_residual``,
+kept as ``BoundaryOperator.residual``).  The strain-momentum form
+(``strain_momentum``, the target of :mod:`passivebc.jet`) realizes it on
+``Y (+) X`` with ``W = blockdiag(W_Y, W_X)``.  Both go through ``_realize``:
+the lift feeds ``(to_y, velocity) = (A, I)``, i.e. ``[A z1; tau]`` to B_ext
+and ``z1' = z2``, the strain-momentum form ``(I, A)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -50,11 +52,9 @@ from .errors import (
 from .hilbert import (
     HilbertSpaceSpec,
     LinearMap,
-    _band,
     _band_apply,
     _band_entries,
     _band_solve,
-    _bandwidth,
     _expect_shape,
     _frozen,
     _require_finite,
@@ -147,6 +147,11 @@ class BoundaryOperator:
     def n_boundary(self) -> int:
         return self.bspace.dim
 
+    @cached_property
+    def residual(self) -> float:
+        """``green_residual(self)``, evaluated once, on first read."""
+        return green_residual(self)
+
 
 def extend_adjoint(A: LinearMap, injection: np.ndarray,
                    label: str = "Y~") -> LinearMap:
@@ -226,15 +231,15 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap,
 
 
 def _realize(dp: DualPairTriplet, first: HilbertSpaceSpec,
-             to_y: np.ndarray, velocity: np.ndarray,
+             to_y: np.ndarray | None, velocity: np.ndarray | None,
              where: str) -> BoundaryOperator:
     """Boundary operator on extended coordinates ``(v, z2, tau)`` of a pair.
 
     The core is ``first (+) X`` over ``(v, z2)``; the Y~ element fed to
     B_ext and the Pi traces is ``[to_y v; tau]`` and the first block row
-    of the action is ``v' = velocity z2``.  Raises ``TraceNotSurjective``
-    and ``GreenIdentityViolated`` (naming ``where``, and for a NaN
-    residual too) at their gates.
+    of the action is ``v' = velocity z2``; None is the identity, set, not
+    multiplied.  Raises ``TraceNotSurjective`` and ``GreenIdentityViolated``
+    (naming ``where``, and for a NaN residual too) at their gates.
     """
     core = direct_sum(f"{first.label}(+){dp.A.domain.label}", first,
                       dp.A.domain)
@@ -247,22 +252,27 @@ def _realize(dp: DualPairTriplet, first: HilbertSpaceSpec,
     L = np.zeros((core_dim, ext_dim))
     gamma0 = np.zeros((m, ext_dim))
     gamma1 = np.zeros((m, ext_dim))
-    L[:n1, n1:core_dim] = velocity
+    if velocity is None:
+        np.fill_diagonal(L[:n1, n1:core_dim], 1.0)
+    else:
+        L[:n1, n1:core_dim] = velocity
     gamma0[:m1, n1:core_dim] = dp.Lambda1
     gamma1[m1:, n1:core_dim] = dp.Lambda2
     # A map M on Y~ = (y, tau) acts on (v, z2, tau) as M S for the selection
     # S = [[to_y, 0, 0], [0, 0, I]]: [M_y to_y | 0 | M_tau], where + 0.0 turns
     # -0.0 into +0.0 as M S does.  NumPy hands a one-row M S to BLAS gemv,
-    # whose sums depend on the shape of S, so a one-row M takes the dense S.
+    # whose sums depend on the shape of S, so a one-row M takes the dense S
+    # (for to_y = I each sum has one term: M_y + 0.0 has the bits of M S).
     # These dense products stay: L_eff and the port maps carry their bits.
     for rows, on_y_ext in ((L[n1:], dp.B_ext.matrix), (gamma0[m1:], dp.Pi2),
                            (gamma1[:m1], -dp.Pi1)):
-        if on_y_ext.shape[0] == 1:
+        if to_y is not None and on_y_ext.shape[0] == 1:
             rows[:] = on_y_ext @ scipy.linalg.block_diag(
                 to_y, np.zeros((0, nx)), np.eye(nb))
-        else:
-            rows[:, :n1] = on_y_ext[:, :dim_y] @ to_y
-            rows[:, core_dim:] = on_y_ext[:, dim_y:] + 0.0
+            continue
+        on_y = on_y_ext[:, :dim_y]
+        rows[:, :n1] = on_y + 0.0 if to_y is None else on_y @ to_y
+        rows[:, core_dim:] = on_y_ext[:, dim_y:] + 0.0
 
     if m > 0 and np.linalg.matrix_rank(np.vstack([gamma0, gamma1])) < 2 * m:
         raise TraceNotSurjective(f"{where}: traces [Gamma0; Gamma1] are "
@@ -272,17 +282,9 @@ def _realize(dp: DualPairTriplet, first: HilbertSpaceSpec,
         x.setflags(write=False)
     op = BoundaryOperator(core=core, L=L, Gamma0=gamma0, Gamma1=gamma1,
                           bspace=bspace)
-    res = green_residual(op)
-    if not res <= GREEN_TOL:
-        raise GreenIdentityViolated(res, res, where)
+    if not op.residual <= GREEN_TOL:
+        raise GreenIdentityViolated(op.residual, op.residual, where)
     return op
-
-
-def _normal_gram(A: LinearMap) -> np.ndarray:
-    """``A^T W_Y A`` as ``sym((A^T W_Y) A)``; the GEMM stays, since its bits
-    reach the lift's H and the jet's Cholesky factor."""
-    w_h = _band_apply(A.matrix.T, A.codomain.band) @ A.matrix
-    return 0.5 * (w_h + w_h.T)
 
 
 def lift_second_order(dp: DualPairTriplet) -> BoundaryOperator:
@@ -292,18 +294,14 @@ def lift_second_order(dp: DualPairTriplet) -> BoundaryOperator:
     of the extended Y side; the Y~ element fed to B_ext and the Pi traces
     is ``[A z1; tau]``.
     """
-    w_h = _normal_gram(dp.A)
-    x_h = _space_from_band(_band(w_h, _bandwidth(w_h)),
-                           f"{dp.A.domain.label}_h")
-    return _realize(dp, x_h, dp.A.matrix, np.eye(dp.A.domain.dim),
-                    "second-order lift")
+    x_h = _space_from_band(dp.A.normal_band, f"{dp.A.domain.label}_h")
+    return _realize(dp, x_h, dp.A.matrix, None, "second-order lift")
 
 
 def strain_momentum(dp: DualPairTriplet) -> BoundaryOperator:
     """Strain-momentum realization on ``(w1, w2, tau)`` over ``Y (+) X``:
     B_ext and the Pi traces read ``[w1; tau]``, and ``w1' = A w2``."""
-    return _realize(dp, dp.A.codomain, np.eye(dp.A.codomain.dim),
-                    dp.A.matrix, "jet target")
+    return _realize(dp, dp.A.codomain, None, dp.A.matrix, "jet target")
 
 
 def _gram_csr(space: HilbertSpaceSpec) -> csr_array:

@@ -115,8 +115,7 @@ def lift_second_order(dp):
     a = dp.A.matrix
     w_h = a.T @ dp.A.codomain.gram @ a
     x_h = make_space(len(w_h), 0.5 * (w_h + w_h.T), f"{dp.A.domain.label}_h")
-    return triplet._realize(dp, x_h, a, np.eye(dp.A.domain.dim),
-                            "second-order lift")
+    return triplet._realize(dp, x_h, a, None, "second-order lift")
 
 
 def prepare_weights(op, M: LinearMap, D: LinearMap):
