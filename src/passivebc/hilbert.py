@@ -21,6 +21,8 @@ Gram is formed.
 are formed apart, and a diagonal one (the wave model's W_X, W_Y, mass,
 damping, M^{-1}) keeps the GEMM's bits; a wider band is made dense.
 ``HilbertSpaceSpec.gram`` builds the dense matrix afresh on each read.
+``inner`` and ``norm`` take a vector or a block of one vector per row and
+pair by ``_row_forms``, the one pairing kernel, which the ledger reads too.
 A direct sum (``direct_sum``: X_h (+) X, Y (+) X, G1 (+) G2, Y (+) R^nb)
 holds the block-diagonal band of its summands and keeps the summands
 themselves in ``HilbertSpaceSpec.blocks``, so no module splits a band back
@@ -472,16 +474,35 @@ def dual_space(space: HilbertSpaceSpec) -> HilbertSpaceSpec:
                       space.label + "*")
 
 
-def inner(space: HilbertSpaceSpec, x, y) -> float:
-    """``x^T W y``; ``ShapeMismatch`` unless x and y are dim-vectors."""
-    x, y = np.asarray(x), np.asarray(y)
-    for name, v in (("x", x), ("y", y)):
-        _expect_shape(name, v, (space.dim,))
-    return float(x @ _band_apply(y, space.band, left=True))
+def _rows(name: str, x, width: int, finite: bool = False) -> np.ndarray:
+    """``x`` as a float array; ``ShapeMismatch`` unless it is a vector
+    ``(width,)`` or a block ``(k, width)`` holding one vector per row, and
+    with ``finite``, ``NonFiniteValue`` if it holds NaN or infinity."""
+    x = np.asarray(x, dtype=float)
+    _expect_shape(name, x, x.shape[:-1][:1] + (width,))
+    if finite:
+        _require_finite(**{name: x})
+    return x
 
 
-def norm(space: HilbertSpaceSpec, x) -> float:
-    return float(np.sqrt(max(inner(space, x, x), 0.0)))
+def _row_forms(xw: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pairing ``x_i^T W y_i`` of every row, given ``xw = x W``: the
+    quadratic form of the rows of x for ``y = x``; a scalar for vectors."""
+    return np.einsum("...i,...i->...", xw, y)
+
+
+def inner(space: HilbertSpaceSpec, x, y) -> np.ndarray | float:
+    """``x^T W y`` of two vectors, or of each row of two blocks of the
+    same shape; ``ShapeMismatch`` for any other shape."""
+    x = _rows("x", x, space.dim)
+    y = np.asarray(y, dtype=float)
+    _expect_shape("y", y, x.shape)
+    return _row_forms(_band_apply(x, space.band), y)
+
+
+def norm(space: HilbertSpaceSpec, x) -> np.ndarray | float:
+    """``sqrt(x^T W x)`` of a vector, or of each row of a block."""
+    return np.sqrt(np.maximum(inner(space, x, x), 0.0))
 
 
 def adjoint(f: LinearMap) -> LinearMap:

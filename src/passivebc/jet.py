@@ -10,7 +10,8 @@ traces
 
     Xi0 = (Lambda1 w2, Pi2 [w1; tau]),   Xi1 = (-Pi1 [w1; tau], Lambda2 w2).
 
-This module transports states between them by ``w = (A z1, z2)``.  On
+This module transports states between them by ``w = (A z1, z2)``, a
+state or a block of one state per row at a time.  On
 states with w1 in ran A the strain-momentum form is exactly the
 position-momentum one in new coordinates (``Xi_i (A z1, z2, tau) =
 Gamma_i (z1, z2, tau)`` as matrices); off ran A the operator extends
@@ -32,9 +33,8 @@ from .hilbert import (
     RANK_RTOL,
     LinearMap,
     _band_apply,
-    _expect_shape,
     _extreme_eigenvalues,
-    _require_finite,
+    _rows,
     norm,
 )
 
@@ -78,42 +78,35 @@ def build_jet(A: LinearMap) -> JetTransform:
     return JetTransform(A_iso=A, normal_factor=factor)
 
 
-def _vector(name: str, x, size: int) -> np.ndarray:
-    """``x`` as a float vector; ``ShapeMismatch`` unless it has shape
-    ``(size,)``, ``NonFiniteValue`` if it holds NaN or infinity."""
-    x = np.asarray(x, dtype=float)
-    _expect_shape(name, x, (size,))
-    _require_finite(**{name: x})
-    return x
-
-
-def push_state(jt: JetTransform, z: np.ndarray) -> np.ndarray:
-    """Map a position-momentum core state (z1, z2) to the strain-momentum
-    core state (A z1, z2)."""
-    nx = jt.A_iso.domain.dim
-    z = _vector("position-momentum state", z, 2 * nx)
-    return np.concatenate([jt.A_iso.matrix @ z[:nx], z[nx:]])
+def push_state(A: LinearMap, z: np.ndarray) -> np.ndarray:
+    """Map a position-momentum core state (z1, z2), or each row of a block
+    of them, to the strain-momentum core state (A z1, z2) of the factor
+    map A."""
+    nx = A.domain.dim
+    z = _rows("position-momentum state", z, 2 * nx, finite=True)
+    return np.concatenate([z[..., :nx] @ A.matrix.T, z[..., nx:]], axis=-1)
 
 
 def pull_state(jt: JetTransform, w: np.ndarray) -> np.ndarray:
-    """Recover (z1, z2) from a strain-momentum core state with w1 in ran A.
-
-    z1 solves the weighted normal equations of the injective factor, so no
-    pseudo-inverse is formed.
-    """
+    """Recover (z1, z2) from a strain-momentum core state with w1 in ran A,
+    or from each row of a block of them; no pseudo-inverse is formed."""
     dim_y = jt.A_iso.codomain.dim
-    w = _vector("strain-momentum state", w, dim_y + jt.A_iso.domain.dim)
-    return np.concatenate([_range_coordinates(jt, w[:dim_y]), w[dim_y:]])
+    w = _rows("strain-momentum state", w, dim_y + jt.A_iso.domain.dim,
+              finite=True)
+    return np.concatenate([_range_coordinates(jt, w[..., :dim_y]),
+                           w[..., dim_y:]], axis=-1)
 
 
 def _range_coordinates(jt: JetTransform, w1: np.ndarray) -> np.ndarray:
-    """z minimizing ``||A z - w1||`` in the codomain norm (normal equations)."""
+    """z minimizing ``||A z - w1||`` in the codomain norm by the weighted
+    normal equations, for w1 and z a vector or a block of rows each."""
     a, w_y = jt.A_iso.matrix, jt.A_iso.codomain.band
-    return jt.normal_solve(a.T @ _band_apply(w1, w_y, left=True))
+    return jt.normal_solve((_band_apply(w1, w_y) @ a).T).T
 
 
-def ran_A_defect(jt: JetTransform, w1: np.ndarray) -> float:
-    """Distance of a strain block from ran A in the codomain norm."""
-    w1 = _vector("strain block", w1, jt.A_iso.codomain.dim)
-    v = w1 - jt.A_iso.matrix @ _range_coordinates(jt, w1)
+def ran_A_defect(jt: JetTransform, w1: np.ndarray) -> np.ndarray | float:
+    """Distance of a strain part w1, or of each row of a block of them,
+    from ran A in the codomain norm."""
+    w1 = _rows("strain part", w1, jt.A_iso.codomain.dim, finite=True)
+    v = w1 - _range_coordinates(jt, w1) @ jt.A_iso.matrix.T
     return norm(jt.A_iso.codomain, v)

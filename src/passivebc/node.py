@@ -64,9 +64,11 @@ from .hilbert import (
     _frozen,
     _norm,
     _require_finite,
+    _row_forms,
     _space_from_band,
     check_dissipative,
     direct_sum,
+    inner,
 )
 from .triplet import BoundaryOperator
 
@@ -108,10 +110,8 @@ class BoundaryNode:
         return action
 
     def dual_gram(self) -> np.ndarray:
-        """Gram of the dual boundary space (inputs/outputs live there).
-
-        Inverted once per node; the read-only array is shared by all calls.
-        """
+        """Gram of the dual boundary space (inputs/outputs live there),
+        inverted once per node and shared, read-only, by all calls."""
         return self._dual_gram
 
     @cached_property
@@ -119,12 +119,13 @@ class BoundaryNode:
         return _frozen(np.linalg.inv(self.op.bspace.gram))
 
     @cached_property
-    def _trace_gap_and_damping(self) -> tuple[np.ndarray, np.ndarray]:
-        """``a - b`` and the band of ``D^T W_D``: the two ledger factors the
-        node does not hold otherwise, built on first use."""
+    def _ledger_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``a - b``, the band of ``D^T W_D`` and that of M^{-T}: the ledger
+        factors the node does not hold otherwise, built on first use."""
         a, b = _weighted_traces(self.op, self.M_inv)
         damping = _band_apply(self.D.matrix.T, self.D.domain.band)
-        return _frozen(a - b), _frozen(_band(damping, _bandwidth(damping)))
+        return (_frozen(a - b), _frozen(_band(damping, _bandwidth(damping))),
+                _frozen(_band_transpose(self.M_inv)))
 
     # The ledger forms below take one extended state (or port sample) per
     # row of a 2-D block and return one value per row.
@@ -134,15 +135,16 @@ class BoundaryNode:
         core part of each state, under the mass-weighted state Gram."""
         z = _expect_rows("states", z, self.op.ext_dim)
         n1, core = self.op.core_blocks[0], self.op.core.dim
-        return tuple(0.5 * _row_forms(_band_apply(x, w.band), x) for x, w in
+        return tuple(0.5 * inner(w, x, x) for x, w in
                      zip((z[:, :n1], z[:, n1:core]), self.state_space.blocks))
 
     def dissipated_power(self, z: np.ndarray) -> np.ndarray:
         """Damping form ``<v, D^T W_D v>`` with ``v = M^{-1} z2``."""
         z = _expect_rows("states", z, self.op.ext_dim)
         n1, core = self.op.core_blocks[0], self.op.core.dim
-        v = _band_apply(z[:, n1:core], _band_transpose(self.M_inv))
-        return _row_forms(_band_apply(v, self._trace_gap_and_damping[1]), v)
+        _, damping, minv_t = self._ledger_factors
+        v = _band_apply(z[:, n1:core], minv_t)
+        return _row_forms(_band_apply(v, damping), v)
 
     def scattering_slack(self, z: np.ndarray) -> np.ndarray:
         """Contraction slack ``(||(a-b)z||^2 - ||P(a-b)z||^2)/2`` in the
@@ -150,7 +152,7 @@ class BoundaryNode:
         diag(I, M^{-1}, I)`` and ``b = Gamma1 diag(I, M^{-1}, I)``."""
         z = _expect_rows("states", z, self.op.ext_dim)
         wd = self.dual_gram()
-        v = z @ self._trace_gap_and_damping[0].T
+        v = z @ self._ledger_factors[0].T
         vp = v @ self.P.matrix.T
         return 0.5 * (_row_forms(v @ wd, v) - _row_forms(vp @ wd, vp))
 
@@ -172,12 +174,6 @@ def _expect_rows(name: str, x, width: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     _expect_shape(name, x, x.shape[:1] + (width,))
     return x
-
-
-def _row_forms(xw: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pairing ``x_i^T W y_i`` of every row, given ``xw = x W``: the
-    quadratic form of the rows of x for ``y = x``."""
-    return np.einsum("ij,ij->i", xw, y)
 
 
 @dataclass(frozen=True)
@@ -390,7 +386,6 @@ def passivity_residual(node: BoundaryNode, z_ext: np.ndarray,
     if gap > CONSISTENCY_RTOL * (1.0 + np.linalg.norm(u)):
         raise InconsistentBoundaryData(
             f"G z differs from u by {gap:.3e}")
-    zc = z_ext[:node.op.core.dim]
-    power = 2.0 * float(zc @ node.state_space.gram @ (node.L_eff @ z_ext))
-    supplied = node.supplied_power(u[None], y[None])
-    return power - 2.0 * float(supplied[0])
+    power = inner(node.state_space, z_ext[:node.op.core.dim],
+                  node.L_eff @ z_ext)
+    return 2.0 * float(power - node.supplied_power(u[None], y[None])[0])

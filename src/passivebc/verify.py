@@ -128,17 +128,14 @@ def _jet_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
     a, y_space = jt.A_iso.matrix, jt.A_iso.codomain
     nx, dim_y = a.shape[1], y_space.dim
 
-    iso = 0.0
-    energy = 0.0
-    for _ in range(20):
-        z1 = rng.standard_normal(nx)
-        az = a @ z1
-        h = inner(op_a.core.blocks[0], z1, z1)   # X_h holds A^T W_Y A
-        iso = max(iso, abs(inner(y_space, az, az) - h) / (1.0 + abs(h)))
-        z = rng.standard_normal(2 * nx)
-        w = push_state(jt, z)
-        e = inner(op_a.core, z, z)
-        energy = max(energy, abs(inner(op_w.core, w, w) - e) / (1.0 + abs(e)))
+    draws = rng.standard_normal((20, 3 * nx))   # row i: the i-th z1, then z
+    z1, z = draws[:, :nx], draws[:, nx:]
+    # forms after the push against those before (X_h holds A^T W_Y A)
+    iso, energy = (
+        float(np.max(np.abs(inner(after, w, w) - e) / (1.0 + np.abs(e))))
+        for after, w, e in (
+            (y_space, z1 @ a.T, inner(op_a.core.blocks[0], z1, z1)),
+            (op_w.core, push_state(jt.A_iso, z), inner(op_a.core, z, z))))
 
     # B_ext on Y times the projector I - A (A^T W_Y A)^{-1} A^T W_Y onto ker A*
     dp = sys.dual_pair

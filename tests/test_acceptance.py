@@ -235,13 +235,13 @@ def test_c7_jet_equivalence():
                            nd_a.flavor)
         z0 = initial_state(sys, init)
         ta = simulate(nd_a, z0, sig, 0.5, 1e-3)
-        tb = simulate(nd_b, push_state(jt, z0), sig, 0.5, 1e-3)
+        tb = simulate(nd_b, push_state(jt.A_iso, z0), sig, 0.5, 1e-3)
         nc = sys.op_A.core.dim
         for i in range(ta.n_steps + 1):
             z = ta.states_ext[i][:nc]
             w = tb.states_ext[i][:sys.op_strain.core.dim]
             worst_dev = max(worst_dev, float(np.linalg.norm(
-                push_state(jt, z) - w)))
+                push_state(jt.A_iso, z) - w)))
             worst_defect = max(worst_defect,
                                ran_A_defect(jt, w[:sys.Y.dim]))
     ok = worst_dev <= 1e-9 and worst_defect <= 1e-9

@@ -105,7 +105,7 @@ def node_and_state(n, seed, flavor, strain):
                                      center=rng.uniform(0.2, 0.8),
                                      width=rng.uniform(0.05, 0.3))
     if strain:
-        op, z0 = sys.op_strain, push_state(sys.jet, z0)
+        op, z0 = sys.op_strain, push_state(sys.A_map, z0)
     builder = impedance_node if flavor == "impedance" else scattering_node
     return builder(op, p, sys.M_map, sys.D_map), z0, rng
 

@@ -709,7 +709,7 @@ def test_zero_state_strain_momentum_run_builds_no_jet(tmp_path, monkeypatch,
     assert "jet" not in sys_.__dict__
     # the bytes of the run that pushes its zero state through the jet
     sc = load_scenario(path)
-    z0 = push_state(sys_.jet, build_initial_state(sc, sys_))
+    z0 = push_state(sys_.A_map, build_initial_state(sc, sys_))
     blocks = simulate_blocks(build_node(sc, sys_), z0, build_signal(sc),
                              sc.t_final, sc.dt)
     pushed = tmp_path / "pushed.csv"

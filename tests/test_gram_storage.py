@@ -182,17 +182,21 @@ def small_node(flavor):
 
 
 def jet_transport(call):
-    """``push_state``, ``pull_state`` or ``ran_A_defect`` (index
-    ``call[0]``) of the N = 2 jet on ``call[1](n)``, where n is the length
-    it expects: 6, 8 and 5."""
+    """``push_state`` (of the factor map), ``pull_state`` or
+    ``ran_A_defect`` (index ``call[0]``) of the N = 2 jet on
+    ``call[1](n)``, where n is the width it expects: 6, 8 and 5."""
     fn, length = ((push_state, 6), (pull_state, 8), (ran_A_defect, 5))[call[0]]
-    return fn(wave_system(2).jet, call[1](length))
+    jt = wave_system(2).jet
+    return fn(jt.A_iso if fn is push_state else jt, call[1](length))
 
 
+# a block of rows of width n is a valid argument; one of another width or
+# of another rank is not
 WRONG_LENGTH = st.tuples(
     st.integers(0, 2),
     st.sampled_from([lambda n: np.zeros(n - 1), lambda n: np.zeros(n + 1),
-                     lambda n: np.zeros((1, n)), lambda n: 0.0]))
+                     lambda n: np.zeros((2, n + 1)),
+                     lambda n: np.zeros((1, 1, n)), lambda n: 0.0]))
 NOT_FINITE = st.tuples(
     st.integers(0, 2),
     st.sampled_from([math.nan, math.inf, -math.inf]).map(

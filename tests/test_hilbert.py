@@ -414,7 +414,7 @@ class TestHelmholtz:
                            atol=1e-14)
         assert ran_A_defect(jt, np.array([3.0, -2.0])) == pytest.approx(
             2.0, rel=1e-14)
-        w = push_state(jt, np.array([3.0, 0.5]))
+        w = push_state(jt.A_iso, np.array([3.0, 0.5]))
         assert np.allclose(pull_state(jt, w), [3.0, 0.5], atol=1e-14)
 
     def test_wave_strain_map(self):
@@ -475,9 +475,11 @@ def test_linear_map_shape_mismatch_rejected():
     lambda x: LinearMap(np.ones((2, 3)), euclidean_space(3, "X"),
                         euclidean_space(2, "Y"))(x),
 ])
-@pytest.mark.parametrize("x", [np.ones(2), np.ones(4), np.ones((2, 3)),
-                               np.float64(1.0)])
+@pytest.mark.parametrize("x", [np.ones(2), np.ones(4), np.ones((2, 4)),
+                               np.float64(1.0), np.ones((1, 2, 3))])
 def test_vector_of_the_wrong_length_is_a_shape_mismatch(call, x):
+    # a block (k, 3) of rows is a valid argument of inner and norm; one of
+    # another width, or a 3-D array, is not
     with pytest.raises(ShapeMismatch, match="has shape"):
         call(x)
 

@@ -84,24 +84,24 @@ class TestBuildJet:
 class TestStateTransport:
     def test_zero_maps_to_zero(self):
         sys = wave_system(4)
-        assert not push_state(sys.jet, np.zeros(10)).any()
+        assert not push_state(sys.A_map, np.zeros(10)).any()
 
     @pytest.mark.parametrize("length", [17, 19, 21, 26])
     def test_push_refuses_a_state_of_another_length(self, length):
         # at N = 8 the cores have 18 and 26 entries; a 21-entry state used
         # to come back with 29 entries
         with pytest.raises(ShapeMismatch, match=r"expects \(18,\)"):
-            push_state(wave_system(8).jet, np.ones(length))
+            push_state(wave_system(8).A_map, np.ones(length))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_transport_refuses_non_finite_entries(self, bad):
         jt = wave_system(8).jet
-        for fn, length in ((push_state, 18), (pull_state, 26),
-                           (ran_A_defect, 17)):
+        for fn, arg, length in ((push_state, jt.A_iso, 18),
+                                (pull_state, jt, 26), (ran_A_defect, jt, 17)):
             x = np.ones(length)
             x[3] = bad
             with pytest.raises(NonFiniteValue, match="NaN or infinity"):
-                fn(jt, x)
+                fn(arg, x)
 
     def test_energy_preserved(self, rng):
         sys = wave_system(8)
@@ -110,7 +110,7 @@ class TestStateTransport:
         wb = sys.op_strain.core.gram
         for _ in range(20):
             z = rng.standard_normal(18)
-            w = push_state(jt, z)
+            w = push_state(jt.A_iso, z)
             assert float(w @ wb @ w) == pytest.approx(
                 float(z @ wa @ z), rel=1e-12, abs=1e-12)
 
@@ -118,7 +118,7 @@ class TestStateTransport:
         sys = wave_system(8)
         jt = sys.jet
         z = rng.standard_normal(18)
-        assert np.allclose(pull_state(jt, push_state(jt, z)), z,
+        assert np.allclose(pull_state(jt, push_state(jt.A_iso, z)), z,
                            atol=1e-12)
 
     def test_standing_wave_blocks(self):
@@ -127,7 +127,7 @@ class TestStateTransport:
         sys = wave_system(8, T=2.0, a=1.5)
         from passivebc.wave1d import initial_state
         z = initial_state(sys, "standing_wave", k=1)
-        w = push_state(sys.jet, z)
+        w = push_state(sys.A_map, z)
         h = sys.coeffs.h
         diff = np.diff(z[:9]) / h
         assert np.allclose(w[:8], np.sqrt(2.0) * diff, atol=1e-13)
@@ -206,11 +206,11 @@ class TestTrajectoryEquivalence:
         sig = InputSignal("sine", weights=np.array([1.0, 0.0]),
                           amplitude=0.2, frequency=1.1)
         ta = simulate(nd_a, z0, sig, 0.1, 1e-3)
-        tb = simulate(nd_b, push_state(jt, z0), sig, 0.1, 1e-3)
+        tb = simulate(nd_b, push_state(jt.A_iso, z0), sig, 0.1, 1e-3)
         nc = sys.op_A.core.dim
         for i in range(ta.n_steps + 1):
             z = ta.states_ext[i][:nc]
             w = tb.states_ext[i][:sys.op_strain.core.dim]
-            assert np.linalg.norm(push_state(jt, z) - w) <= 1e-10
+            assert np.linalg.norm(push_state(jt.A_iso, z) - w) <= 1e-10
             assert ran_A_defect(jt, w[:sys.Y.dim]) <= 1e-10
         assert np.abs(ta.ledger.H - tb.ledger.H).max() <= 1e-10

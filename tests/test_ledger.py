@@ -161,6 +161,22 @@ def test_one_realization_of_the_ledger():
     assert {"LedgerFactors", "scattering_slack"}.isdisjoint(node_mod.__all__)
 
 
+def test_mass_inverse_is_transposed_once_per_node(monkeypatch):
+    # dissipated_power reads M^{-T} on every block: the node forms its band
+    # on first use, with the bytes of a fresh transpose
+    sys = wave_system(6, b=0.2)
+    nd = scattering_node(sys.op_A, 0.5 * np.eye(2), sys.M_map, sys.D_map)
+    transposed = []
+    real = node_mod._band_transpose
+    monkeypatch.setattr(node_mod, "_band_transpose",
+                        lambda band: transposed.append(band) or real(band))
+    z = np.random.default_rng(5).standard_normal((3, 5, nd.op.ext_dim))
+    powers = [nd.dissipated_power(block) for block in z]
+    assert len(transposed) == 1
+    assert nd._ledger_factors[2].tobytes() == real(nd.M_inv).tobytes()
+    assert all(p.shape == (5,) and (p > 0.0).all() for p in powers)
+
+
 class TestPassivityResidualNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("arg", ["state", "input", "output"])

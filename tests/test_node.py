@@ -321,7 +321,7 @@ class TestLazySetUp:
         calls = self._count_realizations(monkeypatch)
         path = self._scenario(tmp_path, "strain-momentum")
         assert cli.run_scenario(path) == 0
-        # damped_sine starts from the zero state, which needs no jet
+        # a push reads the factor map alone: no strain run builds the jet
         assert calls == {"strain_momentum": 1}
 
     def test_position_momentum_run_builds_only_the_lift(self, monkeypatch,

@@ -619,7 +619,7 @@ class TestLedgerProperties:
                            width=rng.uniform(0.05, 0.3))
         op = sys.op_A
         if strain:
-            op, z0 = sys.op_strain, push_state(sys.jet, z0)
+            op, z0 = sys.op_strain, push_state(sys.A_map, z0)
         builder = scattering_node if flavor == "scattering" \
             else impedance_node
         nd = builder(op, p, sys.M_map, sys.D_map)

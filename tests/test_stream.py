@@ -77,7 +77,7 @@ def scenario_run(path):
     sys_ = build_system(sc)
     z0 = build_initial_state(sc, sys_)
     if sc.formulation == "strain-momentum":
-        z0 = push_state(sys_.jet, z0)
+        z0 = push_state(sys_.A_map, z0)
     return sc, build_node(sc, sys_), z0, build_signal(sc)
 
 
