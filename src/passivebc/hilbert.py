@@ -16,11 +16,13 @@ diagonals -b..b, and set-up gates read that band (``make_space``,
 ``node``).  Set-up code that knows a Gram's band passes it to
 ``_space_from_band``, which runs ``make_space``'s gates on it, so no dense
 Gram is formed.
-``_band_apply`` is the one band-times-matrix kernel: a narrow band
-(``_is_narrow``) adds its 2b + 1 diagonal products, so a product's rows
-are formed apart, and a diagonal one (the wave model's W_X, W_Y, mass,
-damping, M^{-1}) keeps the GEMM's bits; a wider band is made dense.
-``HilbertSpaceSpec.gram`` builds the dense matrix afresh on each read.
+``_band_apply`` is the one band-times-matrix kernel: it adds the 2b + 1
+diagonal products of any band, so a product's rows are formed apart, and
+a diagonal one (the wave model's W_X, W_Y, mass, damping, M^{-1}) keeps
+the GEMM's bits.  ``_band_solve`` and ``_extreme_eigenvalues`` hand a
+band that is not diagonal to LAPACK's band routines, so no product of a
+Gram makes it dense; ``HilbertSpaceSpec.gram`` builds the dense matrix
+afresh on each read.
 ``inner`` and ``norm`` take a vector or a block of one vector per row and
 pair by ``_row_forms``, the one pairing kernel, which the ledger reads too.
 A direct sum (``direct_sum``: X_h (+) X, Y (+) X, G1 (+) G2, Y (+) R^nb)
@@ -354,57 +356,43 @@ def _block_band(*bands: np.ndarray) -> np.ndarray:
     return out
 
 
-def _is_narrow(width: int, n: int) -> bool:
-    """4 width < n: whether a band algorithm beats the dense one."""
-    return 4 * width < n
-
-
-def _band_apply(x: np.ndarray, band: np.ndarray, left: bool = False,
+def _band_apply(x: np.ndarray, band: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """``x @ W``, or ``W @ x`` with ``left``, for the square W of ``band``
-    and a finite x, into ``out`` (x itself too) or a new C-ordered array.
+    """``x @ W`` for the square W of ``band`` and a finite x, into ``out``
+    (x itself too) or a new C-ordered array.
 
-    A narrow W (``_is_narrow``) adds the products of its 2b + 1 diagonals,
-    so each row of ``x @ W`` (column of ``W @ x``) comes from that row
-    alone; a diagonal W gives one product per entry, which has the GEMM's
-    bits, and ``+ 0.0`` turns -0.0 into +0.0 as the GEMM's zero start
-    does.  A wider W goes to the GEMM on its dense matrix.
+    Adds the products of W's 2b + 1 diagonals, so each row of ``x @ W``
+    comes from that row alone; a diagonal W gives one product per entry,
+    which has the GEMM's bits, and ``+ 0.0`` turns -0.0 into +0.0 as the
+    GEMM's zero start does.
     """
-    n, b = len(band), band.shape[1] // 2
+    b = band.shape[1] // 2
     if out is None:
         out = np.empty(np.shape(x))
-    if b and not _is_narrow(b, n):
-        w = _dense(band)
-        out[...] = w @ x if left else x @ w
-        return out
     if b and np.may_share_memory(out, x):
         x = x.copy()
-    # W's axis is x's last (first with ``left``, moved last)
-    acc = np.moveaxis(out, 0, -1) if left else out
-    x = np.moveaxis(x, 0, -1) if left else x
-    np.multiply(x, band[:, b], out=acc)
+    np.multiply(x, band[:, b], out=out)
     for k in range(1, b + 1):
-        # W[i, i + k] and W[i + k, i]; ``x @ W`` reads them as W^T's
-        pair = band[:-k, b + k], band[k:, b - k]
-        up, down = pair if left else pair[::-1]
-        acc[..., :-k] += x[..., k:] * up
-        acc[..., k:] += x[..., :-k] * down
+        # column i reads W[i + k, i], column i + k reads W[i, i + k]
+        out[..., :-k] += x[..., k:] * band[k:, b - k]
+        out[..., k:] += x[..., :-k] * band[:-k, b + k]
     out += 0.0
     return out
 
 
 def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``W^{-1} rhs`` for the square W of ``band`` and a 2-D rhs, with the
-    bits of LAPACK's solve for a positive diagonal W and an rhs free of
-    -0.0.
+    """``W^{-1} rhs`` for the SPD W of ``band`` and a 2-D rhs.
 
-    LAPACK solves a diagonal system by its triangular solve, which
+    A diagonal W is solved as LAPACK's triangular solve does, which
     divides by the pivot for a single right-hand side and multiplies by
-    its reciprocal for several; a diagonal W is solved the same way.  A
-    wider band goes to the dense solve.
+    its reciprocal for several, so a positive diagonal and an rhs free of
+    -0.0 get the bits of ``np.linalg.solve``.  A wider band goes to
+    LAPACK's banded Cholesky solve (``solveh_banded``) on the lower band
+    storage that ``jet.build_jet`` factors.
     """
-    if band.shape[1] > 1:
-        return np.linalg.solve(_dense(band), rhs)
+    b = band.shape[1] // 2
+    if b:
+        return scipy.linalg.solveh_banded(band[:, b:].T, rhs, lower=True)
     if rhs.shape[1] == 1:
         return rhs / band
     return rhs * (1.0 / band)
@@ -436,12 +424,11 @@ def _extreme_eigenvalues(band: np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a symmetric matrix from its band.
 
     The route follows the diagonals that hold a nonzero value, as a scan of
-    the dense matrix would: a diagonal matrix gives its sorted diagonal; a
-    narrow band of half-width w (``_is_narrow``) goes to LAPACK's
-    ``dsbevx`` (``eig_banded`` with ``select='i'``), whose band reduction
-    costs about 6 n^2 w flops against 4/3 n^3 for the dense one; anything
-    wider goes to dense ``eigvalsh``.  Raises ``LinAlgError``, as
-    ``eigvalsh`` does, when the band holds NaN or infinity.
+    the dense matrix would: a diagonal matrix gives its sorted diagonal;
+    any other band of half-width w goes to LAPACK's ``dsbevx``
+    (``eig_banded`` with ``select='i'``), whose band reduction costs about
+    6 n^2 w flops.  Raises ``LinAlgError`` when the band holds NaN or
+    infinity.
     """
     if not np.isfinite(band).all():
         raise np.linalg.LinAlgError("eigenvalues of a matrix holding NaN or "
@@ -452,16 +439,12 @@ def _extreme_eigenvalues(band: np.ndarray) -> tuple[float, float]:
     if width == 0:
         diag = band[:, b]
         return float(diag.min()), float(diag.max())
-    if _is_narrow(width, n):
-        # LAPACK's lower band storage: lower[k, i] = g[i + k, i]
-        lower = np.ascontiguousarray(band[:, b:b + width + 1].T)
-        lo, hi = (scipy.linalg.eig_banded(lower, lower=True,
-                                          eigvals_only=True, select="i",
-                                          select_range=(i, i))[0]
-                  for i in (0, n - 1))
-        return float(lo), float(hi)
-    eigs = np.linalg.eigvalsh(_dense(band))
-    return float(eigs[0]), float(eigs[-1])
+    # LAPACK's lower band storage: lower[k, i] = g[i + k, i]
+    lower = np.ascontiguousarray(band[:, b:b + width + 1].T)
+    lo, hi = (scipy.linalg.eig_banded(lower, lower=True, eigvals_only=True,
+                                      select="i", select_range=(i, i))[0]
+              for i in (0, n - 1))
+    return float(lo), float(hi)
 
 
 def euclidean_space(dim: int, label: str) -> HilbertSpaceSpec:

@@ -65,6 +65,7 @@ from .hilbert import (
     _norm,
     _require_finite,
     _row_forms,
+    _rows,
     _space_from_band,
     check_dissipative,
     direct_sum,
@@ -127,30 +128,32 @@ class BoundaryNode:
         return (_frozen(a - b), _frozen(_band(damping, _bandwidth(damping))),
                 _frozen(_band_transpose(self.M_inv)))
 
-    # The ledger forms below take one extended state (or port sample) per
-    # row of a 2-D block and return one value per row.
+    # The ledger forms below take one extended state (or port sample), or
+    # a block of one per row, and return one value per row (a scalar for
+    # one state).
 
     def energy_split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``H_p = <z1, W_11 z1>/2`` and ``H_k = <z2, W_22 z2>/2`` on the
         core part of each state, under the mass-weighted state Gram."""
-        z = _expect_rows("states", z, self.op.ext_dim)
+        z = _rows("states", z, self.op.ext_dim)
         n1, core = self.op.core_blocks[0], self.op.core.dim
         return tuple(0.5 * inner(w, x, x) for x, w in
-                     zip((z[:, :n1], z[:, n1:core]), self.state_space.blocks))
+                     zip((z[..., :n1], z[..., n1:core]),
+                         self.state_space.blocks))
 
     def dissipated_power(self, z: np.ndarray) -> np.ndarray:
         """Damping form ``<v, D^T W_D v>`` with ``v = M^{-1} z2``."""
-        z = _expect_rows("states", z, self.op.ext_dim)
+        z = _rows("states", z, self.op.ext_dim)
         n1, core = self.op.core_blocks[0], self.op.core.dim
         _, damping, minv_t = self._ledger_factors
-        v = _band_apply(z[:, n1:core], minv_t)
+        v = _band_apply(z[..., n1:core], minv_t)
         return _row_forms(_band_apply(v, damping), v)
 
     def scattering_slack(self, z: np.ndarray) -> np.ndarray:
         """Contraction slack ``(||(a-b)z||^2 - ||P(a-b)z||^2)/2`` in the
         dual norm, nonnegative for a contraction P; ``a = W_G Gamma0
         diag(I, M^{-1}, I)`` and ``b = Gamma1 diag(I, M^{-1}, I)``."""
-        z = _expect_rows("states", z, self.op.ext_dim)
+        z = _rows("states", z, self.op.ext_dim)
         wd = self.dual_gram()
         v = z @ self._ledger_factors[0].T
         vp = v @ self.P.matrix.T
@@ -159,21 +162,13 @@ class BoundaryNode:
     def supplied_power(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``<u, y>`` (impedance) or ``(||u||^2 - ||y||^2)/2`` (scattering)
         in the dual boundary pairing."""
-        u = _expect_rows("inputs", u, self.G_map.shape[0])
+        u = _rows("inputs", u, self.G_map.shape[0])
         y = np.asarray(y, dtype=float)
         _expect_shape("outputs", y, u.shape)
         wd = self.dual_gram()
         if self.flavor == IMPEDANCE:
             return _row_forms(u @ wd, y)
         return 0.5 * (_row_forms(u @ wd, u) - _row_forms(y @ wd, y))
-
-
-def _expect_rows(name: str, x, width: int) -> np.ndarray:
-    """``x`` as a float array; ``ShapeMismatch`` unless it is 2-D with
-    ``width`` columns."""
-    x = np.asarray(x, dtype=float)
-    _expect_shape(name, x, x.shape[:1] + (width,))
-    return x
 
 
 @dataclass(frozen=True)
@@ -388,4 +383,4 @@ def passivity_residual(node: BoundaryNode, z_ext: np.ndarray,
             f"G z differs from u by {gap:.3e}")
     power = inner(node.state_space, z_ext[:node.op.core.dim],
                   node.L_eff @ z_ext)
-    return 2.0 * float(power - node.supplied_power(u[None], y[None])[0])
+    return 2.0 * float(power - node.supplied_power(u, y))

@@ -7,16 +7,17 @@ their band.  The banded library must raise the same error class, store the
 same bytes and report the same eigenvalue bounds.  A space built here
 claims no structure: it holds its Gram as a full-width band, of
 ``bandwidth`` dim - 1, so library code that reads a Gram by its band reads
-all of it, and ``hilbert._band_apply`` multiplies by it as a dense GEMM.
+all of it, and ``hilbert._band_apply`` adds all of its 2 dim - 1
+diagonals.
 
 ``direct_sum`` validates the dense ``block_diag`` of its summands with
 ``make_space`` and attaches the summands, as the library's sum keeps them.
-``extend_adjoint``, ``lift_second_order``, ``prepare_weights`` and
-``mass_weighted`` are the set-up products as the library formed them
-before it scaled rows by diagonal Grams and masses: GEMMs on the dense
-Grams, LAPACK's solve against W_X and ``cho_solve`` against the identity
-for M^{-1}.  They take and return what their library counterparts do
-(bands of M^{-1}, spaces), so a test can patch them in.
+``extend_adjoint``, ``lift_second_order``, ``prepare_weights``,
+``mass_weighted`` and ``effective_action`` are the set-up products as the
+library formed them before it scaled rows by diagonal Grams and masses:
+GEMMs on the dense Grams, LAPACK's solve against W_X and ``cho_solve``
+against the identity for M^{-1}.  They take and return what their library
+counterparts do (bands of M^{-1}, spaces), so a test can patch them in.
 """
 
 import dataclasses
@@ -143,3 +144,14 @@ def mass_weighted(x: np.ndarray, op, minv: np.ndarray) -> np.ndarray:
     out, momentum = x + 0.0, slice(op.core_blocks[0], op.core.dim)
     out[:, momentum] = x[:, momentum] @ _dense(minv)
     return out
+
+
+def effective_action(op, D: LinearMap, minv: np.ndarray, out=None):
+    """``(L - diag(0, D) iota) diag(I, M^{-1}, I)`` into ``out`` or a new
+    array, its momentum columns times the dense M^{-1} of the band
+    ``minv`` by a GEMM."""
+    n1, momentum = op.core_blocks[0], slice(op.core_blocks[0], op.core.dim)
+    action = np.add(op.L, 0.0, out=out)
+    action[n1:, momentum] -= D.matrix
+    action[:, momentum] = action[:, momentum] @ _dense(minv)
+    return action

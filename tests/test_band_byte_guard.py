@@ -5,10 +5,11 @@ set-up gives it.
 Each system is built twice: by the library, and with the dense oracle
 (``dense_gram_oracle``) patched in: its ``make_space``,
 ``space_from_band`` and ``direct_sum`` into every module that binds the
-library's, and its dense ``extend_adjoint``, lift, ``prepare_weights`` and
-``mass_weighted`` in place of the library's.  The oracle's spaces claim a band that spans
-the whole square, so the band-reading gates read all of it there and
-every product with a Gram is a dense GEMM or LAPACK solve.  Both builds
+library's, and its dense ``extend_adjoint``, lift, ``prepare_weights``,
+``mass_weighted`` and ``effective_action`` in place of the library's.
+The oracle's spaces claim a band that spans the whole square, so the
+band-reading gates read all of it there, and every set-up product with a
+Gram or M^{-1} is a dense GEMM or LAPACK solve.  Both builds
 must store the same bytes in the extended Y Gram and ``B_ext``, the core
 Gram, the node's ``L_eff``, ``G_map``, ``K_map``, ``M_inv`` and state Gram
 and the step factor, and the step factor, for dt and for the inverse
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from passivebc import hilbert, node, triplet, wave1d
+from passivebc import hilbert, node, sim, triplet, wave1d
 from passivebc.hilbert import LinearMap
 from passivebc.sim import StepSolver
 
@@ -97,6 +98,9 @@ def assert_dense_bytes(N, length, monkeypatch):
         patch.setattr(wave1d, "lift_second_order", oracle.lift_second_order)
         patch.setattr(node, "_prepare_weights", oracle.prepare_weights)
         patch.setattr(node, "_mass_weighted", oracle.mass_weighted)
+        for module in (node, sim):
+            patch.setattr(module, "_effective_action",
+                          oracle.effective_action)
         dense = operator_bytes(N, length, check_stacking=False)
     assert banded.keys() == dense.keys()
     for key, value in dense.items():

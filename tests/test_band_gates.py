@@ -5,9 +5,9 @@ every gate on the band.  Against the dense validation it must raise the
 same error class, store the same bytes and report the same eigenvalue
 bounds, for every input below.  Products with a diagonal matrix given by
 its band must have the bytes of the dense GEMM, LAPACK solve and
-``cho_solve`` they replace; products with a narrow band, summed by its
-diagonals, must agree with the GEMM to a rounding bound and allocate no
-dense square.
+``cho_solve`` they replace; products with any other band, summed by its
+diagonals, must agree with the GEMM to a rounding bound, and a narrow one
+must allocate no dense square.
 """
 
 import tracemalloc
@@ -155,9 +155,9 @@ def test_diagonal_band_products_have_the_gemm_bytes(dx):
     d, x = dx
     dense = np.diag(d)
     assert_same_array(hilbert._band_apply(x, d[:, None]), x @ dense)
-    xt = x.T   # F-ordered for a block, as the library's A^T is
-    assert_same_array(hilbert._band_apply(xt, d[:, None], left=True),
-                      dense @ xt)
+    if x.ndim == 2:   # F-ordered, as the library's A^T is
+        xt = np.asfortranarray(x)
+        assert_same_array(hilbert._band_apply(xt, d[:, None]), xt @ dense)
     flipped = x[..., ::-1]   # a strided view
     assert_same_array(hilbert._band_apply(flipped, d[:, None]),
                       flipped @ dense)
@@ -173,27 +173,110 @@ def product_bound(x, w, b):
 
 
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 16), b=st.integers(0, 3),
+@given(n=st.integers(1, 16), data=st.data(),
        rows=st.sampled_from([None, 1, 5]), seed=st.integers(0, 2**32 - 1))
-def test_band_products_match_the_gemm(n, b, rows, seed):
-    # n around 4 b: narrow bands are summed by diagonals, wider ones GEMMed
-    b = min(b, n - 1)
+def test_band_products_match_the_gemm(n, data, rows, seed):
+    # every half-width up to the full square is summed by its diagonals,
+    # so a row of x @ W never reads the rows multiplied with it
+    b = data.draw(st.integers(0, n - 1), label="b")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n, n)) * (_offsets(n) <= b)
     band = hilbert._band(w, b)
     x = rng.standard_normal((n,) if rows is None else (rows, n))
-    xt = x.T
-    cases = ((x, False, x @ w, product_bound(x, w, b)),
-             (xt, True, w @ xt, product_bound(xt.T, w.T, b).T))
-    for arg, left, want, bound in cases:
-        got = hilbert._band_apply(arg, band, left=left)
-        aliased = arg.copy()
-        same = hilbert._band_apply(aliased, band, left=left, out=aliased)
-        assert same is aliased and np.array_equal(same, got)
-        assert got.shape == want.shape and got.flags.c_contiguous
-        if b == 0:
-            assert got.tobytes() == want.tobytes()
-        assert (np.abs(got - want) <= bound).all()
+    want = x @ w
+    got = hilbert._band_apply(x, band)
+    aliased = x.copy()
+    same = hilbert._band_apply(aliased, band, out=aliased)
+    assert same is aliased and np.array_equal(same, got)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    for i in range(len(x) if x.ndim == 2 else 0):
+        assert hilbert._band_apply(x[i:i + 1], band).tobytes() == \
+            got[i:i + 1].tobytes()
+        assert hilbert._band_apply(x[i], band).tobytes() == got[i].tobytes()
+    if b == 0:
+        assert got.tobytes() == want.tobytes()
+    assert (np.abs(got - want) <= product_bound(x, w, b)).all()
+
+
+def _spd(rng, n, b):
+    """A symmetric W of half-width b, diagonally dominant with a positive
+    diagonal, hence SPD."""
+    c = rng.standard_normal((n, n)) * (_offsets(n) <= b)
+    w = c + c.T
+    return w + (np.abs(w).sum(axis=1).max() + 1.0) * np.eye(n)
+
+
+def _gamma(k):
+    """Higham's ``gamma_k = k eps / (1 - k eps)``."""
+    eps = np.finfo(float).eps
+    return k * eps / (1 - k * eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 24), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_wide_band_eigenvalues_match_eigvalsh(n, data, seed):
+    b = data.draw(st.sampled_from(sorted({1, max(1, n // 4), n - 1})),
+                  label="b")
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((n, n)) * (_offsets(n) <= b)
+    w = c + c.T
+    eigs = np.linalg.eigvalsh(w)
+    lo, hi = hilbert._extreme_eigenvalues(hilbert._band(w, b))
+    tol = 1e-12 * abs(eigs[-1])
+    assert abs(lo - eigs[0]) <= tol and abs(hi - eigs[-1]) <= tol
+
+
+def solve_gap_bound(w, x_a, x_b):
+    """Bound on the gap between two solves of ``W x = r`` (per column,
+    2-norm) for an SPD W that is diagonally dominant.
+
+    The banded Cholesky solve is exact for some ``W + dW`` with ``||dW||_2
+    <= n gamma_{3n+1} ||W||_2`` (Higham, Accuracy and Stability, 2nd ed.,
+    Thm 10.4, with ``|| |R^T| |R| ||_2 <= n ||W||_2``), so its x lies
+    within ``n gamma_{3n+1} kappa(W) ||x||`` of the exact one, to first
+    order.  LAPACK's LU exchanges no rows on a diagonally dominant W and
+    its growth factor is then at most 2 (Thm 9.9); the factor 2 below
+    gives its solve that bound doubled, and the gap is at most the sum."""
+    n = len(w)
+    eigs = np.linalg.eigvalsh(w)
+    sizes = np.linalg.norm(x_a, axis=0) + np.linalg.norm(x_b, axis=0)
+    return 2 * n * _gamma(3 * n + 1) * (eigs[-1] / eigs[0]) * sizes
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 24), full=st.booleans(), cols=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_wide_band_solve_matches_the_dense_solve(n, full, cols, seed):
+    # tridiagonal and full SPD bands go to the banded Cholesky solve
+    b = n - 1 if full else 1
+    rng = np.random.default_rng(seed)
+    w = _spd(rng, n, b)
+    rhs = rng.standard_normal((n, cols))
+    got = hilbert._band_solve(hilbert._band(w, b), rhs)
+    want = np.linalg.solve(w, rhs)
+    assert got.shape == want.shape
+    gap = np.linalg.norm(got - want, axis=0)
+    assert (gap <= solve_gap_bound(w, got, want)).all()
+
+
+def test_band_kernels_form_no_dense_matrix(monkeypatch):
+    rng = np.random.default_rng(7)
+    cases = []
+    for n, b in ((1, 0), (3, 1), (4, 1), (6, 5), (12, 3), (9, 8)):
+        band = hilbert._band(_spd(rng, n, b), b)
+        space = hilbert.HilbertSpaceSpec(n, band, "W")
+        cases.append((band, space, rng.standard_normal((5, n))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a band kernel formed a dense matrix")
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(hilbert, "_dense", refuse)
+    for band, space, x in cases:
+        hilbert._band_apply(x, band)
+        hilbert._band_solve(band, x.T)
+        hilbert._extreme_eigenvalues(band)
+        hilbert.inner(space, x, x)
 
 
 def test_narrow_band_product_allocates_no_square():

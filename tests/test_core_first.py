@@ -7,9 +7,9 @@ formulas write the mass weight ``diag(I, M^{-1}, I)``.  On random wave
 systems, for the second-order lift and the jet target, the sliced forms
 must equal the dense ones byte for byte (to 1e-14 relative for a
 non-diagonal mass, whose products BLAS may sum in another order, and to a
-rounding bound for the energy of a narrow non-diagonal Gram block, which
-the library sums by diagonals), and the
-jet's normal-equation solves must agree with a least-squares oracle.
+rounding bound for the energy of a non-diagonal Gram block, which the
+library sums by diagonals), and the jet's normal-equation solves must
+agree with a least-squares oracle.
 """
 
 import ast
@@ -20,7 +20,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passivebc.hilbert import LinearMap, _is_narrow, contraction_norm
+from passivebc.hilbert import LinearMap, contraction_norm
 from passivebc.jet import pull_state, ran_A_defect
 from passivebc.node import (
     _mass_weighted,
@@ -64,13 +64,13 @@ def same_bytes(got, want):
 
 def assert_half_forms(got, want, x, space):
     """``got`` against ``want = 0.5 * row_forms(x, W)`` for the Gram W of
-    ``space``: byte for byte for a diagonal W, whose products round alike,
-    and for a wide one, which the library multiplies by the same GEMM; per
-    row to ``2 (n + 2b + 2) eps * 0.5 |x|^T |W| |x|`` for a narrow band of
-    half-width b, which the band kernel sums diagonal by diagonal and the
-    GEMM in its own order (each form is off by at most ``gamma_{n+2b+1}``
-    of that sum, Higham, Accuracy and Stability, 2nd ed., sec. 3.1)."""
-    if space.bandwidth == 0 or not _is_narrow(space.bandwidth, space.dim):
+    ``space``: byte for byte for a diagonal W, whose products round alike;
+    per row to ``2 (n + 2b + 2) eps * 0.5 |x|^T |W| |x|`` for any wider
+    band of half-width b, which the band kernel sums diagonal by diagonal
+    and the GEMM in its own order (each form is off by at most
+    ``gamma_{n+2b+1}`` of that sum, Higham, Accuracy and Stability, 2nd
+    ed., sec. 3.1)."""
+    if space.bandwidth == 0:
         assert same_bytes(got, want)
         return
     eps = np.finfo(float).eps

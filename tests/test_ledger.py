@@ -1,13 +1,14 @@
 """The node's row-wise energy ledger, held to the formulas it replaces.
 
 ``BoundaryNode.energy_split``, ``dissipated_power``, ``scattering_slack``
-and ``supplied_power`` evaluate one state (or port sample) per row.  The
+and ``supplied_power`` evaluate one state (or port sample) per row of a
+block, and a single state as the block of that one row.  The
 oracle below is the former per-node factor class: the same formulas in the
 same operand order on factors built apart from the node, so every method
 must equal it byte for byte on random wave systems, for the lift and the
 jet target, with and without damping, under a random boundary Gram; the
-energy of a narrow non-diagonal Gram block (the lift's ``A^T W_Y A``),
-which the node sums by diagonals, to a rounding bound.
+energy of a non-diagonal Gram block (the lift's ``A^T W_Y A``), which
+the node sums by diagonals, to a rounding bound, at every N.
 """
 
 import numpy as np
@@ -105,7 +106,7 @@ def test_row_methods_equal_former_factor_formulas(n, seed, flavor, jet,
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(4, 64), seed=st.integers(0, 2 ** 32 - 1),
+@given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
        flavor=st.sampled_from(["impedance", "scattering"]),
        jet=st.booleans(),
        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12))
@@ -124,6 +125,37 @@ def test_row_forms_read_each_row_alone(n, seed, flavor, jet, sizes):
         assert same_bytes(np.concatenate([p[k] for p in parts]), want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_energy_rows_equal_their_one_row_blocks_at_small_n(n):
+    # for N <= 3 the lift's tridiagonal X_h is as wide as 4b >= n: it is
+    # summed by its diagonals all the same, so no row's energy depends on
+    # the rows evaluated with it (30 seeds, 300 states)
+    for seed in range(30):
+        nd, rng = random_node(n, seed, "scattering", jet=False, damped=True)
+        z = rng.standard_normal((10, nd.op.ext_dim))
+        whole = nd.energy_split(z)
+        rows = [nd.energy_split(z[i:i + 1]) for i in range(len(z))]
+        for k, want in enumerate(whole):
+            assert same_bytes(np.concatenate([r[k] for r in rows]), want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**{k: v for k, v in CASES.items() if k != "rows"})
+def test_one_state_gives_its_one_row_value(n, seed, flavor, jet, damped):
+    nd, rng = random_node(n, seed, flavor, jet, damped)
+    z = rng.standard_normal(nd.op.ext_dim)
+    u, y = rng.standard_normal((2, nd.G_map.shape[0]))
+    pairs = [(nd.energy_split(z), nd.energy_split(z[None])),
+             ((nd.dissipated_power(z),), (nd.dissipated_power(z[None]),)),
+             ((nd.scattering_slack(z),), (nd.scattering_slack(z[None]),)),
+             ((nd.supplied_power(u, y),),
+              (nd.supplied_power(u[None], y[None]),))]
+    for state, block in pairs:
+        for got, want in zip(state, block):
+            assert np.ndim(got) == 0
+            assert same_bytes(np.reshape(got, 1), want)
+
+
 class TestShapeMismatch:
     @pytest.fixture(scope="class")
     def nd(self):
@@ -133,11 +165,12 @@ class TestShapeMismatch:
 
     @pytest.mark.parametrize("method", ["energy_split", "dissipated_power",
                                         "scattering_slack"])
-    @pytest.mark.parametrize("shape", ["one state", "wrong width",
-                                       "three axes"])
+    @pytest.mark.parametrize("shape", ["scalar", "short state",
+                                       "wrong width", "three axes"])
     def test_states_must_be_rows_of_node_width(self, nd, method, shape):
         ext = nd.op.ext_dim
-        z = {"one state": np.zeros(ext),
+        z = {"scalar": np.float64(0.0),
+             "short state": np.zeros(ext - 1),
              "wrong width": np.zeros((3, ext - 1)),
              "three axes": np.zeros((1, 3, ext))}[shape]
         with pytest.raises(ShapeMismatch, match="states"):

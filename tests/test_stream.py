@@ -87,6 +87,9 @@ def boundary_examples(test):
             test = example(n_steps=n_steps, flavor=flavor,
                            strain=n_steps % 2 == 1, seed=n_steps,
                            N=128)(test)
+    for N in (1, 2, 3):   # the lift's X_h is as wide as 4b >= n here
+        test = example(n_steps=2 * LEDGER_CHUNK + 1, flavor="scattering",
+                       strain=False, seed=N, N=N)(test)
     return test
 
 
