@@ -22,13 +22,10 @@ from .hilbert import (
     ContractionParam,
     HilbertSpaceSpec,
     LinearMap,
-    adjoint,
     check_dissipative,
     contraction_norm,
-    dual_space,
     euclidean_space,
     make_space,
-    riesz,
 )
 from .jet import JetTransform, build_jet, push_state, ran_A_defect
 from .node import (

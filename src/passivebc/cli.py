@@ -142,14 +142,15 @@ def run_scenario(path: str, out: str | None = None) -> int:
 
 
 def verify_suite(path: str, suite: str = "all") -> int:
-    """Run the named property suite; print one line per check."""
+    """Run the named property suite; print one line per check and kind."""
     sc = load_scenario(path)
     checks = run_suite(sc, suite)
     failed = None
     for chk in checks:
         status = "PASS" if chk.passed else "FAIL"
-        print(f"{status} {chk.name}: max residual {chk.residual:.3e} "
-              f"(tol {chk.tol:.1e})")
+        number = ("{:.0f} (tol {:.0f})" if chk.kind == "count"
+                  else "{:.3e} (tol {:.1e})").format(chk.residual, chk.tol)
+        print(f"{status} {chk.name}: {chk.kind} {number}")
         if failed is None and not chk.passed:
             failed = chk.name
     if failed is not None:
@@ -201,8 +202,7 @@ def cayley_report(path: str, beta: float | None = None) -> int:
     beta = 1.
     """
     sc = load_scenario(path)
-    sys_ = build_system(sc)
-    node = build_flavor_node(sc, sys_, sys_.op_A)
+    node = build_node(sc, build_system(sc))
     b = sc.beta if beta is None else beta
     transformed = external_cayley(node, b)
     s = 1.0 / math.sqrt(2.0 * b)

@@ -58,11 +58,8 @@ __all__ = [
     "make_space",
     "direct_sum",
     "euclidean_space",
-    "dual_space",
     "inner",
     "norm",
-    "adjoint",
-    "riesz",
     "contraction_norm",
     "check_dissipative",
 ]
@@ -427,13 +424,16 @@ def _extreme_eigenvalues(band: np.ndarray) -> tuple[float, float]:
     the dense matrix would: a diagonal matrix gives its sorted diagonal;
     any other band of half-width w goes to LAPACK's ``dsbevx``
     (``eig_banded`` with ``select='i'``), whose band reduction costs about
-    6 n^2 w flops.  Raises ``LinAlgError`` when the band holds NaN or
-    infinity.
+    6 n^2 w flops.  An empty band gives ``(0.0, 0.0)``, the bounds of a
+    zero-dimensional space.  Raises ``LinAlgError`` when the band holds
+    NaN or infinity.
     """
     if not np.isfinite(band).all():
         raise np.linalg.LinAlgError("eigenvalues of a matrix holding NaN or "
                                     "infinity")
     n, b = len(band), band.shape[1] // 2
+    if n == 0:
+        return 0.0, 0.0
     used = np.flatnonzero(band[:, b:].any(axis=0))
     width = int(used[-1]) if used.size else 0
     if width == 0:
@@ -449,12 +449,6 @@ def _extreme_eigenvalues(band: np.ndarray) -> tuple[float, float]:
 
 def euclidean_space(dim: int, label: str) -> HilbertSpaceSpec:
     return make_space(dim, np.eye(dim), label)
-
-
-def dual_space(space: HilbertSpaceSpec) -> HilbertSpaceSpec:
-    """Dual of a space in covariant coordinates; carries the inverse Gram."""
-    return make_space(space.dim, np.linalg.inv(space.gram),
-                      space.label + "*")
 
 
 def _rows(name: str, x, width: int, finite: bool = False) -> np.ndarray:
@@ -486,21 +480,6 @@ def inner(space: HilbertSpaceSpec, x, y) -> np.ndarray | float:
 def norm(space: HilbertSpaceSpec, x) -> np.ndarray | float:
     """``sqrt(x^T W x)`` of a vector, or of each row of a block."""
     return np.sqrt(np.maximum(inner(space, x, x), 0.0))
-
-
-def adjoint(f: LinearMap) -> LinearMap:
-    """Adjoint W_dom^{-1} A^T W_cod, so <Ax, y>_cod = <x, A*y>_dom."""
-    m = np.linalg.solve(f.domain.gram, f.matrix.T @ f.codomain.gram)
-    return LinearMap(m, domain=f.codomain, codomain=f.domain)
-
-
-def riesz(space: HilbertSpaceSpec) -> LinearMap:
-    """Gram matrix as the map from primal to covariant dual coordinates.
-
-    In covariant coordinates the duality pairing is Euclidean, so
-    ``riesz(x) . x`` equals the squared Gram norm of x.
-    """
-    return LinearMap(space.gram, domain=space, codomain=dual_space(space))
 
 
 def contraction_norm(P, boundary_space: HilbertSpaceSpec) -> float:

@@ -147,7 +147,8 @@ class StepSolver:
     is the inverse step; any nonzero dt is accepted.  ``advance`` runs a
     block of steps in place through LAPACK ``getrs``, fetched once; ``step``
     is ``advance`` on a two-row buffer.  The solver holds no scratch
-    buffers, so one instance may serve several threads.
+    buffers and each ``advance`` steps on its own copy of the pivots, so
+    one instance may serve several threads.
     """
 
     def __init__(self, node: BoundaryNode, dt: float):
@@ -222,8 +223,9 @@ class StepSolver:
         _expect_shape("states", states, states.shape[:1] + (ext,))
         inputs = np.asarray(inputs, dtype=float)
         _expect_shape("inputs", inputs, (len(states) - 1, m))
+        # scipy's getrs shifts the pivots to 1-based and back: a copy per call
         (lu, piv), getrs = self._lu, self._getrs
-        behind, ncore = self._behind, self._ncore
+        piv, behind, ncore = piv.copy(), self._behind, self._ncore
         # doubling is exact: one scaled block gives every step's 2 u bits
         for z, nxt, u2 in zip(states[:-1], states[1:], 2.0 * inputs):
             np.matmul(behind, z, out=nxt)

@@ -1,7 +1,8 @@
 """Named property suites driven by a scenario (used by the CLI).
 
-Each check returns its worst residual together with the tolerance it is
-held to; a suite passes iff every check does.  The suites cover the Green
+Each check returns a number, the tolerance it is held to and the number's
+``kind``: "max residual", "angle bound" (radians) or "count" (of failed
+samples); a suite passes iff every check does.  The suites cover the Green
 identities (``green``), the contraction parameterization of dissipative
 restrictions (``extension``), the Cayley involution and the agreement of
 the two node flavors (``cayley``), and the strain-momentum transport
@@ -32,6 +33,7 @@ class CheckResult:
     name: str
     residual: float
     tol: float
+    kind: str = "max residual"
 
     @property
     def passed(self) -> bool:
@@ -90,11 +92,13 @@ def _extension_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
     m = op.bspace.dim
     dom_neumann = ext.generator_from_contraction(op, np.eye(m)).domain_basis
     checks.append(CheckResult("extension_neumann_domain",
-                              _kernel_gap(dom_neumann, op.Gamma1), 1e-10))
+                              _kernel_gap(dom_neumann, op.Gamma1), 1e-10,
+                              "angle bound"))
     dirichlet = scipy.linalg.null_space(
         ext.constraint_matrix(op, -np.eye(m)), rcond=1e-10)
     checks.append(CheckResult("extension_dirichlet_domain",
-                              _kernel_gap(dirichlet, op.Gamma0), 1e-10))
+                              _kernel_gap(dirichlet, op.Gamma0), 1e-10,
+                              "angle bound"))
 
     # Expansive parameters must fail dissipativity: count the samples whose
     # residual does not clear 1e-12.
@@ -106,7 +110,7 @@ def _extension_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
         if ext.dissipativity_residual(g) <= 1e-12:
             undetected += 1
     checks.append(CheckResult("extension_expansive_not_dissipative",
-                              float(undetected), 0.0))
+                              float(undetected), 0.0, "count"))
     return checks
 
 

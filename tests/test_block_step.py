@@ -8,6 +8,9 @@ per step, with ``ahead``/``behind`` written from the dense ``iota``.  The
 trajectory, outputs and ledger must equal it byte for byte.
 """
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -27,7 +30,13 @@ from passivebc.sim import (
 )
 from passivebc.wave1d import initial_state
 
-from conftest import iota, random_wave_system, unstreamed_ledger, wave_system
+from conftest import (
+    ROOT,
+    iota,
+    random_wave_system,
+    unstreamed_ledger,
+    wave_system,
+)
 from test_core_first import same_bytes
 
 
@@ -196,3 +205,57 @@ def test_sample_shape_is_time_shape_plus_channels(kind, shape):
     assert got.dtype == np.float64
     if kind == "zero":
         assert not got.any()
+
+
+THREADED_RUNS = """
+import sys, threading
+import numpy as np
+from passivebc.scenario import (build_initial_state, build_node,
+                                build_system, load_scenario)
+from passivebc.sim import StepSolver, consistent_initialization
+
+sc = load_scenario(sys.argv[1])
+system = build_system(sc)
+node = build_node(sc, system)
+solver = StepSolver(node, sc.dt)
+z0 = consistent_initialization(node, build_initial_state(sc, system),
+                               np.zeros(2))
+rng = np.random.default_rng(0)
+inputs = [rng.standard_normal((400, 2)) for _ in range(4)]
+
+def run(u):
+    states = np.empty((len(u) + 1, len(z0)))
+    states[0] = z0
+    solver.advance(states, u)
+    return states.tobytes()
+
+want = [run(u) for u in inputs]
+start = threading.Barrier(4)
+mismatches = 0
+for _ in range(10):
+    got = [None] * 4
+
+    def work(i):
+        start.wait()
+        got[i] = run(inputs[i])
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    mismatches += sum(g != w for g, w in zip(got, want))
+print(mismatches)
+"""
+
+
+def test_one_solver_serves_four_threads():
+    # four threads advance 400 steps each on one shared solver, 10 times
+    # over, and must reproduce the sequential bytes; a child interpreter
+    # runs them, so a corrupted heap fails this test, not the session
+    from test_cli import src_env
+    proc = subprocess.run(
+        [sys.executable, "-c", THREADED_RUNS,
+         str(ROOT / "scenarios" / "gauss_scattering.json")],
+        env=src_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"

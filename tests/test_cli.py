@@ -141,6 +141,24 @@ class TestExitCodes:
         assert cli.main(["verify", "--scenario", scn,
                          "--suite", suite]) == 0
 
+    def test_verify_names_the_kind_of_each_number(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, base_scenario())
+        assert cli.main(["verify", "--scenario", scn]) == 0
+        *lines, summary = capsys.readouterr().out.splitlines()
+        kinds = {}
+        for line in lines:
+            found = re.fullmatch(r"PASS (\w+): (max residual|angle bound) "
+                                 r"\S+e[-+]\d+ \(tol \S+e[-+]\d+\)|"
+                                 r"PASS (\w+): count (\d+) \(tol (\d+)\)",
+                                 line)
+            assert found, line
+            kinds[found[1] or found[3]] = found[2] or "count"
+        assert kinds.pop("extension_neumann_domain") == "angle bound"
+        assert kinds.pop("extension_dirichlet_domain") == "angle bound"
+        assert kinds.pop("extension_expansive_not_dissipative") == "count"
+        assert set(kinds.values()) == {"max residual"} and len(kinds) == 10
+        assert summary == "suite 'all': all 13 checks passed"
+
     def test_corrupted_trace_fails_named(self, tmp_path, capsys,
                                          monkeypatch):
         double_gamma1(monkeypatch)
@@ -278,6 +296,36 @@ class TestCayleyCommand:
         assert cli.main(["cayley", "--scenario", scn, "--beta", "2"]) == 0
         line = capsys.readouterr().out.splitlines()[-1]
         assert line.startswith("round-trip residual: ")
+        assert float(line.split(": ")[1]) <= 1e-14
+
+    @pytest.mark.parametrize("formulation, width", [
+        ("position-momentum", 68), ("strain-momentum", 100)])
+    def test_maps_are_those_of_the_formulation(self, tmp_path, capsys,
+                                               monkeypatch, formulation,
+                                               width):
+        # N = 32: the lift's (z1, z2, tau) has 33 + 33 + 2 coordinates,
+        # the strain-momentum form's (w, z2, tau) 65 + 33 + 2
+        nodes = []
+        real = cli.external_cayley
+        monkeypatch.setattr(cli, "external_cayley",
+                            lambda node, beta: nodes.append(node)
+                            or real(node, beta))
+        doc = dict(DAMPED_SINE, formulation=formulation)
+        scn = write_scenario(tmp_path, doc)
+        assert cli.main(["cayley", "--scenario", scn]) == 0
+        node, = nodes
+        assert node.G_map.shape == node.K_map.shape == (2, width)
+        assert capsys.readouterr().out.startswith(
+            "flavor impedance -> scattering at beta=1\n")
+
+    def test_steel_bar_in_strain_momentum(self, tmp_path, capsys):
+        # in SI units the lift's X_h (+) X fails the relative positivity
+        # gate; the strain-momentum node is the scenario's, and it is built
+        doc = dict(DAMPED_SINE, formulation="strain-momentum",
+                   coefficients={"T": 2e11, "rho": 7850, "a": 1e3, "b": 10})
+        scn = write_scenario(tmp_path, doc)
+        assert cli.main(["cayley", "--scenario", scn]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
         assert float(line.split(": ")[1]) <= 1e-14
 
     def test_strain_momentum_formulation_runs(self, tmp_path):

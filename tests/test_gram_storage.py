@@ -31,7 +31,6 @@ from passivebc.hilbert import (
     HilbertSpaceSpec,
     LinearMap,
     check_dissipative,
-    dual_space,
     euclidean_space,
     make_space,
 )
@@ -67,7 +66,6 @@ def test_zero_dimensional_space():
     assert sp.band.shape == (0, 1) and sp.bandwidth == 0
     assert sp.gram.shape == (0, 0) and not sp.gram.flags.writeable
     assert _gram_csr(sp).shape == (0, 0)
-    assert dual_space(sp).gram.shape == (0, 0)
     assert LinearMap(np.zeros((0, 3)), euclidean_space(3, "X"),
                      sp).matrix.shape == (0, 3)
 
