@@ -77,8 +77,8 @@ class GeneratorRealization:
     @property
     def A_main(self) -> np.ndarray:
         """Square generator ``L[:, :core] + L[:, core:] X`` on core
-        coordinates."""
-        a_main = _kernel_action(self.parent.L, self.X)
+        coordinates, from the dense array of the parent's CSR L."""
+        a_main = _kernel_action(self.parent.L.toarray(), self.X)
         a_main.setflags(write=False)
         return a_main
 

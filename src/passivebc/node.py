@@ -15,14 +15,17 @@ impedance:
     K = ((I + P) W_G Gamma0 + (I - P) Gamma1) / 2.
 
 The interior action is ``L_eff = (L - diag(0, D) iota) diag(I, M^{-1}, I)``.
-The node does not store it: ``BoundaryNode.L_eff`` builds it on first read,
-and :class:`~passivebc.sim.StepSolver` writes it straight into its step
-matrix (``_effective_action``).  The state energy is measured by
-``W = blockdiag(W_1, W_2 M^{-1})``, i.e. kinetic energy uses the
-inverse-mass inner product.  W_1 and W_2 are the core's two blocks; the
-state space is the direct sum ``W_1 (+) sym(W_2 M^{-1})``, whose blocks
-the ledger reads.  The external Cayley transform at real beta > 0
-recombines the port maps,
+The node does not store it: ``BoundaryNode.L_eff`` builds it, dense, on
+first read, and :class:`~passivebc.sim.StepSolver` writes it straight into
+its step matrix (``_effective_action``) from the operator's CSR L.  The
+node keeps D and M^{-1} as their bands on the momentum block
+(``BoundaryNode.D``, ``BoundaryNode.M_inv``), read-only;
+``scattering_node`` and ``impedance_node`` take the maps and gate them.
+The state energy is measured by ``W = blockdiag(W_1, W_2 M^{-1})``, i.e.
+kinetic energy uses the inverse-mass inner product.  W_1 and W_2 are the
+core's two blocks; the state space is the direct sum ``W_1 (+) sym(W_2
+M^{-1})``, whose blocks the ledger reads.  The external Cayley transform
+at real beta > 0 recombines the port maps,
 
     G' = (beta G + K) / sqrt(2 beta),   K' = (beta G - K) / sqrt(2 beta),
 
@@ -56,6 +59,7 @@ from .hilbert import (
     _as_param,
     _band,
     _band_apply,
+    _band_entries,
     _band_product,
     _band_transpose,
     _bandwidth,
@@ -67,6 +71,7 @@ from .hilbert import (
     _row_forms,
     _rows,
     _space_from_band,
+    _trimmed,
     check_dissipative,
     direct_sum,
     inner,
@@ -96,7 +101,7 @@ class BoundaryNode:
     op: BoundaryOperator
     flavor: str
     P: ContractionParam
-    D: LinearMap
+    D: np.ndarray                      # band of D on the momentum block
     G_map: np.ndarray
     K_map: np.ndarray
     state_space: HilbertSpaceSpec      # core with mass-weighted Gram
@@ -122,10 +127,15 @@ class BoundaryNode:
     @cached_property
     def _ledger_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``a - b``, the band of ``D^T W_D`` and that of M^{-T}: the ledger
-        factors the node does not hold otherwise, built on first use."""
+        factors the node does not hold otherwise, built on first use.
+
+        W_D is the momentum block's Gram; with it or D diagonal, each entry
+        of the band is one product, with the bits of the dense ``D^T W_D``.
+        """
         a, b = _weighted_traces(self.op, self.M_inv)
-        damping = _band_apply(self.D.matrix.T, self.D.domain.band)
-        return (_frozen(a - b), _frozen(_band(damping, _bandwidth(damping))),
+        damping = _band_product(_band_transpose(self.D),
+                                self.op.core.blocks[1].band)
+        return (_frozen(a - b), _frozen(_trimmed(damping)),
                 _frozen(_band_transpose(self.M_inv)))
 
     # The ledger forms below take one extended state (or port sample), or
@@ -259,14 +269,22 @@ def _mass_weighted(x: np.ndarray, op: BoundaryOperator, minv: np.ndarray):
     return out
 
 
-def _effective_action(op: BoundaryOperator, D: LinearMap, minv: np.ndarray,
+def _effective_action(op: BoundaryOperator, d: np.ndarray, minv: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """``(L - diag(0, D) iota) diag(I, M^{-1}, I)``, written into ``out``
-    (core x ext) or a new array: one copy of L, whose momentum columns
-    ``_band_apply`` weights in place."""
+    """``(L - diag(0, D) iota) diag(I, M^{-1}, I)`` for the bands ``d`` of
+    D and ``minv`` of M^{-1}, written into ``out`` (core x ext) or a new
+    array: L's entries scattered into zeros (+ 0.0 as in
+    ``_mass_weighted``), D's diagonals subtracted (every other entry of D
+    is +0.0) and the momentum columns weighted in place by
+    ``_band_apply``."""
     n1, momentum = op.core_blocks[0], slice(op.core_blocks[0], op.core.dim)
-    action = np.add(op.L, 0.0, out=out)   # as in _mass_weighted
-    action[n1:, momentum] -= D.matrix
+    action = np.empty((op.core.dim, op.ext_dim)) if out is None else out
+    action.fill(0.0)
+    L = op.L
+    action[np.repeat(np.arange(len(action)), np.diff(L.indptr)),
+           L.indices] = L.data + 0.0
+    inside, rows, cols = _band_entries(len(d), d.shape[1] // 2)
+    action[n1 + rows, n1 + cols] -= d[inside]
     columns = action[:, momentum]
     _band_apply(columns, minv, out=columns)
     return action
@@ -285,6 +303,7 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
     if not param.is_contraction:
         raise NotAContraction(param.dual_norm)
     minv, state_space = _prepare_weights(op, M, D)
+    d = _band(D.matrix, _bandwidth(D.matrix))
     a, b = _weighted_traces(op, minv)
     pmat = param.matrix
     m = op.n_boundary
@@ -295,9 +314,9 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
     else:
         g = 0.5 * ((eye - pmat) @ a + (eye + pmat) @ b)
         k = 0.5 * ((eye + pmat) @ a + (eye - pmat) @ b)
-    for x in (g, k, minv):   # built here: frozen, not copied
+    for x in (g, k, minv, d):   # built here: frozen, not copied
         x.setflags(write=False)
-    return BoundaryNode(op=op, flavor=flavor, P=param, D=D,
+    return BoundaryNode(op=op, flavor=flavor, P=param, D=d,
                         G_map=g, K_map=k, state_space=state_space,
                         M_inv=minv)
 

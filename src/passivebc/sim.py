@@ -29,6 +29,7 @@ before it steps the next; :func:`simulate` joins the blocks.
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from contextlib import contextmanager
@@ -65,6 +66,8 @@ INIT_RTOL = 1e-10
 GRID_RTOL = 1e-9        # allowed |n dt - t_final| relative to t_final
 SINGULARITY_RTOL = 1e-13
 LEDGER_CHUNK = 256      # steps per block of a run and its ledger
+
+_log = logging.getLogger("passivebc")
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,10 @@ class StepSolver:
     block of steps in place through LAPACK ``getrs``, fetched once; ``step``
     is ``advance`` on a two-row buffer.  The solver holds no scratch
     buffers and each ``advance`` steps on its own copy of the pivots, so
-    one instance may serve several threads.
+    one instance may serve several threads.  ``pivot_ratio`` keeps the
+    factor's ``min |U_ii| / max |U_ii|``, the margin of the singularity
+    gate; each factor logs it at DEBUG on the ``passivebc`` logger, with
+    ext_dim and the bytes the solver holds.
     """
 
     def __init__(self, node: BoundaryNode, dt: float):
@@ -180,15 +186,22 @@ class StepSolver:
         for matrix in (ahead, behind):
             matrix[diag, diag] += 1.0
         self._behind = behind
-        self._lu = self._factor(ahead)
+        self._lu, self.pivot_ratio = self._factor(ahead)
         self._getrs, = scipy.linalg.get_lapack_funcs(("getrs",),
                                                      (self._lu[0],))
         self._ncore = ncore
+        _log.debug("step factor: ext_dim %d, %d bytes held, pivot ratio "
+                   "%.3e", ext, behind.nbytes + sum(
+                       x.nbytes for x in self._lu), self.pivot_ratio)
 
     @staticmethod
     def _factor(matrix: np.ndarray):
-        """LU factors of ``matrix``, computed in its own storage."""
-        if not np.isfinite(matrix).all():
+        """LU factors of ``matrix``, computed in its own storage, and the
+        pivot ratio ``min |U_ii| / max |U_ii|`` that the singularity gate
+        holds to ``SINGULARITY_RTOL``."""
+        # min and max carry NaN and +/-inf through; no mask is formed
+        if not np.isfinite([matrix.min(initial=0.0),
+                            matrix.max(initial=0.0)]).all():
             raise NonFiniteValue("midpoint step matrix iota -/+ dt L_eff/2 "
                                  "leaves the floating-point range")
         try:
@@ -200,11 +213,12 @@ class StepSolver:
         except scipy.linalg.LinAlgError as exc:
             raise SingularStepMatrix(str(exc)) from exc
         diag = np.abs(np.diag(lu[0]))
+        ratio = float(diag.min() / max(diag.max(), 1e-300))
         if diag.max() == 0.0 or diag.min() <= SINGULARITY_RTOL * diag.max():
             raise SingularStepMatrix(
                 "midpoint step matrix is numerically singular "
-                f"(pivot ratio {diag.min() / max(diag.max(), 1e-300):.3e})")
-        return lu
+                f"(pivot ratio {ratio:.3e})")
+        return lu, ratio
 
     def advance(self, states: np.ndarray, inputs: np.ndarray) -> None:
         """Fill ``states[1:]`` in place: row k + 1 is the step from row k

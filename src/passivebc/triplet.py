@@ -32,6 +32,14 @@ kept as ``BoundaryOperator.residual``).  The strain-momentum form
 ``Y (+) X`` with ``W = blockdiag(W_Y, W_X)``.  Both go through ``_realize``:
 the lift feeds ``(to_y, velocity) = (A, I)``, i.e. ``[A z1; tau]`` to B_ext
 and ``z1' = z2``, the strain-momentum form ``(I, A)``.
+
+The action is stored sparse: ``BoundaryOperator.L`` is a canonical
+read-only CSR array, which ``_realize`` assembles from its blocks, so no
+dense core x ext array is formed, and ``green_residual`` reads as it is.
+The traces ``Gamma0``/``Gamma1`` (m rows each) stay dense.  A dense L is
+built only when read: by ``skew_on_minimal``, by
+``extension.GeneratorRealization.A_main`` and by the node's ``L_eff`` and
+step matrices (``node._effective_action``).
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csr_array, eye_array
+from scipy.sparse import block_array, csr_array, eye_array
 
 from .errors import (
     DegenerateCoreProjection,
@@ -116,20 +124,23 @@ class BoundaryOperator:
 
     ``core`` carries the energy Gram W_Z of the leading extended
     coordinates as the direct sum of its (z1, z2) blocks, ``L`` is the
-    action and ``Gamma0``/``Gamma1`` map into the boundary space
-    ``bspace`` and its covariant dual.  ``core_blocks``, the dimensions of
-    the two blocks, which the mass weighting keeps apart, is read from the
-    core and ``ext_dim`` from L.  Raises ``ShapeMismatch`` unless ``core``
-    is a ``direct_sum`` of two spaces.
+    action, stored as a canonical read-only CSR array of the L given
+    (``_frozen_csr``), and ``Gamma0``/``Gamma1`` map into the boundary
+    space ``bspace`` and its covariant dual.
+    ``core_blocks``, the dimensions of the two blocks, which the mass
+    weighting keeps apart, is read from the core and ``ext_dim`` from L.
+    Raises ``ShapeMismatch`` unless ``core`` is a ``direct_sum`` of two
+    spaces.
     """
 
     core: HilbertSpaceSpec
-    L: np.ndarray
+    L: csr_array
     Gamma0: np.ndarray
     Gamma1: np.ndarray
     bspace: HilbertSpaceSpec
 
     def __post_init__(self):
+        object.__setattr__(self, "L", _frozen_csr(self.L))
         if len(self.core.blocks) != 2:
             raise ShapeMismatch(f"core {self.core.label!r} has "
                                 f"{len(self.core.blocks)} direct-sum blocks; "
@@ -249,13 +260,8 @@ def _realize(dp: DualPairTriplet, first: HilbertSpaceSpec,
     ext_dim = core_dim + nb
     m1, m = dp.G1.dim, bspace.dim
 
-    L = np.zeros((core_dim, ext_dim))
     gamma0 = np.zeros((m, ext_dim))
     gamma1 = np.zeros((m, ext_dim))
-    if velocity is None:
-        np.fill_diagonal(L[:n1, n1:core_dim], 1.0)
-    else:
-        L[:n1, n1:core_dim] = velocity
     gamma0[:m1, n1:core_dim] = dp.Lambda1
     gamma1[m1:, n1:core_dim] = dp.Lambda2
     # A map M on Y~ = (y, tau) acts on (v, z2, tau) as M S for the selection
@@ -264,22 +270,35 @@ def _realize(dp: DualPairTriplet, first: HilbertSpaceSpec,
     # whose sums depend on the shape of S, so a one-row M takes the dense S
     # (for to_y = I each sum has one term: M_y + 0.0 has the bits of M S).
     # These dense products stay: L_eff and the port maps carry their bits.
-    for rows, on_y_ext in ((L[n1:], dp.B_ext.matrix), (gamma0[m1:], dp.Pi2),
-                           (gamma1[:m1], -dp.Pi1)):
+    def selected(on_y_ext):
+        """The column blocks (v, z2, tau) of M S, None for the z2 block
+        where it is not formed (it is zero)."""
         if to_y is not None and on_y_ext.shape[0] == 1:
-            rows[:] = on_y_ext @ scipy.linalg.block_diag(
+            row = on_y_ext @ scipy.linalg.block_diag(
                 to_y, np.zeros((0, nx)), np.eye(nb))
-            continue
+            return row[:, :n1], row[:, n1:core_dim], row[:, core_dim:]
         on_y = on_y_ext[:, :dim_y]
-        rows[:, :n1] = on_y + 0.0 if to_y is None else on_y @ to_y
-        rows[:, core_dim:] = on_y_ext[:, dim_y:] + 0.0
+        return (on_y + 0.0 if to_y is None else on_y @ to_y, None,
+                on_y_ext[:, dim_y:] + 0.0)
+
+    for rows, on_y_ext in ((gamma0[m1:], dp.Pi2), (gamma1[:m1], -dp.Pi1)):
+        v, z2, tau = selected(on_y_ext)
+        rows[:, :n1], rows[:, core_dim:] = v, tau
+        if z2 is not None:
+            rows[:, n1:core_dim] = z2
+    # L = [[0, velocity, 0], B_ext S] from its blocks, so no dense core x
+    # ext array is formed; BoundaryOperator keeps the entries of csr_array
+    # of the dense L (a zero of either sign is no entry of it)
+    v, _, tau = selected(dp.B_ext.matrix)
+    L = block_array([[None, eye_array(n1, nx) if velocity is None
+                      else velocity, None], [v, None, tau]], format="csr")
+    for x in (gamma0, gamma1):
+        x.setflags(write=False)
 
     if m > 0 and np.linalg.matrix_rank(np.vstack([gamma0, gamma1])) < 2 * m:
         raise TraceNotSurjective(f"{where}: traces [Gamma0; Gamma1] are "
                                  "rank deficient")
 
-    for x in (L, gamma0, gamma1):
-        x.setflags(write=False)
     op = BoundaryOperator(core=core, L=L, Gamma0=gamma0, Gamma1=gamma1,
                           bspace=bspace)
     if not op.residual <= GREEN_TOL:
@@ -302,6 +321,18 @@ def strain_momentum(dp: DualPairTriplet) -> BoundaryOperator:
     """Strain-momentum realization on ``(w1, w2, tau)`` over ``Y (+) X``:
     B_ext and the Pi traces read ``[w1; tau]``, and ``w1' = A w2``."""
     return _realize(dp, dp.A.codomain, None, dp.A.matrix, "jet target")
+
+
+def _frozen_csr(a) -> csr_array:
+    """A new canonical (sorted, summed) float64 CSR array of ``a`` without
+    stored zeros, whose arrays are read-only: the entries of ``csr_array``
+    of the dense array of ``a``."""
+    a = csr_array(a, dtype=float, copy=True)
+    a.eliminate_zeros()
+    a.sum_duplicates()
+    for x in (a.data, a.indices, a.indptr):
+        x.setflags(write=False)
+    return a
 
 
 def _gram_csr(space: HilbertSpaceSpec) -> csr_array:
@@ -327,7 +358,7 @@ def green_residual(op: BoundaryOperator) -> float:
     Gamma0^T Gamma1 has rank m; W_Z is read from its band), so the cost
     grows with the nonzeros.
     """
-    wl = _gram_csr(op.core) @ csr_array(op.L)
+    wl = _gram_csr(op.core) @ op.L
     iota = eye_array(op.core.dim, op.ext_dim, format="csr")
     g0, g1 = csr_array(op.Gamma0), csr_array(op.Gamma1)
     defect = iota.T @ wl + wl.T @ iota - g1.T @ g0 - g0.T @ g1
@@ -355,7 +386,7 @@ def skew_on_minimal(op: BoundaryOperator,
     in) may be supplied; ``ShapeMismatch`` unless it has the shape of
     ``op.L``.
     """
-    action = op.L if L is None else np.asarray(L, dtype=float)
+    action = op.L.toarray() if L is None else np.asarray(L, dtype=float)
     _expect_shape("action L", action, op.L.shape)
     v = minimal_domain(op)
     if v.shape[1] == 0:

@@ -1,12 +1,13 @@
 """Named property suites driven by a scenario (used by the CLI).
 
 Each check returns a number, the tolerance it is held to and the number's
-``kind``: "max residual", "angle bound" (radians) or "count" (of failed
-samples); a suite passes iff every check does.  The suites cover the Green
-identities (``green``), the contraction parameterization of dissipative
-restrictions (``extension``), the Cayley involution and the agreement of
-the two node flavors (``cayley``), and the strain-momentum transport
-(``jet``).
+``kind``: "max residual", "relative residual" (a largest gap divided by
+the largest entry of the maps compared, when it exceeds 1), "angle bound"
+(radians) or "count" (of failed samples); a suite passes iff every check
+does.  The suites cover the Green identities (``green``), the contraction
+parameterization of dissipative restrictions (``extension``), the Cayley
+involution and the agreement of the two node flavors (``cayley``), and
+the strain-momentum transport (``jet``).
 """
 
 from __future__ import annotations
@@ -119,12 +120,21 @@ def _cayley_checks(sc: Scenario, sys) -> list[CheckResult]:
     imp = node_mod.impedance_node(sys.op_A, sc.P, sys.M_map, sys.D_map)
     once = node_mod.external_cayley(scat, 1.0)
     twice = node_mod.external_cayley(once, 1.0)
-    invol = max(np.abs(twice.G_map - scat.G_map).max(),
-                np.abs(twice.K_map - scat.K_map).max())
-    agree = max(np.abs(once.G_map - imp.G_map).max(),
-                np.abs(once.K_map - imp.K_map).max())
-    return [CheckResult("cayley_involution", float(invol), 1e-14),
-            CheckResult("cayley_matches_impedance", float(agree), 1e-14)]
+    return [CheckResult(name, _relative_gap(got, want), 1e-14,
+                        "relative residual")
+            for name, got, want in (("cayley_involution", twice, scat),
+                                    ("cayley_matches_impedance", once, imp))]
+
+
+def _relative_gap(got, want) -> float:
+    """Largest entry gap between the port maps of two nodes over max(1,
+    their largest |entry|), so the gap does not grow with the units the
+    maps are measured in."""
+    maps = (got.G_map, got.K_map, want.G_map, want.K_map)
+    scale = max(1.0, *(np.abs(m).max(initial=0.0) for m in maps))
+    gap = max(np.abs(g - w).max(initial=0.0)
+              for g, w in zip(maps[:2], maps[2:]))
+    return float(gap / scale)
 
 
 def _jet_checks(sys, rng: np.random.Generator) -> list[CheckResult]:

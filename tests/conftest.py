@@ -79,7 +79,7 @@ def is_dual_unitary(P, boundary_space: HilbertSpaceSpec,
 
 def energy_preserving(node) -> bool:
     """No damping (sym(W D) = 0) and a dual-unitary P."""
-    wd = node.D.domain.gram @ node.D.matrix
+    wd = node.op.core.blocks[1].gram @ _dense(node.D)
     no_damping = _norm(wd + wd.T) <= 1e-10 * (1.0 + _norm(wd))
     return no_damping and is_dual_unitary(node.P.matrix, node.op.bspace)
 

@@ -146,12 +146,12 @@ def mass_weighted(x: np.ndarray, op, minv: np.ndarray) -> np.ndarray:
     return out
 
 
-def effective_action(op, D: LinearMap, minv: np.ndarray, out=None):
+def effective_action(op, d: np.ndarray, minv: np.ndarray, out=None):
     """``(L - diag(0, D) iota) diag(I, M^{-1}, I)`` into ``out`` or a new
-    array, its momentum columns times the dense M^{-1} of the band
-    ``minv`` by a GEMM."""
+    array from the dense L and the dense D of the band ``d``, its momentum
+    columns times the dense M^{-1} of the band ``minv`` by a GEMM."""
     n1, momentum = op.core_blocks[0], slice(op.core_blocks[0], op.core.dim)
-    action = np.add(op.L, 0.0, out=out)
-    action[n1:, momentum] -= D.matrix
+    action = np.add(op.L.toarray(), 0.0, out=out)
+    action[n1:, momentum] -= _dense(d)
     action[:, momentum] = action[:, momentum] @ _dense(minv)
     return action

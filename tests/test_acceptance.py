@@ -231,7 +231,7 @@ def test_c7_jet_equivalence():
         sys = assemble(coeffs)
         jt = sys.jet
         nd_a = impedance_node(sys.op_A, np.eye(2), sys.M_map, sys.D_map)
-        nd_b = _build_node(sys.op_strain, nd_a.P, sys.M_map, nd_a.D,
+        nd_b = _build_node(sys.op_strain, nd_a.P, sys.M_map, sys.D_map,
                            nd_a.flavor)
         z0 = initial_state(sys, init)
         ta = simulate(nd_a, z0, sig, 0.5, 1e-3)

@@ -147,7 +147,8 @@ class TestExitCodes:
         *lines, summary = capsys.readouterr().out.splitlines()
         kinds = {}
         for line in lines:
-            found = re.fullmatch(r"PASS (\w+): (max residual|angle bound) "
+            found = re.fullmatch(r"PASS (\w+): (max residual|relative residual"
+                                 r"|angle bound) "
                                  r"\S+e[-+]\d+ \(tol \S+e[-+]\d+\)|"
                                  r"PASS (\w+): count (\d+) \(tol (\d+)\)",
                                  line)
@@ -156,7 +157,9 @@ class TestExitCodes:
         assert kinds.pop("extension_neumann_domain") == "angle bound"
         assert kinds.pop("extension_dirichlet_domain") == "angle bound"
         assert kinds.pop("extension_expansive_not_dissipative") == "count"
-        assert set(kinds.values()) == {"max residual"} and len(kinds) == 10
+        assert kinds.pop("cayley_involution") == "relative residual"
+        assert kinds.pop("cayley_matches_impedance") == "relative residual"
+        assert set(kinds.values()) == {"max residual"} and len(kinds) == 8
         assert summary == "suite 'all': all 13 checks passed"
 
     def test_corrupted_trace_fails_named(self, tmp_path, capsys,

@@ -20,7 +20,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passivebc.hilbert import LinearMap, contraction_norm
+from passivebc.hilbert import LinearMap, _dense, contraction_norm
 from passivebc.jet import pull_state, ran_A_defect
 from passivebc.node import (
     _mass_weighted,
@@ -86,7 +86,7 @@ def dense_node_formulas(nd, z):
     op, w = nd.op, dense_mass_weight(nd)
     n1, core = op.core_blocks[0], op.core.dim
     damping_rows = np.zeros((core, op.ext_dim))
-    damping_rows[n1:, n1:core] = nd.D.matrix
+    damping_rows[n1:, n1:core] = _dense(nd.D)
     a, b = op.bspace.gram @ op.Gamma0 @ w, op.Gamma1 @ w
     p, eye = nd.P.matrix, np.eye(op.n_boundary)
     if nd.flavor == "scattering":
@@ -94,8 +94,9 @@ def dense_node_formulas(nd, z):
     else:
         g = 0.5 * ((eye - p) @ a + (eye + p) @ b)
         k = 0.5 * ((eye + p) @ a + (eye - p) @ b)
-    power = row_forms(z @ w[n1:core].T, nd.D.matrix.T @ nd.D.domain.gram)
-    return (op.L - damping_rows) @ w, g, k, power
+    power = row_forms(z @ w[n1:core].T,
+                      _dense(nd.D).T @ op.core.blocks[1].gram)
+    return (op.L.toarray() - damping_rows) @ w, g, k, power
 
 
 def sliced_node_formulas(nd, z):
@@ -134,7 +135,8 @@ def test_node_and_step_matrices_equal_dense_iota_formulas(n, seed, jet, dt):
     damping_rows = np.zeros((op.core.dim, op.ext_dim))
     damping_rows[n1:, :] = sys.D_map.matrix @ proj[n1:, :]
     assert same_bytes(nd.L_eff,
-                      (op.L - damping_rows) @ dense_mass_weight(nd))
+                      (op.L.toarray() - damping_rows)
+                      @ dense_mass_weight(nd))
     solver = StepSolver(nd, dt)
     lu, piv = scipy.linalg.lu_factor(np.vstack(
         [proj - 0.5 * dt * nd.L_eff, nd.G_map]))

@@ -137,7 +137,7 @@ class TestGeneratorFromContraction:
         op = sys.op_A
         # fold the damping into the action the way nodes do
         import dataclasses
-        folded = op.L.copy()
+        folded = op.L.toarray()
         folded[7:, :] -= sys.D_map.matrix @ iota(op)[7:, :]
         damped = dataclasses.replace(op, L=folded)
         for _ in range(5):
@@ -171,7 +171,7 @@ class TestGeneratorFromContraction:
         mix = rng.standard_normal((basis.shape[1], basis.shape[1]))
         mix += 3.0 * np.eye(basis.shape[1])
         alt = basis @ mix
-        a_alt = np.linalg.solve((iota(op) @ alt).T, (op.L @ alt).T).T
+        a_alt = np.linalg.solve((iota(op) @ alt).T, (op.L.toarray() @ alt).T).T
         scale = 1.0 + np.linalg.norm(g.A_main)
         assert np.abs(a_alt - g.A_main).max() <= 1e-12 * scale
 
@@ -247,7 +247,7 @@ def folded_damping(sys, op=None):
     into its action."""
     op = sys.op_A if op is None else op
     nx = op.core_blocks[0]
-    folded = op.L.copy()
+    folded = op.L.toarray()
     folded[nx:, :] -= sys.D_map.matrix @ iota(op)[nx:, :]
     return dataclasses.replace(op, L=folded)
 

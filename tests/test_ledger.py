@@ -38,7 +38,7 @@ def ledger_oracle(nd):
     n1, core = op.core_blocks[0], op.core.dim
     w = nd.state_space.gram
     w_p, w_k = w[:n1, :n1], w[n1:, n1:]
-    damping = nd.D.matrix.T @ nd.D.domain.gram
+    damping = _dense(nd.D).T @ op.core.blocks[1].gram
     mass = dense_mass_weight(nd)
     a, b = op.bspace.gram @ op.Gamma0 @ mass, op.Gamma1 @ mass
     trace_gap = a - b
@@ -205,7 +205,7 @@ def test_mass_inverse_is_transposed_once_per_node(monkeypatch):
                         lambda band: transposed.append(band) or real(band))
     z = np.random.default_rng(5).standard_normal((3, 5, nd.op.ext_dim))
     powers = [nd.dissipated_power(block) for block in z]
-    assert len(transposed) == 1
+    assert [band is nd.M_inv for band in transposed].count(True) == 1
     assert nd._ledger_factors[2].tobytes() == real(nd.M_inv).tobytes()
     assert all(p.shape == (5,) and (p > 0.0).all() for p in powers)
 

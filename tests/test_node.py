@@ -361,7 +361,8 @@ class TestLazySetUp:
         assert calls == {"_build_node": 1}
         assert nd.op is sys.op_strain and nd.flavor == flavor
         src = scenario.build_flavor_node(sc, sys, sys.op_A)
-        ref = node_mod._build_node(sys.op_strain, src.P, sys.M_map, src.D,
+        ref = node_mod._build_node(sys.op_strain, src.P, sys.M_map,
+                                   sys.D_map,
                                    src.flavor)
         for got, want in ((nd.G_map, ref.G_map), (nd.K_map, ref.K_map),
                           (nd.L_eff, ref.L_eff),
@@ -513,7 +514,7 @@ class TestAlgebraicInvariants:
         nd = impedance_node(sys.op_A, np.eye(2), sys.M_map, sys.D_map)
         op = sys.op_A
         w = dense_mass_weight(nd)
-        l_m = op.L @ w
+        l_m = op.L.toarray() @ w
         g0 = op.Gamma0 @ w
         g1 = op.Gamma1 @ w
         wl = nd.state_space.gram @ l_m

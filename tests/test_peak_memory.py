@@ -66,11 +66,12 @@ def _damped_node(N, rng, build=impedance_node):
 
 
 @pytest.mark.parametrize("dt", [DT, -DT])
-def test_step_solver_allocates_its_two_matrices_and_one_mask(dt, rng):
-    # behind and ahead, ext x ext doubles each, and _factor's finiteness
-    # mask of ahead, ext x ext bools; no copy of L_eff or of its momentum
-    # columns
-    nd = _damped_node(128, rng)
+def test_step_solver_allocates_its_two_matrices(dt, rng):
+    # behind and ahead, ext x ext doubles each, and one NumPy ufunc buffer
+    # (np.getbufsize() doubles) for the copy of the C-ordered h into the
+    # Fortran-ordered ahead: no copy of L_eff or of its momentum columns,
+    # and no finiteness mask of ahead in _factor
+    nd = _damped_node(256, rng)     # a mask of ahead would exceed 1 %
     assert nd.M_inv.shape[1] == 1   # a diagonal mass, scaled in place
     StepSolver(nd, dt)              # LAPACK lookup and first-call caches
     ext = nd.op.ext_dim
@@ -82,7 +83,7 @@ def test_step_solver_allocates_its_two_matrices_and_one_mask(dt, rng):
     finally:
         tracemalloc.stop()
     assert solver._behind.shape == (ext, ext)
-    assert peak <= 1.01 * (2 * 8 * ext * ext + ext * ext)
+    assert peak <= 1.01 * (2 * 8 * ext * ext) + 8 * np.getbufsize()
 
 
 def test_effective_action_scales_the_momentum_columns_in_place(rng):

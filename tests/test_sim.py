@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 import re
 
@@ -21,7 +22,7 @@ from passivebc.extension import (
     dissipativity_residual,
     generator_from_contraction,
 )
-from passivebc.hilbert import ContractionParam, contraction_norm
+from passivebc.hilbert import ContractionParam, _dense, contraction_norm
 from passivebc.jet import push_state
 from passivebc.node import impedance_node, scattering_node
 from passivebc.scenario import (
@@ -192,6 +193,27 @@ class TestStepMidpoint:
     def test_infinite_step_fails_finiteness_gate(self, dt):
         with pytest.raises(NonFiniteValue, match="midpoint step matrix"):
             StepSolver(neumann_node(wave_system(4)), dt)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_each_non_finite_entry_fails_finiteness_gate(self, bad):
+        matrix = np.asfortranarray(np.eye(4))
+        matrix[2, 1] = bad
+        with pytest.raises(NonFiniteValue, match="midpoint step matrix"):
+            StepSolver._factor(matrix)
+
+    def test_each_factor_logs_its_size_and_pivot_ratio(self, rng, caplog):
+        nd = neumann_node(random_wave_system(16, rng))
+        with caplog.at_level(logging.DEBUG, logger="passivebc"):
+            solver = StepSolver(nd, 1e-3)
+        pivots = np.abs(np.diag(solver._lu[0]))
+        assert solver.pivot_ratio == pivots.min() / pivots.max()
+        assert 0.0 < solver.pivot_ratio <= 1.0
+        held = solver._behind.nbytes + sum(x.nbytes for x in solver._lu)
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG and record.name == "passivebc"
+        assert record.getMessage() == (
+            f"step factor: ext_dim {nd.op.ext_dim}, {held} bytes held, "
+            f"pivot ratio {solver.pivot_ratio:.3e}")
 
 
 class TestSimulate:
@@ -553,7 +575,8 @@ def oracle_run(node, z_core0, signal, t_final, dt):
         else:
             supplied[i] = 0.5 * (float(u @ wd @ u) - float(y @ wd @ y))
         v = weight[n1:n1 + n2] @ z_mid
-        dissipated[i] = float((node.D.matrix @ v) @ node.D.domain.gram @ v)
+        dissipated[i] = float((_dense(node.D) @ v)
+                             @ node.op.core.blocks[1].gram @ v)
         r = gap @ z_mid
         pr = node.P.matrix @ r
         slack[i] = dt * (0.5 * float(r @ wd @ r - pr @ wd @ pr))

@@ -154,8 +154,8 @@ class TestLift:
         for _ in range(25):
             f = rng.standard_normal(op.ext_dim)
             g = rng.standard_normal(op.ext_dim)
-            lhs = float((iota(op) @ f) @ w @ (op.L @ g)) \
-                + float((op.L @ f) @ w @ (iota(op) @ g))
+            lhs = float((iota(op) @ f) @ w @ (op.L.toarray() @ g)) \
+                + float((op.L.toarray() @ f) @ w @ (iota(op) @ g))
             rhs = float((op.Gamma1 @ f) @ (op.Gamma0 @ g)) \
                 + float((op.Gamma0 @ f) @ (op.Gamma1 @ g))
             scale = 1.0 + np.linalg.norm(f) * np.linalg.norm(g)
@@ -177,7 +177,7 @@ class TestLift:
 
 def dense_green_residual(op):
     """Operator Green defect in dense algebra: the reference formula."""
-    wl = op.core.gram @ op.L
+    wl = op.core.gram @ op.L.toarray()
     defect = (iota(op).T @ wl + wl.T @ iota(op)
               - op.Gamma1.T @ op.Gamma0 - op.Gamma0.T @ op.Gamma1)
     return np.linalg.norm(defect) / (1.0 + np.linalg.norm(wl))
@@ -227,7 +227,8 @@ class TestStructuredGates:
                     op, Gamma0=op.Gamma0 + 1e-6 * rng.standard_normal(
                         op.Gamma0.shape)),
                 dataclasses.replace(
-                    op, L=op.L + 1e-9 * rng.standard_normal(op.L.shape)),
+                    op, L=op.L.toarray()
+                    + 1e-9 * rng.standard_normal(op.L.shape)),
             ]
             for bad in corrupted:
                 res = green_residual(bad)
@@ -338,7 +339,7 @@ def jet_recipe(dp):
 
 def assert_realizes(op, recipe):
     proj, L, g0, g1, gram, blocks, label = recipe
-    for got, want in ((iota(op), proj), (op.L, L), (op.Gamma0, g0),
+    for got, want in ((iota(op), proj), (op.L.toarray(), L), (op.Gamma0, g0),
                       (op.Gamma1, g1), (op.core.gram, gram)):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -421,7 +422,7 @@ class TestSkewOnMinimal:
         sys = wave_system(8, b=0.5)
         op = sys.op_A
         nx = 9
-        folded = op.L.copy()
+        folded = op.L.toarray()
         folded[nx:, :] -= sys.D_map.matrix @ iota(op)[nx:, :]
         defect = skew_on_minimal(op, L=folded)
         assert defect > 1e-3
@@ -434,7 +435,7 @@ class TestSkewOnMinimal:
     def test_eigenvalues_within_roundoff(self):
         op = wave_system(8).op_A
         v = minimal_domain(op)
-        sym = v.T @ iota(op).T @ op.core.gram @ op.L @ v
+        sym = v.T @ iota(op).T @ op.core.gram @ op.L.toarray() @ v
         eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
         assert np.abs(eigs).max() <= 1e-12
 
@@ -525,4 +526,4 @@ def test_a_two_block_pair_refuses_a_non_finite_second_trace(name, rng):
 def test_skew_on_minimal_refuses_an_action_of_the_wrong_shape():
     op = wave_system(4).op_A
     with pytest.raises(ShapeMismatch, match="action L"):
-        skew_on_minimal(op, op.L[:, :-1])
+        skew_on_minimal(op, op.L.toarray()[:, :-1])
