@@ -68,8 +68,10 @@ def _write_csv_atomic(path: str, header: tuple[str, ...], table) -> int:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for block in table:
-                rows = np.atleast_2d(np.asarray(block, dtype=float)).tolist()
-                fh.write("".join([row % tuple(values) for values in rows]))
+                rows = np.atleast_2d(np.asarray(block, dtype=float))
+                # one % per block, the row format repeated: the bytes of
+                # formatting row by row
+                fh.write((row * len(rows)) % tuple(rows.ravel().tolist()))
                 count += len(rows)
         os.replace(tmp, target)
     except BaseException:

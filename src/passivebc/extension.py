@@ -65,7 +65,7 @@ class GeneratorRealization:
     contraction P, held by its kernel coordinates X (nb x core, read-only).
 
     ``A_main`` and ``domain_basis`` are built from X on each read, as
-    ``HilbertSpaceSpec.gram`` is from its band: a new read-only array every
+    ``HilbertSpaceSpec.gram`` is from its CSR: a new read-only array every
     time, for checks and tests, not for a loop.
     """
 

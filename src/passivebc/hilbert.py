@@ -10,25 +10,27 @@ identity downstream becomes a plain matrix identity.
 All values are immutable after construction (arrays are frozen), so they can
 be shared freely between threads.
 
-A space holds its Gram by its band, the ``(dim, 2b + 1)`` array of its
-diagonals -b..b, and set-up gates read that band (``make_space``,
-``check_dissipative``, the Green gates in ``triplet``, the mass gate in
-``node``).  Set-up code that knows a Gram's band passes it to
-``_space_from_band``, which runs ``make_space``'s gates on it, so no dense
-Gram is formed.
-``_band_apply`` is the one band-times-matrix kernel: it adds the 2b + 1
-diagonal products of any band, so a product's rows are formed apart, and
-a diagonal one (the wave model's W_X, W_Y, mass, damping, M^{-1}) keeps
-the GEMM's bits.  ``_band_solve`` and ``_extreme_eigenvalues`` hand a
-band that is not diagonal to LAPACK's band routines, so no product of a
-Gram makes it dense; ``HilbertSpaceSpec.gram`` builds the dense matrix
-afresh on each read.
-``inner`` and ``norm`` take a vector or a block of one vector per row and
-pair by ``_row_forms``, the one pairing kernel, which the ledger reads too.
+A space holds its Gram once, as a canonical read-only CSR array
+(``HilbertSpaceSpec.gram_csr``, frozen by ``_frozen_csr``: sorted, summed,
+no stored zeros), and every product with a Gram is a sparse product:
+``x @ W`` in ``inner``/``norm`` and the ledger, ``scipy.sparse.block_diag``
+in ``direct_sum``, sparse factors in ``check_dissipative``, the Green gates
+of ``triplet`` and the node's mass and damping.  ``HilbertSpaceSpec.gram``
+builds the dense matrix afresh on each read.
+SciPy forms ``x @ W`` column by column of W, adding each stored entry's
+product to a zero start, so each row of a block is formed apart, and a
+diagonal Gram (the wave model's W_X, W_Y, mass, damping, M^{-1}) gives one
+product per entry, with the bits of the dense GEMM.  ``_times_csr`` hands
+the product on C-ordered: the GEMMs and ``einsum`` that read it sum in an
+order that follows their operands' layout, and a run's CSV carries those
+bits.  LAPACK's band routines read a Gram that is not diagonal through
+``_lower_band``: the eigenvalue bounds (``_extreme_eigenvalues``), the
+solve against W_X (``_gram_solve``) and the jet's Cholesky factor, so no
+product of a Gram makes it dense.
 A direct sum (``direct_sum``: X_h (+) X, Y (+) X, G1 (+) G2, Y (+) R^nb)
-holds the block-diagonal band of its summands and keeps the summands
-themselves in ``HilbertSpaceSpec.blocks``, so no module splits a band back
-into blocks or eigen-solves a Gram whose blocks were already validated.
+keeps its summands in ``HilbertSpaceSpec.blocks``, so no module splits a
+Gram back into blocks or eigen-solves a Gram whose blocks were already
+validated.
 The products of dense operators whose entries sum several terms stay
 GEMMs and keep their summation order, because a run's states and CSV carry
 their bits: the normal matrix ``(A^T W_Y) A`` (``LinearMap.normal_band``),
@@ -43,6 +45,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse import csr_array, eye_array
 
 from .errors import (
     NonFiniteValue,
@@ -83,20 +87,30 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
+def _frozen_csr(a) -> csr_array:
+    """A new canonical (sorted, summed) float64 CSR array of ``a`` without
+    stored zeros, whose arrays are read-only: the entries of ``csr_array``
+    of the dense array of ``a``."""
+    a = csr_array(a, dtype=float, copy=True)
+    a.eliminate_zeros()
+    a.sum_duplicates()
+    for x in (a.data, a.indices, a.indptr):
+        x.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class HilbertSpaceSpec:
     """A finite-dimensional real Hilbert space in fixed coordinates.
 
-    ``band`` holds the Gram's diagonals -b..b, ``band[i, b + k] = W[i, i +
-    k]`` (+0.0 where ``i + k`` leaves the matrix), read-only; every entry
-    of W outside them is +0.0.  ``make_space`` derives the half-width b,
-    ``bandwidth``, and stores the band it validated.  ``blocks`` holds the
-    summands of a ``direct_sum``, in order, and is empty for any other
-    space.
+    ``gram_csr`` holds the Gram W that ``make_space`` validated, as a
+    canonical read-only CSR array (``_frozen_csr``); every entry it does
+    not store is +0.0.  ``blocks`` holds the summands of a ``direct_sum``,
+    in order, and is empty for any other space.
     """
 
     dim: int
-    band: np.ndarray
+    gram_csr: csr_array
     label: str
     eig_min: float = field(compare=False, default=0.0)
     eig_max: float = field(compare=False, default=0.0)
@@ -104,14 +118,15 @@ class HilbertSpaceSpec:
 
     @property
     def bandwidth(self) -> int:
-        return self.band.shape[1] // 2
+        """Half-bandwidth b of the Gram: its largest ``|i - j|`` stored."""
+        return len(_lower_band(self.gram_csr)) - 1
 
     @property
     def gram(self) -> np.ndarray:
         """The dense Gram, a new read-only dim x dim array on every read:
         for set-up products and tests, not for a per-step or per-row
         loop."""
-        g = _dense(self.band)
+        g = self.gram_csr.toarray()
         g.setflags(write=False)
         return g
 
@@ -151,13 +166,15 @@ class LinearMap:
         return self.matrix @ x
 
     @cached_property
-    def normal_band(self) -> np.ndarray:
-        """Read-only band of ``A^T W A`` (W the codomain's Gram), formed once,
-        on first read, as ``sym((A^T W) A)``; the GEMM's bits reach the
-        lift's X_h and H, and the jet factors the same band."""
-        w = _band_apply(self.matrix.T, self.codomain.band) @ self.matrix
-        w = 0.5 * (w + w.T)
-        return _frozen(_band(w, _bandwidth(w)))
+    def normal_band(self) -> csr_array:
+        """``A^T W A`` (W the codomain's Gram) as a read-only CSR array,
+        formed once, on first read, as ``sym((A^T W) A)``; the GEMM's bits
+        reach the lift's X_h and H, and the jet factors the same matrix by
+        its band.  ``A^T W`` is a sparse product, made dense C-ordered for
+        the GEMM, so no other dense copy of A is formed."""
+        a_w = csr_array(self.matrix).T @ self.codomain.gram_csr
+        w = a_w.toarray(order="C") @ self.matrix
+        return _frozen_csr(0.5 * (w + w.T))
 
 
 @dataclass(frozen=True)
@@ -213,40 +230,30 @@ def make_space(dim: int, gram, label: str) -> HilbertSpaceSpec:
     ``NonFiniteValue`` if it holds NaN or infinity, ``NonSymmetricGram`` if
     it is asymmetric beyond a relative tolerance of 1e-12 and
     ``NonPositiveGram`` (reporting the smallest and the largest eigenvalue)
-    unless the smallest exceeds 1e-12 times the largest.  The Gram is read
-    once in full, for its half-bandwidth b (``_bandwidth``); every gate
-    then reads its 2b + 1 diagonals (``_space_from_band``), and the bounds
-    come from their structure (see ``_extreme_eigenvalues``).  The space
-    stores the band of ``0.5 * g + 0.5 * g.T``, and no dense copy.
+    unless the smallest exceeds 1e-12 times the largest.  The Gram is a
+    dense array or a SciPy sparse one; every gate reads its stored entries,
+    and the bounds come from its band (see ``_extreme_eigenvalues``), so a
+    sparse Gram is never made dense.  The space stores the CSR array of
+    ``0.5 * g + 0.5 * g.T``.
     """
-    g = np.asarray(gram, dtype=float)
+    g = gram if scipy.sparse.issparse(gram) else np.asarray(gram,
+                                                            dtype=float)
     _expect_shape(f"gram of space {label!r}", g, (dim, dim))
-    return _space_from_band(_band(g, _bandwidth(g)), label)
-
-
-def _space_from_band(band: np.ndarray, label: str) -> HilbertSpaceSpec:
-    """``make_space`` for the Gram whose diagonals -b..b are ``band`` (+0.0
-    in the slots outside the matrix and off the band): the same gates,
-    errors and stored bytes, with no dense Gram formed.  Diagonals of
-    +0.0 bits at the band's edges are dropped first, so the space holds
-    the band ``make_space`` would find."""
-    band = np.asarray(band, dtype=float)
-    if len(band) == 0:
-        return HilbertSpaceSpec(0, _frozen(np.zeros((0, 1))), label)
-    band = _trimmed(band)
-    _require_finite(**{f"gram of space {label!r}": band})
-    scale = _norm(band)
+    g = _frozen_csr(g)
+    if dim == 0:
+        return HilbertSpaceSpec(0, g, label)
+    _require_finite(**{f"gram of space {label!r}": g.data})
+    scale = _norm(g.data)
     if scale == 0.0:
         raise NonPositiveGram(label, 0.0, 0.0, SPD_RTOL)
-    band_t = _band_transpose(band)
-    if _norm(band - band_t) > SYM_RTOL * scale:
+    g_t = g.T.tocsr()
+    if _norm((g - g_t).data) > SYM_RTOL * scale:
         raise NonSymmetricGram(f"gram of space {label!r} is not symmetric")
-    band = 0.5 * band + 0.5 * band_t   # halves first: no overflow near the max
-    eig_min, eig_max = _extreme_eigenvalues(band)
+    g = _frozen_csr(0.5 * g + 0.5 * g_t)   # halves first: no overflow
+    eig_min, eig_max = _extreme_eigenvalues(g)
     if eig_min <= SPD_RTOL * abs(eig_max):
         raise NonPositiveGram(label, eig_min, eig_max, SPD_RTOL)
-    band.setflags(write=False)
-    return HilbertSpaceSpec(len(band), band, label, eig_min, eig_max)
+    return HilbertSpaceSpec(dim, g, label, eig_min, eig_max)
 
 
 def direct_sum(label: str, *spaces: HilbertSpaceSpec) -> HilbertSpaceSpec:
@@ -256,17 +263,18 @@ def direct_sum(label: str, *spaces: HilbertSpaceSpec) -> HilbertSpaceSpec:
     The summands are validated spaces, so only the relative gate runs
     again: ``NonPositiveGram`` (naming ``label``) unless the smallest of
     their eigenvalue bounds exceeds 1e-12 times the largest.  Those
-    extremes are the sum's bounds; no band is symmetrized, trimmed or
-    eigen-solved again.
+    extremes are the sum's bounds; no Gram is symmetrized or eigen-solved
+    again.
     """
-    band = _block_band(*(s.band for s in spaces))
-    band.setflags(write=False)
+    gram = _frozen_csr(scipy.sparse.block_diag(
+        [s.gram_csr for s in spaces], format="csr"))
     used = [s for s in spaces if s.dim]
     eig_min = min((s.eig_min for s in used), default=0.0)
     eig_max = max((s.eig_max for s in used), default=0.0)
     if used and eig_min <= SPD_RTOL * abs(eig_max):
         raise NonPositiveGram(label, eig_min, eig_max, SPD_RTOL)
-    return HilbertSpaceSpec(len(band), band, label, eig_min, eig_max, spaces)
+    return HilbertSpaceSpec(gram.shape[0], gram, label, eig_min, eig_max,
+                            spaces)
 
 
 def _norm(a: np.ndarray) -> float:
@@ -285,162 +293,67 @@ def _norm(a: np.ndarray) -> float:
     return float(scipy.linalg.blas.dnrm2(a)) if a.size else 0.0
 
 
-def _bandwidth(g: np.ndarray) -> int:
-    """Half-bandwidth of a square float matrix: the largest ``|i - j|``
-    over the entries whose bits are not all zero.
-
-    One pass over the bit patterns; only +0.0 has all-zero bits, so -0.0,
-    NaN and infinity all lie inside the band.
-    """
-    n = len(g)
-    if n == 0:
-        return 0
-    nonzero = g.view(np.uint64) != 0
-    rows = np.arange(n)
-    first = nonzero.argmax(axis=1)
-    last = n - 1 - nonzero[:, ::-1].argmax(axis=1)
-    used = nonzero[rows, first]
-    return int(np.maximum(rows - first, last - rows)[used].max(initial=0))
+def _times_csr(x: np.ndarray, g: csr_array) -> np.ndarray:
+    """``x @ g`` for a vector or a block of rows x, as a new C-ordered
+    array.  SciPy forms the product column by column of g, adding each
+    stored entry's product to a zero start, and hands back its transpose;
+    the copy matters because the GEMMs and ``einsum`` that read the
+    product sum in an order that follows their operands' layout."""
+    return np.ascontiguousarray(x @ g)
 
 
-def _band_entries(n: int, bandwidth: int):
-    """Slots of an ``(n, 2b + 1)`` band that lie inside an n x n matrix,
-    with the row and the column of each, ordered by row, then column."""
-    cols = np.arange(n)[:, None] + np.arange(-bandwidth, bandwidth + 1)
-    inside = (cols >= 0) & (cols < n)
-    rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
-    return inside, rows[inside], cols[inside]
+def _lower_band(g: csr_array) -> np.ndarray:
+    """LAPACK's lower band storage of a symmetric CSR array without
+    duplicate entries, ``lower[k, i] = g[i + k, i]``, of half-width the
+    largest ``i - j`` of a nonzero entry below the diagonal: the one band
+    form that ``eig_banded``, ``solveh_banded`` and ``cholesky_banded``
+    read."""
+    coo = g.tocoo()
+    below = (coo.row >= coo.col) & (coo.data != 0.0)
+    cols = coo.col[below]
+    offsets = coo.row[below] - cols
+    lower = np.zeros((int(offsets.max(initial=0)) + 1, g.shape[0]))
+    lower[offsets, cols] = coo.data[below]
+    return lower
 
 
-def _band(g: np.ndarray, bandwidth: int) -> np.ndarray:
-    """Diagonals -b..b of a square matrix: ``band[i, b + k] = g[i, i + k]``,
-    +0.0 where ``i + k`` leaves the matrix."""
-    inside, rows, cols = _band_entries(len(g), bandwidth)
-    band = np.zeros(inside.shape)
-    band[inside] = g[rows, cols]
-    return band
-
-
-def _dense(band: np.ndarray) -> np.ndarray:
-    """The square matrix of a band, +0.0 off it."""
-    n = len(band)
-    inside, rows, cols = _band_entries(n, band.shape[1] // 2)
-    g = np.zeros((n, n))
-    g[rows, cols] = band[inside]
-    return g
-
-
-def _trimmed(band: np.ndarray) -> np.ndarray:
-    """The band without its outer diagonals whose bits are all zero: the
-    band of half-width ``_bandwidth`` of its matrix, when the slots
-    outside the matrix hold +0.0."""
-    b = band.shape[1] // 2
-    used = np.flatnonzero((band.view(np.uint64) != 0).any(axis=0))
-    w = int(np.abs(used - b).max(initial=0))
-    return band[:, b - w:b + w + 1]
-
-
-def _block_band(*bands: np.ndarray) -> np.ndarray:
-    """Band of the block-diagonal matrix of the matrices of ``bands``."""
-    b = max(x.shape[1] // 2 for x in bands)
-    out = np.zeros((sum(len(x) for x in bands), 2 * b + 1))
-    row = 0
-    for x in bands:
-        n, k = len(x), x.shape[1] // 2
-        inside = _band_entries(n, k)[0]
-        out[row:row + n, b - k:b + k + 1] = np.where(inside, x, 0.0)
-        row += n
-    return out
-
-
-def _band_apply(x: np.ndarray, band: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """``x @ W`` for the square W of ``band`` and a finite x, into ``out``
-    (x itself too) or a new C-ordered array.
-
-    Adds the products of W's 2b + 1 diagonals, so each row of ``x @ W``
-    comes from that row alone; a diagonal W gives one product per entry,
-    which has the GEMM's bits, and ``+ 0.0`` turns -0.0 into +0.0 as the
-    GEMM's zero start does.
-    """
-    b = band.shape[1] // 2
-    if out is None:
-        out = np.empty(np.shape(x))
-    if b and np.may_share_memory(out, x):
-        x = x.copy()
-    np.multiply(x, band[:, b], out=out)
-    for k in range(1, b + 1):
-        # column i reads W[i + k, i], column i + k reads W[i, i + k]
-        out[..., :-k] += x[..., k:] * band[k:, b - k]
-        out[..., k:] += x[..., :-k] * band[:-k, b + k]
-    out += 0.0
-    return out
-
-
-def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``W^{-1} rhs`` for the SPD W of ``band`` and a 2-D rhs.
+def _gram_solve(space: HilbertSpaceSpec, rhs: np.ndarray) -> np.ndarray:
+    """``W^{-1} rhs`` for the Gram W of ``space`` and a 2-D rhs.
 
     A diagonal W is solved as LAPACK's triangular solve does, which
     divides by the pivot for a single right-hand side and multiplies by
     its reciprocal for several, so a positive diagonal and an rhs free of
-    -0.0 get the bits of ``np.linalg.solve``.  A wider band goes to
-    LAPACK's banded Cholesky solve (``solveh_banded``) on the lower band
-    storage that ``jet.build_jet`` factors.
+    -0.0 get the bits of ``np.linalg.solve``.  Any other W goes to
+    LAPACK's banded Cholesky solve (``solveh_banded``).
     """
-    b = band.shape[1] // 2
-    if b:
-        return scipy.linalg.solveh_banded(band[:, b:].T, rhs, lower=True)
+    lower = _lower_band(space.gram_csr)
+    if len(lower) > 1:
+        return scipy.linalg.solveh_banded(lower, rhs, lower=True)
+    diag = lower[0][:, None]
     if rhs.shape[1] == 1:
-        return rhs / band
-    return rhs * (1.0 / band)
+        return rhs / diag
+    return rhs * (1.0 / diag)
 
 
-def _band_transpose(band: np.ndarray) -> np.ndarray:
-    """Band of the transpose: ``g[i + k, i]`` in slot ``(i, b + k)``."""
-    b = band.shape[1] // 2
-    inside, rows, cols = _band_entries(len(band), b)
-    out = np.zeros_like(band)
-    out[inside] = band[cols, b + rows - cols]
-    return out
+def _extreme_eigenvalues(g: csr_array) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of a symmetric CSR array.
 
-
-def _band_product(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Band of the product of two square matrices given by their bands, in
-    one pass per diagonal of the left factor."""
-    n, p, q = len(a), a.shape[1] // 2, c.shape[1] // 2
-    shifted = np.zeros((n + 2 * p, 2 * q + 1))   # row p + i holds row i
-    shifted[p:p + n] = c
-    out = np.zeros((n, 2 * (p + q) + 1))
-    for k in range(2 * p + 1):
-        # a[i, k] = g_a[i, i + k - p] meets row i + k - p of the right one
-        out[:, k:k + 2 * q + 1] += a[:, k, None] * shifted[k:k + n]
-    return out
-
-
-def _extreme_eigenvalues(band: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a symmetric matrix from its band.
-
-    The route follows the diagonals that hold a nonzero value, as a scan of
-    the dense matrix would: a diagonal matrix gives its sorted diagonal;
-    any other band of half-width w goes to LAPACK's ``dsbevx``
-    (``eig_banded`` with ``select='i'``), whose band reduction costs about
-    6 n^2 w flops.  An empty band gives ``(0.0, 0.0)``, the bounds of a
-    zero-dimensional space.  Raises ``LinAlgError`` when the band holds
-    NaN or infinity.
+    A diagonal matrix gives its sorted diagonal; any other one of
+    half-width w goes to LAPACK's ``dsbevx`` (``eig_banded`` with
+    ``select='i'``) on its lower band storage, whose band reduction costs
+    about 6 n^2 w flops.  An empty matrix gives ``(0.0, 0.0)``, the
+    bounds of a zero-dimensional space.  Raises ``LinAlgError`` when it
+    holds NaN or infinity.
     """
-    if not np.isfinite(band).all():
+    if not np.isfinite(g.data).all():
         raise np.linalg.LinAlgError("eigenvalues of a matrix holding NaN or "
                                     "infinity")
-    n, b = len(band), band.shape[1] // 2
+    n = g.shape[0]
     if n == 0:
         return 0.0, 0.0
-    used = np.flatnonzero(band[:, b:].any(axis=0))
-    width = int(used[-1]) if used.size else 0
-    if width == 0:
-        diag = band[:, b]
-        return float(diag.min()), float(diag.max())
-    # LAPACK's lower band storage: lower[k, i] = g[i + k, i]
-    lower = np.ascontiguousarray(band[:, b:b + width + 1].T)
+    lower = _lower_band(g)
+    if len(lower) == 1:
+        return float(lower[0].min()), float(lower[0].max())
     lo, hi = (scipy.linalg.eig_banded(lower, lower=True, eigvals_only=True,
                                       select="i", select_range=(i, i))[0]
               for i in (0, n - 1))
@@ -448,7 +361,7 @@ def _extreme_eigenvalues(band: np.ndarray) -> tuple[float, float]:
 
 
 def euclidean_space(dim: int, label: str) -> HilbertSpaceSpec:
-    return make_space(dim, np.eye(dim), label)
+    return make_space(dim, eye_array(dim), label)
 
 
 def _rows(name: str, x, width: int, finite: bool = False) -> np.ndarray:
@@ -474,7 +387,7 @@ def inner(space: HilbertSpaceSpec, x, y) -> np.ndarray | float:
     x = _rows("x", x, space.dim)
     y = np.asarray(y, dtype=float)
     _expect_shape("y", y, x.shape)
-    return _row_forms(_band_apply(x, space.band), y)
+    return _row_forms(_times_csr(x, space.gram_csr), y)
 
 
 def norm(space: HilbertSpaceSpec, x) -> np.ndarray | float:
@@ -505,11 +418,11 @@ def check_dissipative(D: LinearMap) -> tuple[bool, float]:
 
     Returns ``(ok, lam)`` where ``lam`` is the smallest eigenvalue of the
     symmetric part of W D; ``ok`` is true iff ``lam >= -1e-10``, i.e.
-    ``Re<-Dx, x> <= 0`` for all x up to tolerance.  W D is formed from the
-    bands of its factors.
+    ``Re<-Dx, x> <= 0`` for all x up to tolerance.  W D is the product of
+    the sparse factors.
     """
     _expect_shape(f"map {D.domain.label!r} -> {D.codomain.label!r}",
                   D.matrix, (D.domain.dim, D.domain.dim))
-    wd = _band_product(D.domain.band, _band(D.matrix, _bandwidth(D.matrix)))
-    lam = _extreme_eigenvalues(0.5 * (wd + _band_transpose(wd)))[0]
+    wd = D.domain.gram_csr @ csr_array(D.matrix)
+    lam = _extreme_eigenvalues(0.5 * (wd + wd.T))[0]
     return lam >= -DISSIPATIVITY_TOL, lam

@@ -17,8 +17,9 @@ position-momentum one in new coordinates (``Xi_i (A z1, z2, tau) =
 Gamma_i (z1, z2, tau)`` as matrices); off ran A the operator extends
 naturally because ker A* is annihilated by B_ext.  Distance from ran A is
 an invariant of the transformed flow; it is measured, and states are
-pulled back, by one O(b n) solve with the normal matrix ``A^T W_Y A``,
-factored by band from ``LinearMap.normal_band``, which the lift reads too.
+pulled back, by one O(b n) solve with the normal matrix ``A^T W_Y A``
+(``LinearMap.normal_band``, which the lift reads too), factored by its
+band.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from .errors import RankDeficient
 from .hilbert import (
     RANK_RTOL,
     LinearMap,
-    _band_apply,
     _extreme_eigenvalues,
+    _lower_band,
     _rows,
+    _times_csr,
     norm,
 )
 
@@ -66,14 +68,13 @@ def build_jet(A: LinearMap) -> JetTransform:
     Raises ``RankDeficient`` when its smallest eigenvalue is at most
     ``RANK_RTOL`` times the largest, i.e. when A is not injective.
     """
-    band = A.normal_band
-    lo, hi = _extreme_eigenvalues(band)
+    normal = A.normal_band
+    lo, hi = _extreme_eigenvalues(normal)
     if lo <= RANK_RTOL * max(abs(hi), 1e-300):
         raise RankDeficient(
             f"map {A.domain.label!r} -> {A.codomain.label!r} is not "
             f"injective (normal-matrix eigenvalue {lo:.3e})")
-    b = band.shape[1] // 2
-    factor = scipy.linalg.cholesky_banded(band[:, b:].T, lower=True)
+    factor = scipy.linalg.cholesky_banded(_lower_band(normal), lower=True)
     factor.setflags(write=False)
     return JetTransform(A_iso=A, normal_factor=factor)
 
@@ -100,8 +101,8 @@ def pull_state(jt: JetTransform, w: np.ndarray) -> np.ndarray:
 def _range_coordinates(jt: JetTransform, w1: np.ndarray) -> np.ndarray:
     """z minimizing ``||A z - w1||`` in the codomain norm by the weighted
     normal equations, for w1 and z a vector or a block of rows each."""
-    a, w_y = jt.A_iso.matrix, jt.A_iso.codomain.band
-    return jt.normal_solve((_band_apply(w1, w_y) @ a).T).T
+    a, w_y = jt.A_iso.matrix, jt.A_iso.codomain.gram_csr
+    return jt.normal_solve((_times_csr(w1, w_y) @ a).T).T
 
 
 def ran_A_defect(jt: JetTransform, w1: np.ndarray) -> np.ndarray | float:

@@ -18,9 +18,11 @@ The interior action is ``L_eff = (L - diag(0, D) iota) diag(I, M^{-1}, I)``.
 The node does not store it: ``BoundaryNode.L_eff`` builds it, dense, on
 first read, and :class:`~passivebc.sim.StepSolver` writes it straight into
 its step matrix (``_effective_action``) from the operator's CSR L.  The
-node keeps D and M^{-1} as their bands on the momentum block
-(``BoundaryNode.D``, ``BoundaryNode.M_inv``), read-only;
-``scattering_node`` and ``impedance_node`` take the maps and gate them.
+node keeps D and M^{-1} on the momentum block as canonical read-only CSR
+arrays (``BoundaryNode.D``, ``BoundaryNode.M_inv``); ``scattering_node``
+and ``impedance_node`` take the maps and gate them.  Every product with
+them, with the momentum Gram W_2 and with the ledger's ``D^T W_D`` is a
+sparse product, which has the GEMM's bits when a factor is diagonal.
 The state energy is measured by ``W = blockdiag(W_1, W_2 M^{-1})``, i.e.
 kinetic energy uses the inverse-mass inner product.  W_1 and W_2 are the
 core's two blocks; the state space is the direct sum ``W_1 (+) sym(W_2
@@ -41,6 +43,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse import csr_array
 
 from .errors import (
     DampingNotDissipative,
@@ -57,24 +61,19 @@ from .hilbert import (
     HilbertSpaceSpec,
     LinearMap,
     _as_param,
-    _band,
-    _band_apply,
-    _band_entries,
-    _band_product,
-    _band_transpose,
-    _bandwidth,
     _expect_shape,
     _extreme_eigenvalues,
     _frozen,
+    _frozen_csr,
     _norm,
     _require_finite,
     _row_forms,
     _rows,
-    _space_from_band,
-    _trimmed,
+    _times_csr,
     check_dissipative,
     direct_sum,
     inner,
+    make_space,
 )
 from .triplet import BoundaryOperator
 
@@ -101,11 +100,11 @@ class BoundaryNode:
     op: BoundaryOperator
     flavor: str
     P: ContractionParam
-    D: np.ndarray                      # band of D on the momentum block
+    D: csr_array                       # D on the momentum block
     G_map: np.ndarray
     K_map: np.ndarray
     state_space: HilbertSpaceSpec      # core with mass-weighted Gram
-    M_inv: np.ndarray                  # band of M^{-1} on the momentum block
+    M_inv: csr_array                   # M^{-1} on the momentum block
 
     @cached_property
     def L_eff(self) -> np.ndarray:
@@ -125,18 +124,17 @@ class BoundaryNode:
         return _frozen(np.linalg.inv(self.op.bspace.gram))
 
     @cached_property
-    def _ledger_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``a - b``, the band of ``D^T W_D`` and that of M^{-T}: the ledger
-        factors the node does not hold otherwise, built on first use.
+    def _ledger_factors(self) -> tuple[np.ndarray, csr_array, csr_array]:
+        """``a - b``, ``D^T W_D`` and M^{-T} as CSR: the ledger factors the
+        node does not hold otherwise, built on first use.
 
         W_D is the momentum block's Gram; with it or D diagonal, each entry
-        of the band is one product, with the bits of the dense ``D^T W_D``.
+        of ``D^T W_D`` is one product, with the bits of the dense GEMM.
         """
         a, b = _weighted_traces(self.op, self.M_inv)
-        damping = _band_product(_band_transpose(self.D),
-                                self.op.core.blocks[1].band)
-        return (_frozen(a - b), _frozen(_trimmed(damping)),
-                _frozen(_band_transpose(self.M_inv)))
+        damping = self.D.T @ self.op.core.blocks[1].gram_csr
+        return (_frozen(a - b), _frozen_csr(damping),
+                _frozen_csr(self.M_inv.T))
 
     # The ledger forms below take one extended state (or port sample), or
     # a block of one per row, and return one value per row (a scalar for
@@ -156,8 +154,8 @@ class BoundaryNode:
         z = _rows("states", z, self.op.ext_dim)
         n1, core = self.op.core_blocks[0], self.op.core.dim
         _, damping, minv_t = self._ledger_factors
-        v = _band_apply(z[..., n1:core], minv_t)
-        return _row_forms(_band_apply(v, damping), v)
+        v = _times_csr(z[..., n1:core], minv_t)
+        return _row_forms(_times_csr(v, damping), v)
 
     def scattering_slack(self, z: np.ndarray) -> np.ndarray:
         """Contraction slack ``(||(a-b)z||^2 - ||P(a-b)z||^2)/2`` in the
@@ -202,11 +200,11 @@ class EnergyLedger:
 
 
 def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
-    """Validate M, D; return the band of M^{-1} and the mass-weighted state
+    """Validate M, D; return M^{-1} as CSR and the mass-weighted state
     space, the direct sum of the core's first block and sym(W_2 M^{-1}).
 
     NaN or infinity in M or D is a ``NonFiniteValue``, raised before the
-    band gates.  W_2 M (for the gates) and ``W_2 M^{-1}`` are band
+    sparse gates.  W_2 M (for the gates) and ``W_2 M^{-1}`` are sparse
     products, with the GEMM's bits when a factor is diagonal; M^{-1}
     (``_mass_inverse``) has the bits of the dense ``cho_solve``.
     """
@@ -215,13 +213,12 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
         _expect_shape(name, f.matrix, (momentum.dim, momentum.dim))
     _require_finite(mass_map_M=M.matrix, damping_map_D=D.matrix)
 
-    w2 = momentum.band
-    m_band = _band(M.matrix, _bandwidth(M.matrix))
-    wm = _band_product(w2, m_band)
-    wm_t = _band_transpose(wm)
-    if _norm(wm - wm_t) > 1e-10 * (1.0 + _norm(wm)):
+    w2 = momentum.gram_csr
+    m_csr = _frozen_csr(M.matrix)
+    wm = w2 @ m_csr
+    if _norm((wm - wm.T).data) > 1e-10 * (1.0 + _norm(wm.data)):
         raise MassNotSPD("mass map is not self-adjoint on its space")
-    if _extreme_eigenvalues(0.5 * (wm + wm_t))[0] <= 0.0:
+    if _extreme_eigenvalues(0.5 * (wm + wm.T))[0] <= 0.0:
         raise MassNotSPD("mass quadratic form is not positive definite")
     ok, lam = check_dissipative(D)
     if not ok:
@@ -229,15 +226,22 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
             f"damping symmetric part has eigenvalue {lam:.3e} below "
             f"-1e-10")
 
-    minv = _mass_inverse(M.matrix, m_band)
-    w2_minv = _band_product(w2, minv)
-    kinetic = _space_from_band(0.5 * (w2_minv + _band_transpose(w2_minv)),
-                               momentum.label + "_M")
+    minv = _mass_inverse(M.matrix, m_csr)
+    w2_minv = w2 @ minv
+    kinetic = make_space(momentum.dim, 0.5 * (w2_minv + w2_minv.T),
+                         momentum.label + "_M")
     return minv, direct_sum(op.core.label + "_M", position, kinetic)
 
 
-def _mass_inverse(m: np.ndarray, m_band: np.ndarray) -> np.ndarray:
-    """Band of M^{-1} for the mass matrix ``m`` of band ``m_band``: by
+def _diagonal(g: csr_array) -> np.ndarray | None:
+    """The diagonal of a canonical CSR array that stores no entry off it,
+    else None."""
+    diag = g.diagonal()
+    return diag if np.count_nonzero(diag) == g.nnz else None
+
+
+def _mass_inverse(m: np.ndarray, m_csr: csr_array) -> csr_array:
+    """M^{-1} as CSR for the mass matrix ``m`` of CSR ``m_csr``: by
     ``cho_solve`` against the identity when M is symmetric to 1e-12
     relative, by ``solve`` otherwise.
 
@@ -247,46 +251,51 @@ def _mass_inverse(m: np.ndarray, m_band: np.ndarray) -> np.ndarray:
     reciprocal pivot, so M^{-1} is ``(1/s)(1/s)``.  A diagonal with a zero
     or negative entry goes to ``cho_factor``, which refuses it.
     """
-    if m_band.shape[1] == 1:
-        diag = 0.5 * m_band + 0.5 * m_band   # M_sym's diagonal, bit for bit
+    diag = _diagonal(m_csr)
+    if diag is not None:
+        diag = 0.5 * diag + 0.5 * diag   # M_sym's diagonal, bit for bit
         if (diag > 0.0).all():
             r = 1.0 / np.sqrt(diag)
-            return r * r
+            return _frozen_csr(scipy.sparse.diags_array(r * r))
     msym = 0.5 * m + 0.5 * m.T
     eye = np.eye(len(m))
     if _norm(m - msym) <= 1e-12 * (1.0 + _norm(msym)):
         minv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(msym), eye)
     else:
         minv = np.linalg.solve(m, eye)
-    return _band(minv, _bandwidth(minv))
+    return _frozen_csr(minv)
 
 
-def _mass_weighted(x: np.ndarray, op: BoundaryOperator, minv: np.ndarray):
-    """``x diag(I, M^{-1}, I)`` for the band ``minv`` of M^{-1}, whose
+def _mass_weighted(x: np.ndarray, op: BoundaryOperator, minv: csr_array):
+    """``x diag(I, M^{-1}, I)`` for the CSR ``minv`` of M^{-1}, whose
     product turns -0.0 into +0.0 (+ 0.0)."""
     out, momentum = x + 0.0, slice(op.core_blocks[0], op.core.dim)
-    _band_apply(x[:, momentum], minv, out=out[:, momentum])
+    out[:, momentum] = x[:, momentum] @ minv
     return out
 
 
-def _effective_action(op: BoundaryOperator, d: np.ndarray, minv: np.ndarray,
+def _effective_action(op: BoundaryOperator, d: csr_array, minv: csr_array,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """``(L - diag(0, D) iota) diag(I, M^{-1}, I)`` for the bands ``d`` of
-    D and ``minv`` of M^{-1}, written into ``out`` (core x ext) or a new
-    array: L's entries scattered into zeros (+ 0.0 as in
-    ``_mass_weighted``), D's diagonals subtracted (every other entry of D
-    is +0.0) and the momentum columns weighted in place by
-    ``_band_apply``."""
+    """``(L - diag(0, D) iota) diag(I, M^{-1}, I)`` for the CSR arrays
+    ``d`` of D and ``minv`` of M^{-1}, written into ``out`` (core x ext) or
+    a new array: L's entries scattered into zeros (+ 0.0 as in
+    ``_mass_weighted``), D's entries subtracted and the momentum columns
+    weighted by ``x @ M^{-1}``; a diagonal M^{-1} scales them in place,
+    with the product's bits."""
     n1, momentum = op.core_blocks[0], slice(op.core_blocks[0], op.core.dim)
     action = np.empty((op.core.dim, op.ext_dim)) if out is None else out
     action.fill(0.0)
-    L = op.L
+    L, d = op.L, d.tocoo()
     action[np.repeat(np.arange(len(action)), np.diff(L.indptr)),
            L.indices] = L.data + 0.0
-    inside, rows, cols = _band_entries(len(d), d.shape[1] // 2)
-    action[n1 + rows, n1 + cols] -= d[inside]
+    action[n1 + d.row, n1 + d.col] -= d.data
     columns = action[:, momentum]
-    _band_apply(columns, minv, out=columns)
+    diag = _diagonal(minv)
+    if diag is None:
+        columns[...] = columns @ minv
+    else:
+        np.multiply(columns, diag, out=columns)
+        columns += 0.0
     return action
 
 
@@ -303,7 +312,7 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
     if not param.is_contraction:
         raise NotAContraction(param.dual_norm)
     minv, state_space = _prepare_weights(op, M, D)
-    d = _band(D.matrix, _bandwidth(D.matrix))
+    d = _frozen_csr(D.matrix)
     a, b = _weighted_traces(op, minv)
     pmat = param.matrix
     m = op.n_boundary
@@ -314,7 +323,7 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
     else:
         g = 0.5 * ((eye - pmat) @ a + (eye + pmat) @ b)
         k = 0.5 * ((eye + pmat) @ a + (eye - pmat) @ b)
-    for x in (g, k, minv, d):   # built here: frozen, not copied
+    for x in (g, k):   # built here: frozen, not copied
         x.setflags(write=False)
     return BoundaryNode(op=op, flavor=flavor, P=param, D=d,
                         G_map=g, K_map=k, state_space=state_space,

@@ -34,8 +34,10 @@ the lift feeds ``(to_y, velocity) = (A, I)``, i.e. ``[A z1; tau]`` to B_ext
 and ``z1' = z2``, the strain-momentum form ``(I, A)``.
 
 The action is stored sparse: ``BoundaryOperator.L`` is a canonical
-read-only CSR array, which ``_realize`` assembles from its blocks, so no
-dense core x ext array is formed, and ``green_residual`` reads as it is.
+read-only CSR array (``hilbert._frozen_csr``, as every space's Gram is),
+which ``_realize`` assembles from its blocks, so no dense core x ext array
+is formed.  The two Green gates multiply CSR factors: the Grams as the
+spaces hold them, L as it is and the traces converted.
 The traces ``Gamma0``/``Gamma1`` (m rows each) stay dense.  A dense L is
 built only when read: by ``skew_on_minimal``, by
 ``extension.GeneratorRealization.A_main`` and by the node's ``L_eff`` and
@@ -60,14 +62,14 @@ from .errors import (
 from .hilbert import (
     HilbertSpaceSpec,
     LinearMap,
-    _band_apply,
-    _band_entries,
-    _band_solve,
     _expect_shape,
     _frozen,
+    _frozen_csr,
+    _gram_solve,
     _require_finite,
-    _space_from_band,
     direct_sum,
+    euclidean_space,
+    make_space,
 )
 
 __all__ = [
@@ -170,22 +172,20 @@ def extend_adjoint(A: LinearMap, injection: np.ndarray,
 
     ``B_ext = W_X^{-1} [-A^T W_Y | E]`` where the columns of E are the
     covariant boundary functionals; the Green identity then holds by
-    construction.  ``-A^T W_Y`` and the solve against W_X are
-    ``_band_apply``'s and ``_band_solve``'s, which scale rows for diagonal
-    Grams with the bits of the dense GEMM and LAPACK solve.  The
-    extended space is the direct sum ``Y (+) R^nb``.  The map holds the
-    array built here, frozen in place, not a copy.
+    construction.  ``-A^T W_Y`` is a sparse product and the solve against
+    W_X is ``_gram_solve``'s; for diagonal Grams both keep the bits of the
+    dense GEMM and LAPACK solve.  The extended space is the direct sum
+    ``Y (+) R^nb``.  The map holds the array built here, frozen in place,
+    not a copy.
     """
     injection = np.atleast_2d(np.asarray(injection, dtype=float))
     _expect_shape("injection", injection,
                   (A.domain.dim,) + injection.shape[1:2])
     nb = injection.shape[1]
-    w_y = A.codomain.band
-    b = _band_solve(A.domain.band,
-                    np.hstack([_band_apply(-A.matrix.T, w_y), injection]))
+    b = _gram_solve(A.domain, np.hstack([-A.matrix.T @ A.codomain.gram_csr,
+                                         injection]))
     b.setflags(write=False)
-    ext_space = direct_sum(label, A.codomain,
-                           _space_from_band(np.ones((nb, 1)), f"R^{nb}"))
+    ext_space = direct_sum(label, A.codomain, euclidean_space(nb, f"R^{nb}"))
     return LinearMap(b, domain=ext_space, codomain=A.domain)
 
 
@@ -219,8 +219,8 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap,
     # Bilinear defect in y~^T (.) x coordinates, on CSR factors: iota_Y is
     # a coordinate projection and the trace products have rank m.
     iota_y_t = eye_array(ext_dim, A.codomain.dim, format="csr")
-    pairing = iota_y_t @ _gram_csr(A.codomain) @ csr_array(A.matrix)
-    defect = (-csr_array(B_ext.matrix).T @ _gram_csr(A.domain) - pairing
+    pairing = iota_y_t @ A.codomain.gram_csr @ csr_array(A.matrix)
+    defect = (-csr_array(B_ext.matrix).T @ A.domain.gram_csr - pairing
               - csr_array(Pi1).T @ csr_array(Lambda1)
               + csr_array(Pi2).T @ csr_array(Lambda2))
     residual = _frobenius(defect) / (1.0 + _frobenius(pairing))
@@ -313,7 +313,8 @@ def lift_second_order(dp: DualPairTriplet) -> BoundaryOperator:
     of the extended Y side; the Y~ element fed to B_ext and the Pi traces
     is ``[A z1; tau]``.
     """
-    x_h = _space_from_band(dp.A.normal_band, f"{dp.A.domain.label}_h")
+    normal = dp.A.normal_band
+    x_h = make_space(normal.shape[0], normal, f"{dp.A.domain.label}_h")
     return _realize(dp, x_h, dp.A.matrix, None, "second-order lift")
 
 
@@ -321,28 +322,6 @@ def strain_momentum(dp: DualPairTriplet) -> BoundaryOperator:
     """Strain-momentum realization on ``(w1, w2, tau)`` over ``Y (+) X``:
     B_ext and the Pi traces read ``[w1; tau]``, and ``w1' = A w2``."""
     return _realize(dp, dp.A.codomain, None, dp.A.matrix, "jet target")
-
-
-def _frozen_csr(a) -> csr_array:
-    """A new canonical (sorted, summed) float64 CSR array of ``a`` without
-    stored zeros, whose arrays are read-only: the entries of ``csr_array``
-    of the dense array of ``a``."""
-    a = csr_array(a, dtype=float, copy=True)
-    a.eliminate_zeros()
-    a.sum_duplicates()
-    for x in (a.data, a.indices, a.indptr):
-        x.setflags(write=False)
-    return a
-
-
-def _gram_csr(space: HilbertSpaceSpec) -> csr_array:
-    """CSR of a space's Gram read from its band: the entries, in the order,
-    of ``csr_array(space.gram)``, so products with it keep their bits."""
-    inside, rows, cols = _band_entries(space.dim, space.bandwidth)
-    gram = csr_array((space.band[inside], (rows, cols)),
-                     shape=(space.dim, space.dim))
-    gram.eliminate_zeros()
-    return gram
 
 
 def _frobenius(a: csr_array) -> float:
@@ -355,10 +334,10 @@ def green_residual(op: BoundaryOperator) -> float:
     """Defect of the operator Green identity, relative to 1 + ||W_Z L||_F.
 
     Evaluated on CSR factors (iota is a coordinate projection and
-    Gamma0^T Gamma1 has rank m; W_Z is read from its band), so the cost
+    Gamma0^T Gamma1 has rank m; W_Z is the core's CSR Gram), so the cost
     grows with the nonzeros.
     """
-    wl = _gram_csr(op.core) @ op.L
+    wl = op.core.gram_csr @ op.L
     iota = eye_array(op.core.dim, op.ext_dim, format="csr")
     g0, g1 = csr_array(op.Gamma0), csr_array(op.Gamma1)
     defect = iota.T @ wl + wl.T @ iota - g1.T @ g0 - g0.T @ g1

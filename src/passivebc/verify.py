@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse import csr_array
 
 from . import extension as ext
 from . import node as node_mod
 from .errors import UnknownChoice
-from .hilbert import _band_apply, contraction_norm, inner
+from .hilbert import contraction_norm, inner
 from .jet import push_state
 from .scenario import Scenario, build_system
 
@@ -151,11 +152,14 @@ def _jet_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
             (y_space, z1 @ a.T, inner(op_a.core.blocks[0], z1, z1)),
             (op_w.core, push_state(jt.A_iso, z), inner(op_a.core, z, z))))
 
-    # B_ext on Y times the projector I - A (A^T W_Y A)^{-1} A^T W_Y onto ker A*
+    # B_ext on Y times the projector I - A (A^T W_Y A)^{-1} A^T W_Y onto
+    # ker A*, as b_y - ((A^T W_Y A)^{-1} (b_y A)^T)^T (A^T W_Y) with b_y A
+    # and A^T W_Y from CSR factors: no N^3 product, an nx-column solve
     dp = sys.dual_pair
     b_y = dp.B_ext.matrix[:, :dim_y]
-    ker_rows = b_y - (b_y @ a) @ jt.normal_solve(
-        _band_apply(a.T, y_space.band))
+    a_csr = csr_array(a)
+    solved = jt.normal_solve((csr_array(b_y) @ a_csr).T.toarray())
+    ker_rows = b_y - solved.T @ (a_csr.T @ y_space.gram_csr)
     kernel = float(np.linalg.norm(ker_rows)
                    / (1.0 + np.linalg.norm(dp.B_ext.matrix)))
 

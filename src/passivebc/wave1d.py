@@ -35,6 +35,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import diags_array
 
 from .errors import (
     InvalidCoefficients,
@@ -43,7 +44,7 @@ from .errors import (
     NonPositiveParameter,
     UnknownChoice,
 )
-from .hilbert import HilbertSpaceSpec, LinearMap, _space_from_band, make_space
+from .hilbert import HilbertSpaceSpec, LinearMap, make_space
 from .jet import JetTransform, build_jet
 from .triplet import (
     BoundaryOperator,
@@ -175,9 +176,9 @@ def assemble(coeffs: WaveCoefficients,
     nodes = np.linspace(0.0, coeffs.length, N + 1)
 
     w_nodes = _trapezoid_weights(N, h)
-    X = _space_from_band(w_nodes[:, None], "X")
+    X = make_space(N + 1, diags_array(w_nodes), "X")
     w_y = np.concatenate([np.full(N, h), w_nodes])
-    Y = _space_from_band(w_y[:, None], "Y")
+    Y = make_space(2 * N + 1, diags_array(w_y), "Y")
 
     # A x = [T^{1/2} grad x; a^{1/2} x], grad mapping nodes to cells.
     grad = (np.eye(N, N + 1, 1) - np.eye(N, N + 1)) / h

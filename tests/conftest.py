@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import settings
 
 from passivebc import wave1d
-from passivebc.hilbert import HilbertSpaceSpec, _dense, _norm
+from passivebc.hilbert import HilbertSpaceSpec, _norm
 from passivebc.sim import LEDGER_CHUNK
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,7 +57,8 @@ def dense_mass_weight(node):
     """The dense ``diag(I, M^{-1}, I_tau)`` a node applies by slicing."""
     n1 = node.op.core_blocks[0]
     nb = node.op.ext_dim - node.op.core.dim
-    return scipy.linalg.block_diag(np.eye(n1), _dense(node.M_inv), np.eye(nb))
+    return scipy.linalg.block_diag(np.eye(n1), node.M_inv.toarray(),
+                                   np.eye(nb))
 
 
 def row_forms(x, w):
@@ -79,7 +80,7 @@ def is_dual_unitary(P, boundary_space: HilbertSpaceSpec,
 
 def energy_preserving(node) -> bool:
     """No damping (sym(W D) = 0) and a dual-unitary P."""
-    wd = node.op.core.blocks[1].gram @ _dense(node.D)
+    wd = node.op.core.blocks[1].gram @ node.D.toarray()
     no_damping = _norm(wd + wd.T) <= 1e-10 * (1.0 + _norm(wd))
     return no_damping and is_dual_unitary(node.P.matrix, node.op.bspace)
 

@@ -1,34 +1,33 @@
 """Dense Gram validation and dense set-up products: the test oracle of
-the banded library.
+the library's sparse Grams.
 
 ``make_space`` and ``extreme_eigenvalues`` below validate a Gram with dense
-passes over its full square, as the library did before it read Grams by
-their band.  The banded library must raise the same error class, store the
+passes over its full square, as the library did before it held Grams as
+sparse arrays.  The library must raise the same error class, store the
 same bytes and report the same eigenvalue bounds.  A space built here
-claims no structure: it holds its Gram as a full-width band, of
-``bandwidth`` dim - 1, so library code that reads a Gram by its band reads
-all of it, and ``hilbert._band_apply`` adds all of its 2 dim - 1
-diagonals.
+holds the CSR array of the dense Gram it validated, as the library's do.
 
 ``direct_sum`` validates the dense ``block_diag`` of its summands with
 ``make_space`` and attaches the summands, as the library's sum keeps them.
 ``extend_adjoint``, ``lift_second_order``, ``prepare_weights``,
 ``mass_weighted`` and ``effective_action`` are the set-up products as the
-library formed them before it scaled rows by diagonal Grams and masses:
+library formed them before it multiplied by sparse Grams and masses:
 GEMMs on the dense Grams, LAPACK's solve against W_X and ``cho_solve``
 against the identity for M^{-1}.  They take and return what their library
-counterparts do (bands of M^{-1}, spaces), so a test can patch them in.
+counterparts do (CSR arrays of D and M^{-1}, spaces), so a test can patch
+them in.
 """
 
 import dataclasses
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from passivebc import triplet
 from passivebc.errors import NonFiniteValue, NonPositiveGram, NonSymmetricGram
 from passivebc.hilbert import (SPD_RTOL, SYM_RTOL, HilbertSpaceSpec,
-                               LinearMap, _band, _dense, _frozen)
+                               LinearMap, _frozen_csr)
 
 
 def dense_norm(a) -> float:
@@ -36,9 +35,12 @@ def dense_norm(a) -> float:
 
 
 def make_space(dim: int, gram, label: str) -> HilbertSpaceSpec:
+    """The dense validation of a dense or sparse Gram."""
+    if scipy.sparse.issparse(gram):
+        gram = gram.toarray()
     g = np.asarray(gram, dtype=float).reshape(dim, dim)
     if dim == 0:
-        return HilbertSpaceSpec(0, _frozen(np.zeros((0, 1))), label)
+        return HilbertSpaceSpec(0, _frozen_csr(g), label)
     if not np.isfinite(g).all():
         raise NonFiniteValue(f"gram of space {label!r} holds NaN or infinity")
     scale = dense_norm(g)
@@ -50,8 +52,7 @@ def make_space(dim: int, gram, label: str) -> HilbertSpaceSpec:
     eig_min, eig_max = extreme_eigenvalues(g)
     if eig_min <= SPD_RTOL * abs(eig_max):
         raise NonPositiveGram(label, eig_min, eig_max, SPD_RTOL)
-    return HilbertSpaceSpec(dim, _frozen(_band(g, dim - 1)), label, eig_min,
-                            eig_max)
+    return HilbertSpaceSpec(dim, _frozen_csr(g), label, eig_min, eig_max)
 
 
 def extreme_eigenvalues(g: np.ndarray) -> tuple[float, float]:
@@ -79,23 +80,12 @@ def extreme_eigenvalues(g: np.ndarray) -> tuple[float, float]:
     return float(eigs[0]), float(eigs[-1])
 
 
-def space_from_band(band, label: str) -> HilbertSpaceSpec:
-    """``make_space`` above on the dense Gram of a band."""
-    return make_space(len(band), _dense(np.asarray(band, dtype=float)),
-                      label)
-
-
 def direct_sum(label: str, *spaces: HilbertSpaceSpec) -> HilbertSpaceSpec:
     """``make_space`` of the dense ``block_diag`` of the summands' Grams,
     holding the summands in ``blocks``."""
     dim = sum(s.dim for s in spaces)
     g = scipy.linalg.block_diag(*(s.gram for s in spaces)).reshape(dim, dim)
     return dataclasses.replace(make_space(dim, g, label), blocks=spaces)
-
-
-def full_band(g: np.ndarray) -> np.ndarray:
-    """The band of half-width n - 1 of an n x n matrix: all of it."""
-    return _band(g, max(len(g) - 1, 0))
 
 
 def extend_adjoint(A: LinearMap, injection, label: str = "Y~") -> LinearMap:
@@ -134,24 +124,24 @@ def prepare_weights(op, M: LinearMap, D: LinearMap):
     w2_minv = momentum.gram @ minv
     kinetic = make_space(n2, 0.5 * (w2_minv + w2_minv.T),
                          momentum.label + "_M")
-    return full_band(minv), direct_sum(op.core.label + "_M", position,
-                                       kinetic)
+    return _frozen_csr(minv), direct_sum(op.core.label + "_M", position,
+                                         kinetic)
 
 
 def mass_weighted(x: np.ndarray, op, minv: np.ndarray) -> np.ndarray:
-    """``x diag(I, M^{-1}, I)`` by a GEMM on the dense M^{-1} of the band
+    """``x diag(I, M^{-1}, I)`` by a GEMM on the dense M^{-1} of the CSR
     ``minv``."""
     out, momentum = x + 0.0, slice(op.core_blocks[0], op.core.dim)
-    out[:, momentum] = x[:, momentum] @ _dense(minv)
+    out[:, momentum] = x[:, momentum] @ minv.toarray()
     return out
 
 
-def effective_action(op, d: np.ndarray, minv: np.ndarray, out=None):
+def effective_action(op, d, minv, out=None):
     """``(L - diag(0, D) iota) diag(I, M^{-1}, I)`` into ``out`` or a new
-    array from the dense L and the dense D of the band ``d``, its momentum
-    columns times the dense M^{-1} of the band ``minv`` by a GEMM."""
+    array from the dense L and the dense D of the CSR ``d``, its momentum
+    columns times the dense M^{-1} of the CSR ``minv`` by a GEMM."""
     n1, momentum = op.core_blocks[0], slice(op.core_blocks[0], op.core.dim)
     action = np.add(op.L.toarray(), 0.0, out=out)
-    action[n1:, momentum] -= _dense(d)
-    action[:, momentum] = action[:, momentum] @ _dense(minv)
+    action[n1:, momentum] -= d.toarray()
+    action[:, momentum] = action[:, momentum] @ minv.toarray()
     return action

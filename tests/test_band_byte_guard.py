@@ -1,15 +1,14 @@
-"""Reading Grams by their band and scaling rows by diagonal Grams and
-masses leave every operator the step reads bit for bit as the dense
-set-up gives it.
+"""Holding Grams, masses and damping as sparse arrays and multiplying by
+them sparsely leave every operator the step reads bit for bit as the
+dense set-up gives it.
 
 Each system is built twice: by the library, and with the dense oracle
-(``dense_gram_oracle``) patched in: its ``make_space``,
-``space_from_band`` and ``direct_sum`` into every module that binds the
-library's, and its dense ``extend_adjoint``, lift, ``prepare_weights``,
-``mass_weighted`` and ``effective_action`` in place of the library's.
-The oracle's spaces claim a band that spans the whole square, so the
-band-reading gates read all of it there, and every set-up product with a
-Gram or M^{-1} is a dense GEMM or LAPACK solve.  Both builds
+(``dense_gram_oracle``) patched in: its ``make_space`` and
+``direct_sum`` into every module that binds the library's, and its dense
+``extend_adjoint``, lift, ``prepare_weights``, ``mass_weighted`` and
+``effective_action`` in place of the library's.  The oracle validates
+every Gram densely, and every set-up product with a Gram or M^{-1} is a
+dense GEMM or LAPACK solve there.  Both builds
 must store the same bytes in the extended Y Gram and ``B_ext``, the core
 Gram, the node's ``L_eff``, ``G_map``, ``K_map``, ``M_inv`` and state Gram
 and the step factor, and the step factor, for dt and for the inverse
@@ -70,7 +69,7 @@ def operator_bytes(N, length, check_stacking):
                 key = (name, build.__name__, damping)
                 for field in ("L_eff", "G_map", "K_map"):
                     out[key + (field,)] = digest(getattr(nd, field))
-                out[key + ("M_inv",)] = digest(hilbert._dense(nd.M_inv))
+                out[key + ("M_inv",)] = digest(nd.M_inv.toarray())
                 out[key + ("state",)] = digest(nd.state_space.gram)
                 out[key + ("lu",)] = digest(solver._lu[0])
                 out[key + ("piv",)] = digest(solver._lu[1])
@@ -88,10 +87,8 @@ def operator_bytes(N, length, check_stacking):
 def assert_dense_bytes(N, length, monkeypatch):
     banded = operator_bytes(N, length, check_stacking=True)
     with monkeypatch.context() as patch:
-        for module in (hilbert, wave1d):
-            patch.setattr(module, "make_space", oracle.make_space)
         for module in (hilbert, triplet, wave1d, node):
-            patch.setattr(module, "_space_from_band", oracle.space_from_band)
+            patch.setattr(module, "make_space", oracle.make_space)
         for module in (triplet, node):
             patch.setattr(module, "direct_sum", oracle.direct_sum)
         patch.setattr(wave1d, "extend_adjoint", oracle.extend_adjoint)

@@ -1,13 +1,13 @@
-"""Gram gates read by band against the dense oracle (``dense_gram_oracle``).
+"""Gram gates on sparse Grams against the dense oracle
+(``dense_gram_oracle``).
 
-``make_space`` reads a Gram once in full, for its half-bandwidth, and runs
-every gate on the band.  Against the dense validation it must raise the
+``make_space`` holds a Gram as CSR and runs every gate on its stored
+entries and its band.  Against the dense validation it must raise the
 same error class, store the same bytes and report the same eigenvalue
-bounds, for every input below.  Products with a diagonal matrix given by
-its band must have the bytes of the dense GEMM, LAPACK solve and
-``cho_solve`` they replace; products with any other band, summed by its
-diagonals, must agree with the GEMM to a rounding bound, and a narrow one
-must allocate no dense square.
+bounds, for every input below.  Products with a diagonal CSR matrix must
+have the bytes of the dense GEMM, LAPACK solve and ``cho_solve`` they
+replace; products with any other banded one must agree with the GEMM to a
+rounding bound, and a narrow one must allocate no dense square.
 """
 
 import tracemalloc
@@ -16,16 +16,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 from passivebc import hilbert, node
 from passivebc.errors import ShapeMismatch
-from passivebc.hilbert import (SYM_RTOL, LinearMap, direct_sum,
+from passivebc.hilbert import (SYM_RTOL, HilbertSpaceSpec, LinearMap,
+                               _frozen_csr, _times_csr, direct_sum,
                                euclidean_space, make_space)
 from passivebc.node import _mass_inverse
-from passivebc.triplet import _gram_csr
 
 import dense_gram_oracle as oracle
 
@@ -100,27 +101,29 @@ def test_make_space_matches_the_dense_oracle(g):
 @settings(max_examples=200, deadline=None)
 @given(gram_inputs())
 def test_bandwidth_is_the_widest_nonzero_bit_pattern(g):
-    rows, cols = np.nonzero(g.view(np.uint64))
-    width = int(np.abs(rows - cols).max()) if rows.size else 0
-    assert hilbert._bandwidth(g) == width
+    # of the Gram a space stores: -0.0, which the CSR does not store, is
+    # +0.0 there
+    expected, _ = _outcome(oracle.make_space, g)
+    assume(expected is None)
+    sp = make_space(len(g), g, "W")
+    rows, cols = np.nonzero(sp.gram.view(np.uint64))
+    assert sp.bandwidth == int(np.abs(rows - cols).max(initial=0))
 
 
 @settings(max_examples=100, deadline=None)
-@given(gram_inputs(), st.integers(0, 2**32 - 1))
-def test_band_algebra_matches_dense(g, seed):
+@given(gram_inputs())
+def test_band_algebra_matches_dense(g):
+    # LAPACK's lower band storage of the symmetric part of any square g
     g = np.nan_to_num(g, nan=1.0, posinf=1.0, neginf=-1.0)
-    band = hilbert._band(g, hilbert._bandwidth(g))
-    assert hilbert._dense(band).tobytes() == g.tobytes()
-    assert hilbert._dense(hilbert._band_transpose(band)).tobytes() == \
-        np.ascontiguousarray(g.T).tobytes()
+    sym = 0.5 * g + 0.5 * g.T
+    lower = hilbert._lower_band(_frozen_csr(sym))
+    rows, cols = np.nonzero(np.tril(sym))
+    assert len(lower) == int((rows - cols).max(initial=0)) + 1
     n = len(g)
-    rng = np.random.default_rng(seed)
-    right = rng.standard_normal((n, n)) * (_offsets(n) <= rng.integers(n))
-    product = hilbert._band_product(
-        band, hilbert._band(right, hilbert._bandwidth(right)))
-    dense = g @ right
-    assert np.abs(hilbert._dense(product) - dense).max() <= \
-        1e-14 * n * (1.0 + np.abs(g).max() * np.abs(right).max())
+    for k in range(len(lower)):
+        assert lower[k, :n - k].tobytes() == \
+            (np.diagonal(sym, -k) + 0.0).tobytes()
+        assert not lower[k, n - k:].any()
 
 
 @st.composite
@@ -154,19 +157,19 @@ def assert_same_array(got, want):
 def test_diagonal_band_products_have_the_gemm_bytes(dx):
     d, x = dx
     dense = np.diag(d)
-    assert_same_array(hilbert._band_apply(x, d[:, None]), x @ dense)
+    g = _frozen_csr(dense)
+    assert_same_array(_times_csr(x, g), x @ dense)
     if x.ndim == 2:   # F-ordered, as the library's A^T is
         xt = np.asfortranarray(x)
-        assert_same_array(hilbert._band_apply(xt, d[:, None]), xt @ dense)
+        assert_same_array(_times_csr(xt, g), xt @ dense)
     flipped = x[..., ::-1]   # a strided view
-    assert_same_array(hilbert._band_apply(flipped, d[:, None]),
-                      flipped @ dense)
+    assert_same_array(_times_csr(flipped, g), flipped @ dense)
 
 
 def product_bound(x, w, b):
     """``2 (n + 2b + 2) eps |x| |W|``: twice ``gamma_{n+2b+1}`` of the
     product's absolute sum (Higham, Accuracy and Stability, 2nd ed., sec.
-    3.1), a bound on the gap between the band kernel's and the GEMM's
+    3.1), a bound on the gap between the sparse product's and the GEMM's
     roundings of each entry of ``x @ W``."""
     return 2 * (len(w) + 2 * b + 2) * np.finfo(float).eps * (np.abs(x)
                                                              @ np.abs(w))
@@ -176,23 +179,19 @@ def product_bound(x, w, b):
 @given(n=st.integers(1, 16), data=st.data(),
        rows=st.sampled_from([None, 1, 5]), seed=st.integers(0, 2**32 - 1))
 def test_band_products_match_the_gemm(n, data, rows, seed):
-    # every half-width up to the full square is summed by its diagonals,
-    # so a row of x @ W never reads the rows multiplied with it
+    # every half-width up to the full square is summed entry by entry of
+    # each column, so a row of x @ W never reads the rows multiplied with it
     b = data.draw(st.integers(0, n - 1), label="b")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n, n)) * (_offsets(n) <= b)
-    band = hilbert._band(w, b)
+    g = _frozen_csr(w)
     x = rng.standard_normal((n,) if rows is None else (rows, n))
     want = x @ w
-    got = hilbert._band_apply(x, band)
-    aliased = x.copy()
-    same = hilbert._band_apply(aliased, band, out=aliased)
-    assert same is aliased and np.array_equal(same, got)
+    got = _times_csr(x, g)
     assert got.shape == want.shape and got.flags.c_contiguous
     for i in range(len(x) if x.ndim == 2 else 0):
-        assert hilbert._band_apply(x[i:i + 1], band).tobytes() == \
-            got[i:i + 1].tobytes()
-        assert hilbert._band_apply(x[i], band).tobytes() == got[i].tobytes()
+        assert _times_csr(x[i:i + 1], g).tobytes() == got[i:i + 1].tobytes()
+        assert _times_csr(x[i], g).tobytes() == got[i].tobytes()
     if b == 0:
         assert got.tobytes() == want.tobytes()
     assert (np.abs(got - want) <= product_bound(x, w, b)).all()
@@ -221,7 +220,7 @@ def test_wide_band_eigenvalues_match_eigvalsh(n, data, seed):
     c = rng.standard_normal((n, n)) * (_offsets(n) <= b)
     w = c + c.T
     eigs = np.linalg.eigvalsh(w)
-    lo, hi = hilbert._extreme_eigenvalues(hilbert._band(w, b))
+    lo, hi = hilbert._extreme_eigenvalues(_frozen_csr(w))
     tol = 1e-12 * abs(eigs[-1])
     assert abs(lo - eigs[0]) <= tol and abs(hi - eigs[-1]) <= tol
 
@@ -252,7 +251,7 @@ def test_wide_band_solve_matches_the_dense_solve(n, full, cols, seed):
     rng = np.random.default_rng(seed)
     w = _spd(rng, n, b)
     rhs = rng.standard_normal((n, cols))
-    got = hilbert._band_solve(hilbert._band(w, b), rhs)
+    got = hilbert._gram_solve(make_space(n, w, "W"), rhs)
     want = np.linalg.solve(w, rhs)
     assert got.shape == want.shape
     gap = np.linalg.norm(got - want, axis=0)
@@ -263,19 +262,18 @@ def test_band_kernels_form_no_dense_matrix(monkeypatch):
     rng = np.random.default_rng(7)
     cases = []
     for n, b in ((1, 0), (3, 1), (4, 1), (6, 5), (12, 3), (9, 8)):
-        band = hilbert._band(_spd(rng, n, b), b)
-        space = hilbert.HilbertSpaceSpec(n, band, "W")
-        cases.append((band, space, rng.standard_normal((5, n))))
+        space = make_space(n, _frozen_csr(_spd(rng, n, b)), "W")
+        cases.append((space, rng.standard_normal((5, n))))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a band kernel formed a dense matrix")
+        raise AssertionError("a Gram kernel formed a dense matrix")
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
-    monkeypatch.setattr(hilbert, "_dense", refuse)
-    for band, space, x in cases:
-        hilbert._band_apply(x, band)
-        hilbert._band_solve(band, x.T)
-        hilbert._extreme_eigenvalues(band)
+    monkeypatch.setattr(csr_array, "toarray", refuse)
+    for space, x in cases:
+        _times_csr(x, space.gram_csr)
+        hilbert._gram_solve(space, x.T)
+        hilbert._extreme_eigenvalues(space.gram_csr)
         hilbert.inner(space, x, x)
 
 
@@ -283,11 +281,14 @@ def test_narrow_band_product_allocates_no_square():
     # at n = 2049 (the lift's X_h at N = 2048) a 256-row block times a
     # tridiagonal W stays below half of one n x n array of doubles
     n = 2049
-    band = np.random.default_rng(3).uniform(1.0, 2.0, (n, 3))
+    diagonals = np.random.default_rng(3).uniform(1.0, 2.0, (3, n))
+    g = _frozen_csr(scipy.sparse.diags_array(
+        [diagonals[0, 1:], diagonals[1], diagonals[2, 1:]],
+        offsets=[-1, 0, 1]))
     x = np.ones((256, n))
     tracemalloc.start()
     try:
-        hilbert._band_apply(x, band)
+        _times_csr(x, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -310,10 +311,10 @@ def test_kinetic_gram_of_non_diagonal_factors_matches_the_gemm(n, b, seed):
     op = SimpleNamespace(core=direct_sum("Z", euclidean_space(1, "Q"), w2))
     damping = LinearMap(np.zeros((n, n)), w2, w2)
     minv, state = node._prepare_weights(op, mass, damping)
-    dense_minv = hilbert._dense(minv)
+    dense_minv = minv.toarray()
     product = w2.gram @ dense_minv
     want = 0.5 * (product + product.T)
-    width = w2.bandwidth + minv.shape[1] // 2
+    width = w2.bandwidth + n - 1   # M^{-1} is full
     bound = product_bound(w2.gram, dense_minv, width)
     got = state.blocks[1].gram
     assert (np.abs(got - want) <= 0.5 * (bound + bound.T)).all()
@@ -326,14 +327,17 @@ def test_diagonal_solve_and_inverse_have_the_lapack_bytes(dx):
     rhs = np.atleast_2d(x).T            # one to 40 right-hand sides
     d = np.where(d == 0.0, 1.0, d)
     want = np.linalg.solve(np.diag(d), rhs)
-    got = hilbert._band_solve(d[:, None], rhs)
+    # a space of either sign, unvalidated: the solve reads only its Gram
+    def space(diag):   # unvalidated: the solve reads only the Gram
+        return HilbertSpaceSpec(len(diag), _frozen_csr(np.diag(diag)), "W")
+    got = hilbert._gram_solve(space(d), rhs)
     assert np.array_equal(got, want)    # values, for either sign of d
     pos, plain = np.abs(d), rhs + 0.0   # the library's W_X and -0.0-free rhs
     assert got.shape == want.shape
-    assert hilbert._band_solve(pos[:, None], plain).tobytes() == \
+    assert hilbert._gram_solve(space(pos), plain).tobytes() == \
         np.linalg.solve(np.diag(pos), plain).tobytes()
     m = np.diag(pos)
-    assert hilbert._dense(_mass_inverse(m, pos[:, None])).tobytes() == \
+    assert _mass_inverse(m, _frozen_csr(m)).toarray().tobytes() == \
         scipy.linalg.cho_solve(scipy.linalg.cho_factor(m),
                                np.eye(len(m))).tobytes()
 
@@ -344,7 +348,7 @@ def test_gram_csr_is_the_dense_conversion(g):
     expected, _ = _outcome(oracle.make_space, g)
     assume(expected is None)
     sp = make_space(len(g), g, "W")
-    a, b = _gram_csr(sp), csr_array(sp.gram)
+    a, b = sp.gram_csr, csr_array(sp.gram)
     assert a.data.tobytes() == b.data.tobytes()
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.indptr, b.indptr)

@@ -200,6 +200,25 @@ class TestCsvContract:
             ",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
         assert out.read_bytes() == expected.encode()
 
+    def test_blocks_have_the_bytes_of_per_row_formatting(self, tmp_path):
+        # each block is formatted by one % with the row format repeated;
+        # blocks of 256 rows, none, 43 and one 1-D row, holding -0.0,
+        # subnormals and values that need all 17 digits
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((300, 4)) * 10.0 ** rng.integers(
+            -320, 300, (300, 4))
+        values[::7, 0] = -0.0
+        values[::11, 1] = 5e-324
+        values[::13, 2] = 0.1 + 0.2
+        blocks = [values[:256], values[256:256], values[256:299], values[299]]
+        out = tmp_path / "blocks.csv"
+        assert cli._write_csv_atomic(str(out), ("a", "b", "c", "d"),
+                                     blocks) == 300
+        row = ",".join(["%.17g"] * 4) + "\n"
+        expected = "a,b,c,d\n" + "".join(row % tuple(values)
+                                          for values in values.tolist())
+        assert out.read_bytes() == expected.encode()
+
     def test_seventeen_digit_round_trip(self, tmp_path):
         scn = write_scenario(tmp_path, base_scenario())
         out = tmp_path / "run.csv"

@@ -17,10 +17,10 @@ import math
 
 import numpy as np
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from passivebc.hilbert import LinearMap, _dense, contraction_norm
+from passivebc.hilbert import LinearMap, contraction_norm
 from passivebc.jet import pull_state, ran_A_defect
 from passivebc.node import (
     _mass_weighted,
@@ -86,7 +86,7 @@ def dense_node_formulas(nd, z):
     op, w = nd.op, dense_mass_weight(nd)
     n1, core = op.core_blocks[0], op.core.dim
     damping_rows = np.zeros((core, op.ext_dim))
-    damping_rows[n1:, n1:core] = _dense(nd.D)
+    damping_rows[n1:, n1:core] = nd.D.toarray()
     a, b = op.bspace.gram @ op.Gamma0 @ w, op.Gamma1 @ w
     p, eye = nd.P.matrix, np.eye(op.n_boundary)
     if nd.flavor == "scattering":
@@ -95,7 +95,7 @@ def dense_node_formulas(nd, z):
         g = 0.5 * ((eye - p) @ a + (eye + p) @ b)
         k = 0.5 * ((eye + p) @ a + (eye - p) @ b)
     power = row_forms(z @ w[n1:core].T,
-                      _dense(nd.D).T @ op.core.blocks[1].gram)
+                      nd.D.toarray().T @ op.core.blocks[1].gram)
     return (op.L.toarray() - damping_rows) @ w, g, k, power
 
 
@@ -105,6 +105,7 @@ def sliced_node_formulas(nd, z):
 
 @settings(max_examples=25, deadline=None)
 @given(**SYSTEMS)
+@example(n=9, seed=0, jet=False)
 def test_realized_blocks_equal_y_select_products(n, seed, jet):
     sys, op, _, _ = system_and_node(n, seed, jet)
     recipe = jet_recipe if jet else lift_recipe

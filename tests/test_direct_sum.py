@@ -1,5 +1,5 @@
 """A direct sum keeps its summands: ``hilbert.direct_sum`` stores the
-block-diagonal band the dense validation of ``scipy.linalg.block_diag``
+block-diagonal CSR Gram the dense validation of ``scipy.linalg.block_diag``
 stores, takes its eigenvalue bounds from its summands and runs only the
 relative positivity gate again, under its own label.  A boundary operator
 is built on a two-block core, and the node reads its blocks from it.
@@ -50,10 +50,12 @@ def test_sum_has_the_bytes_of_the_dense_block_diagonal(grams):
     dense = make_space(
         dim, scipy.linalg.block_diag(*grams).reshape(dim, dim), "S")
     assert total.dim == dim and total.label == "S"
-    assert total.band.tobytes() == dense.band.tobytes()
-    assert total.band.shape == dense.band.shape
+    got, want = total.gram_csr, dense.gram_csr
+    for x, y in ((got.data, want.data), (got.indices, want.indices),
+                 (got.indptr, want.indptr)):
+        assert x.tobytes() == y.tobytes()
+        assert not x.flags.writeable
     assert total.gram.tobytes() == dense.gram.tobytes()
-    assert not total.band.flags.writeable
     assert len(total.blocks) == len(spaces)
     assert all(a is b for a, b in zip(total.blocks, spaces))
     used = [s for s in spaces if s.dim]

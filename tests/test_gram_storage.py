@@ -1,4 +1,4 @@
-"""A space holds its Gram by its band; the dense Gram is built per read.
+"""A space holds its Gram as CSR; the dense Gram is built per read.
 
 ``HilbertSpaceSpec.gram`` must give the bytes the dense validation stores
 (``dense_gram_oracle``), read-only, on every read.  What a node keeps must
@@ -38,7 +38,7 @@ from passivebc.jet import pull_state, push_state, ran_A_defect
 from passivebc.node import impedance_node, scattering_node
 from passivebc.scenario import load_scenario
 from passivebc.sim import LEDGER_CHUNK, InputSignal, StepSolver
-from passivebc.triplet import _gram_csr, extend_adjoint
+from passivebc.triplet import extend_adjoint
 
 import dense_gram_oracle as oracle
 from conftest import ROOT, wave_system
@@ -54,18 +54,18 @@ def test_gram_has_the_oracle_bytes_and_is_read_only(g):
     first, second = sp.gram, sp.gram
     assert first is not second
     assert first.tobytes() == second.tobytes() == ref.gram.tobytes()
-    assert sp.band.shape == (len(g), 2 * sp.bandwidth + 1)
-    for stored in (first, sp.band):
+    assert sp.gram_csr.has_canonical_format and sp.gram_csr.data.all()
+    for stored in (first, sp.gram_csr.data, sp.gram_csr.indices,
+                   sp.gram_csr.indptr):
         assert not stored.flags.writeable
         with pytest.raises(ValueError):
-            stored[0, 0] = 5.0
+            stored.flat[0] = 5
 
 
 def test_zero_dimensional_space():
     sp = make_space(0, np.zeros((0, 0)), "E")
-    assert sp.band.shape == (0, 1) and sp.bandwidth == 0
+    assert sp.gram_csr.shape == (0, 0) and sp.bandwidth == 0
     assert sp.gram.shape == (0, 0) and not sp.gram.flags.writeable
-    assert _gram_csr(sp).shape == (0, 0)
     assert LinearMap(np.zeros((0, 3)), euclidean_space(3, "X"),
                      sp).matrix.shape == (0, 3)
 
@@ -99,7 +99,8 @@ def test_node_grams_grow_linearly():
         spaces = reachable_spaces((sys_, nd))
         assert {sp.label for sp in spaces} >= {"X", "Y", "Y~", "G",
                                                "X_h(+)X", "X_h(+)X_M"}
-        total[N] = sum(sp.band.nbytes for sp in spaces)
+        total[N] = sum(x.nbytes for sp in spaces for x in (
+            sp.gram_csr.data, sp.gram_csr.indices, sp.gram_csr.indptr))
     assert total[512] < 1_000_000
     assert total[512] < 8.5 * total[64], total
 

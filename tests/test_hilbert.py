@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from passivebc.errors import (
     NonFiniteValue,
@@ -14,6 +15,7 @@ from passivebc.errors import (
 from passivebc.hilbert import (
     ContractionParam,
     LinearMap,
+    _times_csr,
     check_dissipative,
     contraction_norm,
     euclidean_space,
@@ -133,6 +135,67 @@ def test_inner_matches_the_dense_form(g, seed):
              * ((np.abs(x) @ np.abs(w)) * np.abs(y)).sum(axis=-1))
     assert (np.abs(inner(sp, x, y) - want) <= bound).all()
     assert abs(inner(sp, x[0], y[0]) - want[0]) <= bound[0]
+
+
+@st.composite
+def banded_gram_and_block(draw):
+    """A space whose SPD Gram ``C^T C + I/10`` has half-bandwidth 0 to 3
+    (C upper triangular of that half-width), and a block of 1 to 12 rows
+    over ten decades, a fifth of its entries +0.0 and a fifth -0.0."""
+    b = draw(st.integers(0, 3))
+    n = draw(st.integers(b + 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = np.diag(rng.uniform(0.2, 3.0, n))
+    for k in range(1, b + 1):
+        c += np.diag(rng.uniform(-2.0, 2.0, n - k), k)
+    shape = (draw(st.integers(1, 12)), n)
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+    pick = rng.uniform(size=shape)
+    x[pick < 0.2] = 0.0
+    x[pick > 0.8] = -0.0
+    return make_space(n, c.T @ c + 0.1 * np.eye(n), "W"), x
+
+
+@settings(max_examples=100, deadline=None)
+@given(banded_gram_and_block())
+def test_gram_products_take_one_path(case):
+    # x @ W is SciPy's product with the CSR Gram for every half-width
+    space, x = case
+    w = space.gram_csr
+    got = _times_csr(x, w)
+    assert got.flags.c_contiguous
+    if space.bandwidth == 0:
+        # one product per entry, + 0.0 turning -0.0 into +0.0
+        assert got.tobytes() == (x * w.diagonal() + 0.0).tobytes()
+        assert not np.signbit(got[x == 0.0]).any()
+    else:
+        dense = w.toarray()
+        bound = 1e-15 * (np.abs(x) @ np.abs(dense))
+        assert (np.abs(got - x @ dense) <= bound).all()
+    for i in range(len(x)):
+        assert _times_csr(x[i:i + 1], w).tobytes() == got[i:i + 1].tobytes()
+        assert _times_csr(x[i], w).tobytes() == got[i].tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(banded_gram_and_block(), st.booleans())
+def test_make_space_raises_where_it_did(case, sparse):
+    space, _ = case
+    g, n = np.array(space.gram), space.dim
+    given_as = csr_array if sparse else np.asarray
+    with pytest.raises(ShapeMismatch):
+        make_space(n + 1, given_as(g), "W")
+    bad = g.copy()
+    bad[n // 2, n // 2] = np.nan
+    with pytest.raises(NonFiniteValue):
+        make_space(n, given_as(bad), "W")
+    if n > 1:
+        bad = g.copy()
+        bad[0, -1] += 1e-6 * np.abs(g).max()
+        with pytest.raises(NonSymmetricGram):
+            make_space(n, given_as(bad), "W")
+    with pytest.raises(NonPositiveGram):
+        make_space(n, given_as(g - 2.0 * space.eig_max * np.eye(n)), "W")
 
 
 class TestStructuredEigenvalueBounds:
@@ -473,12 +536,12 @@ def test_linear_map_copies_what_a_caller_can_still_write(read_only_view):
 def test_extend_adjoint_hands_its_array_to_the_map(monkeypatch):
     from passivebc import triplet
     built = []
-    solve = triplet._band_solve
+    solve = triplet._gram_solve
 
-    def spy(band, rhs):
-        built.append(solve(band, rhs))
+    def spy(space, rhs):
+        built.append(solve(space, rhs))
         return built[-1]
-    monkeypatch.setattr(triplet, "_band_solve", spy)
+    monkeypatch.setattr(triplet, "_gram_solve", spy)
     sys_ = wave_system(8)
     assert len(built) == 1
     assert np.shares_memory(sys_.dual_pair.B_ext.matrix, built[0])

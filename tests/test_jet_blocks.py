@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from passivebc import cli, wave1d
-from passivebc.hilbert import _band_apply, _dense, inner, norm
+from passivebc.hilbert import inner, norm
 from passivebc.jet import pull_state, push_state, ran_A_defect
 from passivebc.scenario import (
     build_flavor_node,
@@ -46,7 +46,7 @@ def per_state_push(jt, z):
 def per_state_coordinates(jt, w1):
     """z1 of one strain part before blocks, by the normal equations."""
     a, y = jt.A_iso.matrix, jt.A_iso.codomain
-    return jt.normal_solve(a.T @ _band_apply(w1, y.band))
+    return jt.normal_solve(a.T @ (w1 @ y.gram_csr))
 
 
 def per_state_pull(jt, w):
@@ -58,7 +58,7 @@ def per_state_pull(jt, w):
 def per_state_defect(jt, w1):
     v = w1 - jt.A_iso.matrix @ per_state_coordinates(jt, w1)
     return float(np.sqrt(max(
-        v @ _band_apply(v, jt.A_iso.codomain.band), 0.0)))
+        v @ (v @ jt.A_iso.codomain.gram_csr), 0.0)))
 
 
 def form_bound(x, w, y, b):
@@ -91,7 +91,7 @@ def solve_gap_bound(jt, rhs_gap, z_a, z_b):
     band is at most ``||N||`` by Cauchy-Schwarz; so ``||z_a - z_b|| <=
     ||N^{-1}|| rhs_gap + 2 (2b + 1) gamma_{b+1} kappa(N) (||z_a|| +
     ||z_b||)``, doubled for the terms of second order."""
-    eigs = np.linalg.eigvalsh(_dense(jt.A_iso.normal_band))
+    eigs = np.linalg.eigvalsh(jt.A_iso.normal_band.toarray())
     b = len(jt.normal_factor) - 1
     gamma = (b + 1) * EPS / (1 - (b + 1) * EPS)
     sizes = np.linalg.norm(z_a, axis=-1) + np.linalg.norm(z_b, axis=-1)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import passivebc.node as node_mod
 from passivebc import wave1d
 from passivebc.errors import NonFiniteValue, ShapeMismatch
-from passivebc.hilbert import LinearMap, _dense, contraction_norm
+from passivebc.hilbert import LinearMap, contraction_norm
 from passivebc.node import (
     BoundaryNode,
     impedance_node,
@@ -38,7 +38,7 @@ def ledger_oracle(nd):
     n1, core = op.core_blocks[0], op.core.dim
     w = nd.state_space.gram
     w_p, w_k = w[:n1, :n1], w[n1:, n1:]
-    damping = _dense(nd.D).T @ op.core.blocks[1].gram
+    damping = nd.D.toarray().T @ op.core.blocks[1].gram
     mass = dense_mass_weight(nd)
     a, b = op.bspace.gram @ op.Gamma0 @ mass, op.Gamma1 @ mass
     trace_gap = a - b
@@ -50,7 +50,7 @@ def ledger_oracle(nd):
                 0.5 * row_forms(z[:, n1:core], w_k))
 
     def dissipated_power(z):
-        return row_forms(z[:, n1:core] @ _dense(nd.M_inv).T, damping)
+        return row_forms(z[:, n1:core] @ nd.M_inv.toarray().T, damping)
 
     def scattering_slack(z):
         v = z @ trace_gap.T
@@ -195,18 +195,20 @@ def test_one_realization_of_the_ledger():
 
 
 def test_mass_inverse_is_transposed_once_per_node(monkeypatch):
-    # dissipated_power reads M^{-T} on every block: the node forms its band
-    # on first use, with the bytes of a fresh transpose
+    # dissipated_power reads M^{-T} on every block: the node forms its CSR
+    # on first use, with the entries of a fresh transpose
     sys = wave_system(6, b=0.2)
     nd = scattering_node(sys.op_A, 0.5 * np.eye(2), sys.M_map, sys.D_map)
-    transposed = []
-    real = node_mod._band_transpose
-    monkeypatch.setattr(node_mod, "_band_transpose",
-                        lambda band: transposed.append(band) or real(band))
+    frozen = []
+    real = node_mod._frozen_csr
+    monkeypatch.setattr(node_mod, "_frozen_csr",
+                        lambda a: frozen.append(a) or real(a))
     z = np.random.default_rng(5).standard_normal((3, 5, nd.op.ext_dim))
     powers = [nd.dissipated_power(block) for block in z]
-    assert [band is nd.M_inv for band in transposed].count(True) == 1
-    assert nd._ledger_factors[2].tobytes() == real(nd.M_inv).tobytes()
+    assert len(frozen) == 2     # D^T W_D and M^{-T}, once each
+    minv_t = nd._ledger_factors[2]
+    assert minv_t.toarray().tobytes() == \
+        np.ascontiguousarray(nd.M_inv.toarray().T).tobytes()
     assert all(p.shape == (5,) and (p > 0.0).all() for p in powers)
 
 

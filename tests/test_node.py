@@ -366,7 +366,7 @@ class TestLazySetUp:
                                    src.flavor)
         for got, want in ((nd.G_map, ref.G_map), (nd.K_map, ref.K_map),
                           (nd.L_eff, ref.L_eff),
-                          (nd.M_inv, ref.M_inv),
+                          (nd.M_inv.toarray(), ref.M_inv.toarray()),
                           (nd.P.matrix, ref.P.matrix),
                           (nd.state_space.gram, ref.state_space.gram)):
             assert got.tobytes() == want.tobytes()

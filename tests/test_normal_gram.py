@@ -1,8 +1,8 @@
 """One normal Gram per factor map, and one Green residual per operator.
 
-The factor map forms ``A^T W_Y A`` once, as its band
+The factor map forms ``A^T W_Y A`` once, as a CSR array
 (``LinearMap.normal_band``): the lift's core Gram X_h holds it, the jet
-factors it by band and ``verify`` reads it through both.  The jet's banded
+factors it by its band and ``verify`` reads it through both.  The jet's banded
 solve must agree with a dense solve of the normal equations.  A boundary
 operator keeps the Green residual its realization gate evaluated
 (``BoundaryOperator.residual``), which ``verify`` reads again.
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import passivebc
 from passivebc import cli, sim, triplet, verify
-from passivebc.hilbert import LinearMap, _dense, make_space
+from passivebc.hilbert import LinearMap, make_space
 from passivebc.jet import build_jet, pull_state, push_state
 from passivebc.scenario import load_scenario
 from passivebc.sim import StepSolver
@@ -80,20 +80,22 @@ def test_jet_compare_forms_the_normal_gram_once(name, monkeypatch,
 def test_lift_and_jet_read_one_band(N, rng):
     sys_ = random_wave_system(N, rng)
     band = sys_.A_map.normal_band
-    assert not band.flags.writeable
+    assert not any(x.flags.writeable
+                   for x in (band.data, band.indices, band.indptr))
     assert sys_.A_map.normal_band is band
     a, w_y = sys_.A_map.matrix, sys_.Y.gram
     gemm = (a.T * np.diag(w_y)) @ a
-    assert _dense(band).tobytes() == (0.5 * (gemm + gemm.T)).tobytes()
+    assert band.toarray().tobytes() == (0.5 * (gemm + gemm.T)).tobytes()
     x_h = sys_.op_A.core.blocks[0]
-    assert x_h.band.tobytes() == band.tobytes()
+    assert x_h.gram.tobytes() == band.toarray().tobytes()
     factor = sys_.jet.normal_factor
-    b = band.shape[1] // 2
+    b = x_h.bandwidth
     assert factor.shape == (b + 1, N + 1)
     c = np.zeros((N + 1, N + 1))
     for k in range(b + 1):
         c[np.arange(k, N + 1), np.arange(N + 1 - k)] = factor[k, :N + 1 - k]
-    assert np.abs(c @ c.T - _dense(band)).max() <= 1e-12 * np.abs(band).max()
+    assert np.abs(c @ c.T - band.toarray()).max() <= \
+        1e-12 * np.abs(band.data).max()
 
 
 def test_normal_factor_is_banded_at_scale():

@@ -22,7 +22,7 @@ from passivebc.extension import (
     dissipativity_residual,
     generator_from_contraction,
 )
-from passivebc.hilbert import ContractionParam, _dense, contraction_norm
+from passivebc.hilbert import ContractionParam, contraction_norm
 from passivebc.jet import push_state
 from passivebc.node import impedance_node, scattering_node
 from passivebc.scenario import (
@@ -575,7 +575,7 @@ def oracle_run(node, z_core0, signal, t_final, dt):
         else:
             supplied[i] = 0.5 * (float(u @ wd @ u) - float(y @ wd @ y))
         v = weight[n1:n1 + n2] @ z_mid
-        dissipated[i] = float((_dense(node.D) @ v)
+        dissipated[i] = float((node.D.toarray() @ v)
                              @ node.op.core.blocks[1].gram @ v)
         r = gap @ z_mid
         pr = node.P.matrix @ r

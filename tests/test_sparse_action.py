@@ -1,8 +1,8 @@
-"""The boundary action L held as CSR and the damping D as its band.
+"""The boundary action L and the damping D held as CSR.
 
-``BoundaryOperator.L`` is a canonical read-only CSR array and
-``BoundaryNode.D`` the read-only band of D on the momentum block; the
-dense arrays are built only when read.  Against the dense L that
+``BoundaryOperator.L`` and ``BoundaryNode.D`` (D on the momentum block)
+are canonical read-only CSR arrays; the dense arrays are built only when
+read.  Against the dense L that
 ``triplet._realize`` formed before (``dense_action``), and the dense
 formulas then applied to it, the CSR action must give every byte of L,
 ``L_eff``, both step matrices, the Green residual and the dissipated
@@ -20,20 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array, eye_array
 
-from passivebc.hilbert import (
-    LinearMap,
-    _band,
-    _band_apply,
-    _band_transpose,
-    _bandwidth,
-    _dense,
-    _row_forms,
-)
+from passivebc.hilbert import LinearMap, _row_forms, _times_csr
 from passivebc.node import impedance_node, scattering_node
 from passivebc.sim import StepSolver
 from passivebc.triplet import (
     _frobenius,
-    _gram_csr,
     green_residual,
     lift_second_order,
     strain_momentum,
@@ -72,7 +63,7 @@ def dense_action(dp, to_y, velocity):
 
 def dense_green_residual(op, L):
     """``green_residual`` as formed on the CSR of a dense L."""
-    wl = _gram_csr(op.core) @ csr_array(L)
+    wl = op.core.gram_csr @ csr_array(L)
     iota = eye_array(op.core.dim, op.ext_dim, format="csr")
     g0, g1 = csr_array(op.Gamma0), csr_array(op.Gamma1)
     defect = iota.T @ wl + wl.T @ iota - g1.T @ g0 - g0.T @ g1
@@ -80,12 +71,12 @@ def dense_green_residual(op, L):
 
 
 def dense_effective_action(op, D, minv, L):
-    """``(L - diag(0, D) iota) diag(I, M^{-1}, I)`` on the dense L and D."""
+    """``(L - diag(0, D) iota) diag(I, M^{-1}, I)`` on the dense L, D and
+    M^{-1}, the last by a GEMM."""
     n1, momentum = op.core_blocks[0], slice(op.core_blocks[0], op.core.dim)
     action = L + 0.0
     action[n1:, momentum] -= D.matrix
-    columns = action[:, momentum]
-    _band_apply(columns, minv, out=columns)
+    action[:, momentum] = action[:, momentum] @ minv.toarray()
     return action
 
 
@@ -101,11 +92,11 @@ def dense_step_matrices(l_eff, g_map, core, dt):
 
 
 def dense_dissipated_power(D, minv, z, n1, core):
-    """``<v, D^T W_D v>`` with ``v = M^{-1} z2`` from the dense D."""
-    damping = _band_apply(D.matrix.T, D.domain.band)
-    v = _band_apply(z[..., n1:core], _band_transpose(minv))
-    return _row_forms(_band_apply(v, _band(damping, _bandwidth(damping))),
-                      v)
+    """``<v, D^T W_D v>`` with ``v = M^{-1} z2``, from the CSR arrays of
+    the dense D and M^{-T}."""
+    damping = csr_array(D.matrix.T) @ D.domain.gram_csr
+    v = _times_csr(z[..., n1:core], csr_array(minv.toarray().T))
+    return _row_forms(_times_csr(v, damping), v)
 
 
 def banded_damping(x, rng):
@@ -177,9 +168,10 @@ def test_action_and_damping_band_are_read_only(realize, rng):
         assert not x.flags.writeable
     d = banded_damping(sys.X, rng)
     nd = impedance_node(op, np.eye(2), sys.M_map, d)
-    assert not nd.D.flags.writeable
-    assert nd.D.shape == (sys.X.dim, 3)
-    assert _dense(nd.D).tobytes() == d.matrix.tobytes()
+    for x in (nd.D.data, nd.D.indices, nd.D.indptr):
+        assert not x.flags.writeable
+    assert nd.D.nnz == 3 * sys.X.dim - 2
+    assert nd.D.toarray().tobytes() == d.matrix.tobytes()
 
 
 def test_a_dense_action_is_stored_as_its_csr(rng):
