@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import mmap
 import os
 import sys
 import tempfile
@@ -123,10 +124,39 @@ def _resolve_out(sc: Scenario, out_flag: str | None) -> str:
     return out
 
 
+def _refuse_unallocatable(sc: Scenario, formulation: str | None) -> None:
+    """Refuse, before any O(N) set-up, an N whose largest dense array
+    cannot be allocated: the step matrix of a run on ``formulation``
+    (ext x ext, ext = 2N + 4 or 3N + 4), or for None the lift's dense
+    B_ext operand, (N + 1) x (2N + 3).
+
+    Its bytes are asked of the operating system as an anonymous mapping
+    and let go at once: a size that cannot be mapped raises
+    ``MemoryError`` naming the array, not after the sparse set-up (about
+    10 s and 4 GB of address space at N = 10^7).  One that can touches no
+    page and, unlike a NumPy array, leaves malloc's thresholds, and so a
+    run's peak RSS, as they were.
+    """
+    n = sc.N
+    what, rows, cols = {
+        None: ("dense B_ext operand of the lift", n + 1, 2 * n + 3),
+        "position-momentum": ("step matrix", 2 * n + 4, 2 * n + 4),
+        "strain-momentum": ("step matrix", 3 * n + 4, 3 * n + 4),
+    }[formulation]
+    nbytes = 8 * rows * cols
+    try:
+        mmap.mmap(-1, nbytes).close()
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"cannot allocate the {what}, {rows} x {cols} "
+                          f"doubles ({nbytes:.3e} bytes), at N = {n}: "
+                          f"{exc}") from exc
+
+
 def run_scenario(path: str, out: str | None = None) -> int:
     """Simulate a scenario and export the trajectory ledger as CSV."""
     sc = load_scenario(path)
     out_path = _resolve_out(sc, out)
+    _refuse_unallocatable(sc, sc.formulation)
     sys_ = build_system(sc)
     node = build_node(sc, sys_)
     signal = build_signal(sc)
@@ -146,6 +176,7 @@ def run_scenario(path: str, out: str | None = None) -> int:
 def verify_suite(path: str, suite: str = "all") -> int:
     """Run the named property suite; print one line per check and kind."""
     sc = load_scenario(path)
+    _refuse_unallocatable(sc, None)
     checks = run_suite(sc, suite)
     failed = None
     for chk in checks:
@@ -166,6 +197,7 @@ def jet_compare(path: str, out: str | None = None) -> int:
     """Run both formulations and export per-step deviation columns."""
     sc = load_scenario(path)
     out_path = _resolve_out(sc, out)
+    _refuse_unallocatable(sc, "strain-momentum")
     sys_ = build_system(sc)
     jt = sys_.jet
 
@@ -204,6 +236,8 @@ def cayley_report(path: str, beta: float | None = None) -> int:
     beta = 1.
     """
     sc = load_scenario(path)
+    if sc.formulation == "position-momentum":   # the lift; no step
+        _refuse_unallocatable(sc, None)
     node = build_node(sc, build_system(sc))
     b = sc.beta if beta is None else beta
     transformed = external_cayley(node, b)

@@ -18,9 +18,10 @@ an orthonormal basis of the row space of C at ``NULLSPACE_RCOND`` (its
 leading right singular vectors).  When the square ``V_tau`` is invertible,
 ``ker C = span [I; X]`` with ``V_tau X = -V_core``, and the generator is
 ``A_main = L[:, :core] + L[:, core:] X``.  A realization holds only the
-nb x core kernel coordinates X, at O(core nb^2) cost per call;
-``A_main`` (O(core^2 nb)) and the kernel basis ``domain_basis = [I; X]``
-are built from X on each read.  The reported and gated condition is that
+nb x core kernel coordinates X, at O(core nb^2) cost per call; ``A_main``
+(O(core^2 nb)) is built from X on each read, and a map M restricted to
+the kernel is ``M[:, :core] + M[:, core:] X`` (``_kernel_action``), so no
+kernel basis is formed.  The reported and gated condition is that
 of the core projection of an orthonormal kernel basis, ``sqrt((1 +
 sigma_max(X)^2) / (1 + sigma_min(X)^2))``, with ``sigma_min(X) = 0`` when
 nb < core.
@@ -64,9 +65,9 @@ class GeneratorRealization:
     """Restriction of ``parent`` to ``ker C = span [I; X]`` for the
     contraction P, held by its kernel coordinates X (nb x core, read-only).
 
-    ``A_main`` and ``domain_basis`` are built from X on each read, as
-    ``HilbertSpaceSpec.gram`` is from its CSR: a new read-only array every
-    time, for checks and tests, not for a loop.
+    ``A_main`` is built from X on each read, as ``HilbertSpaceSpec.gram``
+    is from its CSR: a new read-only array every time, for checks and
+    tests, not for a loop.
     """
 
     X: np.ndarray
@@ -81,13 +82,6 @@ class GeneratorRealization:
         a_main = _kernel_action(self.parent.L.toarray(), self.X)
         a_main.setflags(write=False)
         return a_main
-
-    @property
-    def domain_basis(self) -> np.ndarray:
-        """Kernel basis ``[I; X]``, whose core projection is the identity."""
-        basis = np.vstack([np.eye(self.X.shape[1]), self.X])
-        basis.setflags(write=False)
-        return basis
 
 
 def constraint_matrix(op: BoundaryOperator, P) -> np.ndarray:

@@ -12,30 +12,34 @@ be shared freely between threads.
 
 A space holds its Gram once, as a canonical read-only CSR array
 (``HilbertSpaceSpec.gram_csr``, frozen by ``_frozen_csr``: sorted, summed,
-no stored zeros), and every product with a Gram is a sparse product:
-``x @ W`` in ``inner``/``norm`` and the ledger, ``scipy.sparse.block_diag``
-in ``direct_sum``, sparse factors in ``check_dissipative``, the Green gates
-of ``triplet`` and the node's mass and damping.  ``HilbertSpaceSpec.gram``
-builds the dense matrix afresh on each read.
-SciPy forms ``x @ W`` column by column of W, adding each stored entry's
-product to a zero start, so each row of a block is formed apart, and a
-diagonal Gram (the wave model's W_X, W_Y, mass, damping, M^{-1}) gives one
-product per entry, with the bits of the dense GEMM.  ``_times_csr`` hands
-the product on C-ordered: the GEMMs and ``einsum`` that read it sum in an
-order that follows their operands' layout, and a run's CSV carries those
-bits.  LAPACK's band routines read a Gram that is not diagonal through
-``_lower_band``: the eigenvalue bounds (``_extreme_eigenvalues``), the
-solve against W_X (``_gram_solve``) and the jet's Cholesky factor, so no
-product of a Gram makes it dense.
+no stored zeros), and so does a ``LinearMap`` its matrix, given dense or
+sparse.  Every product with a Gram or a map is a sparse product: ``x @
+W`` in ``inner``/``norm``, the ledger and the jet, ``scipy.sparse
+.block_diag`` in ``direct_sum``, sparse factors in ``check_dissipative``,
+the normal Gram ``sym(A^T W A)`` (``LinearMap.normal_gram``), the Green
+gates of ``triplet`` and the node's mass and damping.
+``HilbertSpaceSpec.gram`` builds the dense matrix afresh on each read.
+``_times_csr(x, g)`` forms ``x @ g^T`` as ``(g @ x^T)^T``: row i of g adds
+its stored entries' products to a zero start, so each row of a block is
+formed apart, a symmetric Gram is used as stored, and a factor with one
+entry per row or column (the wave model's W_X, W_Y, mass, damping,
+M^{-1}) gives one product per entry, with the bits of the dense GEMM.  It
+hands the product on C-ordered: the GEMMs and ``einsum`` that read it sum
+in an order that follows their operands' layout, and a run's CSV carries
+those bits.  LAPACK's band routines read a Gram that is not diagonal
+through ``_lower_band``: the eigenvalue bounds (``_extreme_eigenvalues``),
+the solve against W_X (``_gram_solve``) and the jet's Cholesky factor, so
+no product of a Gram makes it dense.
 A direct sum (``direct_sum``: X_h (+) X, Y (+) X, G1 (+) G2, Y (+) R^nb)
 keeps its summands in ``HilbertSpaceSpec.blocks``, so no module splits a
 Gram back into blocks or eigen-solves a Gram whose blocks were already
 validated.
-The products of dense operators whose entries sum several terms stay
-GEMMs and keep their summation order, because a run's states and CSV carry
-their bits: the normal matrix ``(A^T W_Y) A`` (``LinearMap.normal_band``),
-``_realize``'s ``B_ext[:, :dim_y] @ A``, M^{-1} of a non-diagonal mass,
-the step's ``lu_factor``/``getrs`` and the step itself.
+The products whose entries sum several terms and reach a run's states
+stay dense and keep their summation order, because its CSV carries their
+bits: ``_realize``'s GEMM ``B_ext[:, :dim_y] @ A`` on dense copies of its
+operands, M^{-1} of a non-diagonal mass, the step's
+``lu_factor``/``getrs`` and the step itself.  The normal Gram reaches only
+the lift's X_h and the ledger's H, so it is a sparse product.
 """
 
 from __future__ import annotations
@@ -92,8 +96,8 @@ def _frozen_csr(a) -> csr_array:
     stored zeros, whose arrays are read-only: the entries of ``csr_array``
     of the dense array of ``a``."""
     a = csr_array(a, dtype=float, copy=True)
-    a.eliminate_zeros()
     a.sum_duplicates()
+    a.eliminate_zeros()
     for x in (a.data, a.indices, a.indptr):
         x.setflags(write=False)
     return a
@@ -144,20 +148,25 @@ class HilbertSpaceSpec:
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A matrix tagged with its domain and codomain spaces."""
+    """A matrix tagged with its domain and codomain spaces.
 
-    matrix: np.ndarray
+    ``matrix`` is given dense or sparse and held as a new canonical
+    read-only CSR array (``_frozen_csr``), as a space holds its Gram.
+    """
+
+    matrix: csr_array
     domain: HilbertSpaceSpec
     codomain: HilbertSpaceSpec
 
     def __post_init__(self):
-        m = _frozen(self.matrix)
-        if m.shape != (self.codomain.dim, self.domain.dim):
+        m = self.matrix
+        shape = m.shape if scipy.sparse.issparse(m) else np.shape(m)
+        if shape != (self.codomain.dim, self.domain.dim):
             raise ShapeMismatch(
-                f"matrix shape {m.shape} does not match map "
+                f"matrix shape {shape} does not match map "
                 f"{self.domain.label!r} (dim {self.domain.dim}) -> "
                 f"{self.codomain.label!r} (dim {self.codomain.dim})")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen_csr(m))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """``matrix @ x``; ``ShapeMismatch`` unless x has domain rows."""
@@ -166,14 +175,13 @@ class LinearMap:
         return self.matrix @ x
 
     @cached_property
-    def normal_band(self) -> csr_array:
+    def normal_gram(self) -> csr_array:
         """``A^T W A`` (W the codomain's Gram) as a read-only CSR array,
-        formed once, on first read, as ``sym((A^T W) A)``; the GEMM's bits
-        reach the lift's X_h and H, and the jet factors the same matrix by
-        its band.  ``A^T W`` is a sparse product, made dense C-ordered for
-        the GEMM, so no other dense copy of A is formed."""
-        a_w = csr_array(self.matrix).T @ self.codomain.gram_csr
-        w = a_w.toarray(order="C") @ self.matrix
+        formed once, on first read, as the sparse product ``sym(A^T W
+        A)``; it reaches the lift's X_h and the ledger's H, not the step,
+        and the jet factors the same matrix by its band."""
+        a = self.matrix
+        w = a.T @ self.codomain.gram_csr @ a
         return _frozen_csr(0.5 * (w + w.T))
 
 
@@ -294,12 +302,14 @@ def _norm(a: np.ndarray) -> float:
 
 
 def _times_csr(x: np.ndarray, g: csr_array) -> np.ndarray:
-    """``x @ g`` for a vector or a block of rows x, as a new C-ordered
-    array.  SciPy forms the product column by column of g, adding each
-    stored entry's product to a zero start, and hands back its transpose;
-    the copy matters because the GEMMs and ``einsum`` that read the
-    product sum in an order that follows their operands' layout."""
-    return np.ascontiguousarray(x @ g)
+    """``x @ g^T = (g @ x^T)^T`` for a vector or a block of rows x, as a
+    new C-ordered array: ``x @ W`` for a symmetric Gram W as it is stored,
+    and ``x @ F`` for any other factor F given its transpose.  Row i of g
+    adds its stored entries' products to a zero start in column order,
+    the sums of SciPy's ``x @ g^T``, without its transposed object.  The
+    copy matters because the GEMMs and ``einsum`` that read the product
+    sum in an order that follows their operands' layout."""
+    return np.ascontiguousarray((g @ x.T).T)
 
 
 def _lower_band(g: csr_array) -> np.ndarray:
@@ -317,16 +327,23 @@ def _lower_band(g: csr_array) -> np.ndarray:
     return lower
 
 
-def _gram_solve(space: HilbertSpaceSpec, rhs: np.ndarray) -> np.ndarray:
-    """``W^{-1} rhs`` for the Gram W of ``space`` and a 2-D rhs.
+def _gram_solve(space: HilbertSpaceSpec, rhs):
+    """``W^{-1} rhs`` for the Gram W of ``space`` and a 2-D rhs, dense or
+    CSR.
 
     A diagonal W is solved as LAPACK's triangular solve does, which
     divides by the pivot for a single right-hand side and multiplies by
     its reciprocal for several, so a positive diagonal and an rhs free of
-    -0.0 get the bits of ``np.linalg.solve``.  Any other W goes to
-    LAPACK's banded Cholesky solve (``solveh_banded``).
+    -0.0 get the bits of ``np.linalg.solve``; a CSR rhs of several columns
+    stays CSR, each row scaled by its reciprocal (one product per entry).
+    Any other W goes to LAPACK's banded Cholesky solve
+    (``solveh_banded``), a CSR rhs made dense.
     """
     lower = _lower_band(space.gram_csr)
+    if scipy.sparse.issparse(rhs):
+        if len(lower) == 1 and rhs.shape[1] > 1:
+            return scipy.sparse.diags_array(1.0 / lower[0]) @ rhs
+        rhs = rhs.toarray()
     if len(lower) > 1:
         return scipy.linalg.solveh_banded(lower, rhs, lower=True)
     diag = lower[0][:, None]
@@ -423,6 +440,6 @@ def check_dissipative(D: LinearMap) -> tuple[bool, float]:
     """
     _expect_shape(f"map {D.domain.label!r} -> {D.codomain.label!r}",
                   D.matrix, (D.domain.dim, D.domain.dim))
-    wd = D.domain.gram_csr @ csr_array(D.matrix)
+    wd = D.domain.gram_csr @ D.matrix
     lam = _extreme_eigenvalues(0.5 * (wd + wd.T))[0]
     return lam >= -DISSIPATIVITY_TOL, lam

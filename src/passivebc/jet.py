@@ -18,8 +18,10 @@ Gamma_i (z1, z2, tau)`` as matrices); off ran A the operator extends
 naturally because ker A* is annihilated by B_ext.  Distance from ran A is
 an invariant of the transformed flow; it is measured, and states are
 pulled back, by one O(b n) solve with the normal matrix ``A^T W_Y A``
-(``LinearMap.normal_band``, which the lift reads too), factored by its
-band.
+(``LinearMap.normal_gram``, a sparse product which the lift reads too),
+factored by its band.  A is the map's CSR array: the push, the range
+solve's right-hand side and the defect multiply by it sparsely, so no
+product here is dense.
 """
 
 from __future__ import annotations
@@ -62,13 +64,13 @@ class JetTransform:
 
 
 def build_jet(A: LinearMap) -> JetTransform:
-    """Factor ``A.normal_band`` by band, ``A^T W_Y A = C C^T`` with
+    """Factor ``A.normal_gram`` by band, ``A^T W_Y A = C C^T`` with
     ``factor[k, i] = C[i + k, i]`` (LAPACK's lower band storage, ``pbtrf``).
 
     Raises ``RankDeficient`` when its smallest eigenvalue is at most
     ``RANK_RTOL`` times the largest, i.e. when A is not injective.
     """
-    normal = A.normal_band
+    normal = A.normal_gram
     lo, hi = _extreme_eigenvalues(normal)
     if lo <= RANK_RTOL * max(abs(hi), 1e-300):
         raise RankDeficient(
@@ -85,7 +87,8 @@ def push_state(A: LinearMap, z: np.ndarray) -> np.ndarray:
     map A."""
     nx = A.domain.dim
     z = _rows("position-momentum state", z, 2 * nx, finite=True)
-    return np.concatenate([z[..., :nx] @ A.matrix.T, z[..., nx:]], axis=-1)
+    return np.concatenate([_times_csr(z[..., :nx], A.matrix), z[..., nx:]],
+                          axis=-1)
 
 
 def pull_state(jt: JetTransform, w: np.ndarray) -> np.ndarray:
@@ -109,5 +112,5 @@ def ran_A_defect(jt: JetTransform, w1: np.ndarray) -> np.ndarray | float:
     """Distance of a strain part w1, or of each row of a block of them,
     from ran A in the codomain norm."""
     w1 = _rows("strain part", w1, jt.A_iso.codomain.dim, finite=True)
-    v = w1 - _range_coordinates(jt, w1) @ jt.A_iso.matrix.T
+    v = w1 - _times_csr(_range_coordinates(jt, w1), jt.A_iso.matrix)
     return norm(jt.A_iso.codomain, v)

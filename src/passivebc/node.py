@@ -22,7 +22,9 @@ node keeps D and M^{-1} on the momentum block as canonical read-only CSR
 arrays (``BoundaryNode.D``, ``BoundaryNode.M_inv``); ``scattering_node``
 and ``impedance_node`` take the maps and gate them.  Every product with
 them, with the momentum Gram W_2 and with the ledger's ``D^T W_D`` is a
-sparse product, which has the GEMM's bits when a factor is diagonal.
+sparse product, which has the GEMM's bits when a factor is diagonal; the
+ledger multiplies through ``hilbert._times_csr``, by the transposes of
+its factors, which the node keeps.
 The state energy is measured by ``W = blockdiag(W_1, W_2 M^{-1})``, i.e.
 kinetic energy uses the inverse-mass inner product.  W_1 and W_2 are the
 core's two blocks; the state space is the direct sum ``W_1 (+) sym(W_2
@@ -124,17 +126,18 @@ class BoundaryNode:
         return _frozen(np.linalg.inv(self.op.bspace.gram))
 
     @cached_property
-    def _ledger_factors(self) -> tuple[np.ndarray, csr_array, csr_array]:
-        """``a - b``, ``D^T W_D`` and M^{-T} as CSR: the ledger factors the
-        node does not hold otherwise, built on first use.
+    def _ledger_factors(self) -> tuple[np.ndarray, csr_array]:
+        """``a - b`` and the transpose of ``D^T W_D`` as CSR: the ledger
+        factors the node does not hold otherwise, built on first use.
 
         W_D is the momentum block's Gram; with it or D diagonal, each entry
         of ``D^T W_D`` is one product, with the bits of the dense GEMM.
+        ``_times_csr`` multiplies by the transpose of the factor it is
+        given, so the node keeps ``(D^T W_D)^T``, and M^{-1} for M^{-T}.
         """
         a, b = _weighted_traces(self.op, self.M_inv)
         damping = self.D.T @ self.op.core.blocks[1].gram_csr
-        return (_frozen(a - b), _frozen_csr(damping),
-                _frozen_csr(self.M_inv.T))
+        return _frozen(a - b), _frozen_csr(damping.T)
 
     # The ledger forms below take one extended state (or port sample), or
     # a block of one per row, and return one value per row (a scalar for
@@ -153,9 +156,8 @@ class BoundaryNode:
         """Damping form ``<v, D^T W_D v>`` with ``v = M^{-1} z2``."""
         z = _rows("states", z, self.op.ext_dim)
         n1, core = self.op.core_blocks[0], self.op.core.dim
-        _, damping, minv_t = self._ledger_factors
-        v = _times_csr(z[..., n1:core], minv_t)
-        return _row_forms(_times_csr(v, damping), v)
+        v = _times_csr(z[..., n1:core], self.M_inv)
+        return _row_forms(_times_csr(v, self._ledger_factors[1]), v)
 
     def scattering_slack(self, z: np.ndarray) -> np.ndarray:
         """Contraction slack ``(||(a-b)z||^2 - ||P(a-b)z||^2)/2`` in the
@@ -211,11 +213,10 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
     position, momentum = op.core.blocks
     for name, f in (("mass map", M), ("damping map", D)):
         _expect_shape(name, f.matrix, (momentum.dim, momentum.dim))
-    _require_finite(mass_map_M=M.matrix, damping_map_D=D.matrix)
+    _require_finite(mass_map_M=M.matrix.data, damping_map_D=D.matrix.data)
 
     w2 = momentum.gram_csr
-    m_csr = _frozen_csr(M.matrix)
-    wm = w2 @ m_csr
+    wm = w2 @ M.matrix
     if _norm((wm - wm.T).data) > 1e-10 * (1.0 + _norm(wm.data)):
         raise MassNotSPD("mass map is not self-adjoint on its space")
     if _extreme_eigenvalues(0.5 * (wm + wm.T))[0] <= 0.0:
@@ -226,7 +227,7 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
             f"damping symmetric part has eigenvalue {lam:.3e} below "
             f"-1e-10")
 
-    minv = _mass_inverse(M.matrix, m_csr)
+    minv = _mass_inverse(M.matrix)
     w2_minv = w2 @ minv
     kinetic = make_space(momentum.dim, 0.5 * (w2_minv + w2_minv.T),
                          momentum.label + "_M")
@@ -240,10 +241,10 @@ def _diagonal(g: csr_array) -> np.ndarray | None:
     return diag if np.count_nonzero(diag) == g.nnz else None
 
 
-def _mass_inverse(m: np.ndarray, m_csr: csr_array) -> csr_array:
-    """M^{-1} as CSR for the mass matrix ``m`` of CSR ``m_csr``: by
-    ``cho_solve`` against the identity when M is symmetric to 1e-12
-    relative, by ``solve`` otherwise.
+def _mass_inverse(m_csr: csr_array) -> csr_array:
+    """M^{-1} as CSR for the CSR mass matrix ``m_csr``: by ``cho_solve``
+    against the identity when M is symmetric to 1e-12 relative, by
+    ``solve`` otherwise, both on the dense M.
 
     A diagonal M with a positive ``M_sym = 0.5 M + 0.5 M^T`` gets
     ``cho_solve``'s bits without a factorization: its Cholesky factor is
@@ -257,6 +258,7 @@ def _mass_inverse(m: np.ndarray, m_csr: csr_array) -> csr_array:
         if (diag > 0.0).all():
             r = 1.0 / np.sqrt(diag)
             return _frozen_csr(scipy.sparse.diags_array(r * r))
+    m = m_csr.toarray()
     msym = 0.5 * m + 0.5 * m.T
     eye = np.eye(len(m))
     if _norm(m - msym) <= 1e-12 * (1.0 + _norm(msym)):
@@ -312,7 +314,6 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
     if not param.is_contraction:
         raise NotAContraction(param.dual_norm)
     minv, state_space = _prepare_weights(op, M, D)
-    d = _frozen_csr(D.matrix)
     a, b = _weighted_traces(op, minv)
     pmat = param.matrix
     m = op.n_boundary
@@ -325,7 +326,7 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
         k = 0.5 * ((eye + pmat) @ a + (eye - pmat) @ b)
     for x in (g, k):   # built here: frozen, not copied
         x.setflags(write=False)
-    return BoundaryNode(op=op, flavor=flavor, P=param, D=d,
+    return BoundaryNode(op=op, flavor=flavor, P=param, D=D.matrix,
                         G_map=g, K_map=k, state_space=state_space,
                         M_inv=minv)
 

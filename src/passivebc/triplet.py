@@ -16,7 +16,7 @@ write a projection and store none (``_realize`` notes its one-row case).
 
 The lift produces a maximal second-order operator on extended coordinates
 ``(z1, z2, tau)`` over the core space ``Z = X_h (+) X`` with
-``W_Z = blockdiag(A^T W_Y A, W_X)`` (``LinearMap.normal_band``), action
+``W_Z = blockdiag(A^T W_Y A, W_X)`` (``LinearMap.normal_gram``), action
 ``L(z1, z2, tau) = (z2, B_ext[A z1; tau])`` and traces
 
     Gamma0 = (Lambda1 z2, Pi2 [A z1; tau]),
@@ -33,15 +33,18 @@ kept as ``BoundaryOperator.residual``).  The strain-momentum form
 the lift feeds ``(to_y, velocity) = (A, I)``, i.e. ``[A z1; tau]`` to B_ext
 and ``z1' = z2``, the strain-momentum form ``(I, A)``.
 
-The action is stored sparse: ``BoundaryOperator.L`` is a canonical
-read-only CSR array (``hilbert._frozen_csr``, as every space's Gram is),
-which ``_realize`` assembles from its blocks, so no dense core x ext array
-is formed.  The two Green gates multiply CSR factors: the Grams as the
-spaces hold them, L as it is and the traces converted.
-The traces ``Gamma0``/``Gamma1`` (m rows each) stay dense.  A dense L is
-built only when read: by ``skew_on_minimal``, by
-``extension.GeneratorRealization.A_main`` and by the node's ``L_eff`` and
-step matrices (``node._effective_action``).
+The maps and the action are stored sparse: A and B_ext, like every
+``LinearMap``, and ``BoundaryOperator.L`` are canonical read-only CSR
+arrays (``hilbert._frozen_csr``, as every space's Gram is).
+``extend_adjoint`` forms B_ext by sparse products and ``_realize``
+assembles L from its blocks, so no dense core x ext array is formed; the
+one dense product is the lift's GEMM ``B_ext[:, :dim_y] @ A``, whose bits
+L and every run carry, on dense copies of its two operands.  The two
+Green gates multiply CSR factors: the maps and Grams as they are held and
+the traces converted.  The traces ``Gamma0``/``Gamma1`` (m rows each)
+stay dense.  A dense L is built only when read: by ``skew_on_minimal``,
+by ``extension.GeneratorRealization.A_main`` and by the node's ``L_eff``
+and step matrices (``node._effective_action``).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import block_array, csr_array, eye_array
+from scipy.sparse import block_array, csr_array, eye_array, hstack
 
 from .errors import (
     DegenerateCoreProjection,
@@ -172,21 +175,21 @@ def extend_adjoint(A: LinearMap, injection: np.ndarray,
 
     ``B_ext = W_X^{-1} [-A^T W_Y | E]`` where the columns of E are the
     covariant boundary functionals; the Green identity then holds by
-    construction.  ``-A^T W_Y`` is a sparse product and the solve against
-    W_X is ``_gram_solve``'s; for diagonal Grams both keep the bits of the
-    dense GEMM and LAPACK solve.  The extended space is the direct sum
-    ``Y (+) R^nb``.  The map holds the array built here, frozen in place,
-    not a copy.
+    construction.  ``-(A^T W_Y)`` is a sparse product next to E and the
+    solve against W_X is ``_gram_solve``'s, which scales a diagonal W_X's
+    rows by ``1 / w_X``; for diagonal Grams each entry is one product, so
+    both keep the bits of the dense GEMM and LAPACK solve.  The extended
+    space is the direct sum ``Y (+) R^nb``.
     """
     injection = np.atleast_2d(np.asarray(injection, dtype=float))
     _expect_shape("injection", injection,
                   (A.domain.dim,) + injection.shape[1:2])
     nb = injection.shape[1]
-    b = _gram_solve(A.domain, np.hstack([-A.matrix.T @ A.codomain.gram_csr,
-                                         injection]))
-    b.setflags(write=False)
+    rhs = hstack([-(A.matrix.T @ A.codomain.gram_csr), csr_array(injection)],
+                 format="csr")
     ext_space = direct_sum(label, A.codomain, euclidean_space(nb, f"R^{nb}"))
-    return LinearMap(b, domain=ext_space, codomain=A.domain)
+    return LinearMap(_gram_solve(A.domain, rhs), domain=ext_space,
+                     codomain=A.domain)
 
 
 def assemble_dual_pair(A: LinearMap, B_ext: LinearMap,
@@ -212,15 +215,15 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap,
     else:
         Lambda2 = np.atleast_2d(np.asarray(Lambda2, dtype=float))
         Pi2 = np.atleast_2d(np.asarray(Pi2, dtype=float))
-    _require_finite(A=A.matrix, B_ext=B_ext.matrix)
+    _require_finite(A=A.matrix.data, B_ext=B_ext.matrix.data)
     dp = DualPairTriplet(A, B_ext, _frozen(Lambda1), _frozen(Pi1), G1,
                          _frozen(Lambda2), _frozen(Pi2), G2)
 
     # Bilinear defect in y~^T (.) x coordinates, on CSR factors: iota_Y is
     # a coordinate projection and the trace products have rank m.
     iota_y_t = eye_array(ext_dim, A.codomain.dim, format="csr")
-    pairing = iota_y_t @ A.codomain.gram_csr @ csr_array(A.matrix)
-    defect = (-csr_array(B_ext.matrix).T @ A.domain.gram_csr - pairing
+    pairing = iota_y_t @ A.codomain.gram_csr @ A.matrix
+    defect = (-B_ext.matrix.T @ A.domain.gram_csr - pairing
               - csr_array(Pi1).T @ csr_array(Lambda1)
               + csr_array(Pi2).T @ csr_array(Lambda2))
     residual = _frobenius(defect) / (1.0 + _frobenius(pairing))
@@ -242,7 +245,7 @@ def assemble_dual_pair(A: LinearMap, B_ext: LinearMap,
 
 
 def _realize(dp: DualPairTriplet, first: HilbertSpaceSpec,
-             to_y: np.ndarray | None, velocity: np.ndarray | None,
+             to_y: csr_array | None, velocity: csr_array | None,
              where: str) -> BoundaryOperator:
     """Boundary operator on extended coordinates ``(v, z2, tau)`` of a pair.
 
@@ -259,26 +262,32 @@ def _realize(dp: DualPairTriplet, first: HilbertSpaceSpec,
     dim_y, nb = dp.A.codomain.dim, dp.n_boundary_coords
     ext_dim = core_dim + nb
     m1, m = dp.G1.dim, bspace.dim
+    # B_ext[:, :dim_y] @ to_y stays a dense GEMM, on dense copies of its
+    # two operands: L, and through it the step and every output of a run,
+    # carry its bits, which a sparse product's summation order would move
+    # (by 10x wide-grid's reference tolerance on y_2).  The Pi traces read
+    # the same dense to_y.
+    a = None if to_y is None else to_y.toarray()
 
     gamma0 = np.zeros((m, ext_dim))
     gamma1 = np.zeros((m, ext_dim))
     gamma0[:m1, n1:core_dim] = dp.Lambda1
     gamma1[m1:, n1:core_dim] = dp.Lambda2
-    # A map M on Y~ = (y, tau) acts on (v, z2, tau) as M S for the selection
-    # S = [[to_y, 0, 0], [0, 0, I]]: [M_y to_y | 0 | M_tau], where + 0.0 turns
-    # -0.0 into +0.0 as M S does.  NumPy hands a one-row M S to BLAS gemv,
-    # whose sums depend on the shape of S, so a one-row M takes the dense S
-    # (for to_y = I each sum has one term: M_y + 0.0 has the bits of M S).
-    # These dense products stay: L_eff and the port maps carry their bits.
+    # A dense map M on Y~ = (y, tau) acts on (v, z2, tau) as M S for the
+    # selection S = [[to_y, 0, 0], [0, 0, I]]: [M_y to_y | 0 | M_tau], where
+    # + 0.0 turns -0.0 into +0.0 as M S does.  NumPy hands a one-row M S to
+    # BLAS gemv, whose sums depend on the shape of S, so a one-row M takes
+    # the dense S (for to_y = I each sum has one term: M_y + 0.0 has the
+    # bits of M S).
     def selected(on_y_ext):
         """The column blocks (v, z2, tau) of M S, None for the z2 block
         where it is not formed (it is zero)."""
-        if to_y is not None and on_y_ext.shape[0] == 1:
+        if a is not None and on_y_ext.shape[0] == 1:
             row = on_y_ext @ scipy.linalg.block_diag(
-                to_y, np.zeros((0, nx)), np.eye(nb))
+                a, np.zeros((0, nx)), np.eye(nb))
             return row[:, :n1], row[:, n1:core_dim], row[:, core_dim:]
         on_y = on_y_ext[:, :dim_y]
-        return (on_y + 0.0 if to_y is None else on_y @ to_y, None,
+        return (on_y + 0.0 if a is None else on_y @ a, None,
                 on_y_ext[:, dim_y:] + 0.0)
 
     for rows, on_y_ext in ((gamma0[m1:], dp.Pi2), (gamma1[:m1], -dp.Pi1)):
@@ -287,9 +296,14 @@ def _realize(dp: DualPairTriplet, first: HilbertSpaceSpec,
         if z2 is not None:
             rows[:, n1:core_dim] = z2
     # L = [[0, velocity, 0], B_ext S] from its blocks, so no dense core x
-    # ext array is formed; BoundaryOperator keeps the entries of csr_array
-    # of the dense L (a zero of either sign is no entry of it)
-    v, _, tau = selected(dp.B_ext.matrix)
+    # ext array is formed; for to_y = I the blocks of B_ext S are the CSR
+    # slices of B_ext.  BoundaryOperator keeps the entries of csr_array of
+    # the dense L (a zero of either sign is no entry of it).
+    b_ext = dp.B_ext.matrix
+    if a is None:
+        v, tau = b_ext[:, :dim_y], b_ext[:, dim_y:]
+    else:
+        v, _, tau = selected(b_ext.toarray())
     L = block_array([[None, eye_array(n1, nx) if velocity is None
                       else velocity, None], [v, None, tau]], format="csr")
     for x in (gamma0, gamma1):
@@ -313,7 +327,7 @@ def lift_second_order(dp: DualPairTriplet) -> BoundaryOperator:
     of the extended Y side; the Y~ element fed to B_ext and the Pi traces
     is ``[A z1; tau]``.
     """
-    normal = dp.A.normal_band
+    normal = dp.A.normal_gram
     x_h = make_space(normal.shape[0], normal, f"{dp.A.domain.label}_h")
     return _realize(dp, x_h, dp.A.matrix, None, "second-order lift")
 

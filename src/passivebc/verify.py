@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse import csr_array
 
 from . import extension as ext
 from . import node as node_mod
@@ -55,19 +53,21 @@ def random_contraction(rng: np.random.Generator, bspace,
     return raw * (scale / nrm)
 
 
-def _kernel_gap(basis: np.ndarray, trace: np.ndarray) -> float:
-    """Upper bound on the largest principal angle (in radians) between
-    span(basis) and ker trace, for a basis with singular values >= 1
-    (``[I; X]`` or an orthonormal one); pi/2 when their dimensions differ.
+def _kernel_gap(image: np.ndarray, dim: int, trace: np.ndarray) -> float:
+    """Upper bound on the largest principal angle (in radians) between a
+    ``dim``-dimensional subspace S and ker trace, given ``image = trace
+    B`` for a basis B of S with singular values >= 1 (``[I; X]``), or
+    ``trace Q`` for the orthogonal projector Q onto S; pi/2 when their
+    dimensions differ.
 
-    With the rank r of the trace counted at rcond 1e-10, as by
-    ``scipy.linalg.null_space``, the sine is <= ``||trace basis||_2 /
-    sigma_r``."""
+    With the rank r of the trace counted at rcond 1e-10, the sine is <=
+    ``||image||_2 / sigma_r`` (Stewart and Sun, Matrix Perturbation
+    Theory, I.5)."""
     sigma = np.linalg.svd(trace, compute_uv=False)
     rank = int(np.sum(sigma > 1e-10 * sigma.max(initial=0.0)))
-    if basis.shape[1] != trace.shape[1] - rank:
+    if dim != trace.shape[1] - rank:
         return np.pi / 2.0
-    gap = np.linalg.norm(trace @ basis, 2) / sigma[rank - 1] if rank else 0.0
+    gap = np.linalg.norm(image, 2) / sigma[rank - 1] if rank else 0.0
     return float(np.arcsin(min(gap, 1.0)))
 
 
@@ -91,16 +91,25 @@ def _extension_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
     checks = [CheckResult("extension_dissipative_for_contractions",
                           worst, 1e-10)]
 
-    m = op.bspace.dim
-    dom_neumann = ext.generator_from_contraction(op, np.eye(m)).domain_basis
-    checks.append(CheckResult("extension_neumann_domain",
-                              _kernel_gap(dom_neumann, op.Gamma1), 1e-10,
-                              "angle bound"))
-    dirichlet = scipy.linalg.null_space(
-        ext.constraint_matrix(op, -np.eye(m)), rcond=1e-10)
-    checks.append(CheckResult("extension_dirichlet_domain",
-                              _kernel_gap(dirichlet, op.Gamma0), 1e-10,
-                              "angle bound"))
+    # The domains with no basis formed: Neumann's ker C(I) = span [I; X]
+    # gives Gamma1 [I; X] from the kernel coordinates X; Dirichlet's
+    # ker C(-I) is the complement of the row space V of C(-I) (its thin
+    # SVD at rcond 1e-10), whose projector I - V^T V gives Gamma0 - (Gamma0
+    # V^T) V.
+    m, core = op.bspace.dim, op.core.dim
+    neumann = ext.generator_from_contraction(op, np.eye(m))
+    checks.append(CheckResult(
+        "extension_neumann_domain",
+        _kernel_gap(ext._kernel_action(op.Gamma1, neumann.X), core,
+                    op.Gamma1), 1e-10, "angle bound"))
+    _, sigma, vt = np.linalg.svd(ext.constraint_matrix(op, -np.eye(m)),
+                                 full_matrices=False)
+    v = vt[:int(np.sum(sigma > 1e-10 * sigma.max(initial=0.0)))]
+    g0 = op.Gamma0
+    checks.append(CheckResult(
+        "extension_dirichlet_domain",
+        _kernel_gap(g0 - (g0 @ v.T) @ v, op.ext_dim - len(v), g0), 1e-10,
+        "angle bound"))
 
     # Expansive parameters must fail dissipativity: count the samples whose
     # residual does not clear 1e-12.
@@ -154,14 +163,13 @@ def _jet_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
 
     # B_ext on Y times the projector I - A (A^T W_Y A)^{-1} A^T W_Y onto
     # ker A*, as b_y - ((A^T W_Y A)^{-1} (b_y A)^T)^T (A^T W_Y) with b_y A
-    # and A^T W_Y from CSR factors: no N^3 product, an nx-column solve
-    dp = sys.dual_pair
-    b_y = dp.B_ext.matrix[:, :dim_y]
-    a_csr = csr_array(a)
-    solved = jt.normal_solve((csr_array(b_y) @ a_csr).T.toarray())
-    ker_rows = b_y - solved.T @ (a_csr.T @ y_space.gram_csr)
+    # and A^T W_Y sparse products: no N^3 product, an nx-column solve
+    b_ext = sys.dual_pair.B_ext.matrix
+    b_y = b_ext[:, :dim_y]
+    solved = jt.normal_solve((b_y @ a).T.toarray())
+    ker_rows = b_y.toarray() - solved.T @ (a.T @ y_space.gram_csr)
     kernel = float(np.linalg.norm(ker_rows)
-                   / (1.0 + np.linalg.norm(dp.B_ext.matrix)))
+                   / (1.0 + np.linalg.norm(b_ext.data)))
 
     # Trace transport: Xi diag(A, I, I_tau) = [Xi_y A | Xi_rest] is Gamma.
     transport = max(

@@ -21,6 +21,11 @@ second-order lift yields bulk traces: boundary velocity for Gamma0 and
 outward-normal traction (-tau_L, +tau_R) for Gamma1.  ``assemble`` stops at
 the pair; the lift, the strain-momentum form and the jet transport are
 built from it on first read of ``WaveSystem.op_A``, ``op_strain``, ``jet``.
+The factor map, the mass and the damping are assembled sparse
+(``diags_array``, ``vstack``) and held, as every ``LinearMap`` is, as
+canonical read-only CSR arrays, so ``assemble`` is O(N) in time and
+memory; the lift's one dense GEMM and the step matrices are formed later,
+from the pair.
 
 Coefficients rho (density), a (restoring) and b (damping) are per node,
 the stiffness T per cell; rho, T, a must be strictly positive and b
@@ -35,7 +40,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import diags_array
+from scipy.sparse import diags_array, vstack
 
 from .errors import (
     InvalidCoefficients,
@@ -180,13 +185,13 @@ def assemble(coeffs: WaveCoefficients,
     w_y = np.concatenate([np.full(N, h), w_nodes])
     Y = make_space(2 * N + 1, diags_array(w_y), "Y")
 
-    # A x = [T^{1/2} grad x; a^{1/2} x], grad mapping nodes to cells.
-    grad = (np.eye(N, N + 1, 1) - np.eye(N, N + 1)) / h
-    a_mat = np.vstack([np.sqrt(coeffs.T)[:, None] * grad,
-                       np.diag(np.sqrt(coeffs.a))])
-    mass, damping = np.diag(coeffs.rho), np.diag(coeffs.b)
-    for x in (a_mat, mass, damping):   # built here: frozen, not copied
-        x.setflags(write=False)
+    # A x = [T^{1/2} grad x; a^{1/2} x], grad mapping nodes to cells by
+    # the differences (x_{i+1} - x_i) / h, whose entries are +-(1 / h)
+    inv_h = 1.0 / h
+    t_half = np.sqrt(coeffs.T)
+    t_grad = diags_array([t_half * -inv_h, t_half * inv_h], offsets=[0, 1],
+                         shape=(N, N + 1))
+    a_mat = vstack([t_grad, diags_array(np.sqrt(coeffs.a))], format="csr")
     A_map = LinearMap(a_mat, domain=X, codomain=Y)
 
     # Signed boundary injection: <E tau, x> = tau_R x_N - tau_L x_0.
@@ -206,8 +211,8 @@ def assemble(coeffs: WaveCoefficients,
 
     return WaveSystem(coeffs, nodes, X, Y, A_map,
                       assemble_dual_pair(A_map, B_ext, lambda1, pi1, G1),
-                      M_map=LinearMap(mass, domain=X, codomain=X),
-                      D_map=LinearMap(damping, domain=X, codomain=X))
+                      M_map=LinearMap(diags_array(coeffs.rho), X, X),
+                      D_map=LinearMap(diags_array(coeffs.b), X, X))
 
 
 def analytic_standing_wave(k: int, coeffs: WaveCoefficients

@@ -12,10 +12,10 @@ holds the CSR array of the dense Gram it validated, as the library's do.
 ``extend_adjoint``, ``lift_second_order``, ``prepare_weights``,
 ``mass_weighted`` and ``effective_action`` are the set-up products as the
 library formed them before it multiplied by sparse Grams and masses:
-GEMMs on the dense Grams, LAPACK's solve against W_X and ``cho_solve``
-against the identity for M^{-1}.  They take and return what their library
-counterparts do (CSR arrays of D and M^{-1}, spaces), so a test can patch
-them in.
+GEMMs on the dense Grams and maps, LAPACK's solve against W_X and
+``cho_solve`` against the identity for M^{-1}.  They take and return what
+their library counterparts do (CSR arrays of D and M^{-1}, spaces), so a
+test can patch them in.
 """
 
 import dataclasses
@@ -95,7 +95,7 @@ def extend_adjoint(A: LinearMap, injection, label: str = "Y~") -> LinearMap:
     injection = np.atleast_2d(np.asarray(injection, dtype=float))
     nb = injection.shape[1]
     b = np.linalg.solve(A.domain.gram,
-                        np.hstack([-A.matrix.T @ w_y, injection]))
+                        np.hstack([-A.matrix.toarray().T @ w_y, injection]))
     ext_space = direct_sum(label, A.codomain,
                            make_space(nb, np.eye(nb), f"R^{nb}"))
     return LinearMap(b, domain=ext_space, codomain=A.domain)
@@ -103,10 +103,10 @@ def extend_adjoint(A: LinearMap, injection, label: str = "Y~") -> LinearMap:
 
 def lift_second_order(dp):
     """The lift with its core block ``A^T W_Y A`` from two dense GEMMs."""
-    a = dp.A.matrix
+    a = dp.A.matrix.toarray()
     w_h = a.T @ dp.A.codomain.gram @ a
     x_h = make_space(len(w_h), 0.5 * (w_h + w_h.T), f"{dp.A.domain.label}_h")
-    return triplet._realize(dp, x_h, a, None, "second-order lift")
+    return triplet._realize(dp, x_h, dp.A.matrix, None, "second-order lift")
 
 
 def prepare_weights(op, M: LinearMap, D: LinearMap):
@@ -114,13 +114,13 @@ def prepare_weights(op, M: LinearMap, D: LinearMap):
     non-symmetric M) and the state Gram ``blockdiag(W_1, sym(W_2 M^{-1}))``
     by a dense GEMM; no gates."""
     position, momentum = op.core.blocks
-    n2 = momentum.dim
-    msym = 0.5 * M.matrix + 0.5 * M.matrix.T
-    if dense_norm(M.matrix - msym) <= 1e-12 * (1.0 + dense_norm(msym)):
+    n2, m = momentum.dim, M.matrix.toarray()
+    msym = 0.5 * m + 0.5 * m.T
+    if dense_norm(m - msym) <= 1e-12 * (1.0 + dense_norm(msym)):
         minv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(msym),
                                       np.eye(n2))
     else:
-        minv = np.linalg.solve(M.matrix, np.eye(n2))
+        minv = np.linalg.solve(m, np.eye(n2))
     w2_minv = momentum.gram @ minv
     kinetic = make_space(n2, 0.5 * (w2_minv + w2_minv.T),
                          momentum.label + "_M")

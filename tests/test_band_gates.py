@@ -179,13 +179,15 @@ def product_bound(x, w, b):
 @given(n=st.integers(1, 16), data=st.data(),
        rows=st.sampled_from([None, 1, 5]), seed=st.integers(0, 2**32 - 1))
 def test_band_products_match_the_gemm(n, data, rows, seed):
-    # every half-width up to the full square is summed entry by entry of
-    # each column, so a row of x @ W never reads the rows multiplied with it
+    # x @ W^T, of a W of every half-width up to the full square, is summed
+    # entry by entry of each row of W, so a row of it never reads the rows
+    # multiplied with it
     b = data.draw(st.integers(0, n - 1), label="b")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n, n)) * (_offsets(n) <= b)
     g = _frozen_csr(w)
     x = rng.standard_normal((n,) if rows is None else (rows, n))
+    w = w.T
     want = x @ w
     got = _times_csr(x, g)
     assert got.shape == want.shape and got.flags.c_contiguous
@@ -337,7 +339,7 @@ def test_diagonal_solve_and_inverse_have_the_lapack_bytes(dx):
     assert hilbert._gram_solve(space(pos), plain).tobytes() == \
         np.linalg.solve(np.diag(pos), plain).tobytes()
     m = np.diag(pos)
-    assert _mass_inverse(m, _frozen_csr(m)).toarray().tobytes() == \
+    assert _mass_inverse(_frozen_csr(m)).toarray().tobytes() == \
         scipy.linalg.cho_solve(scipy.linalg.cho_factor(m),
                                np.eye(len(m))).tobytes()
 

@@ -606,7 +606,8 @@ class TestInputRobustness:
 
     def test_unallocatable_set_up_exits_3_by_name(self, tmp_path, capsys,
                                                   monkeypatch):
-        # what `N: 10000000` raises in the assembly, without allocating
+        # a MemoryError that the set-up raises, here in the assembly and
+        # without allocating, is printed by name
         import passivebc.wave1d as wave1d
 
         def unallocatable(coeffs):
@@ -619,6 +620,84 @@ class TestInputRobustness:
         assert err == ("MemoryError: Unable to allocate 728. TiB for an "
                        "array with shape (10000001, 10000001) and data "
                        "type float64\n")
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("command, formulation, what", [
+        ("simulate", "position-momentum",
+         "the step matrix, 2000004 x 2000004 doubles"),
+        ("simulate", "strain-momentum",
+         "the step matrix, 3000004 x 3000004 doubles"),
+        ("verify", "position-momentum",
+         "the dense B_ext operand of the lift, 1000001 x 2000003 doubles"),
+        ("jet-compare", "position-momentum",
+         "the step matrix, 3000004 x 3000004 doubles")])
+    def test_unmappable_dense_array_is_refused_before_the_set_up(
+            self, tmp_path, capsys, monkeypatch, command, formulation, what):
+        # the largest dense array of the command is asked for before any
+        # O(N) set-up; the mapping fails as an exhausted address space does
+        import mmap
+
+        def unmappable(fileno, length):
+            raise OSError(12, "Cannot allocate memory")
+        monkeypatch.setattr(mmap, "mmap", unmappable)
+        monkeypatch.setattr(cli, "build_system", refused)
+        doc = edited(DAMPED_SINE, {("N",): 1000000,
+                                   ("formulation",): formulation,
+                                   ("out",): str(tmp_path / "run.csv")})
+        code, err = run_cli(tmp_path, capsys, command, doc)
+        assert code == 3, err
+        assert err.startswith(f"MemoryError: cannot allocate {what} "), err
+        assert err.endswith(", at N = 1000000: [Errno 12] Cannot allocate "
+                            "memory\n") and err.count("\n") == 1, err
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("formulation",
+                             ["position-momentum", "strain-momentum"])
+    def test_the_refused_arrays_are_the_runs_own(self, tmp_path, capsys,
+                                                 monkeypatch, formulation):
+        # the shapes asked for are the step matrix and the lift's dense
+        # B_ext operand that the set-up at this N forms
+        import mmap
+        asked, real = [], mmap.mmap
+        monkeypatch.setattr(mmap, "mmap", lambda fileno, length:
+                            asked.append(length) or real(fileno, length))
+        doc = edited(DAMPED_SINE, {("N",): 7,
+                                   ("formulation",): formulation,
+                                   ("t_final",): 0.01,
+                                   ("out",): str(tmp_path / "run.csv")})
+        for command in ("simulate", "verify"):
+            assert run_cli(tmp_path, capsys, command, doc)[0] == 0
+        sc = load_scenario(write_scenario(tmp_path, doc))
+        sys_ = build_system(sc)
+        ext = build_node(sc, sys_).op.ext_dim
+        rows, cols = sys_.dual_pair.B_ext.matrix.shape
+        assert asked == [8 * ext * ext, 8 * rows * cols]
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="address-space limit set by setrlimit")
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_a_million_cells_exit_3_at_once_in_4_gib(self, tmp_path,
+                                                     command):
+        # one process under RLIMIT_AS = 4 GiB: its dense arrays cannot be
+        # mapped, so it ends before the sparse set-up, whose transients
+        # reach about 660 MB traced at this N
+        child = ("import resource, sys, tracemalloc\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+                 "tracemalloc.start()\n"
+                 "from passivebc.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "print(tracemalloc.get_traced_memory()[1])\n"
+                 "sys.exit(code)\n")
+        doc = edited(DAMPED_SINE, {("N",): 1000000,
+                                   ("out",): str(tmp_path / "run.csv")})
+        proc = subprocess.run(
+            [sys.executable, "-c", child, command, "--scenario",
+             write_scenario(tmp_path, doc)],
+            env=src_env(), capture_output=True, text=True)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("MemoryError: cannot allocate the "), \
+            proc.stderr
+        assert int(proc.stdout) < 150e6
         assert not (tmp_path / "run.csv").exists()
 
     @pytest.mark.parametrize("case, step", [

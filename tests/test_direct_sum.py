@@ -130,7 +130,7 @@ def test_operators_and_nodes_keep_their_blocks(jet):
 
 def test_lift_of_a_rank_deficient_factor_names_its_first_block():
     dp = wave_system(4).dual_pair
-    a = np.array(dp.A.matrix)
+    a = dp.A.matrix.toarray()
     a[:, 0] = 0.0
     deficient = LinearMap(a, dp.A.domain, dp.A.codomain)
     with pytest.raises(NonPositiveGram, match="'X_h'"):

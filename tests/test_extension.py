@@ -38,6 +38,12 @@ from passivebc.verify import _kernel_gap
 from conftest import iota, random_wave_system, wave_system
 
 
+def kernel_basis(g):
+    """The kernel basis ``[I; X]`` of a realization, whose core projection
+    is the identity."""
+    return np.vstack([np.eye(g.X.shape[1]), g.X])
+
+
 def random_contraction(rng, m, bspace, target=None):
     raw = rng.standard_normal((m, m))
     nrm = contraction_norm(raw, bspace)
@@ -152,11 +158,11 @@ class TestGeneratorFromContraction:
         op = wave_system(6).op_A
         p = random_contraction(rng, 2, op.bspace)
         g = generator_from_contraction(op, p)
-        # constraint rows vanish on the stored domain basis
+        # constraint rows vanish on the kernel basis [I; X]
         c = constraint_matrix(op, p)
-        assert np.abs(c @ g.domain_basis).max() <= 1e-12
+        assert np.abs(c @ kernel_basis(g)).max() <= 1e-12
         # core projection is square, invertible, with reported condition
-        proj = iota(op) @ g.domain_basis
+        proj = iota(op) @ kernel_basis(g)
         assert proj.shape == (op.core.dim, op.core.dim)
         assert np.isfinite(g.condition) and g.condition >= 1.0
         assert g.P.is_contraction
@@ -179,7 +185,7 @@ class TestGeneratorFromContraction:
 class TestDomains:
     def test_neumann_domain_is_ker_gamma1(self):
         op = wave_system(6).op_A
-        dom = generator_from_contraction(op, np.eye(2)).domain_basis
+        dom = kernel_basis(generator_from_contraction(op, np.eye(2)))
         ker = scipy.linalg.null_space(op.Gamma1, rcond=1e-10)
         angles = scipy.linalg.subspace_angles(dom, ker)
         assert angles.max() <= 1e-10
@@ -280,7 +286,7 @@ class TestClosedFormRealization:
             return
         g = generator_from_contraction(op, p)
         assert_same_generator(g.A_main, g.condition, oracle)
-        assert np.abs(iota(op) @ g.domain_basis
+        assert np.abs(iota(op) @ kernel_basis(g)
                       - np.eye(op.core.dim)).max() == 0.0
 
     @settings(max_examples=40, deadline=None)
@@ -410,7 +416,7 @@ def trace_allowance(op, g):
     """The docstring's Weyl bound on |trace form - dense spectrum|, plus
     one unit roundoff of the same scale for forming and solving either
     side (exact arithmetic is what the bound covers)."""
-    x = g.domain_basis[op.core.dim:]
+    x = g.X
     scale = (1.0 + np.linalg.norm(x, 2) ** 2) * (
         1.0 + np.linalg.norm(op.core.gram @ op.L))
     return 0.5 * scale * green_residual(op) + np.finfo(float).eps * scale
@@ -455,7 +461,7 @@ class TestTraceDissipativity:
 
 
 def eager_realization(c, action, core):
-    """``(A_main, domain_basis)`` of ``action`` on ``ker c = span [I; X]``
+    """``(A_main, [I; X])`` of ``action`` on ``ker c = span [I; X]``
     as the realization once built and stored them, eagerly on every call,
     for a c that passes its gates (oracle)."""
     _, sigma, vt = np.linalg.svd(c, full_matrices=False)
@@ -509,8 +515,8 @@ def lazy_case(n, seed, norm, jet, damped):
 
 
 class TestLazyRealization:
-    """A realization holds only X; ``A_main`` and ``domain_basis`` are
-    built from it on each read with the bytes of the eager build."""
+    """A realization holds only X; ``A_main`` is built from it on each
+    read, and both have the bytes of the eager build."""
 
     @settings(max_examples=40, deadline=None)
     @given(**LAZY_CASES)
@@ -518,10 +524,10 @@ class TestLazyRealization:
         op, p, g = lazy_case(n, seed, norm, jet, damped)
         a_main, basis = eager_realization(constraint_matrix(op, p), op.L,
                                           op.core.dim)
-        for got, want in ((g.A_main, a_main), (g.domain_basis, basis)):
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-            assert got.flags.c_contiguous
+        got = g.A_main
+        assert got.shape == a_main.shape and got.dtype == a_main.dtype
+        assert got.tobytes() == a_main.tobytes()
+        assert got.flags.c_contiguous
         assert g.X.tobytes() == basis[op.core.dim:].tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -556,13 +562,12 @@ class TestLazyRealization:
         g = generator_from_contraction(
             op, random_contraction(rng, 2, op.bspace))
         assert not g.X.flags.writeable
-        for name in ("A_main", "domain_basis"):
-            first, second = getattr(g, name), getattr(g, name)
-            assert first is not second
-            assert not np.shares_memory(first, second)
-            assert not np.shares_memory(first, g.X)
-            assert not (first.flags.writeable or second.flags.writeable)
-            assert first.tobytes() == second.tobytes()
+        first, second = g.A_main, g.A_main
+        assert first is not second
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, g.X)
+        assert not (first.flags.writeable or second.flags.writeable)
+        assert first.tobytes() == second.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             g.X[0, 0] = 1.0
 
@@ -572,7 +577,7 @@ class TestLazyRealization:
         core, nb = op.core.dim, op.ext_dim - op.core.dim
         g = generator_from_contraction(
             op, random_contraction(rng, 2, op.bspace))
-        g.A_main, g.domain_basis, dissipativity_residual(g)
+        g.A_main, dissipativity_residual(g)
         assert g.X.shape == (nb, core)
         assert g.X.nbytes == 8 * nb * core
         # nothing is cached on the realization by a read
@@ -642,7 +647,8 @@ class TestKernelGap:
             basis = np.linalg.qr(basis)[0]
         angle = qr_kernel_angle(basis, trace)
         # the bound holds exactly; both sides round at about 1e-15
-        assert _kernel_gap(basis, trace) >= angle * (1 - 1e-12) - 1e-14
+        assert _kernel_gap(trace @ basis, k, trace) \
+            >= angle * (1 - 1e-12) - 1e-14
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_exact_kernel_is_a_zero_angle(self, rng, m):
@@ -650,13 +656,13 @@ class TestKernelGap:
         c = rng.standard_normal((m, 7))
         trace, ker = np.hstack([c, -np.eye(m)]), np.vstack([np.eye(7), c])
         assert not (trace @ ker).any()
-        assert _kernel_gap(ker, trace) == 0.0
+        assert _kernel_gap(trace @ ker, 7, trace) == 0.0
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_dimension_mismatch_is_a_right_angle(self, rng, extra):
         trace = rng.standard_normal((2, 9))
         basis = rng.standard_normal((9, 7 + extra))
-        assert _kernel_gap(basis, trace) == np.pi / 2.0
+        assert _kernel_gap(trace @ basis, 7 + extra, trace) == np.pi / 2.0
 
     def test_rank_counted_at_null_space_rcond(self, rng):
         # the second row lies below rcond 1e-10, so the kernel has
@@ -665,4 +671,22 @@ class TestKernelGap:
         trace[1] = 1e-12 * trace[0] + 1e-13 * rng.standard_normal(9)
         basis = scipy.linalg.null_space(trace, rcond=1e-10)
         assert basis.shape[1] == 8
-        assert _kernel_gap(basis, trace) <= 1e-12
+        assert _kernel_gap(trace @ basis, 8, trace) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(3, 40), r=st.integers(1, 2), m=st.integers(1, 2),
+           seed=st.integers(0, 2 ** 32 - 1), log_delta=st.floats(-14, 0))
+    def test_row_space_projector_matches_the_kernel_basis(self, n, r, m,
+                                                          seed, log_delta):
+        # the Dirichlet check's form: ker c as the complement of the row
+        # space V of c, trace (I - V^T V) for trace Q, Q a basis of ker c
+        rng = np.random.default_rng(seed)
+        trace = rng.standard_normal((m, n))
+        c = rng.standard_normal((r, m)) @ trace \
+            + 10.0 ** log_delta * rng.standard_normal((r, n))
+        _, sigma, vt = np.linalg.svd(c, full_matrices=False)
+        v = vt[:int(np.sum(sigma > 1e-10 * sigma.max()))]
+        ker = scipy.linalg.null_space(c, rcond=1e-10)
+        got = _kernel_gap(trace - (trace @ v.T) @ v, n - len(v), trace)
+        want = _kernel_gap(trace @ ker, ker.shape[1], trace)
+        assert abs(np.sin(got) - np.sin(want)) <= 1e-12

@@ -1,6 +1,9 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
@@ -510,11 +513,48 @@ def _map_over(a):
     return LinearMap(a, euclidean_space(3, "X"), euclidean_space(2, "Y"))
 
 
-def test_linear_map_keeps_a_frozen_array_it_is_handed():
-    # read-only and owning its data: frozen already, so not copied again
-    a = np.arange(6.0).reshape(2, 3).copy()
-    a.setflags(write=False)
-    assert np.shares_memory(_map_over(a).matrix, a)
+def _canonical_parts(m):
+    return m.data.tobytes(), m.indices.tolist(), m.indptr.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(0, 6), cols=st.integers(0, 6),
+       seed=st.integers(0, 2 ** 32 - 1),
+       form=st.sampled_from(["csr", "csc", "coo", "raw csr"]))
+def test_linear_map_stores_one_canonical_read_only_csr(rows, cols, seed,
+                                                       form):
+    # the dense array (with -0.0 entries) and a sparse one of the same
+    # matrix that stores, in shuffled order, each entry split in two exact
+    # halves, zeros of either sign and, where the matrix is zero, a pair
+    # cancelling to zero give the same entries, sorted, summed and
+    # without a stored zero, in read-only arrays
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, cols)) * (rng.random((rows, cols)) < 0.5)
+    a[a == 0.0] = rng.choice([0.0, -0.0], size=int((a == 0.0).sum()))
+    r, c = np.nonzero(np.ones_like(a))
+    half = np.ldexp(a.ravel(), -1)
+    zeros = rng.choice([0.0, -0.0], size=r.size)
+    pad = rng.standard_normal(r.size) * (a.ravel() == 0.0)
+    order = rng.permutation(5 * r.size)
+    entries = np.concatenate([half, half, zeros, pad, -pad])[order]
+    where = (np.tile(r, 5)[order], np.tile(c, 5)[order])
+    sparse = scipy.sparse.coo_array((entries, where), shape=a.shape)
+    if form == "raw csr":   # unsorted and unsummed, as CSR arrays may be
+        by_row = np.argsort(where[0], kind="stable")
+        sparse = csr_array((entries[by_row], where[1][by_row],
+                            np.searchsorted(where[0][by_row],
+                                            np.arange(rows + 1))),
+                           shape=a.shape)
+    maps = [LinearMap(x, euclidean_space(cols, "X"),
+                      euclidean_space(rows, "Y")).matrix
+            for x in (a, sparse.asformat(form.split()[-1]))]
+    for m in maps:
+        assert isinstance(m, csr_array) and m.has_canonical_format
+        assert (m.data != 0.0).all()
+        assert not any(x.flags.writeable
+                       for x in (m.data, m.indices, m.indptr))
+        assert m.toarray().tolist() == (a + 0.0).tolist()
+    assert _canonical_parts(maps[0]) == _canonical_parts(maps[1])
 
 
 @pytest.mark.parametrize("read_only_view", [False, True])
@@ -526,26 +566,26 @@ def test_linear_map_copies_what_a_caller_can_still_write(read_only_view):
     if read_only_view:
         a.setflags(write=False)
     f = _map_over(a)
-    assert not np.shares_memory(f.matrix, w)
-    assert not f.matrix.flags.writeable
+    assert not np.shares_memory(f.matrix.data, w)
+    assert not f.matrix.data.flags.writeable
     w[0, 0] = 99.0
     assert a[0, 0] == 99.0
-    assert f.matrix.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+    assert f.matrix.toarray().tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
 
 
-def test_extend_adjoint_hands_its_array_to_the_map(monkeypatch):
-    from passivebc import triplet
-    built = []
-    solve = triplet._gram_solve
-
-    def spy(space, rhs):
-        built.append(solve(space, rhs))
-        return built[-1]
-    monkeypatch.setattr(triplet, "_gram_solve", spy)
-    sys_ = wave_system(8)
-    assert len(built) == 1
-    assert np.shares_memory(sys_.dual_pair.B_ext.matrix, built[0])
-    assert not sys_.dual_pair.B_ext.matrix.flags.writeable
+def test_extend_adjoint_forms_no_dense_array():
+    # at N = 2048 a dense B_ext would hold 2049 x 4099 doubles (67 MB)
+    sys_ = wave_system(2048)
+    injection = np.zeros((2049, 2))
+    injection[0, 0], injection[-1, 1] = -1.0, 1.0
+    tracemalloc.start()
+    try:
+        b_ext = extend_adjoint(sys_.A_map, injection)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    assert (b_ext.matrix != sys_.dual_pair.B_ext.matrix).nnz == 0
 
 
 def test_linear_map_applies_to_vectors_and_column_blocks():

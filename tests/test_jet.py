@@ -65,7 +65,8 @@ class TestBuildJet:
         # Xi composed with the state injection reproduces Gamma exactly
         sys = wave_system(6)
         jt = sys.jet
-        inj = scipy.linalg.block_diag(jt.A_iso.matrix, np.eye(7), np.eye(2))
+        inj = scipy.linalg.block_diag(jt.A_iso.matrix.toarray(), np.eye(7),
+                                      np.eye(2))
         assert np.abs(sys.op_strain.Gamma0 @ inj - sys.op_A.Gamma0).max() \
             <= 1e-12
         assert np.abs(sys.op_strain.Gamma1 @ inj - sys.op_A.Gamma1).max() \
@@ -156,7 +157,7 @@ class TestRanADefect:
     def test_kernel_annihilated_by_extension(self):
         # ker A* never feeds the momentum equation
         sys = wave_system(8)
-        b_y = sys.dual_pair.B_ext.matrix[:, :17]
+        b_y = sys.dual_pair.B_ext.matrix[:, :17].toarray()
         ker = scipy.linalg.null_space(sys.A_map.matrix.T @ sys.Y.gram)
         norm = np.linalg.norm(b_y @ ker)
         assert norm / (1.0 + np.linalg.norm(b_y)) <= 1e-12

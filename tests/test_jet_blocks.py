@@ -91,7 +91,7 @@ def solve_gap_bound(jt, rhs_gap, z_a, z_b):
     band is at most ``||N||`` by Cauchy-Schwarz; so ``||z_a - z_b|| <=
     ||N^{-1}|| rhs_gap + 2 (2b + 1) gamma_{b+1} kappa(N) (||z_a|| +
     ||z_b||)``, doubled for the terms of second order."""
-    eigs = np.linalg.eigvalsh(jt.A_iso.normal_band.toarray())
+    eigs = np.linalg.eigvalsh(jt.A_iso.normal_gram.toarray())
     b = len(jt.normal_factor) - 1
     gamma = (b + 1) * EPS / (1 - (b + 1) * EPS)
     sizes = np.linalg.norm(z_a, axis=-1) + np.linalg.norm(z_b, axis=-1)
@@ -107,7 +107,7 @@ def solve_gap_bound(jt, rhs_gap, z_a, z_b):
 def test_block_rows_equal_the_rows_alone(n, k, seed):
     rng = np.random.default_rng(seed)
     sys_ = random_wave_system(n, rng)
-    jt, a, y_space = sys_.jet, sys_.A_map.matrix, sys_.Y
+    jt, a, y_space = sys_.jet, sys_.A_map.matrix.toarray(), sys_.Y
     ny, nx = a.shape
     z = rng.standard_normal((k, 2 * nx))
     w = rng.standard_normal((k, ny + nx))

@@ -194,9 +194,10 @@ def test_one_realization_of_the_ledger():
     assert {"LedgerFactors", "scattering_slack"}.isdisjoint(node_mod.__all__)
 
 
-def test_mass_inverse_is_transposed_once_per_node(monkeypatch):
-    # dissipated_power reads M^{-T} on every block: the node forms its CSR
-    # on first use, with the entries of a fresh transpose
+def test_ledger_factors_are_formed_once_per_node(monkeypatch):
+    # dissipated_power reads M^{-T} and D^T W_D on every block: it
+    # multiplies by their transposes, M^{-1} as the node holds it and the
+    # CSR of a fresh transpose of D^T W_D, formed on first use
     sys = wave_system(6, b=0.2)
     nd = scattering_node(sys.op_A, 0.5 * np.eye(2), sys.M_map, sys.D_map)
     frozen = []
@@ -205,10 +206,11 @@ def test_mass_inverse_is_transposed_once_per_node(monkeypatch):
                         lambda a: frozen.append(a) or real(a))
     z = np.random.default_rng(5).standard_normal((3, 5, nd.op.ext_dim))
     powers = [nd.dissipated_power(block) for block in z]
-    assert len(frozen) == 2     # D^T W_D and M^{-T}, once each
-    minv_t = nd._ledger_factors[2]
-    assert minv_t.toarray().tobytes() == \
-        np.ascontiguousarray(nd.M_inv.toarray().T).tobytes()
+    assert len(frozen) == 1     # (D^T W_D)^T, once
+    damping_t = nd._ledger_factors[1]
+    want = sys.D_map.matrix.toarray().T @ sys.op_A.core.blocks[1].gram
+    assert damping_t.toarray().tobytes() == \
+        np.ascontiguousarray(want.T).tobytes()
     assert all(p.shape == (5,) and (p > 0.0).all() for p in powers)
 
 

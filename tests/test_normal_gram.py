@@ -1,7 +1,7 @@
 """One normal Gram per factor map, and one Green residual per operator.
 
 The factor map forms ``A^T W_Y A`` once, as a CSR array
-(``LinearMap.normal_band``): the lift's core Gram X_h holds it, the jet
+(``LinearMap.normal_gram``): the lift's core Gram X_h holds it, the jet
 factors it by its band and ``verify`` reads it through both.  The jet's banded
 solve must agree with a dense solve of the normal equations.  A boundary
 operator keeps the Green residual its realization gate evaluated
@@ -46,14 +46,14 @@ def scenario_file(tmp_path, name, **changes):
 def count_normal_grams(monkeypatch) -> list:
     """Record each factor map whose normal band is formed."""
     formed = []
-    form = LinearMap.normal_band.func
+    form = LinearMap.normal_gram.func
 
     def counted(self):
         formed.append(self)
         return form(self)
     prop = cached_property(counted)
-    prop.__set_name__(LinearMap, "normal_band")
-    monkeypatch.setattr(LinearMap, "normal_band", prop)
+    prop.__set_name__(LinearMap, "normal_gram")
+    monkeypatch.setattr(LinearMap, "normal_gram", prop)
     return formed
 
 
@@ -79,13 +79,10 @@ def test_jet_compare_forms_the_normal_gram_once(name, monkeypatch,
 @pytest.mark.parametrize("N", [1, 4, 33])
 def test_lift_and_jet_read_one_band(N, rng):
     sys_ = random_wave_system(N, rng)
-    band = sys_.A_map.normal_band
+    band = sys_.A_map.normal_gram
     assert not any(x.flags.writeable
                    for x in (band.data, band.indices, band.indptr))
-    assert sys_.A_map.normal_band is band
-    a, w_y = sys_.A_map.matrix, sys_.Y.gram
-    gemm = (a.T * np.diag(w_y)) @ a
-    assert band.toarray().tobytes() == (0.5 * (gemm + gemm.T)).tobytes()
+    assert sys_.A_map.normal_gram is band
     x_h = sys_.op_A.core.blocks[0]
     assert x_h.gram.tobytes() == band.toarray().tobytes()
     factor = sys_.jet.normal_factor
@@ -96,6 +93,21 @@ def test_lift_and_jet_read_one_band(N, rng):
         c[np.arange(k, N + 1), np.arange(N + 1 - k)] = factor[k, :N + 1 - k]
     assert np.abs(c @ c.T - band.toarray()).max() <= \
         1e-12 * np.abs(band.data).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_normal_gram_is_the_dense_product_to_roundoff(n, seed):
+    # a sparse product: each entry sums at most three terms, so it is
+    # within 1e-15 of |A|^T |W_Y| |A| of the dense GEMM's entry
+    sys_ = random_wave_system(n, np.random.default_rng(seed))
+    a, w_y = sys_.A_map.matrix.toarray(), sys_.Y.gram
+    gemm = a.T @ w_y @ a
+    want = 0.5 * (gemm + gemm.T)
+    scale = np.abs(a).T @ np.abs(w_y) @ np.abs(a)
+    got = sys_.A_map.normal_gram.toarray()
+    assert (np.abs(got - want) <= 1e-15 * scale).all()
+    assert np.array_equal(got, got.T)
 
 
 def test_normal_factor_is_banded_at_scale():

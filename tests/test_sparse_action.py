@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array, eye_array
 
-from passivebc.hilbert import LinearMap, _row_forms, _times_csr
+from passivebc.hilbert import LinearMap, _row_forms
 from passivebc.node import impedance_node, scattering_node
 from passivebc.sim import StepSolver
 from passivebc.triplet import (
@@ -42,7 +42,7 @@ def dense_action(dp, to_y, velocity):
     B_ext S]`` for the selection ``S = [[to_y, 0, 0], [0, 0, I]]`` (see
     there), with the identity set for a None ``velocity``, ``B_ext[:, :dim_y]
     + 0.0`` for a None ``to_y`` and the dense S for a one-row B_ext."""
-    b, nx = dp.B_ext.matrix, dp.A.domain.dim
+    b, nx = dp.B_ext.matrix.toarray(), dp.A.domain.dim
     dim_y, nb = dp.A.codomain.dim, dp.n_boundary_coords
     n1 = dim_y if to_y is None else to_y.shape[1]
     core = n1 + nx
@@ -75,7 +75,7 @@ def dense_effective_action(op, D, minv, L):
     M^{-1}, the last by a GEMM."""
     n1, momentum = op.core_blocks[0], slice(op.core_blocks[0], op.core.dim)
     action = L + 0.0
-    action[n1:, momentum] -= D.matrix
+    action[n1:, momentum] -= D.matrix.toarray()
     action[:, momentum] = action[:, momentum] @ minv.toarray()
     return action
 
@@ -92,11 +92,12 @@ def dense_step_matrices(l_eff, g_map, core, dt):
 
 
 def dense_dissipated_power(D, minv, z, n1, core):
-    """``<v, D^T W_D v>`` with ``v = M^{-1} z2``, from the CSR arrays of
-    the dense D and M^{-T}."""
-    damping = csr_array(D.matrix.T) @ D.domain.gram_csr
-    v = _times_csr(z[..., n1:core], csr_array(minv.toarray().T))
-    return _row_forms(_times_csr(v, damping), v)
+    """``<v, D^T W_D v>`` with ``v = M^{-1} z2``, by SciPy's products
+    ``x @ F`` with the CSR arrays of the dense D^T W_D and M^{-T}, copied
+    C-ordered."""
+    damping = csr_array(D.matrix.toarray().T) @ D.domain.gram_csr
+    v = np.ascontiguousarray(z[..., n1:core] @ csr_array(minv.toarray().T))
+    return _row_forms(np.ascontiguousarray(v @ damping), v)
 
 
 def banded_damping(x, rng):
@@ -119,8 +120,9 @@ def operator_cases(n, seed):
              synthetic_two_block_pair(rng, nx=min(n + 2, 5)),
              synthetic_two_block_pair(rng, nx=1, ny=2, nb=1, m1=1, m2=0))
     for dp in pairs:
-        yield dp, lift_second_order(dp), dense_action(dp, dp.A.matrix, None)
-        yield dp, strain_momentum(dp), dense_action(dp, None, dp.A.matrix)
+        a = dp.A.matrix.toarray()
+        yield dp, lift_second_order(dp), dense_action(dp, a, None)
+        yield dp, strain_momentum(dp), dense_action(dp, None, a)
 
 
 @settings(max_examples=30, deadline=None)
@@ -171,7 +173,7 @@ def test_action_and_damping_band_are_read_only(realize, rng):
     for x in (nd.D.data, nd.D.indices, nd.D.indptr):
         assert not x.flags.writeable
     assert nd.D.nnz == 3 * sys.X.dim - 2
-    assert nd.D.toarray().tobytes() == d.matrix.tobytes()
+    assert nd.D.toarray().tobytes() == d.matrix.toarray().tobytes()
 
 
 def test_a_dense_action_is_stored_as_its_csr(rng):

@@ -3,6 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passivebc import wave1d
 from passivebc.errors import (
@@ -262,8 +265,10 @@ class TestStructuredGates:
     def test_dual_pair_violation_matches_dense(self, rng):
         for dp in [sys.dual_pair for sys in gate_systems(rng)] + [
                 synthetic_two_block_pair(rng)]:
-            b_bad = LinearMap(dp.B_ext.matrix + 1e-8 * rng.standard_normal(
-                dp.B_ext.matrix.shape), dp.B_ext.domain, dp.B_ext.codomain)
+            b_bad = LinearMap(dp.B_ext.matrix.toarray()
+                              + 1e-8 * rng.standard_normal(
+                                  dp.B_ext.matrix.shape),
+                              dp.B_ext.domain, dp.B_ext.codomain)
             pi1_bad = dp.Pi1 + 1e-4
             for b_ext, pi1 in ((b_bad, dp.Pi1), (dp.B_ext, pi1_bad)):
                 res, worst = dense_dual_pair_defect(
@@ -305,17 +310,20 @@ def lift_recipe(dp):
     ext_dim = 2 * nx + nb
     m1 = dp.G1.dim
     m = m1 + (dp.G2.dim if dp.G2 is not None else 0)
-    w_h = dp.A.matrix.T @ dp.A.codomain.gram @ dp.A.matrix
-    w_z = scipy.linalg.block_diag(0.5 * (w_h + w_h.T), dp.A.domain.gram)
+    # X_h is the factor map's normal Gram, which test_normal_gram holds to
+    # the dense A^T W_Y A; `_realize` must carry its bytes into the core
+    a, b_ext = dp.A.matrix.toarray(), dp.B_ext.matrix.toarray()
+    w_z = scipy.linalg.block_diag(dp.A.normal_gram.toarray(),
+                                  dp.A.domain.gram)
     iota = np.hstack([np.eye(2 * nx), np.zeros((2 * nx, nb))])
     L = np.zeros((2 * nx, ext_dim))
     L[:nx, nx:2 * nx] = np.eye(nx)
-    L[nx:, :] = via_y_select(dp.B_ext.matrix, dp.A.matrix, 2 * nx, ext_dim)
+    L[nx:, :] = via_y_select(b_ext, a, 2 * nx, ext_dim)
     gamma0 = np.zeros((m, ext_dim))
     gamma1 = np.zeros((m, ext_dim))
     gamma0[:m1, nx:2 * nx] = dp.Lambda1
-    gamma0[m1:, :] = via_y_select(dp.Pi2, dp.A.matrix, 2 * nx, ext_dim)
-    gamma1[:m1, :] = via_y_select(-dp.Pi1, dp.A.matrix, 2 * nx, ext_dim)
+    gamma0[m1:, :] = via_y_select(dp.Pi2, a, 2 * nx, ext_dim)
+    gamma1[:m1, :] = via_y_select(-dp.Pi1, a, 2 * nx, ext_dim)
     gamma1[m1:, nx:2 * nx] = dp.Lambda2
     label = f"{dp.A.domain.label}_h(+){dp.A.domain.label}"
     return iota, L, gamma0, gamma1, w_z, (nx, nx), label
@@ -334,8 +342,9 @@ def jet_recipe(dp):
     iota = np.hstack([np.eye(core_dim), np.zeros((core_dim, nb))])
     eye_y = np.eye(dim_y)
     L = np.zeros((core_dim, ext_dim))
-    L[:dim_y, dim_y:core_dim] = dp.A.matrix
-    L[dim_y:, :] = via_y_select(dp.B_ext.matrix, eye_y, core_dim, ext_dim)
+    L[:dim_y, dim_y:core_dim] = dp.A.matrix.toarray()
+    L[dim_y:, :] = via_y_select(dp.B_ext.matrix.toarray(), eye_y, core_dim,
+                                ext_dim)
     xi0 = np.zeros((m, ext_dim))
     xi1 = np.zeros((m, ext_dim))
     xi0[:m1, dim_y:core_dim] = dp.Lambda1
@@ -376,7 +385,8 @@ class TestSharedRealization:
         target = strain_momentum(dp)
         assert_realizes(target, jet_recipe(dp))
         assert green_residual(target) <= 1e-12
-        inj = scipy.linalg.block_diag(dp.A.matrix, np.eye(dp.A.domain.dim),
+        inj = scipy.linalg.block_diag(dp.A.matrix.toarray(),
+                                      np.eye(dp.A.domain.dim),
                                       np.eye(dp.n_boundary_coords))
         assert np.abs(target.Gamma0 @ inj - op.Gamma0).max() <= 1e-12
         assert np.abs(target.Gamma1 @ inj - op.Gamma1).max() <= 1e-12
@@ -454,7 +464,7 @@ def test_extend_adjoint_recovers_negative_adjoint_inside():
     sys = wave_system(4)
     dp = sys.dual_pair
     astar = np.linalg.solve(sys.X.gram, sys.A_map.matrix.T @ sys.Y.gram)
-    assert np.allclose(dp.B_ext.matrix[:, :9], -astar, atol=1e-13)
+    assert np.allclose(dp.B_ext.matrix[:, :9].toarray(), -astar, atol=1e-13)
 
 
 def test_lift_preserves_exactness_scaling(rng):
@@ -475,7 +485,7 @@ def test_dual_pair_refuses_non_finite_arrays_by_name(name, bad, rng):
     arrays = {n: getattr(dp, n) for n in DUAL_PAIR_ARRAYS}
     if name in ("A", "B_ext"):
         f = arrays[name]
-        m = np.array(f.matrix)
+        m = f.matrix.toarray()
         m[0, -1] = bad
         arrays[name] = LinearMap(m, f.domain, f.codomain)
     else:
@@ -485,6 +495,28 @@ def test_dual_pair_refuses_non_finite_arrays_by_name(name, bad, rng):
         assemble_dual_pair(arrays["A"], arrays["B_ext"], arrays["Lambda1"],
                            arrays["Pi1"], dp.G1, arrays["Lambda2"],
                            arrays["Pi2"], dp.G2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["A", "B_ext"]),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       form=st.sampled_from(["dense", "csr", "coo"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_non_finite_map_entry_is_named_dense_or_sparse(name, bad, form,
+                                                         seed):
+    # a map holds the entry in its CSR, whatever form it was given in
+    rng = np.random.default_rng(seed)
+    dp = synthetic_two_block_pair(rng)
+    maps = {"A": dp.A, "B_ext": dp.B_ext}
+    f = maps[name]
+    m = f.matrix.toarray()
+    m[rng.integers(m.shape[0]), rng.integers(m.shape[1])] = bad
+    maps[name] = LinearMap(m if form == "dense" else
+                           scipy.sparse.csr_array(m).asformat(form),
+                           f.domain, f.codomain)
+    with pytest.raises(NonFiniteValue, match=f"^{name} holds"):
+        assemble_dual_pair(maps["A"], maps["B_ext"], dp.Lambda1, dp.Pi1,
+                           dp.G1, dp.Lambda2, dp.Pi2, dp.G2)
 
 
 def test_green_gates_fail_closed_on_a_nan_residual():
@@ -504,7 +536,7 @@ def test_green_gates_fail_closed_on_a_nan_residual():
 
 def test_jet_target_gate_refuses_a_nan_factor_map():
     dp = wave_system(4).dual_pair
-    a = np.array(dp.A.matrix)
+    a = dp.A.matrix.toarray()
     a[0, 0] = np.nan
     nan_map = LinearMap(a, dp.A.domain, dp.A.codomain)
     with pytest.raises(GreenIdentityViolated, match="jet target"):

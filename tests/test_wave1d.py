@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from passivebc.errors import (
     InvalidCoefficients,
@@ -145,19 +147,27 @@ class TestAssembly:
             assert 2.0 <= ratio <= 8.0
 
 
-    def test_maps_hold_the_arrays_assembled_for_them(self, monkeypatch):
-        # A, M and D are frozen where they are built, not copied again
-        built = []
-        for name in ("vstack", "diag"):
-            def spy(*args, make=getattr(np, name), **kwargs):
-                built.append(make(*args, **kwargs))
-                return built[-1]
-            monkeypatch.setattr(np, name, spy)
-        sys = wave_system(6, b=0.3)
-        monkeypatch.undo()
-        for f in (sys.A_map, sys.M_map, sys.D_map):
-            assert any(np.shares_memory(f.matrix, x) for x in built)
-            assert not f.matrix.flags.writeable
+    def test_maps_are_assembled_sparse(self, rng):
+        # A, M and D are built as CSR, read-only, with the bytes of the
+        # dense formulas; at N = 2048 the whole assembly stays below one
+        # n x n array of doubles (33.6 MB) by far
+        tracemalloc.start()
+        try:
+            assemble(random_coefficients(2048, rng))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        coeffs = random_coefficients(6, rng)
+        sys = assemble(coeffs)
+        grad = (np.eye(6, 7, 1) - np.eye(6, 7)) / coeffs.h
+        dense = (np.vstack([np.sqrt(coeffs.T)[:, None] * grad,
+                            np.diag(np.sqrt(coeffs.a))]),
+                 np.diag(coeffs.rho), np.diag(coeffs.b))
+        for f, want in zip((sys.A_map, sys.M_map, sys.D_map), dense):
+            assert isinstance(f.matrix, csr_array)
+            assert not f.matrix.data.flags.writeable
+            assert f.matrix.toarray().tobytes() == want.tobytes()
 
 
 class TestStandingWaveOracle:
