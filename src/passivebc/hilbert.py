@@ -293,9 +293,10 @@ def _norm(a: np.ndarray) -> float:
     1e154, where a gate ``||d|| > tol ||g||`` would compare ``inf`` with
     ``tol * inf`` and pass anything; ``nrm2`` is specified not to overflow
     (it scales by the largest entry seen, or sums in a wider format).  That
-    holds for the reference BLAS; for the BLAS NumPy links, the tests that
-    feed the gates entries of 1e200 (``test_hilbert.py``, ``test_node.py``)
-    are the guard.
+    holds for the reference BLAS; for SciPy's BLAS
+    (``scipy.linalg.blas.dnrm2``), the tests that feed the gates entries of
+    1e200 or 1e308 (``test_hilbert.py``, ``test_node.py``,
+    ``test_triplet.py``) are the guard.
     """
     a = np.ravel(a)
     return float(scipy.linalg.blas.dnrm2(a)) if a.size else 0.0

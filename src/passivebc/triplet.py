@@ -69,6 +69,7 @@ from .hilbert import (
     _frozen,
     _frozen_csr,
     _gram_solve,
+    _norm,
     _require_finite,
     direct_sum,
     euclidean_space,
@@ -339,9 +340,10 @@ def strain_momentum(dp: DualPairTriplet) -> BoundaryOperator:
 
 
 def _frobenius(a: csr_array) -> float:
-    """Frobenius norm of a CSR array from its stored entries."""
+    """Frobenius norm of a CSR array from its stored entries, by
+    ``hilbert._norm``, which does not overflow."""
     a.sum_duplicates()
-    return float(np.linalg.norm(a.data))
+    return _norm(a.data)
 
 
 def green_residual(op: BoundaryOperator) -> float:

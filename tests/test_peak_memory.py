@@ -14,7 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
-from passivebc import cli, sim
+from passivebc import cli, sim, verify, wave1d
 from passivebc.node import (
     BoundaryNode,
     _effective_action,
@@ -102,6 +102,23 @@ def test_effective_action_scales_the_momentum_columns_in_place(rng):
         tracemalloc.stop()
     assert peak < 8 * op.core.dim * op.core_blocks[1] / 4
     assert out.tobytes() == nd.L_eff.tobytes()
+
+
+def test_jet_checks_form_no_dense_kernel_rows():
+    # the kernel check forms B_y (I - A N^{-1} A^T W_Y) in row blocks; at
+    # N = 1024 the three nx x dim_y arrays and the nx x nx solve of the
+    # one-shot form peaked at 51.0 MB traced
+    sys_ = wave1d.assemble(wave1d.constant_coefficients(1024))
+    sys_.op_A, sys_.op_strain, sys_.jet
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        checks = verify._jet_checks(sys_, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak <= 8e6
 
 
 def test_l_eff_is_not_a_field():

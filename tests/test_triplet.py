@@ -520,11 +520,13 @@ def test_a_non_finite_map_entry_is_named_dense_or_sparse(name, bad, form,
 
 
 def test_green_gates_fail_closed_on_a_nan_residual():
-    # entries of 1e200 overflow the Frobenius norms: the defect and its
-    # scale read inf, the residual inf / inf = NaN, which "> GREEN_TOL"
-    # let through
+    # Grams and a factor map of 1e200 overflow the products W_Y A: the
+    # defect and its scale hold inf, the residual inf / inf = NaN, which
+    # "> GREEN_TOL" let through
     dp = wave_system(4).dual_pair
-    huge = LinearMap(1e200 * dp.A.matrix, dp.A.domain, dp.A.codomain)
+    huge = LinearMap(1e200 * dp.A.matrix,
+                     *(make_space(s.dim, 1e200 * s.gram_csr, s.label)
+                       for s in (dp.A.domain, dp.A.codomain)))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(GreenIdentityViolated, match="dual pair: "
                            "residual nan"):
@@ -532,6 +534,20 @@ def test_green_gates_fail_closed_on_a_nan_residual():
         with pytest.raises(GreenIdentityViolated, match="jet target: "
                            "residual nan"):
             strain_momentum(dataclasses.replace(dp, A=huge))
+
+
+def test_green_gate_norms_do_not_overflow():
+    # entries near 1e154 square past the float range; summed as squares
+    # the defect and its scale read inf and the residual inf / inf = NaN
+    dp = wave_system(4, T=1e308, a=1e308).dual_pair
+    scaled = LinearMap(1.5 * dp.B_ext.matrix, dp.B_ext.domain,
+                       dp.B_ext.codomain)
+    with pytest.raises(GreenIdentityViolated, match="dual pair: "
+                       "residual 5.000e-01,") as info:
+        assemble_dual_pair(dp.A, scaled, dp.Lambda1, dp.Pi1, dp.G1)
+    assert info.value.residual == pytest.approx(0.5, rel=1e-12)
+    assert assemble_dual_pair(dp.A, dp.B_ext, dp.Lambda1, dp.Pi1,
+                              dp.G1).residual <= 1e-12
 
 
 def test_jet_target_gate_refuses_a_nan_factor_map():
