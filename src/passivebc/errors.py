@@ -88,8 +88,7 @@ class NotAContraction(PassivebcError):
     """Boundary parameter exceeds unit norm on the dual boundary space."""
 
     def __init__(self, norm: float):
-        super().__init__(f"NotAContraction: dual-space operator norm "
-                         f"{norm:.6g} exceeds 1")
+        super().__init__(f"dual-space operator norm {norm:.6g} exceeds 1")
         self.norm = norm
 
 

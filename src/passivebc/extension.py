@@ -162,7 +162,7 @@ def dissipativity_residual(g: GeneratorRealization) -> float:
     op = g.parent
     core, m = op.core.dim, op.n_boundary
     traces = np.vstack([op.Gamma0, op.Gamma1])
-    tk = traces[:, :core] + traces[:, core:] @ g.X
+    tk = _kernel_action(traces, g.X)
     r = np.linalg.qr(tk.T, mode="r")
     s = r[:, :m] @ r[:, m:].T
     lam = np.linalg.eigvalsh(0.5 * (s + s.T)).max(initial=-np.inf)

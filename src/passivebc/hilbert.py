@@ -40,6 +40,12 @@ bits: ``_realize``'s GEMM ``B_ext[:, :dim_y] @ A`` on dense copies of its
 operands, M^{-1} of a non-diagonal mass, the step's
 ``lu_factor``/``getrs`` and the step itself.  The normal Gram reaches only
 the lift's X_h and the ledger's H, so it is a sparse product.
+
+"The bits" above is the set-up's byte contract: every nonzero entry the
+step reads and every byte a command writes equal those of the dense
+products.  The sign of a zero is outside it.  Under IEEE 754-2019 (6.3)
+a zero's sign changes only the sign of a zero result, and LU pivoting
+compares magnitudes, so set-up code turns no -0.0 into +0.0.
 """
 
 from __future__ import annotations
@@ -328,29 +334,18 @@ def _lower_band(g: csr_array) -> np.ndarray:
     return lower
 
 
-def _gram_solve(space: HilbertSpaceSpec, rhs):
-    """``W^{-1} rhs`` for the Gram W of ``space`` and a 2-D rhs, dense or
-    CSR.
+def _gram_solve(space: HilbertSpaceSpec, rhs: csr_array):
+    """``W^{-1} rhs`` for the Gram W of ``space`` and a CSR rhs.
 
-    A diagonal W is solved as LAPACK's triangular solve does, which
-    divides by the pivot for a single right-hand side and multiplies by
-    its reciprocal for several, so a positive diagonal and an rhs free of
-    -0.0 get the bits of ``np.linalg.solve``; a CSR rhs of several columns
-    stays CSR, each row scaled by its reciprocal (one product per entry).
-    Any other W goes to LAPACK's banded Cholesky solve
-    (``solveh_banded``), a CSR rhs made dense.
+    A diagonal W scales each row of rhs by its reciprocal, as LAPACK's
+    triangular solve does for several right-hand sides (one product per
+    entry), and the result stays CSR.  Any other W goes to LAPACK's banded
+    Cholesky solve (``solveh_banded``) on the dense rhs.
     """
     lower = _lower_band(space.gram_csr)
-    if scipy.sparse.issparse(rhs):
-        if len(lower) == 1 and rhs.shape[1] > 1:
-            return scipy.sparse.diags_array(1.0 / lower[0]) @ rhs
-        rhs = rhs.toarray()
-    if len(lower) > 1:
-        return scipy.linalg.solveh_banded(lower, rhs, lower=True)
-    diag = lower[0][:, None]
-    if rhs.shape[1] == 1:
-        return rhs / diag
-    return rhs * (1.0 / diag)
+    if len(lower) == 1:
+        return scipy.sparse.diags_array(1.0 / lower[0]) @ rhs
+    return scipy.linalg.solveh_banded(lower, rhs.toarray(), lower=True)
 
 
 def _extreme_eigenvalues(g: csr_array) -> tuple[float, float]:

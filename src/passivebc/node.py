@@ -268,42 +268,39 @@ def _mass_inverse(m_csr: csr_array) -> csr_array:
     return _frozen_csr(minv)
 
 
-def _mass_weighted(x: np.ndarray, op: BoundaryOperator, minv: csr_array):
-    """``x diag(I, M^{-1}, I)`` for the CSR ``minv`` of M^{-1}, whose
-    product turns -0.0 into +0.0 (+ 0.0)."""
-    out, momentum = x + 0.0, slice(op.core_blocks[0], op.core.dim)
-    out[:, momentum] = x[:, momentum] @ minv
-    return out
+def _mass_weighted(x: np.ndarray, op: BoundaryOperator,
+                   minv: csr_array) -> np.ndarray:
+    """``x diag(I, M^{-1}, I)`` for the CSR ``minv`` of M^{-1}, written
+    into x and returned: its momentum columns weighted by ``x @ M^{-1}``,
+    a diagonal M^{-1} scaling them in place, with the product's bits."""
+    columns = x[:, op.core_blocks[0]:op.core.dim]
+    diag = _diagonal(minv)
+    if diag is None:
+        columns[...] = columns @ minv
+    else:
+        np.multiply(columns, diag, out=columns)
+    return x
 
 
 def _effective_action(op: BoundaryOperator, d: csr_array, minv: csr_array,
                       out: np.ndarray | None = None) -> np.ndarray:
     """``(L - diag(0, D) iota) diag(I, M^{-1}, I)`` for the CSR arrays
     ``d`` of D and ``minv`` of M^{-1}, written into ``out`` (core x ext) or
-    a new array: L's entries scattered into zeros (+ 0.0 as in
-    ``_mass_weighted``), D's entries subtracted and the momentum columns
-    weighted by ``x @ M^{-1}``; a diagonal M^{-1} scales them in place,
-    with the product's bits."""
-    n1, momentum = op.core_blocks[0], slice(op.core_blocks[0], op.core.dim)
+    a new array: L's entries scattered into zeros, D's entries subtracted
+    and the momentum columns weighted (``_mass_weighted``)."""
+    n1 = op.core_blocks[0]
     action = np.empty((op.core.dim, op.ext_dim)) if out is None else out
     action.fill(0.0)
     L, d = op.L, d.tocoo()
     action[np.repeat(np.arange(len(action)), np.diff(L.indptr)),
-           L.indices] = L.data + 0.0
+           L.indices] = L.data
     action[n1 + d.row, n1 + d.col] -= d.data
-    columns = action[:, momentum]
-    diag = _diagonal(minv)
-    if diag is None:
-        columns[...] = columns @ minv
-    else:
-        np.multiply(columns, diag, out=columns)
-        columns += 0.0
-    return action
+    return _mass_weighted(action, op, minv)
 
 
-def _weighted_traces(op: BoundaryOperator, minv: np.ndarray):
+def _weighted_traces(op: BoundaryOperator, minv: csr_array):
     return (_mass_weighted(op.bspace.gram @ op.Gamma0, op, minv),
-            _mass_weighted(op.Gamma1, op, minv))
+            _mass_weighted(op.Gamma1.copy(), op, minv))
 
 
 def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
@@ -395,8 +392,9 @@ def passivity_residual(node: BoundaryNode, z_ext: np.ndarray,
     roundoff for every contraction P, zero for unitary P with no damping.
     Raises ``ShapeMismatch`` unless z_ext has the node's extended
     dimension and u, y its channel count, ``NonFiniteValue`` when an
-    argument holds NaN or infinity and ``InconsistentBoundaryData`` unless
-    ``G_map z = u``.
+    argument holds NaN or infinity or the defect leaves the float range,
+    and ``InconsistentBoundaryData`` unless ``G_map z = u``; the gate takes
+    its norms by ``hilbert._norm``, which does not overflow.
     """
     z_ext = np.asarray(z_ext, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -406,10 +404,15 @@ def passivity_residual(node: BoundaryNode, z_ext: np.ndarray,
                            ("input", u, (m,)), ("output", y, (m,))):
         _expect_shape(name, x, shape)
     _require_finite(state=z_ext, input=u, output=y)
-    gap = np.linalg.norm(node.G_map @ z_ext - u)
-    if gap > CONSISTENCY_RTOL * (1.0 + np.linalg.norm(u)):
+    gap = _norm(node.G_map @ z_ext - u)
+    if not gap <= CONSISTENCY_RTOL * (1.0 + _norm(u)):
         raise InconsistentBoundaryData(
             f"G z differs from u by {gap:.3e}")
-    power = inner(node.state_space, z_ext[:node.op.core.dim],
-                  node.L_eff @ z_ext)
-    return 2.0 * float(power - node.supplied_power(u, y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = inner(node.state_space, z_ext[:node.op.core.dim],
+                      node.L_eff @ z_ext)
+        defect = 2.0 * float(power - node.supplied_power(u, y))
+    if not math.isfinite(defect):
+        raise NonFiniteValue(f"passivity defect is {defect}: the energy "
+                             "terms leave the floating-point range")
+    return defect

@@ -166,8 +166,7 @@ class StepSolver:
             raise SingularStepMatrix(
                 f"step system is not square: core {ncore} + inputs {m} "
                 f"!= extended dimension {ext}")
-        # iota +/- h (h = dt/2 L_eff) bit for bit: h + 0.0 and 0.0 - h turn
-        # -0.0 into +0.0 as iota's zeros do; _factor refuses a non-finite h.
+        # iota +/- h for h = dt/2 L_eff; _factor refuses a non-finite h.
         # L_eff is written into h and scaled there: no other copy.  ``ahead``
         # is allocated once h is written, so NumPy's buffers for the strided
         # momentum columns add nothing to the peak, and is Fortran-ordered,
@@ -177,10 +176,9 @@ class StepSolver:
         with np.errstate(over="ignore", invalid="ignore"):
             _effective_action(node.op, node.D, node.M_inv, out=h)
             np.multiply(0.5 * dt, h, out=h)
-        h += 0.0
         np.negative(node.G_map, out=behind[ncore:])
         ahead = np.empty((ext, ext), order="F")
-        np.subtract(0.0, h, out=ahead[:ncore])
+        np.negative(h, out=ahead[:ncore])
         ahead[ncore:] = node.G_map
         diag = np.arange(ncore)
         for matrix in (ahead, behind):

@@ -12,7 +12,7 @@ which is checked exactly (as a matrix residual) at assembly.
 
 Extended coordinates put the core first, ``y~ = (y, tau)`` and ``z~ =
 (z, tau)``, so ``iota_Y = iota = [I | 0]``: modules slice where the formulas
-write a projection and store none (``_realize`` notes its one-row case).
+write a projection and store none.
 
 The lift produces a maximal second-order operator on extended coordinates
 ``(z1, z2, tau)`` over the core space ``Z = X_h (+) X`` with
@@ -179,8 +179,8 @@ def extend_adjoint(A: LinearMap, injection: np.ndarray,
     construction.  ``-(A^T W_Y)`` is a sparse product next to E and the
     solve against W_X is ``_gram_solve``'s, which scales a diagonal W_X's
     rows by ``1 / w_X``; for diagonal Grams each entry is one product, so
-    both keep the bits of the dense GEMM and LAPACK solve.  The extended
-    space is the direct sum ``Y (+) R^nb``.
+    both keep the bits of the dense GEMM and of LAPACK's solve of several
+    right-hand sides.  The extended space is the direct sum ``Y (+) R^nb``.
     """
     injection = np.atleast_2d(np.asarray(injection, dtype=float))
     _expect_shape("injection", injection,
@@ -274,39 +274,22 @@ def _realize(dp: DualPairTriplet, first: HilbertSpaceSpec,
     gamma1 = np.zeros((m, ext_dim))
     gamma0[:m1, n1:core_dim] = dp.Lambda1
     gamma1[m1:, n1:core_dim] = dp.Lambda2
-    # A dense map M on Y~ = (y, tau) acts on (v, z2, tau) as M S for the
-    # selection S = [[to_y, 0, 0], [0, 0, I]]: [M_y to_y | 0 | M_tau], where
-    # + 0.0 turns -0.0 into +0.0 as M S does.  NumPy hands a one-row M S to
-    # BLAS gemv, whose sums depend on the shape of S, so a one-row M takes
-    # the dense S (for to_y = I each sum has one term: M_y + 0.0 has the
-    # bits of M S).
-    def selected(on_y_ext):
-        """The column blocks (v, z2, tau) of M S, None for the z2 block
-        where it is not formed (it is zero)."""
-        if a is not None and on_y_ext.shape[0] == 1:
-            row = on_y_ext @ scipy.linalg.block_diag(
-                a, np.zeros((0, nx)), np.eye(nb))
-            return row[:, :n1], row[:, n1:core_dim], row[:, core_dim:]
-        on_y = on_y_ext[:, :dim_y]
-        return (on_y + 0.0 if a is None else on_y @ a, None,
-                on_y_ext[:, dim_y:] + 0.0)
-
+    # A map M on Y~ = (y, tau) acts on (v, z2, tau) as M S for the
+    # selection S = [[to_y, 0, 0], [0, 0, I]]: [M_y to_y | 0 | M_tau].
     for rows, on_y_ext in ((gamma0[m1:], dp.Pi2), (gamma1[:m1], -dp.Pi1)):
-        v, z2, tau = selected(on_y_ext)
-        rows[:, :n1], rows[:, core_dim:] = v, tau
-        if z2 is not None:
-            rows[:, n1:core_dim] = z2
+        on_y = on_y_ext[:, :dim_y]
+        rows[:, :n1] = on_y if a is None else on_y @ a
+        rows[:, core_dim:] = on_y_ext[:, dim_y:]
     # L = [[0, velocity, 0], B_ext S] from its blocks, so no dense core x
     # ext array is formed; for to_y = I the blocks of B_ext S are the CSR
-    # slices of B_ext.  BoundaryOperator keeps the entries of csr_array of
-    # the dense L (a zero of either sign is no entry of it).
+    # slices of B_ext.
     b_ext = dp.B_ext.matrix
-    if a is None:
-        v, tau = b_ext[:, :dim_y], b_ext[:, dim_y:]
-    else:
-        v, _, tau = selected(b_ext.toarray())
+    v = b_ext[:, :dim_y]
+    if a is not None:
+        v = v.toarray() @ a
     L = block_array([[None, eye_array(n1, nx) if velocity is None
-                      else velocity, None], [v, None, tau]], format="csr")
+                      else velocity, None], [v, None, b_ext[:, dim_y:]]],
+                    format="csr")
     for x in (gamma0, gamma1):
         x.setflags(write=False)
 

@@ -3,12 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import settings
 
 from passivebc import wave1d
 from passivebc.hilbert import HilbertSpaceSpec, _norm
 from passivebc.sim import LEDGER_CHUNK
+
+import dense_gram_oracle as oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,10 +56,7 @@ def iota(op):
 
 def dense_mass_weight(node):
     """The dense ``diag(I, M^{-1}, I_tau)`` a node applies by slicing."""
-    n1 = node.op.core_blocks[0]
-    nb = node.op.ext_dim - node.op.core.dim
-    return scipy.linalg.block_diag(np.eye(n1), node.M_inv.toarray(),
-                                   np.eye(nb))
+    return oracle.mass_weight(node.op, node.M_inv)
 
 
 def row_forms(x, w):

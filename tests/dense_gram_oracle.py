@@ -16,6 +16,13 @@ GEMMs on the dense Grams and maps, LAPACK's solve against W_X and
 ``cho_solve`` against the identity for M^{-1}.  They take and return what
 their library counterparts do (CSR arrays of D and M^{-1}, spaces), so a
 test can patch them in.
+
+``selected``, ``realized_action``, ``mass_weight`` and ``step_matrices``
+are the dense recipes of the realized action L, the mass weight
+``diag(I, M^{-1}, I)`` and the step matrices, the one copy that every test
+holding the library to them imports.  The library keeps their bytes up to
+the sign of a zero (``passivebc.hilbert``), which ``same_canonical_bytes``
+compares.
 """
 
 import dataclasses
@@ -128,20 +135,68 @@ def prepare_weights(op, M: LinearMap, D: LinearMap):
                                          kinetic)
 
 
-def mass_weighted(x: np.ndarray, op, minv: np.ndarray) -> np.ndarray:
-    """``x diag(I, M^{-1}, I)`` by a GEMM on the dense M^{-1} of the CSR
-    ``minv``."""
-    out, momentum = x + 0.0, slice(op.core_blocks[0], op.core.dim)
-    out[:, momentum] = x[:, momentum] @ minv.toarray()
+def same_canonical_bytes(got, want) -> bool:
+    """Whether ``got`` and ``want`` have one shape and the bytes of ``a +
+    0.0``: every nonzero bit alike, and a zero of either sign read as
+    +0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape
+            and (got + 0.0).tobytes() == (want + 0.0).tobytes())
+
+
+def selected(on_y_ext, to_y, core_dim, ext_dim):
+    """A dense map M on Y~ = (y, tau) carried to (v, z2, tau) by the
+    selection S with ``[to_y v; tau] = S (v, z2, tau)``: ``M S = [M_y to_y
+    | 0 | M_tau]``, formed by its column blocks as ``triplet._realize``
+    forms it.  (A GEMM over all of S sums other terms, and its last bits
+    differ, e.g. for ``random_wave_system(9, default_rng(0))``.)"""
+    dim_y, n1 = to_y.shape
+    out = np.zeros((len(on_y_ext), ext_dim))
+    out[:, :n1] = on_y_ext[:, :dim_y] @ to_y
+    out[:, core_dim:] = on_y_ext[:, dim_y:]
     return out
+
+
+def realized_action(dp, to_y, velocity):
+    """The dense action ``L = [[0, velocity, 0], B_ext S]`` that
+    ``triplet._realize`` forms for the dense ``to_y`` and ``velocity``:
+    ``(A, I)`` for the lift, ``(I, A)`` for the strain-momentum form."""
+    n1, nx = velocity.shape
+    core_dim = n1 + nx
+    ext_dim = core_dim + dp.n_boundary_coords
+    L = np.zeros((core_dim, ext_dim))
+    L[:n1, n1:core_dim] = velocity
+    L[n1:] = selected(dp.B_ext.matrix.toarray(), to_y, core_dim, ext_dim)
+    return L
+
+
+def mass_weight(op, minv) -> np.ndarray:
+    """The dense ``diag(I, M^{-1}, I_tau)`` on the extended coordinates of
+    ``op`` for the CSR ``minv`` of M^{-1}."""
+    n1, nb = op.core_blocks[0], op.ext_dim - op.core.dim
+    return scipy.linalg.block_diag(np.eye(n1), minv.toarray(), np.eye(nb))
+
+
+def mass_weighted(x: np.ndarray, op, minv) -> np.ndarray:
+    """``x diag(I, M^{-1}, I)`` by a GEMM with the dense ``mass_weight``,
+    as a new array."""
+    return x @ mass_weight(op, minv)
 
 
 def effective_action(op, d, minv, out=None):
     """``(L - diag(0, D) iota) diag(I, M^{-1}, I)`` into ``out`` or a new
-    array from the dense L and the dense D of the CSR ``d``, its momentum
-    columns times the dense M^{-1} of the CSR ``minv`` by a GEMM."""
-    n1, momentum = op.core_blocks[0], slice(op.core_blocks[0], op.core.dim)
-    action = np.add(op.L.toarray(), 0.0, out=out)
-    action[n1:, momentum] -= d.toarray()
-    action[:, momentum] = action[:, momentum] @ minv.toarray()
-    return action
+    array: the dense L less the dense D of the CSR ``d`` in its momentum
+    block, times the dense ``mass_weight`` by a GEMM."""
+    n1, core = op.core_blocks[0], op.core.dim
+    action = op.L.toarray()
+    action[n1:, n1:core] -= d.toarray()
+    return np.matmul(action, mass_weight(op, minv), out=out)
+
+
+def step_matrices(l_eff, g_map, dt):
+    """``behind = [iota + dt/2 L_eff; -G]`` and ``ahead = [iota - dt/2
+    L_eff; G]`` of the midpoint step, on the dense ``iota = [I | 0]``."""
+    iota = np.eye(*l_eff.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (0.5 * dt) * l_eff
+        return np.vstack([iota + h, -g_map]), np.vstack([iota - h, g_map])

@@ -1,6 +1,6 @@
 """Holding Grams, maps, masses and damping as sparse arrays and
-multiplying by them sparsely leave every operator the step reads bit for
-bit as the dense set-up gives it.
+multiplying by them sparsely leave every nonzero entry of every operator
+the step reads bit for bit as the dense set-up gives it.
 
 Each system is built twice: by the library, and with the dense oracle
 (``dense_gram_oracle``) patched in: its ``make_space`` and
@@ -11,9 +11,12 @@ every Gram densely, and every set-up product with a Gram or M^{-1} is a
 dense GEMM or LAPACK solve there.  Both builds
 must store the same bytes in the extended Y Gram and ``B_ext``, the core
 Gram's second block, the node's ``L_eff``, ``G_map``, ``K_map``, ``M_inv``
-and kinetic Gram and the step factor, and the step factor, for dt and for
-the inverse step's -dt, must also equal the one formed by ``vstack`` and a
-plain ``lu_factor`` of the stacked matrix.  The core Gram's first block,
+and kinetic Gram and the step factor, and the step matrices and factor,
+for dt and for the inverse step's -dt, must also equal the dense recipe
+(``dense_gram_oracle.step_matrices``) and a plain ``lu_factor`` of its
+``ahead``.  Bytes are compared after ``+ 0.0``, so a zero of either sign
+reads as +0.0, the set-up's byte contract (``passivebc.hilbert``).  The
+core Gram's first block,
 the lift's X_h = sym(A^T W_Y A), is a sparse product that no step reads
 (the ledger's H does): it is held to the dense GEMM's entries to 1e-15
 relative, since each of its entries sums terms of one sign, and the
@@ -35,21 +38,9 @@ import dense_gram_oracle as oracle
 DT = 1e-3
 
 
-def stacked_factor(nd, dt):
-    """``behind`` and the LU factor of ``ahead`` built by stacking."""
-    ncore = nd.op.core.dim
-    with np.errstate(over="ignore", invalid="ignore"):
-        behind = np.vstack([(0.5 * dt) * nd.L_eff + 0.0, -nd.G_map])
-    ahead = np.vstack([0.0 - behind[:ncore], nd.G_map])
-    diag = np.arange(ncore)
-    for matrix in (ahead, behind):
-        matrix[diag, diag] += 1.0
-    return behind, scipy.linalg.lu_factor(ahead)
-
-
 def digest(a: np.ndarray) -> str:
-    """Hash of ``a.tobytes()``, without holding the bytes."""
-    return hashlib.blake2b(np.ascontiguousarray(a)).hexdigest()
+    """Hash of the bytes of ``a + 0.0``, without holding the bytes."""
+    return hashlib.blake2b(np.ascontiguousarray(a) + 0.0).hexdigest()
 
 
 def operator_bytes(N, length, check_stacking):
@@ -85,10 +76,12 @@ def operator_bytes(N, length, check_stacking):
                     continue
                 # -dt too: the inverse step turns +0.0 entries into -0.0
                 for dt, sol in ((DT, solver), (-DT, StepSolver(nd, -DT))):
-                    behind, (lu, piv) = stacked_factor(nd, dt)
-                    assert sol._behind.tobytes() == behind.tobytes()
-                    assert sol._lu[0].tobytes() == lu.tobytes()
-                    assert sol._lu[1].tobytes() == piv.tobytes()
+                    behind, ahead = oracle.step_matrices(nd.L_eff,
+                                                         nd.G_map, dt)
+                    lu, piv = scipy.linalg.lu_factor(ahead)
+                    for got, want in ((sol._behind, behind),
+                                      (sol._lu[0], lu), (sol._lu[1], piv)):
+                        assert oracle.same_canonical_bytes(got, want)
     return out
 
 

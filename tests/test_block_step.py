@@ -32,12 +32,13 @@ from passivebc.wave1d import initial_state
 
 from conftest import (
     ROOT,
-    iota,
     random_wave_system,
     unstreamed_ledger,
     wave_system,
 )
 from test_core_first import same_bytes
+
+import dense_gram_oracle as oracle
 
 
 def scalar_sample(signal, t):
@@ -52,11 +53,11 @@ def scalar_sample(signal, t):
 
 
 def step_oracle(nd, dt):
-    """The former step: dense iota formulas, one ``lu_solve`` per call."""
-    proj, ncore = iota(nd.op), nd.op.core.dim
-    lu = scipy.linalg.lu_factor(np.vstack([proj - 0.5 * dt * nd.L_eff,
-                                           nd.G_map]))
-    behind = np.vstack([proj + 0.5 * dt * nd.L_eff, -nd.G_map])
+    """The former step: dense iota formulas
+    (``dense_gram_oracle.step_matrices``), one ``lu_solve`` per call."""
+    ncore = nd.op.core.dim
+    behind, ahead = oracle.step_matrices(nd.L_eff, nd.G_map, dt)
+    lu = scipy.linalg.lu_factor(ahead)
 
     def step(z, u):
         rhs = behind @ z

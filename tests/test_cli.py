@@ -124,7 +124,8 @@ class TestExitCodes:
         scn = write_scenario(tmp_path, base_scenario(P=1.5))
         assert cli.main(["simulate", "--scenario", scn,
                          "--out", str(tmp_path / "x.csv")]) == 3
-        assert "NotAContraction" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "NotAContraction: dual-space operator norm 1.5 exceeds 1\n")
 
     def test_invalid_coefficients_exit_3(self, tmp_path, capsys):
         doc = base_scenario()

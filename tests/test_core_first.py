@@ -5,7 +5,8 @@ library slices where the formulas write the projections iota, iota_Y and
 y_select, and a node applies M^{-1} to the momentum columns only where the
 formulas write the mass weight ``diag(I, M^{-1}, I)``.  On random wave
 systems, for the second-order lift and the jet target, the sliced forms
-must equal the dense ones byte for byte (to 1e-14 relative for a
+must equal the dense ones (``dense_gram_oracle``) bit for bit, up to the
+sign of a zero (to 1e-14 relative for a
 non-diagonal mass, whose products BLAS may sum in another order, and to a
 rounding bound for the energy of a non-diagonal Gram block, which the
 library sums by diagonals), and the jet's normal-equation solves must
@@ -32,6 +33,8 @@ from passivebc.sim import StepSolver
 from conftest import (ROOT, dense_mass_weight, iota, random_wave_system,
                       row_forms)
 from test_triplet import assert_realizes, jet_recipe, lift_recipe
+
+import dense_gram_oracle as oracle
 
 SYSTEMS = dict(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
                jet=st.booleans())
@@ -130,29 +133,23 @@ def test_energy_split_equals_projected_forms(n, seed, jet, rows):
 @settings(max_examples=25, deadline=None)
 @given(dt=st.floats(1e-4, 1e-1), **SYSTEMS)
 def test_node_and_step_matrices_equal_dense_iota_formulas(n, seed, jet, dt):
-    sys, op, nd, _ = system_and_node(n, seed, jet)
-    proj = iota(op)
-    n1 = op.core_blocks[0]
-    damping_rows = np.zeros((op.core.dim, op.ext_dim))
-    damping_rows[n1:, :] = sys.D_map.matrix @ proj[n1:, :]
+    _, op, nd, _ = system_and_node(n, seed, jet)
     assert same_bytes(nd.L_eff,
-                      (op.L.toarray() - damping_rows)
-                      @ dense_mass_weight(nd))
+                      oracle.effective_action(op, nd.D, nd.M_inv))
     solver = StepSolver(nd, dt)
-    lu, piv = scipy.linalg.lu_factor(np.vstack(
-        [proj - 0.5 * dt * nd.L_eff, nd.G_map]))
-    assert same_bytes(solver._lu[0], lu) and same_bytes(solver._lu[1], piv)
-    assert same_bytes(solver._behind, np.vstack(
-        [proj + 0.5 * dt * nd.L_eff, -nd.G_map]))
+    behind, ahead = oracle.step_matrices(nd.L_eff, nd.G_map, dt)
+    lu, piv = scipy.linalg.lu_factor(ahead)
+    for got, want in ((solver._behind, behind), (solver._lu[0], lu),
+                      (solver._lu[1], piv)):
+        assert oracle.same_canonical_bytes(got, want)
 
 
 def step_back_oracle(nd, dt, z, u_mid):
     """The removed ``StepSolver.step_back``: the backward system
     ``[iota + dt/2 L_eff; -G] z' = [iota - dt/2 L_eff; G] z - [0; 2 u]``
     with its own LU factor."""
-    proj, ncore = iota(nd.op), nd.op.core.dim
-    ahead = np.vstack([proj - 0.5 * dt * nd.L_eff, nd.G_map])
-    behind = np.vstack([proj + 0.5 * dt * nd.L_eff, -nd.G_map])
+    ncore = nd.op.core.dim
+    behind, ahead = oracle.step_matrices(nd.L_eff, nd.G_map, dt)
     rhs = ahead @ z
     rhs[ncore:] -= 2.0 * u_mid
     return scipy.linalg.lu_solve(scipy.linalg.lu_factor(behind), rhs,
@@ -176,12 +173,15 @@ def test_negative_step_is_the_inverse_step(n, seed, jet, dt):
 @settings(max_examples=25, deadline=None)
 @given(rows=st.integers(1, 40), zeros=st.floats(0.0, 1.0), **SYSTEMS)
 def test_mass_weight_equals_dense_product(n, seed, jet, rows, zeros):
-    # signed zeros in every column: the dense product turns -0.0 into +0.0
+    # signed zeros in every column, which the comparison reads as +0.0;
+    # the weight is written into the array it is given
     _, op, nd, rng = system_and_node(n, seed, jet)
     x = rng.standard_normal((rows, op.ext_dim))
     x[rng.uniform(size=x.shape) < zeros] = -0.0
-    assert same_bytes(_mass_weighted(x, op, nd.M_inv),
-                      x @ dense_mass_weight(nd))
+    got = x.copy()
+    assert _mass_weighted(got, op, nd.M_inv) is got
+    assert oracle.same_canonical_bytes(
+        got, oracle.mass_weighted(x, op, nd.M_inv))
 
 
 @settings(max_examples=25, deadline=None)

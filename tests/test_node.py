@@ -446,6 +446,24 @@ class TestPassivityResidual:
         with pytest.raises(InconsistentBoundaryData):
             passivity_residual(nd, z, u, nd.K_map @ z)
 
+    def test_huge_inconsistent_state_is_named(self, rng):
+        # entries of 1e200: norms that sum squares overflow on both sides
+        # of the consistency gate, which then let u pass, off by 1e200
+        sys = wave_system(4)
+        nd = impedance_node(sys.op_A, np.eye(2), sys.M_map, sys.D_map)
+        z = 1e200 * rng.standard_normal(sys.op_A.ext_dim)
+        u = nd.G_map @ z + np.array([1e200, 0.0])
+        with pytest.raises(InconsistentBoundaryData):
+            passivity_residual(nd, z, u, nd.K_map @ z)
+
+    def test_overflowing_energy_is_named(self, rng):
+        # a consistent state of 1e200 entries: its power overflows
+        sys = wave_system(4)
+        nd = impedance_node(sys.op_A, np.eye(2), sys.M_map, sys.D_map)
+        z = 1e200 * rng.standard_normal(sys.op_A.ext_dim)
+        with pytest.raises(NonFiniteValue, match="passivity defect"):
+            passivity_residual(nd, z, nd.G_map @ z, nd.K_map @ z)
+
     def test_residual_equals_minus_slack_minus_dissipation(self, rng):
         sys = wave_system(6, b=0.25)
         p = 0.4 * rotation(0.8)

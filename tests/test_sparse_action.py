@@ -2,13 +2,14 @@
 
 ``BoundaryOperator.L`` and ``BoundaryNode.D`` (D on the momentum block)
 are canonical read-only CSR arrays; the dense arrays are built only when
-read.  Against the dense L that
-``triplet._realize`` formed before (``dense_action``), and the dense
-formulas then applied to it, the CSR action must give every byte of L,
-``L_eff``, both step matrices, the Green residual and the dissipated
-power, for the lift, the jet target and the synthetic two-block pair
-(whose one-row maps take the dense selection); and a node at N=512 must
-hold well under one dense ext x ext array.
+read.  Against the dense L that ``triplet._realize`` formed before
+(``dense_gram_oracle.realized_action``), and the dense recipes then
+applied to it, the CSR action must give every byte of L, ``L_eff``, the
+Green residual and the dissipated power, and every nonzero bit of both
+step matrices and the step factor, for the lift, the jet target and the
+synthetic two-block pairs (one with a one-row Pi2, one with a one-row
+B_ext); and a node at N=512 must hold well under one dense ext x ext
+array.
 """
 
 import dataclasses
@@ -34,31 +35,9 @@ from conftest import random_wave_system, wave_system
 from test_core_first import same_bytes
 from test_triplet import synthetic_two_block_pair
 
+import dense_gram_oracle as oracle
+
 DT = 1e-3
-
-
-def dense_action(dp, to_y, velocity):
-    """L as ``triplet._realize`` formed it densely: ``[[0, velocity, 0],
-    B_ext S]`` for the selection ``S = [[to_y, 0, 0], [0, 0, I]]`` (see
-    there), with the identity set for a None ``velocity``, ``B_ext[:, :dim_y]
-    + 0.0`` for a None ``to_y`` and the dense S for a one-row B_ext."""
-    b, nx = dp.B_ext.matrix.toarray(), dp.A.domain.dim
-    dim_y, nb = dp.A.codomain.dim, dp.n_boundary_coords
-    n1 = dim_y if to_y is None else to_y.shape[1]
-    core = n1 + nx
-    L = np.zeros((core, core + nb))
-    if velocity is None:
-        np.fill_diagonal(L[:n1, n1:core], 1.0)
-    else:
-        L[:n1, n1:core] = velocity
-    if to_y is not None and len(b) == 1:
-        L[n1:] = b @ scipy.linalg.block_diag(to_y, np.zeros((0, nx)),
-                                             np.eye(nb))
-    else:
-        L[n1:, :n1] = b[:, :dim_y] + 0.0 if to_y is None else \
-            b[:, :dim_y] @ to_y
-        L[n1:, core:] = b[:, dim_y:] + 0.0
-    return L
 
 
 def dense_green_residual(op, L):
@@ -68,27 +47,6 @@ def dense_green_residual(op, L):
     g0, g1 = csr_array(op.Gamma0), csr_array(op.Gamma1)
     defect = iota.T @ wl + wl.T @ iota - g1.T @ g0 - g0.T @ g1
     return _frobenius(defect) / (1.0 + _frobenius(wl))
-
-
-def dense_effective_action(op, D, minv, L):
-    """``(L - diag(0, D) iota) diag(I, M^{-1}, I)`` on the dense L, D and
-    M^{-1}, the last by a GEMM."""
-    n1, momentum = op.core_blocks[0], slice(op.core_blocks[0], op.core.dim)
-    action = L + 0.0
-    action[n1:, momentum] -= D.matrix.toarray()
-    action[:, momentum] = action[:, momentum] @ minv.toarray()
-    return action
-
-
-def dense_step_matrices(l_eff, g_map, core, dt):
-    """``behind`` and ``ahead`` stacked from the dense L_eff."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        behind = np.vstack([(0.5 * dt) * l_eff + 0.0, -g_map])
-    ahead = np.vstack([0.0 - behind[:core], g_map])
-    diag = np.arange(core)
-    for matrix in (ahead, behind):
-        matrix[diag, diag] += 1.0
-    return behind, ahead
 
 
 def dense_dissipated_power(D, minv, z, n1, core):
@@ -121,8 +79,10 @@ def operator_cases(n, seed):
              synthetic_two_block_pair(rng, nx=1, ny=2, nb=1, m1=1, m2=0))
     for dp in pairs:
         a = dp.A.matrix.toarray()
-        yield dp, lift_second_order(dp), dense_action(dp, a, None)
-        yield dp, strain_momentum(dp), dense_action(dp, None, a)
+        yield dp, lift_second_order(dp), oracle.realized_action(
+            dp, a, np.eye(dp.A.domain.dim))
+        yield dp, strain_momentum(dp), oracle.realized_action(
+            dp, np.eye(dp.A.codomain.dim), a)
 
 
 @settings(max_examples=30, deadline=None)
@@ -145,17 +105,17 @@ def test_node_and_step_keep_the_dense_bytes(n, seed, banded, dt):
         mass = LinearMap(np.diag(rng.uniform(0.5, 2.0, x.dim)), x, x)
         damping = (banded_damping(x, rng) if banded else
                    LinearMap(np.diag(rng.uniform(0.0, 1.0, x.dim)), x, x))
+        assert op.L.toarray().tobytes() == dense.tobytes()
         for build in (impedance_node, scattering_node):
             nd = build(op, p, mass, damping)
-            l_eff = dense_effective_action(op, damping, nd.M_inv, dense)
+            l_eff = oracle.effective_action(op, nd.D, nd.M_inv)
             assert nd.L_eff.tobytes() == l_eff.tobytes()
-            behind, ahead = dense_step_matrices(l_eff, nd.G_map,
-                                                op.core.dim, dt)
+            behind, ahead = oracle.step_matrices(l_eff, nd.G_map, dt)
             solver = StepSolver(nd, dt)
             lu, piv = scipy.linalg.lu_factor(ahead)
-            assert solver._behind.tobytes() == behind.tobytes()
-            assert same_bytes(solver._lu[0], lu)
-            assert same_bytes(solver._lu[1], piv)
+            for got, want in ((solver._behind, behind), (solver._lu[0], lu),
+                              (solver._lu[1], piv)):
+                assert oracle.same_canonical_bytes(got, want)
             n1, core = op.core_blocks[0], op.core.dim
             z = rng.standard_normal((5, op.ext_dim))
             assert same_bytes(nd.dissipated_power(z), dense_dissipated_power(
