@@ -78,8 +78,8 @@ class GeneratorRealization:
     @property
     def A_main(self) -> np.ndarray:
         """Square generator ``L[:, :core] + L[:, core:] X`` on core
-        coordinates, from the dense array of the parent's CSR L."""
-        a_main = _kernel_action(self.parent.L.toarray(), self.X)
+        coordinates, from the parent's CSR L."""
+        a_main = _kernel_action(self.parent.L, self.X)
         a_main.setflags(write=False)
         return a_main
 
@@ -139,10 +139,10 @@ def _restrict_to_kernel(c: np.ndarray, core_dim: int):
     return x, condition
 
 
-def _kernel_action(action: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _kernel_action(action, x: np.ndarray) -> np.ndarray:
     """``action [I; X] = action[:, :core] + action[:, core:] X``, the
-    generator ``action`` realizes on the kernel ``span [I; X]``: a new
-    array."""
+    generator the dense or CSR ``action`` realizes on the kernel ``span [I;
+    X]``: a new dense array."""
     core_dim = x.shape[1]
     return action[:, :core_dim] + action[:, core_dim:] @ x
 

@@ -43,9 +43,12 @@ the lift's X_h and the ledger's H, so it is a sparse product.
 
 "The bits" above is the set-up's byte contract: every nonzero entry the
 step reads and every byte a command writes equal those of the dense
-products.  The sign of a zero is outside it.  Under IEEE 754-2019 (6.3)
-a zero's sign changes only the sign of a zero result, and LU pivoting
-compares magnitudes, so set-up code turns no -0.0 into +0.0.
+products.  The sign of a zero is outside it, and so is a mass that is not
+diagonal, which no command builds: the node's CSR ``L_eff`` sums its
+M^{-1} products without the GEMM's fused multiply-adds, one rounding
+apart.  Under IEEE 754-2019 (6.3) a zero's sign changes only the sign of
+a zero result, and LU pivoting compares magnitudes, so set-up code turns
+no -0.0 into +0.0.
 """
 
 from __future__ import annotations
@@ -125,11 +128,6 @@ class HilbertSpaceSpec:
     eig_min: float = field(compare=False, default=0.0)
     eig_max: float = field(compare=False, default=0.0)
     blocks: tuple["HilbertSpaceSpec", ...] = field(compare=False, default=())
-
-    @property
-    def bandwidth(self) -> int:
-        """Half-bandwidth b of the Gram: its largest ``|i - j|`` stored."""
-        return len(_lower_band(self.gram_csr)) - 1
 
     @property
     def gram(self) -> np.ndarray:

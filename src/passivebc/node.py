@@ -14,17 +14,17 @@ impedance:
     G = ((I - P) W_G Gamma0 + (I + P) Gamma1) / 2,
     K = ((I + P) W_G Gamma0 + (I - P) Gamma1) / 2.
 
-The interior action is ``L_eff = (L - diag(0, D) iota) diag(I, M^{-1}, I)``.
-The node does not store it: ``BoundaryNode.L_eff`` builds it, dense, on
-first read, and :class:`~passivebc.sim.StepSolver` writes it straight into
-its step matrix (``_effective_action``) from the operator's CSR L.  The
-node keeps D and M^{-1} on the momentum block as canonical read-only CSR
-arrays (``BoundaryNode.D``, ``BoundaryNode.M_inv``); ``scattering_node``
-and ``impedance_node`` take the maps and gate them.  Every product with
-them, with the momentum Gram W_2 and with the ledger's ``D^T W_D`` is a
-sparse product, which has the GEMM's bits when a factor is diagonal; the
-ledger multiplies through ``hilbert._times_csr``, by the transposes of
-its factors, which the node keeps.
+The interior action is ``L_eff = (L - diag(0, D) iota) diag(I, M^{-1}, I)``,
+a canonical read-only CSR array (``BoundaryNode.L_eff``) that the node
+forms once, on first read, by sparse products; every reader uses it, and
+the two step matrices of :class:`~passivebc.sim.StepSolver` are its only
+dense copies.  The node keeps D and M^{-1} on the momentum block as
+canonical read-only CSR arrays (``BoundaryNode.D``, ``BoundaryNode.M_inv``);
+``scattering_node`` and ``impedance_node`` take the maps and gate them.
+Every product with them, with the momentum Gram W_2 and with the ledger's
+``D^T W_D`` is a sparse product, which has the GEMM's bits when a factor
+is diagonal; the ledger multiplies through ``hilbert._times_csr``, by the
+transposes of its factors, which the node keeps.
 The state energy is measured by ``W = blockdiag(W_1, W_2 M^{-1})``, i.e.
 kinetic energy uses the inverse-mass inner product.  W_1 and W_2 are the
 core's two blocks; the state space is the direct sum ``W_1 (+) sym(W_2
@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, eye_array
 
 from .errors import (
     DampingNotDissipative,
@@ -97,7 +97,7 @@ IMPEDANCE = "impedance"
 @dataclass(frozen=True)
 class BoundaryNode:
     """Immutable colligation (G_map, L_eff, K_map) over extended coordinates;
-    ``L_eff`` is built from ``op``, ``D`` and ``M_inv`` on first read."""
+    ``L_eff`` is formed from ``op``, ``D`` and ``M_inv`` on first read."""
 
     op: BoundaryOperator
     flavor: str
@@ -109,12 +109,19 @@ class BoundaryNode:
     M_inv: csr_array                   # M^{-1} on the momentum block
 
     @cached_property
-    def L_eff(self) -> np.ndarray:
-        """``(L - diag(0, D) iota) diag(I, M^{-1}, I)``, read-only, built on
-        first read; a run does not read it (``StepSolver`` builds its own)."""
-        action = _effective_action(self.op, self.D, self.M_inv)
-        action.setflags(write=False)
-        return action
+    def L_eff(self) -> csr_array:
+        """``(L - diag(0, D) iota) diag(I, M^{-1}, I)`` as a canonical
+        read-only CSR array, formed on first read by sparse products of the
+        CSR arrays of L, D and M^{-1}: each entry is one product when M is
+        diagonal, with the bits of the dense scatter and scaling."""
+        op, n1 = self.op, self.op.core_blocks[0]
+        d = self.D.tocoo()
+        damping = csr_array((d.data, (n1 + d.row, n1 + d.col)),
+                            shape=(op.core.dim, op.ext_dim))
+        weight = scipy.sparse.block_diag(
+            (eye_array(n1), self.M_inv, eye_array(op.ext_dim - op.core.dim)),
+            format="csr")
+        return _frozen_csr((op.L - damping) @ weight)
 
     def dual_gram(self) -> np.ndarray:
         """Gram of the dual boundary space (inputs/outputs live there),
@@ -282,22 +289,6 @@ def _mass_weighted(x: np.ndarray, op: BoundaryOperator,
     return x
 
 
-def _effective_action(op: BoundaryOperator, d: csr_array, minv: csr_array,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """``(L - diag(0, D) iota) diag(I, M^{-1}, I)`` for the CSR arrays
-    ``d`` of D and ``minv`` of M^{-1}, written into ``out`` (core x ext) or
-    a new array: L's entries scattered into zeros, D's entries subtracted
-    and the momentum columns weighted (``_mass_weighted``)."""
-    n1 = op.core_blocks[0]
-    action = np.empty((op.core.dim, op.ext_dim)) if out is None else out
-    action.fill(0.0)
-    L, d = op.L, d.tocoo()
-    action[np.repeat(np.arange(len(action)), np.diff(L.indptr)),
-           L.indices] = L.data
-    action[n1 + d.row, n1 + d.col] -= d.data
-    return _mass_weighted(action, op, minv)
-
-
 def _weighted_traces(op: BoundaryOperator, minv: csr_array):
     return (_mass_weighted(op.bspace.gram @ op.Gamma0, op, minv),
             _mass_weighted(op.Gamma1.copy(), op, minv))
@@ -376,7 +367,7 @@ def internal_wellposedness(node: BoundaryNode) -> tuple[bool, np.ndarray | None]
         return False, None
     x, _ = _restrict_to_kernel(node.G_map, node.op.core.dim)
     gen = _kernel_action(node.L_eff, x)
-    wa = node.state_space.gram @ gen
+    wa = node.state_space.gram_csr @ gen
     lam = np.linalg.eigvalsh(0.5 * (wa + wa.T))[-1]
     return bool(lam <= 1e-10), gen
 

@@ -24,7 +24,9 @@ at a time through LAPACK ``getrs`` on the stored factor
 block as a :class:`Trajectory` with its outputs and ledger, evaluated by
 the node's row-wise ledger methods
 (:meth:`~passivebc.node.BoundaryNode.energy_split` and its siblings),
-before it steps the next; :func:`simulate` joins the blocks.
+before it steps the next; :func:`simulate` joins the blocks.  The node
+holds ``L_eff`` as a CSR array; :class:`StepSolver`'s two step matrices
+are its only dense copies.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import (
     UnknownChoice,
 )
 from .hilbert import _expect_shape, _require_finite
-from .node import BoundaryNode, EnergyLedger, _effective_action
+from .node import BoundaryNode, EnergyLedger
 
 __all__ = [
     "InputSignal",
@@ -167,14 +169,12 @@ class StepSolver:
                 f"step system is not square: core {ncore} + inputs {m} "
                 f"!= extended dimension {ext}")
         # iota +/- h for h = dt/2 L_eff; _factor refuses a non-finite h.
-        # L_eff is written into h and scaled there: no other copy.  ``ahead``
-        # is allocated once h is written, so NumPy's buffers for the strided
-        # momentum columns add nothing to the peak, and is Fortran-ordered,
-        # so LAPACK factors it in place.
+        # The node's CSR L_eff is written into h and scaled there: no other
+        # dense copy.  ``ahead`` is Fortran-ordered, so LAPACK factors it in
+        # place.
         behind = np.empty((ext, ext))
-        h = behind[:ncore]
+        h = node.L_eff.toarray(out=behind[:ncore])
         with np.errstate(over="ignore", invalid="ignore"):
-            _effective_action(node.op, node.D, node.M_inv, out=h)
             np.multiply(0.5 * dt, h, out=h)
         np.negative(node.G_map, out=behind[ncore:])
         ahead = np.empty((ext, ext), order="F")

@@ -42,9 +42,10 @@ one dense product is the lift's GEMM ``B_ext[:, :dim_y] @ A``, whose bits
 L and every run carry, on dense copies of its two operands.  The two
 Green gates multiply CSR factors: the maps and Grams as they are held and
 the traces converted.  The traces ``Gamma0``/``Gamma1`` (m rows each)
-stay dense.  A dense L is built only when read: by ``skew_on_minimal``,
-by ``extension.GeneratorRealization.A_main`` and by the node's ``L_eff``
-and step matrices (``node._effective_action``).
+stay dense.  No module forms a dense L: ``skew_on_minimal`` reads ``L @
+V``, ``extension.GeneratorRealization.A_main`` reads L on the kernel, and
+the node's CSR ``L_eff`` is formed from L by sparse products; the step
+matrices are its only dense copies.
 """
 
 from __future__ import annotations
@@ -358,13 +359,14 @@ def skew_on_minimal(op: BoundaryOperator,
                     L: np.ndarray | None = None) -> float:
     """Symmetric defect ``||sym(V^T iota^T W_Z L V)||_F`` on the minimal domain.
 
-    V is the minimal-domain basis; with no damping folded into L the value
-    is at roundoff level because the Green identity kills the boundary
-    terms on the kernel.  An alternative action (e.g. with damping folded
-    in) may be supplied; ``ShapeMismatch`` unless it has the shape of
-    ``op.L``.
+    V is the minimal-domain basis, and the action and W_Z (the core's CSR
+    Gram) multiply it as they are held; with no damping folded into L the
+    value is at roundoff level because the Green identity kills the
+    boundary terms on the kernel.  An alternative action (e.g. with damping
+    folded in) may be supplied; ``ShapeMismatch`` unless it has the shape
+    of ``op.L``.
     """
-    action = op.L.toarray() if L is None else np.asarray(L, dtype=float)
+    action = op.L if L is None else np.asarray(L, dtype=float)
     _expect_shape("action L", action, op.L.shape)
     v = minimal_domain(op)
     if v.shape[1] == 0:
@@ -374,5 +376,5 @@ def skew_on_minimal(op: BoundaryOperator,
             1.0, float(np.abs(iv).max()))) < v.shape[1]:
         raise DegenerateCoreProjection(
             "core projection is not injective on the minimal domain")
-    compressed = iv.T @ op.core.gram @ action @ v
+    compressed = (op.core.gram_csr @ iv).T @ (action @ v)
     return float(np.linalg.norm(0.5 * (compressed + compressed.T)))

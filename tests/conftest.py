@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from passivebc import wave1d
-from passivebc.hilbert import HilbertSpaceSpec, _norm
+from passivebc.hilbert import HilbertSpaceSpec, _lower_band, _norm
 from passivebc.sim import LEDGER_CHUNK
 
 import dense_gram_oracle as oracle
@@ -46,6 +46,12 @@ def double_gamma1(monkeypatch):
             op, Gamma1=2.0 * op.Gamma1))
         return sound
     monkeypatch.setattr(verify, "build_system", build_faulty)
+
+
+def half_width(space):
+    """Half-bandwidth of a space's Gram, the widest ``|i - j|`` it
+    stores: the width of its LAPACK lower band (``hilbert._lower_band``)."""
+    return len(_lower_band(space.gram_csr)) - 1
 
 
 def iota(op):

@@ -11,15 +11,17 @@ holds the CSR array of the dense Gram it validated, as the library's do.
 ``make_space`` and attaches the summands, as the library's sum keeps them.
 ``extend_adjoint``, ``lift_second_order``, ``prepare_weights``,
 ``mass_weighted`` and ``effective_action`` are the set-up products as the
-library formed them before it multiplied by sparse Grams and masses:
-GEMMs on the dense Grams and maps, LAPACK's solve against W_X and
-``cho_solve`` against the identity for M^{-1}.  They take and return what
-their library counterparts do (CSR arrays of D and M^{-1}, spaces), so a
-test can patch them in.
+library formed them before it multiplied by sparse Grams, masses and
+actions: GEMMs on the dense Grams and maps, LAPACK's solve against W_X
+and ``cho_solve`` against the identity for M^{-1}.  They take what their
+library counterparts do (CSR arrays of D and M^{-1}, spaces), so a test
+can patch them in; ``effective_action`` returns the dense array of the
+node's CSR ``L_eff``.
 
-``selected``, ``realized_action``, ``mass_weight`` and ``step_matrices``
-are the dense recipes of the realized action L, the mass weight
-``diag(I, M^{-1}, I)`` and the step matrices, the one copy that every test
+``selected``, ``realized_action``, ``damped_action``, ``mass_weight`` and
+``step_matrices`` are the dense recipes of the realized action L, of L
+less the damping, of the mass weight ``diag(I, M^{-1}, I)`` and of the
+step matrices, the one copy that every test
 holding the library to them imports.  The library keeps their bytes up to
 the sign of a zero (``passivebc.hilbert``), which ``same_canonical_bytes``
 compares.
@@ -183,14 +185,19 @@ def mass_weighted(x: np.ndarray, op, minv) -> np.ndarray:
     return x @ mass_weight(op, minv)
 
 
-def effective_action(op, d, minv, out=None):
-    """``(L - diag(0, D) iota) diag(I, M^{-1}, I)`` into ``out`` or a new
-    array: the dense L less the dense D of the CSR ``d`` in its momentum
-    block, times the dense ``mass_weight`` by a GEMM."""
+def damped_action(op, d):
+    """``L - diag(0, D) iota`` as a new array: the dense L less the dense D
+    of the CSR ``d`` in its momentum block."""
     n1, core = op.core_blocks[0], op.core.dim
     action = op.L.toarray()
     action[n1:, n1:core] -= d.toarray()
-    return np.matmul(action, mass_weight(op, minv), out=out)
+    return action
+
+
+def effective_action(op, d, minv):
+    """``(L - diag(0, D) iota) diag(I, M^{-1}, I)`` as a new array: the
+    ``damped_action`` times the dense ``mass_weight`` by a GEMM."""
+    return damped_action(op, d) @ mass_weight(op, minv)
 
 
 def step_matrices(l_eff, g_map, dt):

@@ -4,16 +4,18 @@ the step reads bit for bit as the dense set-up gives it.
 
 Each system is built twice: by the library, and with the dense oracle
 (``dense_gram_oracle``) patched in: its ``make_space`` and
-``direct_sum`` into every module that binds the library's, and its dense
-``extend_adjoint``, lift, ``prepare_weights``, ``mass_weighted`` and
-``effective_action`` in place of the library's.  The oracle validates
+``direct_sum`` into every module that binds the library's, its dense
+``extend_adjoint``, lift, ``prepare_weights`` and ``mass_weighted`` in
+place of the library's, and the CSR of its dense ``effective_action`` as
+the node's ``L_eff``.  The oracle validates
 every Gram densely, and every set-up product with a Gram or M^{-1} is a
 dense GEMM or LAPACK solve there.  Both builds
 must store the same bytes in the extended Y Gram and ``B_ext``, the core
 Gram's second block, the node's ``L_eff``, ``G_map``, ``K_map``, ``M_inv``
 and kinetic Gram and the step factor, and the step matrices and factor,
 for dt and for the inverse step's -dt, must also equal the dense recipe
-(``dense_gram_oracle.step_matrices``) and a plain ``lu_factor`` of its
+(``dense_gram_oracle.step_matrices`` of the oracle's ``effective_action``,
+not of the library's ``L_eff``) and a plain ``lu_factor`` of its
 ``ahead``.  Bytes are compared after ``+ 0.0``, so a zero of either sign
 reads as +0.0, the set-up's byte contract (``passivebc.hilbert``).  The
 core Gram's first block,
@@ -29,8 +31,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from passivebc import hilbert, node, sim, triplet, wave1d
-from passivebc.hilbert import LinearMap
+from passivebc import hilbert, node, triplet, wave1d
+from passivebc.hilbert import LinearMap, _frozen_csr
 from passivebc.sim import StepSolver
 
 import dense_gram_oracle as oracle
@@ -65,7 +67,8 @@ def operator_bytes(N, length, check_stacking):
                 nd = build(op, p, sys.M_map, d)
                 solver = StepSolver(nd, DT)
                 key = (name, build.__name__, damping)
-                for field in ("L_eff", "G_map", "K_map"):
+                out[key + ("L_eff",)] = digest(nd.L_eff.toarray())
+                for field in ("G_map", "K_map"):
                     out[key + (field,)] = digest(getattr(nd, field))
                 out[key + ("M_inv",)] = digest(nd.M_inv.toarray())
                 assert nd.state_space.blocks[0] is first
@@ -75,9 +78,9 @@ def operator_bytes(N, length, check_stacking):
                 if not check_stacking:
                     continue
                 # -dt too: the inverse step turns +0.0 entries into -0.0
+                l_eff = oracle.effective_action(op, nd.D, nd.M_inv)
                 for dt, sol in ((DT, solver), (-DT, StepSolver(nd, -DT))):
-                    behind, ahead = oracle.step_matrices(nd.L_eff,
-                                                         nd.G_map, dt)
+                    behind, ahead = oracle.step_matrices(l_eff, nd.G_map, dt)
                     lu, piv = scipy.linalg.lu_factor(ahead)
                     for got, want in ((sol._behind, behind),
                                       (sol._lu[0], lu), (sol._lu[1], piv)):
@@ -96,9 +99,9 @@ def assert_dense_bytes(N, length, monkeypatch):
         patch.setattr(wave1d, "lift_second_order", oracle.lift_second_order)
         patch.setattr(node, "_prepare_weights", oracle.prepare_weights)
         patch.setattr(node, "_mass_weighted", oracle.mass_weighted)
-        for module in (node, sim):
-            patch.setattr(module, "_effective_action",
-                          oracle.effective_action)
+        patch.setattr(node.BoundaryNode, "L_eff", property(
+            lambda nd: _frozen_csr(oracle.effective_action(nd.op, nd.D,
+                                                           nd.M_inv))))
         dense = operator_bytes(N, length, check_stacking=False)
     assert banded.keys() == dense.keys()
     for key, value in dense.items():

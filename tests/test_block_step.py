@@ -56,7 +56,7 @@ def step_oracle(nd, dt):
     """The former step: dense iota formulas
     (``dense_gram_oracle.step_matrices``), one ``lu_solve`` per call."""
     ncore = nd.op.core.dim
-    behind, ahead = oracle.step_matrices(nd.L_eff, nd.G_map, dt)
+    behind, ahead = oracle.step_matrices(nd.L_eff.toarray(), nd.G_map, dt)
     lu = scipy.linalg.lu_factor(ahead)
 
     def step(z, u):

@@ -41,7 +41,7 @@ from passivebc.sim import LEDGER_CHUNK, InputSignal, StepSolver
 from passivebc.triplet import extend_adjoint
 
 import dense_gram_oracle as oracle
-from conftest import ROOT, wave_system
+from conftest import ROOT, half_width, wave_system
 from test_hilbert import spd_grams
 from test_stream import random_scenario
 
@@ -64,7 +64,7 @@ def test_gram_has_the_oracle_bytes_and_is_read_only(g):
 
 def test_zero_dimensional_space():
     sp = make_space(0, np.zeros((0, 0)), "E")
-    assert sp.gram_csr.shape == (0, 0) and sp.bandwidth == 0
+    assert sp.gram_csr.shape == (0, 0) and half_width(sp) == 0
     assert sp.gram.shape == (0, 0) and not sp.gram.flags.writeable
     assert LinearMap(np.zeros((0, 3)), euclidean_space(3, "X"),
                      sp).matrix.shape == (0, 3)

@@ -35,7 +35,7 @@ from passivebc.triplet import (
     lift_second_order,
 )
 
-from conftest import wave_system
+from conftest import half_width, wave_system
 
 
 class TestMakeSpace:
@@ -167,7 +167,7 @@ def test_gram_products_take_one_path(case):
     w = space.gram_csr
     got = _times_csr(x, w)
     assert got.flags.c_contiguous
-    if space.bandwidth == 0:
+    if half_width(space) == 0:
         # one product per entry, + 0.0 turning -0.0 into +0.0
         assert got.tobytes() == (x * w.diagonal() + 0.0).tobytes()
         assert not np.signbit(got[x == 0.0]).any()

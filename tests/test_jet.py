@@ -193,7 +193,8 @@ class TestTransformNode:
         out = on_target(strain_momentum(dp), nd, m, d)
         assert np.allclose(out.G_map, nd.G_map, atol=1e-14)
         assert np.allclose(out.K_map, nd.K_map, atol=1e-14)
-        assert np.allclose(out.L_eff, nd.L_eff, atol=1e-14)
+        assert np.allclose(out.L_eff.toarray(), nd.L_eff.toarray(),
+                           atol=1e-14)
 
 
 class TestTrajectoryEquivalence:

@@ -30,7 +30,7 @@ from passivebc.scenario import (
 )
 from passivebc.sim import LEDGER_CHUNK, simulate
 
-from conftest import ROOT, random_wave_system
+from conftest import ROOT, half_width, random_wave_system
 from test_band_gates import product_bound
 from test_normal_gram import count_normal_grams
 
@@ -136,9 +136,9 @@ def test_block_rows_equal_the_rows_alone(n, k, seed):
         want = [inner(space, xi, yi) for xi, yi in zip(x, xs)]
         assert got.shape == (k,)
         assert (np.abs(got - want)
-                <= form_bound(x, space.gram, xs, space.bandwidth)).all()
+                <= form_bound(x, space.gram, xs, half_width(space))).all()
         norms = norm(space, x), np.array([norm(space, xi) for xi in x])
-        bound = root_gap(form_bound(x, space.gram, x, space.bandwidth),
+        bound = root_gap(form_bound(x, space.gram, x, half_width(space)),
                          norms[0] + norms[1])
         assert (np.abs(norms[0] - norms[1]) <= bound).all()
 
@@ -164,7 +164,7 @@ def test_block_rows_equal_the_rows_alone(n, k, seed):
     v = w1 - rows[:, :nx] @ a.T
     v_norm = root_w * np.linalg.norm(v, axis=-1) + v_gap
     q_gap = 2 * v_norm * v_gap + form_bound(v, y_space.gram, v,
-                                            y_space.bandwidth)
+                                            half_width(y_space))
     defect = ran_A_defect(jt, w1)
     want = np.array([ran_A_defect(jt, wi) for wi in w1])
     assert defect.shape == (k,)

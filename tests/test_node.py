@@ -365,7 +365,7 @@ class TestLazySetUp:
                                    sys.D_map,
                                    src.flavor)
         for got, want in ((nd.G_map, ref.G_map), (nd.K_map, ref.K_map),
-                          (nd.L_eff, ref.L_eff),
+                          (nd.L_eff.toarray(), ref.L_eff.toarray()),
                           (nd.M_inv.toarray(), ref.M_inv.toarray()),
                           (nd.P.matrix, ref.P.matrix),
                           (nd.state_space.gram, ref.state_space.gram)):

@@ -27,7 +27,7 @@ from passivebc.scenario import load_scenario
 from passivebc.sim import StepSolver
 from passivebc.triplet import BoundaryOperator, green_residual
 
-from conftest import ROOT, random_wave_system, wave_system
+from conftest import ROOT, half_width, random_wave_system, wave_system
 from test_triplet import synthetic_two_block_pair
 
 SCENARIOS = ("damped_sine", "gauss_scattering", "jet_standing_wave",
@@ -86,7 +86,7 @@ def test_lift_and_jet_read_one_band(N, rng):
     x_h = sys_.op_A.core.blocks[0]
     assert x_h.gram.tobytes() == band.toarray().tobytes()
     factor = sys_.jet.normal_factor
-    b = x_h.bandwidth
+    b = half_width(x_h)
     assert factor.shape == (b + 1, N + 1)
     c = np.zeros((N + 1, N + 1))
     for k in range(b + 1):

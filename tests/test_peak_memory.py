@@ -1,7 +1,8 @@
 """A run keeps only what it steps.
 
-The node builds ``L_eff`` only when it is read; ``StepSolver`` writes the
-effective action straight into its own step matrix and scales it there;
+The node forms ``L_eff`` once, as a CSR array, when it is first read;
+``StepSolver`` writes it into its own step matrix and scales it there, so
+the two step matrices are a run's only dense copies;
 ``cli.run_scenario`` lets the assembled system go before the step is
 factored.
 """
@@ -15,12 +16,7 @@ import numpy as np
 import pytest
 
 from passivebc import cli, sim, verify, wave1d
-from passivebc.node import (
-    BoundaryNode,
-    _effective_action,
-    impedance_node,
-    scattering_node,
-)
+from passivebc.node import BoundaryNode, impedance_node, scattering_node
 from passivebc.sim import InputSignal, StepSolver
 
 from conftest import ROOT, random_wave_system
@@ -86,22 +82,20 @@ def test_step_solver_allocates_its_two_matrices(dt, rng):
     assert peak <= 1.01 * (2 * 8 * ext * ext) + 8 * np.getbufsize()
 
 
-def test_effective_action_scales_the_momentum_columns_in_place(rng):
-    # only NumPy's ufunc buffers, 64 KB per operand, and no core x n2
-    # temporary (4.2 MB at N=512); the bytes are the stored L_eff's
+def test_l_eff_forms_no_dense_array(rng):
+    # sparse products of L, D and M^{-1}: O(nnz) bytes, far below one
+    # dense core x n2 block (4.2 MB at N=512)
     nd = _damped_node(512, rng)
     op = nd.op
-    out = np.empty((op.core.dim, op.ext_dim))
-    _effective_action(op, nd.D, nd.M_inv, out=out)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        _effective_action(op, nd.D, nd.M_inv, out=out)
+        action = nd.L_eff
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 8 * op.core.dim * op.core_blocks[1] / 4
-    assert out.tobytes() == nd.L_eff.tobytes()
+    assert peak < 8 * op.core.dim * op.core_blocks[1] / 32
+    assert action.nnz <= op.L.nnz + nd.D.nnz
 
 
 def test_jet_checks_form_no_dense_kernel_rows():
@@ -131,13 +125,25 @@ def test_l_eff_is_built_once_on_read(build, rng):
     assert "L_eff" not in nd.__dict__
     first = nd.L_eff
     assert nd.L_eff is first
-    assert not first.flags.writeable
+    assert first.has_canonical_format
+    assert not any(x.flags.writeable
+                   for x in (first.data, first.indices, first.indptr))
     assert first.shape == (nd.op.core.dim, nd.op.ext_dim)
 
 
-def test_a_run_that_only_steps_never_builds_l_eff(rng):
+def test_a_run_steps_from_the_nodes_one_l_eff(rng, monkeypatch):
+    # each step factor writes the node's CSR L_eff, formed once, into its
+    # step matrix: a second run forms no second copy
     nd = _damped_node(16, rng)
+    formed = []
+    build = BoundaryNode.L_eff.func
+    monkeypatch.setattr(BoundaryNode.L_eff, "func",
+                        lambda node: formed.append(1) or build(node))
     signal = InputSignal("sine", weights=[1.0, 0.5], amplitude=0.3)
-    traj = sim.simulate(nd, np.zeros(nd.op.core.dim), signal, 0.3, DT)
-    assert traj.n_steps == 300
-    assert "L_eff" not in nd.__dict__
+    for _ in range(2):
+        traj = sim.simulate(nd, np.zeros(nd.op.core.dim), signal, 0.3, DT)
+        assert traj.n_steps == 300
+    assert formed == [1]
+    h = (0.5 * DT) * nd.L_eff.toarray()
+    h[:, :len(h)] += np.eye(len(h))
+    assert StepSolver(nd, DT)._behind[:len(h)].tobytes() == h.tobytes()
