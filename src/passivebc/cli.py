@@ -125,21 +125,23 @@ def _resolve_out(sc: Scenario, out_flag: str | None) -> str:
 
 
 def _refuse_unallocatable(sc: Scenario, formulation: str | None) -> None:
-    """Refuse, before any O(N) set-up, an N whose largest dense array
-    cannot be allocated: the step matrix of a run on ``formulation``
-    (ext x ext, ext = 2N + 4 or 3N + 4), or for None the lift's dense
-    B_ext operand, (N + 1) x (2N + 3).
+    """Refuse, before any O(N) set-up, an N whose largest array cannot be
+    allocated: the step matrix of a run on ``formulation`` (ext x ext,
+    ext = 2N + 4 or 3N + 4), or for None a bound of the lift, the extent
+    of B_ext, (N + 1) x (2N + 3).  The lift forms its product tile by tile
+    (``triplet._tiled_product``) and holds no dense B_ext, but the tiles
+    still sweep that extent in O(N^2) flops, so an N past it is refused.
 
     Its bytes are asked of the operating system as an anonymous mapping
     and let go at once: a size that cannot be mapped raises
-    ``MemoryError`` naming the array, not after the sparse set-up (about
-    10 s and 4 GB of address space at N = 10^7).  One that can touches no
+    ``MemoryError`` naming it, not after the sparse set-up (about 10 s
+    and 4 GB of address space at N = 10^7).  One that can touches no
     page and, unlike a NumPy array, leaves malloc's thresholds, and so a
     run's peak RSS, as they were.
     """
     n = sc.N
     what, rows, cols = {
-        None: ("dense B_ext operand of the lift", n + 1, 2 * n + 3),
+        None: ("extent of the lift's B_ext", n + 1, 2 * n + 3),
         "position-momentum": ("step matrix", 2 * n + 4, 2 * n + 4),
         "strain-momentum": ("step matrix", 3 * n + 4, 3 * n + 4),
     }[formulation]

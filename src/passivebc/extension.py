@@ -142,9 +142,20 @@ def _restrict_to_kernel(c: np.ndarray, core_dim: int):
 def _kernel_action(action, x: np.ndarray) -> np.ndarray:
     """``action [I; X] = action[:, :core] + action[:, core:] X``, the
     generator the dense or CSR ``action`` realizes on the kernel ``span [I;
-    X]``: a new dense array."""
+    X]``: a new dense array.
+
+    ``action[:, :core]`` is added into the product in place, a CSR block
+    by its stored entries, so the result is the one dense array formed.
+    """
     core_dim = x.shape[1]
-    return action[:, :core_dim] + action[:, core_dim:] @ x
+    out = action[:, core_dim:] @ x
+    head = action[:, :core_dim]
+    if isinstance(head, np.ndarray):
+        out += head
+    else:
+        head = head.tocoo()
+        out[head.row, head.col] += head.data
+    return out
 
 
 def dissipativity_residual(g: GeneratorRealization) -> float:

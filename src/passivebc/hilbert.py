@@ -36,10 +36,10 @@ Gram back into blocks or eigen-solves a Gram whose blocks were already
 validated.
 The products whose entries sum several terms and reach a run's states
 stay dense and keep their summation order, because its CSV carries their
-bits: ``_realize``'s GEMM ``B_ext[:, :dim_y] @ A`` on dense copies of its
-operands, M^{-1} of a non-diagonal mass, the step's
-``lu_factor``/``getrs`` and the step itself.  The normal Gram reaches only
-the lift's X_h and the ledger's H, so it is a sparse product.
+bits: ``_realize``'s GEMM ``B_ext[:, :dim_y] @ A``, formed over 64 x 64
+output tiles (``triplet._tiled_product``), M^{-1} of a non-diagonal mass,
+the step's ``lu_factor``/``getrs`` and the step itself.  The normal Gram
+reaches only the lift's X_h and the ledger's H, so it is a sparse product.
 
 "The bits" above is the set-up's byte contract: every nonzero entry the
 step reads and every byte a command writes equal those of the dense
@@ -48,7 +48,16 @@ diagonal, which no command builds: the node's CSR ``L_eff`` sums its
 M^{-1} products without the GEMM's fused multiply-adds, one rounding
 apart.  Under IEEE 754-2019 (6.3) a zero's sign changes only the sign of
 a zero result, and LU pivoting compares magnitudes, so set-up code turns
-no -0.0 into +0.0.
+no -0.0 into +0.0.  The lift's tiles keep the whole GEMM's bits at every
+size the benchmark builds, but not at every N: OpenBLAS picks its kernel
+for an entry by the shape of the call.  With OpenBLAS 0.3.31's AVX-512
+kernels one to three diagonal entries of ``B_ext[:, :dim_y] @ A``, one
+ulp each, round apart for ``random_coefficients(N, default_rng(N))`` at
+N = 67, 75, 228-230, 252, 254, 275-278, 299, 302, 324, 326, 348-350,
+371-373, 395-397, 421, 422, 444, 446, 468, 470, 492, 494, 517, 539-542,
+564, 565, 588-590, 611 and 635-637, the 46 of N = 1..640; the Pi traces'
+products never did, and with its Haswell kernels no entry did
+(``BENCH_33.json``).
 """
 
 from __future__ import annotations

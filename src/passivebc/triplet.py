@@ -38,8 +38,10 @@ The maps and the action are stored sparse: A and B_ext, like every
 arrays (``hilbert._frozen_csr``, as every space's Gram is).
 ``extend_adjoint`` forms B_ext by sparse products and ``_realize``
 assembles L from its blocks, so no dense core x ext array is formed; the
-one dense product is the lift's GEMM ``B_ext[:, :dim_y] @ A``, whose bits
-L and every run carry, on dense copies of its two operands.  The two
+lift's product ``B_ext[:, :dim_y] @ A``, whose bits L and every run
+carry, is a dense GEMM formed over 64 x 64 output tiles
+(``_tiled_product``), so no dense copy of B_ext or A and no dense
+product is held either.  The two
 Green gates multiply CSR factors: the maps and Grams as they are held and
 the traces converted.  The traces ``Gamma0``/``Gamma1`` (m rows each)
 stay dense.  No module forms a dense L: ``skew_on_minimal`` reads ``L @
@@ -55,7 +57,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import block_array, csr_array, eye_array, hstack
+from scipy.sparse import block_array, coo_array, csr_array, eye_array, hstack
 
 from .errors import (
     DegenerateCoreProjection,
@@ -91,6 +93,7 @@ __all__ = [
 
 GREEN_TOL = 1e-12
 NULLSPACE_RCOND = 1e-10
+_TILE = 64      # edge of _tiled_product's output tiles
 _TRACES = ("Lambda1", "Pi1", "Lambda2", "Pi2")
 
 
@@ -264,13 +267,12 @@ def _realize(dp: DualPairTriplet, first: HilbertSpaceSpec,
     dim_y, nb = dp.A.codomain.dim, dp.n_boundary_coords
     ext_dim = core_dim + nb
     m1, m = dp.G1.dim, bspace.dim
-    # B_ext[:, :dim_y] @ to_y stays a dense GEMM, on dense copies of its
-    # two operands: L, and through it the step and every output of a run,
-    # carry its bits, which a sparse product's summation order would move
-    # (by 10x wide-grid's reference tolerance on y_2).  The Pi traces read
-    # the same dense to_y.
-    a = None if to_y is None else to_y.toarray()
-
+    # B_ext[:, :dim_y] @ to_y and the Pi traces' products with to_y are
+    # dense GEMMs formed over 64 x 64 output tiles (_tiled_product), so no
+    # dense operand or product is held: L, and through it the step and
+    # every output of a run, carry the GEMM's bits, which a sparse
+    # product's summation order would move (by 10x wide-grid's reference
+    # tolerance on y_2).
     gamma0 = np.zeros((m, ext_dim))
     gamma1 = np.zeros((m, ext_dim))
     gamma0[:m1, n1:core_dim] = dp.Lambda1
@@ -279,15 +281,16 @@ def _realize(dp: DualPairTriplet, first: HilbertSpaceSpec,
     # selection S = [[to_y, 0, 0], [0, 0, I]]: [M_y to_y | 0 | M_tau].
     for rows, on_y_ext in ((gamma0[m1:], dp.Pi2), (gamma1[:m1], -dp.Pi1)):
         on_y = on_y_ext[:, :dim_y]
-        rows[:, :n1] = on_y if a is None else on_y @ a
+        rows[:, :n1] = (on_y if to_y is None
+                        else _tiled_product(on_y, to_y).toarray())
         rows[:, core_dim:] = on_y_ext[:, dim_y:]
     # L = [[0, velocity, 0], B_ext S] from its blocks, so no dense core x
     # ext array is formed; for to_y = I the blocks of B_ext S are the CSR
     # slices of B_ext.
     b_ext = dp.B_ext.matrix
     v = b_ext[:, :dim_y]
-    if a is not None:
-        v = v.toarray() @ a
+    if to_y is not None:
+        v = _tiled_product(v, to_y)
     L = block_array([[None, eye_array(n1, nx) if velocity is None
                       else velocity, None], [v, None, b_ext[:, dim_y:]]],
                     format="csr")
@@ -303,6 +306,59 @@ def _realize(dp: DualPairTriplet, first: HilbertSpaceSpec,
     if not op.residual <= GREEN_TOL:
         raise GreenIdentityViolated(op.residual, op.residual, where)
     return op
+
+
+def _tiled_product(left, right: csr_array) -> csr_array:
+    """``left @ right`` as a canonical read-only CSR array, with the bits
+    of the whole dense GEMM where OpenBLAS allows (``hilbert``'s byte
+    contract says where it does not).
+
+    Each 64 x 64 output tile is one GEMM of a dense C-ordered 64-row block
+    of ``left`` by a dense C-ordered 64-column block of ``right`` over the
+    whole inner dimension, since OpenBLAS rounds an entry as its
+    K-blocking sums it.  The last block of rows or of columns ends at the
+    edge and overlaps the one before it, keeping only its own entries, so
+    no tile is a smaller GEMM, which OpenBLAS may round by another kernel.
+    Tiles that are structurally zero are skipped: for the lift's banded
+    operands the product takes O(N^2) flops and O(N) memory beyond its
+    result, not O(N^3) and O(N^2).
+    """
+    left, right = csr_array(left), right.tocsc()
+    (n_rows, inner), n_cols = left.shape, right.shape[1]
+    # tile (i, j) is formed where row block i and column block j share an
+    # inner index: the pattern of the product of their 0/1 incidences
+    row_blocks = np.repeat(np.arange(n_rows) // _TILE, np.diff(left.indptr))
+    col_blocks = np.repeat(np.arange(n_cols) // _TILE, np.diff(right.indptr))
+    hits = (csr_array((np.ones(left.nnz), (row_blocks, left.indices)),
+                      shape=(-(-n_rows // _TILE), inner))
+            @ csr_array((np.ones(right.nnz), (right.indices, col_blocks)),
+                        shape=(inner, -(-n_cols // _TILE))))
+    empty = np.zeros(0, dtype=np.intp)
+    parts = [(empty, empty, np.zeros(0))]
+    for i in range(hits.shape[0]):
+        js = hits.indices[hits.indptr[i]:hits.indptr[i + 1]]
+        if not js.size:
+            continue
+        i0 = _tile_start(i, n_rows)
+        block = left[i0:i0 + _TILE].toarray()
+        for j in js:
+            j0 = _tile_start(j, n_cols)
+            tile = (block @ right[:, j0:j0 + _TILE].toarray("C"))[
+                i * _TILE - i0:, j * _TILE - j0:]
+            r, c = np.nonzero(tile)
+            parts.append((r + i * _TILE, c + j * _TILE, tile[r, c]))
+    r, c, data = (np.concatenate(x) for x in zip(*parts))
+    # int32 indices, as SciPy gives L's other blocks: int64 would widen
+    # the indices of L and of every product with it
+    return _frozen_csr(coo_array((data, (r.astype(np.int32),
+                                         c.astype(np.int32))),
+                                 shape=(n_rows, n_cols)))
+
+
+def _tile_start(k: int, n: int) -> int:
+    """First index of the k-th 64-wide block of n, the last block ending
+    at n: a whole tile overlaps the one before it."""
+    return max(0, min(k * _TILE, n - _TILE))
 
 
 def lift_second_order(dp: DualPairTriplet) -> BoundaryOperator:

@@ -24,7 +24,7 @@ built from it on first read of ``WaveSystem.op_A``, ``op_strain``, ``jet``.
 The factor map, the mass and the damping are assembled sparse
 (``diags_array``, ``vstack``) and held, as every ``LinearMap`` is, as
 canonical read-only CSR arrays, so ``assemble`` is O(N) in time and
-memory; the lift's one dense GEMM and the step matrices are formed later,
+memory; the lift's tiled product and the step matrices are formed later,
 from the pair.
 
 Coefficients rho (density), a (restoring) and b (damping) are per node,

@@ -629,7 +629,7 @@ class TestInputRobustness:
         ("simulate", "strain-momentum",
          "the step matrix, 3000004 x 3000004 doubles"),
         ("verify", "position-momentum",
-         "the dense B_ext operand of the lift, 1000001 x 2000003 doubles"),
+         "the extent of the lift's B_ext, 1000001 x 2000003 doubles"),
         ("jet-compare", "position-momentum",
          "the step matrix, 3000004 x 3000004 doubles")])
     def test_unmappable_dense_array_is_refused_before_the_set_up(
@@ -656,8 +656,8 @@ class TestInputRobustness:
                              ["position-momentum", "strain-momentum"])
     def test_the_refused_arrays_are_the_runs_own(self, tmp_path, capsys,
                                                  monkeypatch, formulation):
-        # the shapes asked for are the step matrix and the lift's dense
-        # B_ext operand that the set-up at this N forms
+        # the shapes asked for are the step matrix that the set-up at this
+        # N forms and the extent of B_ext that the lift's tiles sweep
         import mmap
         asked, real = [], mmap.mmap
         monkeypatch.setattr(mmap, "mmap", lambda fileno, length:

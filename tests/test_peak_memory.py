@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from passivebc import cli, sim, verify, wave1d
+from passivebc.extension import generator_from_contraction
 from passivebc.node import BoundaryNode, impedance_node, scattering_node
 from passivebc.sim import InputSignal, StepSolver
 
@@ -113,6 +114,25 @@ def test_jet_checks_form_no_dense_kernel_rows():
         tracemalloc.stop()
     assert all(c.passed for c in checks)
     assert peak <= 8e6
+
+
+def test_a_main_forms_one_core_square(rng):
+    # L[:, :core] is added into L[:, core:] X in place; SciPy's CSR +
+    # dense made a second core x core array (16.9 MB traced for an 8.4 MB
+    # result at N=512)
+    sys_ = random_wave_system(512, rng)
+    g = generator_from_contraction(sys_.op_A, 0.6 * np.eye(2))
+    g.A_main                        # first-call caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        a_main = g.A_main
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    l, core = sys_.op_A.L, sys_.op_A.core.dim
+    assert a_main.tobytes() == (l[:, :core] + l[:, core:] @ g.X).tobytes()
+    assert peak <= 1.05 * a_main.nbytes
 
 
 def test_l_eff_is_not_a_field():
