@@ -214,7 +214,6 @@ class ContractionParam:
     @staticmethod
     def from_matrix(P, boundary_space: HilbertSpaceSpec) -> "ContractionParam":
         P = np.atleast_2d(np.asarray(P, dtype=float))
-        _require_finite(**{"contraction parameter P": P})
         nrm = contraction_norm(P, boundary_space)
         return ContractionParam(_frozen(P), boundary_space, nrm,
                                 nrm <= 1.0 + CONTRACTION_TOL)
@@ -420,10 +419,12 @@ def contraction_norm(P, boundary_space: HilbertSpaceSpec) -> float:
 
     Equals the largest singular value of W^{-1/2} P W^{1/2}, with the
     roots of the space's Gram factored once per space
-    (``HilbertSpaceSpec.gram_roots``).  Raises ``ShapeMismatch`` unless P
-    is m x m on the m-dimensional space.
+    (``HilbertSpaceSpec.gram_roots``).  Raises ``NonFiniteValue`` when P
+    holds NaN or infinity and ``ShapeMismatch`` unless P is m x m on the
+    m-dimensional space.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
+    _require_finite(**{"contraction parameter P": P})
     m = boundary_space.dim
     if P.shape != (m, m):
         raise ShapeMismatch(f"P must be {m}x{m}, got {P.shape}")

@@ -2,7 +2,8 @@
 
 Two flavors are built from the traces of a :class:`BoundaryOperator`, both
 composed with the mass weight ``diag(I, M^{-1}, I)`` on extended coordinates,
-M^{-1} acting on the momentum columns only (applied there by slicing):
+M^{-1} acting on the momentum columns only.  The weight is one CSR array
+(``_mass_weight``) that the port maps, ``L_eff`` and the ledger multiply by:
 
 scattering (contraction P on the dual boundary space):
 
@@ -112,16 +113,13 @@ class BoundaryNode:
     def L_eff(self) -> csr_array:
         """``(L - diag(0, D) iota) diag(I, M^{-1}, I)`` as a canonical
         read-only CSR array, formed on first read by sparse products of the
-        CSR arrays of L, D and M^{-1}: each entry is one product when M is
-        diagonal, with the bits of the dense scatter and scaling."""
+        CSR arrays of L, D and ``_mass_weight``: each entry is one product
+        when M is diagonal, with the bits of the dense scatter and scaling."""
         op, n1 = self.op, self.op.core_blocks[0]
         d = self.D.tocoo()
         damping = csr_array((d.data, (n1 + d.row, n1 + d.col)),
                             shape=(op.core.dim, op.ext_dim))
-        weight = scipy.sparse.block_diag(
-            (eye_array(n1), self.M_inv, eye_array(op.ext_dim - op.core.dim)),
-            format="csr")
-        return _frozen_csr((op.L - damping) @ weight)
+        return _frozen_csr((op.L - damping) @ _mass_weight(op, self.M_inv))
 
     def dual_gram(self) -> np.ndarray:
         """Gram of the dual boundary space (inputs/outputs live there),
@@ -142,9 +140,10 @@ class BoundaryNode:
         ``_times_csr`` multiplies by the transpose of the factor it is
         given, so the node keeps ``(D^T W_D)^T``, and M^{-1} for M^{-T}.
         """
-        a, b = _weighted_traces(self.op, self.M_inv)
-        damping = self.D.T @ self.op.core.blocks[1].gram_csr
-        return _frozen(a - b), _frozen_csr(damping.T)
+        op, weight = self.op, _mass_weight(self.op, self.M_inv)
+        a = op.bspace.gram @ op.Gamma0 @ weight
+        damping = self.D.T @ op.core.blocks[1].gram_csr
+        return _frozen(a - op.Gamma1 @ weight), _frozen_csr(damping.T)
 
     # The ledger forms below take one extended state (or port sample), or
     # a block of one per row, and return one value per row (a scalar for
@@ -241,13 +240,6 @@ def _prepare_weights(op: BoundaryOperator, M: LinearMap, D: LinearMap):
     return minv, direct_sum(op.core.label + "_M", position, kinetic)
 
 
-def _diagonal(g: csr_array) -> np.ndarray | None:
-    """The diagonal of a canonical CSR array that stores no entry off it,
-    else None."""
-    diag = g.diagonal()
-    return diag if np.count_nonzero(diag) == g.nnz else None
-
-
 def _mass_inverse(m_csr: csr_array) -> csr_array:
     """M^{-1} as CSR for the CSR mass matrix ``m_csr``: by ``cho_solve``
     against the identity when M is symmetric to 1e-12 relative, by
@@ -259,8 +251,8 @@ def _mass_inverse(m_csr: csr_array) -> csr_array:
     reciprocal pivot, so M^{-1} is ``(1/s)(1/s)``.  A diagonal with a zero
     or negative entry goes to ``cho_factor``, which refuses it.
     """
-    diag = _diagonal(m_csr)
-    if diag is not None:
+    diag = m_csr.diagonal()
+    if np.count_nonzero(diag) == m_csr.nnz:
         diag = 0.5 * diag + 0.5 * diag   # M_sym's diagonal, bit for bit
         if (diag > 0.0).all():
             r = 1.0 / np.sqrt(diag)
@@ -275,23 +267,13 @@ def _mass_inverse(m_csr: csr_array) -> csr_array:
     return _frozen_csr(minv)
 
 
-def _mass_weighted(x: np.ndarray, op: BoundaryOperator,
-                   minv: csr_array) -> np.ndarray:
-    """``x diag(I, M^{-1}, I)`` for the CSR ``minv`` of M^{-1}, written
-    into x and returned: its momentum columns weighted by ``x @ M^{-1}``,
-    a diagonal M^{-1} scaling them in place, with the product's bits."""
-    columns = x[:, op.core_blocks[0]:op.core.dim]
-    diag = _diagonal(minv)
-    if diag is None:
-        columns[...] = columns @ minv
-    else:
-        np.multiply(columns, diag, out=columns)
-    return x
-
-
-def _weighted_traces(op: BoundaryOperator, minv: csr_array):
-    return (_mass_weighted(op.bspace.gram @ op.Gamma0, op, minv),
-            _mass_weighted(op.Gamma1.copy(), op, minv))
+def _mass_weight(op: BoundaryOperator, minv: csr_array) -> csr_array:
+    """``diag(I, M^{-1}, I)`` on the extended coordinates of ``op`` as CSR
+    for the CSR ``minv``: an array times it has one product per entry for
+    a diagonal M^{-1}, else a sum over M^{-1}'s stored entries."""
+    n1, nb = op.core_blocks[0], op.ext_dim - op.core.dim
+    return scipy.sparse.block_diag((eye_array(n1), minv, eye_array(nb)),
+                                   format="csr")
 
 
 def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
@@ -302,7 +284,8 @@ def _build_node(op: BoundaryOperator, P, M: LinearMap, D: LinearMap,
     if not param.is_contraction:
         raise NotAContraction(param.dual_norm)
     minv, state_space = _prepare_weights(op, M, D)
-    a, b = _weighted_traces(op, minv)
+    weight = _mass_weight(op, minv)
+    a, b = op.bspace.gram @ op.Gamma0 @ weight, op.Gamma1 @ weight
     pmat = param.matrix
     m = op.n_boundary
     eye = np.eye(m)
@@ -360,7 +343,8 @@ def internal_wellposedness(node: BoundaryNode) -> tuple[bool, np.ndarray | None]
 
     Returns ``(False, None)`` when G_map is not surjective; raises
     ``IllPosedRestriction``/``SingularCoreProjection`` when the kernel
-    restriction is not a square generator.
+    restriction is not a square generator.  ``sym(W gen)`` is formed in
+    place in ``W gen``, a row and its column at a time.
     """
     m = node.G_map.shape[0]
     if m > 0 and np.linalg.matrix_rank(node.G_map) < m:
@@ -368,7 +352,9 @@ def internal_wellposedness(node: BoundaryNode) -> tuple[bool, np.ndarray | None]
     x, _ = _restrict_to_kernel(node.G_map, node.op.core.dim)
     gen = _kernel_action(node.L_eff, x)
     wa = node.state_space.gram_csr @ gen
-    lam = np.linalg.eigvalsh(0.5 * (wa + wa.T))[-1]
+    for i in range(len(wa)):
+        wa[i, :i + 1] = wa[:i + 1, i] = 0.5 * (wa[i, :i + 1] + wa[:i + 1, i])
+    lam = np.linalg.eigvalsh(wa)[-1]
     return bool(lam <= 1e-10), gen
 
 

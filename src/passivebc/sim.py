@@ -247,11 +247,14 @@ class StepSolver:
             getrs(lu, piv, nxt, overwrite_b=True)
 
     def step(self, z: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
+        """The step from z; ``NonFiniteValue`` names a non-finite argument."""
         states = np.empty((2, self._behind.shape[1]))
         z = np.asarray(z, dtype=float)
+        u_mid = np.asarray(u_mid, dtype=float)
         _expect_shape("state z", z, states.shape[1:])
+        _require_finite(state_z=z, midpoint_input_u_mid=u_mid)
         states[0] = z
-        self.advance(states, np.asarray(u_mid, dtype=float)[None])
+        self.advance(states, u_mid[None])
         return states[1]
 
 

@@ -61,7 +61,7 @@ def iota(op):
 
 
 def dense_mass_weight(node):
-    """The dense ``diag(I, M^{-1}, I_tau)`` a node applies by slicing."""
+    """The dense ``diag(I, M^{-1}, I_tau)`` a node holds as CSR."""
     return oracle.mass_weight(node.op, node.M_inv)
 
 

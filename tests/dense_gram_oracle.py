@@ -21,7 +21,10 @@ node's CSR ``L_eff``.
 ``selected``, ``realized_action``, ``damped_action``, ``mass_weight`` and
 ``step_matrices`` are the dense recipes of the realized action L, of L
 less the damping, of the mass weight ``diag(I, M^{-1}, I)`` and of the
-step matrices, the one copy that every test
+step matrices.  ``mass_weight`` is the dense array of the node's one CSR
+weight (``node._mass_weight``), which the node's port maps, ``L_eff``
+and ledger multiply by, and takes what that helper takes, so a test can
+patch it in too.  These recipes are the one copy that every test
 holding the library to them imports.  The library keeps their bytes up to
 the sign of a zero (``passivebc.hilbert``), which ``same_canonical_bytes``
 compares.

@@ -5,9 +5,10 @@ the step reads bit for bit as the dense set-up gives it.
 Each system is built twice: by the library, and with the dense oracle
 (``dense_gram_oracle``) patched in: its ``make_space`` and
 ``direct_sum`` into every module that binds the library's, its dense
-``extend_adjoint``, lift, ``prepare_weights`` and ``mass_weighted`` in
-place of the library's, and the CSR of its dense ``effective_action`` as
-the node's ``L_eff``.  The oracle validates
+``extend_adjoint``, lift and ``prepare_weights`` in place of the
+library's, its dense ``mass_weight`` in place of the node's CSR one, so
+the port maps are GEMMs with it, and the CSR of its dense
+``effective_action`` as the node's ``L_eff``.  The oracle validates
 every Gram densely, and every set-up product with a Gram or M^{-1} is a
 dense GEMM or LAPACK solve there.  Both builds
 must store the same bytes in the extended Y Gram and ``B_ext``, the core
@@ -98,7 +99,7 @@ def assert_dense_bytes(N, length, monkeypatch):
         patch.setattr(wave1d, "extend_adjoint", oracle.extend_adjoint)
         patch.setattr(wave1d, "lift_second_order", oracle.lift_second_order)
         patch.setattr(node, "_prepare_weights", oracle.prepare_weights)
-        patch.setattr(node, "_mass_weighted", oracle.mass_weighted)
+        patch.setattr(node, "_mass_weight", oracle.mass_weight)
         patch.setattr(node.BoundaryNode, "L_eff", property(
             lambda nd: _frozen_csr(oracle.effective_action(nd.op, nd.D,
                                                            nd.M_inv))))

@@ -2,9 +2,9 @@
 
 Extended coordinates put the core first (see ``passivebc.triplet``), so the
 library slices where the formulas write the projections iota, iota_Y and
-y_select, and a node applies M^{-1} to the momentum columns only where the
-formulas write the mass weight ``diag(I, M^{-1}, I)``.  On random wave
-systems, for the second-order lift and the jet target, the sliced forms
+y_select, and a node multiplies by one CSR array (``node._mass_weight``)
+where the formulas write the mass weight ``diag(I, M^{-1}, I)``.  On random
+wave systems, for the second-order lift and the jet target, the sliced forms
 must equal the dense ones (``dense_gram_oracle``) bit for bit, up to the
 sign of a zero (to 1e-14 relative for a
 non-diagonal mass, whose products BLAS may sum in another order, and to a
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from passivebc.hilbert import LinearMap, contraction_norm
 from passivebc.jet import pull_state, ran_A_defect
 from passivebc.node import (
-    _mass_weighted,
+    _mass_weight,
     impedance_node,
     scattering_node,
 )
@@ -90,16 +90,33 @@ def dense_node_formulas(nd, z):
     n1, core = op.core_blocks[0], op.core.dim
     damping_rows = np.zeros((core, op.ext_dim))
     damping_rows[n1:, n1:core] = nd.D.toarray()
-    a, b = op.bspace.gram @ op.Gamma0 @ w, op.Gamma1 @ w
-    p, eye = nd.P.matrix, np.eye(op.n_boundary)
-    if nd.flavor == "scattering":
-        g, k = (a + b) / math.sqrt(2.0), -p @ (a - b) / math.sqrt(2.0)
-    else:
-        g = 0.5 * ((eye - p) @ a + (eye + p) @ b)
-        k = 0.5 * ((eye + p) @ a + (eye - p) @ b)
+    g, k = port_maps(nd, op.bspace.gram @ op.Gamma0 @ w, op.Gamma1 @ w)
     power = row_forms(z @ w[n1:core].T,
                       nd.D.toarray().T @ op.core.blocks[1].gram)
     return (op.L.toarray() - damping_rows) @ w, g, k, power
+
+
+def port_maps(nd, a, b):
+    """G_map and K_map of the node's flavor and P from the weighted
+    traces ``a = W_G Gamma0 W`` and ``b = Gamma1 W``."""
+    p, eye = nd.P.matrix, np.eye(nd.op.n_boundary)
+    if nd.flavor == "scattering":
+        return (a + b) / math.sqrt(2.0), -p @ (a - b) / math.sqrt(2.0)
+    return (0.5 * ((eye - p) @ a + (eye + p) @ b),
+            0.5 * ((eye + p) @ a + (eye - p) @ b))
+
+
+def sliced_mass_weighted(x, op, minv):
+    """``x diag(I, M^{-1}, I)`` as the node formed it before it held the
+    weight as CSR, written into x: its momentum columns scaled in place by
+    a diagonal M^{-1}, else replaced by their CSR product with M^{-1}."""
+    columns = x[:, op.core_blocks[0]:op.core.dim]
+    diag = minv.diagonal()
+    if np.count_nonzero(diag) == minv.nnz:
+        np.multiply(columns, diag, out=columns)
+    else:
+        columns[...] = columns @ minv
+    return x
 
 
 def sliced_node_formulas(nd, z):
@@ -174,15 +191,34 @@ def test_negative_step_is_the_inverse_step(n, seed, jet, dt):
 @settings(max_examples=25, deadline=None)
 @given(rows=st.integers(1, 40), zeros=st.floats(0.0, 1.0), **SYSTEMS)
 def test_mass_weight_equals_dense_product(n, seed, jet, rows, zeros):
-    # signed zeros in every column, which the comparison reads as +0.0;
-    # the weight is written into the array it is given
+    # signed zeros in every column, which the comparison reads as +0.0
     _, op, nd, rng = system_and_node(n, seed, jet)
     x = rng.standard_normal((rows, op.ext_dim))
     x[rng.uniform(size=x.shape) < zeros] = -0.0
-    got = x.copy()
-    assert _mass_weighted(got, op, nd.M_inv) is got
+    weight = _mass_weight(op, nd.M_inv)
+    assert weight.format == "csr" and weight.has_canonical_format
+    assert weight.nnz == op.ext_dim - op.core_blocks[1] + nd.M_inv.nnz
     assert oracle.same_canonical_bytes(
-        got, oracle.mass_weighted(x, op, nd.M_inv))
+        x @ weight, oracle.mass_weighted(x, op, nd.M_inv))
+
+
+@settings(max_examples=25, deadline=None)
+@given(full_mass=st.booleans(), **SYSTEMS)
+@example(n=64, seed=0, jet=False, full_mass=True)
+@example(n=64, seed=0, jet=True, full_mass=True)
+def test_csr_mass_weight_keeps_the_sliced_bytes(n, seed, jet, full_mass):
+    # a product with the CSR weight sums M^{-1}'s stored entries in the
+    # order the sliced CSR product did, and scales by a diagonal one
+    _, op, nd, _ = system_and_node(n, seed, jet, full_mass)
+    assert (nd.M_inv.nnz > op.core_blocks[1]) == full_mass
+    a = sliced_mass_weighted(op.bspace.gram @ op.Gamma0, op, nd.M_inv)
+    b = sliced_mass_weighted(op.Gamma1.copy(), op, nd.M_inv)
+    action = sliced_mass_weighted(oracle.damped_action(op, nd.D), op,
+                                  nd.M_inv)
+    for got, want in zip(
+            (nd.G_map, nd.K_map, nd.L_eff.toarray(), nd._ledger_factors[0]),
+            port_maps(nd, a, b) + (action, a - b)):
+        assert oracle.same_canonical_bytes(got, want)
 
 
 @settings(max_examples=25, deadline=None)

@@ -273,6 +273,15 @@ class TestContractionNorm:
         with pytest.raises(ShapeMismatch, match="P must be 2x2"):
             ContractionParam.from_matrix(p, sp)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_named_before_the_svd(self, bad):
+        # NaN made the SVD fail to converge (LinAlgError)
+        sp = euclidean_space(2, "G")
+        p = 0.5 * np.eye(2)
+        p[1, 0] = bad
+        with pytest.raises(NonFiniteValue, match="contraction parameter P"):
+            contraction_norm(p, sp)
+
     def test_weighted_nilpotent(self):
         # W = diag(4, 1): W^{-1/2} P W^{1/2} = [[0, 1/2], [0, 0]]
         sp = make_space(2, np.diag([4.0, 1.0]), "G")

@@ -17,7 +17,8 @@ import pytest
 
 from passivebc import cli, sim, verify, wave1d
 from passivebc.extension import generator_from_contraction
-from passivebc.node import BoundaryNode, impedance_node, scattering_node
+from passivebc.node import (BoundaryNode, impedance_node,
+                            internal_wellposedness, scattering_node)
 from passivebc.sim import InputSignal, StepSolver
 
 from conftest import ROOT, random_wave_system
@@ -133,6 +134,33 @@ def test_a_main_forms_one_core_square(rng):
     l, core = sys_.op_A.L, sys_.op_A.core.dim
     assert a_main.tobytes() == (l[:, :core] + l[:, core:] @ g.X).tobytes()
     assert peak <= 1.05 * a_main.nbytes
+
+
+def test_wellposedness_forms_one_square_next_to_the_generator(
+        rng, monkeypatch):
+    # sym(W gen) is formed in the array of W gen: W gen, its sum with its
+    # transpose and the half held three core x core arrays next to gen
+    # (25.3 MB traced for an 8.4 MB generator at N=512)
+    sys_ = random_wave_system(512, rng)
+    nd = impedance_node(sys_.op_A, 0.5 * np.eye(2), sys_.M_map, sys_.D_map)
+    internal_wellposedness(nd)      # L_eff and first-call caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ok, gen = internal_wellposedness(nd)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak <= 2.2 * gen.nbytes
+    # the eigensolver reads the bytes of the whole symmetric part
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: seen.append(a.copy()) or eigvalsh(a))
+    internal_wellposedness(nd)
+    wa = nd.state_space.gram_csr @ gen
+    assert seen[0].tobytes() == (0.5 * (wa + wa.T)).tobytes()
 
 
 def test_l_eff_is_not_a_field():

@@ -360,6 +360,18 @@ class TestNonFiniteEntry:
             consistent_initialization(nd, args["initial_core_state"],
                                       args["initial_input_u0"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("arg", ["state_z", "midpoint_input_u_mid"])
+    def test_step_refuses(self, damped_sine, bad, arg):
+        # a NaN state stepped silently to a NaN state
+        nd, _ = damped_sine
+        args = {"state_z": np.zeros(nd.op.ext_dim),
+                "midpoint_input_u_mid": np.zeros(2)}
+        args[arg][-1] = bad
+        with pytest.raises(NonFiniteValue, match=arg):
+            StepSolver(nd, 1e-3).step(args["state_z"],
+                                      args["midpoint_input_u_mid"])
+
     def test_simulate_refuses_before_factoring(self, damped_sine,
                                                monkeypatch):
         nd, z0 = damped_sine
