@@ -36,7 +36,7 @@ from .scenario import (
     build_system,
     load_scenario,
 )
-from .sim import simulate_blocks
+from .sim import _block_steps, simulate_blocks
 from .verify import SUITES, run_suite
 
 __all__ = ["main", "run_scenario", "verify_suite", "jet_compare"]
@@ -210,9 +210,11 @@ def jet_compare(path: str, out: str | None = None) -> int:
     nc_a, nc_b = node_a.op.core.dim, node_b.op.core.dim
     # the runs read the jet and the nodes alone: release the system first
     del sys_
-    blocks_a = simulate_blocks(node_a, z0, signal, sc.t_final, sc.dt)
+    # both runs are cut at the rows of the wider one's blocks
+    steps = _block_steps(node_b.op.ext_dim)
+    blocks_a = simulate_blocks(node_a, z0, signal, sc.t_final, sc.dt, steps)
     blocks_b = simulate_blocks(node_b, push_state(jt.A_iso, z0), signal,
-                               sc.t_final, sc.dt)
+                               sc.t_final, sc.dt, steps)
 
     dim_y, worst = jt.A_iso.codomain.dim, []
 

@@ -26,7 +26,9 @@ entry per row or column (the wave model's W_X, W_Y, mass, damping,
 M^{-1}) gives one product per entry, with the bits of the dense GEMM.  It
 hands the product on C-ordered: the GEMMs and ``einsum`` that read it sum
 in an order that follows their operands' layout, and a run's CSV carries
-those bits.  LAPACK's band routines read a Gram that is not diagonal
+those bits.  A small dense factor (K for a run's outputs; the ledger's
+``a - b``, P and dual Gram) multiplies through ``_times_rows``, an
+``einsum`` that also forms each row apart.  LAPACK's band routines read a Gram that is not diagonal
 through ``_lower_band``: the eigenvalue bounds (``_extreme_eigenvalues``),
 the solve against W_X (``_gram_solve``) and the jet's Cholesky factor, so
 no product of a Gram makes it dense.
@@ -323,6 +325,15 @@ def _times_csr(x: np.ndarray, g: csr_array) -> np.ndarray:
     copy matters because the GEMMs and ``einsum`` that read the product
     sum in an order that follows their operands' layout."""
     return np.ascontiguousarray((g @ x.T).T)
+
+
+def _times_rows(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``x @ a`` for a vector or a block of rows x and a small dense a, by
+    ``einsum``, which sums each row alone.  A GEMM's rows take bits from
+    their place in the block (OpenBLAS runs a block's last rows, and a
+    one-row product, through other kernels), so a run's CSV would depend
+    on where its blocks are cut."""
+    return np.einsum("...j,jk->...k", x, a)
 
 
 def _lower_band(g: csr_array) -> np.ndarray:

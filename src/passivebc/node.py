@@ -25,7 +25,9 @@ canonical read-only CSR arrays (``BoundaryNode.D``, ``BoundaryNode.M_inv``);
 Every product with them, with the momentum Gram W_2 and with the ledger's
 ``D^T W_D`` is a sparse product, which has the GEMM's bits when a factor
 is diagonal; the ledger multiplies through ``hilbert._times_csr``, by the
-transposes of its factors, which the node keeps.
+transposes of its factors, which the node keeps, and by its dense factors
+through ``hilbert._times_rows``: each row's value has the same bits in
+any block of rows.
 The state energy is measured by ``W = blockdiag(W_1, W_2 M^{-1})``, i.e.
 kinetic energy uses the inverse-mass inner product.  W_1 and W_2 are the
 core's two blocks; the state space is the direct sum ``W_1 (+) sym(W_2
@@ -73,6 +75,7 @@ from .hilbert import (
     _row_forms,
     _rows,
     _times_csr,
+    _times_rows,
     check_dissipative,
     direct_sum,
     inner,
@@ -171,9 +174,10 @@ class BoundaryNode:
         diag(I, M^{-1}, I)`` and ``b = Gamma1 diag(I, M^{-1}, I)``."""
         z = _rows("states", z, self.op.ext_dim)
         wd = self.dual_gram()
-        v = z @ self._ledger_factors[0].T
-        vp = v @ self.P.matrix.T
-        return 0.5 * (_row_forms(v @ wd, v) - _row_forms(vp @ wd, vp))
+        v = _times_rows(z, self._ledger_factors[0].T)
+        vp = _times_rows(v, self.P.matrix.T)
+        return 0.5 * (_row_forms(_times_rows(v, wd), v)
+                      - _row_forms(_times_rows(vp, wd), vp))
 
     def supplied_power(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``<u, y>`` (impedance) or ``(||u||^2 - ||y||^2)/2`` (scattering)
@@ -183,8 +187,9 @@ class BoundaryNode:
         _expect_shape("outputs", y, u.shape)
         wd = self.dual_gram()
         if self.flavor == IMPEDANCE:
-            return _row_forms(u @ wd, y)
-        return 0.5 * (_row_forms(u @ wd, u) - _row_forms(y @ wd, y))
+            return _row_forms(_times_rows(u, wd), y)
+        return 0.5 * (_row_forms(_times_rows(u, wd), u)
+                      - _row_forms(_times_rows(y, wd), y))
 
 
 @dataclass(frozen=True)

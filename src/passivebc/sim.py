@@ -18,13 +18,14 @@ the energy increment obeys the *identity*
 which the Green identity converts into boundary supply minus dissipation
 minus a nonnegative contraction slack; the ledger records all three and
 their residual at machine precision.  A run (:func:`simulate_blocks`)
-samples every midpoint input first, then advances ``LEDGER_CHUNK`` steps
-at a time through LAPACK ``getrs`` on the stored factor
-(:meth:`StepSolver.advance`) in one block-sized buffer, and yields each
-block as a :class:`Trajectory` with its outputs and ledger, evaluated by
-the node's row-wise ledger methods
-(:meth:`~passivebc.node.BoundaryNode.energy_split` and its siblings),
-before it steps the next; :func:`simulate` joins the blocks.  The node
+samples every midpoint input first, then advances through LAPACK
+``getrs`` on the stored factor (:meth:`StepSolver.advance`) in blocks of
+as many steps as fit ``BLOCK_BYTES`` of states (at least one), in one
+block-sized buffer, and yields each block as a :class:`Trajectory` with
+its outputs and ledger before it steps the next; :func:`simulate` joins
+the blocks.  The outputs and the node's ledger methods
+(:meth:`~passivebc.node.BoundaryNode.energy_split` and its siblings) form
+each row apart, so no value depends on where the blocks are cut.  The node
 holds ``L_eff`` as a CSR array; :class:`StepSolver`'s two step matrices
 are its only dense copies.
 """
@@ -51,7 +52,7 @@ from .errors import (
     TimeGridTooLarge,
     UnknownChoice,
 )
-from .hilbert import _expect_shape, _require_finite
+from .hilbert import _expect_shape, _require_finite, _times_rows
 from .node import BoundaryNode, EnergyLedger
 
 __all__ = [
@@ -67,7 +68,7 @@ __all__ = [
 INIT_RTOL = 1e-10
 GRID_RTOL = 1e-9        # allowed |n dt - t_final| relative to t_final
 SINGULARITY_RTOL = 1e-13
-LEDGER_CHUNK = 256      # steps per block of a run and its ledger
+BLOCK_BYTES = 128 * 1024   # states a run's block holds, in bytes
 
 _log = logging.getLogger("passivebc")
 
@@ -130,7 +131,8 @@ class Trajectory:
     the rows they end on (step k ends on row k + 1), and the first block
     row 0 as well, so it holds one row more than steps; its ``states_ext``
     is a view of the run's buffer, which the next block overwrites.  H,
-    H_p and H_k are per row, the other ledger entries per step.
+    H_p and H_k are per row, the other ledger entries per step.  Every
+    entry has the bits it has in any other cut of the run into blocks.
     """
 
     times: np.ndarray                # (rows,)
@@ -155,8 +157,8 @@ class StepSolver:
     buffers and each ``advance`` steps on its own copy of the pivots, so
     one instance may serve several threads.  ``pivot_ratio`` keeps the
     factor's ``min |U_ii| / max |U_ii|``, the margin of the singularity
-    gate; each factor logs it at DEBUG on the ``passivebc`` logger, with
-    ext_dim and the bytes the solver holds.
+    gate; ``simulate_blocks`` logs it at DEBUG on the ``passivebc``
+    logger, with ext_dim, the bytes the solver holds and the run's block.
     """
 
     def __init__(self, node: BoundaryNode, dt: float):
@@ -188,9 +190,6 @@ class StepSolver:
         self._getrs, = scipy.linalg.get_lapack_funcs(("getrs",),
                                                      (self._lu[0],))
         self._ncore = ncore
-        _log.debug("step factor: ext_dim %d, %d bytes held, pivot ratio "
-                   "%.3e", ext, behind.nbytes + sum(
-                       x.nbytes for x in self._lu), self.pivot_ratio)
 
     @staticmethod
     def _factor(matrix: np.ndarray):
@@ -338,11 +337,22 @@ def _grid_allocation(n_steps: int, ext: int, nbytes: float, what: str):
             f"{exc}") from exc
 
 
+def _block_steps(ext_dim: int) -> int:
+    """Steps in a block of a run on ``ext_dim``-dimensional states: as
+    many as fit ``BLOCK_BYTES``, at least one."""
+    return max(1, BLOCK_BYTES // (8 * ext_dim))
+
+
 def simulate_blocks(node: BoundaryNode, z_core0: np.ndarray,
-                    signal: InputSignal, t_final: float, dt: float):
-    """``simulate`` as an iterator of ``Trajectory`` blocks, one per
-    ``LEDGER_CHUNK`` steps, holding one ``(LEDGER_CHUNK + 1) x ext_dim``
-    buffer of states.
+                    signal: InputSignal, t_final: float, dt: float,
+                    block_steps: int | None = None):
+    """``simulate`` as an iterator of ``Trajectory`` blocks of
+    ``block_steps`` steps each (the last may hold fewer), holding one
+    ``(block_steps + 1) x ext_dim`` buffer of states.  By default a block
+    holds as many steps as fit ``BLOCK_BYTES`` at the node's ext_dim, at
+    least one; two runs on different ext_dims pass one count to be cut at
+    the same rows, and a count below one raises ``NonPositiveParameter``.
+    The buffer holds at most the run.
 
     The set-up (grid, signal, initial state, step factor, every midpoint
     input) is done before this returns; each block is then stepped from
@@ -354,6 +364,9 @@ def simulate_blocks(node: BoundaryNode, z_core0: np.ndarray,
     the initial state and the step.
     """
     n_steps = _checked_grid(node, signal, t_final, dt)
+    if block_steps is not None and not block_steps >= 1:
+        raise NonPositiveParameter(f"a block must hold at least one step, "
+                                   f"got {block_steps!r}")
     m = node.G_map.shape[0]
     nbytes = 8.0 * (n_steps + 1) + 8.0 * n_steps * (m + 1)
     with _grid_allocation(n_steps, node.op.ext_dim, nbytes,
@@ -367,29 +380,35 @@ def simulate_blocks(node: BoundaryNode, z_core0: np.ndarray,
         raise NonFiniteValue(f"input signal {signal.kind!r} holds NaN or "
                              "infinity at the midpoint t = "
                              f"{float(times[k] + 0.5 * dt)!r} of step {k}")
-    buffer = np.empty((LEDGER_CHUNK + 1, node.op.ext_dim))
+    ext = node.op.ext_dim
+    steps = min(block_steps or _block_steps(ext), n_steps)
+    buffer = np.empty((steps + 1, ext))
     buffer[0] = consistent_initialization(node, z_core0, u0)
-    return _blocks(node, StepSolver(node, dt), buffer, times, inputs)
+    solver = StepSolver(node, dt)
+    held = solver._behind.nbytes + sum(x.nbytes for x in solver._lu)
+    _log.debug("step factor: ext_dim %d, %d bytes held, pivot ratio %.3e; "
+               "blocks of %d steps in a %d-byte buffer", ext, held,
+               solver.pivot_ratio, steps, buffer.nbytes)
+    return _blocks(node, solver, buffer, times, inputs)
 
 
 def _blocks(node: BoundaryNode, solver: StepSolver, buffer: np.ndarray,
             times: np.ndarray, inputs: np.ndarray):
-    """For each i, step ``[i, j = min(i + LEDGER_CHUNK, n))`` in ``buffer``
-    from the last row of the block before, check the rows and yield the
-    steps with the rows they end on (row 0 too in the first block) and
-    their ledger.  Each ledger form reads a row alone, so only H of the
-    last row carries over, into the next block's first residual.
+    """For each i, step ``[i, j = min(i + k, n))``, k one less than the
+    rows of ``buffer``, in ``buffer`` from the last row of the block
+    before, check the rows and yield the steps with the rows they end on
+    (row 0 too in the first block) and their ledger.  Each ledger form
+    reads a row alone, so only H of the last row carries over, into the
+    next block's first residual.
     """
-    n, dt = len(inputs), float(times[1] - times[0])
+    n, dt, k = len(inputs), float(times[1] - times[0]), len(buffer) - 1
     h_before = np.empty(0)
-    for i in range(0, n, LEDGER_CHUNK):
-        j = min(i + LEDGER_CHUNK, n)
+    for i in range(0, n, k):
+        j = min(i + k, n)
         states = buffer[:j - i + 1]
         if i:
-            states[0] = buffer[LEDGER_CHUNK]
+            states[0] = buffer[k]
         solver.advance(states, inputs[i:j])
-        if j == n:
-            solver = None      # free the factor before the last ledger
         if not np.isfinite(states).all():
             raise NonFiniteValue("the trajectory left the floating-point "
                                  "range")
@@ -400,7 +419,7 @@ def _blocks(node: BoundaryNode, solver: StepSolver, buffer: np.ndarray,
         h_before = h[-1:]
         z_mid = 0.5 * (states[:-1] + states[1:])
         u = inputs[i:j]
-        y = z_mid @ node.K_map.T
+        y = _times_rows(z_mid, node.K_map.T)
         supplied = node.supplied_power(u, y)
         dissipated = node.dissipated_power(z_mid)
         residual = h_all[1:] - h_all[:-1] - dt * (supplied - dissipated)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import settings
 
 from passivebc import wave1d
-from passivebc.hilbert import HilbertSpaceSpec, _lower_band, _norm
-from passivebc.sim import LEDGER_CHUNK
+from passivebc.hilbert import (HilbertSpaceSpec, _lower_band, _norm,
+                               _times_rows)
+from passivebc.sim import _block_steps
 
 import dense_gram_oracle as oracle
 
@@ -91,19 +92,20 @@ def energy_preserving(node) -> bool:
 
 def unstreamed_ledger(nd, times, states, inputs):
     """Outputs and ledger as evaluated over stored states before runs were
-    streamed: H on the rows ``[i, i + LEDGER_CHUNK)``, the midpoint forms
-    on the steps ``[i, i + LEDGER_CHUNK)``, supplied power in one call."""
-    n = len(times) - 1
+    streamed: H on the rows ``[i, i + k)``, the midpoint forms on the steps
+    ``[i, i + k)``, k the steps of a run's block at the node's ext_dim,
+    supplied power in one call."""
+    n, k = len(times) - 1, _block_steps(nd.op.ext_dim)
     hp, hk = np.empty(n + 1), np.empty(n + 1)
-    for i in range(0, n + 1, LEDGER_CHUNK):
-        rows = slice(i, i + LEDGER_CHUNK)
+    for i in range(0, n + 1, k):
+        rows = slice(i, i + k)
         hp[rows], hk[rows] = nd.energy_split(states[rows])
     outputs = np.empty((n, nd.G_map.shape[0]))
     dissipated, slack = np.empty(n), np.empty(n)
-    for i in range(0, n, LEDGER_CHUNK):
-        j = min(i + LEDGER_CHUNK, n)
+    for i in range(0, n, k):
+        j = min(i + k, n)
         z_mid = 0.5 * (states[i:j] + states[i + 1:j + 1])
-        outputs[i:j] = z_mid @ nd.K_map.T
+        outputs[i:j] = _times_rows(z_mid, nd.K_map.T)
         dissipated[i:j] = nd.dissipated_power(z_mid)
         slack[i:j] = nd.scattering_slack(z_mid)
     h = hp + hk

@@ -586,22 +586,23 @@ class TestInputRobustness:
 
     def test_ledger_overflow_stops_the_run_at_its_block(
             self, tmp_path, capsys, monkeypatch):
-        # 1000 steps make four blocks; the ledger overflows in the first,
-        # so no later block is stepped
+        # 1000 steps make five blocks of k = 240 at ext_dim 68; the ledger
+        # overflows in the first, so no later block is stepped
         import passivebc.sim as sim
         advance, calls = sim.StepSolver.advance, []
 
         def counted(solver, states, inputs):
-            calls.append(len(inputs))
+            calls.append(states.shape)
             advance(solver, states, inputs)
         monkeypatch.setattr(sim.StepSolver, "advance", counted)
         doc = edited(DAMPED_SINE,
                      REJECTED_INPUTS["input_amplitude_overflows_ledger"])
-        assert doc["t_final"] / doc["dt"] > 2 * sim.LEDGER_CHUNK
         code, err = run_cli(tmp_path, capsys, "simulate", doc)
         assert code == 3, err
         assert err.startswith("NonFiniteValue: the energy ledger"), err
-        assert calls == [sim.LEDGER_CHUNK]
+        [(rows, ext)] = calls
+        assert rows == sim._block_steps(ext) + 1
+        assert doc["t_final"] / doc["dt"] > 2 * (rows - 1)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "scenario.json"]
 

@@ -37,7 +37,7 @@ from passivebc.hilbert import (
 from passivebc.jet import pull_state, push_state, ran_A_defect
 from passivebc.node import impedance_node, scattering_node
 from passivebc.scenario import load_scenario
-from passivebc.sim import LEDGER_CHUNK, InputSignal, StepSolver
+from passivebc.sim import InputSignal, StepSolver, _block_steps
 from passivebc.triplet import extend_adjoint
 
 import dense_gram_oracle as oracle
@@ -124,7 +124,8 @@ def gram_reads(monkeypatch):
 def test_gram_reads_do_not_grow_with_the_run(tmp_path, capsys, gram_reads,
                                              command, strain):
     counts = []
-    for n_steps in (1, 3 * LEDGER_CHUNK - 10):   # one block, three blocks
+    # one block, and three or more: three at the smallest ext_dim, 2N + 4
+    for n_steps in (1, 3 * _block_steps(2 * 16 + 4) - 10):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(random_scenario(
             n_steps, "impedance", strain, seed=3, N=16)))

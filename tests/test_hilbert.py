@@ -19,6 +19,7 @@ from passivebc.hilbert import (
     ContractionParam,
     LinearMap,
     _times_csr,
+    _times_rows,
     check_dissipative,
     contraction_norm,
     euclidean_space,
@@ -178,6 +179,31 @@ def test_gram_products_take_one_path(case):
     for i in range(len(x)):
         assert _times_csr(x[i:i + 1], w).tobytes() == got[i:i + 1].tobytes()
         assert _times_csr(x[i], w).tobytes() == got[i].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 80), width=st.integers(1, 300),
+       cols=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+       transposed=st.booleans())
+def test_dense_row_products_read_each_row_alone(rows, width, cols, seed,
+                                                transposed):
+    # x @ a of a block of rows has, in every row, the bytes of that row
+    # alone, for a C-ordered a or the transposed view of one (K^T, P^T)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, width))
+    a = (rng.standard_normal((cols, width)).T if transposed
+         else rng.standard_normal((width, cols)))
+    got = _times_rows(x, a)
+    assert got.shape == (rows, cols)
+    bound = 1e-14 * (np.abs(x) @ np.abs(a))
+    assert (np.abs(got - x @ a) <= bound).all()
+    for i in range(rows):
+        assert _times_rows(x[i:i + 1], a).tobytes() == got[i:i + 1].tobytes()
+        assert _times_rows(x[i], a).tobytes() == got[i].tobytes()
+    cut = rows // 3
+    assert np.concatenate([_times_rows(x[:cut], a),
+                           _times_rows(x[cut:], a)]).tobytes() \
+        == got.tobytes()
 
 
 @settings(max_examples=50, deadline=None)

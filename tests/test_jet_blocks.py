@@ -28,7 +28,7 @@ from passivebc.scenario import (
     build_system,
     load_scenario,
 )
-from passivebc.sim import LEDGER_CHUNK, simulate
+from passivebc.sim import _block_steps, simulate
 
 from conftest import ROOT, half_width, random_wave_system
 from test_band_gates import product_bound
@@ -203,8 +203,10 @@ def per_row_jet_compare(path):
     ("gauss_scattering", {"t_final": 0.3}),
     ("jet_standing_wave", {}),
     ("standing_wave", {"t_final": 0.3}),
-    # 257 steps: the last block holds one row
-    ("damped_sine", {"t_final": 0.257}),
+    # 2k + 1 steps for k the steps of a block at the strain-momentum
+    # ext_dim 3N + 4 = 100, which cuts both runs: the last block holds one
+    # row
+    ("damped_sine", {"t_final": 0.327}),
 ])
 def test_jet_compare_matches_the_per_row_loop(name, changes, tmp_path,
                                               capsys):
@@ -218,8 +220,8 @@ def test_jet_compare_matches_the_per_row_loop(name, changes, tmp_path,
     assert out.read_bytes() == first
     got = np.loadtxt(out, delimiter=",", skiprows=1)
     want = per_row_jet_compare(path)
-    if changes.get("t_final") == 0.257:
-        assert (len(got) - 1) % LEDGER_CHUNK == 1
+    if changes.get("t_final") == 0.327:
+        assert len(got) - 1 == 2 * _block_steps(100) + 1
     assert got.shape == want.shape
     assert np.array_equal(got[:, 0], want[:, 0])
     assert np.abs(got[:, 1:] - want[:, 1:]).max() <= 1e-12

@@ -58,7 +58,10 @@ def test_system_is_released_before_the_step_is_factored(
 
 
 def _damped_node(N, rng, build=impedance_node):
-    sys_ = random_wave_system(N, rng)
+    return _damped_node_of(random_wave_system(N, rng), build)
+
+
+def _damped_node_of(sys_, build=impedance_node):
     p = 0.6 * np.array([[0.6, -0.8], [0.8, 0.6]])
     return build(sys_.op_A, p, sys_.M_map, sys_.D_map)
 
@@ -82,6 +85,35 @@ def test_step_solver_allocates_its_two_matrices(dt, rng):
         tracemalloc.stop()
     assert solver._behind.shape == (ext, ext)
     assert peak <= 1.01 * (2 * 8 * ext * ext) + 8 * np.getbufsize()
+
+
+def test_streamed_run_holds_its_step_matrices_and_one_budget(rng, tmp_path):
+    # a 600-step run at N = 512 (ext_dim 1028) writes its CSV block by
+    # block: past its two ext x ext step matrices it holds blocks of 15
+    # states and their ledger rows, 4.2 BLOCK_BYTES at its peak; blocks of
+    # 256 states held 56.8 BLOCK_BYTES
+    sys_ = random_wave_system(512, rng)
+    nd = _damped_node_of(sys_)
+    z0 = wave1d.initial_state(sys_, "gauss")
+    signal = InputSignal("sine", weights=np.array([1.0, -0.5]),
+                         amplitude=0.3, frequency=2.0)
+
+    def run(t_final):
+        blocks = sim.simulate_blocks(nd, z0, signal, t_final, DT)
+        return cli._write_csv_atomic(str(tmp_path / "run.csv"),
+                                     cli.CSV_COLUMNS,
+                                     map(cli._trajectory_table, blocks))
+    run(2 * DT)       # the node's ledger factors and LAPACK lookups
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rows = run(600 * DT)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    ext = nd.op.ext_dim
+    assert rows == 601 and sim._block_steps(ext) == 15
+    assert peak - 2 * 8 * ext * ext <= 6 * sim.BLOCK_BYTES, peak
 
 
 def test_l_eff_forms_no_dense_array(rng):

@@ -31,12 +31,14 @@ from passivebc.scenario import (
     build_system,
     load_scenario,
 )
+from passivebc import sim
 from passivebc.sim import (
-    LEDGER_CHUNK,
     InputSignal,
     StepSolver,
+    _block_steps,
     consistent_initialization,
     simulate,
+    simulate_blocks,
     time_steps,
 )
 from passivebc.wave1d import analytic_standing_wave, initial_state
@@ -202,18 +204,26 @@ class TestStepMidpoint:
             StepSolver._factor(matrix)
 
     def test_each_factor_logs_its_size_and_pivot_ratio(self, rng, caplog):
-        nd = neumann_node(random_wave_system(16, rng))
+        # a run logs its factor once it is made, with the steps of its
+        # blocks and the bytes of its buffer: 1000 steps, blocks of k < 1000
+        sys_ = random_wave_system(16, rng)
+        nd = neumann_node(sys_)
         with caplog.at_level(logging.DEBUG, logger="passivebc"):
-            solver = StepSolver(nd, 1e-3)
+            simulate_blocks(nd, initial_state(sys_, "zero"),
+                            InputSignal.zero(2), 1.0, 1e-3)
+        solver = StepSolver(nd, 1e-3)      # the run's factor, made again
         pivots = np.abs(np.diag(solver._lu[0]))
         assert solver.pivot_ratio == pivots.min() / pivots.max()
         assert 0.0 < solver.pivot_ratio <= 1.0
         held = solver._behind.nbytes + sum(x.nbytes for x in solver._lu)
+        ext, k = nd.op.ext_dim, _block_steps(nd.op.ext_dim)
+        assert k < 1000
         [record] = caplog.records
         assert record.levelno == logging.DEBUG and record.name == "passivebc"
         assert record.getMessage() == (
-            f"step factor: ext_dim {nd.op.ext_dim}, {held} bytes held, "
-            f"pivot ratio {solver.pivot_ratio:.3e}")
+            f"step factor: ext_dim {ext}, {held} bytes held, "
+            f"pivot ratio {solver.pivot_ratio:.3e}; blocks of {k} steps in "
+            f"a {8 * (k + 1) * ext}-byte buffer")
 
 
 class TestSimulate:
@@ -599,10 +609,11 @@ def oracle_run(node, z_core0, signal, t_final, dt):
 
 class TestVectorizedLedger:
     @pytest.mark.parametrize("flavor", ["impedance", "scattering"])
-    @pytest.mark.parametrize("n_steps", [1, LEDGER_CHUNK - 1, LEDGER_CHUNK,
-                                         LEDGER_CHUNK + 1,
-                                         2 * LEDGER_CHUNK + 3])
-    def test_matches_per_state_oracle(self, rng, flavor, n_steps):
+    @pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 515])
+    def test_matches_per_state_oracle(self, rng, flavor, n_steps,
+                                      monkeypatch):
+        # one step, k - 1, k, k + 1 and 2k + 3 for blocks of k = 256 steps:
+        # the budget is set to 256 states at this node's ext_dim
         sys = random_wave_system(6, rng, b_max=0.6)
         raw = rng.standard_normal((2, 2))
         norm = ContractionParam.from_matrix(raw, sys.op_A.bspace).dual_norm
@@ -610,6 +621,8 @@ class TestVectorizedLedger:
         builder = impedance_node if flavor == "impedance" else scattering_node
         nd = builder(sys.op_A, p, sys.M_map, sys.D_map)
         assert nd.P.dual_norm < 1.0
+        monkeypatch.setattr(sim, "BLOCK_BYTES", 8 * 256 * nd.op.ext_dim)
+        assert _block_steps(nd.op.ext_dim) == 256
         sig = InputSignal("sine", weights=np.array([1.0, 0.6]),
                           amplitude=0.4, frequency=3.0)
         z0 = initial_state(sys, "gauss")
