@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import mmap
 import os
 import sys
@@ -131,6 +130,8 @@ def _refuse_unallocatable(sc: Scenario, formulation: str | None) -> None:
     of B_ext, (N + 1) x (2N + 3).  The lift forms its product tile by tile
     (``triplet._tiled_product``) and holds no dense B_ext, but the tiles
     still sweep that extent in O(N^2) flops, so an N past it is refused.
+    For ``"set-up"`` it is a bound of the strain-momentum set-up's peak,
+    150 doubles a cell (traced: 1.12-1.20 kB a cell at N = 10^3-3 10^5).
 
     Its bytes are asked of the operating system as an anonymous mapping
     and let go at once: a size that cannot be mapped raises
@@ -144,6 +145,7 @@ def _refuse_unallocatable(sc: Scenario, formulation: str | None) -> None:
         None: ("extent of the lift's B_ext", n + 1, 2 * n + 3),
         "position-momentum": ("step matrix", 2 * n + 4, 2 * n + 4),
         "strain-momentum": ("step matrix", 3 * n + 4, 3 * n + 4),
+        "set-up": ("strain-momentum set-up", n + 1, 150),
     }[formulation]
     nbytes = 8 * rows * cols
     try:
@@ -234,21 +236,19 @@ def jet_compare(path: str, out: str | None = None) -> int:
 def cayley_report(path: str, beta: float | None = None) -> int:
     """Print the transformed node maps and the round-trip residual.
 
-    The residual is the largest entry gap after the transform at beta and
-    its explicit inverse ``G = (g + k) / (2 s beta)``, ``K = (g - k) / (2 s)``
-    with ``s = 1/sqrt(2 beta)``; the transform is an involution only at
-    beta = 1.
+    The transform at beta is an involution at every beta > 0, so the
+    residual is the largest entry gap between the node's maps and those of
+    the transform applied twice.
     """
     sc = load_scenario(path)
-    if sc.formulation == "position-momentum":   # the lift; no step
-        _refuse_unallocatable(sc, None)
+    _refuse_unallocatable(sc, None if sc.formulation == "position-momentum"
+                          else "set-up")
     node = build_node(sc, build_system(sc))
     b = sc.beta if beta is None else beta
     transformed = external_cayley(node, b)
-    s = 1.0 / math.sqrt(2.0 * b)
-    g, k = transformed.G_map, transformed.K_map
-    round_trip = max(float(np.abs((g + k) / (2.0 * s * b) - node.G_map).max()),
-                     float(np.abs((g - k) / (2.0 * s) - node.K_map).max()))
+    back = external_cayley(transformed, b)
+    round_trip = max(float(np.abs(back.G_map - node.G_map).max()),
+                     float(np.abs(back.K_map - node.K_map).max()))
     np.set_printoptions(precision=6, suppress=False, linewidth=120)
     print(f"flavor {node.flavor} -> {transformed.flavor} at beta={b:g}")
     print("transformed input map G:")

@@ -110,6 +110,11 @@ def generator_from_contraction(op: BoundaryOperator, P) -> GeneratorRealization:
     return GeneratorRealization(x, param, op, condition=condition)
 
 
+def _rank(sigma: np.ndarray) -> int:
+    """Rank from singular values ``sigma``, cut at ``NULLSPACE_RCOND``."""
+    return int(np.sum(sigma > NULLSPACE_RCOND * sigma.max(initial=0.0)))
+
+
 def _restrict_to_kernel(c: np.ndarray, core_dim: int):
     """``(X, condition)`` of ``ker c = span [I; X]`` (see above), X
     read-only.
@@ -118,7 +123,7 @@ def _restrict_to_kernel(c: np.ndarray, core_dim: int):
     one an SVD null space of ``c`` at ``NULLSPACE_RCOND`` spans.
     """
     _, sigma, vt = np.linalg.svd(c, full_matrices=False)
-    rank = int(np.sum(sigma > NULLSPACE_RCOND * sigma.max(initial=0.0)))
+    rank = _rank(sigma)
     if c.shape[1] - rank != core_dim:
         raise IllPosedRestriction(
             f"constraint kernel has dimension {c.shape[1] - rank}, "

@@ -32,12 +32,14 @@ The state energy is measured by ``W = blockdiag(W_1, W_2 M^{-1})``, i.e.
 kinetic energy uses the inverse-mass inner product.  W_1 and W_2 are the
 core's two blocks; the state space is the direct sum ``W_1 (+) sym(W_2
 M^{-1})``, whose blocks the ledger reads.  The external Cayley transform
-at real beta > 0 recombines the port maps,
+at real beta > 0 takes an impedance node's port maps to scattering ones,
 
     G' = (beta G + K) / sqrt(2 beta),   K' = (beta G - K) / sqrt(2 beta),
 
-and toggles the flavor; at beta = 1 it is an involution and carries the
-scattering maps exactly onto the impedance maps.
+and a scattering node's back by the inverse, ``G' = (G + K) / sqrt(2
+beta)``, ``K' = beta (G - K) / sqrt(2 beta)``: each keeps the supply, and
+the transform is an involution at every beta.  At beta = 1 the two maps
+agree and carry the scattering maps exactly onto the impedance maps.
 """
 
 from __future__ import annotations
@@ -322,7 +324,10 @@ def impedance_node(op: BoundaryOperator, P, M: LinearMap,
 def external_cayley(node: BoundaryNode, beta: float) -> BoundaryNode:
     """Recombine the port maps, exchanging scattering and impedance forms.
 
-    Raises ``NonFiniteValue`` when beta is subnormal (it then holds fewer
+    A scattering node's maps go by the inverse of an impedance node's map
+    (see the module docstring), so the ledger closes for either flavor and
+    the transform is an involution at every beta > 0.  Raises
+    ``NonFiniteValue`` when beta is subnormal (it then holds fewer
     significant bits than a double) or when the scale or the new maps leave
     the floating-point range.
     """
@@ -334,8 +339,12 @@ def external_cayley(node: BoundaryNode, beta: float) -> BoundaryNode:
     if not 0.0 < scale < math.inf:
         raise NonFiniteValue(f"Cayley scale 1/sqrt(2 beta) is {scale:g} at "
                              f"beta={beta:g}")
-    g = scale * (beta * node.G_map + node.K_map)
-    k = scale * (beta * node.G_map - node.K_map)
+    if node.flavor == SCATTERING:   # the inverse of the map below
+        g = scale * (node.G_map + node.K_map)
+        k = scale * beta * (node.G_map - node.K_map)
+    else:
+        g = scale * (beta * node.G_map + node.K_map)
+        k = scale * (beta * node.G_map - node.K_map)
     if not (np.isfinite(g).all() and np.isfinite(k).all()):
         raise NonFiniteValue(f"Cayley-transformed port maps at beta={beta:g} "
                              "leave the floating-point range")

@@ -3,7 +3,10 @@
 A scenario fixes the wave coefficients, the node flavor and contraction
 parameter, the input signal, the initial state and the time grid.  The
 format is strict: ``schema_version`` must equal 1 and unknown keys are
-errors, so acceptance runs stay reproducible byte for byte.
+errors, so acceptance runs stay reproducible byte for byte.  The input and
+initial-state kinds, and the keys each takes, are read from the library's
+tables (``sim._INPUT_PARAMETERS``, ``wave1d._INITIAL_PARAMETERS``); each
+parameter name has one rule here (``_PARAMETER_RULES``).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import wave1d
+from . import node, sim, wave1d
 from .errors import InvalidTimeGrid, ScenarioError
 from .node import BoundaryNode, impedance_node, scattering_node
 from .sim import InputSignal, time_steps
@@ -35,9 +38,7 @@ _TOP_KEYS = {
     "dt": True, "seed": False, "out": False,
 }
 _FORMULATIONS = ("position-momentum", "strain-momentum")
-_FLAVORS = ("impedance", "scattering")
-_INPUT_KINDS = ("zero", "sine", "gauss_pulse")
-_INITIAL_KINDS = ("zero", "standing_wave", "gauss")
+_FLAVORS = (node.IMPEDANCE, node.SCATTERING)
 
 
 @dataclass(frozen=True)
@@ -127,49 +128,35 @@ def _parse_P(raw) -> np.ndarray:
     _fail("P must be a scalar or a 2x2 row-major matrix")
 
 
-def _parse_input(raw) -> dict:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        _fail("input must be an object with a 'kind' key")
-    kind = raw["kind"]
-    if kind not in _INPUT_KINDS:
-        _fail(f"input kind must be one of {_INPUT_KINDS}")
-    allowed = {"kind": True}
-    if kind == "sine":
-        allowed.update(amplitude=True, frequency=True,
-                       channel_weights=True)
-    elif kind == "gauss_pulse":
-        allowed.update(amplitude=True, center=True, width=True,
-                       channel_weights=True)
-    _expect_keys(raw, allowed, "input")
-    if kind != "zero":
-        _number_list(raw["channel_weights"], "input channel_weights", 2)
-        for key in ("amplitude", "frequency", "center"):
-            if key in raw:
-                _finite_number(raw[key], f"input {key}")
-        if kind == "gauss_pulse":
-            _positive_number(raw["width"], "input width")
-    return dict(raw)
+def _positive_integer(raw, name: str) -> int:
+    if not (_is_int(raw) and raw >= 1):
+        _fail(f"{name} must be a positive integer")
+    return raw
 
 
-def _parse_initial(raw) -> dict:
+# the scenario rule of each parameter an input or initial-state kind reads
+_PARAMETER_RULES = {"amplitude": _finite_number, "frequency": _finite_number,
+                    "center": _finite_number, "width": _positive_number,
+                    "k": _positive_integer}
+
+
+def _parse_kind(raw, where: str, kinds: dict, weighted: bool = False) -> dict:
+    """A ``{"kind": ...}`` object with exactly the keys that ``kinds``, a
+    library table, gives its kind, and if ``weighted`` and it has any, two
+    ``channel_weights``, checked first."""
     if not isinstance(raw, dict) or "kind" not in raw:
-        _fail("initial must be an object with a 'kind' key")
-    kind = raw["kind"]
-    if kind not in _INITIAL_KINDS:
-        _fail(f"initial kind must be one of {_INITIAL_KINDS}")
-    allowed = {"kind": True}
-    if kind == "standing_wave":
-        allowed.update(k=True)
-    elif kind == "gauss":
-        allowed.update(center=True, width=True)
-    _expect_keys(raw, allowed, "initial")
-    if kind == "standing_wave":
-        k = raw["k"]
-        if not (_is_int(k) and k >= 1):
-            _fail("initial k must be a positive integer")
-    elif kind == "gauss":
-        _finite_number(raw["center"], "initial center")
-        _positive_number(raw["width"], "initial width")
+        _fail(f"{where} must be an object with a 'kind' key")
+    names, kind = tuple(kinds), raw["kind"]
+    if kind not in names:
+        _fail(f"{where} kind must be one of {names}")
+    params = kinds[kind]
+    weighted = weighted and params
+    keys = ("kind",) + params + (("channel_weights",) if weighted else ())
+    _expect_keys(raw, dict.fromkeys(keys, True), where)
+    if weighted:
+        _number_list(raw["channel_weights"], f"{where} channel_weights", 2)
+    for name in params:
+        _PARAMETER_RULES[name](raw[name], f"{where} {name}")
     return dict(raw)
 
 
@@ -219,9 +206,7 @@ def load_scenario(path: str | Path) -> Scenario:
     if flavor not in _FLAVORS:
         _fail(f"flavor must be one of {_FLAVORS}")
 
-    n = raw["N"]
-    if not (_is_int(n) and n >= 1):
-        _fail("N must be a positive integer")
+    n = _positive_integer(raw["N"], "N")
     length = _positive_number(raw["length"], "length")
 
     coeffs = raw["coefficients"]
@@ -246,8 +231,10 @@ def load_scenario(path: str | Path) -> Scenario:
     return Scenario(formulation=formulation, N=n, length=length,
                     rho=rho, T=t_arr, a=a_arr, b=b_arr,
                     P=_parse_P(raw["P"]), flavor=flavor, beta=beta,
-                    input=_parse_input(raw["input"]),
-                    initial=_parse_initial(raw["initial"]),
+                    input=_parse_kind(raw["input"], "input",
+                                      sim._INPUT_PARAMETERS, weighted=True),
+                    initial=_parse_kind(raw["initial"], "initial",
+                                        wave1d._INITIAL_PARAMETERS),
                     t_final=t_final, dt=dt, seed=seed, out=out)
 
 
@@ -259,7 +246,8 @@ def build_system(sc: Scenario) -> WaveSystem:
 def build_flavor_node(sc: Scenario, sys: WaveSystem,
                       op: BoundaryOperator) -> BoundaryNode:
     """Node of the scenario's flavor and P on ``op`` with the system M, D."""
-    builder = impedance_node if sc.flavor == "impedance" else scattering_node
+    builder = (impedance_node if sc.flavor == node.IMPEDANCE
+               else scattering_node)
     return builder(op, sc.P, sys.M_map, sys.D_map)
 
 
@@ -270,23 +258,14 @@ def build_node(sc: Scenario, sys: WaveSystem) -> BoundaryNode:
 
 
 def build_signal(sc: Scenario) -> InputSignal:
-    cfg = sc.input
-    kind = cfg["kind"]
-    if kind == "zero":
-        return InputSignal.zero(2)
-    weights = np.asarray(cfg["channel_weights"], dtype=float)
-    if kind == "sine":
-        return InputSignal("sine", weights=weights,
-                           amplitude=float(cfg["amplitude"]),
-                           frequency=float(cfg["frequency"]))
-    return InputSignal("gauss_pulse", weights=weights,
-                       amplitude=float(cfg["amplitude"]),
-                       center=float(cfg["center"]),
-                       width=float(cfg["width"]))
+    """The scenario's input on two channels (weights zero for ``zero``)."""
+    params = dict(sc.input)
+    kind = params.pop("kind")
+    weights = params.pop("channel_weights", (0.0, 0.0))
+    return InputSignal(kind, weights=np.asarray(weights, dtype=float),
+                       **{k: float(v) for k, v in params.items()})
 
 
 def build_initial_state(sc: Scenario, sys: WaveSystem) -> np.ndarray:
     """Initial core state in the position-momentum coordinates."""
-    cfg = dict(sc.initial)
-    kind = cfg.pop("kind")
-    return wave1d.initial_state(sys, kind, **cfg)
+    return wave1d.initial_state(sys, **sc.initial)

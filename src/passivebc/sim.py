@@ -72,6 +72,10 @@ BLOCK_BYTES = 128 * 1024   # states a run's block holds, in bytes
 
 _log = logging.getLogger("passivebc")
 
+# each input kind and its parameters; scenario files take these
+_INPUT_PARAMETERS = {"zero": (), "sine": ("amplitude", "frequency"),
+                     "gauss_pulse": ("amplitude", "center", "width")}
+
 
 @dataclass(frozen=True)
 class InputSignal:
@@ -92,7 +96,7 @@ class InputSignal:
     width: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "sine", "gauss_pulse"):
+        if self.kind not in tuple(_INPUT_PARAMETERS):
             raise UnknownChoice(f"unknown input kind {self.kind!r}")
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         w.setflags(write=False)
@@ -351,8 +355,8 @@ def simulate_blocks(node: BoundaryNode, z_core0: np.ndarray,
     ``(block_steps + 1) x ext_dim`` buffer of states.  By default a block
     holds as many steps as fit ``BLOCK_BYTES`` at the node's ext_dim, at
     least one; two runs on different ext_dims pass one count to be cut at
-    the same rows, and a count below one raises ``NonPositiveParameter``.
-    The buffer holds at most the run.
+    the same rows, and a count that is not an integer >= 1 (a bool is not)
+    raises ``NonPositiveParameter``.  The buffer holds at most the run.
 
     The set-up (grid, signal, initial state, step factor, every midpoint
     input) is done before this returns; each block is then stepped from
@@ -364,9 +368,10 @@ def simulate_blocks(node: BoundaryNode, z_core0: np.ndarray,
     the initial state and the step.
     """
     n_steps = _checked_grid(node, signal, t_final, dt)
-    if block_steps is not None and not block_steps >= 1:
-        raise NonPositiveParameter(f"a block must hold at least one step, "
-                                   f"got {block_steps!r}")
+    if block_steps is not None and (isinstance(block_steps, bool) or not (
+            isinstance(block_steps, (int, np.integer)) and block_steps >= 1)):
+        raise NonPositiveParameter("a block must hold at least one step, a "
+                                   f"whole number, got {block_steps!r}")
     m = node.G_map.shape[0]
     nbytes = 8.0 * (n_steps + 1) + 8.0 * n_steps * (m + 1)
     with _grid_allocation(n_steps, node.op.ext_dim, nbytes,

@@ -65,11 +65,11 @@ def _kernel_gap(image: np.ndarray, dim: int, trace: np.ndarray) -> float:
     ``trace Q`` for the orthogonal projector Q onto S; pi/2 when their
     dimensions differ.
 
-    With the rank r of the trace counted at rcond 1e-10, the sine is <=
-    ``||image||_2 / sigma_r`` (Stewart and Sun, Matrix Perturbation
-    Theory, I.5)."""
+    With the rank r of the trace counted at ``NULLSPACE_RCOND``
+    (``extension._rank``), the sine is <= ``||image||_2 / sigma_r``
+    (Stewart and Sun, Matrix Perturbation Theory, I.5)."""
     sigma = np.linalg.svd(trace, compute_uv=False)
-    rank = int(np.sum(sigma > 1e-10 * sigma.max(initial=0.0)))
+    rank = ext._rank(sigma)
     if dim != trace.shape[1] - rank:
         return np.pi / 2.0
     gap = np.linalg.norm(image, 2) / sigma[rank - 1] if rank else 0.0
@@ -99,8 +99,8 @@ def _extension_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
     # The domains with no basis formed: Neumann's ker C(I) = span [I; X]
     # gives Gamma1 [I; X] from the kernel coordinates X; Dirichlet's
     # ker C(-I) is the complement of the row space V of C(-I) (its thin
-    # SVD at rcond 1e-10), whose projector I - V^T V gives Gamma0 - (Gamma0
-    # V^T) V.
+    # SVD at NULLSPACE_RCOND), whose projector I - V^T V gives Gamma0 -
+    # (Gamma0 V^T) V.
     m, core = op.bspace.dim, op.core.dim
     neumann = ext.generator_from_contraction(op, np.eye(m))
     checks.append(CheckResult(
@@ -109,7 +109,7 @@ def _extension_checks(sys, rng: np.random.Generator) -> list[CheckResult]:
                     op.Gamma1), 1e-10, "angle bound"))
     _, sigma, vt = np.linalg.svd(ext.constraint_matrix(op, -np.eye(m)),
                                  full_matrices=False)
-    v = vt[:int(np.sum(sigma > 1e-10 * sigma.max(initial=0.0)))]
+    v = vt[:ext._rank(sigma)]
     g0 = op.Gamma0
     checks.append(CheckResult(
         "extension_dirichlet_domain",

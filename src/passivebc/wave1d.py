@@ -263,6 +263,7 @@ def analytic_standing_wave(k: int, coeffs: WaveCoefficients
     return state, omega
 
 
+# each initial-state kind and its parameters; scenario files take these
 _INITIAL_PARAMETERS = {"zero": (), "standing_wave": ("k",),
                        "gauss": ("center", "width")}
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from passivebc import cli
+from passivebc import cli, sim, wave1d
 from passivebc.errors import ScenarioError, ShapeMismatch
 from passivebc.jet import push_state
 from passivebc.node import EnergyLedger
@@ -103,6 +103,36 @@ class TestScenarioLoading:
         doc = base_scenario(input={"kind": "square"})
         with pytest.raises(ScenarioError):
             load_scenario(write_scenario(tmp_path, doc))
+
+    @pytest.mark.parametrize("field, table, doc, bad, message", [
+        ("input", (sim, "_INPUT_PARAMETERS"),
+         {"kind": "ramp", "amplitude": 0.5, "width": 2.0,
+          "channel_weights": [1.0, 0.0]},
+         {"width": 0.0}, "input width must be positive"),
+        ("initial", (wave1d, "_INITIAL_PARAMETERS"),
+         {"kind": "bump", "center": 0.5, "k": 2},
+         {"k": 2.0}, "initial k must be a positive integer")],
+        ids=["input", "initial"])
+    def test_kinds_and_their_keys_are_the_librarys(
+            self, tmp_path, monkeypatch, field, table, doc, bad, message):
+        # a kind added to the library's table is taken with exactly its
+        # parameters (and an input's channel_weights), each by its rule
+        params = tuple(k for k in doc if k not in ("kind", "channel_weights"))
+        monkeypatch.setitem(getattr(*table), doc["kind"], params)
+
+        def load(obj):
+            return load_scenario(write_scenario(
+                tmp_path, base_scenario(**{field: obj})))
+        assert getattr(load(doc), field) == doc
+        for key in ("frequency", "typo"):
+            with pytest.raises(ScenarioError, match=re.escape(
+                    f"unknown keys in {field}: ['{key}']")):
+                load(dict(doc, **{key: 1.0}))
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"missing keys in {field}: ['{params[-1]}']")):
+            load({k: v for k, v in doc.items() if k != params[-1]})
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            load(dict(doc, **bad))
 
 
 class TestExitCodes:
@@ -313,8 +343,8 @@ class TestCayleyCommand:
         assert "round-trip residual" in out
 
     def test_round_trip_at_beta_2_is_roundoff(self, tmp_path, capsys):
-        # applying the beta = 2 transform twice misses the original maps
-        # by 5e-1 on this scenario; the inverse recovers them
+        # the transform is an involution at every beta: applied twice at
+        # beta = 2 it gives back the maps
         scn = write_scenario(tmp_path, DAMPED_SINE)
         assert cli.main(["cayley", "--scenario", scn, "--beta", "2"]) == 0
         line = capsys.readouterr().out.splitlines()[-1]
@@ -336,7 +366,8 @@ class TestCayleyCommand:
         doc = dict(DAMPED_SINE, formulation=formulation)
         scn = write_scenario(tmp_path, doc)
         assert cli.main(["cayley", "--scenario", scn]) == 0
-        node, = nodes
+        node, transformed = nodes   # the round trip transforms twice
+        assert node.flavor == "impedance" != transformed.flavor
         assert node.G_map.shape == node.K_map.shape == (2, width)
         assert capsys.readouterr().out.startswith(
             "flavor impedance -> scattering at beta=1\n")
@@ -632,7 +663,9 @@ class TestInputRobustness:
         ("verify", "position-momentum",
          "the extent of the lift's B_ext, 1000001 x 2000003 doubles"),
         ("jet-compare", "position-momentum",
-         "the step matrix, 3000004 x 3000004 doubles")])
+         "the step matrix, 3000004 x 3000004 doubles"),
+        ("cayley", "strain-momentum",
+         "the strain-momentum set-up, 1000001 x 150 doubles")])
     def test_unmappable_dense_array_is_refused_before_the_set_up(
             self, tmp_path, capsys, monkeypatch, command, formulation, what):
         # the largest dense array of the command is asked for before any

@@ -23,11 +23,15 @@ from passivebc.node import (
     scattering_node,
 )
 
+from passivebc.sim import InputSignal, simulate
+from passivebc.wave1d import initial_state
+
 from conftest import (
     ROOT,
     dense_mass_weight,
     energy_preserving,
     iota,
+    random_wave_system,
     wave_system,
 )
 
@@ -210,7 +214,7 @@ class TestCayley:
             assert np.abs(once.K_map - imp.K_map).max() <= 1e-14
 
     def test_general_beta_formula(self):
-        # the involution is special to beta = 1; other beta just rescale
+        # an impedance node's maps go by the forward map at any beta
         sys = wave_system(4)
         nd = impedance_node(sys.op_A, np.zeros((2, 2)), sys.M_map,
                             sys.D_map)
@@ -223,6 +227,29 @@ class TestCayley:
                            scale * (2.5 * nd.G_map - nd.K_map),
                            atol=1e-15)
         assert out.flavor != nd.flavor
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    @pytest.mark.parametrize("flavor", ["scattering", "impedance"])
+    def test_ledger_closes_and_round_trip_at_any_beta(self, flavor, beta):
+        # the transformed node's supply is the node's, so the ledger closes
+        # (residual = -slack/2) from either flavor
+        sys = random_wave_system(16, np.random.default_rng(0))
+        builder = scattering_node if flavor == "scattering" \
+            else impedance_node
+        nd = builder(sys.op_A, 0.5 * rotation(0.7), sys.M_map, sys.D_map)
+        out = external_cayley(nd, beta)
+        sig = InputSignal("sine", weights=np.array([1.0, 0.5]),
+                          amplitude=0.3, frequency=1.3)
+        led = simulate(out, initial_state(sys, "zero"), sig, 0.2,
+                       1e-3).ledger
+        assert led.slack.max() > 1e-8    # the contraction is not unitary
+        assert np.abs(led.residual + 0.5 * led.slack).max() <= 1e-12 * (
+            1.0 + led.H.max())
+        back = external_cayley(out, beta)
+        assert back.flavor == flavor
+        for got, want in ((back.G_map, nd.G_map), (back.K_map, nd.K_map)):
+            assert np.abs(got - want).max() <= 1e-15 * (
+                1.0 + np.abs(want).max())
 
     def test_nonpositive_beta_rejected(self):
         sys = wave_system(4)
@@ -382,12 +409,14 @@ class TestLazySetUp:
         builder = scattering_node if flavor == "scattering" \
             else impedance_node
         nd = builder(sys.op_A, P, sys.M_map, sys.D_map)
-        if flavor == "impedance" and name == "-I":
-            with pytest.raises(SingularCoreProjection):
-                internal_wellposedness(nd)
-        else:
-            assert internal_wellposedness(nd)[0] is True
-        assert internal_wellposedness(external_cayley(nd, 2.0))[0] is True
+        # the beta = 2 transform of scattering P = -I has the kernel of
+        # impedance P = -I, whose core projection is singular
+        for x in (nd, external_cayley(nd, 2.0)):
+            if x.flavor == "impedance" and name == "-I":
+                with pytest.raises(SingularCoreProjection):
+                    internal_wellposedness(x)
+            else:
+                assert internal_wellposedness(x)[0] is True
 
 
 class TestPassivityResidual:

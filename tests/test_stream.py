@@ -227,7 +227,7 @@ def test_run_holds_one_block_of_states(tmp_path, capsys):
     assert "wrote 8000 steps" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("steps", [0, -3, np.nan])
+@pytest.mark.parametrize("steps", [0, -3, np.nan, 2.5, "3", True])
 def test_block_of_no_step_is_refused(steps):
     sys = wave_system(4)
     nd = impedance_node(sys.op_A, np.eye(2), sys.M_map, sys.D_map)
